@@ -36,10 +36,6 @@ def parse_spec(text: str):
     return modules.ring_cyclic(rings.build_ring(s))
 
 
-def _mask_labels(space, mask):
-    return space.label_set(mask)
-
-
 def _analyze_payload(E, with_oracle: bool):
     space = topology.build_space(E)
     classes = modules.scalar_classes(E)
@@ -73,15 +69,15 @@ def _analyze_payload(E, with_oracle: bool):
             for c in classes
         ],
         "basis": {
-            space.labels[i]: _mask_labels(space, topology.basis_set(space, i))
+            space.labels[i]: space.label_set(topology.basis_set(space, i))
             for i in range(space.n)
         },
         "hasse": [
             [space.labels[i], space.labels[j]] for i, j in topology.hasse_edges(space)
         ],
-        "maximal_classes": _mask_labels(space, topology.maximal_classes(space)),
-        "minimal_classes": _mask_labels(space, topology.minimal_classes(space)),
-        "isolated_points": _mask_labels(space, topology.isolated_points(space)),
+        "maximal_classes": space.label_set(topology.maximal_classes(space)),
+        "minimal_classes": space.label_set(topology.minimal_classes(space)),
+        "isolated_points": space.label_set(topology.isolated_points(space)),
         "separation": {
             "T0": sep.t0,
             "T1": sep.t1,
@@ -103,7 +99,7 @@ def _analyze_payload(E, with_oracle: bool):
             "compact": True,
             "lindelof": True,
             "minimal_element_count": len(
-                _mask_labels(space, topology.minimal_classes(space))
+                space.label_set(topology.minimal_classes(space))
             ),
         },
         "countability": {"first_countable": True, "second_countable": True},

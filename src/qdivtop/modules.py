@@ -4,10 +4,11 @@ algebraic predicates that drive the topology construction.
 A module is one of
 
 * an explicit direct sum of cyclic residue modules A/(d_1) + ... + A/(d_k)
-  over A = Z or A = F_p[x]; elements are tuples of component residues;
+  over A = Z or A = F_p[x]; elements are labelled by tuples of component
+  residues;
 * a catalog ring R viewed as a cyclic module over a declared polynomial
-  domain surjecting onto R; elements are the ring elements and the scalar
-  action is ring multiplication;
+  domain surjecting onto R; elements are labelled by the ring elements and
+  the scalar action is ring multiplication;
 * a submodule, quotient or direct sum derived from those.
 
 All scalar action factors through the finite residue ring A/ann(E).  For a
@@ -16,10 +17,14 @@ surjection are exactly the nonzero nonunit residues modulo the
 annihilator, so enumerating that ring enumerates every cyclic image aE;
 a direct-sampling cross-check of this reduction lives in the verifier.
 
-Internally elements carry integer indices and element sets are bit masks
-over those indices, which keeps image computations and the submodule
-lattice cheap.  Modules are immutable after construction and every
-operation is pure.
+Elements are the indices ``0..N-1``; their values (residue tuples, ring
+elements) are kept only as labels, to parse input and print output.  All
+arithmetic is on indices: the action of each residue is one row mapping
+element index to element index, stored as ``array('H')`` (``ELEMENT_CAP``
+4096 < 2^16), addition is one index-level ``add(i, j)``, and negation is
+the row of -1.  Element sets are bit masks over the indices, which keeps
+image computations and the submodule lattice cheap.  Modules are immutable
+after construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from array import array
 from dataclasses import dataclass
 
 from . import rings, scalars
@@ -52,42 +58,59 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _mask(indices) -> int:
+    mask = 0
+    for i in set(indices):
+        mask |= 1 << i
+    return mask
+
+
 class Submodule:
     """An explicit submodule: a sorted element tuple plus its bit mask.
 
-    Closure under addition, negation and the full residue action is
-    verified on construction.
+    Closure under addition and the full residue action (negation is the
+    action of -1) is verified for every element set or mask a caller
+    passes in.  Masks the library computes itself (class images, lattice
+    masks, split parts) are submodules by construction and skip the check.
     """
 
     __slots__ = ("module", "mask", "elements")
 
     def __init__(self, module: "FiniteModule", elements=None, mask=None):
-        self.module = module
         if mask is None:
             if elements is None:
                 raise ModuleError("a submodule needs elements or a mask")
-            mask = 0
-            for e in elements:
-                mask |= 1 << module.elem_index(e)
-        self.mask = mask
-        self.elements = tuple(module.elements[i] for i in _bits(mask))
+            mask = _mask(module.elem_index(e) for e in elements)
+        self._set(module, mask)
         self._verify()
+
+    @classmethod
+    def _trusted(cls, module: "FiniteModule", mask: int) -> "Submodule":
+        sub = cls.__new__(cls)
+        sub._set(module, mask)
+        return sub
+
+    def _set(self, module, mask):
+        self.module = module
+        self.mask = mask
+        self.elements = module.elements_of_mask(mask)
 
     def _verify(self):
         E = self.module
-        members = set(self.elements)
-        if E.zero_elem not in members:
+        if not self.mask & E.zero_mask:
             raise ModuleError("a submodule must contain zero")
-        for x in self.elements:
-            if E.neg_elem(x) not in members:
-                raise ModuleError(f"not closed under negation at {x!r}")
-            for y in self.elements:
-                if E.add_elems(x, y) not in members:
-                    raise ModuleError(f"not closed under addition at {x!r}+{y!r}")
-        for r in E.residue_ring.elements:
-            for x in self.elements:
-                if E.act(r, x) not in members:
-                    raise ModuleError(f"not closed under the action of {r!r}")
+        members = list(_bits(self.mask))
+        inside = set(members)
+        for r, row in zip(E.residue_ring.elements, E.rows):
+            if any(row[i] not in inside for i in members):
+                raise ModuleError(f"not closed under the action of {r!r}")
+        for i in members:
+            for j in members:
+                if E.add(i, j) not in inside:
+                    raise ModuleError(
+                        f"not closed under addition at "
+                        f"{E.elements[i]!r}+{E.elements[j]!r}"
+                    )
 
     @property
     def size(self) -> int:
@@ -141,7 +164,8 @@ class WeakSplit:
 
 
 class FiniteModule:
-    """A finite module with enumerable elements and residue-ring action."""
+    """A finite module on element indices: labels, a zero index, one action
+    row per residue (aligned with ``residue_ring.elements``) and ``add``."""
 
     def __init__(
         self,
@@ -152,8 +176,7 @@ class FiniteModule:
         elements,
         zero,
         add,
-        neg,
-        act,
+        rows,
         format_element,
         domain=None,
         domain_label="",
@@ -170,10 +193,9 @@ class FiniteModule:
         self.spec_text = spec_text
         self.residue_ring = residue_ring
         self.elements = tuple(elements)
-        self.zero_elem = zero
-        self.add_elems = add
-        self.neg_elem = neg
-        self.act = act
+        self.zero = zero
+        self.add = add
+        self.rows = tuple(rows)
         self.format_element = format_element
         self.domain = domain
         self.domain_label = domain_label
@@ -183,10 +205,8 @@ class FiniteModule:
         self.ann_ideal = ann_ideal
         self.order = len(self.elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self.zero_mask = 1 << self._index[zero]
+        self.zero_mask = 1 << zero
         self.full_mask = (1 << self.order) - 1
-        self._add_tbl = None
-        self._act_rows = {}
         self._images = {}
         self._classes = None
         self._lattice = None
@@ -206,81 +226,43 @@ class FiniteModule:
     def format_mask(self, mask: int):
         return [self.format_element(e) for e in self.elements_of_mask(mask)]
 
-    def _add_table(self):
-        if self._add_tbl is None:
-            idx = self._index
-            elems = self.elements
-            self._add_tbl = [
-                [idx[self.add_elems(x, y)] for y in elems] for x in elems
-            ]
-        return self._add_tbl
-
-    def _act_row(self, r):
-        row = self._act_rows.get(r)
-        if row is None:
-            idx = self._index
-            row = [idx[self.act(r, x)] for x in self.elements]
-            self._act_rows[r] = row
-        return row
-
-    def _add_index_fn(self):
-        # the quadratic table only pays off under the lattice cap
-        if self.order <= LATTICE_CAP:
-            tbl = self._add_table()
-            return lambda i, j: tbl[i][j]
-        elems, idx, add = self.elements, self._index, self.add_elems
-        return lambda i, j: idx[add(elems[i], elems[j])]
+    def row(self, r) -> array:
+        """The action of residue r: element index -> element index."""
+        return self.rows[self.residue_ring.index(r)]
 
     # -- images and generated submodules ----------------------------------
 
     def image_mask(self, r) -> int:
         mask = self._images.get(r)
         if mask is None:
-            mask = 0
-            for i in self._act_row(r):
-                mask |= 1 << i
-            self._images[r] = mask
+            mask = self._images[r] = _mask(self.row(r))
         return mask
 
     def image(self, r) -> Submodule:
-        return Submodule(self, mask=self.image_mask(r))
+        return Submodule._trusted(self, self.image_mask(r))
 
     def join_masks(self, m1: int, m2: int) -> int:
-        """The submodule sum of two submodule masks."""
+        """The sum of two submodule masks: m1 plus one coset of it for each
+        element of m2 not yet covered."""
         if not (m2 & ~m1):
             return m1
         if not (m1 & ~m2):
             return m2
-        add_index = self._add_index_fn()
-        out = 0
-        for i in _bits(m1):
-            for j in _bits(m2):
-                out |= 1 << add_index(i, j)
+        add = self.add
+        base = list(_bits(m1))
+        out = m1
+        for j in _bits(m2):
+            if not (out >> j) & 1:
+                for i in base:
+                    out |= 1 << add(i, j)
         return out
 
-    def closure_mask(self, seed_indices) -> int:
-        """Mask of the submodule generated by the given element indices."""
-        ring = self.residue_ring
-        gen = set()
-        for i in seed_indices:
-            for r in ring.elements:
-                gen.add(self._act_row(r)[i])
-        add_index = self._add_index_fn()
-        mask = self.zero_mask
-        queue = list(gen)
-        while queue:
-            i = queue.pop()
-            if (mask >> i) & 1:
-                continue
-            queue.extend(add_index(i, j) for j in _bits(mask))
-            mask |= 1 << i
-        return mask
-
     def cyclic_mask(self, i: int) -> int:
+        """Mask of Rx for the element x at index i: column i of the action
+        rows, since Rx is already closed under addition."""
         mask = self._cyclic.get(i)
         if mask is None:
-            mask = self.closure_mask((i,))
-            self._cyclic[i] = mask
+            mask = self._cyclic[i] = _mask(row[i] for row in self.rows)
         return mask
 
     def lattice_masks(self) -> tuple:
@@ -350,30 +332,22 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
     for d in moduli[1:]:
         ann = scalars.scalar_lcm(ann, d)
 
+    mods = [d.value for d in moduli]
     if domain.kind == "int":
-        mods = [d.value for d in moduli]
-        comps = [range(m) for m in mods]
         residue_ring = rings.ZnRing(ann.value)
+        comps = [range(m) for m in mods]
+        codes = comps
+        radices = [(m,) for m in mods]
+        fmt_one = str
 
-        def add(x, y):
-            return tuple((a + b) % m for a, b, m in zip(x, y, mods))
+        def comp_row(r, j):
+            m = mods[j]
+            return [(r * a) % m for a in range(m)]
 
-        def neg(x):
-            return tuple((-a) % m for a, m in zip(x, mods))
-
-        def act(r, x):
-            return tuple((r * a) % m for a, m in zip(x, mods))
-
-        def fmt(x):
-            if len(mods) == 1:
-                return str(x[0])
-            return "(" + ",".join(str(a) for a in x) + ")"
-
-        zero = (0,) * len(mods)
         spec_text = "Z:" + ",".join(str(m) for m in mods)
     else:
         p = domain.char
-        mods = [d.value for d in moduli]
+        residue_ring = rings.QuotPolyRing(p, ann.value)
         comps = []
         for m in mods:
             res = [
@@ -382,47 +356,79 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
                 for c in itertools.product(range(p), repeat=k)
                 if not c or c[-1] != 0
             ]
-            res = sorted(set(res), key=lambda c: (len(c), c))
-            comps.append(res)
-        residue_ring = rings.QuotPolyRing(p, ann.value)
+            comps.append(sorted(set(res), key=lambda c: (len(c), c)))
+        comp_index = [{c: k for k, c in enumerate(res)} for res in comps]
+        # a residue's code reads its coefficients as base-p digits
+        codes = [
+            [sum(c * p**k for k, c in enumerate(a)) for a in res] for res in comps
+        ]
+        radices = [(p,) * scalars.pdeg(m) for m in mods]
+        fmt_one = scalars.format_poly
 
-        def add(x, y):
-            return tuple(scalars.padd(a, b, p) for a, b in zip(x, y))
+        def comp_row(r, j):
+            m, idx = mods[j], comp_index[j]
+            return [
+                idx[scalars.pdivmod(scalars.pmul(r, a, p), m, p)[1]] for a in comps[j]
+            ]
 
-        def neg(x):
-            return tuple(scalars.pneg(a, p) for a in x)
-
-        def act(r, x):
-            return tuple(
-                scalars.pdivmod(scalars.pmul(r, a, p), m, p)[1]
-                for a, m in zip(x, mods)
-            )
-
-        def fmt(x):
-            if len(mods) == 1:
-                return scalars.format_poly(x[0])
-            return "(" + ",".join(scalars.format_poly(a) for a in x) + ")"
-
-        zero = ((),) * len(mods)
         spec_text = f"F{p}[x]:" + ",".join(scalars.format_poly(m) for m in mods)
 
-    elements = tuple(itertools.product(*comps))
+    def fmt(x):
+        if len(mods) == 1:
+            return fmt_one(x[0])
+        return "(" + ",".join(fmt_one(a) for a in x) + ")"
 
+    sizes = [len(c) for c in comps]
     return FiniteModule(
         kind="cyclic_sum",
         spec_text=spec_text,
         residue_ring=residue_ring,
-        elements=elements,
-        zero=zero,
-        add=add,
-        neg=neg,
-        act=act,
+        elements=tuple(itertools.product(*comps)),
+        zero=0,
+        add=_digitwise_add(sizes, codes, radices),
+        rows=[
+            array("H", _mixed_radix(sizes, [comp_row(r, j) for j in range(len(mods))]))
+            for r in residue_ring.elements
+        ],
         format_element=fmt,
         domain=domain,
         domain_label=str(domain),
         moduli=moduli,
         ann_scalar=ann,
     )
+
+
+def _mixed_radix(sizes, parts) -> list:
+    """Combine per-component values like ``itertools.product`` combines the
+    components: entry k is sum(part_j[digit_j(k)] * stride_j)."""
+    out = [0]
+    for n, part in zip(sizes, parts):
+        out = [x * n + c for x in out for c in part]
+    return out
+
+
+def _digitwise_add(sizes, codes, radices):
+    """Index-level addition on a direct sum whose component j is a group of
+    digit vectors with the given radices: each index maps to a mixed-radix
+    code, codes add digit by digit, and the sum maps back to an index."""
+    code = array("H", _mixed_radix(sizes, codes))
+    index_of = array("H", code)
+    for i, c in enumerate(code):
+        index_of[c] = i
+    # least significant digit first; a component's radices multiply to its size
+    digits, place = [], 1
+    for rads in reversed(radices):
+        for radix in rads:
+            digits.append((radix, place))
+            place *= radix
+
+    def add(i, j):
+        u, v, w = code[i], code[j], 0
+        for radix, place in digits:
+            w += (u // place + v // place) % radix * place
+        return index_of[w]
+
+    return add
 
 
 def _default_domain_label(ring: rings.FiniteRing) -> str:
@@ -440,17 +446,21 @@ def ring_cyclic(ring: rings.FiniteRing, domain_label: str | None = None) -> Fini
     """A catalog ring as a cyclic module over a declared acting domain.
 
     The declared domain is metadata: the action factors through the ring
-    itself, which is where all computation happens.
+    itself, and element indices are the ring's own element indices.
     """
+    elems, index = ring.elements, ring.index
+
+    def add(i, j):
+        return index(ring.add(elems[i], elems[j]))
+
     return FiniteModule(
         kind="ring_cyclic",
         spec_text=f"ring:{ring.spec}",
         residue_ring=ring,
-        elements=ring.elements,
-        zero=ring.zero,
-        add=ring.add,
-        neg=ring.neg,
-        act=ring.mul,
+        elements=elems,
+        zero=index(ring.zero),
+        add=add,
+        rows=[array("H", [index(ring.mul(r, x)) for x in elems]) for r in elems],
         format_element=ring.format_element,
         domain=None,
         domain_label=domain_label or _default_domain_label(ring),
@@ -515,7 +525,7 @@ def scalar_classes(E: FiniteModule) -> tuple:
                 ScalarClass(
                     rep=rep,
                     members=tuple(members),
-                    image=Submodule(E, mask=mask),
+                    image=Submodule._trusted(E, mask),
                     label=f"[{ring.format_element(rep)}]",
                 )
             )
@@ -531,18 +541,18 @@ def cyclic_image(E: FiniteModule, r) -> Submodule:
 
 
 def enumerate_submodules(E: FiniteModule) -> tuple:
-    """Every submodule, as verified Submodule values, smallest first."""
-    return tuple(Submodule(E, mask=m) for m in E.lattice_masks())
+    """Every submodule as a Submodule value, smallest mask first.  The masks
+    are joins of cyclic submodules, so they are not checked again."""
+    return tuple(Submodule._trusted(E, m) for m in E.lattice_masks())
 
 
 def _killer_residues(E: FiniteModule, mask: int) -> list:
-    zero_i = E.elem_index(E.zero_elem)
-    out = []
-    for r in E.residue_ring.elements:
-        row = E._act_row(r)
-        if all(row[i] == zero_i for i in _bits(mask)):
-            out.append(r)
-    return out
+    members = list(_bits(mask))
+    return [
+        r
+        for r, row in zip(E.residue_ring.elements, E.rows)
+        if all(row[i] == E.zero for i in members)
+    ]
 
 
 def _ideal_generator_info(E: FiniteModule, killers):
@@ -588,13 +598,10 @@ def is_second_module(E: FiniteModule) -> bool:
 
 def is_second_submodule(E: FiniteModule, N: Submodule) -> bool:
     """Every residue maps N onto N or to zero."""
-    zero_bit = E.zero_mask
-    for r in E.residue_ring.elements:
-        row = E._act_row(r)
-        img = 0
-        for i in _bits(N.mask):
-            img |= 1 << row[i]
-        if img != N.mask and img != zero_bit:
+    members = list(_bits(N.mask))
+    for row in E.rows:
+        img = _mask(row[i] for i in members)
+        if img != N.mask and img != E.zero_mask:
             return False
     return True
 
@@ -631,7 +638,8 @@ def is_quasi_second(E: FiniteModule) -> bool:
     return find_quasi_second_violation(E) is None
 
 
-def _semiprime_annihilator(E: FiniteModule) -> bool:
+def semiprime_annihilator(E: FiniteModule) -> bool:
+    """The residue ring A/ann(E) has no nonzero element squaring to zero."""
     ring = E.residue_ring
     zero = ring.zero
     return not any(r != zero and ring.mul(r, r) == zero for r in ring.elements)
@@ -647,7 +655,6 @@ def structural_predicates(E: FiniteModule) -> StructuralPredicates:
     ring = E.residue_ring
     lat = E.lattice_masks()
     zmask = E.zero_mask
-    zero_i = E.elem_index(E.zero_elem)
 
     uniserial = True
     for a, b in itertools.combinations(lat, 2):
@@ -671,12 +678,10 @@ def structural_predicates(E: FiniteModule) -> StructuralPredicates:
 
     comultiplication = True
     for n_mask in lat:
-        killers = _killer_residues(E, n_mask)
-        rows = [E._act_row(r) for r in killers]
-        ann_e = 0
-        for i in range(E.order):
-            if all(row[i] == zero_i for row in rows):
-                ann_e |= 1 << i
+        rows = [E.row(r) for r in _killer_residues(E, n_mask)]
+        ann_e = _mask(
+            i for i in range(E.order) if all(row[i] == E.zero for row in rows)
+        )
         if ann_e != n_mask:
             comultiplication = False
             break
@@ -687,15 +692,14 @@ def structural_predicates(E: FiniteModule) -> StructuralPredicates:
         uniserial=uniserial,
         multiplication=multiplication,
         comultiplication=comultiplication,
-        semiprime_annihilator=_semiprime_annihilator(E),
+        semiprime_annihilator=semiprime_annihilator(E),
     )
 
 
 def _is_minimal_mask(E: FiniteModule, mask: int) -> bool:
     if mask == E.zero_mask:
         return False
-    zero_i = E.elem_index(E.zero_elem)
-    return all(E.cyclic_mask(i) == mask for i in _bits(mask) if i != zero_i)
+    return all(E.cyclic_mask(i) == mask for i in _bits(mask) if i != E.zero)
 
 
 def weak_idempotent_split(E: FiniteModule) -> WeakSplit:
@@ -706,9 +710,8 @@ def weak_idempotent_split(E: FiniteModule) -> WeakSplit:
     or "none".  Weak idempotents of the domain are exactly the idempotent
     residues of A/ann(E).
     """
-    zero_i = E.elem_index(E.zero_elem)
     if all(
-        E.cyclic_mask(i) == E.full_mask for i in range(E.order) if i != zero_i
+        E.cyclic_mask(i) == E.full_mask for i in range(E.order) if i != E.zero
     ):
         return WeakSplit("simple")
     ring = E.residue_ring
@@ -728,12 +731,28 @@ def weak_idempotent_split(E: FiniteModule) -> WeakSplit:
             return WeakSplit(
                 "split",
                 idempotent=e,
-                parts=(Submodule(E, mask=part_e), Submodule(E, mask=part_f)),
+                parts=(Submodule._trusted(E, part_e), Submodule._trusted(E, part_f)),
             )
     return WeakSplit("none")
 
 
 # -- derived modules -------------------------------------------------------
+
+
+def _induced(E: FiniteModule, ring, to_parent, from_parent):
+    """Addition and action rows of a module whose element i stands for
+    the parent element to_parent[i]; from_parent maps parent indices back.
+    The ring's residues are parent residues (least coset members)."""
+    parent_add = E.add
+
+    def add(i, j):
+        return from_parent[parent_add(to_parent[i], to_parent[j])]
+
+    rows = []
+    for r in ring.elements:
+        prow = E.row(r)
+        rows.append(array("H", [from_parent[prow[k]] for k in to_parent]))
+    return add, rows
 
 
 def submodule_as_module(E: FiniteModule, N: Submodule) -> FiniteModule:
@@ -743,15 +762,17 @@ def submodule_as_module(E: FiniteModule, N: Submodule) -> FiniteModule:
     killers = _killer_residues(E, N.mask)
     ann_scalar, ann_ideal = _ideal_generator_info(E, killers)
     quotient_ring = rings.QuotientRing(E.residue_ring, frozenset(killers))
+    members = list(_bits(N.mask))
+    local = {k: i for i, k in enumerate(members)}
+    add, rows = _induced(E, quotient_ring, members, local)
     return FiniteModule(
         kind="submodule",
         spec_text=f"sub({E.spec_text};{len(N.elements)})",
         residue_ring=quotient_ring,
         elements=N.elements,
-        zero=E.zero_elem,
-        add=E.add_elems,
-        neg=E.neg_elem,
-        act=E.act,
+        zero=local[E.zero],
+        add=add,
+        rows=rows,
         format_element=E.format_element,
         domain=E.domain,
         domain_label=E.domain_label,
@@ -764,29 +785,28 @@ def quotient_module(E: FiniteModule, N: Submodule) -> FiniteModule:
     """E/N on least coset representatives."""
     if N.module is not E:
         raise ModuleError("the submodule belongs to a different module")
-    rep: dict = {}
+    members = list(_bits(N.mask))
+    coset = [None] * E.order
     reps = []
-    for m in E.elements:
-        if m in rep:
-            continue
-        reps.append(m)
-        for x in N.elements:
-            rep[E.add_elems(m, x)] = m
+    for m in range(E.order):
+        if coset[m] is None:
+            for x in members:
+                coset[E.add(m, x)] = len(reps)
+            reps.append(m)
     killers = [
         r for r in E.residue_ring.elements if not (E.image_mask(r) & ~N.mask)
     ]
     ann_scalar, ann_ideal = _ideal_generator_info(E, killers)
     quotient_ring = rings.QuotientRing(E.residue_ring, frozenset(killers))
-    parent_add, parent_neg, parent_act = E.add_elems, E.neg_elem, E.act
+    add, rows = _induced(E, quotient_ring, reps, coset)
     return FiniteModule(
         kind="quotient",
         spec_text=f"quot({E.spec_text};{len(N.elements)})",
         residue_ring=quotient_ring,
-        elements=tuple(reps),
-        zero=rep[E.zero_elem],
-        add=lambda x, y: rep[parent_add(x, y)],
-        neg=lambda x: rep[parent_neg(x)],
-        act=lambda r, x: rep[parent_act(r, x)],
+        elements=tuple(E.elements[m] for m in reps),
+        zero=coset[E.zero],
+        add=add,
+        rows=rows,
         format_element=E.format_element,
         domain=E.domain,
         domain_label=E.domain_label,

@@ -167,10 +167,6 @@ class FiniteRing:
                     return False, None
         return True, nonunit_set
 
-    def has_nonzero_square_zero(self) -> bool:
-        zero = self.zero
-        return any(x != zero and self.mul(x, x) == zero for x in self.elements)
-
     def _check_commutative_with_identity(self):
         elems = self.elements
         zero, one = self.zero, self.one
@@ -497,24 +493,9 @@ def ring_arith(ring: FiniteRing, op: str, x, y=None):
     raise RingError(f"unknown ring operation {op!r}")
 
 
-def ring_units(ring: FiniteRing) -> frozenset:
-    return ring.units()
-
-
 def principal_ideal(ring: FiniteRing, a) -> frozenset:
     ring.index(a)
     return ring.principal_ideal(a)
-
-
-def radical_and_idempotents(ring: FiniteRing):
-    """(nilradical, Jacobson radical, idempotents); the two radicals agree
-    because every ring here is finite and commutative."""
-    nil = ring.nilradical()
-    return nil, ring.jacobson_radical(), ring.idempotents()
-
-
-def is_local(ring: FiniteRing):
-    return ring.is_local()
 
 
 def idealize(ring: FiniteRing, d: int) -> IdealizeRing:

@@ -188,9 +188,7 @@ class _ModuleCtx:
 
     @cached_property
     def semiprime(self):
-        ring = self.E.residue_ring
-        zero = ring.zero
-        return not any(r != zero and ring.mul(r, r) == zero for r in ring.elements)
+        return modules.semiprime_annihilator(self.E)
 
     @cached_property
     def ann_prime(self):

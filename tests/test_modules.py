@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qdivtop import modules, rings, scalars
+from qdivtop import modules, rings, scalars, verifier
 from qdivtop.modules import (
     ModuleError,
     SizeCapExceeded,
@@ -31,29 +31,37 @@ F2 = poly_domain(2)
 
 
 def powerset_submodules(E):
-    """Independent brute force: every subset closed under the module
-    structure, found by filtering the full power set."""
+    """Independent brute force: every index subset closed under addition
+    and every action row (negation is the row of -1), found by filtering
+    the full power set."""
     n = E.order
     assert n <= 12
-    elems = E.elements
-    zero = E.zero_elem
     found = []
     for picks in itertools.product((0, 1), repeat=n):
-        subset = {elems[i] for i in range(n) if picks[i]}
-        if zero not in subset:
+        subset = {i for i in range(n) if picks[i]}
+        if E.zero not in subset:
             continue
-        if any(E.add_elems(x, y) not in subset for x in subset for y in subset):
+        if any(E.add(i, j) not in subset for i in subset for j in subset):
             continue
-        if any(E.neg_elem(x) not in subset for x in subset):
+        if any(row[i] not in subset for row in E.rows for i in subset):
             continue
-        if any(
-            E.act(r, x) not in subset
-            for r in E.residue_ring.elements
-            for x in subset
-        ):
-            continue
-        found.append(frozenset(subset))
+        found.append(frozenset(E.elements[i] for i in subset))
     return found
+
+
+def assert_index_arithmetic(E, vadd, vneg, vact):
+    """Index-level add, the row of -1 and every action row agree with the
+    given value arithmetic on the element labels."""
+    el = E.elements
+    ring = E.residue_ring
+    assert len(E.rows) == ring.order
+    minus_one = E.row(ring.neg(ring.one))
+    for i, x in enumerate(el):
+        assert el[minus_one[i]] == vneg(x)
+        for j, y in enumerate(el):
+            assert el[E.add(i, j)] == vadd(x, y)
+    for r, row in zip(ring.elements, E.rows):
+        assert [el[k] for k in row] == [vact(r, x) for x in el]
 
 
 # -- construction -----------------------------------------------------------
@@ -104,7 +112,7 @@ def test_annihilator_examples():
     # the generator kills every element
     r = ef.residue_ring
     killer = scalars.pdivmod(ann.value, r.modulus, 2)[1]
-    assert all(ef.act(killer, m) == ef.zero_elem for m in ef.elements)
+    assert set(ef.row(killer)) == {ef.zero}
     # ring-backed cyclic modules report the ring-side zero ideal
     et = build_module("ring:Trunc(2,1)")
     assert annihilator(et) == frozenset({et.residue_ring.zero})
@@ -195,6 +203,73 @@ def test_submodule_verification():
     assert ok.size == 4
 
 
+def test_library_masks_pass_the_submodule_check():
+    # class images and lattice masks skip the closure check when the
+    # library builds them; every one on the default corpus must pass it
+    classes = lattice = 0
+    for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS):
+        if inst.kind != "module":
+            continue
+        E = build_module(inst.spec_text)
+        masks = [c.image.mask for c in scalar_classes(E)]
+        classes += len(masks)
+        lattice += len(E.lattice_masks())
+        for m in masks + list(E.lattice_masks()):
+            assert Submodule(E, mask=m).mask == m
+    assert (classes, lattice) == (927, 2705)
+    # the same check rejects a caller's mask that is not a submodule
+    E = build_module("Z:8")
+    with pytest.raises(ModuleError):
+        Submodule(E, mask=E.zero_mask | 1 << E.elem_index((2,)))
+
+
+def test_index_arithmetic_matches_value_arithmetic():
+    E = build_module("Z:2,4")
+    mods = [d.value for d in E.moduli]
+    assert_index_arithmetic(
+        E,
+        lambda x, y: tuple((a + b) % m for a, b, m in zip(x, y, mods)),
+        lambda x: tuple((-a) % m for a, m in zip(x, mods)),
+        lambda r, x: tuple((r * a) % m for a, m in zip(x, mods)),
+    )
+
+    for spec, p in (("F2[x]:x^2,x", 2), ("F3[x]:x^2,x", 3)):
+        E = build_module(spec)
+        mods = [d.value for d in E.moduli]
+        assert_index_arithmetic(
+            E,
+            lambda x, y: tuple(scalars.padd(a, b, p) for a, b in zip(x, y)),
+            lambda x: tuple(scalars.pneg(a, p) for a in x),
+            lambda r, x: tuple(
+                scalars.pdivmod(scalars.pmul(r, a, p), m, p)[1]
+                for a, m in zip(x, mods)
+            ),
+        )
+
+    T = build_module("ring:Trunc(2,2)")
+    ring = T.base_ring
+    assert_index_arithmetic(T, ring.add, ring.neg, ring.mul)
+
+    E = build_module("Z:12")
+    sub = submodule_as_module(E, cyclic_image(E, 2))
+    assert sub.elements == tuple((a,) for a in range(0, 12, 2))
+    assert_index_arithmetic(
+        sub,
+        lambda x, y: ((x[0] + y[0]) % 12,),
+        lambda x: ((-x[0]) % 12,),
+        lambda r, x: ((r * x[0]) % 12,),
+    )
+    # E/4E on least coset members: a value reduces to its residue mod 4
+    quot = quotient_module(E, cyclic_image(E, 4))
+    assert quot.elements == ((0,), (1,), (2,), (3,))
+    assert_index_arithmetic(
+        quot,
+        lambda x, y: ((x[0] + y[0]) % 4,),
+        lambda x: ((-x[0]) % 4,),
+        lambda r, x: ((r * x[0]) % 4,),
+    )
+
+
 def test_lattice_cap():
     E = cyclic_sum(INTEGERS, (17, 17))
     assert E.order == 289
@@ -236,7 +311,7 @@ def test_annihilator_maximality_agrees_with_quotient_field_route():
             killers = [
                 r
                 for r in E.residue_ring.elements
-                if all(E.act(r, x) == E.zero_elem for x in sub.elements)
+                if all(E.row(r)[E.elem_index(x)] == E.zero for x in sub.elements)
             ]
             quotient = rings.QuotientRing(E.residue_ring, frozenset(killers))
             assert maximal == (quotient.order > 1 and quotient.is_field()), spec
@@ -382,7 +457,7 @@ def test_classes_match_direct_sampling_z12():
     in_w = set()
     for a in range(-24, 25):
         image = {tuple((a * x) % m for x, m in zip(elem, mods)) for elem in E.elements}
-        if image != {E.zero_elem} and image != set(E.elements):
+        if image != {E.elements[E.zero]} and image != set(E.elements):
             in_w.add(a % 12)
     ring = E.residue_ring
     expected = {

@@ -19,12 +19,9 @@ from qdivtop.rings import (
     build_ring,
     classify_quasi_second_ring,
     idealize,
-    is_local,
     is_quasi_second_ring_brute,
     principal_ideal,
-    radical_and_idempotents,
     ring_arith,
-    ring_units,
 )
 
 
@@ -90,15 +87,15 @@ def test_arith_membership_check():
 
 
 def test_units_examples():
-    assert ring_units(ZnRing(8)) == frozenset({1, 3, 5, 7})
+    assert ZnRing(8).units() == frozenset({1, 3, 5, 7})
     r = QuotPolyRing(2, (0, 0, 1))  # F2[x]/(x^2)
     # oracle: the full 4x4 product table
     table_units = {
         x for x in r.elements if any(r.mul(x, y) == r.one for y in r.elements)
     }
-    assert ring_units(r) == table_units == frozenset({(1,), (1, 1)})
+    assert r.units() == table_units == frozenset({(1,), (1, 1)})
     prod = ProdRing(ZnRing(2), ZnRing(3))
-    assert len(ring_units(prod)) == 2
+    assert len(prod.units()) == 2
 
 
 def test_principal_ideals():
@@ -113,34 +110,36 @@ def test_principal_ideals():
 
 
 def test_radicals_and_idempotents():
-    nil, jac, idem = radical_and_idempotents(ZnRing(8))
+    z8 = ZnRing(8)
+    nil, jac, idem = z8.nilradical(), z8.jacobson_radical(), z8.idempotents()
     assert nil == frozenset({0, 2, 4, 6})
     assert jac == nil
     assert idem == frozenset({0, 1})
-    nil6, _, idem6 = radical_and_idempotents(ZnRing(6))
+    z6 = ZnRing(6)
+    nil6, idem6 = z6.nilradical(), z6.idempotents()
     assert nil6 == frozenset({0})
     assert idem6 == frozenset({0, 1, 3, 4})
     t = TruncRing(2, 2)
-    nil_t, _, idem_t = radical_and_idempotents(t)
+    nil_t, idem_t = t.nilradical(), t.idempotents()
     assert nil_t == frozenset(x for x in t.elements if x[0] == 0)
     assert len(nil_t) == 4
     assert idem_t == frozenset({t.zero, t.one})
 
 
 def test_is_local():
-    local, m = is_local(ZnRing(8))
+    local, m = ZnRing(8).is_local()
     assert local and m == frozenset({0, 2, 4, 6})
-    assert is_local(ZnRing(6)) == (False, None)
-    local2, m2 = is_local(ZnRing(2))
+    assert ZnRing(6).is_local() == (False, None)
+    local2, m2 = ZnRing(2).is_local()
     assert local2 and m2 == frozenset({0})
 
 
 def test_local_complement_is_units():
     for spec in ["Zn(8)", "Zn(9)", "Zn(49)", "GF(2,x^3+x+1)", "Trunc(3,2)", "Ideal(Zn(4),1)"]:
         ring = build_ring(spec)
-        local, m = is_local(ring)
+        local, m = ring.is_local()
         assert local
-        assert frozenset(ring.elements) - m == ring_units(ring)
+        assert frozenset(ring.elements) - m == ring.units()
 
 
 def test_quasi_second_brute_examples():
