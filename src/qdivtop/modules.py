@@ -19,12 +19,22 @@ a direct-sampling cross-check of this reduction lives in the verifier.
 
 Elements are the indices ``0..N-1``; their values (residue tuples, ring
 elements) are kept only as labels, to parse input and print output.  All
-arithmetic is on indices: the action of each residue is one row mapping
-element index to element index, stored as ``array('H')`` (``ELEMENT_CAP``
-4096 < 2^16), addition is one index-level ``add(i, j)``, and negation is
-the row of -1.  Element sets are bit masks over the indices, which keeps
-image computations and the submodule lattice cheap.  Modules are immutable
-after construction and every operation is pure.
+arithmetic is on indices: addition is one index-level ``add(i, j)``, and
+the action of a residue is a row mapping element index to element index,
+stored as ``array('H')`` (``ELEMENT_CAP`` 4096 < 2^16) and built the first
+time a query asks for it; negation is the row of -1.
+
+Rows are asked for sparingly.  Over A/(n) with A = Z or F_p[x], a residue
+r is g*u with g = gcd(r, n) and u a unit, so r and g have the same image
+on every submodule and kill the same elements: images, killers and
+second-submodule tests read one row per divisor g of n.  A unit's image is
+the whole module, so unit residues need no row at all.  A cyclic submodule
+Rx is the image xE when x is itself a residue, and over Z or F_p[x] the
+additive span of x, tx, t^2x, ... for the ring generator t; only derived
+modules read it off every row.  Element sets are
+bit masks over the indices, which keeps image computations and the
+submodule lattice cheap.  Modules are immutable (their row and image
+caches aside) and every operation is pure.
 """
 
 from __future__ import annotations
@@ -63,6 +73,24 @@ def _mask(indices) -> int:
     for i in set(indices):
         mask |= 1 << i
     return mask
+
+
+def _euclidean_quotient(ring):
+    """(r -> gcd(r, n) as a residue, a residue t generating the ring) when
+    the ring is A/(n) for A = Z (t = 1) or A = F_p[x] (t = x mod n);
+    (None, None) for any other ring."""
+    if isinstance(ring, rings.ZnRing):
+        n = ring.n
+        return (lambda r: math.gcd(r, n) % n), 1
+    if isinstance(ring, rings.QuotPolyRing):
+        f, p, zero = ring.modulus, ring.p, ring.zero
+
+        def gcd(r):
+            g = pgcd(r, f, p)
+            return zero if g == f else g
+
+        return gcd, scalars.pdivmod((0, 1), f, p)[1]
+    return None, None
 
 
 class Submodule:
@@ -164,8 +192,12 @@ class WeakSplit:
 
 
 class FiniteModule:
-    """A finite module on element indices: labels, a zero index, one action
-    row per residue (aligned with ``residue_ring.elements``) and ``add``."""
+    """A finite module on element indices: labels, a zero index, ``add``
+    and a row builder giving the action of one residue.  ``row(r)`` builds
+    and caches one row on first use.  Images, killers and second-submodule
+    tests read the row of a residue's divisor, and a unit's image needs no
+    row, so a module over Z or F_p[x] builds about one row per divisor of
+    its annihilator."""
 
     def __init__(
         self,
@@ -176,8 +208,9 @@ class FiniteModule:
         elements,
         zero,
         add,
-        rows,
+        build_row,
         format_element,
+        residue_elements=False,
         domain=None,
         domain_label="",
         moduli=None,
@@ -195,8 +228,9 @@ class FiniteModule:
         self.elements = tuple(elements)
         self.zero = zero
         self.add = add
-        self.rows = tuple(rows)
         self.format_element = format_element
+        # element i is the residue residue_ring.elements[i], so Rx = xE
+        self.residue_elements = residue_elements
         self.domain = domain
         self.domain_label = domain_label
         self.moduli = moduli
@@ -207,6 +241,12 @@ class FiniteModule:
         self._index = {e: i for i, e in enumerate(self.elements)}
         self.zero_mask = 1 << zero
         self.full_mask = (1 << self.order) - 1
+        self._build_row = build_row
+        self._gcd, self._generator = _euclidean_quotient(residue_ring)
+        self._rows = {}
+        self._all_rows = None
+        self._divisors = {}
+        self._divisor_list = None
         self._images = {}
         self._classes = None
         self._lattice = None
@@ -228,14 +268,47 @@ class FiniteModule:
 
     def row(self, r) -> array:
         """The action of residue r: element index -> element index."""
-        return self.rows[self.residue_ring.index(r)]
+        row = self._rows.get(r)
+        if row is None:
+            self.residue_ring.index(r)
+            row = self._rows[r] = array("H", self._build_row(r))
+        return row
+
+    @property
+    def rows(self) -> tuple:
+        """Every action row, aligned with ``residue_ring.elements``."""
+        if self._all_rows is None:
+            self._all_rows = tuple(self.row(r) for r in self.residue_ring.elements)
+        return self._all_rows
+
+    def divisor(self, r):
+        """The residue gcd(r, n) over A/(n) with A = Z or F_p[x], and r
+        itself over other rings.  r is that divisor times a unit, so the two
+        have the same image on every submodule and the same kernel."""
+        g = self._divisors.get(r)
+        if g is None:
+            self.residue_ring.index(r)
+            g = self._divisors[r] = r if self._gcd is None else self._gcd(r)
+        return g
+
+    def divisors(self) -> tuple:
+        """The distinct divisors of the residues, in residue order."""
+        if self._divisor_list is None:
+            self._divisor_list = tuple(
+                dict.fromkeys(self.divisor(r) for r in self.residue_ring.elements)
+            )
+        return self._divisor_list
 
     # -- images and generated submodules ----------------------------------
 
     def image_mask(self, r) -> int:
         mask = self._images.get(r)
         if mask is None:
-            mask = self._images[r] = _mask(self.row(r))
+            g = self.divisor(r)
+            mask = self._images.get(g)
+            if mask is None:
+                mask = self._images[g] = _mask(self.row(g))
+            self._images[r] = mask
         return mask
 
     def image(self, r) -> Submodule:
@@ -258,11 +331,34 @@ class FiniteModule:
         return out
 
     def cyclic_mask(self, i: int) -> int:
-        """Mask of Rx for the element x at index i: column i of the action
-        rows, since Rx is already closed under addition."""
+        """Mask of Rx for the element x at index i: the image xE when x is
+        a residue; over Z or F_p[x] the additive span of x, tx, t^2x, ...
+        for the ring generator t; else column i of the action rows, since
+        Rx is already closed under addition."""
+        if self.residue_elements:
+            return self.image_mask(self.residue_ring.elements[i])
         mask = self._cyclic.get(i)
         if mask is None:
-            mask = self._cyclic[i] = _mask(row[i] for row in self.rows)
+            if self._generator is None:
+                mask = _mask(row[i] for row in self.rows)
+            else:
+                mask = self._span_of_powers(i)
+            self._cyclic[i] = mask
+        return mask
+
+    def _span_of_powers(self, i: int) -> int:
+        # once t^k x lies in the span of x, ..., t^(k-1) x, so does t^(k+1) x
+        t_row = self.row(self._generator)
+        add = self.add
+        mask = self.zero_mask
+        y = i
+        while not (mask >> y) & 1:
+            multiples, z = self.zero_mask, y
+            while not (multiples >> z) & 1:
+                multiples |= 1 << z
+                z = add(z, y)
+            mask = self.join_masks(mask, multiples)
+            y = t_row[y]
         return mask
 
     def lattice_masks(self) -> tuple:
@@ -366,10 +462,22 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
         fmt_one = scalars.format_poly
 
         def comp_row(r, j):
-            m, idx = mods[j], comp_index[j]
-            return [
-                idx[scalars.pdivmod(scalars.pmul(r, a, p), m, p)[1]] for a in comps[j]
-            ]
+            # r*a is additive in a: r times a's lower part, which comes
+            # earlier in the (degree, coefficients) order, plus r times
+            # its top term; one product per top term c*x^k
+            m, res, idx = mods[j], comps[j], comp_index[j]
+            prods = [()] * len(res)
+            out = [0] * len(res)
+            tops = {}
+            for pos, a in enumerate(res[1:], 1):
+                top = (len(a), a[-1])
+                t = tops.get(top)
+                if t is None:
+                    term = (0,) * (len(a) - 1) + (a[-1],)
+                    t = tops[top] = scalars.pdivmod(scalars.pmul(r, term, p), m, p)[1]
+                v = prods[pos] = scalars.padd(prods[idx[scalars.ptrim(a[:-1])]], t, p)
+                out[pos] = idx[v]
+            return out
 
         spec_text = f"F{p}[x]:" + ",".join(scalars.format_poly(m) for m in mods)
 
@@ -386,11 +494,11 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
         elements=tuple(itertools.product(*comps)),
         zero=0,
         add=_digitwise_add(sizes, codes, radices),
-        rows=[
-            array("H", _mixed_radix(sizes, [comp_row(r, j) for j in range(len(mods))]))
-            for r in residue_ring.elements
-        ],
+        build_row=lambda r: _mixed_radix(
+            sizes, [comp_row(r, j) for j in range(len(mods))]
+        ),
         format_element=fmt,
+        residue_elements=len(mods) == 1,
         domain=domain,
         domain_label=str(domain),
         moduli=moduli,
@@ -460,8 +568,9 @@ def ring_cyclic(ring: rings.FiniteRing, domain_label: str | None = None) -> Fini
         elements=elems,
         zero=index(ring.zero),
         add=add,
-        rows=[array("H", [index(ring.mul(r, x)) for x in elems]) for r in elems],
+        build_row=lambda r: [index(ring.mul(r, x)) for x in elems],
         format_element=ring.format_element,
+        residue_elements=True,
         domain=None,
         domain_label=domain_label or _default_domain_label(ring),
         base_ring=ring,
@@ -546,13 +655,22 @@ def enumerate_submodules(E: FiniteModule) -> tuple:
     return tuple(Submodule._trusted(E, m) for m in E.lattice_masks())
 
 
-def _killer_residues(E: FiniteModule, mask: int) -> list:
+def _killer_divisors(E: FiniteModule, mask: int) -> set:
+    """The divisors whose rows send every element of the mask to zero."""
     members = list(_bits(mask))
-    return [
-        r
-        for r, row in zip(E.residue_ring.elements, E.rows)
-        if all(row[i] == E.zero for i in members)
-    ]
+    zero = E.zero
+    killers = set()
+    for g in E.divisors():
+        row = E.row(g)
+        if all(row[i] == zero for i in members):
+            killers.add(g)
+    return killers
+
+
+def _killer_residues(E: FiniteModule, mask: int) -> list:
+    """The residues killing the mask: those whose divisor kills it."""
+    killers = _killer_divisors(E, mask)
+    return [r for r in E.residue_ring.elements if E.divisor(r) in killers]
 
 
 def _ideal_generator_info(E: FiniteModule, killers):
@@ -589,17 +707,24 @@ def submodule_annihilator(E: FiniteModule, N: Submodule):
 
 
 def is_second_module(E: FiniteModule) -> bool:
-    """Every residue acts as zero or as a surjection."""
+    """Every residue acts as zero or as a surjection (units always do)."""
+    units = E.residue_ring.units()
     return all(
         E.image_mask(r) in (E.zero_mask, E.full_mask)
         for r in E.residue_ring.elements
+        if r not in units
     )
 
 
 def is_second_submodule(E: FiniteModule, N: Submodule) -> bool:
-    """Every residue maps N onto N or to zero."""
+    """Every residue maps N onto N or to zero.  A residue acts on N as its
+    divisor does, and a unit maps N onto N."""
     members = list(_bits(N.mask))
-    for row in E.rows:
+    units = E.residue_ring.units()
+    for g in E.divisors():
+        if g in units:
+            continue
+        row = E.row(g)
         img = _mask(row[i] for i in members)
         if img != N.mask and img != E.zero_mask:
             return False
@@ -610,18 +735,18 @@ def find_quasi_second_violation(E: FiniteModule):
     """First residue pair (a, b) with 0 != bE <= aE != E but bE != aE.
 
     Returns None when E is quasi second.  The search runs over every
-    residue pair, zero and units included, so the guards carry the whole
-    definition.
+    nonunit residue pair, zero included, so the guards carry the whole
+    definition; a unit's image is E, so a unit is never part of a witness.
     """
     ring = E.residue_ring
     full = E.full_mask
     zmask = E.zero_mask
-    for ra in ring.elements:
-        ma = E.image_mask(ra)
+    units = ring.units()
+    nonunits = [(r, E.image_mask(r)) for r in ring.elements if r not in units]
+    for ra, ma in nonunits:
         if ma == full:
             continue
-        for rb in ring.elements:
-            mb = E.image_mask(rb)
+        for rb, mb in nonunits:
             if mb == zmask or mb & ~ma:
                 continue
             if mb != ma:
@@ -678,7 +803,7 @@ def structural_predicates(E: FiniteModule) -> StructuralPredicates:
 
     comultiplication = True
     for n_mask in lat:
-        rows = [E.row(r) for r in _killer_residues(E, n_mask)]
+        rows = [E.row(g) for g in _killer_divisors(E, n_mask)]
         ann_e = _mask(
             i for i in range(E.order) if all(row[i] == E.zero for row in rows)
         )
@@ -739,20 +864,21 @@ def weak_idempotent_split(E: FiniteModule) -> WeakSplit:
 # -- derived modules -------------------------------------------------------
 
 
-def _induced(E: FiniteModule, ring, to_parent, from_parent):
-    """Addition and action rows of a module whose element i stands for
-    the parent element to_parent[i]; from_parent maps parent indices back.
-    The ring's residues are parent residues (least coset members)."""
+def _induced(E: FiniteModule, to_parent, from_parent):
+    """Addition and row builder of a module whose element i stands for the
+    parent element to_parent[i]; from_parent maps parent indices back.  Its
+    residues are parent residues (least coset members), so a row is read
+    off the parent row of the same residue."""
     parent_add = E.add
 
     def add(i, j):
         return from_parent[parent_add(to_parent[i], to_parent[j])]
 
-    rows = []
-    for r in ring.elements:
+    def build_row(r):
         prow = E.row(r)
-        rows.append(array("H", [from_parent[prow[k]] for k in to_parent]))
-    return add, rows
+        return [from_parent[prow[k]] for k in to_parent]
+
+    return add, build_row
 
 
 def submodule_as_module(E: FiniteModule, N: Submodule) -> FiniteModule:
@@ -764,7 +890,7 @@ def submodule_as_module(E: FiniteModule, N: Submodule) -> FiniteModule:
     quotient_ring = rings.QuotientRing(E.residue_ring, frozenset(killers))
     members = list(_bits(N.mask))
     local = {k: i for i, k in enumerate(members)}
-    add, rows = _induced(E, quotient_ring, members, local)
+    add, build_row = _induced(E, members, local)
     return FiniteModule(
         kind="submodule",
         spec_text=f"sub({E.spec_text};{len(N.elements)})",
@@ -772,7 +898,7 @@ def submodule_as_module(E: FiniteModule, N: Submodule) -> FiniteModule:
         elements=N.elements,
         zero=local[E.zero],
         add=add,
-        rows=rows,
+        build_row=build_row,
         format_element=E.format_element,
         domain=E.domain,
         domain_label=E.domain_label,
@@ -798,7 +924,7 @@ def quotient_module(E: FiniteModule, N: Submodule) -> FiniteModule:
     ]
     ann_scalar, ann_ideal = _ideal_generator_info(E, killers)
     quotient_ring = rings.QuotientRing(E.residue_ring, frozenset(killers))
-    add, rows = _induced(E, quotient_ring, reps, coset)
+    add, build_row = _induced(E, reps, coset)
     return FiniteModule(
         kind="quotient",
         spec_text=f"quot({E.spec_text};{len(N.elements)})",
@@ -806,7 +932,7 @@ def quotient_module(E: FiniteModule, N: Submodule) -> FiniteModule:
         elements=tuple(E.elements[m] for m in reps),
         zero=coset[E.zero],
         add=add,
-        rows=rows,
+        build_row=build_row,
         format_element=E.format_element,
         domain=E.domain,
         domain_label=E.domain_label,

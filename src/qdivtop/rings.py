@@ -476,6 +476,13 @@ class QuotientRing(FiniteRing):
     def format_element(self, x):
         return self.parent.format_element(x)
 
+    def units(self):
+        # units of a finite commutative ring lift modulo any ideal, so the
+        # units here are the images of the parent's units
+        if self._units is None:
+            self._units = frozenset(self._rep[u] for u in self.parent.units())
+        return self._units
+
 
 # -- catalog operations ------------------------------------------------
 

@@ -201,3 +201,31 @@ def test_corpus_listing(capsys):
     assert "module\tZ:6" in lines
     assert "ring\tZn(4)" in lines
     assert all("\t" in line for line in lines)
+
+
+def test_analyze_at_the_element_cap(capsys, monkeypatch):
+    # 4096 elements, but rows only for the 13 monic divisors of x^12
+    built = []
+    parse = cli.parse_spec
+
+    def recording_parse(text):
+        built.append(parse(text))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "parse_spec", recording_parse)
+    code, out, _ = run_cli(capsys, "analyze", "F2[x]:x^12")
+    assert code == 0
+    payload = payload_of(out)
+    assert payload["order"] == 4096
+    assert payload["points"] == 11
+    assert [c["label"] for c in payload["classes"]] == ["[x]"] + [
+        f"[x^{k}]" for k in range(2, 12)
+    ]
+    assert payload["connectivity"]["nested"] is True
+    assert payload["quasi_second"] is False
+    assert payload["predicates"] is None  # the lattice cap
+    assert len(built[-1]._rows) <= 13
+    # Z:2310 has 32 divisors
+    code, out, _ = run_cli(capsys, "analyze", "Z:2310")
+    assert code == 0
+    assert len(built[-1]._rows) <= 32

@@ -464,3 +464,36 @@ def test_classes_match_direct_sampling_z12():
         r for r in ring.elements if r != ring.zero and r not in ring.units()
     }
     assert in_w == expected
+
+
+def test_divisor_first_paths_match_the_full_sweep():
+    # images and killers go through one row per divisor and cyclic
+    # submodules through an image or a span; the definitional path reads
+    # every residue's own row
+    specs = [
+        inst.spec_text
+        for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS)
+        if inst.kind == "module"
+    ]
+    specs += ["Z:2310", "Z:360", "F2[x]:x^8", "F3[x]:x^5", "F2[x]:x^4,x^4"]
+    residues = killers = cyclics = 0
+    for spec in specs:
+        E = build_module(spec)
+        ring = E.residue_ring
+        for r in ring.elements:
+            assert E.image_mask(r) == modules._mask(E.row(r)), (spec, r)
+        residues += ring.order
+        if E.order <= modules.LATTICE_CAP:
+            for mask in E.lattice_masks():
+                members = list(modules._bits(mask))
+                full_scan = [
+                    r
+                    for r, row in zip(ring.elements, E.rows)
+                    if all(row[i] == E.zero for i in members)
+                ]
+                assert modules._killer_residues(E, mask) == full_scan, (spec, mask)
+                killers += 1
+        for i, column in enumerate(zip(*E.rows)):
+            assert E.cyclic_mask(i) == modules._mask(column), (spec, i)
+        cyclics += E.order
+    assert (residues, killers, cyclics) == (10236, 2803, 12224)

@@ -290,3 +290,34 @@ def test_element_enumeration_is_sorted_and_indexed():
         assert keys == sorted(keys)
         for i, x in enumerate(ring.elements):
             assert ring.index(x) == i
+
+
+def test_quotient_units_are_images_of_parent_units():
+    # units lift modulo any ideal of a finite commutative ring; compare with
+    # the exhaustive product search on every quotient ring that a derived
+    # module of the default corpus uses (submodule and quotient side)
+    from qdivtop import modules, verifier
+
+    seen = set()
+    for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS):
+        if inst.kind != "module":
+            continue
+        E = modules.build_module(inst.spec_text)
+        ring = E.residue_ring
+        for mask in E.lattice_masks():
+            for ideal in (
+                modules._killer_residues(E, mask),
+                [r for r in ring.elements if not (E.image_mask(r) & ~mask)],
+            ):
+                key = (ring.spec, frozenset(ideal))
+                if key in seen:
+                    continue
+                seen.add(key)
+                q = QuotientRing(ring, ideal)
+                exhaustive = {
+                    x
+                    for x in q.elements
+                    if any(q.mul(x, y) == q.one for y in q.elements)
+                }
+                assert q.units() == exhaustive
+    assert len(seen) == 895
