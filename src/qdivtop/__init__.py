@@ -33,8 +33,7 @@ from .modules import (  # noqa: F401
     weak_idempotent_split,
 )
 from .oracle import enumerate_open_sets, oracle_axiom, oracle_closure  # noqa: F401
-from .rings import build_ring, classify_quasi_second_ring, idealize  # noqa: F401
-from .rings import is_quasi_second_ring_brute  # noqa: F401
+from .rings import build_ring, classify_quasi_second_ring  # noqa: F401
 from .scalars import (  # noqa: F401
     INTEGERS,
     Scalar,

@@ -75,24 +75,6 @@ def _mask(indices) -> int:
     return mask
 
 
-def _euclidean_quotient(ring):
-    """(r -> gcd(r, n) as a residue, a residue t generating the ring) when
-    the ring is A/(n) for A = Z (t = 1) or A = F_p[x] (t = x mod n);
-    (None, None) for any other ring."""
-    if isinstance(ring, rings.ZnRing):
-        n = ring.n
-        return (lambda r: math.gcd(r, n) % n), 1
-    if isinstance(ring, rings.QuotPolyRing):
-        f, p, zero = ring.modulus, ring.p, ring.zero
-
-        def gcd(r):
-            g = pgcd(r, f, p)
-            return zero if g == f else g
-
-        return gcd, scalars.pdivmod((0, 1), f, p)[1]
-    return None, None
-
-
 class Submodule:
     """An explicit submodule: a sorted element tuple plus its bit mask.
 
@@ -242,11 +224,8 @@ class FiniteModule:
         self.zero_mask = 1 << zero
         self.full_mask = (1 << self.order) - 1
         self._build_row = build_row
-        self._gcd, self._generator = _euclidean_quotient(residue_ring)
         self._rows = {}
         self._all_rows = None
-        self._divisors = {}
-        self._divisor_list = None
         self._images = {}
         self._classes = None
         self._lattice = None
@@ -281,30 +260,12 @@ class FiniteModule:
             self._all_rows = tuple(self.row(r) for r in self.residue_ring.elements)
         return self._all_rows
 
-    def divisor(self, r):
-        """The residue gcd(r, n) over A/(n) with A = Z or F_p[x], and r
-        itself over other rings.  r is that divisor times a unit, so the two
-        have the same image on every submodule and the same kernel."""
-        g = self._divisors.get(r)
-        if g is None:
-            self.residue_ring.index(r)
-            g = self._divisors[r] = r if self._gcd is None else self._gcd(r)
-        return g
-
-    def divisors(self) -> tuple:
-        """The distinct divisors of the residues, in residue order."""
-        if self._divisor_list is None:
-            self._divisor_list = tuple(
-                dict.fromkeys(self.divisor(r) for r in self.residue_ring.elements)
-            )
-        return self._divisor_list
-
     # -- images and generated submodules ----------------------------------
 
     def image_mask(self, r) -> int:
         mask = self._images.get(r)
         if mask is None:
-            g = self.divisor(r)
+            g = self.residue_ring.divisor(r)
             mask = self._images.get(g)
             if mask is None:
                 mask = self._images[g] = _mask(self.row(g))
@@ -339,7 +300,7 @@ class FiniteModule:
             return self.image_mask(self.residue_ring.elements[i])
         mask = self._cyclic.get(i)
         if mask is None:
-            if self._generator is None:
+            if self.residue_ring.generator is None:
                 mask = _mask(row[i] for row in self.rows)
             else:
                 mask = self._span_of_powers(i)
@@ -348,7 +309,7 @@ class FiniteModule:
 
     def _span_of_powers(self, i: int) -> int:
         # once t^k x lies in the span of x, ..., t^(k-1) x, so does t^(k+1) x
-        t_row = self.row(self._generator)
+        t_row = self.row(self.residue_ring.generator)
         add = self.add
         mask = self.zero_mask
         y = i
@@ -660,7 +621,7 @@ def _killer_divisors(E: FiniteModule, mask: int) -> set:
     members = list(_bits(mask))
     zero = E.zero
     killers = set()
-    for g in E.divisors():
+    for g in E.residue_ring.divisors():
         row = E.row(g)
         if all(row[i] == zero for i in members):
             killers.add(g)
@@ -669,8 +630,9 @@ def _killer_divisors(E: FiniteModule, mask: int) -> set:
 
 def _killer_residues(E: FiniteModule, mask: int) -> list:
     """The residues killing the mask: those whose divisor kills it."""
+    ring = E.residue_ring
     killers = _killer_divisors(E, mask)
-    return [r for r in E.residue_ring.elements if E.divisor(r) in killers]
+    return [r for r in ring.elements if ring.divisor(r) in killers]
 
 
 def _ideal_generator_info(E: FiniteModule, killers):
@@ -720,8 +682,9 @@ def is_second_submodule(E: FiniteModule, N: Submodule) -> bool:
     """Every residue maps N onto N or to zero.  A residue acts on N as its
     divisor does, and a unit maps N onto N."""
     members = list(_bits(N.mask))
-    units = E.residue_ring.units()
-    for g in E.divisors():
+    ring = E.residue_ring
+    units = ring.units()
+    for g in ring.divisors():
         if g in units:
             continue
         row = E.row(g)

@@ -70,6 +70,9 @@ class FiniteRing:
     def neg(self, x):
         raise NotImplementedError
 
+    def units(self) -> frozenset:
+        raise NotImplementedError
+
     def sort_key(self, x):
         raise NotImplementedError
 
@@ -86,6 +89,7 @@ class FiniteRing:
         self._elements = None
         self._index = None
         self._units = None
+        self._divisor_list = None
         if validate and self.order <= CONSTRUCTION_CHECK_CAP:
             self._check_commutative_with_identity()
 
@@ -111,21 +115,22 @@ class FiniteRing:
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
-    def units(self) -> frozenset:
-        """The invertible elements (exhaustive product search by default)."""
-        if self._units is None:
-            one = self.one
-            found = set()
-            for x in self.elements:
-                if x in found:
-                    continue
-                for y in self.elements:
-                    if self.mul(x, y) == one:
-                        found.add(x)
-                        found.add(y)
-                        break
-            self._units = frozenset(found)
-        return self._units
+    # a residue t whose powers span the ring additively, when one is known
+    generator = None
+
+    def divisor(self, r):
+        """An element d with r = d*u for a unit u, so that r and d generate
+        the same ideal: gcd(r, n) over A/(n) for A = Z or F_p[x], and r
+        itself over the other rings."""
+        return r
+
+    def divisors(self) -> tuple:
+        """The distinct divisors of the elements, in element order."""
+        if self._divisor_list is None:
+            self._divisor_list = tuple(
+                dict.fromkeys(self.divisor(r) for r in self.elements)
+            )
+        return self._divisor_list
 
     def is_unit(self, x) -> bool:
         return x in self.units()
@@ -149,10 +154,6 @@ class FiniteRing:
                 seen.add(y)
                 y = self.mul(y, x)
         return frozenset(out)
-
-    def jacobson_radical(self) -> frozenset:
-        # equal to the nilradical in any finite commutative ring
-        return self.nilradical()
 
     def idempotents(self) -> frozenset:
         return frozenset(x for x in self.elements if self.mul(x, x) == x)
@@ -192,7 +193,30 @@ class FiniteRing:
         return f"<FiniteRing {self.spec} order={self.order}>"
 
 
-class ZnRing(FiniteRing):
+class _EuclideanQuotient(FiniteRing):
+    """A/(n) for A = Z or F_p[x]: one gcd per element gives its divisor,
+    and the units are the elements whose divisor is one."""
+
+    def _gcd(self, r):
+        raise NotImplementedError
+
+    def divisor(self, r):
+        g = self._divisors.get(r)
+        if g is None:
+            self.index(r)
+            g = self._divisors[r] = self._gcd(r)
+        return g
+
+    def units(self):
+        if self._units is None:
+            one = self.one
+            self._units = frozenset(r for r in self.elements if self.divisor(r) == one)
+        return self._units
+
+
+class ZnRing(_EuclideanQuotient):
+    generator = 1
+
     def __init__(self, n: int):
         if n < 2:
             raise RingError(f"Zn needs a modulus of at least 2, got {n}")
@@ -201,6 +225,7 @@ class ZnRing(FiniteRing):
         self.spec = f"Zn({n})"
         self.zero = 0
         self.one = 1
+        self._divisors = {}
         self._init_common(validate=False)
 
     def _enumerate(self):
@@ -221,15 +246,11 @@ class ZnRing(FiniteRing):
     def format_element(self, x):
         return str(x)
 
-    def units(self):
-        if self._units is None:
-            self._units = frozenset(
-                x for x in range(self.n) if math.gcd(x, self.n) == 1
-            )
-        return self._units
+    def _gcd(self, r):
+        return math.gcd(r, self.n) % self.n
 
 
-class QuotPolyRing(FiniteRing):
+class QuotPolyRing(_EuclideanQuotient):
     """F_p[x]/(f) for a nonconstant modulus f, normalized monic."""
 
     def __init__(self, p: int, modulus):
@@ -246,7 +267,9 @@ class QuotPolyRing(FiniteRing):
         self.spec = f"GF({p},{scalars.format_poly(modulus)})"
         self.zero = ()
         self.one = (1,)
+        self.generator = scalars.pdivmod((0, 1), modulus, p)[1]
         self._mul_cache = {}
+        self._divisors = {}
         self._init_common(validate=False)
 
     def _enumerate(self):
@@ -274,12 +297,9 @@ class QuotPolyRing(FiniteRing):
     def format_element(self, x):
         return scalars.format_poly(x)
 
-    def units(self):
-        if self._units is None:
-            self._units = frozenset(
-                x for x in self.elements if pdeg(pgcd(x, self.modulus, self.p)) == 0
-            )
-        return self._units
+    def _gcd(self, r):
+        g = pgcd(r, self.modulus, self.p)
+        return self.zero if g == self.modulus else g
 
 
 class TruncRing(FiniteRing):
@@ -503,46 +523,6 @@ def ring_arith(ring: FiniteRing, op: str, x, y=None):
 def principal_ideal(ring: FiniteRing, a) -> frozenset:
     ring.index(a)
     return ring.principal_ideal(a)
-
-
-def idealize(ring: FiniteRing, d: int) -> IdealizeRing:
-    return IdealizeRing(ring, d)
-
-
-def quasi_second_ring_violation(ring: FiniteRing):
-    """First pair witnessing that the ring is not quasi second, else None.
-
-    Exhaustive over element pairs: 0 != (b) <= (a) != R must force (b) = (a).
-    """
-    n = ring.order
-    full = (1 << n) - 1
-    zero_mask = 1 << ring.index(ring.zero)
-    masks = []
-    for a in ring.elements:
-        m = 0
-        for r in ring.elements:
-            m |= 1 << ring.index(ring.mul(r, a))
-        masks.append(m)
-    elems = ring.elements
-    for ia, ma in enumerate(masks):
-        if ma == full:
-            continue
-        for ib, mb in enumerate(masks):
-            if mb == zero_mask or mb & ~ma:
-                continue
-            if mb != ma:
-                fmt = ring.format_element
-                return {
-                    "a": fmt(elems[ia]),
-                    "b": fmt(elems[ib]),
-                    "ideal_a": [fmt(e) for e in sorted(ring.principal_ideal(elems[ia]), key=ring.sort_key)],
-                    "ideal_b": [fmt(e) for e in sorted(ring.principal_ideal(elems[ib]), key=ring.sort_key)],
-                }
-    return None
-
-
-def is_quasi_second_ring_brute(ring: FiniteRing) -> bool:
-    return quasi_second_ring_violation(ring) is None
 
 
 def _is_field_factor(ring: FiniteRing, e) -> bool:

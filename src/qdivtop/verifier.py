@@ -23,7 +23,7 @@ FAIL = "fail"
 VACUOUS = "vacuous"
 
 # hook for the harness self-test: rules read this at call time, so a test
-# can swap in a deliberately broken predicate and watch R2 catch it
+# can swap in a deliberately broken predicate and watch R2 and R14 catch it
 QS_VIOLATION_FINDER = modules.find_quasi_second_violation
 
 
@@ -255,13 +255,15 @@ class _ModuleCtx:
 class _RingCtx:
     kind = "ring"
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, qs_finder):
         self.instance = instance
+        self.qs_finder = qs_finder
         self.ring = rings.build_ring(instance.spec_text)
 
     @cached_property
     def violation(self):
-        return rings.quasi_second_ring_violation(self.ring)
+        # R is quasi second exactly when R is, as a module over itself
+        return self.qs_finder(modules.ring_cyclic(self.ring))
 
     @cached_property
     def classification(self):
@@ -493,8 +495,8 @@ def _r14(ctx):
     detail = f"brute={brute} classification={ctx.classification}"
     if v is not None:
         detail += (
-            f"; witness a={v['a']} b={v['b']} (a)={{{','.join(v['ideal_a'])}}} "
-            f"(b)={{{','.join(v['ideal_b'])}}}"
+            f"; witness a={v['a']} b={v['b']} (a)={{{','.join(v['aE'])}}} "
+            f"(b)={{{','.join(v['bE'])}}}"
         )
     return FAIL, detail, None
 
@@ -947,9 +949,8 @@ class TheoremReport:
 
 
 def _make_ctx(instance: Instance, qs_finder):
-    if instance.kind == "ring":
-        return _RingCtx(instance)
-    return _ModuleCtx(instance, qs_finder)
+    ctx = _RingCtx if instance.kind == "ring" else _ModuleCtx
+    return ctx(instance, qs_finder)
 
 
 def _evaluate(rule: RuleDef, ctx) -> RuleOutcome:

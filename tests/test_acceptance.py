@@ -162,6 +162,9 @@ def test_c5_oracle_equivalence(default_corpus):
 def test_c6_quasi_second_ring_classification(default_corpus):
     from qdivtop import rings
 
+    def ring_is_quasi_second(ring):
+        return modules.is_quasi_second(modules.ring_cyclic(ring))
+
     expected = {
         "Zn(4)": (True, rings.QS_LOCAL_SQUARE_ZERO),
         "Zn(6)": (True, rings.QS_TWO_FIELDS),
@@ -177,7 +180,7 @@ def test_c6_quasi_second_ring_classification(default_corpus):
             continue
         ring_count += 1
         ring = rings.build_ring(inst.spec_text)
-        brute = rings.is_quasi_second_ring_brute(ring)
+        brute = ring_is_quasi_second(ring)
         cls = rings.classify_quasi_second_ring(ring)
         if brute != (cls != rings.NOT_QS):
             agree = False
@@ -186,7 +189,7 @@ def test_c6_quasi_second_ring_classification(default_corpus):
     extra = rings.build_ring("Ideal(Zn(4),1)")
     seen.setdefault(
         "Ideal(Zn(4),1)",
-        (rings.is_quasi_second_ring_brute(extra), rings.classify_quasi_second_ring(extra)),
+        (ring_is_quasi_second(extra), rings.classify_quasi_second_ring(extra)),
     )
     named_ok = all(seen.get(k) == v for k, v in expected.items())
     ok = agree and named_ok and ring_count > 100
@@ -229,12 +232,19 @@ def test_c8_harness_self_test(default_corpus):
                     }
         return None
 
-    mutated = verifier.run_all(default_corpus, rule_ids=["R2"], qs_finder=mutated_finder)
-    failing = {o.instance for o in mutated.failures()}
-    pristine = verifier.run_all(default_corpus, rule_ids=["R2"])
-    ok = "Z:4" in failing and mutated.total_failures > 0 and pristine.total_failures == 0
+    # one hook serves the module rules and the ring rules
+    rule_ids = ["R2", "R14"]
+    mutated = verifier.run_all(default_corpus, rule_ids=rule_ids, qs_finder=mutated_finder)
+    failing = {(o.rule_id, o.instance) for o in mutated.failures()}
+    pristine = verifier.run_all(default_corpus, rule_ids=rule_ids)
+    ok = (
+        ("R2", "Z:4") in failing
+        and ("R14", "Zn(4)") in failing
+        and pristine.total_failures == 0
+    )
     check(
         "C8 harness self-test",
         ok,
-        f"mutated failures={mutated.total_failures} (Z:4 witnessed), pristine=0",
+        f"mutated failures={mutated.total_failures} (R2 Z:4 and R14 Zn(4) "
+        f"witnessed), pristine={pristine.total_failures}",
     )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qdivtop import cli
+from qdivtop import cli, modules, rings
 
 
 def run_cli(capsys, *argv):
@@ -213,6 +213,18 @@ def test_analyze_at_the_element_cap(capsys, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(cli, "parse_spec", recording_parse)
+    # one polynomial gcd per residue, shared by the units and the divisors
+    gcd_calls = []
+
+    def counted(gcd):
+        def wrapper(*args):
+            gcd_calls.append(args)
+            return gcd(*args)
+
+        return wrapper
+
+    for owner in (modules, rings):
+        monkeypatch.setattr(owner, "pgcd", counted(owner.pgcd))
     code, out, _ = run_cli(capsys, "analyze", "F2[x]:x^12")
     assert code == 0
     payload = payload_of(out)
@@ -225,6 +237,7 @@ def test_analyze_at_the_element_cap(capsys, monkeypatch):
     assert payload["quasi_second"] is False
     assert payload["predicates"] is None  # the lattice cap
     assert len(built[-1]._rows) <= 13
+    assert len(gcd_calls) <= 4096
     # Z:2310 has 32 divisors
     code, out, _ = run_cli(capsys, "analyze", "Z:2310")
     assert code == 0

@@ -175,6 +175,21 @@ def test_monkeypatched_hook_is_read_at_call_time(monkeypatch):
     assert "Z:4" == outcome.instance
 
 
+def test_r14_failure_names_the_ring_witness(monkeypatch):
+    # no corpus ring fails R14, so force a disagreement on Zn(8)
+    from qdivtop import rings
+
+    monkeypatch.setattr(
+        rings, "classify_quasi_second_ring", lambda ring: rings.QS_LOCAL_SQUARE_ZERO
+    )
+    outcome = run_rule("R14", Instance("ring", "Zn(8)"))
+    assert outcome.verdict == FAIL
+    assert outcome.witness == (
+        "brute=False classification=LocalSquareZeroMax; "
+        "witness a=2 b=4 (a)={0,2,4,6} (b)={0,4}"
+    )
+
+
 def test_payload_shape():
     payload = run_all(SMALL_CORPUS, rule_ids=["R2"]).payload()
     assert list(payload) == ["corpus_size", "fingerprint", "rules", "total_failures"]
