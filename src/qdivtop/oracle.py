@@ -2,15 +2,29 @@
 
 The topology of a quasi divisor space is generated by the basis sets U_a.
 This module enumerates every open set as a union of basis sets (encoded as
-bit vectors over point indices), verifies the family laws exhaustively,
-and decides each axiom by quantifying over the enumerated family, exactly
-as defined.  It never consults the poset fast paths, which makes it the
+bit vectors over point indices) and decides each axiom from that family
+alone.  It never consults the poset fast paths, which makes it the
 independent ground truth those fast paths are verified against.
 
+The checks rest on the minimal-open lemma for finite (Alexandrov) spaces:
+the intersection m_i of the members that contain point i is the smallest
+open set around i, and every open set is the union of the m_i of its
+points.  The m_i are read off the family once, and each check quantifies
+over them or over the points instead of over pairs of open sets:
+
+* the family is a topology iff it holds the empty set and o | m_i lies
+  in it for every member o and point i;
+* a set is dense iff it meets every m_i, so the intersection of the whole
+  dense family is the binding Baire case;
+* T4 (T5) tests each closed set (each subset) against the largest closed
+  (separated) set apart from it, because open hulls are monotone;
+* every nonempty open (closed) set contains some m_i (some point
+  closure), so hyper- and ultraconnectedness are decided on pairs of
+  those.
+
 Where an axiom asks for an existential open set around a given set, the
-minimal open superset inside the family is used as the witness; the family
-is closed under intersection, so such a minimal member exists and succeeds
-whenever any member does.
+minimal open superset, the union of the m_i over the set, is the witness;
+it succeeds whenever any open superset does.
 """
 
 from __future__ import annotations
@@ -22,14 +36,15 @@ from .topology import QuasiDivisorSpace, maximal_classes
 
 OPEN_ENUM_CAP = 14
 T5_CAP = 12
-BAIRE_SUBFAMILY_CAP = 16
 
 
 class FiniteTopology:
     """An explicit point count plus the full sorted family of open sets,
-    each encoded as a bit vector over point indices."""
+    each encoded as a bit vector over point indices.  ``min_opens[i]`` is
+    the intersection of the members containing point i, and ``dense`` the
+    members that meet every one of them."""
 
-    __slots__ = ("n", "opens", "full", "_open_set", "_closed")
+    __slots__ = ("n", "opens", "full", "min_opens", "dense", "_open_set", "_closed")
 
     def __init__(self, n: int, opens: tuple, full: int):
         self.n = n
@@ -37,6 +52,12 @@ class FiniteTopology:
         self.full = full
         self._open_set = frozenset(opens)
         self._closed = tuple(full & ~o for o in opens)
+        min_opens = [full] * n
+        for o in opens:
+            for i in _bits(o):
+                min_opens[i] &= o
+        self.min_opens = tuple(min_opens)
+        self.dense = tuple(o for o in opens if all(o & m for m in min_opens))
 
     def is_open(self, mask: int) -> bool:
         return mask in self._open_set
@@ -52,11 +73,31 @@ class StructureChecks:
     open_dense_contains_maximal_ok: bool
 
 
+def _is_topology(topo: FiniteTopology) -> bool:
+    """Closure of the family under pairwise union and intersection.
+
+    Exact with |opens|·n membership tests.  Suppose the empty set is a
+    member and o | m_i is a member for every member o and point i.  Then
+    every union of the m_i is a member, starting from the empty set.  Each
+    member o contains m_i for every point i of o (m_i is the intersection
+    of the members holding i), so o is the union of the m_i over its
+    points.  The family is thus the set of unions of the m_i: it holds the
+    full set and is closed under union, and under intersection because
+    m_i & m_j is the union of the m_k over its points k.
+    """
+    is_open = topo.is_open
+    return is_open(0) and all(
+        is_open(o | m) for o in topo.opens for m in topo.min_opens
+    )
+
+
 def enumerate_open_sets(space: QuasiDivisorSpace) -> FiniteTopology:
     """All unions of basis sets, deduplicated and verified.
 
     The family must contain the empty and full sets and be closed under
-    pairwise union and intersection; this is checked exhaustively.
+    pairwise union and intersection.  By the minimal-open lemma this is
+    checked exactly on the members against the minimal open sets m_i, at a
+    cost of |opens|·n instead of |opens|^2.
     """
     n = space.n
     if n > OPEN_ENUM_CAP:
@@ -67,15 +108,9 @@ def enumerate_open_sets(space: QuasiDivisorSpace) -> FiniteTopology:
     for s in range(1, 1 << n):
         low = s & -s
         unions[s] = unions[s ^ low] | space.up[low.bit_length() - 1]
-    opens = sorted(set(unions))
-    topo = FiniteTopology(n=n, opens=tuple(opens), full=space.full)
-    open_set = set(opens)
-    if 0 not in open_set or space.full not in open_set:
-        raise AssertionError("the generated family misses the empty or full set")
-    for a in opens:
-        for b in opens:
-            if a | b not in open_set or a & b not in open_set:
-                raise AssertionError("the generated family is not a topology")
+    topo = FiniteTopology(n=n, opens=tuple(sorted(set(unions))), full=space.full)
+    if not _is_topology(topo):
+        raise AssertionError("the generated family is not a topology")
     return topo
 
 
@@ -97,24 +132,15 @@ def oracle_interior(topo: FiniteTopology, mask: int) -> int:
     return out
 
 
-def _min_open_covers(topo: FiniteTopology):
-    """min_open[i]: the smallest open set containing point i."""
-    covers = []
-    for i in range(topo.n):
-        bit = 1 << i
-        acc = topo.full
-        for o in topo.opens:
-            if o & bit:
-                acc &= o
-        covers.append(acc)
-    return covers
+def _point_closures(topo: FiniteTopology):
+    return [oracle_closure(topo, 1 << i) for i in range(topo.n)]
 
 
-def _open_hull(topo: FiniteTopology, mask: int, min_opens) -> int:
+def _open_hull(topo: FiniteTopology, mask: int) -> int:
     """The smallest open superset of the given set (a member of the family)."""
     out = 0
     for i in _bits(mask):
-        out |= min_opens[i]
+        out |= topo.min_opens[i]
     return out
 
 
@@ -139,7 +165,7 @@ def _axiom_t1(topo):
 
 
 def _axiom_t2(topo):
-    min_opens = _min_open_covers(topo)
+    min_opens = topo.min_opens
     for i in range(topo.n):
         for j in range(i + 1, topo.n):
             if min_opens[i] & min_opens[j]:
@@ -149,53 +175,46 @@ def _axiom_t2(topo):
 
 def _axiom_t3(topo):
     # for every closed C and x outside it: disjoint opens around C and x
-    min_opens = _min_open_covers(topo)
     for c in topo.closed_sets():
-        hull_c = _open_hull(topo, c, min_opens)
+        hull_c = _open_hull(topo, c)
         for x in _bits(topo.full & ~c):
-            if hull_c & min_opens[x]:
+            if hull_c & topo.min_opens[x]:
                 return False
     return True
 
 
 def _axiom_t4(topo):
-    min_opens = _min_open_covers(topo)
-    closed = topo.closed_sets()
-    hulls = {c: _open_hull(topo, c, min_opens) for c in closed}
-    for c1 in closed:
-        for c2 in closed:
-            if c1 & c2 or not c1 or not c2:
-                continue
-            if hulls[c1] & hulls[c2]:
-                return False
+    # a closed set misses c1 iff it misses the open hull of c1, so the
+    # largest closed set disjoint from c1 binds every pair through c1
+    for c1 in topo.closed_sets():
+        if not c1:
+            continue
+        hull1 = _open_hull(topo, c1)
+        c2 = topo.full & ~hull1
+        if c2 and hull1 & _open_hull(topo, c2):
+            return False
     return True
 
 
 def _axiom_t5(topo):
     # every pair of nonempty separated sets has disjoint open supersets;
-    # enumerated over all disjoint nonempty subset pairs
+    # b is separated from a iff each point x of b lies outside cl(a) and
+    # has cl(x) disjoint from a, so for each nonempty subset a the largest
+    # such b binds every pair through a
     if topo.n > T5_CAP:
         raise SizeCapExceeded(f"the T5 sweep is capped at {T5_CAP} points")
-    min_opens = _min_open_covers(topo)
-    cl1 = [oracle_closure(topo, 1 << i) for i in range(topo.n)]
-
-    def cl(mask):
-        out = 0
-        for i in _bits(mask):
-            out |= cl1[i]
-        return out
-
+    cl1 = _point_closures(topo)
     full = topo.full
     for a in range(1, full + 1):
-        cl_a = cl(a)
-        hull_a = _open_hull(topo, a, min_opens)
-        rest = full & ~a
-        b = rest
-        while b:
-            if not (cl_a & b) and not (a & cl(b)):
-                if hull_a & _open_hull(topo, b, min_opens):
-                    return False
-            b = (b - 1) & rest
+        cl_a = 0
+        for i in _bits(a):
+            cl_a |= cl1[i]
+        b = 0
+        for x in _bits(full & ~cl_a):
+            if not (cl1[x] & a):
+                b |= 1 << x
+        if b and _open_hull(topo, a) & _open_hull(topo, b):
+            return False
     return True
 
 
@@ -214,29 +233,23 @@ def _axiom_connected(topo):
 
 
 def _axiom_hyperconnected(topo):
-    for o1 in topo.opens:
-        if not o1:
-            continue
-        for o2 in topo.opens:
-            if o2 and not (o1 & o2):
-                return False
-    return True
+    # every nonempty open set contains the minimal open set of its points
+    m = topo.min_opens
+    return all(m[i] & m[j] for i in range(topo.n) for j in range(i + 1, topo.n))
 
 
 def _axiom_ultraconnected(topo):
-    closed = [c for c in topo.closed_sets() if c]
-    for c1 in closed:
-        for c2 in closed:
-            if not (c1 & c2):
-                return False
-    return True
+    # every nonempty closed set contains the closure of its points
+    cl1 = _point_closures(topo)
+    return all(
+        cl1[i] & cl1[j] for i in range(topo.n) for j in range(i + 1, topo.n)
+    )
 
 
 def _axiom_alexandrov(topo):
-    # pairwise intersection closure was verified at enumeration time and
-    # implies closure under arbitrary intersections of the finite family
-    open_set = set(topo.opens)
-    return all(a & b in open_set for a in topo.opens for b in topo.opens)
+    # closure under pairwise intersection implies closure under arbitrary
+    # intersections of the finite family
+    return _is_topology(topo)
 
 
 def _axiom_noetherian(topo):
@@ -244,30 +257,16 @@ def _axiom_noetherian(topo):
     return True
 
 
-def _dense_opens(topo):
-    return [o for o in topo.opens if oracle_closure(topo, o) == topo.full]
-
-
 def _axiom_baire(topo):
     """Every intersection of dense open sets is dense.
 
-    Exhaustive over subfamilies when the dense family is small; above the
-    cap only the full-family intersection is checked, which is the binding
-    case because density is superset-monotone.
+    Density is superset-monotone, so the intersection of the whole dense
+    family is the binding case.
     """
-    dense = _dense_opens(topo)
-    if len(dense) <= BAIRE_SUBFAMILY_CAP:
-        for pick in range(1, 1 << len(dense)):
-            acc = topo.full
-            for i in _bits(pick):
-                acc &= dense[i]
-            if oracle_closure(topo, acc) != topo.full:
-                return False
-        return True
     acc = topo.full
-    for o in dense:
+    for o in topo.dense:
         acc &= o
-    return oracle_closure(topo, acc) == topo.full
+    return all(acc & m for m in topo.min_opens)
 
 
 _AXIOMS = {
@@ -321,24 +320,15 @@ def subset_sweep(n: int):
 def oracle_structure_checks(
     topo: FiniteTopology, space: QuasiDivisorSpace
 ) -> StructureChecks:
-    """Exhaustive checks of the three structural facts: basis sets are
-    minimal neighborhoods, closure distributes over unions, and every open
-    dense set contains the maximal classes."""
-    minimal_ok = True
-    for i in range(space.n):
-        u = space.up[i]
-        if not topo.is_open(u):
-            minimal_ok = False
-            break
-        bit = 1 << i
-        for o in topo.opens:
-            if o & bit and (o & ~u) == 0 and o != u:
-                minimal_ok = False
-                break
-        if not minimal_ok:
-            break
+    """Checks of the three structural facts: basis sets are minimal
+    neighborhoods (each U_i against m_i), closure distributes over unions
+    (every subset up to 8 points, a fixed sample above), and every open
+    dense set contains the maximal classes (every dense member)."""
+    # m_i is a member of the family, so U_i is the minimal neighborhood of
+    # i exactly when it equals m_i
+    minimal_ok = all(m == u for m, u in zip(topo.min_opens, space.up))
 
-    cl1 = [oracle_closure(topo, 1 << i) for i in range(topo.n)]
+    cl1 = _point_closures(topo)
     union_ok = True
     for mask in subset_sweep(topo.n):
         acc = 0
@@ -349,7 +339,7 @@ def oracle_structure_checks(
             break
 
     target = maximal_classes(space)
-    dense_ok = all(not (target & ~o) for o in _dense_opens(topo))
+    dense_ok = all(not (target & ~o) for o in topo.dense)
 
     return StructureChecks(
         minimal_neighborhoods_ok=minimal_ok,

@@ -1,9 +1,13 @@
+import random
+from types import SimpleNamespace
+
 import pytest
 
-from qdivtop import oracle, topology
-from qdivtop.modules import SizeCapExceeded, build_module, cyclic_sum
+from qdivtop import oracle, topology, verifier
+from qdivtop.modules import SizeCapExceeded, _bits, build_module, cyclic_sum
 from qdivtop.oracle import (
     AXIOMS,
+    FiniteTopology,
     enumerate_open_sets,
     oracle_axiom,
     oracle_closure,
@@ -75,7 +79,8 @@ def test_axiom_examples():
 
 def test_t5_cap():
     s = space_of("ring:Zn(60)")
-    assert 12 < s.n <= 14 or s.n <= 12
+    assert s.n == 10
+    assert oracle_axiom(enumerate_open_sets(s), "T5") in (True, False)
     big = build_space(cyclic_sum(INTEGERS, (2 * 2 * 2 * 3 * 3 * 3,)))
     # 4x4 exponent grid minus endpoints: 14 points
     assert big.n == 14
@@ -163,3 +168,260 @@ def test_all_axioms_evaluate():
     t = topo_of("Z:12")
     for name in AXIOMS:
         assert oracle_axiom(t, name) in (True, False)
+
+
+# Literal definitions: the sweeps over pairs of open sets, all subset pairs
+# and all dense subfamilies that the library decides through the minimal
+# open sets.  They are kept here as the definitional ground truth.
+
+LITERAL_BAIRE_SUBFAMILY_CAP = 16
+
+
+def literal_is_topology(opens, full):
+    open_set = set(opens)
+    if 0 not in open_set or full not in open_set:
+        return False
+    return all(a | b in open_set and a & b in open_set for a in opens for b in opens)
+
+
+def literal_opens(space):
+    """The up-closed subsets of the specialization order."""
+    return tuple(
+        s
+        for s in range(1 << space.n)
+        if all(not (space.up[i] & ~s) for i in _bits(s))
+    )
+
+
+def literal_min_opens(topo):
+    covers = []
+    for i in range(topo.n):
+        acc = topo.full
+        for o in topo.opens:
+            if o & (1 << i):
+                acc &= o
+        covers.append(acc)
+    return covers
+
+
+def union_over(mask, parts):
+    """The union of parts[i] over the points i of mask."""
+    out = 0
+    for i in _bits(mask):
+        out |= parts[i]
+    return out
+
+
+def literal_t2(topo):
+    m = literal_min_opens(topo)
+    return all(
+        not (m[i] & m[j]) for i in range(topo.n) for j in range(i + 1, topo.n)
+    )
+
+
+def literal_t3(topo):
+    m = literal_min_opens(topo)
+    for c in topo.closed_sets():
+        hull_c = union_over(c, m)
+        for x in _bits(topo.full & ~c):
+            if hull_c & m[x]:
+                return False
+    return True
+
+
+def literal_t4(topo):
+    m = literal_min_opens(topo)
+    closed = topo.closed_sets()
+    hulls = {c: union_over(c, m) for c in closed}
+    for c1 in closed:
+        for c2 in closed:
+            if c1 & c2 or not c1 or not c2:
+                continue
+            if hulls[c1] & hulls[c2]:
+                return False
+    return True
+
+
+def subset_unions(n, parts):
+    """union_over(mask, parts) tabulated for every mask."""
+    out = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        out[mask] = out[mask ^ low] | parts[low.bit_length() - 1]
+    return out
+
+
+def literal_t5(topo):
+    # every pair of disjoint nonempty subsets, with closures and open hulls
+    # tabulated over all subsets
+    if topo.n > oracle.T5_CAP:
+        raise SizeCapExceeded(f"the T5 sweep is capped at {oracle.T5_CAP} points")
+    cl = subset_unions(topo.n, [oracle_closure(topo, 1 << i) for i in range(topo.n)])
+    hull = subset_unions(topo.n, literal_min_opens(topo))
+    full = topo.full
+    for a in range(1, full + 1):
+        cl_a = cl[a]
+        hull_a = hull[a]
+        rest = full & ~a
+        b = rest
+        while b:
+            if not (cl_a & b) and not (a & cl[b]) and hull_a & hull[b]:
+                return False
+            b = (b - 1) & rest
+    return True
+
+
+def literal_hyperconnected(topo):
+    nonempty = [o for o in topo.opens if o]
+    return all(o1 & o2 for o1 in nonempty for o2 in nonempty)
+
+
+def literal_ultraconnected(topo):
+    closed = [c for c in topo.closed_sets() if c]
+    return all(c1 & c2 for c1 in closed for c2 in closed)
+
+
+def literal_alexandrov(topo):
+    open_set = set(topo.opens)
+    return all(a & b in open_set for a in topo.opens for b in topo.opens)
+
+
+def literal_dense_opens(topo):
+    return [o for o in topo.opens if oracle_closure(topo, o) == topo.full]
+
+
+def literal_baire(topo):
+    """Every intersection of a nonempty dense subfamily, exhaustively up to
+    the cap; above it only the full-family intersection, the binding case
+    by monotonicity."""
+    dense = literal_dense_opens(topo)
+    if len(dense) > LITERAL_BAIRE_SUBFAMILY_CAP:
+        acc = topo.full
+        for o in dense:
+            acc &= o
+        return oracle_closure(topo, acc) == topo.full
+    meets = [topo.full] * (1 << len(dense))
+    for pick in range(1, 1 << len(dense)):
+        low = pick & -pick
+        meets[pick] = meets[pick ^ low] & dense[low.bit_length() - 1]
+    return all(oracle_closure(topo, acc) == topo.full for acc in set(meets[1:]))
+
+
+def literal_structure_checks(topo, space):
+    minimal_ok = True
+    for i in range(space.n):
+        u = space.up[i]
+        if not topo.is_open(u) or any(
+            o & (1 << i) and not (o & ~u) and o != u for o in topo.opens
+        ):
+            minimal_ok = False
+            break
+    cl1 = [oracle_closure(topo, 1 << i) for i in range(topo.n)]
+    union_ok = all(
+        oracle_closure(topo, mask) == union_over(mask, cl1)
+        for mask in oracle.subset_sweep(topo.n)
+    )
+    target = topology.maximal_classes(space)
+    dense_ok = all(not (target & ~o) for o in literal_dense_opens(topo))
+    return oracle.StructureChecks(minimal_ok, union_ok, dense_ok)
+
+
+LITERAL_AXIOMS = {
+    "T2": literal_t2,
+    "T3": literal_t3,
+    "T4": literal_t4,
+    "T5": literal_t5,
+    "hyperconnected": literal_hyperconnected,
+    "ultraconnected": literal_ultraconnected,
+    "alexandrov": literal_alexandrov,
+    "baire": literal_baire,
+}
+
+
+def random_preorder_space(rng, n):
+    """A fake space over a random preorder on n points: a random relation,
+    closed reflexively and transitively, so cycles make non-T0 spaces."""
+    p = rng.choice((0.05, 0.15, 0.3, 0.5))
+    up = [
+        (1 << i) | sum(1 << j for j in range(n) if j != i and rng.random() < p)
+        for i in range(n)
+    ]
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return SimpleNamespace(n=n, up=tuple(up), full=(1 << n) - 1)
+
+
+def assert_matches_literal(space, topo, where):
+    assert topo.opens == literal_opens(space), where
+    assert list(topo.dense) == literal_dense_opens(topo), where
+    for name, literal in LITERAL_AXIOMS.items():
+        if name == "T5" and topo.n > oracle.T5_CAP:
+            with pytest.raises(SizeCapExceeded):
+                oracle_axiom(topo, name)
+            continue
+        assert oracle_axiom(topo, name) == literal(topo), (where, name)
+
+
+def test_library_matches_literal_definitions():
+    # T0, T1, discrete, connected and noetherian are decided from their
+    # definitions in the library itself and need no second copy
+    spaces = 0
+    for inst in verifier.generate_corpus():
+        if inst.kind != "module":
+            continue
+        s = space_of(inst.spec_text)
+        if s.n > oracle.OPEN_ENUM_CAP:
+            continue
+        t = enumerate_open_sets(s)
+        assert_matches_literal(s, t, inst.spec_text)
+        assert oracle_structure_checks(t, s) == literal_structure_checks(t, s)
+        spaces += 1
+    assert spaces == 277
+    rng = random.Random(20251018)
+    non_t0 = 0
+    for k in range(1000):
+        s = random_preorder_space(rng, rng.randint(0, 10))
+        t = enumerate_open_sets(s)
+        assert_matches_literal(s, t, (k, s.up))
+        non_t0 += len(set(s.up)) < s.n
+    assert non_t0 > 100
+
+
+def test_topology_check_matches_literal_on_arbitrary_families():
+    # every family on up to 3 points: 1 + 1 + 4 + 29 labeled topologies
+    topologies = 0
+    for n in range(4):
+        full = (1 << n) - 1
+        for pick in range(1, 1 << (1 << n)):
+            opens = tuple(_bits(pick))
+            t = FiniteTopology(n=n, opens=opens, full=full)
+            verdict = literal_is_topology(opens, full)
+            assert oracle._is_topology(t) == verdict, (n, opens)
+            topologies += verdict
+    assert topologies == 35
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(3000):
+        n = rng.randint(0, 5)
+        full = (1 << n) - 1
+        if rng.random() < 0.5:
+            family = set(literal_opens(random_preorder_space(rng, n)))
+            for _ in range(rng.randint(0, 2)):
+                family ^= {rng.randint(0, full)}
+        else:
+            family = {rng.randint(0, full) for _ in range(rng.randint(1, 12))}
+        opens = tuple(sorted(family))
+        t = FiniteTopology(n=n, opens=opens, full=full)
+        verdict = literal_is_topology(opens, full)
+        assert oracle._is_topology(t) == verdict, (n, opens)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_enumeration_rejects_a_family_that_is_not_a_topology():
+    # U_0 & U_1 = {1} is not a union of basis sets
+    fake = SimpleNamespace(n=3, up=(0b011, 0b110, 0b110), full=0b111)
+    with pytest.raises(AssertionError):
+        enumerate_open_sets(fake)
