@@ -19,7 +19,6 @@ from .modules import (  # noqa: F401
     build_module,
     cyclic_image,
     cyclic_sum,
-    direct_sum,
     enumerate_submodules,
     is_quasi_second,
     is_second_module,

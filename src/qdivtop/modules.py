@@ -9,7 +9,7 @@ A module is one of
 * a catalog ring R viewed as a cyclic module over a declared polynomial
   domain surjecting onto R; elements are labelled by the ring elements and
   the scalar action is ring multiplication;
-* a submodule, quotient or direct sum derived from those.
+* a submodule or quotient derived from those.
 
 All scalar action factors through the finite residue ring A/ann(E).  For a
 finitely generated module the scalars acting neither as zero nor as a
@@ -19,26 +19,32 @@ a direct-sampling cross-check of this reduction lives in the verifier.
 
 Elements are the indices ``0..N-1``; their values (residue tuples, ring
 elements) are kept only as labels, to parse input and print output.  All
-arithmetic is on indices: addition is one index-level ``add(i, j)``, and
-the action of a residue is a row mapping element index to element index,
-stored as ``array('H')`` (``ELEMENT_CAP`` 4096 < 2^16) and built the first
-time a query asks for it; negation is the row of -1.
+arithmetic is on indices.  Addition is one index-level ``add(i, j)``:
+digit by digit on a mixed-radix code for cyclic sums and catalog rings
+(``_digitwise_add``), through the parent for derived modules.  The action
+of a residue is a row mapping element index to element index, stored as
+``array('H')`` (``ELEMENT_CAP`` 4096 < 2^16) and built the first time a
+query asks for it; negation is the row of -1.
 
-Rows are asked for sparingly.  Over A/(n) with A = Z or F_p[x], a residue
-r is g*u with g = gcd(r, n) and u a unit, so r and g have the same image
-on every submodule and kill the same elements: images, killers and
-second-submodule tests read one row per divisor g of n.  A unit's image is
-the whole module, so unit residues need no row at all.  A cyclic submodule
-Rx is the image xE when x is itself a residue, and over Z or F_p[x] the
-additive span of x, tx, t^2x, ... for the ring generator t; only derived
-modules read it off every row.  Element sets are
-bit masks over the indices, which keeps image computations and the
-submodule lattice cheap.  Modules are immutable (their row and image
+Rows are asked for sparingly.  A cyclic submodule Rx is the additive span
+of g*x over the additive generators g of the residue ring (``span``), so
+it reads one row entry per generator: one row for Z, deg(n) rows for
+F_p[x]/(n), k+1 rows for Trunc(p,k).  When the elements are themselves
+residues (a catalog ring over itself, a one-summand cyclic sum), the image
+rE is Rr and takes that route too.  Over A/(n) with A = Z or F_p[x], a
+residue r is g*u with g = gcd(r, n) and u a unit, so r and g have the same
+image on every submodule and kill the same elements: images, killers and
+second-submodule tests work per divisor g of n.  A unit's image is the
+whole module, so unit residues need no image at all.  Every row at once
+(``rows``) is read only to check a submodule a caller passes in.  Element
+sets are bit masks over the indices, which keeps image computations and
+the submodule lattice cheap.  Modules are immutable (their row and image
 caches aside) and every operation is pure.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
@@ -176,10 +182,13 @@ class WeakSplit:
 class FiniteModule:
     """A finite module on element indices: labels, a zero index, ``add``
     and a row builder giving the action of one residue.  ``row(r)`` builds
-    and caches one row on first use.  Images, killers and second-submodule
-    tests read the row of a residue's divisor, and a unit's image needs no
-    row, so a module over Z or F_p[x] builds about one row per divisor of
-    its annihilator."""
+    and caches one row on first use.  Cyclic submodules, and the images of
+    residues when the elements are residues, are spans over the rows of
+    the residue ring's additive generators; other images, killers and
+    second-submodule tests read the row of a residue's divisor.  A unit's
+    image needs no row, so a module over Z or F_p[x] builds about one row
+    per divisor of its annihilator and a catalog ring one per additive
+    generator."""
 
     def __init__(
         self,
@@ -268,7 +277,11 @@ class FiniteModule:
             g = self.residue_ring.divisor(r)
             mask = self._images.get(g)
             if mask is None:
-                mask = self._images[g] = _mask(self.row(g))
+                if self.residue_elements:
+                    mask = self._span_at(self.residue_ring.index(g))
+                else:
+                    mask = _mask(self.row(g))
+                self._images[g] = mask
             self._images[r] = mask
         return mask
 
@@ -291,36 +304,41 @@ class FiniteModule:
                     out |= 1 << add(i, j)
         return out
 
+    def span(self, ys) -> int:
+        """Mask of the additive subgroup generated by the indices ys: the
+        join of their cyclic subgroups.  Joining y to a subgroup M adds the
+        cosets M + y, M + 2y, ... up to the first multiple of y in M, which
+        is the first one already covered."""
+        add = self.add
+        mask = self.zero_mask
+        for y in ys:
+            if (mask >> y) & 1:
+                continue
+            base = list(_bits(mask))
+            z = y
+            while not (mask >> z) & 1:
+                for i in base:
+                    mask |= 1 << add(i, z)
+                z = add(z, y)
+        return mask
+
     def cyclic_mask(self, i: int) -> int:
-        """Mask of Rx for the element x at index i: the image xE when x is
-        a residue; over Z or F_p[x] the additive span of x, tx, t^2x, ...
-        for the ring generator t; else column i of the action rows, since
-        Rx is already closed under addition."""
+        """Mask of Rx for the element x at index i: the additive span of
+        g*x over the additive generators g of the residue ring.  When x is
+        itself a residue, Rx is the image xE, shared by every residue with
+        the divisor of x."""
         if self.residue_elements:
             return self.image_mask(self.residue_ring.elements[i])
         mask = self._cyclic.get(i)
         if mask is None:
-            if self.residue_ring.generator is None:
-                mask = _mask(row[i] for row in self.rows)
-            else:
-                mask = self._span_of_powers(i)
-            self._cyclic[i] = mask
+            mask = self._cyclic[i] = self._span_at(i)
         return mask
 
-    def _span_of_powers(self, i: int) -> int:
-        # once t^k x lies in the span of x, ..., t^(k-1) x, so does t^(k+1) x
-        t_row = self.row(self.residue_ring.generator)
-        add = self.add
-        mask = self.zero_mask
-        y = i
-        while not (mask >> y) & 1:
-            multiples, z = self.zero_mask, y
-            while not (multiples >> z) & 1:
-                multiples |= 1 << z
-                z = add(z, y)
-            mask = self.join_masks(mask, multiples)
-            y = t_row[y]
-        return mask
+    def _span_at(self, i: int) -> int:
+        # one row entry per additive generator
+        return self.span(
+            self.row(g)[i] for g in self.residue_ring.additive_generators()
+        )
 
     def lattice_masks(self) -> tuple:
         """Masks of every submodule, via joins of cyclic submodules."""
@@ -491,11 +509,19 @@ def _digitwise_add(sizes, codes, radices):
             digits.append((radix, place))
             place *= radix
 
-    def add(i, j):
-        u, v, w = code[i], code[j], 0
-        for radix, place in digits:
-            w += (u // place + v // place) % radix * place
-        return index_of[w]
+    if all(radix == 2 for radix, _ in digits):
+        # binary digits add without carries: exclusive or
+
+        def add(i, j):
+            return index_of[code[i] ^ code[j]]
+
+    else:
+
+        def add(i, j):
+            u, v, w = code[i], code[j], 0
+            for radix, place in digits:
+                w += (u // place + v // place) % radix * place
+            return index_of[w]
 
     return add
 
@@ -518,9 +544,15 @@ def ring_cyclic(ring: rings.FiniteRing, domain_label: str | None = None) -> Fini
     itself, and element indices are the ring's own element indices.
     """
     elems, index = ring.elements, ring.index
+    layout = ring.digit_layout()
+    if layout is None:
 
-    def add(i, j):
-        return index(ring.add(elems[i], elems[j]))
+        def add(i, j):
+            return index(ring.add(elems[i], elems[j]))
+
+    else:
+        codes, radices = layout
+        add = _digitwise_add([ring.order], [codes], [radices])
 
     return FiniteModule(
         kind="ring_cyclic",
@@ -697,28 +729,40 @@ def is_second_submodule(E: FiniteModule, N: Submodule) -> bool:
 def find_quasi_second_violation(E: FiniteModule):
     """First residue pair (a, b) with 0 != bE <= aE != E but bE != aE.
 
-    Returns None when E is quasi second.  The search runs over every
-    nonunit residue pair, zero included, so the guards carry the whole
-    definition; a unit's image is E, so a unit is never part of a witness.
+    Returns None when E is quasi second.  Whether a pair qualifies depends
+    only on the two images, so the search runs over the distinct images of
+    the nonunit residues, zero included, in order of first appearance, and
+    names the first residue with each image.  This gives the first witness
+    of the search over all residue pairs: if a residue's image admits no b,
+    neither does any later residue with that image, and the first qualifying
+    b is the first residue with its image.  A unit's image is E, so a unit
+    is never part of a witness.  Given bE <= aE, bE != aE exactly when bE
+    is smaller, so each a is tested only against the nonzero smaller images.
     """
     ring = E.residue_ring
-    full = E.full_mask
-    zmask = E.zero_mask
     units = ring.units()
-    nonunits = [(r, E.image_mask(r)) for r in ring.elements if r not in units]
-    for ra, ma in nonunits:
-        if ma == full:
+    first = {}
+    for r in ring.elements:
+        if r not in units:
+            first.setdefault(E.image_mask(r), r)
+    position = {m: k for k, m in enumerate(first)}
+    size = {m: m.bit_count() for m in first}
+    # nonzero images by size, each size in order of first appearance
+    smaller = sorted((m for m in first if m != E.zero_mask), key=size.__getitem__)
+    sizes = [size[m] for m in smaller]
+    for ma in first:
+        if ma == E.full_mask:
             continue
-        for rb, mb in nonunits:
-            if mb == zmask or mb & ~ma:
-                continue
-            if mb != ma:
-                return {
-                    "a": ring.format_element(ra),
-                    "b": ring.format_element(rb),
-                    "aE": E.format_mask(ma),
-                    "bE": E.format_mask(mb),
-                }
+        below = smaller[: bisect.bisect_left(sizes, size[ma])]
+        hits = [mb for mb in below if not (mb & ~ma)]
+        if hits:
+            mb = min(hits, key=position.__getitem__)
+            return {
+                "a": ring.format_element(first[ma]),
+                "b": ring.format_element(first[mb]),
+                "aE": E.format_mask(ma),
+                "bE": E.format_mask(mb),
+            }
     return None
 
 
@@ -902,14 +946,3 @@ def quotient_module(E: FiniteModule, N: Submodule) -> FiniteModule:
         ann_scalar=ann_scalar,
         ann_ideal=ann_ideal,
     )
-
-
-def direct_sum(E1: FiniteModule, E2: FiniteModule) -> FiniteModule:
-    """The direct sum of two explicit cyclic sums over the same domain."""
-    if E1.kind != "cyclic_sum" or E2.kind != "cyclic_sum":
-        raise ModuleError("direct sums are supported for explicit cyclic sums")
-    if E1.domain != E2.domain:
-        raise ModuleError(
-            f"domain mismatch: {E1.domain_label} versus {E2.domain_label}"
-        )
-    return cyclic_sum(E1.domain, E1.moduli + E2.moduli)

@@ -18,6 +18,21 @@ Every ring enumerates its elements as hashable canonical values:
 Quotients by an ideal (used when deriving modules) represent each coset by
 its least member under the parent's element order.
 
+Every ring names ``additive_generators()``: elements whose sums give every
+element (1 for ``Zn``; 1, x, ..., x^(d-1) for ``GF(p,f)`` with d = deg f;
+1, x_1, ..., x_k for ``Trunc``; the factors' generators, embedded, for
+``Prod`` and ``Ideal``; the coset representatives of the parent's
+generators for a quotient).  So a principal ideal rR, and any cyclic
+submodule Rx of an R-module, is the additive span of the products g*x.
+
+Every catalog ring also has a ``digit_layout()``: its additive group is a
+product of cyclic groups, and element i has a mixed-radix code whose
+digits add independently (``Zn``: one digit mod n; ``GF(p,f)``: the
+coefficients as base-p digits; ``Trunc``: the coefficients; ``Prod`` and
+``Ideal``: the factors' digits side by side, in element order).  Modules
+over a ring add through that code instead of through ring values.
+Quotients have no layout and add through their parent.
+
 Commutativity and the identity laws are checked exhaustively on
 construction for the composite constructors up to order 64; the
 associativity/distributivity sweeps live in the test suite.  Element order
@@ -73,6 +88,16 @@ class FiniteRing:
     def units(self) -> frozenset:
         raise NotImplementedError
 
+    def additive_generators(self) -> tuple:
+        """Elements whose sums give every element of the ring."""
+        raise NotImplementedError
+
+    def digit_layout(self):
+        """(codes, radices): element i has the mixed-radix code codes[i]
+        whose digits, least significant first, add mod the radices; None
+        when the ring adds only through values."""
+        return None
+
     def sort_key(self, x):
         raise NotImplementedError
 
@@ -115,14 +140,12 @@ class FiniteRing:
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
-    # a residue t whose powers span the ring additively, when one is known
-    generator = None
-
     def divisor(self, r):
         """An element d with r = d*u for a unit u, so that r and d generate
-        the same ideal: gcd(r, n) over A/(n) for A = Z or F_p[x], and r
-        itself over the other rings."""
-        return r
+        the same ideal: gcd(r, n) over A/(n) for A = Z or F_p[x], the
+        factors' divisors over a product, and otherwise one for a unit and
+        r itself for a nonunit."""
+        return self.one if r in self.units() else r
 
     def divisors(self) -> tuple:
         """The distinct divisors of the elements, in element order."""
@@ -140,20 +163,6 @@ class FiniteRing:
 
     def principal_ideal(self, a) -> frozenset:
         return frozenset(self.mul(r, a) for r in self.elements)
-
-    def nilradical(self) -> frozenset:
-        out = set()
-        zero = self.zero
-        for x in self.elements:
-            seen = set()
-            y = x
-            while y not in seen:
-                if y == zero:
-                    out.add(x)
-                    break
-                seen.add(y)
-                y = self.mul(y, x)
-        return frozenset(out)
 
     def idempotents(self) -> frozenset:
         return frozenset(x for x in self.elements if self.mul(x, x) == x)
@@ -215,8 +224,6 @@ class _EuclideanQuotient(FiniteRing):
 
 
 class ZnRing(_EuclideanQuotient):
-    generator = 1
-
     def __init__(self, n: int):
         if n < 2:
             raise RingError(f"Zn needs a modulus of at least 2, got {n}")
@@ -249,6 +256,12 @@ class ZnRing(_EuclideanQuotient):
     def _gcd(self, r):
         return math.gcd(r, self.n) % self.n
 
+    def additive_generators(self):
+        return (1,)
+
+    def digit_layout(self):
+        return range(self.n), (self.n,)
+
 
 class QuotPolyRing(_EuclideanQuotient):
     """F_p[x]/(f) for a nonconstant modulus f, normalized monic."""
@@ -267,7 +280,6 @@ class QuotPolyRing(_EuclideanQuotient):
         self.spec = f"GF({p},{scalars.format_poly(modulus)})"
         self.zero = ()
         self.one = (1,)
-        self.generator = scalars.pdivmod((0, 1), modulus, p)[1]
         self._mul_cache = {}
         self._divisors = {}
         self._init_common(validate=False)
@@ -300,6 +312,14 @@ class QuotPolyRing(_EuclideanQuotient):
     def _gcd(self, r):
         g = pgcd(r, self.modulus, self.p)
         return self.zero if g == self.modulus else g
+
+    def additive_generators(self):
+        return tuple((0,) * k + (1,) for k in range(pdeg(self.modulus)))
+
+    def digit_layout(self):
+        p = self.p
+        codes = [sum(c * p**k for k, c in enumerate(x)) for x in self.elements]
+        return codes, (p,) * pdeg(self.modulus)
 
 
 class TruncRing(FiniteRing):
@@ -354,6 +374,14 @@ class TruncRing(FiniteRing):
             self._units = frozenset(x for x in self.elements if x[0] != 0)
         return self._units
 
+    def additive_generators(self):
+        k = self.k
+        return tuple((0,) * i + (1,) + (0,) * (k - i) for i in range(k + 1))
+
+    def digit_layout(self):
+        # the element order is lexicographic on the coefficients
+        return range(self.order), (self.p,) * (self.k + 1)
+
 
 class ProdRing(FiniteRing):
     def __init__(self, r1: FiniteRing, r2: FiniteRing):
@@ -389,6 +417,22 @@ class ProdRing(FiniteRing):
                 itertools.product(self.r1.units(), self.r2.units())
             )
         return self._units
+
+    def divisor(self, r):
+        return (self.r1.divisor(r[0]), self.r2.divisor(r[1]))
+
+    def additive_generators(self):
+        r1, r2 = self.r1, self.r2
+        return tuple((g, r2.zero) for g in r1.additive_generators()) + tuple(
+            (r1.zero, g) for g in r2.additive_generators()
+        )
+
+    def digit_layout(self):
+        # element (x, y) sits at index(x) * |R2| + index(y)
+        codes1, radices1 = self.r1.digit_layout()
+        codes2, radices2 = self.r2.digit_layout()
+        n2 = self.r2.order
+        return [a * n2 + b for a in codes1 for b in codes2], radices2 + radices1
 
 
 class IdealizeRing(FiniteRing):
@@ -441,6 +485,26 @@ class IdealizeRing(FiniteRing):
             base_units = self.base.units()
             self._units = frozenset(x for x in self.elements if x[0] in base_units)
         return self._units
+
+    def additive_generators(self):
+        b, d = self.base, self.d
+        zeros = (b.zero,) * d
+        gens = tuple((g, zeros) for g in b.additive_generators())
+        for j in range(d):
+            gens += tuple(
+                (b.zero, zeros[:j] + (g,) + zeros[j + 1 :])
+                for g in b.additive_generators()
+            )
+        return gens
+
+    def digit_layout(self):
+        # the element order is lexicographic on the d + 1 base coordinates
+        base_codes, base_radices = self.base.digit_layout()
+        n = self.base.order
+        codes = [0]
+        for _ in range(self.d + 1):
+            codes = [x * n + c for x in codes for c in base_codes]
+        return codes, base_radices * (self.d + 1)
 
 
 class QuotientRing(FiniteRing):
@@ -502,6 +566,11 @@ class QuotientRing(FiniteRing):
         if self._units is None:
             self._units = frozenset(self._rep[u] for u in self.parent.units())
         return self._units
+
+    def additive_generators(self):
+        return tuple(
+            dict.fromkeys(self._rep[g] for g in self.parent.additive_generators())
+        )
 
 
 # -- catalog operations ------------------------------------------------

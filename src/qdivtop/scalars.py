@@ -203,13 +203,6 @@ def normalize(a: Scalar) -> Scalar:
     return Scalar(a.domain, pmonic(a.value, a.domain.char))
 
 
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    _same_domain(a, b)
-    if a.domain.kind == "int":
-        return Scalar(a.domain, a.value * b.value)
-    return Scalar(a.domain, pmul(a.value, b.value, a.domain.char))
-
-
 def divides(a: Scalar, b: Scalar) -> bool:
     """Whether a divides b in the domain."""
     _same_domain(a, b)

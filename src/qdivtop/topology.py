@@ -14,6 +14,7 @@ vacuousness marker.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -53,19 +54,24 @@ class QuasiDivisorSpace:
         self.labels = tuple(c.label for c in self.classes)
         self.provenance = provenance
         self.module = module
-        up = []
-        down = []
+        # up[i] holds j when a_iE <= a_jE, and down is its transpose.  Equal
+        # images relate both ways; otherwise only a smaller image can lie
+        # in a larger one, so each pair of points of unequal sizes is
+        # compared once
         masks = [c.image.mask for c in self.classes]
-        for i, mi in enumerate(masks):
-            u = 0
-            d = 0
-            for j, mj in enumerate(masks):
-                if not (mi & ~mj):  # a_i E contained in a_j E
-                    u |= 1 << j
-                if not (mj & ~mi):
-                    d |= 1 << j
-            up.append(u)
-            down.append(d)
+        same = {}
+        for i, m in enumerate(masks):
+            same[m] = same.get(m, 0) | 1 << i
+        up = [same[m] for m in masks]
+        down = list(up)
+        order = sorted(range(self.n), key=lambda i: masks[i].bit_count())
+        sizes = [masks[i].bit_count() for i in order]
+        for pos, i in enumerate(order):
+            mi = masks[i]
+            for j in order[bisect.bisect_right(sizes, sizes[pos], pos) :]:
+                if not (mi & ~masks[j]):
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
         self.up = tuple(up)
         self.down = tuple(down)
         self.full = (1 << self.n) - 1
@@ -116,10 +122,6 @@ def interior(space: QuasiDivisorSpace, mask: int) -> int:
         if not (space.up[i] & ~mask):
             out |= 1 << i
     return out
-
-
-def is_dense(space: QuasiDivisorSpace, mask: int) -> bool:
-    return closure(space, mask) == space.full
 
 
 def maximal_classes(space: QuasiDivisorSpace) -> int:

@@ -242,3 +242,35 @@ def test_analyze_at_the_element_cap(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "analyze", "Z:2310")
     assert code == 0
     assert len(built[-1]._rows) <= 32
+
+
+def test_analyze_ring_at_the_element_cap(capsys, monkeypatch):
+    # 4096 elements, 2048 nonunits, but rows only for the k+1 = 12
+    # additive generators of Trunc(2,11): each image is a span of rR
+    built = []
+    parse = cli.parse_spec
+
+    def recording_parse(text):
+        built.append(parse(text))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "parse_spec", recording_parse)
+    products = []
+    mul = rings.TruncRing.mul
+
+    def counted(self, x, y):
+        products.append(None)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(rings.TruncRing, "mul", counted)
+    code, out, _ = run_cli(capsys, "analyze", "ring:Trunc(2,11)")
+    assert code == 0
+    payload = payload_of(out)
+    assert payload["order"] == 4096
+    assert payload["points"] == 2047
+    assert payload["quasi_second"] is True
+    assert payload["separation"]["T1"] is True
+    assert payload["predicates"] is None  # the lattice cap
+    assert len(built[-1]._rows) <= 12
+    # the generator rows, plus one square per element for the idempotents
+    assert len(products) <= 13 * 4096

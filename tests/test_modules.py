@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,7 +12,6 @@ from qdivtop.modules import (
     build_module,
     cyclic_image,
     cyclic_sum,
-    direct_sum,
     enumerate_submodules,
     find_quasi_second_violation,
     is_quasi_second,
@@ -414,6 +414,16 @@ def test_submodule_as_module_example():
     assert classes[0].image.size == 2
 
 
+def direct_sum(E1, E2):
+    """The direct sum of two explicit cyclic sums over the same domain:
+    the cyclic sum on both lists of moduli."""
+    if E1.kind != "cyclic_sum" or E2.kind != "cyclic_sum":
+        raise ModuleError("direct sums are supported for explicit cyclic sums")
+    if E1.domain != E2.domain:
+        raise ModuleError("domain mismatch")
+    return cyclic_sum(E1.domain, E1.moduli + E2.moduli)
+
+
 def test_direct_sum_matches_two_summand_module():
     d = direct_sum(build_module("Z:2"), build_module("Z:3"))
     assert d.order == 6
@@ -497,3 +507,142 @@ def test_divisor_first_paths_match_the_full_sweep():
             assert E.cyclic_mask(i) == modules._mask(column), (spec, i)
         cyclics += E.order
     assert (residues, killers, cyclics) == (10236, 2803, 12224)
+
+
+# -- spans of additive generators ---------------------------------------------
+
+# rings at ELEMENT_CAP (4096 elements; Trunc(3,6) has 2187)
+CAP_LADDER = (
+    "Trunc(2,11)",
+    "Trunc(3,6)",
+    "Ideal(GF(2,x^4+x+1),2)",
+    "Prod(GF(2,x^6+x+1),GF(2,x^6+x+1))",
+    "Zn(4096)",
+)
+# nested constructors whose factors have different digit radices
+MIXED_RINGS = (
+    "Prod(Zn(4),GF(3,x^2+1))",
+    "Prod(Trunc(3,1),Ideal(Zn(2),1))",
+    "Ideal(Prod(Zn(2),Zn(3)),2)",
+    "Ideal(GF(2,x^2+x+1),1)",
+    "Prod(Zn(9),Prod(Zn(2),Trunc(2,1)))",
+)
+
+
+def catalog_rings():
+    return [rings.build_ring(s) for s in verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS)]
+
+
+def test_ring_images_are_spans_of_generator_products():
+    # rR is the additive span of r*g over the additive generators g; the
+    # definitional image reads r's own row of |R| products
+    checked = 0
+    for ring in catalog_rings() + [rings.build_ring(s) for s in MIXED_RINGS]:
+        E = ring_cyclic(ring)
+        for r in ring.elements:
+            assert E.image_mask(r) == modules._mask(E.row(r)), (ring.spec, r)
+        checked += ring.order
+    assert checked == 4117
+    # a full sweep at the cap is 4096 rows of 4096 products per ring, so
+    # the ladder checks the generators, 0, 1 and seeded random residues
+    rng = random.Random(20261018)
+    for spec in CAP_LADDER:
+        ring = rings.build_ring(spec)
+        E = ring_cyclic(ring)
+        picks = list(ring.additive_generators()) + [ring.zero, ring.one]
+        picks += rng.sample(ring.elements, 24)
+        for r in picks:
+            assert E.image_mask(r) == modules._mask(E.row(r)), (spec, r)
+
+
+def test_additive_generators_span_the_ring():
+    for ring in catalog_rings() + [rings.build_ring(s) for s in MIXED_RINGS + CAP_LADDER]:
+        E = ring_cyclic(ring)
+        gens = [ring.index(g) for g in ring.additive_generators()]
+        assert E.span(gens) == E.full_mask, ring.spec
+
+
+def test_cyclic_masks_of_derived_modules_match_the_column_or():
+    # submodules and quotients of every default-corpus module: Rx is the
+    # span over the residue ring's generators, never read off every row
+    modules_seen = elements = 0
+    for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS):
+        if inst.kind != "module":
+            continue
+        E = build_module(inst.spec_text)
+        if E.order > modules.LATTICE_CAP:
+            continue
+        for mask in E.lattice_masks():
+            N = Submodule._trusted(E, mask)
+            for D in (submodule_as_module(E, N), quotient_module(E, N)):
+                for i, column in enumerate(zip(*D.rows)):
+                    assert D.cyclic_mask(i) == modules._mask(column), (D.spec_text, i)
+                modules_seen += 1
+                elements += D.order
+    assert (modules_seen, elements) == (5410, 53618)
+
+
+def test_ring_addition_matches_ring_values():
+    # the digit layout adds like the ring: every pair on the small rings,
+    # seeded random pairs at the cap, and quotients through their parent
+    for ring in catalog_rings() + [rings.build_ring(s) for s in MIXED_RINGS]:
+        E = ring_cyclic(ring)
+        el = ring.elements
+        for i, x in enumerate(el):
+            for j, y in enumerate(el):
+                assert E.add(i, j) == ring.index(ring.add(x, y)), (ring.spec, x, y)
+    rng = random.Random(4096)
+    for spec in CAP_LADDER:
+        ring = rings.build_ring(spec)
+        E = ring_cyclic(ring)
+        el = ring.elements
+        for _ in range(3000):
+            i, j = rng.randrange(ring.order), rng.randrange(ring.order)
+            assert E.add(i, j) == ring.index(ring.add(el[i], el[j])), (spec, i, j)
+    z8 = rings.ZnRing(8)
+    q = rings.QuotientRing(z8, frozenset({0, 4}))
+    Q = ring_cyclic(q)
+    for i, x in enumerate(q.elements):
+        for j, y in enumerate(q.elements):
+            assert Q.add(i, j) == q.index(q.add(x, y))
+
+
+def literal_quasi_second_violation(E):
+    """The search over every pair of nonunit residues, in element order,
+    with each image read off the residue's own row."""
+    ring = E.residue_ring
+    units = ring.units()
+    nonunits = [(r, modules._mask(E.row(r))) for r in ring.elements if r not in units]
+    for ra, ma in nonunits:
+        if ma == E.full_mask:
+            continue
+        for rb, mb in nonunits:
+            if mb != E.zero_mask and not (mb & ~ma) and mb != ma:
+                return {
+                    "a": ring.format_element(ra),
+                    "b": ring.format_element(rb),
+                    "aE": E.format_mask(ma),
+                    "bE": E.format_mask(mb),
+                }
+    return None
+
+
+def test_quasi_second_search_matches_the_pairwise_search():
+    specs = [
+        inst.spec_text
+        for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS)
+        if inst.kind == "module"
+    ]
+    specs += ["Z:360", "F2[x]:x^8", "F3[x]:x^2+1,x^3", "ring:Trunc(2,6)",
+              "ring:Ideal(GF(3,x^2+1),1)"] + [f"ring:{s}" for s in MIXED_RINGS]
+    witnesses = 0
+    for spec in specs:
+        E = build_module(spec)
+        expected = literal_quasi_second_violation(E)
+        assert find_quasi_second_violation(E) == expected, spec
+        witnesses += expected is not None
+        if E.order <= 16:
+            for mask in E.lattice_masks():
+                Q = quotient_module(E, Submodule._trusted(E, mask))
+                assert find_quasi_second_violation(Q) == literal_quasi_second_violation(Q)
+    assert witnesses > 0

@@ -1,4 +1,6 @@
 import itertools
+import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +15,17 @@ from qdivtop.topology import (
     connectivity_report,
     hasse_edges,
     interior,
-    is_dense,
     is_homeomorphic,
     isolated_points,
     maximal_classes,
     minimal_classes,
     separation_report,
 )
+
+
+def is_dense(space, mask):
+    """Literal definition: the closure of the set is the whole space."""
+    return closure(space, mask) == space.full
 
 
 def space_of(spec):
@@ -247,3 +253,42 @@ def test_maximal_classes_dense_property(moduli):
     s = build_space(cyclic_sum(INTEGERS, tuple(moduli)))
     assert is_dense(s, maximal_classes(s))
     assert isolated_points(s) == maximal_classes(s)
+
+
+def literal_up_down(masks):
+    """up[i] holds j when mask i lies in mask j; down[i] holds j when mask
+    j lies in mask i; one comparison per ordered pair."""
+    n = len(masks)
+    up = [sum(1 << j for j in range(n) if not (masks[i] & ~masks[j])) for i in range(n)]
+    down = [sum(1 << j for j in range(n) if not (masks[j] & ~masks[i])) for i in range(n)]
+    return tuple(up), tuple(down)
+
+
+def space_of_masks(masks):
+    classes = [
+        SimpleNamespace(label=f"[{i}]", image=SimpleNamespace(mask=m))
+        for i, m in enumerate(masks)
+    ]
+    return topology.QuasiDivisorSpace(classes, provenance="masks")
+
+
+def test_up_and_down_match_the_pairwise_comparison():
+    # corpus spaces have distinct images; random mask lists repeat some,
+    # and equal images must relate both ways
+    from qdivtop import verifier
+
+    for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS):
+        if inst.kind != "module":
+            continue
+        s = build_space(build_module(inst.spec_text))
+        masks = [c.image.mask for c in s.classes]
+        assert (s.up, s.down) == literal_up_down(masks), inst.spec_text
+    rng = random.Random(7)
+    repeated = 0
+    for _ in range(500):
+        pool = [rng.getrandbits(6) for _ in range(rng.randint(1, 6))]
+        masks = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+        repeated += len(set(masks)) < len(masks)
+        s = space_of_masks(masks)
+        assert (s.up, s.down) == literal_up_down(masks), masks
+    assert repeated > 100
