@@ -41,6 +41,7 @@ def _analyze_payload(E, with_oracle: bool):
     classes = modules.scalar_classes(E)
     sep = topology.separation_report(space)
     conn = topology.connectivity_report(space)
+    maximal = topology.maximal_classes(space)
     second = modules.is_second_module(E)
     ann = modules.annihilator(E)
     if isinstance(ann, scalars.Scalar):
@@ -75,9 +76,11 @@ def _analyze_payload(E, with_oracle: bool):
         "hasse": [
             [space.labels[i], space.labels[j]] for i, j in topology.hasse_edges(space)
         ],
-        "maximal_classes": space.label_set(topology.maximal_classes(space)),
+        "maximal_classes": space.label_set(maximal),
         "minimal_classes": space.label_set(topology.minimal_classes(space)),
-        "isolated_points": space.label_set(topology.isolated_points(space)),
+        # a point is isolated exactly when its basis set is the singleton,
+        # i.e. when its image is maximal
+        "isolated_points": space.label_set(maximal),
         "separation": {
             "T0": sep.t0,
             "T1": sep.t1,

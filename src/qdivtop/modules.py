@@ -19,12 +19,16 @@ a direct-sampling cross-check of this reduction lives in the verifier.
 
 Elements are the indices ``0..N-1``; their values (residue tuples, ring
 elements) are kept only as labels, to parse input and print output.  All
-arithmetic is on indices.  Addition is one index-level ``add(i, j)``:
-digit by digit on a mixed-radix code for cyclic sums and catalog rings
-(``_digitwise_add``), through the parent for derived modules.  The action
-of a residue is a row mapping element index to element index, stored as
-``array('H')`` (``ELEMENT_CAP`` 4096 < 2^16) and built the first time a
-query asks for it; negation is the row of -1.
+arithmetic is on indices.  A catalog ring module lives on the ring's
+``rings.DigitLayout``, and a cyclic sum on the product of its summands'
+layouts: each summand A/(d) is the catalog ring ``Zn(d)`` or
+``GF(p,d)``, with the same element order.  Addition is the layout's
+index-level ``add(i, j)``, or the parent's for derived modules.  The
+action of a residue is a row mapping element index to element index,
+stored as ``array('H')`` (``ELEMENT_CAP`` 4096 < 2^16) and built the first
+time a query asks for it; negation is the row of -1.  Multiplication is
+additive, so a ring row (``FiniteRing.mul_row``) takes one ring product
+per digit; a cyclic sum joins its summands' rows of the reduced residue.
 
 Rows are asked for sparingly.  A cyclic submodule Rx is the additive span
 of g*x over the additive generators g of the residue ring (``span``), so
@@ -35,8 +39,8 @@ rE is Rr and takes that route too.  Over A/(n) with A = Z or F_p[x], a
 residue r is g*u with g = gcd(r, n) and u a unit, so r and g have the same
 image on every submodule and kill the same elements: images, killers and
 second-submodule tests work per divisor g of n.  A unit's image is the
-whole module, so unit residues need no image at all.  Every row at once
-(``rows``) is read only to check a submodule a caller passes in.  Element
+whole module, so unit residues need no image at all.  A submodule a
+caller passes in is checked against the generators' rows only.  Element
 sets are bit masks over the indices, which keeps image computations and
 the submodule lattice cheap.  Modules are immutable (their row and image
 caches aside) and every operation is pure.
@@ -84,10 +88,13 @@ def _mask(indices) -> int:
 class Submodule:
     """An explicit submodule: a sorted element tuple plus its bit mask.
 
-    Closure under addition and the full residue action (negation is the
-    action of -1) is verified for every element set or mask a caller
-    passes in.  Masks the library computes itself (class images, lattice
-    masks, split parts) are submodules by construction and skip the check.
+    Closure under addition and the residue action is verified for every
+    element set or mask a caller passes in.  Every residue is a sum of the
+    residue ring's additive generators (negation too: -1 is a sum of ones),
+    so an additively closed set closed under their action is closed under
+    every residue's.  Masks the library computes itself (class images,
+    lattice masks, split parts) are submodules by construction and skip the
+    check.
     """
 
     __slots__ = ("module", "mask", "elements")
@@ -117,9 +124,10 @@ class Submodule:
             raise ModuleError("a submodule must contain zero")
         members = list(_bits(self.mask))
         inside = set(members)
-        for r, row in zip(E.residue_ring.elements, E.rows):
+        for g in E.residue_ring.additive_generators():
+            row = E.row(g)
             if any(row[i] not in inside for i in members):
-                raise ModuleError(f"not closed under the action of {r!r}")
+                raise ModuleError(f"not closed under the action of {g!r}")
         for i in members:
             for j in members:
                 if E.add(i, j) not in inside:
@@ -234,7 +242,6 @@ class FiniteModule:
         self.full_mask = (1 << self.order) - 1
         self._build_row = build_row
         self._rows = {}
-        self._all_rows = None
         self._images = {}
         self._classes = None
         self._lattice = None
@@ -261,13 +268,6 @@ class FiniteModule:
             self.residue_ring.index(r)
             row = self._rows[r] = array("H", self._build_row(r))
         return row
-
-    @property
-    def rows(self) -> tuple:
-        """Every action row, aligned with ``residue_ring.elements``."""
-        if self._all_rows is None:
-            self._all_rows = tuple(self.row(r) for r in self.residue_ring.elements)
-        return self._all_rows
 
     # -- images and generated submodules ----------------------------------
 
@@ -407,77 +407,30 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
     for d in moduli[1:]:
         ann = scalars.scalar_lcm(ann, d)
 
-    mods = [d.value for d in moduli]
-    if domain.kind == "int":
-        residue_ring = rings.ZnRing(ann.value)
-        comps = [range(m) for m in mods]
-        codes = comps
-        radices = [(m,) for m in mods]
-        fmt_one = str
+    # summands with equal moduli share a ring, and with it one row per residue
+    ring_of = {d.value: _residue_ring(domain, d.value) for d in moduli}
+    comps = [ring_of[d.value] for d in moduli]
+    layout = rings.DigitLayout.product([R.layout for R in comps])
 
-        def comp_row(r, j):
-            m = mods[j]
-            return [(r * a) % m for a in range(m)]
-
-        spec_text = "Z:" + ",".join(str(m) for m in mods)
-    else:
-        p = domain.char
-        residue_ring = rings.QuotPolyRing(p, ann.value)
-        comps = []
-        for m in mods:
-            res = [
-                scalars.ptrim(c)
-                for k in range(len(m))
-                for c in itertools.product(range(p), repeat=k)
-                if not c or c[-1] != 0
-            ]
-            comps.append(sorted(set(res), key=lambda c: (len(c), c)))
-        comp_index = [{c: k for k, c in enumerate(res)} for res in comps]
-        # a residue's code reads its coefficients as base-p digits
-        codes = [
-            [sum(c * p**k for k, c in enumerate(a)) for a in res] for res in comps
-        ]
-        radices = [(p,) * scalars.pdeg(m) for m in mods]
-        fmt_one = scalars.format_poly
-
-        def comp_row(r, j):
-            # r*a is additive in a: r times a's lower part, which comes
-            # earlier in the (degree, coefficients) order, plus r times
-            # its top term; one product per top term c*x^k
-            m, res, idx = mods[j], comps[j], comp_index[j]
-            prods = [()] * len(res)
-            out = [0] * len(res)
-            tops = {}
-            for pos, a in enumerate(res[1:], 1):
-                top = (len(a), a[-1])
-                t = tops.get(top)
-                if t is None:
-                    term = (0,) * (len(a) - 1) + (a[-1],)
-                    t = tops[top] = scalars.pdivmod(scalars.pmul(r, term, p), m, p)[1]
-                v = prods[pos] = scalars.padd(prods[idx[scalars.ptrim(a[:-1])]], t, p)
-                out[pos] = idx[v]
-            return out
-
-        spec_text = f"F{p}[x]:" + ",".join(scalars.format_poly(m) for m in mods)
+    def build_row(r):
+        rows = {m: R.mul_row(R.reduce(r)) for m, R in ring_of.items()}
+        return layout.join([rows[d.value] for d in moduli])
 
     def fmt(x):
-        if len(mods) == 1:
-            return fmt_one(x[0])
-        return "(" + ",".join(fmt_one(a) for a in x) + ")"
+        if len(comps) == 1:
+            return comps[0].format_element(x[0])
+        return "(" + ",".join(R.format_element(a) for R, a in zip(comps, x)) + ")"
 
-    sizes = [len(c) for c in comps]
     return FiniteModule(
         kind="cyclic_sum",
-        spec_text=spec_text,
-        residue_ring=residue_ring,
-        elements=tuple(itertools.product(*comps)),
+        spec_text=f"{domain}:" + ",".join(str(d) for d in moduli),
+        residue_ring=ring_of.get(ann.value) or _residue_ring(domain, ann.value),
+        elements=tuple(itertools.product(*(R.elements for R in comps))),
         zero=0,
-        add=_digitwise_add(sizes, codes, radices),
-        build_row=lambda r: _mixed_radix(
-            sizes, [comp_row(r, j) for j in range(len(mods))]
-        ),
+        add=layout.add,
+        build_row=build_row,
         format_element=fmt,
-        residue_elements=len(mods) == 1,
+        residue_elements=len(comps) == 1,
         domain=domain,
         domain_label=str(domain),
         moduli=moduli,
@@ -485,45 +438,12 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
     )
 
 
-def _mixed_radix(sizes, parts) -> list:
-    """Combine per-component values like ``itertools.product`` combines the
-    components: entry k is sum(part_j[digit_j(k)] * stride_j)."""
-    out = [0]
-    for n, part in zip(sizes, parts):
-        out = [x * n + c for x in out for c in part]
-    return out
-
-
-def _digitwise_add(sizes, codes, radices):
-    """Index-level addition on a direct sum whose component j is a group of
-    digit vectors with the given radices: each index maps to a mixed-radix
-    code, codes add digit by digit, and the sum maps back to an index."""
-    code = array("H", _mixed_radix(sizes, codes))
-    index_of = array("H", code)
-    for i, c in enumerate(code):
-        index_of[c] = i
-    # least significant digit first; a component's radices multiply to its size
-    digits, place = [], 1
-    for rads in reversed(radices):
-        for radix in rads:
-            digits.append((radix, place))
-            place *= radix
-
-    if all(radix == 2 for radix, _ in digits):
-        # binary digits add without carries: exclusive or
-
-        def add(i, j):
-            return index_of[code[i] ^ code[j]]
-
-    else:
-
-        def add(i, j):
-            u, v, w = code[i], code[j], 0
-            for radix, place in digits:
-                w += (u // place + v // place) % radix * place
-            return index_of[w]
-
-    return add
+def _residue_ring(domain: ScalarDomain, n) -> rings.FiniteRing:
+    """A/(n) as a catalog ring: its elements run in the order of the
+    residues of a cyclic summand, and its layout adds them."""
+    if domain.kind == "int":
+        return rings.ZnRing(n)
+    return rings.QuotPolyRing(domain.char, n)
 
 
 def _default_domain_label(ring: rings.FiniteRing) -> str:
@@ -541,27 +461,19 @@ def ring_cyclic(ring: rings.FiniteRing, domain_label: str | None = None) -> Fini
     """A catalog ring as a cyclic module over a declared acting domain.
 
     The declared domain is metadata: the action factors through the ring
-    itself, and element indices are the ring's own element indices.
+    itself, and element indices are the ring's own element indices.  The
+    ring must have a digit layout (every catalog ring has one).
     """
-    elems, index = ring.elements, ring.index
-    layout = ring.digit_layout()
-    if layout is None:
-
-        def add(i, j):
-            return index(ring.add(elems[i], elems[j]))
-
-    else:
-        codes, radices = layout
-        add = _digitwise_add([ring.order], [codes], [radices])
-
+    if ring.layout is None:
+        raise ModuleError(f"{ring.spec} has no digit layout to add on")
     return FiniteModule(
         kind="ring_cyclic",
         spec_text=f"ring:{ring.spec}",
         residue_ring=ring,
-        elements=elems,
-        zero=index(ring.zero),
-        add=add,
-        build_row=lambda r: [index(ring.mul(r, x)) for x in elems],
+        elements=ring.elements,
+        zero=ring.index(ring.zero),
+        add=ring.layout.add,
+        build_row=ring.mul_row,
         format_element=ring.format_element,
         residue_elements=True,
         domain=None,

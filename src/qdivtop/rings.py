@@ -18,20 +18,20 @@ Every ring enumerates its elements as hashable canonical values:
 Quotients by an ideal (used when deriving modules) represent each coset by
 its least member under the parent's element order.
 
-Every ring names ``additive_generators()``: elements whose sums give every
-element (1 for ``Zn``; 1, x, ..., x^(d-1) for ``GF(p,f)`` with d = deg f;
-1, x_1, ..., x_k for ``Trunc``; the factors' generators, embedded, for
-``Prod`` and ``Ideal``; the coset representatives of the parent's
-generators for a quotient).  So a principal ideal rR, and any cyclic
-submodule Rx of an R-module, is the additive span of the products g*x.
-
-Every catalog ring also has a ``digit_layout()``: its additive group is a
-product of cyclic groups, and element i has a mixed-radix code whose
-digits add independently (``Zn``: one digit mod n; ``GF(p,f)``: the
-coefficients as base-p digits; ``Trunc``: the coefficients; ``Prod`` and
-``Ideal``: the factors' digits side by side, in element order).  Modules
-over a ring add through that code instead of through ring values.
-Quotients have no layout and add through their parent.
+Every catalog ring has a ``DigitLayout``: its additive group is a product
+of cyclic groups, and element i has a mixed-radix code whose digits add
+independently (``Zn``: one digit mod n; ``GF(p,f)``: the coefficients as
+base-p digits; ``Trunc``: the coefficients; ``Prod`` and ``Ideal``: the
+factors' digits side by side, in element order).  The elements with one
+digit 1 and the rest 0 are the ring's ``additive_generators()``: 1 for
+``Zn``; 1, x, ..., x^(d-1) for ``GF(p,f)`` with d = deg f; x_k, ..., x_1, 1
+for ``Trunc``; the factors' generators, embedded, for ``Prod`` and
+``Ideal``.  Multiplication by t is additive, so its action on the elements
+(``mul_row``) is fixed by the products of t with the generators, one per
+digit; a principal ideal rR, and any cyclic submodule Rx of an R-module,
+is the additive span of the products g*x.  Modules over a ring add through
+the layout instead of through ring values.  Quotients have no layout; their
+generators are the coset representatives of the parent's.
 
 Commutativity and the identity laws are checked exhaustively on
 construction for the composite constructors up to order 64; the
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 
 from . import scalars
 from .scalars import Scalar, is_prime, pdeg, pgcd, pmonic, ptrim
@@ -65,6 +66,93 @@ CONSTRUCTION_CHECK_CAP = 64
 QS_LOCAL_SQUARE_ZERO = "LocalSquareZeroMax"
 QS_TWO_FIELDS = "ProductOfTwoFields"
 NOT_QS = "NotQuasiSecond"
+
+
+def _mixed_radix(sizes, parts) -> list:
+    """Combine per-factor values like ``itertools.product`` combines the
+    factors: entry k is sum(part_j[digit_j(k)] * stride_j)."""
+    out = [0]
+    for n, part in zip(sizes, parts):
+        out = [x * n + c for x in out for c in part]
+    return out
+
+
+class DigitLayout:
+    """A finite abelian group as a product of cyclic groups, on element
+    indices.  Element i has the mixed-radix code ``codes[i]``, whose digits,
+    least significant first, add mod ``radices``; ``index_of`` inverts
+    ``codes``.  ``places`` are the codes with one digit 1 and the rest 0, so
+    their elements generate the group.  ``add`` adds two indices.  A product
+    layout remembers its factors' orders (``sizes``, most significant
+    first) to ``join`` per-factor index lists."""
+
+    def __init__(self, codes, radices, sizes=None):
+        self.codes = array("H", codes)
+        self.radices = tuple(radices)
+        self.sizes = sizes or (len(self.codes),)
+        index_of = array("H", self.codes)
+        for i, c in enumerate(self.codes):
+            index_of[c] = i
+        self.index_of = index_of
+        places, place = [], 1
+        for radix in self.radices:
+            places.append(place)
+            place *= radix
+        self.places = tuple(places)
+        self.add = self._adder()
+
+    def _adder(self):
+        code, index_of = self.codes, self.index_of
+        if all(radix == 2 for radix in self.radices):
+            # binary digits add without carries: exclusive or
+
+            def add(i, j):
+                return index_of[code[i] ^ code[j]]
+
+        else:
+            digits = tuple(zip(self.radices, self.places))
+
+            def add(i, j):
+                u, v, w = code[i], code[j], 0
+                for radix, place in digits:
+                    w += (u // place + v // place) % radix * place
+                return index_of[w]
+
+        return add
+
+    @classmethod
+    def product(cls, layouts) -> "DigitLayout":
+        """The layout of a direct product whose elements run like
+        ``itertools.product`` over the factors' elements: the last factor's
+        digits are the least significant."""
+        sizes = tuple(len(layout.codes) for layout in layouts)
+        codes = _mixed_radix(sizes, [layout.codes for layout in layouts])
+        radices = tuple(r for layout in reversed(layouts) for r in layout.radices)
+        return cls(codes, radices, sizes)
+
+    def join(self, parts) -> list:
+        """The index list of the product whose entry at (x_1, ..., x_k) is
+        (parts[0][x_1], ..., parts[k-1][x_k]), for per-factor index lists."""
+        return _mixed_radix(self.sizes, parts)
+
+    def linear_row(self, images) -> list:
+        """The additive map sending the element at each place to the given
+        image index, as a list over element indices.  Codes fill in
+        increasing order: a code c > 0 whose top nonzero digit sits at
+        place p is (c - p) + p, so its image is p's image added to the
+        image of the smaller code c - p.  With a single digit the image of
+        c is c times the image of 1, mod the radix."""
+        code, index_of = self.codes, self.index_of
+        if len(self.radices) == 1:
+            n, v = self.radices[0], code[images[0]]
+            return [index_of[c * v % n] for c in code]
+        add = self.add
+        by_code = [index_of[0]]
+        for image, radix in zip(images, self.radices):
+            place = len(by_code)
+            for c in range(place, place * radix):
+                by_code.append(add(by_code[c - place], image))
+        return [by_code[c] for c in code]
 
 
 class FiniteRing:
@@ -88,15 +176,29 @@ class FiniteRing:
     def units(self) -> frozenset:
         raise NotImplementedError
 
-    def additive_generators(self) -> tuple:
-        """Elements whose sums give every element of the ring."""
-        raise NotImplementedError
-
-    def digit_layout(self):
-        """(codes, radices): element i has the mixed-radix code codes[i]
-        whose digits, least significant first, add mod the radices; None
-        when the ring adds only through values."""
+    def _make_layout(self):
         return None
+
+    @property
+    def layout(self):
+        """The ring's ``DigitLayout``; None when it adds only through values."""
+        if self._layout is None:
+            self._layout = self._make_layout()
+        return self._layout
+
+    def additive_generators(self) -> tuple:
+        """Elements whose sums give every element of the ring: the elements
+        at the places of the layout."""
+        elems, index_of = self.elements, self.layout.index_of
+        return tuple(elems[index_of[place]] for place in self.layout.places)
+
+    def mul_row(self, t) -> list:
+        """Multiplication by t, element index -> element index.  It is
+        additive, so one product per digit fixes it."""
+        index = self.index
+        return self.layout.linear_row(
+            [index(self.mul(t, g)) for g in self.additive_generators()]
+        )
 
     def sort_key(self, x):
         raise NotImplementedError
@@ -115,6 +217,9 @@ class FiniteRing:
         self._index = None
         self._units = None
         self._divisor_list = None
+        # caches exist from construction on: an attribute first set later
+        # slows every attribute read on the ring (``self.n`` in ``add``)
+        self._layout = None
         if validate and self.order <= CONSTRUCTION_CHECK_CAP:
             self._check_commutative_with_identity()
 
@@ -168,14 +273,12 @@ class FiniteRing:
         return frozenset(x for x in self.elements if self.mul(x, x) == x)
 
     def is_local(self):
-        """(True, maximal ideal) when nonunits form an ideal, else (False, None)."""
-        nonunits = [x for x in self.elements if not self.is_unit(x)]
-        nonunit_set = frozenset(nonunits)
-        for x in nonunits:
-            for y in nonunits:
-                if self.add(x, y) not in nonunit_set:
-                    return False, None
-        return True, nonunit_set
+        """(True, maximal ideal) when nonunits form an ideal, else (False, None).
+        A finite commutative ring is local exactly when 0 and 1 are its only
+        idempotents."""
+        if self.idempotents() - {self.zero, self.one}:
+            return False, None
+        return True, frozenset(x for x in self.elements if not self.is_unit(x))
 
     def _check_commutative_with_identity(self):
         elems = self.elements
@@ -207,6 +310,11 @@ class _EuclideanQuotient(FiniteRing):
     and the units are the elements whose divisor is one."""
 
     def _gcd(self, r):
+        raise NotImplementedError
+
+    def reduce(self, r):
+        """The residue mod n of r, a value of A or a residue mod a multiple
+        of n."""
         raise NotImplementedError
 
     def divisor(self, r):
@@ -256,11 +364,11 @@ class ZnRing(_EuclideanQuotient):
     def _gcd(self, r):
         return math.gcd(r, self.n) % self.n
 
-    def additive_generators(self):
-        return (1,)
+    def reduce(self, r):
+        return r % self.n
 
-    def digit_layout(self):
-        return range(self.n), (self.n,)
+    def _make_layout(self):
+        return DigitLayout(range(self.n), (self.n,))
 
 
 class QuotPolyRing(_EuclideanQuotient):
@@ -313,13 +421,14 @@ class QuotPolyRing(_EuclideanQuotient):
         g = pgcd(r, self.modulus, self.p)
         return self.zero if g == self.modulus else g
 
-    def additive_generators(self):
-        return tuple((0,) * k + (1,) for k in range(pdeg(self.modulus)))
+    def reduce(self, r):
+        return scalars.pdivmod(r, self.modulus, self.p)[1]
 
-    def digit_layout(self):
+    def _make_layout(self):
+        # a residue's code reads its coefficients as base-p digits
         p = self.p
         codes = [sum(c * p**k for k, c in enumerate(x)) for x in self.elements]
-        return codes, (p,) * pdeg(self.modulus)
+        return DigitLayout(codes, (p,) * pdeg(self.modulus))
 
 
 class TruncRing(FiniteRing):
@@ -374,13 +483,9 @@ class TruncRing(FiniteRing):
             self._units = frozenset(x for x in self.elements if x[0] != 0)
         return self._units
 
-    def additive_generators(self):
-        k = self.k
-        return tuple((0,) * i + (1,) + (0,) * (k - i) for i in range(k + 1))
-
-    def digit_layout(self):
+    def _make_layout(self):
         # the element order is lexicographic on the coefficients
-        return range(self.order), (self.p,) * (self.k + 1)
+        return DigitLayout(range(self.order), (self.p,) * (self.k + 1))
 
 
 class ProdRing(FiniteRing):
@@ -421,18 +526,9 @@ class ProdRing(FiniteRing):
     def divisor(self, r):
         return (self.r1.divisor(r[0]), self.r2.divisor(r[1]))
 
-    def additive_generators(self):
-        r1, r2 = self.r1, self.r2
-        return tuple((g, r2.zero) for g in r1.additive_generators()) + tuple(
-            (r1.zero, g) for g in r2.additive_generators()
-        )
-
-    def digit_layout(self):
+    def _make_layout(self):
         # element (x, y) sits at index(x) * |R2| + index(y)
-        codes1, radices1 = self.r1.digit_layout()
-        codes2, radices2 = self.r2.digit_layout()
-        n2 = self.r2.order
-        return [a * n2 + b for a in codes1 for b in codes2], radices2 + radices1
+        return DigitLayout.product([self.r1.layout, self.r2.layout])
 
 
 class IdealizeRing(FiniteRing):
@@ -486,25 +582,9 @@ class IdealizeRing(FiniteRing):
             self._units = frozenset(x for x in self.elements if x[0] in base_units)
         return self._units
 
-    def additive_generators(self):
-        b, d = self.base, self.d
-        zeros = (b.zero,) * d
-        gens = tuple((g, zeros) for g in b.additive_generators())
-        for j in range(d):
-            gens += tuple(
-                (b.zero, zeros[:j] + (g,) + zeros[j + 1 :])
-                for g in b.additive_generators()
-            )
-        return gens
-
-    def digit_layout(self):
+    def _make_layout(self):
         # the element order is lexicographic on the d + 1 base coordinates
-        base_codes, base_radices = self.base.digit_layout()
-        n = self.base.order
-        codes = [0]
-        for _ in range(self.d + 1):
-            codes = [x * n + c for x in codes for c in base_codes]
-        return codes, base_radices * (self.d + 1)
+        return DigitLayout.product([self.base.layout] * (self.d + 1))
 
 
 class QuotientRing(FiniteRing):

@@ -125,25 +125,13 @@ def interior(space: QuasiDivisorSpace, mask: int) -> int:
 
 
 def maximal_classes(space: QuasiDivisorSpace) -> int:
-    """Points whose image is maximal, i.e. whose up-set is a singleton."""
+    """Points whose image is maximal, i.e. whose up-set is a singleton.
+    The up-set is the point's basis set, so these are the isolated points."""
     out = 0
     for i in range(space.n):
         if space.up[i] == 1 << i:
             out |= 1 << i
     return out
-
-
-def isolated_points(space: QuasiDivisorSpace) -> int:
-    """Identical to the maximal classes; the equivalence of singleton basis
-    sets and maximal images is asserted here as an internal sanity check."""
-    maximal = maximal_classes(space)
-    singleton_basis = 0
-    for i in range(space.n):
-        if basis_set(space, i) == 1 << i:
-            singleton_basis |= 1 << i
-    if maximal != singleton_basis:
-        raise AssertionError("maximal classes and singleton basis sets diverged")
-    return maximal
 
 
 def minimal_classes(space: QuasiDivisorSpace) -> int:

@@ -569,12 +569,6 @@ def _r18(ctx):
     return FAIL, f"prime annihilator but ultraconnected={ultra} T4={t4}", None
 
 
-def _reduce_residue(E_target, parent_ring, r, modulus):
-    if isinstance(parent_ring, rings.ZnRing):
-        return r % modulus.value
-    return scalars.pdivmod(r, modulus.value, parent_ring.p)[1]
-
-
 def _r19(ctx):
     E = ctx.E
     if E.kind != "cyclic_sum" or len(E.moduli) != 2:
@@ -589,8 +583,8 @@ def _r19(ctx):
 
     def summand_membership(r):
         out = []
-        for summand, d in ((e1, d1), (e2, d2)):
-            rr = _reduce_residue(summand, ring, r, d)
+        for summand in (e1, e2):
+            rr = summand.residue_ring.reduce(r)
             mask = summand.image_mask(rr)
             out.append(
                 (rr, mask != summand.zero_mask and mask != summand.full_mask)

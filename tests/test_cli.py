@@ -272,5 +272,27 @@ def test_analyze_ring_at_the_element_cap(capsys, monkeypatch):
     assert payload["separation"]["T1"] is True
     assert payload["predicates"] is None  # the lattice cap
     assert len(built[-1]._rows) <= 12
-    # the generator rows, plus one square per element for the idempotents
-    assert len(products) <= 13 * 4096
+    # one product per generator for each generator row, plus one square
+    # per element for the idempotents; one product per element for each
+    # row would be 12 * 4096 more
+    assert len(products) <= 4096 + 12 * 12
+
+
+def test_analyze_composite_ring_rows_take_one_product_per_digit(capsys, monkeypatch):
+    # Ideal(Trunc(2,2),3) has 4096 elements and 12 binary digits: each of
+    # its 12 generator rows takes 12 ring products, not 4096
+    products = []
+    mul = rings.IdealizeRing.mul
+
+    def counted(self, x, y):
+        products.append(None)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(rings.IdealizeRing, "mul", counted)
+    code, out, _ = run_cli(capsys, "analyze", "ring:Ideal(Trunc(2,2),3)")
+    assert code == 0
+    payload = payload_of(out)
+    assert payload["order"] == 4096
+    assert payload["points"] == 283
+    # the rows, plus one square per element for the idempotents
+    assert len(products) <= 4096 + 12 * 12

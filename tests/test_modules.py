@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -30,12 +31,56 @@ from qdivtop.scalars import INTEGERS, poly_domain
 F2 = poly_domain(2)
 
 
+def value_arithmetic(E):
+    """(add, act) on the element labels of a cyclic sum or a ring module,
+    from value arithmetic: the ring's own add and mul, or per summand
+    (a + b) % d and (r * a) % d, or the F_p[x] sum and product mod d."""
+    if E.kind == "ring_cyclic":
+        return E.base_ring.add, E.base_ring.mul
+    mods = [d.value for d in E.moduli]
+    if E.domain.kind == "int":
+        return (
+            lambda x, y: tuple((a + b) % d for a, b, d in zip(x, y, mods)),
+            lambda r, x: tuple((r * a) % d for a, d in zip(x, mods)),
+        )
+    p = E.domain.char
+
+    @functools.cache
+    def mul(r, a, d):
+        return scalars.pdivmod(scalars.pmul(r, a, p), d, p)[1]
+
+    return (
+        lambda x, y: tuple(scalars.padd(a, b, p) for a, b in zip(x, y)),
+        lambda r, x: tuple(mul(r, a, d) for a, d in zip(x, mods)),
+    )
+
+
+def value_rows(E, N=None, D=None, arithmetic=None):
+    """row(r): the action of residue r read off value products, on E or,
+    given a submodule N, on D = the module N or the quotient E/N.  Both
+    label their elements with parent labels; a quotient element is the
+    coset holding the product."""
+    add, act = arithmetic or value_arithmetic(E)
+    M = D or E
+    index = M.elem_index
+    if M.kind == "quotient":
+        coset = {add(y, n): k for k, y in enumerate(M.elements) for n in N.elements}
+        index = coset.get
+
+    def row(r):
+        return [index(act(r, x)) for x in M.elements]
+
+    return row
+
+
 def powerset_submodules(E):
     """Independent brute force: every index subset closed under addition
-    and every action row (negation is the row of -1), found by filtering
-    the full power set."""
+    and the action of every residue, read off value products (negation is
+    the action of -1), found by filtering the full power set."""
     n = E.order
     assert n <= 12
+    row = value_rows(E)
+    rows = [row(r) for r in E.residue_ring.elements]
     found = []
     for picks in itertools.product((0, 1), repeat=n):
         subset = {i for i in range(n) if picks[i]}
@@ -43,7 +88,7 @@ def powerset_submodules(E):
             continue
         if any(E.add(i, j) not in subset for i in subset for j in subset):
             continue
-        if any(row[i] not in subset for row in E.rows for i in subset):
+        if any(row[i] not in subset for row in rows for i in subset):
             continue
         found.append(frozenset(E.elements[i] for i in subset))
     return found
@@ -54,14 +99,13 @@ def assert_index_arithmetic(E, vadd, vneg, vact):
     given value arithmetic on the element labels."""
     el = E.elements
     ring = E.residue_ring
-    assert len(E.rows) == ring.order
     minus_one = E.row(ring.neg(ring.one))
     for i, x in enumerate(el):
         assert el[minus_one[i]] == vneg(x)
         for j, y in enumerate(el):
             assert el[E.add(i, j)] == vadd(x, y)
-    for r, row in zip(ring.elements, E.rows):
-        assert [el[k] for k in row] == [vact(r, x) for x in el]
+    for r in ring.elements:
+        assert [el[k] for k in E.row(r)] == [vact(r, x) for x in el]
 
 
 # -- construction -----------------------------------------------------------
@@ -201,6 +245,10 @@ def test_submodule_verification():
         Submodule(E, elements=[(2,), (4,), (6,)])  # missing zero
     ok = Submodule(E, elements=[(0,), (2,), (4,), (6,)])
     assert ok.size == 4
+    # closed under addition (1 + 1 = 0) but x * 1 = x lies outside
+    F = build_module("F2[x]:x^3")
+    with pytest.raises(ModuleError):
+        Submodule(F, elements=[((),), ((1,),)])
 
 
 def test_library_masks_pass_the_submodule_check():
@@ -306,12 +354,14 @@ def test_annihilator_maximality_agrees_with_quotient_field_route():
     # decide the same maximality flag
     for spec in ["Z:4", "Z:8", "Z:12", "Z:2,4", "F2[x]:x^3", "F2[x]:x^2+x"]:
         E = build_module(spec)
+        _, act = value_arithmetic(E)
+        zero = E.elements[E.zero]
         for sub in enumerate_submodules(E):
             gen, maximal = submodule_annihilator(E, sub)
             killers = [
                 r
                 for r in E.residue_ring.elements
-                if all(E.row(r)[E.elem_index(x)] == E.zero for x in sub.elements)
+                if all(act(r, x) == zero for x in sub.elements)
             ]
             quotient = rings.QuotientRing(E.residue_ring, frozenset(killers))
             assert maximal == (quotient.order > 1 and quotient.is_field()), spec
@@ -476,34 +526,53 @@ def test_classes_match_direct_sampling_z12():
     assert in_w == expected
 
 
-def test_divisor_first_paths_match_the_full_sweep():
-    # images and killers go through one row per divisor and cyclic
-    # submodules through an image or a span; the definitional path reads
-    # every residue's own row
-    specs = [
+def default_module_specs():
+    return [
         inst.spec_text
         for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS)
         if inst.kind == "module"
     ]
-    specs += ["Z:2310", "Z:360", "F2[x]:x^8", "F3[x]:x^5", "F2[x]:x^4,x^4"]
+
+
+# larger modules with many divisors; value products for every residue and
+# element would be about 6 million tuple products here
+LARGER_SPECS = ("Z:2310", "Z:360", "F2[x]:x^8", "F3[x]:x^5", "F2[x]:x^4,x^4")
+
+
+def test_divisor_first_paths_match_the_full_sweep():
+    # images and killers go through one row per divisor and cyclic
+    # submodules through an image or a span; the definitional path reads
+    # every residue's own value products.  On the larger modules it reads
+    # every residue's own row, after checking the rows of the generators,
+    # the divisors and a seeded sample against value products.
     residues = killers = cyclics = 0
-    for spec in specs:
+    rng = random.Random(2310)
+    for spec in default_module_specs() + list(LARGER_SPECS):
         E = build_module(spec)
         ring = E.residue_ring
-        for r in ring.elements:
-            assert E.image_mask(r) == modules._mask(E.row(r)), (spec, r)
+        value_row = value_rows(E)
+        if spec in LARGER_SPECS:
+            for r in ladder_picks(ring, rng) + list(ring.divisors()):
+                assert list(E.row(r)) == value_row(r), (spec, r)
+            rows = [list(E.row(r)) for r in ring.elements]
+        else:
+            rows = [value_row(r) for r in ring.elements]
+            for r, row_r in zip(ring.elements, rows):
+                assert list(E.row(r)) == row_r, (spec, r)
+        for r, row_r in zip(ring.elements, rows):
+            assert E.image_mask(r) == modules._mask(row_r), (spec, r)
         residues += ring.order
         if E.order <= modules.LATTICE_CAP:
             for mask in E.lattice_masks():
                 members = list(modules._bits(mask))
                 full_scan = [
                     r
-                    for r, row in zip(ring.elements, E.rows)
-                    if all(row[i] == E.zero for i in members)
+                    for r, row_r in zip(ring.elements, rows)
+                    if all(row_r[i] == E.zero for i in members)
                 ]
                 assert modules._killer_residues(E, mask) == full_scan, (spec, mask)
                 killers += 1
-        for i, column in enumerate(zip(*E.rows)):
+        for i, column in enumerate(zip(*rows)):
             assert E.cyclic_mask(i) == modules._mask(column), (spec, i)
         cyclics += E.order
     assert (residues, killers, cyclics) == (10236, 2803, 12224)
@@ -533,26 +602,37 @@ def catalog_rings():
     return [rings.build_ring(s) for s in verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS)]
 
 
+def ladder_picks(ring, rng):
+    """The generators, 0, 1 and up to 24 seeded random residues: a full
+    sweep at the cap is 4096 rows of 4096 products per ring."""
+    return list(ring.additive_generators()) + [ring.zero, ring.one] + rng.sample(
+        ring.elements, min(24, ring.order)
+    )
+
+
 def test_ring_images_are_spans_of_generator_products():
     # rR is the additive span of r*g over the additive generators g; the
-    # definitional image reads r's own row of |R| products
+    # definitional image is the set of r's |R| products.  The action row,
+    # built from one product per digit, must list those products too.
     checked = 0
     for ring in catalog_rings() + [rings.build_ring(s) for s in MIXED_RINGS]:
         E = ring_cyclic(ring)
+        value_row = value_rows(E)
         for r in ring.elements:
-            assert E.image_mask(r) == modules._mask(E.row(r)), (ring.spec, r)
+            row = value_row(r)
+            assert list(E.row(r)) == row, (ring.spec, r)
+            assert E.image_mask(r) == modules._mask(row), (ring.spec, r)
         checked += ring.order
     assert checked == 4117
-    # a full sweep at the cap is 4096 rows of 4096 products per ring, so
-    # the ladder checks the generators, 0, 1 and seeded random residues
     rng = random.Random(20261018)
     for spec in CAP_LADDER:
         ring = rings.build_ring(spec)
         E = ring_cyclic(ring)
-        picks = list(ring.additive_generators()) + [ring.zero, ring.one]
-        picks += rng.sample(ring.elements, 24)
-        for r in picks:
-            assert E.image_mask(r) == modules._mask(E.row(r)), (spec, r)
+        value_row = value_rows(E)
+        for r in ladder_picks(ring, rng):
+            row = value_row(r)
+            assert list(E.row(r)) == row, (spec, r)
+            assert E.image_mask(r) == modules._mask(row), (spec, r)
 
 
 def test_additive_generators_span_the_ring():
@@ -572,10 +652,14 @@ def test_cyclic_masks_of_derived_modules_match_the_column_or():
         E = build_module(inst.spec_text)
         if E.order > modules.LATTICE_CAP:
             continue
+        # the derived modules share the parent's sums and products
+        arithmetic = tuple(functools.cache(f) for f in value_arithmetic(E))
         for mask in E.lattice_masks():
             N = Submodule._trusted(E, mask)
             for D in (submodule_as_module(E, N), quotient_module(E, N)):
-                for i, column in enumerate(zip(*D.rows)):
+                row = value_rows(E, N, D, arithmetic)
+                columns = zip(*(row(r) for r in D.residue_ring.elements))
+                for i, column in enumerate(columns):
                     assert D.cyclic_mask(i) == modules._mask(column), (D.spec_text, i)
                 modules_seen += 1
                 elements += D.order
@@ -584,7 +668,7 @@ def test_cyclic_masks_of_derived_modules_match_the_column_or():
 
 def test_ring_addition_matches_ring_values():
     # the digit layout adds like the ring: every pair on the small rings,
-    # seeded random pairs at the cap, and quotients through their parent
+    # seeded random pairs at the cap
     for ring in catalog_rings() + [rings.build_ring(s) for s in MIXED_RINGS]:
         E = ring_cyclic(ring)
         el = ring.elements
@@ -599,20 +683,22 @@ def test_ring_addition_matches_ring_values():
         for _ in range(3000):
             i, j = rng.randrange(ring.order), rng.randrange(ring.order)
             assert E.add(i, j) == ring.index(ring.add(el[i], el[j])), (spec, i, j)
-    z8 = rings.ZnRing(8)
-    q = rings.QuotientRing(z8, frozenset({0, 4}))
-    Q = ring_cyclic(q)
-    for i, x in enumerate(q.elements):
-        for j, y in enumerate(q.elements):
-            assert Q.add(i, j) == q.index(q.add(x, y))
 
 
-def literal_quasi_second_violation(E):
+def test_ring_module_needs_a_digit_layout():
+    # a quotient ring adds only through its parent's values
+    q = rings.QuotientRing(rings.ZnRing(8), frozenset({0, 4}))
+    assert q.layout is None
+    with pytest.raises(ModuleError):
+        ring_cyclic(q)
+
+
+def literal_quasi_second_violation(E, row):
     """The search over every pair of nonunit residues, in element order,
-    with each image read off the residue's own row."""
+    with each image read off the residue's row of value products."""
     ring = E.residue_ring
     units = ring.units()
-    nonunits = [(r, modules._mask(E.row(r))) for r in ring.elements if r not in units]
+    nonunits = [(r, modules._mask(row(r))) for r in ring.elements if r not in units]
     for ra, ma in nonunits:
         if ma == E.full_mask:
             continue
@@ -628,21 +714,19 @@ def literal_quasi_second_violation(E):
 
 
 def test_quasi_second_search_matches_the_pairwise_search():
-    specs = [
-        inst.spec_text
-        for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS)
-        if inst.kind == "module"
-    ]
+    specs = default_module_specs()
     specs += ["Z:360", "F2[x]:x^8", "F3[x]:x^2+1,x^3", "ring:Trunc(2,6)",
               "ring:Ideal(GF(3,x^2+1),1)"] + [f"ring:{s}" for s in MIXED_RINGS]
     witnesses = 0
     for spec in specs:
         E = build_module(spec)
-        expected = literal_quasi_second_violation(E)
+        expected = literal_quasi_second_violation(E, value_rows(E))
         assert find_quasi_second_violation(E) == expected, spec
         witnesses += expected is not None
         if E.order <= 16:
             for mask in E.lattice_masks():
-                Q = quotient_module(E, Submodule._trusted(E, mask))
-                assert find_quasi_second_violation(Q) == literal_quasi_second_violation(Q)
+                N = Submodule._trusted(E, mask)
+                Q = quotient_module(E, N)
+                literal = literal_quasi_second_violation(Q, value_rows(E, N, Q))
+                assert find_quasi_second_violation(Q) == literal
     assert witnesses > 0

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from qdivtop.modules import find_quasi_second_violation, is_quasi_second, ring_cyclic
+from qdivtop.scalars import padd, pdivmod, pneg
 from qdivtop.rings import (
     NOT_QS,
     QS_LOCAL_SQUARE_ZERO,
@@ -143,6 +144,54 @@ def test_is_local():
     assert ZnRing(6).is_local() == (False, None)
     local2, m2 = ZnRing(2).is_local()
     assert local2 and m2 == frozenset({0})
+
+
+def pairwise_is_local(ring):
+    """The literal definition: the nonunits are closed under addition."""
+    nonunits = frozenset(x for x in ring.elements if not ring.is_unit(x))
+    if all(ring.add(x, y) in nonunits for x in nonunits for y in nonunits):
+        return True, nonunits
+    return False, None
+
+
+def test_is_local_matches_the_pairwise_definition():
+    # local exactly when 0 and 1 are the only idempotents
+    from qdivtop import verifier
+
+    from test_modules import MIXED_RINGS
+
+    specs = list(verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS))
+    specs += list(MIXED_RINGS) + [
+        # the rings of the rings-qs benchmark workload
+        "Zn(256)",
+        "Trunc(2,7)",
+        "Prod(GF(2,x^4+x+1),GF(2,x^5+x^2+1))",
+        "Prod(Zn(31),Zn(29))",
+        "Zn(1024)",
+        "Prod(Trunc(2,3),Zn(27))",
+        "Ideal(Zn(5),3)",
+        "Ideal(GF(3,x^2+1),2)",
+    ]
+    local = 0
+    for spec in specs:
+        ring = build_ring(spec)
+        expected = pairwise_is_local(ring)
+        assert ring.is_local() == expected, spec
+        local += expected[0]
+    assert (len(specs), local) == (127, 38)
+
+
+def test_reduce_gives_the_residue_mod_n():
+    # reduce(r) is the element s of A/(n) with n | r - s
+    z6 = ZnRing(6)
+    for r in range(-12, 30):
+        s = z6.reduce(r)
+        assert s in z6 and (r - s) % 6 == 0
+    ring = QuotPolyRing(3, (1, 0, 1))  # x^2 + 1
+    for r in QuotPolyRing(3, (0, 1, 0, 0, 1)).elements:  # residues mod x^4 + x
+        s = ring.reduce(r)
+        assert s in ring
+        assert pdivmod(padd(r, pneg(s, 3), 3), ring.modulus, 3)[1] == ()
 
 
 def test_local_complement_is_units():

