@@ -131,10 +131,11 @@ def _analyze_payload(E, with_oracle: bool):
         payload["weak_idempotent_split"] = split.kind
 
     if with_oracle:
-        if space.n > oracle.OPEN_ENUM_CAP:
-            payload["oracle"] = {"skipped": "beyond the oracle point cap"}
-        else:
+        try:
             topo = oracle.enumerate_open_sets(space)
+        except SizeCapExceeded:
+            payload["oracle"] = {"skipped": "beyond the oracle open-set cap"}
+        else:
             axioms = {}
             for name in oracle.AXIOMS:
                 if name == "T5" and space.n > oracle.T5_CAP:

@@ -594,13 +594,25 @@ class QuotientRing(FiniteRing):
         ideal = frozenset(ideal)
         if parent.zero not in ideal:
             raise RingError("an ideal must contain zero")
-        for i in ideal:
-            for j in ideal:
-                if parent.add(i, j) not in ideal:
-                    raise RingError("the given set is not closed under addition")
-        for r in parent.elements:
+        # the span of the set, one coset at a time as in FiniteModule.span,
+        # holds the set; the set is closed under addition iff it holds the span
+        span = {parent.zero}
+        for y in ideal:
+            if y in span:
+                continue
+            base = list(span)
+            z = y
+            while z not in span:
+                for i in base:
+                    total = parent.add(i, z)
+                    if total not in ideal:
+                        raise RingError("the given set is not closed under addition")
+                    span.add(total)
+                z = parent.add(z, y)
+        # every r is a sum of additive generators, so r*i is a sum of g*i
+        for g in parent.additive_generators():
             for i in ideal:
-                if parent.mul(r, i) not in ideal:
+                if parent.mul(g, i) not in ideal:
                     raise RingError("the given set does not absorb multiplication")
         self.parent = parent
         self.ideal = ideal

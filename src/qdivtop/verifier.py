@@ -169,10 +169,19 @@ class _ModuleCtx:
         return self.space.n
 
     @cached_property
+    def _topo_or_cap(self):
+        # cached_property does not cache an exception, so the cap outcome
+        # is kept as a value and the closure runs at most once
+        try:
+            return oracle.enumerate_open_sets(self.space)
+        except modules.SizeCapExceeded as exc:
+            return exc
+
+    @property
     def topo(self):
-        if self.n > oracle.OPEN_ENUM_CAP:
-            return None
-        return oracle.enumerate_open_sets(self.space)
+        if isinstance(self._topo_or_cap, modules.SizeCapExceeded):
+            raise self._topo_or_cap
+        return self._topo_or_cap
 
     @cached_property
     def sep(self):
@@ -224,22 +233,9 @@ class _ModuleCtx:
         )
 
     def axiom(self, name):
-        """Definitional verdict when the oracle cap allows it; the fast
-        order-side value (tagged) otherwise."""
+        """The oracle's verdict on the named axiom."""
         if name not in self._axioms:
-            if self.topo is not None:
-                self._axioms[name] = (oracle.oracle_axiom(self.topo, name), "oracle")
-            else:
-                fast = {
-                    "T0": True,
-                    "T1": self.sep.t1,
-                    "T2": self.sep.t2,
-                    "T3": self.sep.t3,
-                    "discrete": self.sep.discrete,
-                    "hyperconnected": self.conn.hyperconnected,
-                    "ultraconnected": self.conn.ultraconnected,
-                }
-                self._axioms[name] = (fast[name], "fast")
+            self._axioms[name] = oracle.oracle_axiom(self.topo, name)
         return self._axioms[name]
 
     def witness_violation(self):
@@ -280,17 +276,17 @@ def _empty(ctx):
 def _r1(ctx):
     if _empty(ctx):
         return VACUOUS, None, "empty space"
-    t0, src = ctx.axiom("T0")
+    t0 = ctx.axiom("T0")
     if t0 and ctx.sep.t0:
         return PASS, None, None
-    return FAIL, f"T0 fast={ctx.sep.t0} definitional={t0} ({src})", None
+    return FAIL, f"T0 fast={ctx.sep.t0} definitional={t0}", None
 
 
 def _r2(ctx):
-    t1, src = ctx.axiom("T1")
+    t1 = ctx.axiom("T1")
     if t1 == ctx.qs:
         return PASS, None, None
-    witness = f"T1={t1} ({src}) but quasi_second={ctx.qs}"
+    witness = f"T1={t1} but quasi_second={ctx.qs}"
     if not ctx.qs:
         witness += "; " + ctx.witness_violation()
     else:
@@ -309,16 +305,13 @@ def _r2(ctx):
 
 
 def _r3(ctx):
-    t1, _ = ctx.axiom("T1")
-    t2, _ = ctx.axiom("T2")
-    discrete, _ = ctx.axiom("discrete")
     values = {
         "quasi_second": ctx.qs,
         "all_images_maximal": ctx.all_images_maximal,
-        "discrete": discrete,
+        "discrete": ctx.axiom("discrete"),
         "metrizable": ctx.sep.metrizable,
-        "T2": t2,
-        "T1": t1,
+        "T2": ctx.axiom("T2"),
+        "T1": ctx.axiom("T1"),
     }
     if len(set(values.values())) == 1:
         return PASS, None, None
@@ -350,19 +343,19 @@ def _r5(ctx):
             criterion = False
             witness_pair = (ctx.classes[i].label, ctx.classes[j].label)
             break
-    hyper, src = ctx.axiom("hyperconnected")
+    hyper = ctx.axiom("hyperconnected")
     if criterion == hyper:
         return PASS, None, None
     return FAIL, (
         f"sum-bound criterion={criterion} (pair {witness_pair}) but "
-        f"hyperconnected={hyper} ({src})"
+        f"hyperconnected={hyper}"
     ), None
 
 
 def _r6(ctx):
     if _empty(ctx):
         return VACUOUS, None, "empty space"
-    space = ctx.space
+    space, topo = ctx.space, ctx.topo
     masks = [c.image.mask for c in ctx.classes]
     for i in range(space.n):
         singleton_basis = space.up[i] == 1 << i
@@ -370,10 +363,7 @@ def _r6(ctx):
         is_maximal = not any(
             img != other and not (img & ~other) for other in masks
         )
-        if ctx.topo is not None:
-            isolated = ctx.topo.is_open(1 << i)
-        else:
-            isolated = singleton_basis
+        isolated = topo.is_open(1 << i)
         if not (isolated == singleton_basis == is_maximal):
             return FAIL, (
                 f"point {space.labels[i]}: isolated={isolated} "
@@ -385,8 +375,6 @@ def _r6(ctx):
 def _r7(ctx):
     if _empty(ctx):
         return VACUOUS, None, "empty space"
-    if ctx.topo is None:
-        return VACUOUS, None, "beyond the oracle point cap"
     space, topo = ctx.space, ctx.topo
     for mask in oracle.subset_sweep(space.n):
         if topology.closure(space, mask) != oracle.oracle_closure(topo, mask):
@@ -399,8 +387,6 @@ def _r7(ctx):
 def _r8(ctx):
     if _empty(ctx):
         return VACUOUS, None, "empty space"
-    if ctx.topo is None:
-        return VACUOUS, None, "beyond the oracle point cap"
     checks = oracle.oracle_structure_checks(ctx.topo, ctx.space)
     if (
         checks.open_dense_contains_maximal_ok
@@ -478,12 +464,12 @@ def _r12(ctx):
 def _r13(ctx):
     if not (ctx.preds.comultiplication and ctx.preds.semiprime_annihilator):
         return VACUOUS, None, "needs comultiplication and a semiprime annihilator"
-    t1, src = ctx.axiom("T1")
-    discrete, _ = ctx.axiom("discrete") if ctx.n else (True, "fast")
+    t1 = ctx.axiom("T1")
+    discrete = ctx.axiom("discrete")
     rhs = ctx.n == 0 or (discrete and ctx.n == 2)
     if t1 == rhs:
         return PASS, None, None
-    return FAIL, f"T1={t1} ({src}) but points={ctx.n} discrete={discrete}", None
+    return FAIL, f"T1={t1} but points={ctx.n} discrete={discrete}", None
 
 
 def _r14(ctx):
@@ -545,10 +531,8 @@ def _r16(ctx):
 def _r17(ctx):
     if _empty(ctx):
         return VACUOUS, None, "empty space"
-    if ctx.topo is None:
-        return VACUOUS, None, "beyond the oracle point cap"
     fast = ctx.sep.t3
-    definitional = oracle.oracle_axiom(ctx.topo, "T3")
+    definitional = ctx.axiom("T3")
     if fast == definitional:
         return PASS, None, None
     return FAIL, f"T3 fast={fast} definitional={definitional}", None
@@ -562,8 +546,8 @@ def _r18(ctx):
             "prime annihilator reachable only via empty spaces at this scale; "
             "ultraconnectedness and T4 hold vacuously"
         )
-    ultra, _ = ctx.axiom("ultraconnected")
-    t4 = oracle.oracle_axiom(ctx.topo, "T4") if ctx.topo else None
+    ultra = ctx.axiom("ultraconnected")
+    t4 = ctx.axiom("T4")
     if ultra and t4:
         return PASS, None, None
     return FAIL, f"prime annihilator but ultraconnected={ultra} T4={t4}", None
@@ -677,28 +661,22 @@ def _r20(ctx):
     )
 
 
-def _direct_int_image(E, a):
-    mods = [d.value for d in E.moduli]
+def _direct_image(E, a):
+    """aE from the presentation alone: the product over the summands of
+    {a*x mod d}, one image set per distinct modulus d in the domain's own
+    arithmetic."""
+    images = {}
+    for d in {m.value for m in E.moduli}:
+        if E.domain.kind == "int":
+            images[d] = {(a * x) % d for x in range(d)}
+        else:
+            p = E.domain.char
+            images[d] = {
+                scalars.pdivmod(scalars.pmul(a, x, p), d, p)[1]
+                for x in itertools.product(range(p), repeat=scalars.pdeg(d))
+            }
     mask = 0
-    for m in E.elements:
-        val = tuple((a * x) % d for x, d in zip(m, mods))
-        mask |= 1 << E.elem_index(val)
-    return mask
-
-
-def _direct_poly_image(E, a):
-    p = E.domain.char
-    mods = [d.value for d in E.moduli]
-    # per-component action maps first, so the element loop is lookups only
-    comp_maps = []
-    for j, d in enumerate(mods):
-        residues = {m[j] for m in E.elements}
-        comp_maps.append(
-            {x: scalars.pdivmod(scalars.pmul(a, x, p), d, p)[1] for x in residues}
-        )
-    mask = 0
-    for m in E.elements:
-        val = tuple(cm[x] for cm, x in zip(comp_maps, m))
+    for val in itertools.product(*(images[m.value] for m in E.moduli)):
         mask |= 1 << E.elem_index(val)
     return mask
 
@@ -711,7 +689,7 @@ def _r21(ctx):
     units = ring.units()
     if E.domain.kind == "int":
         n = ring.n
-        samples = [(a, a % n, _direct_int_image(E, a)) for a in range(-2 * n, 2 * n + 1)]
+        samples = [(a, a % n, _direct_image(E, a)) for a in range(-2 * n, 2 * n + 1)]
         fmt = str
     else:
         p = E.domain.char
@@ -728,7 +706,7 @@ def _r21(ctx):
             shift = (0,) * (j - deg) + (1,)
             sample_polys.add(scalars.padd(scalars.pmul(g, shift, p), (1, 1), p))
         samples = [
-            (a, scalars.pdivmod(a, g, p)[1], _direct_poly_image(E, a))
+            (a, scalars.pdivmod(a, g, p)[1], _direct_image(E, a))
             for a in sorted(sample_polys, key=lambda c: (len(c), c))
         ]
         fmt = scalars.format_poly

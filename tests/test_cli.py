@@ -88,11 +88,24 @@ def test_analyze_mixed_characteristic_product(capsys):
 
 
 def test_analyze_oracle_skip_above_cap(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "Z:16,27", "--oracle")
+    # a 15-point antichain: every one of its 2^15 subsets is open
+    code, out, _ = run_cli(capsys, "analyze", "ring:Trunc(2,4)", "--oracle")
     payload = payload_of(out)
     assert code == 0
-    assert payload["points"] > 14
-    assert payload["oracle"] == {"skipped": "beyond the oracle point cap"}
+    assert payload["points"] == 15
+    assert payload["oracle"] == {"skipped": "beyond the oracle open-set cap"}
+
+
+def test_analyze_oracle_past_fourteen_points(capsys):
+    for spec, points in [("Z:2310", 30), ("Z:1260", 34)]:
+        code, out, _ = run_cli(capsys, "analyze", spec, "--oracle")
+        payload = payload_of(out)
+        assert code == 0
+        assert payload["points"] == points
+        part = payload["oracle"]
+        assert part["axioms"]["T5"] is None, spec
+        assert all(part["agreement"].values()), spec
+        assert all(part["structure"].values()), spec
 
 
 def test_analyze_parse_error(capsys):

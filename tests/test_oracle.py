@@ -58,10 +58,18 @@ def test_chain_open_count_identity():
 
 
 def test_enumeration_cap():
-    s = build_space(cyclic_sum(INTEGERS, (2 * 3 * 5 * 7 * 11,)))
-    assert s.n > oracle.OPEN_ENUM_CAP
+    # a 15-point antichain has 2^15 open sets
+    s = space_of("ring:Trunc(2,4)")
+    assert s.n == 15 and s.up == tuple(1 << i for i in range(15))
     with pytest.raises(SizeCapExceeded):
         enumerate_open_sets(s)
+    # every space of at most 14 points fits, the 14-point antichain exactly
+    antichain = SimpleNamespace(n=14, up=s.up[:14], full=(1 << 14) - 1)
+    assert len(enumerate_open_sets(antichain).opens) == oracle.OPEN_SET_CAP
+    # the cap counts open sets, not points
+    for spec, points, opens in [("Z:2310", 30, 7579), ("Z:16,27", 18, 124)]:
+        s = space_of(spec)
+        assert (s.n, len(enumerate_open_sets(s).opens)) == (points, opens)
 
 
 def test_axiom_examples():
@@ -372,8 +380,6 @@ def test_library_matches_literal_definitions():
         if inst.kind != "module":
             continue
         s = space_of(inst.spec_text)
-        if s.n > oracle.OPEN_ENUM_CAP:
-            continue
         t = enumerate_open_sets(s)
         assert_matches_literal(s, t, inst.spec_text)
         assert oracle_structure_checks(t, s) == literal_structure_checks(t, s)

@@ -331,14 +331,66 @@ def test_quotient_ring():
     assert q.add(3, 3) == 2
     qq = QuotientRing(q, frozenset({0, 2}))
     assert qq.order == 2
-    with pytest.raises(RingError):
-        QuotientRing(z8, frozenset({4}))  # zero missing
-    with pytest.raises(RingError):
-        QuotientRing(z8, frozenset({0, 3}))  # not closed under addition
+    with pytest.raises(RingError, match="contain zero"):
+        QuotientRing(z8, frozenset({4}))
+    with pytest.raises(RingError, match="closed under addition"):
+        QuotientRing(z8, frozenset({0, 3}))
     prod = ProdRing(ZnRing(2), ZnRing(2))
     diagonal = frozenset({prod.zero, (1, 1)})
-    with pytest.raises(RingError):
+    with pytest.raises(RingError, match="absorb"):
         QuotientRing(prod, diagonal)  # additively closed but not absorbing
+
+
+def pairwise_ideal_error(parent, ideal):
+    """The ideal test from the definition: every pair of members, and every
+    (ring element, member) pair."""
+    if parent.zero not in ideal:
+        return "an ideal must contain zero"
+    if any(parent.add(i, j) not in ideal for i in ideal for j in ideal):
+        return "the given set is not closed under addition"
+    if any(parent.mul(r, i) not in ideal for r in parent.elements for i in ideal):
+        return "the given set does not absorb multiplication"
+    return None
+
+
+def quotient_error(parent, ideal):
+    try:
+        QuotientRing(parent, ideal)
+    except RingError as exc:
+        return str(exc)
+    return None
+
+
+def test_quotient_ideal_check_matches_the_pairwise_definition(monkeypatch):
+    # record every quotient ring the default-corpus verify builds: R10, R11,
+    # R16 and R19 build all of them, 1,972 constructions of 418 distinct rings
+    from qdivtop import verifier
+
+    made = {}
+    init = QuotientRing.__init__
+
+    def recording_init(self, parent, ideal):
+        made.setdefault((parent.spec, frozenset(ideal)), (parent, frozenset(ideal)))
+        init(self, parent, ideal)
+
+    monkeypatch.setattr(QuotientRing, "__init__", recording_init)
+    verifier.run_all(rule_ids=["R10", "R11", "R16", "R19"])
+    monkeypatch.undo()
+    assert len(made) == 418
+    verdicts = set()
+    for parent, ideal in made.values():
+        assert pairwise_ideal_error(parent, ideal) is None
+        # one member fewer and one element more give sets that are often
+        # not ideals: the two checks must reject them with the same message
+        outside = [r for r in parent.elements if r not in ideal]
+        variants = [ideal - {max(ideal, key=parent.sort_key)}]
+        if outside:
+            variants.append(ideal | {outside[0]})
+        for variant in variants:
+            verdict = pairwise_ideal_error(parent, variant)
+            assert quotient_error(parent, variant) == verdict, (parent.spec, variant)
+            verdicts.add(verdict)
+    assert len(verdicts) == 4
 
 
 def test_field_detection():

@@ -215,3 +215,37 @@ def test_r16_uses_the_injected_predicate():
     assert report.tallies()["R16"][VACUOUS] == 1
     pristine = run_all([Instance("module", "Z:4")], rule_ids=["R16"])
     assert pristine.tallies()["R16"][PASS] == 1
+
+
+# spaces of 16-18 points, past the old 14-point oracle cap, whose open sets
+# fit the open-set cap: the oracle decides every axiom-reading rule
+WIDE_SLICE = ["Z:180", "Z:240", "Z:288", "F2[x]:x^3+x^2+x+1,x^4"]
+ORACLE_RULES = ("R1", "R2", "R3", "R5", "R6", "R7", "R8", "R17")
+
+
+def test_wide_slice_is_checked_by_the_oracle():
+    corpus = [Instance("module", s) for s in WIDE_SLICE]
+    report = run_all(corpus)
+    assert report.total_failures == 0
+    for o in report.outcomes:
+        if o.rule_id in ORACLE_RULES:
+            assert o.verdict == PASS, (o.rule_id, o.instance, o.note)
+
+
+def test_past_the_open_set_cap_oracle_rules_are_vacuous(monkeypatch):
+    # ring:Trunc(2,4) is a 15-point antichain with 2^15 open sets
+    calls = []
+    enumerate_open_sets = verifier.oracle.enumerate_open_sets
+
+    def counting(space):
+        calls.append(space.n)
+        return enumerate_open_sets(space)
+
+    monkeypatch.setattr(verifier.oracle, "enumerate_open_sets", counting)
+    report = run_all([Instance("module", "ring:Trunc(2,4)")])
+    assert calls == [15]
+    assert report.total_failures == 0
+    for o in report.outcomes:
+        if o.rule_id in ORACLE_RULES:
+            assert o.verdict == VACUOUS, o.rule_id
+            assert o.note.startswith("size cap: open-set enumeration"), o.rule_id
