@@ -23,12 +23,10 @@ from .modules import (  # noqa: F401
     is_quasi_second,
     is_second_module,
     is_second_submodule,
-    quotient_module,
     ring_cyclic,
     scalar_classes,
     structural_predicates,
     submodule_annihilator,
-    submodule_as_module,
     weak_idempotent_split,
 )
 from .oracle import enumerate_open_sets, oracle_axiom, oracle_closure  # noqa: F401

@@ -138,10 +138,10 @@ def _analyze_payload(E, with_oracle: bool):
         else:
             axioms = {}
             for name in oracle.AXIOMS:
-                if name == "T5" and space.n > oracle.T5_CAP:
+                try:
+                    axioms[name] = oracle.oracle_axiom(topo, name)
+                except SizeCapExceeded:  # the T5 sweep past T5_CAP points
                     axioms[name] = None
-                    continue
-                axioms[name] = oracle.oracle_axiom(topo, name)
             agreement = {
                 "T0": axioms["T0"] == sep.t0,
                 "T1": axioms["T1"] == sep.t1,
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (SizeCapExceeded, rings.RingCapExceeded) as exc:
+    except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, KeyError) as exc:

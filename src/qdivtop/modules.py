@@ -8,8 +8,10 @@ A module is one of
   residues;
 * a catalog ring R viewed as a cyclic module over a declared polynomial
   domain surjecting onto R; elements are labelled by the ring elements and
-  the scalar action is ring multiplication;
-* a submodule or quotient derived from those.
+  the scalar action is ring multiplication.
+
+A submodule N or a quotient E/N is not built as a module of its own: the
+quasi-second search reads it through E's action (``InducedAction``).
 
 All scalar action factors through the finite residue ring A/ann(E).  For a
 finitely generated module the scalars acting neither as zero nor as a
@@ -23,7 +25,7 @@ arithmetic is on indices.  A catalog ring module lives on the ring's
 ``rings.DigitLayout``, and a cyclic sum on the product of its summands'
 layouts: each summand A/(d) is the catalog ring ``Zn(d)`` or
 ``GF(p,d)``, with the same element order.  Addition is the layout's
-index-level ``add(i, j)``, or the parent's for derived modules.  The
+index-level ``add(i, j)``.  The
 action of a residue is a row mapping element index to element index,
 stored as ``array('H')`` (``ELEMENT_CAP`` 4096 < 2^16) and built the first
 time a query asks for it; negation is the row of -1.  Multiplication is
@@ -56,15 +58,12 @@ from array import array
 from dataclasses import dataclass
 
 from . import rings, scalars
+from .rings import SizeCapExceeded
 from .scalars import INTEGERS, Scalar, ScalarDomain, pgcd, poly_domain
 
 
 class ModuleError(ValueError):
     """Invalid module construction or operation."""
-
-
-class SizeCapExceeded(RuntimeError):
-    """The operation would exceed its documented size cap."""
 
 
 ELEMENT_CAP = 4096
@@ -512,7 +511,7 @@ def build_module(text: str) -> FiniteModule:
 
 def annihilator(E: FiniteModule):
     """Generator scalar for explicit cyclic sums; the ring-side zero ideal
-    (or killer set, for derived modules) otherwise."""
+    otherwise."""
     if E.ann_scalar is not None:
         return E.ann_scalar
     return E.ann_ideal
@@ -579,37 +578,29 @@ def _killer_residues(E: FiniteModule, mask: int) -> list:
     return [r for r in ring.elements if ring.divisor(r) in killers]
 
 
-def _ideal_generator_info(E: FiniteModule, killers):
-    """Scalar generator of the pulled-back ideal when the residue ring is a
-    base Euclidean quotient; otherwise the ring-side element set."""
-    ring = E.residue_ring
-    if E.domain is not None and isinstance(ring, rings.ZnRing):
-        g = math.gcd(ring.n, *killers) if killers else ring.n
-        return scalars.scalar(E.domain, g), None
-    if E.domain is not None and isinstance(ring, rings.QuotPolyRing):
-        g = ring.modulus
-        for k in killers:
-            g = pgcd(g, k, ring.p)
-        return scalars.scalar(E.domain, g), None
-    return None, frozenset(killers)
-
-
 def submodule_annihilator(E: FiniteModule, N: Submodule):
     """(generator or ring-side killer set, maximality flag).
 
-    For cyclic sums the flag is the irreducibility of the generator in A;
-    in general it asks whether the residue ring modulo the killer ideal is
-    a field (with a proper ideal).
+    Over a cyclic sum the killers pull back to the ideal of A generated by
+    their gcd with the annihilator, and the flag is the irreducibility of
+    that generator; over a catalog ring the flag asks whether the residue
+    ring modulo the killer ideal is a field (with a proper ideal).
     """
     killers = _killer_residues(E, N.mask)
-    gen, ideal = _ideal_generator_info(E, killers)
-    if gen is not None:
-        maximal = (
-            not gen.is_zero() and not gen.is_unit() and scalars.is_irreducible(gen)
-        )
-        return gen, maximal
-    quotient = rings.QuotientRing(E.residue_ring, ideal)
-    return ideal, quotient.order > 1 and quotient.is_field()
+    ring = E.residue_ring
+    if E.domain is None:
+        ideal = frozenset(killers)
+        quotient = rings.QuotientRing(ring, ideal)
+        return ideal, quotient.order > 1 and quotient.is_field()
+    if isinstance(ring, rings.ZnRing):
+        gen = scalars.scalar(E.domain, math.gcd(ring.n, *killers))
+    else:
+        g = ring.modulus
+        for k in killers:
+            g = pgcd(g, k, ring.p)
+        gen = scalars.scalar(E.domain, g)
+    maximal = not gen.is_zero() and not gen.is_unit() and scalars.is_irreducible(gen)
+    return gen, maximal
 
 
 def is_second_module(E: FiniteModule) -> bool:
@@ -780,81 +771,66 @@ def weak_idempotent_split(E: FiniteModule) -> WeakSplit:
     return WeakSplit("none")
 
 
-# -- derived modules -------------------------------------------------------
+# -- submodules and quotients, on the parent's action ---------------------
 
 
-def _induced(E: FiniteModule, to_parent, from_parent):
-    """Addition and row builder of a module whose element i stands for the
-    parent element to_parent[i]; from_parent maps parent indices back.  Its
-    residues are parent residues (least coset members), so a row is read
-    off the parent row of the same residue."""
-    parent_add = E.add
+class InducedAction:
+    """A submodule N of E, or the quotient E/N, seen through E's own action:
+    exactly what the quasi-second search reads.  The residues are E's, and
+    the images are masks in E's index space: rN on the submodule, and on
+    the quotient rE + N, which stands for the image r(E/N) under the
+    correspondence between submodules of E/N and submodules of E holding N.
+    Zero is E's zero on N and N itself on E/N.  Since r = g*u for the
+    divisor g and a unit u, rN = gN and rE + N = gE + N, so images are
+    cached per divisor."""
 
-    def add(i, j):
-        return from_parent[parent_add(to_parent[i], to_parent[j])]
-
-    def build_row(r):
-        prow = E.row(r)
-        return [from_parent[prow[k]] for k in to_parent]
-
-    return add, build_row
-
-
-def submodule_as_module(E: FiniteModule, N: Submodule) -> FiniteModule:
-    """N with the induced action; the residue ring shrinks to R/ann(N)."""
-    if N.module is not E:
-        raise ModuleError("the submodule belongs to a different module")
-    killers = _killer_residues(E, N.mask)
-    ann_scalar, ann_ideal = _ideal_generator_info(E, killers)
-    quotient_ring = rings.QuotientRing(E.residue_ring, frozenset(killers))
-    members = list(_bits(N.mask))
-    local = {k: i for i, k in enumerate(members)}
-    add, build_row = _induced(E, members, local)
-    return FiniteModule(
-        kind="submodule",
-        spec_text=f"sub({E.spec_text};{len(N.elements)})",
-        residue_ring=quotient_ring,
-        elements=N.elements,
-        zero=local[E.zero],
-        add=add,
-        build_row=build_row,
-        format_element=E.format_element,
-        domain=E.domain,
-        domain_label=E.domain_label,
-        ann_scalar=ann_scalar,
-        ann_ideal=ann_ideal,
+    __slots__ = (
+        "E", "N", "quotient", "residue_ring", "zero_mask", "full_mask", "_images"
     )
 
+    def __init__(self, E: FiniteModule, N: Submodule, quotient: bool):
+        if N.module is not E:
+            raise ModuleError("the submodule belongs to a different module")
+        self.E = E
+        self.N = N.mask
+        self.quotient = quotient
+        self.residue_ring = E.residue_ring
+        self.zero_mask = N.mask if quotient else E.zero_mask
+        self.full_mask = E.full_mask if quotient else N.mask
+        self._images = {}
 
-def quotient_module(E: FiniteModule, N: Submodule) -> FiniteModule:
-    """E/N on least coset representatives."""
-    if N.module is not E:
-        raise ModuleError("the submodule belongs to a different module")
-    members = list(_bits(N.mask))
-    coset = [None] * E.order
-    reps = []
-    for m in range(E.order):
-        if coset[m] is None:
-            for x in members:
-                coset[E.add(m, x)] = len(reps)
-            reps.append(m)
-    killers = [
-        r for r in E.residue_ring.elements if not (E.image_mask(r) & ~N.mask)
-    ]
-    ann_scalar, ann_ideal = _ideal_generator_info(E, killers)
-    quotient_ring = rings.QuotientRing(E.residue_ring, frozenset(killers))
-    add, build_row = _induced(E, reps, coset)
-    return FiniteModule(
-        kind="quotient",
-        spec_text=f"quot({E.spec_text};{len(N.elements)})",
-        residue_ring=quotient_ring,
-        elements=tuple(E.elements[m] for m in reps),
-        zero=coset[E.zero],
-        add=add,
-        build_row=build_row,
-        format_element=E.format_element,
-        domain=E.domain,
-        domain_label=E.domain_label,
-        ann_scalar=ann_scalar,
-        ann_ideal=ann_ideal,
-    )
+    @classmethod
+    def on_submodule(cls, E: FiniteModule, N: Submodule) -> "InducedAction":
+        return cls(E, N, quotient=False)
+
+    @classmethod
+    def on_quotient(cls, E: FiniteModule, N: Submodule) -> "InducedAction":
+        return cls(E, N, quotient=True)
+
+    def image_mask(self, r) -> int:
+        g = self.residue_ring.divisor(r)
+        mask = self._images.get(g)
+        if mask is None:
+            E = self.E
+            if self.quotient:
+                mask = E.join_masks(E.image_mask(g), self.N)
+            else:
+                row = E.row(g)
+                mask = _mask(row[i] for i in _bits(self.N))
+            self._images[g] = mask
+        return mask
+
+    def format_mask(self, mask: int):
+        """The elements of the mask; on E/N, the least member of each coset."""
+        E = self.E
+        if not self.quotient:
+            return E.format_mask(mask)
+        members = list(_bits(self.N))
+        covered = 0
+        reps = []
+        for i in _bits(mask):
+            if not (covered >> i) & 1:
+                reps.append(E.format_element(E.elements[i]))
+                for x in members:
+                    covered |= 1 << E.add(i, x)
+        return reps

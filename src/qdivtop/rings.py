@@ -15,8 +15,8 @@ Every ring enumerates its elements as hashable canonical values:
 * ``Ideal(R,d)``  the ring on R x R^d with the product
                   (a1,m1)(a2,m2) = (a1*a2, a1*m2 + a2*m1).
 
-Quotients by an ideal (used when deriving modules) represent each coset by
-its least member under the parent's element order.
+Quotients by an ideal (used to test an annihilator for maximality) represent
+each coset by its least member under the parent's element order.
 
 Every catalog ring has a ``DigitLayout``: its additive group is a product
 of cyclic groups, and element i has a mixed-radix code whose digits add
@@ -55,8 +55,9 @@ class RingError(ValueError):
     """Invalid ring construction or ring operation."""
 
 
-class RingCapExceeded(RuntimeError):
-    """Construction would exceed the supported order cap."""
+class SizeCapExceeded(RuntimeError):
+    """The operation would exceed its documented size cap: a ring's order,
+    a module's element count, the submodule lattice or the oracle."""
 
 
 ORDER_CAP = 4096
@@ -210,7 +211,7 @@ class FiniteRing:
 
     def _init_common(self, validate: bool):
         if self.order > ORDER_CAP:
-            raise RingCapExceeded(
+            raise SizeCapExceeded(
                 f"{self.spec}: order {self.order} exceeds the cap {ORDER_CAP}"
             )
         self._elements = None
@@ -701,7 +702,9 @@ def classify_quasi_second_ring(ring: FiniteRing) -> str:
     local, maximal = ring.is_local()
     if local:
         zero = ring.zero
-        if all(ring.mul(x, y) == zero for x in maximal for y in maximal):
+        # x*y = y*x, so each unordered pair of the maximal ideal is tested once
+        pairs = itertools.combinations_with_replacement(maximal, 2)
+        if all(ring.mul(x, y) == zero for x, y in pairs):
             return QS_LOCAL_SQUARE_ZERO
         return NOT_QS
     one, zero = ring.one, ring.zero

@@ -502,29 +502,32 @@ def _r15(ctx):
 def _r16(ctx):
     if not ctx.qs:
         return VACUOUS, None, "not quasi second"
-    if ctx.E.order > modules.LATTICE_CAP:
-        return VACUOUS, None, "beyond the lattice cap"
-    for sub in modules.enumerate_submodules(ctx.E):
-        inner = modules.submodule_as_module(ctx.E, sub)
-        v = ctx.qs_finder(inner)
+    E = ctx.E
+    # past the lattice cap enumerate_submodules raises SizeCapExceeded,
+    # which _evaluate turns into a vacuous outcome
+    for sub in modules.enumerate_submodules(E):
+        v = ctx.qs_finder(modules.InducedAction.on_submodule(E, sub))
         if v is not None:
             return FAIL, (
                 f"submodule {{{','.join(sub.element_strs())}}} is not quasi "
                 f"second: a={v['a']} b={v['b']}"
             ), None
-        quot = modules.quotient_module(ctx.E, sub)
-        v = ctx.qs_finder(quot)
+        v = ctx.qs_finder(modules.InducedAction.on_quotient(E, sub))
         if v is not None:
             return FAIL, (
                 f"quotient by {{{','.join(sub.element_strs())}}} is not quasi "
                 f"second: a={v['a']} b={v['b']}"
             ), None
-    if ctx.E.kind == "cyclic_sum" and len(ctx.E.moduli) == 2:
-        for d in ctx.E.moduli:
-            summand = modules.cyclic_sum(ctx.E.domain, (d,))
-            v = ctx.qs_finder(summand)
+    if E.kind == "cyclic_sum" and len(E.moduli) == 2:
+        # summand j is the submodule of the elements that are zero off j
+        zero = E.elements[E.zero]
+        for j, d in enumerate(E.moduli):
+            summand = modules.Submodule(
+                E, elements=[x for x in E.elements if x[1 - j] == zero[1 - j]]
+            )
+            v = ctx.qs_finder(modules.InducedAction.on_submodule(E, summand))
             if v is not None:
-                return FAIL, f"summand {summand.spec_text} is not quasi second", None
+                return FAIL, f"summand {E.domain}:{d} is not quasi second", None
     return PASS, None, None
 
 
@@ -615,10 +618,7 @@ def _r19(ctx):
 
 def _r20(ctx):
     E = ctx.E
-    if not isinstance(E.residue_ring, rings.ZnRing) or E.kind not in (
-        "cyclic_sum",
-        "ring_cyclic",
-    ):
+    if not isinstance(E.residue_ring, rings.ZnRing):
         return VACUOUS, None, "integer instances only"
     if _empty(ctx):
         return VACUOUS, None, "empty space"
@@ -630,6 +630,8 @@ def _r20(ctx):
             class_of[member] = idx
     residues = sorted(class_of)
     ups = space.up
+    # the lcm sweep reads only the three classes, so it runs once per triple
+    checked = set()
     for a in residues:
         ua = ups[class_of[a]]
         for b in residues:
@@ -647,6 +649,10 @@ def _r20(ctx):
             lcm = a * b // g
             lr = lcm % n
             if lr in class_of:
+                key = (class_of[a], class_of[b], class_of[lr])
+                if key in checked:
+                    continue
+                checked.add(key)
                 ul = ups[class_of[lr]]
                 for i in range(space.n):
                     uc = ups[i]

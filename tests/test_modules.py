@@ -6,6 +6,7 @@ import pytest
 
 from qdivtop import modules, rings, scalars, verifier
 from qdivtop.modules import (
+    InducedAction,
     ModuleError,
     SizeCapExceeded,
     Submodule,
@@ -18,12 +19,10 @@ from qdivtop.modules import (
     is_quasi_second,
     is_second_module,
     is_second_submodule,
-    quotient_module,
     ring_cyclic,
     scalar_classes,
     structural_predicates,
     submodule_annihilator,
-    submodule_as_module,
     weak_idempotent_split,
 )
 from qdivtop.scalars import INTEGERS, poly_domain
@@ -55,20 +54,13 @@ def value_arithmetic(E):
     )
 
 
-def value_rows(E, N=None, D=None, arithmetic=None):
-    """row(r): the action of residue r read off value products, on E or,
-    given a submodule N, on D = the module N or the quotient E/N.  Both
-    label their elements with parent labels; a quotient element is the
-    coset holding the product."""
-    add, act = arithmetic or value_arithmetic(E)
-    M = D or E
-    index = M.elem_index
-    if M.kind == "quotient":
-        coset = {add(y, n): k for k, y in enumerate(M.elements) for n in N.elements}
-        index = coset.get
+def value_rows(E):
+    """row(r): the action of residue r on E read off value products."""
+    _, act = value_arithmetic(E)
+    index = E.elem_index
 
     def row(r):
-        return [index(act(r, x)) for x in M.elements]
+        return [index(act(r, x)) for x in E.elements]
 
     return row
 
@@ -298,25 +290,6 @@ def test_index_arithmetic_matches_value_arithmetic():
     ring = T.base_ring
     assert_index_arithmetic(T, ring.add, ring.neg, ring.mul)
 
-    E = build_module("Z:12")
-    sub = submodule_as_module(E, cyclic_image(E, 2))
-    assert sub.elements == tuple((a,) for a in range(0, 12, 2))
-    assert_index_arithmetic(
-        sub,
-        lambda x, y: ((x[0] + y[0]) % 12,),
-        lambda x: ((-x[0]) % 12,),
-        lambda r, x: ((r * x[0]) % 12,),
-    )
-    # E/4E on least coset members: a value reduces to its residue mod 4
-    quot = quotient_module(E, cyclic_image(E, 4))
-    assert quot.elements == ((0,), (1,), (2,), (3,))
-    assert_index_arithmetic(
-        quot,
-        lambda x, y: ((x[0] + y[0]) % 4,),
-        lambda x: ((-x[0]) % 4,),
-        lambda r, x: ((r * x[0]) % 4,),
-    )
-
 
 def test_lattice_cap():
     E = cyclic_sum(INTEGERS, (17, 17))
@@ -413,9 +386,19 @@ def test_structural_predicates_examples():
 def test_divisible_and_simple():
     assert structural_predicates(build_module("Z:5")).simple
     assert not structural_predicates(build_module("Z:5")).divisible
-    E = build_module("Z:4")
-    quot = quotient_module(E, cyclic_image(E, 1))  # E/E is the zero module
-    preds = structural_predicates(quot)
+    # E/E for E = Z:4, the zero module: one element over the zero ring
+    zero_ring = rings.QuotientRing(rings.ZnRing(4), frozenset(range(4)))
+    zero_module = modules.FiniteModule(
+        kind="zero",
+        spec_text="Z:4/Z:4",
+        residue_ring=zero_ring,
+        elements=((0,),),
+        zero=0,
+        add=lambda i, j: 0,
+        build_row=lambda r: [0],
+        format_element=str,
+    )
+    preds = structural_predicates(zero_module)
     assert preds.divisible and not preds.simple
 
 
@@ -442,26 +425,36 @@ def test_weak_split_parts_decompose():
         assert (p1.mask & p2.mask) == E.zero_mask
 
 
-# -- derived modules ---------------------------------------------------------------------
+# -- submodules and quotients through the parent's action ----------------------------
+
+
+def coset_count(Q):
+    return len(Q.format_mask(Q.full_mask))
+
+
+def proper_images(D):
+    ring = D.residue_ring
+    return {D.image_mask(r) for r in ring.elements} - {D.zero_mask, D.full_mask}
 
 
 def test_quotient_example():
     E = build_module("Z:8")
-    q = quotient_module(E, cyclic_image(E, 2))
-    assert q.order == 2
+    q = InducedAction.on_quotient(E, cyclic_image(E, 2))
+    assert coset_count(q) == 2
+    assert q.format_mask(q.full_mask) == ["0", "1"]
     assert is_quasi_second(q)
     assert is_second_module(q)
 
 
-def test_submodule_as_module_example():
+def test_submodule_example():
     E = build_module("Z:8")
-    sub = submodule_as_module(E, cyclic_image(E, 2))
-    assert sub.order == 4
+    sub = InducedAction.on_submodule(E, cyclic_image(E, 2))
+    assert sub.full_mask.bit_count() == 4
     assert is_quasi_second(sub)
-    # behaves like Z:4: one class with a two-element image
-    classes = scalar_classes(sub)
-    assert len(classes) == 1
-    assert classes[0].image.size == 2
+    # behaves like Z:4: one proper image, of two elements
+    assert [sub.format_mask(m) for m in proper_images(sub)] == [["0", "4"]]
+    # a residue acts through its divisor: 6N = 2N
+    assert sub.image_mask(6) == sub.image_mask(2)
 
 
 def direct_sum(E1, E2):
@@ -492,20 +485,48 @@ def test_direct_sum_domain_mismatch():
 def test_quotient_sizes_multiply():
     E = build_module("Z:12")
     for sub in enumerate_submodules(E):
-        q = quotient_module(E, sub)
-        assert q.order * sub.size == E.order
-        assert is_quasi_second(q) == (find_quasi_second_violation(q) is None)
+        q = InducedAction.on_quotient(E, sub)
+        assert coset_count(q) * sub.size == E.order
+        assert q.zero_mask == sub.mask and q.full_mask == E.full_mask
 
 
-def test_derived_modules_over_ring_cyclic():
+def test_induced_actions_over_ring_cyclic():
     T = build_module("ring:Trunc(2,2)")
     for sub in enumerate_submodules(T):
-        inner = submodule_as_module(T, sub)
-        quot = quotient_module(T, sub)
-        assert inner.order == sub.size
-        assert quot.order * sub.size == T.order
+        inner = InducedAction.on_submodule(T, sub)
+        quot = InducedAction.on_quotient(T, sub)
+        assert inner.full_mask == sub.mask and inner.zero_mask == T.zero_mask
+        assert coset_count(quot) * sub.size == T.order
         # quasi second passes to submodules and quotients here
         assert is_quasi_second(inner) and is_quasi_second(quot)
+
+
+
+def test_summands_are_lattice_submodules_with_the_summand_verdict():
+    # R16 checks each summand A/(d) of a two-summand sum as the submodule
+    # of the elements that are zero off it, through E's action
+    checked = 0
+    for spec in default_module_specs():
+        E = build_module(spec)
+        if E.kind != "cyclic_sum" or len(E.moduli) != 2:
+            continue
+        zero = E.elements[E.zero]
+        for j, d in enumerate(E.moduli):
+            off_j = [x for x in E.elements if x[1 - j] == zero[1 - j]]
+            N = Submodule(E, elements=off_j)
+            assert N.mask in E.lattice_masks(), spec
+            alone = cyclic_sum(E.domain, (d,))
+            assert N.size == alone.order, spec
+            via_e = find_quasi_second_violation(InducedAction.on_submodule(E, N))
+            assert (via_e is None) == is_quasi_second(alone), (spec, str(d))
+            checked += 1
+    assert checked == 282
+
+
+def test_induced_action_needs_its_own_submodule():
+    E, F = build_module("Z:4"), build_module("Z:4")
+    with pytest.raises(ModuleError):
+        InducedAction.on_quotient(E, cyclic_image(F, 2))
 
 
 # -- the residue reduction claim ------------------------------------------------------------
@@ -642,30 +663,6 @@ def test_additive_generators_span_the_ring():
         assert E.span(gens) == E.full_mask, ring.spec
 
 
-def test_cyclic_masks_of_derived_modules_match_the_column_or():
-    # submodules and quotients of every default-corpus module: Rx is the
-    # span over the residue ring's generators, never read off every row
-    modules_seen = elements = 0
-    for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS):
-        if inst.kind != "module":
-            continue
-        E = build_module(inst.spec_text)
-        if E.order > modules.LATTICE_CAP:
-            continue
-        # the derived modules share the parent's sums and products
-        arithmetic = tuple(functools.cache(f) for f in value_arithmetic(E))
-        for mask in E.lattice_masks():
-            N = Submodule._trusted(E, mask)
-            for D in (submodule_as_module(E, N), quotient_module(E, N)):
-                row = value_rows(E, N, D, arithmetic)
-                columns = zip(*(row(r) for r in D.residue_ring.elements))
-                for i, column in enumerate(columns):
-                    assert D.cyclic_mask(i) == modules._mask(column), (D.spec_text, i)
-                modules_seen += 1
-                elements += D.order
-    assert (modules_seen, elements) == (5410, 53618)
-
-
 def test_ring_addition_matches_ring_values():
     # the digit layout adds like the ring: every pair on the small rings,
     # seeded random pairs at the cap
@@ -693,24 +690,38 @@ def test_ring_module_needs_a_digit_layout():
         ring_cyclic(q)
 
 
-def literal_quasi_second_violation(E, row):
-    """The search over every pair of nonunit residues, in element order,
-    with each image read off the residue's row of value products."""
-    ring = E.residue_ring
-    units = ring.units()
-    nonunits = [(r, modules._mask(row(r))) for r in ring.elements if r not in units]
-    for ra, ma in nonunits:
-        if ma == E.full_mask:
+def literal_search(ring, images, zero, full, fmt):
+    """The quasi-second search over every pair of nonunit residues, in
+    element order: images maps each nonunit residue to its image as a set,
+    and fmt lists the elements of an image."""
+    pairs = list(images.items())
+    for ra, ia in pairs:
+        if ia == full:
             continue
-        for rb, mb in nonunits:
-            if mb != E.zero_mask and not (mb & ~ma) and mb != ma:
+        for rb, ib in pairs:
+            if ib != zero and ib < ia:
                 return {
                     "a": ring.format_element(ra),
                     "b": ring.format_element(rb),
-                    "aE": E.format_mask(ma),
-                    "bE": E.format_mask(mb),
+                    "aE": fmt(ia),
+                    "bE": fmt(ib),
                 }
     return None
+
+
+def literal_quasi_second_violation(E, row):
+    """The literal search on E, each image read off the residue's row of
+    value products."""
+    ring = E.residue_ring
+    units = ring.units()
+    images = {r: frozenset(row(r)) for r in ring.elements if r not in units}
+    return literal_search(
+        ring,
+        images,
+        frozenset({E.zero}),
+        frozenset(range(E.order)),
+        lambda s: E.format_mask(modules._mask(s)),
+    )
 
 
 def test_quasi_second_search_matches_the_pairwise_search():
@@ -723,10 +734,58 @@ def test_quasi_second_search_matches_the_pairwise_search():
         expected = literal_quasi_second_violation(E, value_rows(E))
         assert find_quasi_second_violation(E) == expected, spec
         witnesses += expected is not None
-        if E.order <= 16:
-            for mask in E.lattice_masks():
-                N = Submodule._trusted(E, mask)
-                Q = quotient_module(E, N)
-                literal = literal_quasi_second_violation(Q, value_rows(E, N, Q))
-                assert find_quasi_second_violation(Q) == literal
     assert witnesses > 0
+
+
+def test_induced_actions_match_the_literal_search():
+    # every lattice submodule N of every default-corpus module within the
+    # lattice cap: the search on N and on E/N through E's action, against
+    # the literal search over E's nonunit residues with images from value
+    # products: rN as an element set, and r(E/N) as the set of cosets
+    # r*x + N.  A quotient image is listed by its cosets' least members.
+    sides = witnesses = 0
+    for spec in default_module_specs():
+        E = build_module(spec)
+        if E.order > modules.LATTICE_CAP:
+            continue
+        add, act = value_arithmetic(E)
+        ring = E.residue_ring
+        units = ring.units()
+        nonunits = [r for r in ring.elements if r not in units]
+        index, label = E.elem_index, E.format_element
+        products = {r: [index(act(r, x)) for x in E.elements] for r in nonunits}
+
+        def listed(indices):
+            return [label(E.elements[i]) for i in sorted(indices)]
+
+        for mask in E.lattice_masks():
+            N = Submodule._trusted(E, mask)
+            members = list(modules._bits(mask))
+            # the cosets x + N, each found once, as index sets
+            coset = [None] * E.order
+            for i, x in enumerate(E.elements):
+                if coset[i] is None:
+                    c = frozenset(index(add(x, y)) for y in N.elements)
+                    for j in c:
+                        coset[j] = c
+            on_sub = {
+                r: frozenset(products[r][i] for i in members) for r in nonunits
+            }
+            on_quot = {r: frozenset(coset[j] for j in products[r]) for r in nonunits}
+            expected_sub = literal_search(
+                ring, on_sub, frozenset({E.zero}), frozenset(members), listed
+            )
+            expected_quot = literal_search(
+                ring,
+                on_quot,
+                frozenset({coset[E.zero]}),
+                frozenset(coset),
+                lambda cosets: listed(min(c) for c in cosets),
+            )
+            got_sub = find_quasi_second_violation(InducedAction.on_submodule(E, N))
+            got_quot = find_quasi_second_violation(InducedAction.on_quotient(E, N))
+            assert got_sub == expected_sub, (spec, N.element_strs())
+            assert got_quot == expected_quot, (spec, N.element_strs())
+            sides += 2
+            witnesses += (expected_sub is not None) + (expected_quot is not None)
+    assert (sides, witnesses) == (5410, 1388)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -13,8 +14,8 @@ from qdivtop.rings import (
     ProdRing,
     QuotientRing,
     QuotPolyRing,
-    RingCapExceeded,
     RingError,
+    SizeCapExceeded,
     TruncRing,
     ZnRing,
     build_ring,
@@ -49,7 +50,7 @@ def test_build_errors():
         build_ring("Wat(3)")
     with pytest.raises(RingError):
         build_ring("Zn(8))")
-    with pytest.raises(RingCapExceeded):
+    with pytest.raises(SizeCapExceeded):
         build_ring("Zn(5000)")
 
 
@@ -361,24 +362,37 @@ def quotient_error(parent, ideal):
     return None
 
 
-def test_quotient_ideal_check_matches_the_pairwise_definition(monkeypatch):
-    # record every quotient ring the default-corpus verify builds: R10, R11,
-    # R16 and R19 build all of them, 1,972 constructions of 418 distinct rings
-    from qdivtop import verifier
+@functools.cache
+def corpus_quotient_ideals():
+    """(ring, ideal) for every distinct killer ideal and colon ideal of a
+    lattice submodule of a default-corpus module: the annihilator of N and
+    the residues r with rE inside N, whose quotient rings describe N and
+    E/N."""
+    from qdivtop import modules, verifier
 
-    made = {}
-    init = QuotientRing.__init__
+    seen = {}
+    for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS):
+        if inst.kind != "module":
+            continue
+        E = modules.build_module(inst.spec_text)
+        ring = E.residue_ring
+        for mask in E.lattice_masks():
+            for ideal in (
+                modules._killer_residues(E, mask),
+                [r for r in ring.elements if not (E.image_mask(r) & ~mask)],
+            ):
+                seen.setdefault((ring.spec, frozenset(ideal)), ring)
+    return [(ring, ideal) for (_, ideal), ring in seen.items()]
 
-    def recording_init(self, parent, ideal):
-        made.setdefault((parent.spec, frozenset(ideal)), (parent, frozenset(ideal)))
-        init(self, parent, ideal)
 
-    monkeypatch.setattr(QuotientRing, "__init__", recording_init)
-    verifier.run_all(rule_ids=["R10", "R11", "R16", "R19"])
-    monkeypatch.undo()
-    assert len(made) == 418
+def test_quotient_ideal_check_matches_the_pairwise_definition():
+    # every killer and colon ideal of the default corpus; they include the
+    # 418 distinct ideals that the default verify once built quotient rings
+    # of through R10, R11, R16 and R19
+    ideals = corpus_quotient_ideals()
+    assert len(ideals) == 895
     verdicts = set()
-    for parent, ideal in made.values():
+    for parent, ideal in ideals:
         assert pairwise_ideal_error(parent, ideal) is None
         # one member fewer and one element more give sets that are often
         # not ideals: the two checks must reject them with the same message
@@ -411,30 +425,11 @@ def test_element_enumeration_is_sorted_and_indexed():
 
 def test_quotient_units_are_images_of_parent_units():
     # units lift modulo any ideal of a finite commutative ring; compare with
-    # the exhaustive product search on every quotient ring that a derived
-    # module of the default corpus uses (submodule and quotient side)
-    from qdivtop import modules, verifier
-
-    seen = set()
-    for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS):
-        if inst.kind != "module":
-            continue
-        E = modules.build_module(inst.spec_text)
-        ring = E.residue_ring
-        for mask in E.lattice_masks():
-            for ideal in (
-                modules._killer_residues(E, mask),
-                [r for r in ring.elements if not (E.image_mask(r) & ~mask)],
-            ):
-                key = (ring.spec, frozenset(ideal))
-                if key in seen:
-                    continue
-                seen.add(key)
-                q = QuotientRing(ring, ideal)
-                exhaustive = {
-                    x
-                    for x in q.elements
-                    if any(q.mul(x, y) == q.one for y in q.elements)
-                }
-                assert q.units() == exhaustive
-    assert len(seen) == 895
+    # the exhaustive product search on every quotient ring of a killer or
+    # colon ideal of the default corpus
+    for ring, ideal in corpus_quotient_ideals():
+        q = QuotientRing(ring, ideal)
+        exhaustive = {
+            x for x in q.elements if any(q.mul(x, y) == q.one for y in q.elements)
+        }
+        assert q.units() == exhaustive

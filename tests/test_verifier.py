@@ -1,4 +1,8 @@
+import itertools
 import json
+import math
+import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -217,6 +221,27 @@ def test_r16_uses_the_injected_predicate():
     assert pristine.tallies()["R16"][PASS] == 1
 
 
+def test_r16_builds_no_derived_module_or_quotient_ring(monkeypatch):
+    # N and E/N are read through the instance module's own action: the only
+    # module built is the instance's, and no quotient ring is built at all
+    built = []
+    module_init = modules.FiniteModule.__init__
+
+    def recording_module_init(self, **kwargs):
+        built.append(kwargs["spec_text"])
+        module_init(self, **kwargs)
+
+    def no_quotient_ring(self, parent, ideal):
+        raise AssertionError(f"R16 built a quotient ring of {parent.spec}")
+
+    monkeypatch.setattr(modules.FiniteModule, "__init__", recording_module_init)
+    monkeypatch.setattr(verifier.rings.QuotientRing, "__init__", no_quotient_ring)
+    corpus = [i for i in generate_corpus() if i.kind == "module"]
+    report = run_all(corpus, rule_ids=["R16"])
+    assert built == [i.spec_text for i in corpus]
+    assert report.tallies()["R16"][PASS] == 153
+
+
 # spaces of 16-18 points, past the old 14-point oracle cap, whose open sets
 # fit the open-set cap: the oracle decides every axiom-reading rule
 WIDE_SLICE = ["Z:180", "Z:240", "Z:288", "F2[x]:x^3+x^2+x+1,x^4"]
@@ -249,3 +274,89 @@ def test_past_the_open_set_cap_oracle_rules_are_vacuous(monkeypatch):
         if o.rule_id in ORACLE_RULES:
             assert o.verdict == VACUOUS, o.rule_id
             assert o.note.startswith("size cap: open-set enumeration"), o.rule_id
+
+
+def per_pair_r20(ctx):
+    """R20's three checks on every ordered pair of class residues, the lcm
+    sweep included: the definition the once-per-class-triple sweep must
+    reproduce, witness and all."""
+    space, n = ctx.space, ctx.E.residue_ring.n
+    class_of = {m: k for k, c in enumerate(ctx.classes) for m in c.members}
+    ups = space.up
+    for a in sorted(class_of):
+        ua = ups[class_of[a]]
+        for b in sorted(class_of):
+            ub = ups[class_of[b]]
+            if b % a == 0 and (ua & ~ub):
+                return FAIL, f"{a} divides {b} but U_{a} is not inside U_{b}"
+            g = math.gcd(a, b)
+            if g % n in class_of and ups[class_of[g % n]] != (ua & ub):
+                return FAIL, (
+                    f"U_gcd({a},{b}) != U_{a} & U_{b}: "
+                    f"{space.label_set(ups[class_of[g % n]])} vs "
+                    f"{space.label_set(ua & ub)}"
+                )
+            lr = (a * b // g) % n
+            if lr in class_of:
+                ul = ups[class_of[lr]]
+                for i in range(space.n):
+                    uc = ups[i]
+                    if not (uc & ~ua) and not (uc & ~ub) and (uc & ~ul):
+                        return FAIL, (
+                            f"U_{space.labels[i]} inside U_{a} and U_{b} "
+                            f"but not inside U_lcm({a},{b})"
+                        )
+    return PASS, None
+
+
+def planted_contexts(spec, rng, trials):
+    """R20 contexts on the classes of spec with wrong orders planted: the
+    space as it is, or with two of its points merged into one (classes and
+    up-sets joined), and each time one to three bits of the up-sets flipped
+    (ten times as many trials on the space as it is).  Merged classes make
+    the lcm class depend on more than the classes of the pair."""
+    ctx = verifier._make_ctx(Instance("module", spec), verifier.QS_VIOLATION_FINDER)
+    classes, space = ctx.classes, ctx.space
+    n = space.n
+    for merge in [None] + list(itertools.combinations(range(n), 2)):
+        keep = [k for k in range(n) if merge is None or k != merge[1]]
+        pos = {k: p for p, k in enumerate(keep)}
+        if merge is not None:
+            pos[merge[1]] = pos[merge[0]]
+        members = [() for _ in keep]
+        ups = [0] * len(keep)
+        for k in range(n):
+            members[pos[k]] += classes[k].members
+            for q in modules._bits(space.up[k]):
+                ups[pos[k]] |= 1 << pos[q]
+        labels = [space.labels[k] for k in keep]
+        for _ in range(trials if merge is not None else 10 * trials):
+            up = list(ups)
+            for _ in range(rng.randint(1, 3)):
+                k, q = rng.sample(range(len(up)), 2)
+                up[k] ^= 1 << q
+            planted = SimpleNamespace(
+                up=tuple(up),
+                n=len(up),
+                labels=labels,
+                label_set=lambda m, ls=labels: [ls[q] for q in modules._bits(m)],
+            )
+            yield merge is not None, SimpleNamespace(
+                E=ctx.E,
+                classes=[SimpleNamespace(members=m) for m in members],
+                space=planted,
+                n=planted.n,
+            )
+
+
+def test_r20_matches_the_per_pair_sweep_on_planted_orders():
+    # R20 runs its lcm sweep once per class triple; on every planted order
+    # it must fail exactly where the per-pair sweep fails, with its witness
+    rng = random.Random(20)
+    lcm_witnesses = {False: 0, True: 0}
+    for spec in ("Z:12", "Z:36", "Z:2,12"):
+        for merged, ctx in planted_contexts(spec, rng, 30):
+            expected = per_pair_r20(ctx)
+            assert RULES["R20"].fn(ctx)[:2] == expected, (spec, ctx.space.up)
+            lcm_witnesses[merged] += "U_lcm" in (expected[1] or "")
+    assert lcm_witnesses == {False: 19, True: 89}
