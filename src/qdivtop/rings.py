@@ -289,12 +289,12 @@ class FiniteRing:
                 raise RingError(f"{self.spec}: identity laws fail at {x!r}")
             if self.add(x, self.neg(x)) != zero:
                 raise RingError(f"{self.spec}: negation fails at {x!r}")
-        for x in elems:
-            for y in elems:
-                if self.mul(x, y) != self.mul(y, x):
-                    raise RingError(f"{self.spec}: multiplication is not commutative")
-                if self.add(x, y) != self.add(y, x):
-                    raise RingError(f"{self.spec}: addition is not commutative")
+        # operations are pure, so (y, x) repeats (x, y) and x*x = x*x holds
+        for x, y in itertools.combinations(elems, 2):
+            if self.mul(x, y) != self.mul(y, x):
+                raise RingError(f"{self.spec}: multiplication is not commutative")
+            if self.add(x, y) != self.add(y, x):
+                raise RingError(f"{self.spec}: addition is not commutative")
 
     def __eq__(self, other):
         return isinstance(other, FiniteRing) and self.spec == other.spec

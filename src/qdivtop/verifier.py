@@ -14,7 +14,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import modules, oracle, rings, scalars, topology
 
@@ -518,16 +518,6 @@ def _r16(ctx):
                 f"quotient by {{{','.join(sub.element_strs())}}} is not quasi "
                 f"second: a={v['a']} b={v['b']}"
             ), None
-    if E.kind == "cyclic_sum" and len(E.moduli) == 2:
-        # summand j is the submodule of the elements that are zero off j
-        zero = E.elements[E.zero]
-        for j, d in enumerate(E.moduli):
-            summand = modules.Submodule(
-                E, elements=[x for x in E.elements if x[1 - j] == zero[1 - j]]
-            )
-            v = ctx.qs_finder(modules.InducedAction.on_submodule(E, summand))
-            if v is not None:
-                return FAIL, f"summand {E.domain}:{d} is not quasi second", None
     return PASS, None, None
 
 
@@ -667,24 +657,46 @@ def _r20(ctx):
     )
 
 
-def _direct_image(E, a):
-    """aE from the presentation alone: the product over the summands of
-    {a*x mod d}, one image set per distinct modulus d in the domain's own
-    arithmetic."""
-    images = {}
-    for d in {m.value for m in E.moduli}:
-        if E.domain.kind == "int":
-            images[d] = {(a * x) % d for x in range(d)}
-        else:
-            p = E.domain.char
-            images[d] = {
-                scalars.pdivmod(scalars.pmul(a, x, p), d, p)[1]
-                for x in itertools.product(range(p), repeat=scalars.pdeg(d))
-            }
-    mask = 0
-    for val in itertools.product(*(images[m.value] for m in E.moduli)):
-        mask |= 1 << E.elem_index(val)
-    return mask
+def _direct_image(E):
+    """a -> the mask of aE from the presentation alone. x -> a*x mod d is
+    additive, so a(A/(d)) is spanned by the columns a*g mod d, a product of the
+    full a with each additive generator g of A/(d) (1 over Z; 1, t, ...,
+    t^(deg d - 1) over F_p[x]). Its span and mask memos end with one _r21 call."""
+    moduli = [m.value for m in E.moduli]
+    if E.domain.kind == "int":
+        zero, gens = 0, {d: (1,) for d in moduli}
+        mul, add = (lambda a, g, d: a * g % d), (lambda x, y, d: (x + y) % d)
+    else:
+        p, zero = E.domain.char, ()
+        gens = {d: [(0,) * i + (1,) for i in range(scalars.pdeg(d))] for d in moduli}
+        mul = lambda a, g, d: scalars.pdivmod(scalars.pmul(a, g, p), d, p)[1]
+        add = lambda x, y, d: scalars.padd(x, y, p)
+
+    @cache
+    def span(d, cols):
+        out, members = [zero], {zero}
+        for c in cols:
+            if c in members:
+                continue
+            # appending while iterating closes the span under adding c
+            for x in out:
+                y = add(x, c, d)
+                if y not in members:
+                    members.add(y)
+                    out.append(y)
+        return out
+
+    @cache
+    def mask_of(key):
+        # spans hold no repeats, so the sum of the bits is their union
+        vals = itertools.product(*(span(d, c) for d, c in zip(moduli, key)))
+        return sum(1 << E.elem_index(v) for v in vals)
+
+    def image(a):
+        cols = {d: tuple(mul(a, g, d) for g in gs) for d, gs in gens.items()}
+        return mask_of(tuple(cols[d] for d in moduli))
+
+    return image
 
 
 def _r21(ctx):
@@ -693,9 +705,10 @@ def _r21(ctx):
         return VACUOUS, None, "needs an explicit cyclic-sum presentation"
     ring = E.residue_ring
     units = ring.units()
+    image = _direct_image(E)
     if E.domain.kind == "int":
         n = ring.n
-        samples = [(a, a % n, _direct_image(E, a)) for a in range(-2 * n, 2 * n + 1)]
+        samples = [(a, a % n, image(a)) for a in range(-2 * n, 2 * n + 1)]
         fmt = str
     else:
         p = E.domain.char
@@ -712,7 +725,7 @@ def _r21(ctx):
             shift = (0,) * (j - deg) + (1,)
             sample_polys.add(scalars.padd(scalars.pmul(g, shift, p), (1, 1), p))
         samples = [
-            (a, scalars.pdivmod(a, g, p)[1], _direct_image(E, a))
+            (a, scalars.pdivmod(a, g, p)[1], image(a))
             for a in sorted(sample_polys, key=lambda c: (len(c), c))
         ]
         fmt = scalars.format_poly

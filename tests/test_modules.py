@@ -503,8 +503,9 @@ def test_induced_actions_over_ring_cyclic():
 
 
 def test_summands_are_lattice_submodules_with_the_summand_verdict():
-    # R16 checks each summand A/(d) of a two-summand sum as the submodule
-    # of the elements that are zero off it, through E's action
+    # each summand A/(d) of a two-summand sum, the submodule of the elements
+    # that are zero off it, is in the lattice that R16 walks, and E's action
+    # on it gives the summand's own verdict: R16 needs no separate summand check
     checked = 0
     for spec in default_module_specs():
         E = build_module(spec)

@@ -323,6 +323,54 @@ def test_ring_laws_whole_default_catalog():
             ), spec
 
 
+class LawBreakingZn(ZnRing):
+    """Zn(n) with one operation wrong at one ordered pair, run through the
+    construction check that validates catalog rings."""
+
+    def __init__(self, n, op=None, pair=None):
+        self.op, self.pair = op, pair
+        super().__init__(n)
+        self._init_common(validate=True)
+
+    def _broken(self, op, x, y, value):
+        return (value + 1) % self.n if (op, (x, y)) == (self.op, self.pair) else value
+
+    def add(self, x, y):
+        return self._broken("add", x, y, super().add(x, y))
+
+    def mul(self, x, y):
+        return self._broken("mul", x, y, super().mul(x, y))
+
+
+def test_construction_check_accepts_the_unbroken_ring():
+    assert LawBreakingZn(6).order == 6
+
+
+@pytest.mark.parametrize("op, law", [("mul", "multiplication"), ("add", "addition")])
+def test_construction_check_rejects_a_non_commutative_operation(op, law):
+    # every ordered pair off the identities, so both the pair whose first
+    # element comes first in element order and the reverse one, down to
+    # the last pair (4, 5) and (5, 4); the additive inverse pairs would trip
+    # the negation law first
+    n = 6
+    pairs = [
+        (x, y)
+        for x in range(2, n)
+        for y in range(2, n)
+        if x != y and (op == "mul" or (x + y) % n)
+    ]
+    assert (4, 5) in pairs and (5, 4) in pairs
+    for pair in pairs:
+        with pytest.raises(RingError, match=f"{law} is not commutative"):
+            LawBreakingZn(n, op, pair)
+
+
+@pytest.mark.parametrize("op, pair", [("mul", (3, 1)), ("add", (3, 0))])
+def test_construction_check_rejects_a_broken_identity(op, pair):
+    with pytest.raises(RingError, match="identity laws fail at 3"):
+        LawBreakingZn(6, op, pair)
+
+
 def test_quotient_ring():
     z8 = ZnRing(8)
     q = QuotientRing(z8, frozenset({0, 4}))

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qdivtop import modules, verifier
+from qdivtop import modules, scalars, verifier
 from qdivtop.verifier import (
     FAIL,
     PASS,
@@ -360,3 +360,67 @@ def test_r20_matches_the_per_pair_sweep_on_planted_orders():
             assert RULES["R20"].fn(ctx)[:2] == expected, (spec, ctx.space.up)
             lcm_witnesses[merged] += "U_lcm" in (expected[1] or "")
     assert lcm_witnesses == {False: 19, True: 89}
+
+
+# R21 builds each direct image as a span of a*g; every sample it draws is
+# checked here against the literal {a*x mod d : x in A/(d)} over every x
+R21_EXTRA = ["Z:64,64", "F2[x]:x^8", "F3[x]:x^5"]
+
+
+def literal_image_mask(E, a, literal):
+    """The mask of the product over the summands of {a*x mod d}. a*x and
+    a'*x agree mod d when a and a' do, so each set is built once per residue
+    of a mod d, with the first sample a that has that residue."""
+    sets = []
+    for m in E.moduli:
+        d = m.value
+        if E.domain.kind == "int":
+            key = (d, a % d)
+            if key not in literal:
+                literal[key] = {a * x % d for x in range(d)}
+        else:
+            p = E.domain.char
+            key = (d, scalars.pdivmod(a, d, p)[1])
+            if key not in literal:
+                literal[key] = {
+                    scalars.pdivmod(scalars.pmul(a, x, p), d, p)[1]
+                    for x in itertools.product(range(p), repeat=scalars.pdeg(d))
+                }
+        sets.append(literal[key])
+    mask = 0
+    for val in itertools.product(*sets):
+        mask |= 1 << E.elem_index(val)
+    return mask
+
+
+def test_r21_direct_images_match_the_literal_definition(monkeypatch):
+    modules_seen, drawn = [], []
+    span_built = verifier._direct_image
+
+    def recording(E):
+        modules_seen.append(E)
+        image = span_built(E)
+
+        def record(a):
+            drawn.append((a, image(a)))
+            return drawn[-1][1]
+
+        return record
+
+    monkeypatch.setattr(verifier, "_direct_image", recording)
+    specs = [i.spec_text for i in generate_corpus() if i.kind == "module"] + R21_EXTRA
+    checked = 0
+    for spec in specs:
+        modules_seen.clear()
+        drawn.clear()
+        outcome = run_rule("R21", Instance("module", spec))
+        if outcome.verdict == VACUOUS:
+            assert spec.startswith("ring:") and not modules_seen, spec
+            continue
+        assert outcome.verdict == PASS, spec
+        [E], literal = modules_seen, {}
+        assert drawn, spec
+        for a, mask in drawn:
+            assert mask == literal_image_mask(E, a, literal), (spec, a)
+        checked += 1
+    assert checked == 163 + len(R21_EXTRA)
