@@ -33,12 +33,18 @@ is the additive span of the products g*x.  Modules over a ring add through
 the layout instead of through ring values.  Quotients have no layout; their
 generators are the coset representatives of the parent's.
 
-Commutativity and the identity laws are checked exhaustively on
-construction for the composite constructors up to order 64; the
-associativity/distributivity sweeps live in the test suite.  Element order
-is lexicographic on canonical coordinates, so every derived set (units,
-radicals, ideals) is deterministic.  Rings are immutable and all
-operations are pure.
+A ``Trunc``, ``Prod`` or ``Ideal`` ring of order at most 64
+(``CONSTRUCTION_CHECK_CAP``) builds its add, mul and neg tables on element
+indices once, at construction: ``Trunc`` from its value arithmetic on every
+pair, ``Prod`` and ``Ideal`` from their factors' tables (a factor without
+tables of its own gets them from its value arithmetic on every pair).  The
+identity, negation and commutativity laws are checked exhaustively on
+those tables, and the ring's ``add``, ``mul``, ``neg`` and ``mul_row`` then
+read them, so the check covers the operations in use.  Larger rings keep
+their value arithmetic.  The associativity/distributivity sweeps live in
+the test suite.  Element order is lexicographic on canonical coordinates,
+so every derived set (units, radicals, ideals) is deterministic.  Rings
+are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -201,6 +207,24 @@ class FiniteRing:
             [index(self.mul(t, g)) for g in self.additive_generators()]
         )
 
+    def _make_tables(self):
+        """(add, mul, neg) on element indices, from the value operations:
+        entry i*n + j of add and mul is the index of x_i + x_j and of
+        x_i * x_j, entry i of neg the index of -x_i."""
+        elems, index = self.elements, self.index
+        add, mul = array("H"), array("H")
+        for x in elems:
+            add.extend(index(self.add(x, y)) for y in elems)
+            mul.extend(index(self.mul(x, y)) for y in elems)
+        return add, mul, array("H", (index(self.neg(x)) for x in elems))
+
+    def index_tables(self) -> tuple:
+        """The ring's (add, mul, neg) tables on element indices; see
+        ``_make_tables``."""
+        if self._tables is None:
+            self._tables = self._make_tables()
+        return self._tables
+
     def sort_key(self, x):
         raise NotImplementedError
 
@@ -221,8 +245,11 @@ class FiniteRing:
         # caches exist from construction on: an attribute first set later
         # slows every attribute read on the ring (``self.n`` in ``add``)
         self._layout = None
+        self._tables = None
         if validate and self.order <= CONSTRUCTION_CHECK_CAP:
-            self._check_commutative_with_identity()
+            tables = self.index_tables()
+            self._check_tables(*tables)
+            self._read_tables(*tables)
 
     @property
     def elements(self) -> tuple:
@@ -281,20 +308,45 @@ class FiniteRing:
             return False, None
         return True, frozenset(x for x in self.elements if not self.is_unit(x))
 
-    def _check_commutative_with_identity(self):
-        elems = self.elements
-        zero, one = self.zero, self.one
-        for x in elems:
-            if self.add(x, zero) != x or self.mul(x, one) != x:
+    def _check_tables(self, add, mul, neg):
+        n, elems = self.order, self.elements
+        zero, one = self.index(self.zero), self.index(self.one)
+        for i, x in enumerate(elems):
+            if add[i * n + zero] != i or mul[i * n + one] != i:
                 raise RingError(f"{self.spec}: identity laws fail at {x!r}")
-            if self.add(x, self.neg(x)) != zero:
+            if add[i * n + neg[i]] != zero:
                 raise RingError(f"{self.spec}: negation fails at {x!r}")
-        # operations are pure, so (y, x) repeats (x, y) and x*x = x*x holds
-        for x, y in itertools.combinations(elems, 2):
-            if self.mul(x, y) != self.mul(y, x):
+        # row i right of the diagonal against column i below it: every
+        # unordered pair once, and x*x = x*x holds
+        for i in range(n - 1):
+            right = slice(i * n + i + 1, (i + 1) * n)
+            below = slice((i + 1) * n + i, n * n, n)
+            if mul[right] != mul[below]:
                 raise RingError(f"{self.spec}: multiplication is not commutative")
-            if self.add(x, y) != self.add(y, x):
+            if add[right] != add[below]:
                 raise RingError(f"{self.spec}: addition is not commutative")
+
+    def _read_tables(self, add_t, mul_t, neg_t):
+        """Point add, mul, neg and mul_row at the checked index tables, so
+        that the construction check covers the operations in use."""
+        n, elems = self.order, self.elements
+        self.index(self.zero)  # builds the value -> index map
+        index = self._index
+
+        def add(x, y):
+            return elems[add_t[index[x] * n + index[y]]]
+
+        def mul(x, y):
+            return elems[mul_t[index[x] * n + index[y]]]
+
+        def neg(x):
+            return elems[neg_t[index[x]]]
+
+        def mul_row(t):
+            k = index[t] * n
+            return mul_t[k : k + n].tolist()
+
+        self.add, self.mul, self.neg, self.mul_row = add, mul, neg, mul_row
 
     def __eq__(self, other):
         return isinstance(other, FiniteRing) and self.spec == other.spec
@@ -531,6 +583,25 @@ class ProdRing(FiniteRing):
         # element (x, y) sits at index(x) * |R2| + index(y)
         return DigitLayout.product([self.r1.layout, self.r2.layout])
 
+    def _make_tables(self):
+        # row (x1, x2) of a table joins row x1 of R1's with row x2 of R2's
+        join = self.layout.join
+        n1, n2 = self.r1.order, self.r2.order
+
+        def combine(t1, t2):
+            out = array("H")
+            for i1 in range(n1):
+                row1 = t1[i1 * n1 : (i1 + 1) * n1]
+                for i2 in range(n2):
+                    out.extend(join([row1, t2[i2 * n2 : (i2 + 1) * n2]]))
+            return out
+
+        (add1, mul1, neg1), (add2, mul2, neg2) = (
+            self.r1.index_tables(),
+            self.r2.index_tables(),
+        )
+        return combine(add1, add2), combine(mul1, mul2), array("H", join([neg1, neg2]))
+
 
 class IdealizeRing(FiniteRing):
     """R x R^d with product (a1,m1)(a2,m2) = (a1*a2, a1*m2 + a2*m1)."""
@@ -586,6 +657,23 @@ class IdealizeRing(FiniteRing):
     def _make_layout(self):
         # the element order is lexicographic on the d + 1 base coordinates
         return DigitLayout.product([self.base.layout] * (self.d + 1))
+
+    def _make_tables(self):
+        # element (a, m_1..m_d) has the base indices as its base-|R| digits
+        b_add, b_mul, b_neg = self.base.index_tables()
+        nb, join = self.base.order, self.layout.join
+        coords = list(itertools.product(range(nb), repeat=self.d + 1))
+        add, mul = array("H"), array("H")
+        for x in coords:
+            add.extend(join([b_add[c * nb : (c + 1) * nb] for c in x]))
+            row1, m1 = x[0] * nb, x[1:]
+            for a2, *m2 in coords:
+                # (a1*a2, a1*m2 + a2*m1), one base digit at a time
+                code, row2 = b_mul[row1 + a2], a2 * nb
+                for u, v in zip(m1, m2):
+                    code = code * nb + b_add[b_mul[row1 + v] * nb + b_mul[row2 + u]]
+                mul.append(code)
+        return add, mul, array("H", join([b_neg] * (self.d + 1)))
 
 
 class QuotientRing(FiniteRing):

@@ -659,20 +659,40 @@ def _r20(ctx):
 
 def _direct_image(E):
     """a -> the mask of aE from the presentation alone. x -> a*x mod d is
-    additive, so a(A/(d)) is spanned by the columns a*g mod d, a product of the
-    full a with each additive generator g of A/(d) (1 over Z; 1, t, ...,
-    t^(deg d - 1) over F_p[x]). Its span and mask memos end with one _r21 call."""
+    additive, so a(A/(d)) is spanned by the columns a*g mod d over the
+    additive generators g of A/(d): 1 over Z; 1, t, ..., t^(deg d - 1) over
+    F_p[x]. Column 0 is the full a reduced mod d. Column i+1 is t times
+    column i mod d: a shift, then at most one subtraction of a multiple of
+    the monic d. Spans are memoized only with two or more summands, where a
+    summand's span recurs next to different spans of the others; the mask
+    memo ends with one _r21 call."""
     moduli = [m.value for m in E.moduli]
     if E.domain.kind == "int":
-        zero, gens = 0, {d: (1,) for d in moduli}
-        mul, add = (lambda a, g, d: a * g % d), (lambda x, y, d: (x + y) % d)
+        zero = 0
+
+        def columns(a, d):
+            return (a % d,)
+
+        def add(x, y, d):
+            return (x + y) % d
+
     else:
         p, zero = E.domain.char, ()
-        gens = {d: [(0,) * i + (1,) for i in range(scalars.pdeg(d))] for d in moduli}
-        mul = lambda a, g, d: scalars.pdivmod(scalars.pmul(a, g, p), d, p)[1]
-        add = lambda x, y, d: scalars.padd(x, y, p)
 
-    @cache
+        def columns(a, d):
+            col, top = scalars.pdivmod(a, d, p)[1], scalars.pdeg(d)
+            cols = [col]
+            for _ in range(top - 1):
+                col = (0,) + col if col else ()
+                if len(col) > top:
+                    c = col[top]
+                    col = scalars.ptrim(tuple((x - c * y) % p for x, y in zip(col, d)))
+                cols.append(col)
+            return tuple(cols)
+
+        def add(x, y, d):
+            return scalars.padd(x, y, p)
+
     def span(d, cols):
         out, members = [zero], {zero}
         for c in cols:
@@ -686,14 +706,19 @@ def _direct_image(E):
                     out.append(y)
         return out
 
+    if len(moduli) > 1:
+        span = cache(span)
+
     @cache
     def mask_of(key):
         # spans hold no repeats, so the sum of the bits is their union
         vals = itertools.product(*(span(d, c) for d, c in zip(moduli, key)))
         return sum(1 << E.elem_index(v) for v in vals)
 
+    distinct = set(moduli)
+
     def image(a):
-        cols = {d: tuple(mul(a, g, d) for g in gs) for d, gs in gens.items()}
+        cols = {d: columns(a, d) for d in distinct}
         return mask_of(tuple(cols[d] for d in moduli))
 
     return image

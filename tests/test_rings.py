@@ -1,11 +1,12 @@
 import functools
 import itertools
 import random
+from array import array
 
 import pytest
 
 from qdivtop.modules import find_quasi_second_violation, is_quasi_second, ring_cyclic
-from qdivtop.scalars import padd, pdivmod, pneg
+from qdivtop.scalars import padd, pdivmod, pmul, pneg
 from qdivtop.rings import (
     NOT_QS,
     QS_LOCAL_SQUARE_ZERO,
@@ -300,37 +301,115 @@ def test_ring_laws_random_triples_order64():
 
 
 def test_ring_laws_whole_default_catalog():
-    # every catalog ring: all triples up to order 32, 10^4 seeded random
-    # triples above
+    # every catalog ring, on its index tables: the operations that add, mul
+    # and mul_row read for the rings of order <= 64 that are checked on
+    # construction, and the value operations on every pair for the others.
+    # All triples up to order 32, as rows over z for each (x, y); 10^4
+    # seeded random triples above
     from qdivtop import verifier
 
     for spec in verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS):
         ring = build_ring(spec)
-        elems = ring.elements
-        if ring.order <= 32:
-            triples = itertools.product(elems, repeat=3)
-        else:
-            rng = random.Random(sum(spec.encode()))
-            triples = (
-                tuple(elems[rng.randrange(len(elems))] for _ in range(3))
-                for _ in range(10_000)
-            )
-        for x, y, z in triples:
-            assert ring.mul(ring.mul(x, y), z) == ring.mul(x, ring.mul(y, z)), spec
-            assert ring.add(ring.add(x, y), z) == ring.add(x, ring.add(y, z)), spec
-            assert ring.mul(x, ring.add(y, z)) == ring.add(
-                ring.mul(x, y), ring.mul(x, z)
-            ), spec
+        add, mul, _ = ring.index_tables()
+        n = ring.order
+        if n <= 32:
+            rows = [(mul[x * n : x * n + n], add[x * n : x * n + n]) for x in range(n)]
+            for x, y in itertools.product(range(n), repeat=2):
+                (mul_x, add_x), (mul_y, add_y) = rows[x], rows[y]
+                xy, x_plus_y = mul_x[y], add_x[y]
+                assert rows[xy][0] == array("H", map(mul_x.__getitem__, mul_y)), spec
+                assert rows[x_plus_y][1] == array(
+                    "H", map(add_x.__getitem__, add_y)
+                ), spec
+                assert array("H", map(mul_x.__getitem__, add_y)) == array(
+                    "H", map(rows[xy][1].__getitem__, mul_x)
+                ), spec
+            continue
+        rng = random.Random(sum(spec.encode()))
+        for _ in range(10_000):
+            x, y, z = (rng.randrange(n) for _ in range(3))
+            assert mul[mul[x * n + y] * n + z] == mul[x * n + mul[y * n + z]], spec
+            assert add[add[x * n + y] * n + z] == add[x * n + add[y * n + z]], spec
+            assert mul[x * n + add[y * n + z]] == add[
+                mul[x * n + y] * n + mul[x * n + z]
+            ], spec
+
+
+def literal_ops(ring):
+    """(add, mul, neg) on values, from each constructor's definition over
+    its factors' literal operations."""
+    if isinstance(ring, ZnRing):
+        n = ring.n
+        return (lambda x, y: (x + y) % n), (lambda x, y: x * y % n), (lambda x: -x % n)
+    if isinstance(ring, QuotPolyRing):
+        p, f = ring.p, ring.modulus
+        return (
+            lambda x, y: padd(x, y, p),
+            functools.cache(lambda x, y: pdivmod(pmul(x, y, p), f, p)[1]),
+            lambda x: pneg(x, p),
+        )
+    if isinstance(ring, TruncRing):
+        p = ring.p
+        return (
+            lambda x, y: tuple((a + b) % p for a, b in zip(x, y)),
+            lambda x, y: (x[0] * y[0] % p,)
+            + tuple((x[0] * b + y[0] * a) % p for a, b in zip(x[1:], y[1:])),
+            lambda x: tuple(-a % p for a in x),
+        )
+    if isinstance(ring, ProdRing):
+        (add1, mul1, neg1), (add2, mul2, neg2) = literal_ops(ring.r1), literal_ops(ring.r2)
+        return (
+            lambda x, y: (add1(x[0], y[0]), add2(x[1], y[1])),
+            lambda x, y: (mul1(x[0], y[0]), mul2(x[1], y[1])),
+            lambda x: (neg1(x[0]), neg2(x[1])),
+        )
+    assert isinstance(ring, IdealizeRing)
+    add, mul, neg = literal_ops(ring.base)
+    return (
+        lambda x, y: (add(x[0], y[0]), tuple(map(add, x[1], y[1]))),
+        lambda x, y: (
+            mul(x[0], y[0]),
+            tuple(add(mul(x[0], m2), mul(y[0], m1)) for m1, m2 in zip(x[1], y[1])),
+        ),
+        lambda x: (neg(x[0]), tuple(map(neg, x[1]))),
+    )
+
+
+def test_index_tables_match_the_literal_operations():
+    # every catalog ring checked on construction reads its operations from
+    # index tables built from its factors' tables; every entry, and the
+    # value operations and rows that read them, against the definitions
+    from qdivtop import verifier
+
+    checked = 0
+    for spec in verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS):
+        ring = build_ring(spec)
+        if isinstance(ring, (ZnRing, QuotPolyRing)):
+            continue
+        assert ring.order <= 64, spec
+        add, mul, neg = literal_ops(ring)
+        add_t, mul_t, neg_t = ring.index_tables()
+        elems, index, n = ring.elements, ring.index, ring.order
+        for i, x in enumerate(elems):
+            assert neg_t[i] == index(neg(x)) and ring.neg(x) == neg(x), (spec, x)
+            products = [index(mul(x, y)) for y in elems]
+            assert ring.mul_row(x) == products == mul_t[i * n : i * n + n].tolist()
+            assert add_t[i * n : i * n + n].tolist() == [index(add(x, y)) for y in elems]
+            for y in elems:
+                assert ring.add(x, y) == add(x, y) and ring.mul(x, y) == mul(x, y)
+        checked += 1
+    assert checked == 51
 
 
 class LawBreakingZn(ZnRing):
     """Zn(n) with one operation wrong at one ordered pair, run through the
     construction check that validates catalog rings."""
 
-    def __init__(self, n, op=None, pair=None):
+    def __init__(self, n, op=None, pair=None, check=True):
         self.op, self.pair = op, pair
         super().__init__(n)
-        self._init_common(validate=True)
+        if check:
+            self._init_common(validate=True)
 
     def _broken(self, op, x, y, value):
         return (value + 1) % self.n if (op, (x, y)) == (self.op, self.pair) else value
@@ -369,6 +448,26 @@ def test_construction_check_rejects_a_non_commutative_operation(op, law):
 def test_construction_check_rejects_a_broken_identity(op, pair):
     with pytest.raises(RingError, match="identity laws fail at 3"):
         LawBreakingZn(6, op, pair)
+
+
+@pytest.mark.parametrize(
+    "op, pair, message",
+    [
+        ("mul", (4, 5), "multiplication is not commutative"),
+        ("add", (4, 5), "addition is not commutative"),
+        ("mul", (3, 1), "identity laws fail at"),
+    ],
+)
+def test_construction_check_rejects_a_composite_ring_with_a_broken_factor(
+    op, pair, message
+):
+    # the factor runs no check of its own; the composite ring's tables,
+    # built from the factor's, carry the broken entry and are rejected
+    assert ProdRing(LawBreakingZn(6, check=False), ZnRing(2)).order == 12
+    assert IdealizeRing(LawBreakingZn(6, check=False), 1).order == 36
+    for build in (lambda f: ProdRing(f, ZnRing(2)), lambda f: IdealizeRing(f, 1)):
+        with pytest.raises(RingError, match=message):
+            build(LawBreakingZn(6, op, pair, check=False))
 
 
 def test_quotient_ring():
