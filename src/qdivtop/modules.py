@@ -456,15 +456,13 @@ def _default_domain_label(ring: rings.FiniteRing) -> str:
     return "Z[x1,x2,...]"
 
 
-def ring_cyclic(ring: rings.FiniteRing, domain_label: str | None = None) -> FiniteModule:
+def ring_cyclic(ring: rings.FiniteRing) -> FiniteModule:
     """A catalog ring as a cyclic module over a declared acting domain.
 
     The declared domain is metadata: the action factors through the ring
-    itself, and element indices are the ring's own element indices.  The
-    ring must have a digit layout (every catalog ring has one).
+    itself, and element indices are the ring's own element indices, which
+    add through the ring's digit layout.
     """
-    if ring.layout is None:
-        raise ModuleError(f"{ring.spec} has no digit layout to add on")
     return FiniteModule(
         kind="ring_cyclic",
         spec_text=f"ring:{ring.spec}",
@@ -476,7 +474,7 @@ def ring_cyclic(ring: rings.FiniteRing, domain_label: str | None = None) -> Fini
         format_element=ring.format_element,
         residue_elements=True,
         domain=None,
-        domain_label=domain_label or _default_domain_label(ring),
+        domain_label=_default_domain_label(ring),
         base_ring=ring,
         ann_ideal=frozenset({ring.zero}),
     )
@@ -583,15 +581,14 @@ def submodule_annihilator(E: FiniteModule, N: Submodule):
 
     Over a cyclic sum the killers pull back to the ideal of A generated by
     their gcd with the annihilator, and the flag is the irreducibility of
-    that generator; over a catalog ring the flag asks whether the residue
-    ring modulo the killer ideal is a field (with a proper ideal).
+    that generator; over a catalog ring R the flag is "R/I is a field" for
+    the killer ideal I, decided on R itself (``FiniteRing.is_maximal``).
     """
     killers = _killer_residues(E, N.mask)
     ring = E.residue_ring
     if E.domain is None:
         ideal = frozenset(killers)
-        quotient = rings.QuotientRing(ring, ideal)
-        return ideal, quotient.order > 1 and quotient.is_field()
+        return ideal, ring.is_maximal(ideal)
     if isinstance(ring, rings.ZnRing):
         gen = scalars.scalar(E.domain, math.gcd(ring.n, *killers))
     else:
@@ -798,14 +795,6 @@ class InducedAction:
         self.zero_mask = N.mask if quotient else E.zero_mask
         self.full_mask = E.full_mask if quotient else N.mask
         self._images = {}
-
-    @classmethod
-    def on_submodule(cls, E: FiniteModule, N: Submodule) -> "InducedAction":
-        return cls(E, N, quotient=False)
-
-    @classmethod
-    def on_quotient(cls, E: FiniteModule, N: Submodule) -> "InducedAction":
-        return cls(E, N, quotient=True)
 
     def image_mask(self, r) -> int:
         g = self.residue_ring.divisor(r)

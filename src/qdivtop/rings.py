@@ -15,9 +15,6 @@ Every ring enumerates its elements as hashable canonical values:
 * ``Ideal(R,d)``  the ring on R x R^d with the product
                   (a1,m1)(a2,m2) = (a1*a2, a1*m2 + a2*m1).
 
-Quotients by an ideal (used to test an annihilator for maximality) represent
-each coset by its least member under the parent's element order.
-
 Every catalog ring has a ``DigitLayout``: its additive group is a product
 of cyclic groups, and element i has a mixed-radix code whose digits add
 independently (``Zn``: one digit mod n; ``GF(p,f)``: the coefficients as
@@ -30,8 +27,7 @@ for ``Trunc``; the factors' generators, embedded, for ``Prod`` and
 (``mul_row``) is fixed by the products of t with the generators, one per
 digit; a principal ideal rR, and any cyclic submodule Rx of an R-module,
 is the additive span of the products g*x.  Modules over a ring add through
-the layout instead of through ring values.  Quotients have no layout; their
-generators are the coset representatives of the parent's.
+the layout instead of through ring values.
 
 A ``Trunc``, ``Prod`` or ``Ideal`` ring of order at most 64
 (``CONSTRUCTION_CHECK_CAP``) builds its add, mul and neg tables on element
@@ -183,12 +179,9 @@ class FiniteRing:
     def units(self) -> frozenset:
         raise NotImplementedError
 
-    def _make_layout(self):
-        return None
-
     @property
     def layout(self):
-        """The ring's ``DigitLayout``; None when it adds only through values."""
+        """The ring's ``DigitLayout``."""
         if self._layout is None:
             self._layout = self._make_layout()
         return self._layout
@@ -293,6 +286,20 @@ class FiniteRing:
 
     def is_field(self) -> bool:
         return len(self.units()) == self.order - 1
+
+    def is_maximal(self, ideal) -> bool:
+        """Whether the ideal I is maximal, that is R/I is a field: I is
+        proper, and every x outside I has a y with x*y in 1 + I.  A unit
+        has one, its inverse, so only nonunits are searched."""
+        if self.one in ideal:
+            return False
+        units = self.units()
+        coset = {self.index(self.add(self.one, i)) for i in ideal}
+        return all(
+            not coset.isdisjoint(self.mul_row(x))
+            for x in self.elements
+            if x not in ideal and x not in units
+        )
 
     def principal_ideal(self, a) -> frozenset:
         return frozenset(self.mul(r, a) for r in self.elements)
@@ -674,84 +681,6 @@ class IdealizeRing(FiniteRing):
                     code = code * nb + b_add[b_mul[row1 + v] * nb + b_mul[row2 + u]]
                 mul.append(code)
         return add, mul, array("H", join([b_neg] * (self.d + 1)))
-
-
-class QuotientRing(FiniteRing):
-    """Quotient of a finite ring by an ideal, on least coset representatives."""
-
-    def __init__(self, parent: FiniteRing, ideal):
-        ideal = frozenset(ideal)
-        if parent.zero not in ideal:
-            raise RingError("an ideal must contain zero")
-        # the span of the set, one coset at a time as in FiniteModule.span,
-        # holds the set; the set is closed under addition iff it holds the span
-        span = {parent.zero}
-        for y in ideal:
-            if y in span:
-                continue
-            base = list(span)
-            z = y
-            while z not in span:
-                for i in base:
-                    total = parent.add(i, z)
-                    if total not in ideal:
-                        raise RingError("the given set is not closed under addition")
-                    span.add(total)
-                z = parent.add(z, y)
-        # every r is a sum of additive generators, so r*i is a sum of g*i
-        for g in parent.additive_generators():
-            for i in ideal:
-                if parent.mul(g, i) not in ideal:
-                    raise RingError("the given set does not absorb multiplication")
-        self.parent = parent
-        self.ideal = ideal
-        self._rep = {}
-        reps = []
-        for e in parent.elements:
-            if e in self._rep:
-                continue
-            reps.append(e)
-            for i in ideal:
-                self._rep[parent.add(e, i)] = e
-        self.order = len(reps)
-        label = ",".join(parent.format_element(i) for i in sorted(ideal, key=parent.sort_key))
-        self.spec = f"{parent.spec}/<{label}>"
-        self.zero = self._rep[parent.zero]
-        self.one = self._rep[parent.one]
-        self._reps = tuple(reps)
-        # commutativity and identity are inherited from the parent; the
-        # rep-map size check above already caught non-ideals
-        self._init_common(validate=False)
-
-    def _enumerate(self):
-        return self._reps
-
-    def add(self, x, y):
-        return self._rep[self.parent.add(x, y)]
-
-    def mul(self, x, y):
-        return self._rep[self.parent.mul(x, y)]
-
-    def neg(self, x):
-        return self._rep[self.parent.neg(x)]
-
-    def sort_key(self, x):
-        return self.parent.sort_key(x)
-
-    def format_element(self, x):
-        return self.parent.format_element(x)
-
-    def units(self):
-        # units of a finite commutative ring lift modulo any ideal, so the
-        # units here are the images of the parent's units
-        if self._units is None:
-            self._units = frozenset(self._rep[u] for u in self.parent.units())
-        return self._units
-
-    def additive_generators(self):
-        return tuple(
-            dict.fromkeys(self._rep[g] for g in self.parent.additive_generators())
-        )
 
 
 # -- catalog operations ------------------------------------------------

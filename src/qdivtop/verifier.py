@@ -506,13 +506,13 @@ def _r16(ctx):
     # past the lattice cap enumerate_submodules raises SizeCapExceeded,
     # which _evaluate turns into a vacuous outcome
     for sub in modules.enumerate_submodules(E):
-        v = ctx.qs_finder(modules.InducedAction.on_submodule(E, sub))
+        v = ctx.qs_finder(modules.InducedAction(E, sub, quotient=False))
         if v is not None:
             return FAIL, (
                 f"submodule {{{','.join(sub.element_strs())}}} is not quasi "
                 f"second: a={v['a']} b={v['b']}"
             ), None
-        v = ctx.qs_finder(modules.InducedAction.on_quotient(E, sub))
+        v = ctx.qs_finder(modules.InducedAction(E, sub, quotient=True))
         if v is not None:
             return FAIL, (
                 f"quotient by {{{','.join(sub.element_strs())}}} is not quasi "

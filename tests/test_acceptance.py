@@ -5,6 +5,7 @@ lines; the whole-corpus criteria reuse module-scoped fixtures so the corpus
 is generated and verified once.
 """
 
+import hashlib
 import json
 import time
 
@@ -89,6 +90,11 @@ def test_c3_analyze_trunc(capsys):
     check("C3 analyze ring:Trunc(2,3)", ok, f"{elapsed:.3f}s")
 
 
+# sha256 of the default ``verify --out`` report; a deliberate output change
+# re-records it and says so in CHANGES.md
+DEFAULT_REPORT_SHA256 = "4604ae24cd97b2ba8121da4d79b2e3c41990277ff3e206e32ba0adac223b661a"
+
+
 def test_c4_default_corpus_verify(capsys, tmp_path):
     target = tmp_path / "report.json"
     start = time.perf_counter()
@@ -115,6 +121,8 @@ def test_c4_default_corpus_verify(capsys, tmp_path):
         f"failures, {elapsed:.1f}s, R18 vacuous={by_rule['R18']['vacuous']}, "
         f"R22 vacuous={by_rule['R22']['vacuous']}",
     )
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    check("C4 report digest", digest == DEFAULT_REPORT_SHA256, digest)
 
 
 def test_c5_oracle_equivalence(default_corpus):

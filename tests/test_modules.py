@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -322,22 +323,46 @@ def test_submodule_annihilator_ring_side():
     assert killer_set == frozenset(e for e in T.residue_ring.elements if e[0] == 0)
 
 
+# GF(2,x^2+1) lists its one nonzero nonunit, x+1, last, so a search that
+# stops one element early reads its zero ideal as maximal; the Prod ring is
+# past the table cap and multiplies through its layout rows
+MAXIMALITY_EXTRA_SPECS = ("ring:GF(2,x^2+1)", "ring:Prod(Zn(5),Trunc(2,3))")
+
+
 def test_annihilator_maximality_agrees_with_quotient_field_route():
-    # the irreducible-generator test and the generic residue-field test
-    # decide the same maximality flag
-    for spec in ["Z:4", "Z:8", "Z:12", "Z:2,4", "F2[x]:x^3", "F2[x]:x^2+x"]:
+    # R/I is a field exactly when the ideal I is a coatom of the ideal
+    # lattice of R, the submodule lattice of R as a module over itself.
+    # That reference checks the irreducible-generator route of cyclic sums
+    # and the ring route of ring modules alike, and shares code with neither.
+    ideal_lattices = {}
+    flags = collections.Counter()
+    for spec in default_module_specs() + list(MAXIMALITY_EXTRA_SPECS):
         E = build_module(spec)
-        _, act = value_arithmetic(E)
-        zero = E.elements[E.zero]
-        for sub in enumerate_submodules(E):
-            gen, maximal = submodule_annihilator(E, sub)
-            killers = [
-                r
-                for r in E.residue_ring.elements
-                if all(act(r, x) == zero for x in sub.elements)
-            ]
-            quotient = rings.QuotientRing(E.residue_ring, frozenset(killers))
-            assert maximal == (quotient.order > 1 and quotient.is_field()), spec
+        ring = E.residue_ring
+        if ring.spec not in ideal_lattices:
+            ideal_lattices[ring.spec] = ring_cyclic(ring).lattice_masks()
+        lattice = ideal_lattices[ring.spec]
+        full = (1 << ring.order) - 1
+        rows = [E.row(r) for r in ring.elements]
+        for N in enumerate_submodules(E):
+            members = [i for i in range(E.order) if (N.mask >> i) & 1]
+            killer_mask = sum(
+                1 << k
+                for k, row in enumerate(rows)
+                if all(row[i] == E.zero for i in members)
+            )
+            coatom = killer_mask != full and not any(
+                m not in (killer_mask, full) and m & killer_mask == killer_mask
+                for m in lattice
+            )
+            assert submodule_annihilator(E, N)[1] == coatom, (spec, N.element_strs())
+            flags[E.kind, coatom] += 1
+    assert flags == {
+        ("cyclic_sum", True): 596,
+        ("cyclic_sum", False): 1611,
+        ("ring_cyclic", True): 236,
+        ("ring_cyclic", False): 299,
+    }
 
 
 # -- second and quasi second -------------------------------------------------------
@@ -386,12 +411,11 @@ def test_structural_predicates_examples():
 def test_divisible_and_simple():
     assert structural_predicates(build_module("Z:5")).simple
     assert not structural_predicates(build_module("Z:5")).divisible
-    # E/E for E = Z:4, the zero module: one element over the zero ring
-    zero_ring = rings.QuotientRing(rings.ZnRing(4), frozenset(range(4)))
+    # the zero module: one element, over Zn(2) acting as zero
     zero_module = modules.FiniteModule(
         kind="zero",
-        spec_text="Z:4/Z:4",
-        residue_ring=zero_ring,
+        spec_text="0",
+        residue_ring=rings.ZnRing(2),
         elements=((0,),),
         zero=0,
         add=lambda i, j: 0,
@@ -439,7 +463,7 @@ def proper_images(D):
 
 def test_quotient_example():
     E = build_module("Z:8")
-    q = InducedAction.on_quotient(E, cyclic_image(E, 2))
+    q = InducedAction(E, cyclic_image(E, 2), quotient=True)
     assert coset_count(q) == 2
     assert q.format_mask(q.full_mask) == ["0", "1"]
     assert is_quasi_second(q)
@@ -448,7 +472,7 @@ def test_quotient_example():
 
 def test_submodule_example():
     E = build_module("Z:8")
-    sub = InducedAction.on_submodule(E, cyclic_image(E, 2))
+    sub = InducedAction(E, cyclic_image(E, 2), quotient=False)
     assert sub.full_mask.bit_count() == 4
     assert is_quasi_second(sub)
     # behaves like Z:4: one proper image, of two elements
@@ -485,7 +509,7 @@ def test_direct_sum_domain_mismatch():
 def test_quotient_sizes_multiply():
     E = build_module("Z:12")
     for sub in enumerate_submodules(E):
-        q = InducedAction.on_quotient(E, sub)
+        q = InducedAction(E, sub, quotient=True)
         assert coset_count(q) * sub.size == E.order
         assert q.zero_mask == sub.mask and q.full_mask == E.full_mask
 
@@ -493,8 +517,8 @@ def test_quotient_sizes_multiply():
 def test_induced_actions_over_ring_cyclic():
     T = build_module("ring:Trunc(2,2)")
     for sub in enumerate_submodules(T):
-        inner = InducedAction.on_submodule(T, sub)
-        quot = InducedAction.on_quotient(T, sub)
+        inner = InducedAction(T, sub, quotient=False)
+        quot = InducedAction(T, sub, quotient=True)
         assert inner.full_mask == sub.mask and inner.zero_mask == T.zero_mask
         assert coset_count(quot) * sub.size == T.order
         # quasi second passes to submodules and quotients here
@@ -518,7 +542,7 @@ def test_summands_are_lattice_submodules_with_the_summand_verdict():
             assert N.mask in E.lattice_masks(), spec
             alone = cyclic_sum(E.domain, (d,))
             assert N.size == alone.order, spec
-            via_e = find_quasi_second_violation(InducedAction.on_submodule(E, N))
+            via_e = find_quasi_second_violation(InducedAction(E, N, quotient=False))
             assert (via_e is None) == is_quasi_second(alone), (spec, str(d))
             checked += 1
     assert checked == 282
@@ -527,7 +551,7 @@ def test_summands_are_lattice_submodules_with_the_summand_verdict():
 def test_induced_action_needs_its_own_submodule():
     E, F = build_module("Z:4"), build_module("Z:4")
     with pytest.raises(ModuleError):
-        InducedAction.on_quotient(E, cyclic_image(F, 2))
+        InducedAction(E, cyclic_image(F, 2), quotient=True)
 
 
 # -- the residue reduction claim ------------------------------------------------------------
@@ -683,14 +707,6 @@ def test_ring_addition_matches_ring_values():
             assert E.add(i, j) == ring.index(ring.add(el[i], el[j])), (spec, i, j)
 
 
-def test_ring_module_needs_a_digit_layout():
-    # a quotient ring adds only through its parent's values
-    q = rings.QuotientRing(rings.ZnRing(8), frozenset({0, 4}))
-    assert q.layout is None
-    with pytest.raises(ModuleError):
-        ring_cyclic(q)
-
-
 def literal_search(ring, images, zero, full, fmt):
     """The quasi-second search over every pair of nonunit residues, in
     element order: images maps each nonunit residue to its image as a set,
@@ -783,8 +799,8 @@ def test_induced_actions_match_the_literal_search():
                 frozenset(coset),
                 lambda cosets: listed(min(c) for c in cosets),
             )
-            got_sub = find_quasi_second_violation(InducedAction.on_submodule(E, N))
-            got_quot = find_quasi_second_violation(InducedAction.on_quotient(E, N))
+            got_sub = find_quasi_second_violation(InducedAction(E, N, quotient=False))
+            got_quot = find_quasi_second_violation(InducedAction(E, N, quotient=True))
             assert got_sub == expected_sub, (spec, N.element_strs())
             assert got_quot == expected_quot, (spec, N.element_strs())
             sides += 2

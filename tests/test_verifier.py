@@ -221,9 +221,10 @@ def test_r16_uses_the_injected_predicate():
     assert pristine.tallies()["R16"][PASS] == 1
 
 
-def test_r16_builds_no_derived_module_or_quotient_ring(monkeypatch):
-    # N and E/N are read through the instance module's own action: the only
-    # module built is the instance's, and no quotient ring is built at all
+def test_r10_r11_r16_build_no_derived_module(monkeypatch):
+    # annihilators are decided on the residue ring itself (R10, R11), and N
+    # and E/N are read through the instance module's own action (R16): the
+    # only module built is the instance's
     built = []
     module_init = modules.FiniteModule.__init__
 
@@ -231,15 +232,12 @@ def test_r16_builds_no_derived_module_or_quotient_ring(monkeypatch):
         built.append(kwargs["spec_text"])
         module_init(self, **kwargs)
 
-    def no_quotient_ring(self, parent, ideal):
-        raise AssertionError(f"R16 built a quotient ring of {parent.spec}")
-
     monkeypatch.setattr(modules.FiniteModule, "__init__", recording_module_init)
-    monkeypatch.setattr(verifier.rings.QuotientRing, "__init__", no_quotient_ring)
     corpus = [i for i in generate_corpus() if i.kind == "module"]
-    report = run_all(corpus, rule_ids=["R16"])
+    report = run_all(corpus, rule_ids=["R10", "R11", "R16"])
     assert built == [i.spec_text for i in corpus]
-    assert report.tallies()["R16"][PASS] == 153
+    tallies = report.tallies()
+    assert [tallies[r][PASS] for r in ("R10", "R11", "R16")] == [117, 201, 153]
 
 
 # spaces of 16-18 points, past the old 14-point oracle cap, whose open sets
