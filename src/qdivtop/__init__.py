@@ -17,7 +17,6 @@ from .modules import (  # noqa: F401
     Submodule,
     annihilator,
     build_module,
-    cyclic_image,
     cyclic_sum,
     enumerate_submodules,
     is_quasi_second,

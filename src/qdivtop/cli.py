@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, modules, oracle, rings, scalars, topology, verifier
+from . import __version__, modules, oracle, rings, topology, verifier
 from .modules import SizeCapExceeded
 
 HEADER = f"# qdivtop {__version__}"
@@ -44,18 +44,14 @@ def _analyze_payload(E, with_oracle: bool):
     maximal = topology.maximal_classes(space)
     second = modules.is_second_module(E)
     ann = modules.annihilator(E)
-    if isinstance(ann, scalars.Scalar):
-        ann_text = str(ann)
-    else:
-        ann_text = "{" + ",".join(
-            sorted(E.residue_ring.format_element(x) for x in ann)
-        ) + "}"
+    if E.moduli is None:
+        ann = "{" + ",".join(sorted(map(E.residue_ring.format_element, ann))) + "}"
 
     payload = {
         "spec": E.spec_text,
         "domain": E.domain_label,
         "order": E.order,
-        "annihilator": ann_text,
+        "annihilator": str(ann),
         "second_module": second,
         "note": "second module (empty space)" if second else None,
         "quasi_second": modules.is_quasi_second(E),
@@ -70,7 +66,7 @@ def _analyze_payload(E, with_oracle: bool):
             for c in classes
         ],
         "basis": {
-            space.labels[i]: space.label_set(topology.basis_set(space, i))
+            space.labels[i]: space.label_set(space.up[i])
             for i in range(space.n)
         },
         "hasse": [
@@ -107,8 +103,8 @@ def _analyze_payload(E, with_oracle: bool):
         },
         "countability": {"first_countable": True, "second_countable": True},
     }
-    if E.base_ring is not None:
-        payload["ring_order"] = E.base_ring.order
+    if E.moduli is None:
+        payload["ring_order"] = E.residue_ring.order
     try:
         preds = modules.structural_predicates(E)
         payload["predicates"] = {
@@ -268,6 +264,12 @@ def cmd_corpus(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    max_order_help = (
+        "sets the element cap to N and the ring order cap to min(N, 64); the "
+        "moduli stay 2..9 and the polynomial degree at most 3, so any "
+        "N >= 81 gives the default 391 instances"
+    )
+    summands_help = "sets the largest number of summands (default 2)"
     parser = argparse.ArgumentParser(
         prog="qdivtop",
         description="quasi divisor topologies of finite modules",
@@ -288,15 +290,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the rule suite over a corpus")
     p_verify.add_argument("--rules", help="comma-separated rule ids, e.g. R2,R14")
-    p_verify.add_argument("--max-order", type=int, default=None)
-    p_verify.add_argument("--summands", type=int, default=None)
+    p_verify.add_argument("--max-order", type=int, metavar="N", help=max_order_help)
+    p_verify.add_argument("--summands", type=int, help=summands_help)
     p_verify.add_argument("--out")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_corpus = sub.add_parser("corpus", help="print the corpus instance list")
-    p_corpus.add_argument("--max-order", type=int, default=None)
-    p_corpus.add_argument("--summands", type=int, default=None)
+    p_corpus.add_argument("--max-order", type=int, metavar="N", help=max_order_help)
+    p_corpus.add_argument("--summands", type=int, help=summands_help)
     p_corpus.set_defaults(fn=cmd_corpus)
 
     return parser

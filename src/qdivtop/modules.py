@@ -10,8 +10,10 @@ A module is one of
   domain surjecting onto R; elements are labelled by the ring elements and
   the scalar action is ring multiplication.
 
-A submodule N or a quotient E/N is not built as a module of its own: the
-quasi-second search reads it through E's action (``InducedAction``).
+Both are one ``FiniteModule``, built from its presentation alone.  A
+submodule N, a quotient E/N or a direct summand is not built as a module
+of its own: the quasi-second search reads it through E's action
+(``InducedAction``).
 
 All scalar action factors through the finite residue ring A/ann(E).  For a
 finitely generated module the scalars acting neither as zero nor as a
@@ -25,9 +27,10 @@ arithmetic is on indices.  A catalog ring module lives on the ring's
 ``rings.DigitLayout``, and a cyclic sum on the product of its summands'
 layouts: each summand A/(d) is the catalog ring ``Zn(d)`` or
 ``GF(p,d)``, with the same element order.  Addition is the layout's
-index-level ``add(i, j)``.  The
-action of a residue is a row mapping element index to element index,
-stored as ``array('H')`` (``ELEMENT_CAP`` 4096 < 2^16) and built the first
+index-level ``add(i, j)``, and zero its index of code 0.  The action of a
+residue is a row mapping element index to element index, stored as
+``array('H')`` (``ELEMENT_CAP`` = ``rings.ORDER_CAP`` = 4096 < 2^16,
+checked before anything is built) and built the first
 time a query asks for it; negation is the row of -1.  Multiplication is
 additive, so a ring row (``FiniteRing.mul_row``) takes one ring product
 per digit; a cyclic sum joins its summands' rows of the reduced residue.
@@ -66,7 +69,7 @@ class ModuleError(ValueError):
     """Invalid module construction or operation."""
 
 
-ELEMENT_CAP = 4096
+ELEMENT_CAP = rings.ORDER_CAP
 LATTICE_CAP = 256
 
 
@@ -139,9 +142,6 @@ class Submodule:
     def size(self) -> int:
         return len(self.elements)
 
-    def contains(self, other: "Submodule") -> bool:
-        return not (other.mask & ~self.mask)
-
     def element_strs(self):
         return [self.module.format_element(e) for e in self.elements]
 
@@ -187,57 +187,44 @@ class WeakSplit:
 
 
 class FiniteModule:
-    """A finite module on element indices: labels, a zero index, ``add``
-    and a row builder giving the action of one residue.  ``row(r)`` builds
-    and caches one row on first use.  Cyclic submodules, and the images of
-    residues when the elements are residues, are spans over the rows of
-    the residue ring's additive generators; other images, killers and
-    second-submodule tests read the row of a residue's divisor.  A unit's
-    image needs no row, so a module over Z or F_p[x] builds about one row
-    per divisor of its annihilator and a catalog ring one per additive
-    generator."""
+    """A finite module from its presentation alone: the residue ring
+    A/ann(E), the digit layout of its additive group, element labels in
+    layout order, a row builder for the action of one residue, a label
+    formatter, and the domain and moduli of a cyclic sum (neither for a
+    catalog ring over itself).  Zero and addition come from the layout, all
+    else from the moduli and the residue ring: no two fields can disagree.
+
+    ``row(r)`` builds and caches one row on first use.  Cyclic
+    submodules, and the images of residues when the elements are residues,
+    are spans over the rows of the residue ring's additive generators;
+    other images, killers and second-submodule tests read the row of a
+    residue's divisor.  A unit's image needs no row, so a module over Z or
+    F_p[x] builds about one row per divisor of its annihilator and a
+    catalog ring one per additive generator."""
 
     def __init__(
         self,
         *,
-        kind,
         spec_text,
         residue_ring,
+        layout,
         elements,
-        zero,
-        add,
         build_row,
         format_element,
-        residue_elements=False,
         domain=None,
-        domain_label="",
         moduli=None,
-        base_ring=None,
-        ann_scalar=None,
-        ann_ideal=None,
     ):
-        if len(elements) > ELEMENT_CAP:
-            raise SizeCapExceeded(
-                f"{spec_text}: {len(elements)} elements exceed the cap {ELEMENT_CAP}"
-            )
-        self.kind = kind
         self.spec_text = spec_text
         self.residue_ring = residue_ring
         self.elements = tuple(elements)
-        self.zero = zero
-        self.add = add
         self.format_element = format_element
-        # element i is the residue residue_ring.elements[i], so Rx = xE
-        self.residue_elements = residue_elements
         self.domain = domain
-        self.domain_label = domain_label
         self.moduli = moduli
-        self.base_ring = base_ring
-        self.ann_scalar = ann_scalar
-        self.ann_ideal = ann_ideal
+        self.add = layout.add
+        self.zero = layout.index_of[0]
         self.order = len(self.elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self.zero_mask = 1 << zero
+        self.zero_mask = 1 << self.zero
         self.full_mask = (1 << self.order) - 1
         self._build_row = build_row
         self._rows = {}
@@ -245,6 +232,18 @@ class FiniteModule:
         self._classes = None
         self._lattice = None
         self._cyclic = {}
+
+    @property
+    def residue_elements(self) -> bool:
+        """Element i is the residue residue_ring.elements[i], so Rx = xE: a
+        ring over itself, or a single summand."""
+        return self.moduli is None or len(self.moduli) == 1
+
+    @property
+    def domain_label(self) -> str:
+        if self.moduli is None:
+            return _default_domain_label(self.residue_ring)
+        return str(self.domain)
 
     # -- element plumbing ------------------------------------------------
 
@@ -421,19 +420,14 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
         return "(" + ",".join(R.format_element(a) for R, a in zip(comps, x)) + ")"
 
     return FiniteModule(
-        kind="cyclic_sum",
         spec_text=f"{domain}:" + ",".join(str(d) for d in moduli),
         residue_ring=ring_of.get(ann.value) or _residue_ring(domain, ann.value),
+        layout=layout,
         elements=tuple(itertools.product(*(R.elements for R in comps))),
-        zero=0,
-        add=layout.add,
         build_row=build_row,
         format_element=fmt,
-        residue_elements=len(comps) == 1,
         domain=domain,
-        domain_label=str(domain),
         moduli=moduli,
-        ann_scalar=ann,
     )
 
 
@@ -457,26 +451,15 @@ def _default_domain_label(ring: rings.FiniteRing) -> str:
 
 
 def ring_cyclic(ring: rings.FiniteRing) -> FiniteModule:
-    """A catalog ring as a cyclic module over a declared acting domain.
-
-    The declared domain is metadata: the action factors through the ring
-    itself, and element indices are the ring's own element indices, which
-    add through the ring's digit layout.
-    """
+    """A catalog ring as a cyclic module over itself: the ring's own
+    element indices, its digit layout and its multiplication rows."""
     return FiniteModule(
-        kind="ring_cyclic",
         spec_text=f"ring:{ring.spec}",
         residue_ring=ring,
+        layout=ring.layout,
         elements=ring.elements,
-        zero=ring.index(ring.zero),
-        add=ring.layout.add,
         build_row=ring.mul_row,
         format_element=ring.format_element,
-        residue_elements=True,
-        domain=None,
-        domain_label=_default_domain_label(ring),
-        base_ring=ring,
-        ann_ideal=frozenset({ring.zero}),
     )
 
 
@@ -508,11 +491,13 @@ def build_module(text: str) -> FiniteModule:
 
 
 def annihilator(E: FiniteModule):
-    """Generator scalar for explicit cyclic sums; the ring-side zero ideal
-    otherwise."""
-    if E.ann_scalar is not None:
-        return E.ann_scalar
-    return E.ann_ideal
+    """The generator of ann(E) for a cyclic sum, the modulus n of its
+    residue ring A/(n); the zero ideal of a catalog ring over itself."""
+    ring = E.residue_ring
+    if E.moduli is None:
+        return frozenset({ring.zero})
+    n = ring.n if isinstance(ring, rings.ZnRing) else ring.modulus
+    return scalars.scalar(E.domain, n)
 
 
 def scalar_classes(E: FiniteModule) -> tuple:
@@ -543,12 +528,6 @@ def scalar_classes(E: FiniteModule) -> tuple:
         classes.sort(key=lambda c: ring.sort_key(c.rep))
         E._classes = tuple(classes)
     return E._classes
-
-
-def cyclic_image(E: FiniteModule, r) -> Submodule:
-    """The submodule aE = {a*m : m in E} for a residue a."""
-    E.residue_ring.index(r)
-    return E.image(r)
 
 
 def enumerate_submodules(E: FiniteModule) -> tuple:
@@ -586,7 +565,7 @@ def submodule_annihilator(E: FiniteModule, N: Submodule):
     """
     killers = _killer_residues(E, N.mask)
     ring = E.residue_ring
-    if E.domain is None:
+    if E.moduli is None:
         ideal = frozenset(killers)
         return ideal, ring.is_maximal(ideal)
     if isinstance(ring, rings.ZnRing):

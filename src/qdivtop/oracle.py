@@ -153,23 +153,16 @@ def _open_hull(topo: FiniteTopology, mask: int) -> int:
 
 
 def _axiom_t0(topo):
-    for i in range(topo.n):
-        for j in range(i + 1, topo.n):
-            if not any(
-                bool(o & (1 << i)) != bool(o & (1 << j)) for o in topo.opens
-            ):
-                return False
-    return True
+    # every open set around i contains m_i, so some open set holds exactly
+    # one of i, j iff m_i or m_j does, which fails iff each holds the other
+    # point, i.e. iff m_i = m_j
+    return len(set(topo.min_opens)) == topo.n
 
 
 def _axiom_t1(topo):
-    for i in range(topo.n):
-        for j in range(topo.n):
-            if i == j:
-                continue
-            if not any(o & (1 << i) and not o & (1 << j) for o in topo.opens):
-                return False
-    return True
+    # some open set holds i but not j iff m_i does, so one does for every
+    # j != i iff m_i = {i}
+    return all(m == 1 << i for i, m in enumerate(topo.min_opens))
 
 
 def _axiom_t2(topo):
@@ -254,12 +247,6 @@ def _axiom_ultraconnected(topo):
     )
 
 
-def _axiom_alexandrov(topo):
-    # closure under pairwise intersection implies closure under arbitrary
-    # intersections of the finite family
-    return _is_topology(topo)
-
-
 def _axiom_noetherian(topo):
     # every finite topology is noetherian; reported for API symmetry
     return True
@@ -288,7 +275,9 @@ _AXIOMS = {
     "connected": _axiom_connected,
     "hyperconnected": _axiom_hyperconnected,
     "ultraconnected": _axiom_ultraconnected,
-    "alexandrov": _axiom_alexandrov,
+    # closure under pairwise intersection implies closure under arbitrary
+    # intersections of the finite family
+    "alexandrov": _is_topology,
     "noetherian": _axiom_noetherian,
     "baire": _axiom_baire,
 }

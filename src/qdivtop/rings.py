@@ -686,24 +686,6 @@ class IdealizeRing(FiniteRing):
 # -- catalog operations ------------------------------------------------
 
 
-def ring_arith(ring: FiniteRing, op: str, x, y=None):
-    """Checked arithmetic: validates membership before dispatching."""
-    ring.index(x)
-    if op == "neg":
-        return ring.neg(x)
-    ring.index(y)
-    if op == "add":
-        return ring.add(x, y)
-    if op == "mul":
-        return ring.mul(x, y)
-    raise RingError(f"unknown ring operation {op!r}")
-
-
-def principal_ideal(ring: FiniteRing, a) -> frozenset:
-    ring.index(a)
-    return ring.principal_ideal(a)
-
-
 def _is_field_factor(ring: FiniteRing, e) -> bool:
     """Whether the factor eR (with identity e) is a field."""
     part = ring.principal_ideal(e)

@@ -99,14 +99,6 @@ def build_space(E: FiniteModule) -> QuasiDivisorSpace:
     )
 
 
-def basis_set(space: QuasiDivisorSpace, i: int) -> int:
-    """U_a for the i-th point: its principal up-set, the smallest open set
-    containing it."""
-    if not 0 <= i < space.n:
-        raise KeyError(f"unknown point index {i}")
-    return space.up[i]
-
-
 def closure(space: QuasiDivisorSpace, mask: int) -> int:
     """Union of the principal down-sets of the given points."""
     out = 0

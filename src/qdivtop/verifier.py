@@ -546,27 +546,33 @@ def _r18(ctx):
     return FAIL, f"prime annihilator but ultraconnected={ultra} T4={t4}", None
 
 
+def _summand_views(E):
+    """The summands A/(d_1) and A/(d_2) of a two-summand sum, each the
+    cyclic submodule of its unit vector, seen through E's own action."""
+    one, zero = E.residue_ring.one, E.residue_ring.zero
+    views = []
+    for unit in ((one, zero), (zero, one)):
+        N = modules.Submodule._trusted(E, E.cyclic_mask(E.elem_index(unit)))
+        views.append(modules.InducedAction(E, N, quotient=False))
+    return views
+
+
+def _summand_images(views, r):
+    """Per summand: the mask of r times it, and whether its class set holds r
+    (the image is neither zero nor the whole summand)."""
+    masks = [view.image_mask(r) for view in views]
+    return [(m, m not in (v.zero_mask, v.full_mask)) for m, v in zip(masks, views)]
+
+
 def _r19(ctx):
     E = ctx.E
-    if E.kind != "cyclic_sum" or len(E.moduli) != 2:
+    if E.moduli is None or len(E.moduli) != 2:
         return VACUOUS, None, "not a two-summand direct sum"
     if not ctx.semiprime:
         return VACUOUS, None, "annihilator is not semiprime"
-    d1, d2 = E.moduli
-    e1 = modules.cyclic_sum(E.domain, (d1,))
-    e2 = modules.cyclic_sum(E.domain, (d2,))
+    views = _summand_views(E)
     ring = E.residue_ring
     units = ring.units()
-
-    def summand_membership(r):
-        out = []
-        for summand in (e1, e2):
-            rr = summand.residue_ring.reduce(r)
-            mask = summand.image_mask(rr)
-            out.append(
-                (rr, mask != summand.zero_mask and mask != summand.full_mask)
-            )
-        return out
 
     for r in ring.elements:
         if r == ring.zero or r in units:
@@ -574,21 +580,23 @@ def _r19(ctx):
         mask = E.image_mask(r)
         if mask == E.zero_mask or mask == E.full_mask:
             continue
-        if not all(inside for _, inside in summand_membership(r)):
+        if not all(inside for _, inside in _summand_images(views, r)):
             return VACUOUS, None, (
                 "the direct sum has scalars outside both summand class sets"
             )
 
     lhs = ctx.qs
-    rhs = modules.is_quasi_second(e1) and modules.is_quasi_second(e2)
+    rhs = all(ctx.qs_finder(view) is None for view in views)
     detail = None
     if rhs:
         for r in ring.elements:
-            (r1, in1), (r2, in2) = summand_membership(r)
+            (m1, in1), (m2, in2) = _summand_images(views, r)
             if not (in1 and in2):
                 continue
-            gen1, max1 = modules.submodule_annihilator(e1, e1.image(r1))
-            gen2, max2 = modules.submodule_annihilator(e2, e2.image(r2))
+            (gen1, max1), (gen2, max2) = (
+                modules.submodule_annihilator(E, modules.Submodule._trusted(E, m))
+                for m in (m1, m2)
+            )
             if gen1 != gen2 or not (max1 and max2):
                 rhs = False
                 detail = (
@@ -726,7 +734,7 @@ def _direct_image(E):
 
 def _r21(ctx):
     E = ctx.E
-    if E.kind != "cyclic_sum":
+    if E.moduli is None:
         return VACUOUS, None, "needs an explicit cyclic-sum presentation"
     ring = E.residue_ring
     units = ring.units()
@@ -773,10 +781,7 @@ def _r21(ctx):
 
 def _r22(ctx):
     E = ctx.E
-    cyclic = E.kind == "ring_cyclic" or (
-        E.kind == "cyclic_sum" and len(E.moduli) == 1
-    )
-    if not cyclic:
+    if E.moduli is not None and len(E.moduli) != 1:
         return VACUOUS, None, "not a cyclic module"
     if not ctx.ann_prime:
         return VACUOUS, None, "annihilator is not prime"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -309,3 +310,61 @@ def test_analyze_composite_ring_rows_take_one_product_per_digit(capsys, monkeypa
     assert payload["points"] == 283
     # the rows, plus one square per element for the idempotents
     assert len(products) <= 4096 + 12 * 12
+
+
+# sha256 of the stdout of ``analyze``, ``analyze --oracle`` and ``dot`` per
+# spec.  Together the specs reach every domain label (Z, F_p[x], F_p[x1..xk],
+# Z[x1,x2,...]), both annihilator forms (a scalar, a ring-side ideal) and
+# ``ring_order``; a deliberate output change updates the digests.
+PINNED_STDOUT_SHA256 = {
+    "Z:12": (
+        "b1a648d002fade8e29afb20737429fb2d4ce8a85b67668cb4069a9133d66185b",
+        "4eac11298d923206ad313bce0947fe93e86f7759b89704d5999e665dd70c81b3",
+        "4454ddf6a0ec3dbeb5b0bff0abe4021f806ae685ccae9de0eaba0a64aed04642",
+    ),
+    "Z:2,4": (
+        "35f41432e9c1fb58463bb2831459e25c875d64988a7679fc77c129d7f7f2b02d",
+        "0178a312870875b07288185349109bf8d211ed47148dd828d8d701e4d0ea3fe1",
+        "b5d909995febbc18b47ea60b1b9a8393158371cf5094d4c5c0c49a24d7749e64",
+    ),
+    "F2[x]:x^3": (
+        "e43ed4e8199ca7b0a1fedc6ad1e4a9b4d077c6af26db77e24f6e157e81756ea8",
+        "be9d1dbe60641505d3b66cfcc720663a6225c810d7d821d66b2acfc0a04a2c68",
+        "26fa3e27fa40cf06c7ccc8ed1bbc1107488413e212db586aae22a2afdfff1344",
+    ),
+    "F2[x]:x^2+x,x^2": (
+        "3fde46d9bbbd2a3c4c4cb814031488715d4b49e80c169839daeb42bd7c6315bf",
+        "a0ca874fbc76a63b603ac38fe4afad5edf67bc9651bbc26d1f35c80f69372311",
+        "f0b5cde15b6ce835de99725a5d20131c75228a2c3d7e3218770f3b9ecc563608",
+    ),
+    "ring:Zn(8)": (
+        "20a2448df4c2788b6b9e8c95b14b989cb92e49d04a8451d11e0b680e6b8e0405",
+        "88d87206e224e42e4614d2c02b183db9ae5f70b0a97237a81d49b8c74485b623",
+        "a6722ac14d3973f99ebf407ed49461bbd150608fa7ae653bf946ccc6b390d615",
+    ),
+    "ring:Trunc(2,2)": (
+        "6b69919122e17a4c1440ff03a4f4f92606b69962197a6a853e7bc44c83b34c5d",
+        "be842d57aa80d2594e4d54223e45e8ded85d60287c48c0735b0f818c5e1326f6",
+        "0360d90d1325423f470280467a1b53ac4331a304a916b07cbc51ff67fa2837a7",
+    ),
+    "ring:Prod(Zn(2),Zn(3))": (
+        "f2841ae79f19bce45c33a34f9fd8e220df6b17f0f8117aab71431cbebbd4d5fa",
+        "742cb09c84b072e7cb0644af301fec1171e2b745bbef80d369985c221f3ea081",
+        "973d0c10164304d0ccc061ccc72a2f6ab5635069a7914e961adb5266c06034d2",
+    ),
+    "ring:GF(2,x^2+x+1)": (
+        "65c6a67bae114a6f923420b73435abd994ac06d67796806d1e8a1ac28d98f4f6",
+        "196677df8f5f255f7c83e3f9f987cf60b58b2962b7afaa1be4c136d6a7c68404",
+        "bde04a31c223f04c16b025641876225797f9db645b775c3939b3bcd66576934c",
+    ),
+}
+
+
+def test_analyze_and_dot_stdout_pinned(capsys):
+    for spec, digests in PINNED_STDOUT_SHA256.items():
+        for argv, digest in zip(
+            (["analyze", spec], ["analyze", "--oracle", spec], ["dot", spec]), digests
+        ):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

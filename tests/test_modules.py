@@ -13,7 +13,6 @@ from qdivtop.modules import (
     Submodule,
     annihilator,
     build_module,
-    cyclic_image,
     cyclic_sum,
     enumerate_submodules,
     find_quasi_second_violation,
@@ -35,8 +34,8 @@ def value_arithmetic(E):
     """(add, act) on the element labels of a cyclic sum or a ring module,
     from value arithmetic: the ring's own add and mul, or per summand
     (a + b) % d and (r * a) % d, or the F_p[x] sum and product mod d."""
-    if E.kind == "ring_cyclic":
-        return E.base_ring.add, E.base_ring.mul
+    if E.moduli is None:
+        return E.residue_ring.add, E.residue_ring.mul
     mods = [d.value for d in E.moduli]
     if E.domain.kind == "int":
         return (
@@ -197,11 +196,11 @@ def test_class_members_share_images():
 
 def test_cyclic_image_examples():
     E = build_module("Z:8")
-    assert cyclic_image(E, 2).element_strs() == ["0", "2", "4", "6"]
-    assert cyclic_image(E, 4).element_strs() == ["0", "4"]
+    assert E.image(2).element_strs() == ["0", "2", "4", "6"]
+    assert E.image(4).element_strs() == ["0", "4"]
     T = build_module("ring:Trunc(2,3)")
     x1 = (0, 1, 0, 0)
-    assert cyclic_image(T, x1).element_strs() == ["0", "x1"]
+    assert T.image(x1).element_strs() == ["0", "x1"]
     for c in scalar_classes(T):
         assert c.image.size == 2  # every class image is {0, a}
 
@@ -288,7 +287,7 @@ def test_index_arithmetic_matches_value_arithmetic():
         )
 
     T = build_module("ring:Trunc(2,2)")
-    ring = T.base_ring
+    ring = T.residue_ring
     assert_index_arithmetic(T, ring.add, ring.neg, ring.mul)
 
 
@@ -304,10 +303,10 @@ def test_lattice_cap():
 
 def test_submodule_annihilator_examples():
     e4 = build_module("Z:4")
-    gen, maximal = submodule_annihilator(e4, cyclic_image(e4, 2))
+    gen, maximal = submodule_annihilator(e4, e4.image(2))
     assert gen.value == 2 and maximal
     e8 = build_module("Z:8")
-    gen8, maximal8 = submodule_annihilator(e8, cyclic_image(e8, 2))
+    gen8, maximal8 = submodule_annihilator(e8, e8.image(2))
     assert gen8.value == 4 and not maximal8
     zero = Submodule(e8, elements=[(0,)])
     genz, maxz = submodule_annihilator(e8, zero)
@@ -317,7 +316,7 @@ def test_submodule_annihilator_examples():
 def test_submodule_annihilator_ring_side():
     T = build_module("ring:Trunc(2,2)")
     x1 = (0, 1, 0)
-    killer_set, maximal = submodule_annihilator(T, cyclic_image(T, x1))
+    killer_set, maximal = submodule_annihilator(T, T.image(x1))
     # ann of {0, x1} is the whole maximal ideal (c0 = 0), which is maximal
     assert maximal
     assert killer_set == frozenset(e for e in T.residue_ring.elements if e[0] == 0)
@@ -356,12 +355,13 @@ def test_annihilator_maximality_agrees_with_quotient_field_route():
                 for m in lattice
             )
             assert submodule_annihilator(E, N)[1] == coatom, (spec, N.element_strs())
-            flags[E.kind, coatom] += 1
+            flags[E.moduli is None, coatom] += 1
+    # keyed by (catalog ring over itself, coatom)
     assert flags == {
-        ("cyclic_sum", True): 596,
-        ("cyclic_sum", False): 1611,
-        ("ring_cyclic", True): 236,
-        ("ring_cyclic", False): 299,
+        (False, True): 596,
+        (False, False): 1611,
+        (True, True): 236,
+        (True, False): 299,
     }
 
 
@@ -372,7 +372,7 @@ def test_second_examples():
     assert is_second_module(build_module("Z:5"))
     assert not is_second_module(build_module("Z:4"))
     e4 = build_module("Z:4")
-    assert is_second_submodule(e4, cyclic_image(e4, 2))
+    assert is_second_submodule(e4, e4.image(2))
 
 
 def test_quasi_second_examples():
@@ -411,16 +411,17 @@ def test_structural_predicates_examples():
 def test_divisible_and_simple():
     assert structural_predicates(build_module("Z:5")).simple
     assert not structural_predicates(build_module("Z:5")).divisible
-    # the zero module: one element, over Zn(2) acting as zero
+    # the zero module: the empty direct sum, one element, over Zn(2)
+    # acting as zero
     zero_module = modules.FiniteModule(
-        kind="zero",
         spec_text="0",
         residue_ring=rings.ZnRing(2),
+        layout=rings.DigitLayout([0], ()),
         elements=((0,),),
-        zero=0,
-        add=lambda i, j: 0,
         build_row=lambda r: [0],
         format_element=str,
+        domain=INTEGERS,
+        moduli=(),
     )
     preds = structural_predicates(zero_module)
     assert preds.divisible and not preds.simple
@@ -463,7 +464,7 @@ def proper_images(D):
 
 def test_quotient_example():
     E = build_module("Z:8")
-    q = InducedAction(E, cyclic_image(E, 2), quotient=True)
+    q = InducedAction(E, E.image(2), quotient=True)
     assert coset_count(q) == 2
     assert q.format_mask(q.full_mask) == ["0", "1"]
     assert is_quasi_second(q)
@@ -472,7 +473,7 @@ def test_quotient_example():
 
 def test_submodule_example():
     E = build_module("Z:8")
-    sub = InducedAction(E, cyclic_image(E, 2), quotient=False)
+    sub = InducedAction(E, E.image(2), quotient=False)
     assert sub.full_mask.bit_count() == 4
     assert is_quasi_second(sub)
     # behaves like Z:4: one proper image, of two elements
@@ -484,7 +485,7 @@ def test_submodule_example():
 def direct_sum(E1, E2):
     """The direct sum of two explicit cyclic sums over the same domain:
     the cyclic sum on both lists of moduli."""
-    if E1.kind != "cyclic_sum" or E2.kind != "cyclic_sum":
+    if E1.moduli is None or E2.moduli is None:
         raise ModuleError("direct sums are supported for explicit cyclic sums")
     if E1.domain != E2.domain:
         raise ModuleError("domain mismatch")
@@ -533,7 +534,7 @@ def test_summands_are_lattice_submodules_with_the_summand_verdict():
     checked = 0
     for spec in default_module_specs():
         E = build_module(spec)
-        if E.kind != "cyclic_sum" or len(E.moduli) != 2:
+        if E.moduli is None or len(E.moduli) != 2:
             continue
         zero = E.elements[E.zero]
         for j, d in enumerate(E.moduli):
@@ -551,7 +552,7 @@ def test_summands_are_lattice_submodules_with_the_summand_verdict():
 def test_induced_action_needs_its_own_submodule():
     E, F = build_module("Z:4"), build_module("Z:4")
     with pytest.raises(ModuleError):
-        InducedAction(E, cyclic_image(F, 2), quotient=True)
+        InducedAction(E, F.image(2), quotient=True)
 
 
 # -- the residue reduction claim ------------------------------------------------------------

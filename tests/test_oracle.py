@@ -220,6 +220,28 @@ def union_over(mask, parts):
     return out
 
 
+def literal_t0(topo):
+    # every pair of points is told apart by an open set holding exactly one
+    for i in range(topo.n):
+        for j in range(i + 1, topo.n):
+            if not any(
+                bool(o & (1 << i)) != bool(o & (1 << j)) for o in topo.opens
+            ):
+                return False
+    return True
+
+
+def literal_t1(topo):
+    # every ordered pair of points: an open set holding the first only
+    for i in range(topo.n):
+        for j in range(topo.n):
+            if i == j:
+                continue
+            if not any(o & (1 << i) and not o & (1 << j) for o in topo.opens):
+                return False
+    return True
+
+
 def literal_t2(topo):
     m = literal_min_opens(topo)
     return all(
@@ -335,6 +357,8 @@ def literal_structure_checks(topo, space):
 
 
 LITERAL_AXIOMS = {
+    "T0": literal_t0,
+    "T1": literal_t1,
     "T2": literal_t2,
     "T3": literal_t3,
     "T4": literal_t4,
@@ -373,8 +397,8 @@ def assert_matches_literal(space, topo, where):
 
 
 def test_library_matches_literal_definitions():
-    # T0, T1, discrete, connected and noetherian are decided from their
-    # definitions in the library itself and need no second copy
+    # discrete, connected and noetherian are decided from their definitions
+    # in the library itself and need no second copy
     spaces = 0
     for inst in verifier.generate_corpus():
         if inst.kind != "module":
@@ -386,13 +410,14 @@ def test_library_matches_literal_definitions():
         spaces += 1
     assert spaces == 277
     rng = random.Random(20251018)
-    non_t0 = 0
+    non_t0 = t1 = 0
     for k in range(1000):
         s = random_preorder_space(rng, rng.randint(0, 10))
         t = enumerate_open_sets(s)
         assert_matches_literal(s, t, (k, s.up))
         non_t0 += len(set(s.up)) < s.n
-    assert non_t0 > 100
+        t1 += s.n > 1 and all(u == 1 << i for i, u in enumerate(s.up))
+    assert non_t0 > 100 and t1 > 100
 
 
 def test_topology_check_matches_literal_on_arbitrary_families():

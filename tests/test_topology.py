@@ -9,7 +9,6 @@ from qdivtop import modules, topology
 from qdivtop.modules import SizeCapExceeded, build_module, cyclic_sum, is_quasi_second
 from qdivtop.scalars import INTEGERS
 from qdivtop.topology import (
-    basis_set,
     build_space,
     closure,
     connectivity_report,
@@ -54,12 +53,10 @@ def test_build_space_examples():
 
 def test_basis_sets():
     s8 = space_of("Z:8")
-    assert labels(s8, basis_set(s8, s8.point_index("[4]"))) == ["[2]", "[4]"]
-    assert labels(s8, basis_set(s8, s8.point_index("[2]"))) == ["[2]"]
+    assert labels(s8, s8.up[s8.point_index("[4]")]) == ["[2]", "[4]"]
+    assert labels(s8, s8.up[s8.point_index("[2]")]) == ["[2]"]
     s6 = space_of("Z:6")
-    assert labels(s6, basis_set(s6, s6.point_index("[3]"))) == ["[3]"]
-    with pytest.raises(KeyError):
-        basis_set(s8, 5)
+    assert labels(s6, s6.up[s6.point_index("[3]")]) == ["[3]"]
 
 
 def test_closure_interior_dense():

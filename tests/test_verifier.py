@@ -221,10 +221,10 @@ def test_r16_uses_the_injected_predicate():
     assert pristine.tallies()["R16"][PASS] == 1
 
 
-def test_r10_r11_r16_build_no_derived_module(monkeypatch):
-    # annihilators are decided on the residue ring itself (R10, R11), and N
-    # and E/N are read through the instance module's own action (R16): the
-    # only module built is the instance's
+def test_r10_r11_r16_r19_build_no_derived_module(monkeypatch):
+    # annihilators are decided on the residue ring itself (R10, R11), and N,
+    # E/N (R16) and the summands of a direct sum (R19) are read through the
+    # instance module's own action: the only module built is the instance's
     built = []
     module_init = modules.FiniteModule.__init__
 
@@ -234,10 +234,72 @@ def test_r10_r11_r16_build_no_derived_module(monkeypatch):
 
     monkeypatch.setattr(modules.FiniteModule, "__init__", recording_module_init)
     corpus = [i for i in generate_corpus() if i.kind == "module"]
-    report = run_all(corpus, rule_ids=["R10", "R11", "R16"])
+    report = run_all(corpus, rule_ids=["R10", "R11", "R16", "R19"])
     assert built == [i.spec_text for i in corpus]
     tallies = report.tallies()
-    assert [tallies[r][PASS] for r in ("R10", "R11", "R16")] == [117, 201, 153]
+    assert [tallies[r][PASS] for r in ("R10", "R11", "R16", "R19")] == [
+        117, 201, 153, 13
+    ]
+    assert tallies["R19"] == {PASS: 13, FAIL: 0, VACUOUS: 264}
+
+
+def test_r19_summand_views_match_the_summand_modules():
+    # each summand view of a two-summand sum against the summand A/(d_k)
+    # built as a module of its own: class-set membership and image
+    # annihilator for every residue, and the quasi second verdict
+    modules_checked = annihilators = 0
+    for inst in generate_corpus():
+        if inst.kind != "module":
+            continue
+        E = modules.build_module(inst.spec_text)
+        if E.moduli is None or len(E.moduli) != 2:
+            continue
+        views = verifier._summand_views(E)
+        alone = [modules.cyclic_sum(E.domain, (d,)) for d in E.moduli]
+        for view, S in zip(views, alone):
+            assert view.full_mask.bit_count() == S.order, inst.spec_text
+            assert (modules.find_quasi_second_violation(view) is None) == (
+                modules.is_quasi_second(S)
+            ), inst.spec_text
+        for r in E.residue_ring.elements:
+            for (mask, inside), S in zip(verifier._summand_images(views, r), alone):
+                rs = S.residue_ring.reduce(r)
+                s_mask = S.image_mask(rs)
+                assert inside == (s_mask not in (S.zero_mask, S.full_mask)), (
+                    inst.spec_text, r
+                )
+                assert mask.bit_count() == s_mask.bit_count(), (inst.spec_text, r)
+                via_view = modules.submodule_annihilator(
+                    E, modules.Submodule._trusted(E, mask)
+                )
+                assert via_view == modules.submodule_annihilator(S, S.image(rs)), (
+                    inst.spec_text, r
+                )
+                annihilators += 1
+        modules_checked += 1
+    assert modules_checked == 141
+    assert annihilators == 6364
+
+
+def always_violated(E):
+    return {"a": "?", "b": "?", "aE": [], "bE": []}
+
+
+def test_r19_reads_the_injected_predicate_on_the_summands():
+    # both sides of the reduction read the hook: a predicate that rejects
+    # every module leaves them agreeing, and one that rejects only the
+    # summand views makes R19 fail on Z:6,6
+    outcome = run_rule("R19", Instance("module", "Z:6,6"), qs_finder=always_violated)
+    assert outcome.verdict == PASS
+
+    def summands_violated(E):
+        if isinstance(E, modules.InducedAction):
+            return always_violated(E)
+        return modules.find_quasi_second_violation(E)
+
+    outcome = run_rule("R19", Instance("module", "Z:6,6"), qs_finder=summands_violated)
+    assert outcome.verdict == FAIL
+    assert outcome.witness == "quasi_second=True but summand condition=False"
 
 
 # spaces of 16-18 points, past the old 14-point oracle cap, whose open sets
