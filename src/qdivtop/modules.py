@@ -49,6 +49,15 @@ caller passes in is checked against the generators' rows only.  Element
 sets are bit masks over the indices, which keeps image computations and
 the submodule lattice cheap.  Modules are immutable (their row and image
 caches aside) and every operation is pure.
+
+The submodule lattice of a cyclic sum over a PID is listed, not searched:
+each submodule has exactly one basis in Hermite normal form (H. Cohen, *A
+Course in Computational Algebraic Number Theory*, §2.4), so the lattice
+grows one summand at a time from the lattice of the summands after it
+(``lattice_by_summands``), and each submodule is found once.  A catalog
+ring's ideals have no such form; its lattice is the closure of {0} under
+joins with the cyclic submodules (``lattice_by_joins``), which also serves
+the tests as the reference for cyclic sums.
 """
 
 from __future__ import annotations
@@ -283,9 +292,6 @@ class FiniteModule:
             self._images[r] = mask
         return mask
 
-    def image(self, r) -> Submodule:
-        return Submodule._trusted(self, self.image_mask(r))
-
     def join_masks(self, m1: int, m2: int) -> int:
         """The sum of two submodule masks: m1 plus one coset of it for each
         element of m2 not yet covered."""
@@ -339,35 +345,109 @@ class FiniteModule:
         )
 
     def lattice_masks(self) -> tuple:
-        """Masks of every submodule, via joins of cyclic submodules."""
+        """Masks of every submodule, smallest mask first: a cyclic sum's
+        are listed summand by summand (``lattice_by_summands``), a catalog
+        ring's found by joins of cyclic submodules (``lattice_by_joins``)."""
         if self._lattice is None:
             if self.order > LATTICE_CAP:
                 raise SizeCapExceeded(
                     f"{self.spec_text}: submodule enumeration is capped at "
                     f"{LATTICE_CAP} elements, module has {self.order}"
                 )
-            cyclics = []
-            seen = set()
-            for i in range(self.order):
-                c = self.cyclic_mask(i)
-                if c not in seen:
-                    seen.add(c)
-                    cyclics.append(c)
-            known = {self.zero_mask}
-            queue = [self.zero_mask]
-            while queue:
-                m = queue.pop()
-                for c in cyclics:
-                    if c & ~m:
-                        j = self.join_masks(m, c)
-                        if j not in known:
-                            known.add(j)
-                            queue.append(j)
-            self._lattice = tuple(sorted(known))
+            route = lattice_by_joins if self.moduli is None else lattice_by_summands
+            self._lattice = tuple(sorted(route(self)))
         return self._lattice
 
     def __repr__(self):
         return f"<FiniteModule {self.spec_text} order={self.order}>"
+
+
+# -- the submodule lattice -------------------------------------------------
+
+
+def lattice_by_joins(E: FiniteModule) -> set:
+    """Every submodule mask, as the closure of {0} under joins with the
+    distinct cyclic submodules: about |lattice| x |cyclics| joins.  The
+    route for catalog rings, whose ideals have no normal form."""
+    cyclics = list(dict.fromkeys(E.cyclic_mask(i) for i in range(E.order)))
+    known = {E.zero_mask}
+    queue = [E.zero_mask]
+    while queue:
+        m = queue.pop()
+        for c in cyclics:
+            if c & ~m:
+                j = E.join_masks(m, c)
+                if j not in known:
+                    known.add(j)
+                    queue.append(j)
+    return known
+
+
+def lattice_by_summands(E: FiniteModule) -> list:
+    """Every submodule mask of a cyclic sum A/(d_1) + ... + A/(d_k), one
+    per Hermite normal form basis, with no check against the lattice cap.
+
+    Let T_i be the tail sum of the summands after i.  A submodule N of
+    A/(d_i) + T_i meets T_i in a submodule N', projects onto the ideal
+    (u)/(d_i) for a canonical divisor u of d_i, and is N' + A(u, v) for a
+    v in T_i unique mod N' with (d_i/u)v in N'; u = d_i gives N' itself.
+    Each triple (N', u, v mod N') gives one submodule, so no mask is found
+    twice.  Elements run like ``itertools.product`` over the summands,
+    each listing zero first, so T_i is the index block below its order and
+    (0, ..., 0, u, v) sits at the index of (0, ..., 0, u, 0, ..., 0) plus
+    v."""
+    reduce = E.residue_ring.reduce
+    zero = E.elements[E.zero]
+    lattice = [E.zero_mask]
+    tail = 1
+    for i in reversed(range(len(E.moduli))):
+        d = E.moduli[i].value
+        gens = [
+            (E.elem_index(zero[:i] + (u,) + zero[i + 1 :]), E.row(reduce(cofactor)))
+            for u, cofactor in _proper_divisors(E.domain, d)
+        ]
+        grown = []
+        for n_mask in lattice:
+            grown.append(n_mask)
+            reps = _coset_reps(E, n_mask, tail)
+            for base, row in gens:
+                for v in reps:
+                    if (n_mask >> row[v]) & 1:
+                        grown.append(E.join_masks(n_mask, E.cyclic_mask(base + v)))
+        lattice = grown
+        tail *= _residue_count(E.domain, d)
+    return lattice
+
+
+def _proper_divisors(domain: ScalarDomain, d) -> list:
+    """(u, d/u) for each canonical divisor u != d of the canonical d, by
+    trial division: positive integers below d, monic polynomials of lower
+    degree."""
+    if domain.kind == "int":
+        return [(u, d // u) for u in range(1, d) if not d % u]
+    p = domain.char
+    out = []
+    for k in range(scalars.pdeg(d)):
+        for u in scalars.monic_polys(p, k):
+            q, r = scalars.pdivmod(d, u, p)
+            if not r:
+                out.append((u, q))
+    return out
+
+
+def _coset_reps(E: FiniteModule, mask: int, size: int) -> list:
+    """The least index of each coset of the submodule mask among the
+    indices below size, which form a subgroup holding the mask."""
+    add = E.add
+    members = list(_bits(mask))
+    covered = 0
+    reps = []
+    for v in range(size):
+        if not (covered >> v) & 1:
+            reps.append(v)
+            for m in members:
+                covered |= 1 << add(v, m)
+    return reps
 
 
 # -- constructors --------------------------------------------------------
@@ -397,7 +477,7 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
 
     count = 1
     for d in moduli:
-        count *= abs(d.value) if domain.kind == "int" else domain.char ** scalars.pdeg(d.value)
+        count *= _residue_count(domain, d.value)
     if count > ELEMENT_CAP:
         raise SizeCapExceeded(f"{count} elements exceed the cap {ELEMENT_CAP}")
 
@@ -429,6 +509,11 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
         domain=domain,
         moduli=moduli,
     )
+
+
+def _residue_count(domain: ScalarDomain, n) -> int:
+    """The order of A/(n) for a canonical n."""
+    return n if domain.kind == "int" else domain.char ** scalars.pdeg(n)
 
 
 def _residue_ring(domain: ScalarDomain, n) -> rings.FiniteRing:

@@ -80,12 +80,6 @@ class QuasiDivisorSpace:
         """Specialization order: point i below point j when a_iE <= a_jE."""
         return bool((self.up[i] >> j) & 1)
 
-    def point_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown point {label!r}") from None
-
     def label_set(self, mask: int) -> list:
         return [self.labels[i] for i in _bits(mask)]
 

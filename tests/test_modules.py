@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -52,6 +53,11 @@ def value_arithmetic(E):
         lambda x, y: tuple(scalars.padd(a, b, p) for a, b in zip(x, y)),
         lambda r, x: tuple(mul(r, a, d) for a, d in zip(x, mods)),
     )
+
+
+def image(E, r):
+    """The image rE as a Submodule."""
+    return Submodule._trusted(E, E.image_mask(r))
 
 
 def value_rows(E):
@@ -196,11 +202,11 @@ def test_class_members_share_images():
 
 def test_cyclic_image_examples():
     E = build_module("Z:8")
-    assert E.image(2).element_strs() == ["0", "2", "4", "6"]
-    assert E.image(4).element_strs() == ["0", "4"]
+    assert image(E, 2).element_strs() == ["0", "2", "4", "6"]
+    assert image(E, 4).element_strs() == ["0", "4"]
     T = build_module("ring:Trunc(2,3)")
     x1 = (0, 1, 0, 0)
-    assert T.image(x1).element_strs() == ["0", "x1"]
+    assert image(T, x1).element_strs() == ["0", "x1"]
     for c in scalar_classes(T):
         assert c.image.size == 2  # every class image is {0, a}
 
@@ -298,15 +304,79 @@ def test_lattice_cap():
         enumerate_submodules(E)
 
 
+# cyclic sums of three and four summands, which the default corpus (two
+# summands at most) leaves out
+MULTI_SUMMAND_SPECS = ("Z:2,4,4", "Z:2,2,2,2", "F2[x]:x,x,x^2", "F2[x]:x^2+x,x^2,x")
+
+
+def test_summand_listing_matches_the_join_closure():
+    # a cyclic sum's lattice is listed summand by summand; the join closure
+    # run on the same module must find the same masks, none of them twice
+    checked = 0
+    for spec in default_module_specs() + list(MULTI_SUMMAND_SPECS):
+        E = build_module(spec)
+        if E.moduli is None:
+            continue
+        assert E.lattice_masks() == tuple(sorted(modules.lattice_by_joins(E))), spec
+        checked += 1
+    assert checked == 167
+
+
+def canonical_divisors(domain, d):
+    """The positive divisors of an integer d, or the monic divisors of a
+    polynomial d, by trial division."""
+    if domain.kind == "int":
+        return [u for u in range(1, d + 1) if d % u == 0]
+    p = domain.char
+    return [
+        u
+        for k in range(scalars.pdeg(d) + 1)
+        for u in scalars.monic_polys(p, k)
+        if not scalars.pdivmod(d, u, p)[1]
+    ]
+
+
+def two_summand_count(E):
+    """Goursat's count of the submodules of A/(d_1) + A/(d_2): the sum of
+    |A/gcd(d_1/u, w)| over the divisors u of d_1 and w of d_2."""
+    d1, d2 = (d.value for d in E.moduli)
+    divisor_pairs = itertools.product(
+        canonical_divisors(E.domain, d1), canonical_divisors(E.domain, d2)
+    )
+    if E.domain.kind == "int":
+        return sum(math.gcd(d1 // u, w) for u, w in divisor_pairs)
+    p = E.domain.char
+    return sum(
+        p ** scalars.pdeg(scalars.pgcd(scalars.pdivmod(d1, u, p)[0], w, p))
+        for u, w in divisor_pairs
+    )
+
+
+def test_two_summand_lattices_have_goursats_count():
+    checked = 0
+    for spec in default_module_specs():
+        E = build_module(spec)
+        if E.moduli is None or len(E.moduli) != 2:
+            continue
+        assert len(E.lattice_masks()) == two_summand_count(E), spec
+        checked += 1
+    assert checked == 141
+    # past the lattice cap, the listing itself
+    for spec, count in (("Z:16,32", 114), ("Z:36,36", 345)):
+        E = build_module(spec)
+        assert E.order > modules.LATTICE_CAP
+        assert len(modules.lattice_by_summands(E)) == two_summand_count(E) == count
+
+
 # -- annihilators of submodules ---------------------------------------------------
 
 
 def test_submodule_annihilator_examples():
     e4 = build_module("Z:4")
-    gen, maximal = submodule_annihilator(e4, e4.image(2))
+    gen, maximal = submodule_annihilator(e4, image(e4, 2))
     assert gen.value == 2 and maximal
     e8 = build_module("Z:8")
-    gen8, maximal8 = submodule_annihilator(e8, e8.image(2))
+    gen8, maximal8 = submodule_annihilator(e8, image(e8, 2))
     assert gen8.value == 4 and not maximal8
     zero = Submodule(e8, elements=[(0,)])
     genz, maxz = submodule_annihilator(e8, zero)
@@ -316,7 +386,7 @@ def test_submodule_annihilator_examples():
 def test_submodule_annihilator_ring_side():
     T = build_module("ring:Trunc(2,2)")
     x1 = (0, 1, 0)
-    killer_set, maximal = submodule_annihilator(T, T.image(x1))
+    killer_set, maximal = submodule_annihilator(T, image(T, x1))
     # ann of {0, x1} is the whole maximal ideal (c0 = 0), which is maximal
     assert maximal
     assert killer_set == frozenset(e for e in T.residue_ring.elements if e[0] == 0)
@@ -372,7 +442,7 @@ def test_second_examples():
     assert is_second_module(build_module("Z:5"))
     assert not is_second_module(build_module("Z:4"))
     e4 = build_module("Z:4")
-    assert is_second_submodule(e4, e4.image(2))
+    assert is_second_submodule(e4, image(e4, 2))
 
 
 def test_quasi_second_examples():
@@ -464,7 +534,7 @@ def proper_images(D):
 
 def test_quotient_example():
     E = build_module("Z:8")
-    q = InducedAction(E, E.image(2), quotient=True)
+    q = InducedAction(E, image(E, 2), quotient=True)
     assert coset_count(q) == 2
     assert q.format_mask(q.full_mask) == ["0", "1"]
     assert is_quasi_second(q)
@@ -473,7 +543,7 @@ def test_quotient_example():
 
 def test_submodule_example():
     E = build_module("Z:8")
-    sub = InducedAction(E, E.image(2), quotient=False)
+    sub = InducedAction(E, image(E, 2), quotient=False)
     assert sub.full_mask.bit_count() == 4
     assert is_quasi_second(sub)
     # behaves like Z:4: one proper image, of two elements
@@ -552,7 +622,7 @@ def test_summands_are_lattice_submodules_with_the_summand_verdict():
 def test_induced_action_needs_its_own_submodule():
     E, F = build_module("Z:4"), build_module("Z:4")
     with pytest.raises(ModuleError):
-        InducedAction(E, F.image(2), quotient=True)
+        InducedAction(E, image(F, 2), quotient=True)
 
 
 # -- the residue reduction claim ------------------------------------------------------------

@@ -30,6 +30,11 @@ def space_of(spec):
     return build_space(build_module(spec))
 
 
+def point(space, label):
+    """The index of the point with the given label."""
+    return space.labels.index(label)
+
+
 def labels(space, mask):
     return space.label_set(mask)
 
@@ -37,14 +42,14 @@ def labels(space, mask):
 def mask_of(space, *labs):
     out = 0
     for lab in labs:
-        out |= 1 << space.point_index(lab)
+        out |= 1 << point(space, lab)
     return out
 
 
 def test_build_space_examples():
     s8 = space_of("Z:8")
     assert s8.n == 2
-    assert s8.le(s8.point_index("[4]"), s8.point_index("[2]"))
+    assert s8.le(point(s8, "[4]"), point(s8, "[2]"))
     s6 = space_of("Z:6")
     assert s6.n == 2
     assert not s6.le(0, 1) and not s6.le(1, 0)
@@ -53,10 +58,10 @@ def test_build_space_examples():
 
 def test_basis_sets():
     s8 = space_of("Z:8")
-    assert labels(s8, s8.up[s8.point_index("[4]")]) == ["[2]", "[4]"]
-    assert labels(s8, s8.up[s8.point_index("[2]")]) == ["[2]"]
+    assert labels(s8, s8.up[point(s8, "[4]")]) == ["[2]", "[4]"]
+    assert labels(s8, s8.up[point(s8, "[2]")]) == ["[2]"]
     s6 = space_of("Z:6")
-    assert labels(s6, s6.up[s6.point_index("[3]")]) == ["[3]"]
+    assert labels(s6, s6.up[point(s6, "[3]")]) == ["[3]"]
 
 
 def test_closure_interior_dense():
@@ -166,7 +171,7 @@ def iter_bits(mask):
 
 def test_divisibility_monotonicity_and_gcd_identity_z12():
     s = space_of("Z:12")
-    up = {lab: labels(s, s.up[s.point_index(lab)]) for lab in s.labels}
+    up = {lab: labels(s, s.up[point(s, lab)]) for lab in s.labels}
     # 4 and 6 divide 12-multiples of 2; U_4 and U_6 meet exactly in U_2
     u2 = mask_of(s, *up["[2]"])
     u4 = mask_of(s, *up["[4]"])
