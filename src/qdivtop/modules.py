@@ -409,7 +409,7 @@ def lattice_by_summands(E: FiniteModule) -> list:
         grown = []
         for n_mask in lattice:
             grown.append(n_mask)
-            reps = _coset_reps(E, n_mask, tail)
+            reps = _coset_reps(E, n_mask, (1 << tail) - 1)
             for base, row in gens:
                 for v in reps:
                     if (n_mask >> row[v]) & 1:
@@ -435,18 +435,18 @@ def _proper_divisors(domain: ScalarDomain, d) -> list:
     return out
 
 
-def _coset_reps(E: FiniteModule, mask: int, size: int) -> list:
-    """The least index of each coset of the submodule mask among the
-    indices below size, which form a subgroup holding the mask."""
+def _coset_reps(E: FiniteModule, n_mask: int, mask: int) -> list:
+    """The least index of each coset of the submodule n_mask in mask, a
+    union of its cosets."""
     add = E.add
-    members = list(_bits(mask))
+    members = list(_bits(n_mask))
     covered = 0
     reps = []
-    for v in range(size):
-        if not (covered >> v) & 1:
-            reps.append(v)
-            for m in members:
-                covered |= 1 << add(v, m)
+    for i in _bits(mask):
+        if not (covered >> i) & 1:
+            reps.append(i)
+            for x in members:
+                covered |= 1 << add(i, x)
     return reps
 
 
@@ -878,12 +878,4 @@ class InducedAction:
         E = self.E
         if not self.quotient:
             return E.format_mask(mask)
-        members = list(_bits(self.N))
-        covered = 0
-        reps = []
-        for i in _bits(mask):
-            if not (covered >> i) & 1:
-                reps.append(E.format_element(E.elements[i]))
-                for x in members:
-                    covered |= 1 << E.add(i, x)
-        return reps
+        return [E.format_element(E.elements[i]) for i in _coset_reps(E, self.N, mask)]
