@@ -20,7 +20,6 @@ from .modules import (  # noqa: F401
     cyclic_sum,
     enumerate_submodules,
     is_quasi_second,
-    is_second_module,
     is_second_submodule,
     ring_cyclic,
     scalar_classes,

@@ -13,6 +13,7 @@ error, 3 size cap exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -36,17 +37,24 @@ def parse_spec(text: str):
     return modules.ring_cyclic(rings.build_ring(s))
 
 
+# the oracle axioms with a fast counterpart in ``separation`` or ``connectivity``
+AGREEMENT_AXIOMS = (
+    "T0", "T1", "T2", "T3", "discrete", "connected", "hyperconnected", "ultraconnected",
+)
+
+
 def _analyze_payload(E, with_oracle: bool):
     space = topology.build_space(E)
-    classes = modules.scalar_classes(E)
     sep = topology.separation_report(space)
-    conn = topology.connectivity_report(space)
-    maximal = topology.maximal_classes(space)
-    second = modules.is_second_module(E)
+    maximal = space.label_set(topology.maximal_classes(space))
+    minimal = space.label_set(topology.minimal_classes(space))
     ann = modules.annihilator(E)
     if E.moduli is None:
         ann = "{" + ",".join(sorted(map(E.residue_ring.format_element, ann))) + "}"
 
+    # E is second (every residue acts as zero or onto E) exactly when no
+    # residue forms a scalar class, that is when the space is empty
+    second = space.n == 0
     payload = {
         "spec": E.spec_text,
         "domain": E.domain_label,
@@ -63,7 +71,7 @@ def _analyze_payload(E, with_oracle: bool):
                 "image": c.image.element_strs(),
                 "image_size": c.image.size,
             }
-            for c in classes
+            for c in space.classes
         ],
         "basis": {
             space.labels[i]: space.label_set(space.up[i])
@@ -72,11 +80,11 @@ def _analyze_payload(E, with_oracle: bool):
         "hasse": [
             [space.labels[i], space.labels[j]] for i, j in topology.hasse_edges(space)
         ],
-        "maximal_classes": space.label_set(maximal),
-        "minimal_classes": space.label_set(topology.minimal_classes(space)),
+        "maximal_classes": maximal,
+        "minimal_classes": minimal,
         # a point is isolated exactly when its basis set is the singleton,
         # i.e. when its image is maximal
-        "isolated_points": space.label_set(maximal),
+        "isolated_points": maximal,
         "separation": {
             "T0": sep.t0,
             "T1": sep.t1,
@@ -86,35 +94,18 @@ def _analyze_payload(E, with_oracle: bool):
             "metrizable": sep.metrizable,
             "empty": sep.empty,
         },
-        "connectivity": {
-            "connected": conn.connected,
-            "hyperconnected": conn.hyperconnected,
-            "ultraconnected": conn.ultraconnected,
-            "nested": conn.nested,
-            "noetherian": conn.noetherian,
-            "empty": conn.empty,
-        },
+        "connectivity": dataclasses.asdict(topology.connectivity_report(space)),
         "compactness": {
             "compact": True,
             "lindelof": True,
-            "minimal_element_count": len(
-                space.label_set(topology.minimal_classes(space))
-            ),
+            "minimal_element_count": len(minimal),
         },
         "countability": {"first_countable": True, "second_countable": True},
     }
     if E.moduli is None:
         payload["ring_order"] = E.residue_ring.order
     try:
-        preds = modules.structural_predicates(E)
-        payload["predicates"] = {
-            "divisible": preds.divisible,
-            "simple": preds.simple,
-            "uniserial": preds.uniserial,
-            "multiplication": preds.multiplication,
-            "comultiplication": preds.comultiplication,
-            "semiprime_annihilator": preds.semiprime_annihilator,
-        }
+        payload["predicates"] = dataclasses.asdict(modules.structural_predicates(E))
     except SizeCapExceeded:
         payload["predicates"] = None
     split = modules.weak_idempotent_split(E)
@@ -138,26 +129,14 @@ def _analyze_payload(E, with_oracle: bool):
                     axioms[name] = oracle.oracle_axiom(topo, name)
                 except SizeCapExceeded:  # the T5 sweep past T5_CAP points
                     axioms[name] = None
-            agreement = {
-                "T0": axioms["T0"] == sep.t0,
-                "T1": axioms["T1"] == sep.t1,
-                "T2": axioms["T2"] == sep.t2,
-                "T3": axioms["T3"] == sep.t3,
-                "discrete": axioms["discrete"] == sep.discrete,
-                "connected": axioms["connected"] == conn.connected,
-                "hyperconnected": axioms["hyperconnected"] == conn.hyperconnected,
-                "ultraconnected": axioms["ultraconnected"] == conn.ultraconnected,
-            }
-            checks = oracle.oracle_structure_checks(topo, space)
+            fast = payload["separation"] | payload["connectivity"]
             payload["oracle"] = {
                 "opens_count": len(topo.opens),
                 "axioms": axioms,
-                "agreement": agreement,
-                "structure": {
-                    "minimal_neighborhoods_ok": checks.minimal_neighborhoods_ok,
-                    "closure_union_ok": checks.closure_union_ok,
-                    "open_dense_contains_maximal_ok": checks.open_dense_contains_maximal_ok,
-                },
+                "agreement": {a: axioms[a] == fast[a] for a in AGREEMENT_AXIOMS},
+                "structure": dataclasses.asdict(
+                    oracle.oracle_structure_checks(topo, space)
+                ),
                 "related_rules": {
                     "T1": "R2",
                     "discrete": "R3",

@@ -664,16 +664,6 @@ def submodule_annihilator(E: FiniteModule, N: Submodule):
     return gen, maximal
 
 
-def is_second_module(E: FiniteModule) -> bool:
-    """Every residue acts as zero or as a surjection (units always do)."""
-    units = E.residue_ring.units()
-    return all(
-        E.image_mask(r) in (E.zero_mask, E.full_mask)
-        for r in E.residue_ring.elements
-        if r not in units
-    )
-
-
 def is_second_submodule(E: FiniteModule, N: Submodule) -> bool:
     """Every residue maps N onto N or to zero.  A residue acts on N as its
     divisor does, and a unit maps N onto N."""
@@ -812,9 +802,7 @@ def weak_idempotent_split(E: FiniteModule) -> WeakSplit:
         return WeakSplit("simple")
     ring = E.residue_ring
     zmask = E.zero_mask
-    for e in ring.elements:
-        if ring.mul(e, e) != e:
-            continue
+    for e in sorted(ring.idempotents(), key=ring.sort_key):
         part_e = E.image_mask(e)
         part_f = E.image_mask(ring.sub(ring.one, e))
         if part_e == zmask or part_f == zmask:

@@ -258,11 +258,6 @@ class FiniteRing:
         except KeyError:
             raise RingError(f"{x!r} is not an element of {self.spec}") from None
 
-    def __contains__(self, x):
-        if self._index is None:
-            self.index(self.elements[0])
-        return x in self._index
-
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
@@ -280,9 +275,6 @@ class FiniteRing:
                 dict.fromkeys(self.divisor(r) for r in self.elements)
             )
         return self._divisor_list
-
-    def is_unit(self, x) -> bool:
-        return x in self.units()
 
     def is_field(self) -> bool:
         return len(self.units()) == self.order - 1
@@ -313,7 +305,8 @@ class FiniteRing:
         idempotents."""
         if self.idempotents() - {self.zero, self.one}:
             return False, None
-        return True, frozenset(x for x in self.elements if not self.is_unit(x))
+        units = self.units()
+        return True, frozenset(x for x in self.elements if x not in units)
 
     def _check_tables(self, add, mul, neg):
         n, elems = self.order, self.elements

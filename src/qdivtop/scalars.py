@@ -203,16 +203,6 @@ def normalize(a: Scalar) -> Scalar:
     return Scalar(a.domain, pmonic(a.value, a.domain.char))
 
 
-def divides(a: Scalar, b: Scalar) -> bool:
-    """Whether a divides b in the domain."""
-    _same_domain(a, b)
-    if a.is_zero():
-        return b.is_zero()
-    if a.domain.kind == "int":
-        return b.value % a.value == 0
-    return not pdivmod(b.value, a.value, a.domain.char)[1]
-
-
 def scalar_gcd(a: Scalar, b: Scalar) -> Scalar:
     _same_domain(a, b)
     if a.is_zero() and b.is_zero():

@@ -48,12 +48,11 @@ class ConnectivityReport:
 class QuasiDivisorSpace:
     """A finite poset of scalar classes with up-set/down-set masks."""
 
-    def __init__(self, classes, provenance, module=None):
+    def __init__(self, classes, provenance):
         self.classes = tuple(classes)
         self.n = len(self.classes)
         self.labels = tuple(c.label for c in self.classes)
         self.provenance = provenance
-        self.module = module
         # up[i] holds j when a_iE <= a_jE, and down is its transpose.  Equal
         # images relate both ways; otherwise only a smaller image can lie
         # in a larger one, so each pair of points of unequal sizes is
@@ -88,9 +87,7 @@ class QuasiDivisorSpace:
 
 
 def build_space(E: FiniteModule) -> QuasiDivisorSpace:
-    return QuasiDivisorSpace(
-        modules.scalar_classes(E), provenance=E.spec_text, module=E
-    )
+    return QuasiDivisorSpace(modules.scalar_classes(E), provenance=E.spec_text)
 
 
 def closure(space: QuasiDivisorSpace, mask: int) -> int:
@@ -128,15 +125,11 @@ def minimal_classes(space: QuasiDivisorSpace) -> int:
     return out
 
 
-def _is_antichain(space: QuasiDivisorSpace) -> bool:
-    return all(space.up[i] == 1 << i for i in range(space.n))
-
-
 def separation_report(space: QuasiDivisorSpace) -> SeparationReport:
     """T0 always holds; T1, T2, discreteness and metrizability coincide and
     hold exactly when the order is an antichain; T3 asks every basis set to
     be closed, i.e. every up-set to be its own down-closure."""
-    antichain = _is_antichain(space)
+    antichain = maximal_classes(space) == space.full
     t3 = all(closure(space, space.up[i]) == space.up[i] for i in range(space.n))
     return SeparationReport(
         t0=True,

@@ -29,21 +29,18 @@ QS_VIOLATION_FINDER = modules.find_quasi_second_violation
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    int_modulus_min: int = 2
+    """Integer moduli run from 2, polynomial moduli are over F_2, and the
+    catalog holds Trunc(2,k) for k <= 3 and Ideal(Zn(2),d) for d <= 2."""
+
     int_modulus_max: int = 9
     max_summands: int = 2
     element_cap: int = 81
-    poly_char: int = 2
     poly_max_degree: int = 3
     ring_order_cap: int = 64
-    trunc_max_generators: int = 3
-    idealize_max_copies: int = 2
 
     def __post_init__(self):
         if self.max_summands < 1 or self.element_cap < 1:
             raise ValueError("corpus caps must be positive")
-        if not scalars.is_prime(self.poly_char):
-            raise ValueError("the polynomial characteristic must be prime")
 
 
 DEFAULT_CORPUS = CorpusSpec()
@@ -94,10 +91,10 @@ def _field_specs(order_cap: int):
 
 def catalog_ring_specs(cs: CorpusSpec) -> list:
     specs = [f"Zn({n})" for n in range(2, cs.ring_order_cap + 1)]
-    for k in range(1, cs.trunc_max_generators + 1):
+    for k in range(1, 4):
         if 2 ** (k + 1) <= cs.ring_order_cap:
             specs.append(f"Trunc(2,{k})")
-    for d in range(1, cs.idealize_max_copies + 1):
+    for d in range(1, 3):
         if 2 ** (d + 1) <= cs.ring_order_cap:
             specs.append(f"Ideal(Zn(2),{d})")
     fields = _field_specs(cs.ring_order_cap)
@@ -109,11 +106,11 @@ def catalog_ring_specs(cs: CorpusSpec) -> list:
 
 
 def generate_corpus(cs: CorpusSpec = DEFAULT_CORPUS) -> list:
-    """Deterministic instance list: integer cyclic sums, their F_p[x]
+    """Deterministic instance list: integer cyclic sums, their F_2[x]
     analogues (single moduli and pairwise direct sums within the element
     cap), and every catalog ring both as a ring and as a cyclic module."""
     out = []
-    mods = range(cs.int_modulus_min, cs.int_modulus_max + 1)
+    mods = range(2, cs.int_modulus_max + 1)
     for k in range(1, cs.max_summands + 1):
         for combo in itertools.combinations_with_replacement(mods, k):
             size = 1
@@ -122,7 +119,7 @@ def generate_corpus(cs: CorpusSpec = DEFAULT_CORPUS) -> list:
             if size <= cs.element_cap:
                 out.append(Instance("module", "Z:" + ",".join(map(str, combo))))
 
-    p = cs.poly_char
+    p = 2
     polys = []
     for deg in range(1, cs.poly_max_degree + 1):
         polys.extend(scalars.monic_polys(p, deg))
@@ -148,12 +145,16 @@ def generate_corpus(cs: CorpusSpec = DEFAULT_CORPUS) -> list:
 
 
 class _ModuleCtx:
-    kind = "module"
+    """One instance's lazily computed facts.  A ring instance R runs on the
+    module ``ring:R``: R is quasi second exactly when it is as a module over
+    itself, and R is the module's residue ring."""
 
     def __init__(self, instance: Instance, qs_finder):
         self.instance = instance
+        self.kind = instance.kind
         self.qs_finder = qs_finder
-        self.E = modules.build_module(instance.spec_text)
+        prefix = "ring:" if instance.kind == "ring" else ""
+        self.E = modules.build_module(prefix + instance.spec_text)
         self._axioms = {}
 
     @cached_property
@@ -213,9 +214,10 @@ class _ModuleCtx:
         return self.qs_violation is None
 
     @cached_property
-    def all_images_maximal(self):
+    def maximal_images(self):
+        """Per point: whether no class image strictly contains its image."""
         masks = [c.image.mask for c in self.classes]
-        return all(
+        return tuple(
             not any(m != other and not (m & ~other) for other in masks)
             for m in masks
         )
@@ -225,6 +227,10 @@ class _ModuleCtx:
         return all(
             modules.is_second_submodule(self.E, c.image) for c in self.classes
         )
+
+    @cached_property
+    def classification(self):
+        return rings.classify_quasi_second_ring(self.E.residue_ring)
 
     @cached_property
     def all_ann_maximal(self):
@@ -246,24 +252,6 @@ class _ModuleCtx:
             f"a={v['a']} b={v['b']} aE={{{','.join(v['aE'])}}} "
             f"bE={{{','.join(v['bE'])}}}"
         )
-
-
-class _RingCtx:
-    kind = "ring"
-
-    def __init__(self, instance: Instance, qs_finder):
-        self.instance = instance
-        self.qs_finder = qs_finder
-        self.ring = rings.build_ring(instance.spec_text)
-
-    @cached_property
-    def violation(self):
-        # R is quasi second exactly when R is, as a module over itself
-        return self.qs_finder(modules.ring_cyclic(self.ring))
-
-    @cached_property
-    def classification(self):
-        return rings.classify_quasi_second_ring(self.ring)
 
 
 # -- rules ---------------------------------------------------------------
@@ -307,7 +295,7 @@ def _r2(ctx):
 def _r3(ctx):
     values = {
         "quasi_second": ctx.qs,
-        "all_images_maximal": ctx.all_images_maximal,
+        "all_images_maximal": all(ctx.maximal_images),
         "discrete": ctx.axiom("discrete"),
         "metrizable": ctx.sep.metrizable,
         "T2": ctx.axiom("T2"),
@@ -356,13 +344,9 @@ def _r6(ctx):
     if _empty(ctx):
         return VACUOUS, None, "empty space"
     space, topo = ctx.space, ctx.topo
-    masks = [c.image.mask for c in ctx.classes]
     for i in range(space.n):
         singleton_basis = space.up[i] == 1 << i
-        img = masks[i]
-        is_maximal = not any(
-            img != other and not (img & ~other) for other in masks
-        )
+        is_maximal = ctx.maximal_images[i]
         isolated = topo.is_open(1 << i)
         if not (isolated == singleton_basis == is_maximal):
             return FAIL, (
@@ -473,11 +457,11 @@ def _r13(ctx):
 
 
 def _r14(ctx):
-    brute = ctx.violation is None
+    v = ctx.qs_violation
+    brute = v is None
     structural = ctx.classification != rings.NOT_QS
     if brute == structural:
         return PASS, None, None
-    v = ctx.violation
     detail = f"brute={brute} classification={ctx.classification}"
     if v is not None:
         detail += (
@@ -488,14 +472,14 @@ def _r14(ctx):
 
 
 def _r15(ctx):
-    ring = ctx.ring
+    ring = ctx.E.residue_ring
     if not isinstance(ring, rings.IdealizeRing):
         return VACUOUS, None, "not an idealization"
     if not ring.base.is_field():
         return VACUOUS, None, "base ring is not a field"
-    if ctx.violation is None:
+    v = ctx.qs_violation
+    if v is None:
         return PASS, None, None
-    v = ctx.violation
     return FAIL, f"idealization of a field not quasi second: a={v['a']} b={v['b']}", None
 
 
@@ -969,11 +953,6 @@ class TheoremReport:
         }
 
 
-def _make_ctx(instance: Instance, qs_finder):
-    ctx = _RingCtx if instance.kind == "ring" else _ModuleCtx
-    return ctx(instance, qs_finder)
-
-
 def _evaluate(rule: RuleDef, ctx) -> RuleOutcome:
     if rule.kind != ctx.kind:
         return RuleOutcome(
@@ -995,7 +974,7 @@ def run_rule(rule_id: str, instance: Instance, qs_finder=None) -> RuleOutcome:
     if rule_id not in RULES:
         raise ValueError(f"unknown rule id {rule_id!r}")
     finder = qs_finder or QS_VIOLATION_FINDER
-    return _evaluate(RULES[rule_id], _make_ctx(instance, finder))
+    return _evaluate(RULES[rule_id], _ModuleCtx(instance, finder))
 
 
 def run_all(corpus=None, rule_ids=None, qs_finder=None) -> TheoremReport:
@@ -1014,7 +993,7 @@ def run_all(corpus=None, rule_ids=None, qs_finder=None) -> TheoremReport:
     finder = qs_finder or QS_VIOLATION_FINDER
     outcomes = []
     for instance in corpus:
-        ctx = _make_ctx(instance, finder)
+        ctx = _ModuleCtx(instance, finder)
         for rid in rule_ids:
             outcomes.append(_evaluate(RULES[rid], ctx))
     return TheoremReport(corpus, rule_ids, outcomes)

@@ -357,6 +357,30 @@ PINNED_STDOUT_SHA256 = {
         "196677df8f5f255f7c83e3f9f987cf60b58b2962b7afaa1be4c136d6a7c68404",
         "bde04a31c223f04c16b025641876225797f9db645b775c3939b3bcd66576934c",
     ),
+    # an empty space, split "simple"
+    "Z:5": (
+        "085322fe79361232f1a84606a12d0e0d1568e965bbb5ce2486a9d488fe751372",
+        "0580f59443fdeef4889ee1e06036b10939ebf0211a0cdc73dffdd66e8fd35def",
+        "8a74a59017d01e41584f88094e20d8d298a6daf6fbb2b36fbb6399a82409be4b",
+    ),
+    # 14 points, T5 null in the oracle
+    "Z:210": (
+        "11caf0b7730bf4157f5416a823b7bc306fc54abbb80f14c9817227500817be28",
+        "286e1cb61d009c5d0f0f7331d2d3b8d8a87cc9a00b8d67efb0c8b02375512afc",
+        "6ed230f3c5dcce3cf682d3107712d9eb2dd369b0b3279b9f36446a2e1d16bae4",
+    ),
+    # predicates null past the lattice cap
+    "Z:16,32": (
+        "dd39dff4a0bb4cd2542bdc6b61b6c49832733dfdac4b4ee821e0610cb1be9a46",
+        "6533cc045c3d82d21150ff57c616dcdeb384bf331be3c4771a3a6b311e5346f4",
+        "d9779289c7afd73dde520ae18011fa422bb6cd76ded8e136a68fd8d73ee2b48a",
+    ),
+    # the oracle skipped past its open-set cap
+    "ring:Trunc(2,4)": (
+        "8ef17fb7230098f418e9036fe35511103db662c1ebbef59cc4c7b1c560837876",
+        "6da9a2a06c6239c720c3f2b8c4c6bb3b7addc51d1acaafaad5536ecd774b3718",
+        "22cb432ea353eefaaf9fc657711af60807108ba5f8717adf01cc80b8d55cf540",
+    ),
 }
 
 

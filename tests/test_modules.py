@@ -18,7 +18,6 @@ from qdivtop.modules import (
     enumerate_submodules,
     find_quasi_second_violation,
     is_quasi_second,
-    is_second_module,
     is_second_submodule,
     ring_cyclic,
     scalar_classes,
@@ -58,6 +57,17 @@ def value_arithmetic(E):
 def image(E, r):
     """The image rE as a Submodule."""
     return Submodule._trusted(E, E.image_mask(r))
+
+
+def is_second(E):
+    """The literal definition: every nonunit residue acts as zero or onto E
+    (a unit always acts onto E)."""
+    units = E.residue_ring.units()
+    return all(
+        E.image_mask(r) in (E.zero_mask, E.full_mask)
+        for r in E.residue_ring.elements
+        if r not in units
+    )
 
 
 def value_rows(E):
@@ -185,8 +195,34 @@ def test_scalar_classes_z6():
 
 def test_scalar_classes_second_module_empty():
     assert scalar_classes(build_module("Z:5")) == ()
-    assert is_second_module(build_module("Z:5"))
-    assert not is_second_module(build_module("Z:4"))
+    assert is_second(build_module("Z:5"))
+    assert not is_second(build_module("Z:4"))
+
+
+# the specs of the analyze-ladder benchmark workload, its two probes included,
+# and of the oracle-dense workload (Z:210 is in both and listed once)
+BENCHMARK_MODULE_SPECS = (
+    "Z:60", "F2[x]:x^6", "Z:16,16", "Z:360", "Z:210", "F2[x]:x^4,x^4", "Z:64,64",
+    "F3[x]:x^5", "ring:Ideal(GF(3,x^2+1),2)", "F2[x]:x^8", "Z:2310", "F2[x]:x^12",
+    "ring:Ideal(Zn(2),3)", "ring:Trunc(7,2)", "ring:Prod(Trunc(2,2),GF(2,x^2+x+1))",
+    "ring:Trunc(11,2)",
+)
+
+
+def test_second_exactly_when_the_space_is_empty():
+    # the analyze payload reports second_module as an empty space
+    specs = [
+        inst.spec_text
+        for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS)
+        if inst.kind == "module"
+    ]
+    specs += BENCHMARK_MODULE_SPECS
+    second = 0
+    for spec in specs:
+        E = build_module(spec)
+        assert is_second(E) == (not scalar_classes(E)), spec
+        second += is_second(E)
+    assert (len(specs), second) == (293, 36)
 
 
 def test_class_members_share_images():
@@ -439,8 +475,8 @@ def test_annihilator_maximality_agrees_with_quotient_field_route():
 
 
 def test_second_examples():
-    assert is_second_module(build_module("Z:5"))
-    assert not is_second_module(build_module("Z:4"))
+    assert is_second(build_module("Z:5"))
+    assert not is_second(build_module("Z:4"))
     e4 = build_module("Z:4")
     assert is_second_submodule(e4, image(e4, 2))
 
@@ -538,7 +574,7 @@ def test_quotient_example():
     assert coset_count(q) == 2
     assert q.format_mask(q.full_mask) == ["0", "1"]
     assert is_quasi_second(q)
-    assert is_second_module(q)
+    assert not proper_images(q)
 
 
 def test_submodule_example():

@@ -254,9 +254,10 @@ def test_poly_gcd_divides_both(ca, cb):
     if a.is_zero() and b.is_zero():
         return
     g = scalar_gcd(a, b)
-    assert scalars.divides(g, a) and scalars.divides(g, b)
-    if not g.is_zero():
-        assert g.value[-1] == 1  # monic
+    # g is nonzero, since a or b is, and divides each with remainder zero
+    assert scalars.pdivmod(a.value, g.value, 3)[1] == ()
+    assert scalars.pdivmod(b.value, g.value, 3)[1] == ()
+    assert g.value[-1] == 1  # monic
 
 
 # -- parsing and formatting -----------------------------------------------------
