@@ -12,8 +12,8 @@ A module is one of
 
 Both are one ``FiniteModule``, built from its presentation alone.  A
 submodule N, a quotient E/N or a direct summand is not built as a module
-of its own: the quasi-second search reads it through E's action
-(``InducedAction``).
+of its own: the quasi-second search reads a ``Submodule`` N, or its
+``Quotient`` E/N, through E's action.
 
 All scalar action factors through the finite residue ring A/ann(E).  For a
 finitely generated module the scalars acting neither as zero nor as a
@@ -97,24 +97,36 @@ def _mask(indices) -> int:
 
 
 class Submodule:
-    """An explicit submodule: a sorted element tuple plus its bit mask.
+    """A submodule N of a module E: a bit mask read through E's own action,
+    as the quasi-second search reads a module.  The residues and zero are
+    E's, the whole is N, and the image of r is rN = gN for the divisor g of
+    r, cached per divisor.  The element tuple is built on first use, whether
+    N is second and its annihilator are decided once
+    (``is_second_submodule``, ``submodule_annihilator``), and ``quotient()``
+    gives E/N.
 
     Closure under addition and the residue action is verified for every
     element set or mask a caller passes in.  Every residue is a sum of the
     residue ring's additive generators (negation too: -1 is a sum of ones),
     so an additively closed set closed under their action is closed under
-    every residue's.  Masks the library computes itself (class images,
-    lattice masks, split parts) are submodules by construction and skip the
-    check.
+    every residue's.  The check reads each generator's own row, not its
+    divisor's: on a set that is not a submodule, gN and divisor(g)N can
+    differ.  Masks the library computes itself (class images, lattice masks,
+    split parts) are submodules by construction and skip the check.
     """
 
-    __slots__ = ("module", "mask", "elements")
+    __slots__ = (
+        "module", "mask", "residue_ring", "zero_mask", "full_mask",
+        "_elements", "_images", "_second", "_annihilator",
+    )
 
     def __init__(self, module: "FiniteModule", elements=None, mask=None):
         if mask is None:
             if elements is None:
                 raise ModuleError("a submodule needs elements or a mask")
             mask = _mask(module.elem_index(e) for e in elements)
+        elif mask & ~module.full_mask:
+            raise ModuleError(f"mask {mask:#x} is not a subset of {module.spec_text}")
         self._set(module, mask)
         self._verify()
 
@@ -126,8 +138,11 @@ class Submodule:
 
     def _set(self, module, mask):
         self.module = module
-        self.mask = mask
-        self.elements = module.elements_of_mask(mask)
+        self.mask = self.full_mask = mask
+        self.residue_ring = module.residue_ring
+        self.zero_mask = module.zero_mask
+        self._elements = self._second = self._annihilator = None
+        self._images = {}
 
     def _verify(self):
         E = self.module
@@ -148,24 +163,66 @@ class Submodule:
                     )
 
     @property
+    def elements(self) -> tuple:
+        if self._elements is None:
+            self._elements = self.module.elements_of_mask(self.mask)
+        return self._elements
+
+    @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.mask.bit_count()
+
+    def image_mask(self, r) -> int:
+        g = self.residue_ring.divisor(r)
+        mask = self._images.get(g)
+        if mask is None:
+            row = self.module.row(g)
+            mask = self._images[g] = _mask(row[i] for i in _bits(self.mask))
+        return mask
+
+    def format_mask(self, mask: int):
+        return self.module.format_mask(mask)
 
     def element_strs(self):
-        return [self.module.format_element(e) for e in self.elements]
+        return self.module.format_mask(self.mask)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Submodule)
-            and self.module is other.module
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((id(self.module), self.mask))
+    def quotient(self) -> "Quotient":
+        return Quotient(self)
 
     def __repr__(self):
         return f"<Submodule size={self.size} of {self.module.spec_text}>"
+
+
+class Quotient:
+    """E/N read through E's action, for the quasi-second search: the image
+    of r is rE + N, which stands for r(E/N) under the correspondence between
+    submodules of E/N and submodules of E holding N.  Zero is N, and a mask
+    is listed by the least member of each coset.  rE + N = gE + N for the
+    divisor g of r, so images are cached per divisor."""
+
+    __slots__ = ("module", "residue_ring", "zero_mask", "full_mask", "_images")
+
+    def __init__(self, N: Submodule):
+        self.module = N.module
+        self.residue_ring = N.residue_ring
+        self.zero_mask = N.mask
+        self.full_mask = N.module.full_mask
+        self._images = {}
+
+    def image_mask(self, r) -> int:
+        g = self.residue_ring.divisor(r)
+        mask = self._images.get(g)
+        if mask is None:
+            E = self.module
+            mask = self._images[g] = E.join_masks(E.image_mask(g), self.zero_mask)
+        return mask
+
+    def format_mask(self, mask: int):
+        E = self.module
+        return [
+            E.format_element(E.elements[i])
+            for i in _coset_reps(E, self.zero_mask, mask)
+        ]
 
 
 @dataclass(frozen=True)
@@ -589,7 +646,8 @@ def scalar_classes(E: FiniteModule) -> tuple:
     """The classes [a] of nonzero nonunit residues under equal images aE.
 
     Second modules (every residue acts as zero or a surjection) yield the
-    empty tuple, and with it the empty space downstream.
+    empty tuple, and with it the empty space downstream.  The classes come
+    in the order of their first residues, which is ``sort_key`` order.
     """
     if E._classes is None:
         ring = E.residue_ring
@@ -599,19 +657,15 @@ def scalar_classes(E: FiniteModule) -> tuple:
             if r == ring.zero or r in units:
                 continue
             groups.setdefault(E.image_mask(r), []).append(r)
-        classes = []
-        for mask, members in groups.items():
-            rep = members[0]
-            classes.append(
-                ScalarClass(
-                    rep=rep,
-                    members=tuple(members),
-                    image=Submodule._trusted(E, mask),
-                    label=f"[{ring.format_element(rep)}]",
-                )
+        E._classes = tuple(
+            ScalarClass(
+                rep=members[0],
+                members=tuple(members),
+                image=Submodule._trusted(E, mask),
+                label=f"[{ring.format_element(members[0])}]",
             )
-        classes.sort(key=lambda c: ring.sort_key(c.rep))
-        E._classes = tuple(classes)
+            for mask, members in groups.items()
+        )
     return E._classes
 
 
@@ -640,44 +694,48 @@ def _killer_residues(E: FiniteModule, mask: int) -> list:
     return [r for r in ring.elements if ring.divisor(r) in killers]
 
 
-def submodule_annihilator(E: FiniteModule, N: Submodule):
-    """(generator or ring-side killer set, maximality flag).
+def submodule_annihilator(N: Submodule):
+    """(generator or ring-side killer set, maximality flag), decided once
+    per N.
 
     Over a cyclic sum the killers pull back to the ideal of A generated by
     their gcd with the annihilator, and the flag is the irreducibility of
     that generator; over a catalog ring R the flag is "R/I is a field" for
     the killer ideal I, decided on R itself (``FiniteRing.is_maximal``).
     """
-    killers = _killer_residues(E, N.mask)
-    ring = E.residue_ring
-    if E.moduli is None:
-        ideal = frozenset(killers)
-        return ideal, ring.is_maximal(ideal)
-    if isinstance(ring, rings.ZnRing):
-        gen = scalars.scalar(E.domain, math.gcd(ring.n, *killers))
-    else:
-        g = ring.modulus
-        for k in killers:
-            g = pgcd(g, k, ring.p)
-        gen = scalars.scalar(E.domain, g)
-    maximal = not gen.is_zero() and not gen.is_unit() and scalars.is_irreducible(gen)
-    return gen, maximal
+    if N._annihilator is None:
+        E = N.module
+        killers = _killer_residues(E, N.mask)
+        ring = E.residue_ring
+        if E.moduli is None:
+            ideal = frozenset(killers)
+            N._annihilator = ideal, ring.is_maximal(ideal)
+        else:
+            if isinstance(ring, rings.ZnRing):
+                gen = scalars.scalar(E.domain, math.gcd(ring.n, *killers))
+            else:
+                g = ring.modulus
+                for k in killers:
+                    g = pgcd(g, k, ring.p)
+                gen = scalars.scalar(E.domain, g)
+            N._annihilator = gen, (
+                not gen.is_zero() and not gen.is_unit() and scalars.is_irreducible(gen)
+            )
+    return N._annihilator
 
 
-def is_second_submodule(E: FiniteModule, N: Submodule) -> bool:
-    """Every residue maps N onto N or to zero.  A residue acts on N as its
-    divisor does, and a unit maps N onto N."""
-    members = list(_bits(N.mask))
-    ring = E.residue_ring
-    units = ring.units()
-    for g in ring.divisors():
-        if g in units:
-            continue
-        row = E.row(g)
-        img = _mask(row[i] for i in members)
-        if img != N.mask and img != E.zero_mask:
-            return False
-    return True
+def is_second_submodule(N: Submodule) -> bool:
+    """Every residue maps N onto N or to zero, decided once per N.  A
+    residue acts on N as its divisor does, and a unit maps N onto N."""
+    if N._second is None:
+        ring = N.residue_ring
+        units = ring.units()
+        N._second = all(
+            N.image_mask(g) in (N.mask, N.zero_mask)
+            for g in ring.divisors()
+            if g not in units
+        )
+    return N._second
 
 
 def find_quasi_second_violation(E: FiniteModule):
@@ -818,52 +876,3 @@ def weak_idempotent_split(E: FiniteModule) -> WeakSplit:
                 parts=(Submodule._trusted(E, part_e), Submodule._trusted(E, part_f)),
             )
     return WeakSplit("none")
-
-
-# -- submodules and quotients, on the parent's action ---------------------
-
-
-class InducedAction:
-    """A submodule N of E, or the quotient E/N, seen through E's own action:
-    exactly what the quasi-second search reads.  The residues are E's, and
-    the images are masks in E's index space: rN on the submodule, and on
-    the quotient rE + N, which stands for the image r(E/N) under the
-    correspondence between submodules of E/N and submodules of E holding N.
-    Zero is E's zero on N and N itself on E/N.  Since r = g*u for the
-    divisor g and a unit u, rN = gN and rE + N = gE + N, so images are
-    cached per divisor."""
-
-    __slots__ = (
-        "E", "N", "quotient", "residue_ring", "zero_mask", "full_mask", "_images"
-    )
-
-    def __init__(self, E: FiniteModule, N: Submodule, quotient: bool):
-        if N.module is not E:
-            raise ModuleError("the submodule belongs to a different module")
-        self.E = E
-        self.N = N.mask
-        self.quotient = quotient
-        self.residue_ring = E.residue_ring
-        self.zero_mask = N.mask if quotient else E.zero_mask
-        self.full_mask = E.full_mask if quotient else N.mask
-        self._images = {}
-
-    def image_mask(self, r) -> int:
-        g = self.residue_ring.divisor(r)
-        mask = self._images.get(g)
-        if mask is None:
-            E = self.E
-            if self.quotient:
-                mask = E.join_masks(E.image_mask(g), self.N)
-            else:
-                row = E.row(g)
-                mask = _mask(row[i] for i in _bits(self.N))
-            self._images[g] = mask
-        return mask
-
-    def format_mask(self, mask: int):
-        """The elements of the mask; on E/N, the least member of each coset."""
-        E = self.E
-        if not self.quotient:
-            return E.format_mask(mask)
-        return [E.format_element(E.elements[i]) for i in _coset_reps(E, self.N, mask)]

@@ -149,10 +149,9 @@ class _ModuleCtx:
     module ``ring:R``: R is quasi second exactly when it is as a module over
     itself, and R is the module's residue ring."""
 
-    def __init__(self, instance: Instance, qs_finder):
+    def __init__(self, instance: Instance):
         self.instance = instance
         self.kind = instance.kind
-        self.qs_finder = qs_finder
         prefix = "ring:" if instance.kind == "ring" else ""
         self.E = modules.build_module(prefix + instance.spec_text)
         self._axioms = {}
@@ -207,7 +206,7 @@ class _ModuleCtx:
 
     @cached_property
     def qs_violation(self):
-        return self.qs_finder(self.E)
+        return QS_VIOLATION_FINDER(self.E)
 
     @property
     def qs(self):
@@ -224,9 +223,7 @@ class _ModuleCtx:
 
     @cached_property
     def all_images_second(self):
-        return all(
-            modules.is_second_submodule(self.E, c.image) for c in self.classes
-        )
+        return all(modules.is_second_submodule(c.image) for c in self.classes)
 
     @cached_property
     def classification(self):
@@ -234,9 +231,7 @@ class _ModuleCtx:
 
     @cached_property
     def all_ann_maximal(self):
-        return all(
-            modules.submodule_annihilator(self.E, c.image)[1] for c in self.classes
-        )
+        return all(modules.submodule_annihilator(c.image)[1] for c in self.classes)
 
     def axiom(self, name):
         """The oracle's verdict on the named axiom."""
@@ -386,10 +381,7 @@ def _r9(ctx):
     allsecond = ctx.all_images_second
     semi = ctx.semiprime
     if qs and not allsecond:
-        bad = next(
-            c for c in ctx.classes
-            if not modules.is_second_submodule(ctx.E, c.image)
-        )
+        bad = next(c for c in ctx.classes if not modules.is_second_submodule(c.image))
         return FAIL, (
             f"quasi second, but {bad.label} with image "
             f"{{{','.join(bad.image.element_strs())}}} is not second"
@@ -410,7 +402,7 @@ def _r10(ctx):
     if not ctx.classes:
         return VACUOUS, None, "no classes"
     for c in ctx.classes:
-        gen, maximal = modules.submodule_annihilator(ctx.E, c.image)
+        gen, maximal = modules.submodule_annihilator(c.image)
         if not maximal:
             return FAIL, (
                 f"class {c.label}: annihilator of the image is not maximal "
@@ -486,17 +478,16 @@ def _r15(ctx):
 def _r16(ctx):
     if not ctx.qs:
         return VACUOUS, None, "not quasi second"
-    E = ctx.E
     # past the lattice cap enumerate_submodules raises SizeCapExceeded,
     # which _evaluate turns into a vacuous outcome
-    for sub in modules.enumerate_submodules(E):
-        v = ctx.qs_finder(modules.InducedAction(E, sub, quotient=False))
+    for sub in modules.enumerate_submodules(ctx.E):
+        v = QS_VIOLATION_FINDER(sub)
         if v is not None:
             return FAIL, (
                 f"submodule {{{','.join(sub.element_strs())}}} is not quasi "
                 f"second: a={v['a']} b={v['b']}"
             ), None
-        v = ctx.qs_finder(modules.InducedAction(E, sub, quotient=True))
+        v = QS_VIOLATION_FINDER(sub.quotient())
         if v is not None:
             return FAIL, (
                 f"quotient by {{{','.join(sub.element_strs())}}} is not quasi "
@@ -534,11 +525,10 @@ def _summand_views(E):
     """The summands A/(d_1) and A/(d_2) of a two-summand sum, each the
     cyclic submodule of its unit vector, seen through E's own action."""
     one, zero = E.residue_ring.one, E.residue_ring.zero
-    views = []
-    for unit in ((one, zero), (zero, one)):
-        N = modules.Submodule._trusted(E, E.cyclic_mask(E.elem_index(unit)))
-        views.append(modules.InducedAction(E, N, quotient=False))
-    return views
+    return [
+        modules.Submodule._trusted(E, E.cyclic_mask(E.elem_index(unit)))
+        for unit in ((one, zero), (zero, one))
+    ]
 
 
 def _summand_images(views, r):
@@ -570,7 +560,7 @@ def _r19(ctx):
             )
 
     lhs = ctx.qs
-    rhs = all(ctx.qs_finder(view) is None for view in views)
+    rhs = all(QS_VIOLATION_FINDER(view) is None for view in views)
     detail = None
     if rhs:
         for r in ring.elements:
@@ -578,7 +568,7 @@ def _r19(ctx):
             if not (in1 and in2):
                 continue
             (gen1, max1), (gen2, max2) = (
-                modules.submodule_annihilator(E, modules.Submodule._trusted(E, m))
+                modules.submodule_annihilator(modules.Submodule._trusted(E, m))
                 for m in (m1, m2)
             )
             if gen1 != gen2 or not (max1 and max2):
@@ -970,14 +960,13 @@ def _evaluate(rule: RuleDef, ctx) -> RuleOutcome:
     return RuleOutcome(rule.rule_id, ctx.instance.spec_text, verdict, witness, note)
 
 
-def run_rule(rule_id: str, instance: Instance, qs_finder=None) -> RuleOutcome:
+def run_rule(rule_id: str, instance: Instance) -> RuleOutcome:
     if rule_id not in RULES:
         raise ValueError(f"unknown rule id {rule_id!r}")
-    finder = qs_finder or QS_VIOLATION_FINDER
-    return _evaluate(RULES[rule_id], _ModuleCtx(instance, finder))
+    return _evaluate(RULES[rule_id], _ModuleCtx(instance))
 
 
-def run_all(corpus=None, rule_ids=None, qs_finder=None) -> TheoremReport:
+def run_all(corpus=None, rule_ids=None) -> TheoremReport:
     """Evaluate the rule suite over a corpus (a CorpusSpec, an instance
     list, or the default corpus) and return the deterministic report."""
     if corpus is None:
@@ -990,10 +979,9 @@ def run_all(corpus=None, rule_ids=None, qs_finder=None) -> TheoremReport:
         for rid in rule_ids:
             if rid not in RULES:
                 raise ValueError(f"unknown rule id {rid!r}")
-    finder = qs_finder or QS_VIOLATION_FINDER
     outcomes = []
     for instance in corpus:
-        ctx = _ModuleCtx(instance, finder)
+        ctx = _ModuleCtx(instance)
         for rid in rule_ids:
             outcomes.append(_evaluate(RULES[rid], ctx))
     return TheoremReport(corpus, rule_ids, outcomes)

@@ -220,7 +220,7 @@ def test_c7_homeomorphism():
     check("C7 homeomorphism", ok, f"{elapsed:.3f}s")
 
 
-def test_c8_harness_self_test(default_corpus):
+def test_c8_harness_self_test(default_corpus, monkeypatch):
     def mutated_finder(E):
         # the quasi-second search with the aE != E guard removed
         ring = E.residue_ring
@@ -242,7 +242,9 @@ def test_c8_harness_self_test(default_corpus):
 
     # one hook serves the module rules and the ring rules
     rule_ids = ["R2", "R14"]
-    mutated = verifier.run_all(default_corpus, rule_ids=rule_ids, qs_finder=mutated_finder)
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "QS_VIOLATION_FINDER", mutated_finder)
+        mutated = verifier.run_all(default_corpus, rule_ids=rule_ids)
     failing = {(o.rule_id, o.instance) for o in mutated.failures()}
     pristine = verifier.run_all(default_corpus, rule_ids=rule_ids)
     ok = (

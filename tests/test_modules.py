@@ -8,7 +8,6 @@ import pytest
 
 from qdivtop import modules, rings, scalars, verifier
 from qdivtop.modules import (
-    InducedAction,
     ModuleError,
     SizeCapExceeded,
     Submodule,
@@ -409,20 +408,20 @@ def test_two_summand_lattices_have_goursats_count():
 
 def test_submodule_annihilator_examples():
     e4 = build_module("Z:4")
-    gen, maximal = submodule_annihilator(e4, image(e4, 2))
+    gen, maximal = submodule_annihilator(image(e4, 2))
     assert gen.value == 2 and maximal
     e8 = build_module("Z:8")
-    gen8, maximal8 = submodule_annihilator(e8, image(e8, 2))
+    gen8, maximal8 = submodule_annihilator(image(e8, 2))
     assert gen8.value == 4 and not maximal8
     zero = Submodule(e8, elements=[(0,)])
-    genz, maxz = submodule_annihilator(e8, zero)
+    genz, maxz = submodule_annihilator(zero)
     assert genz.value == 1 and not maxz
 
 
 def test_submodule_annihilator_ring_side():
     T = build_module("ring:Trunc(2,2)")
     x1 = (0, 1, 0)
-    killer_set, maximal = submodule_annihilator(T, image(T, x1))
+    killer_set, maximal = submodule_annihilator(image(T, x1))
     # ann of {0, x1} is the whole maximal ideal (c0 = 0), which is maximal
     assert maximal
     assert killer_set == frozenset(e for e in T.residue_ring.elements if e[0] == 0)
@@ -460,7 +459,7 @@ def test_annihilator_maximality_agrees_with_quotient_field_route():
                 m not in (killer_mask, full) and m & killer_mask == killer_mask
                 for m in lattice
             )
-            assert submodule_annihilator(E, N)[1] == coatom, (spec, N.element_strs())
+            assert submodule_annihilator(N)[1] == coatom, (spec, N.element_strs())
             flags[E.moduli is None, coatom] += 1
     # keyed by (catalog ring over itself, coatom)
     assert flags == {
@@ -478,7 +477,7 @@ def test_second_examples():
     assert is_second(build_module("Z:5"))
     assert not is_second(build_module("Z:4"))
     e4 = build_module("Z:4")
-    assert is_second_submodule(e4, image(e4, 2))
+    assert is_second_submodule(image(e4, 2))
 
 
 def test_quasi_second_examples():
@@ -495,8 +494,8 @@ def test_quasi_second_implications_on_samples():
         E = build_module(spec)
         assert is_quasi_second(E), spec
         for c in scalar_classes(E):
-            assert is_second_submodule(E, c.image), spec
-            assert submodule_annihilator(E, c.image)[1], spec
+            assert is_second_submodule(c.image), spec
+            assert submodule_annihilator(c.image)[1], spec
 
 
 # -- structural predicates -----------------------------------------------------------
@@ -570,7 +569,7 @@ def proper_images(D):
 
 def test_quotient_example():
     E = build_module("Z:8")
-    q = InducedAction(E, image(E, 2), quotient=True)
+    q = image(E, 2).quotient()
     assert coset_count(q) == 2
     assert q.format_mask(q.full_mask) == ["0", "1"]
     assert is_quasi_second(q)
@@ -579,7 +578,7 @@ def test_quotient_example():
 
 def test_submodule_example():
     E = build_module("Z:8")
-    sub = InducedAction(E, image(E, 2), quotient=False)
+    sub = image(E, 2)
     assert sub.full_mask.bit_count() == 4
     assert is_quasi_second(sub)
     # behaves like Z:4: one proper image, of two elements
@@ -616,7 +615,7 @@ def test_direct_sum_domain_mismatch():
 def test_quotient_sizes_multiply():
     E = build_module("Z:12")
     for sub in enumerate_submodules(E):
-        q = InducedAction(E, sub, quotient=True)
+        q = sub.quotient()
         assert coset_count(q) * sub.size == E.order
         assert q.zero_mask == sub.mask and q.full_mask == E.full_mask
 
@@ -624,12 +623,11 @@ def test_quotient_sizes_multiply():
 def test_induced_actions_over_ring_cyclic():
     T = build_module("ring:Trunc(2,2)")
     for sub in enumerate_submodules(T):
-        inner = InducedAction(T, sub, quotient=False)
-        quot = InducedAction(T, sub, quotient=True)
-        assert inner.full_mask == sub.mask and inner.zero_mask == T.zero_mask
+        quot = sub.quotient()
+        assert sub.full_mask == sub.mask and sub.zero_mask == T.zero_mask
         assert coset_count(quot) * sub.size == T.order
         # quasi second passes to submodules and quotients here
-        assert is_quasi_second(inner) and is_quasi_second(quot)
+        assert is_quasi_second(sub) and is_quasi_second(quot)
 
 
 
@@ -649,16 +647,19 @@ def test_summands_are_lattice_submodules_with_the_summand_verdict():
             assert N.mask in E.lattice_masks(), spec
             alone = cyclic_sum(E.domain, (d,))
             assert N.size == alone.order, spec
-            via_e = find_quasi_second_violation(InducedAction(E, N, quotient=False))
+            via_e = find_quasi_second_violation(N)
             assert (via_e is None) == is_quasi_second(alone), (spec, str(d))
             checked += 1
     assert checked == 282
 
 
-def test_induced_action_needs_its_own_submodule():
-    E, F = build_module("Z:4"), build_module("Z:4")
-    with pytest.raises(ModuleError):
-        InducedAction(E, image(F, 2), quotient=True)
+def test_submodule_rejects_masks_outside_its_module():
+    # a negative mask, or one with a bit at or past the order, names no set
+    # of elements: a ModuleError, not an IndexError from the closure check
+    E = build_module("Z:8")
+    for mask in (1 | 1 << 100, -1, E.full_mask | 1 << 8):
+        with pytest.raises(ModuleError):
+            Submodule(E, mask=mask)
 
 
 # -- the residue reduction claim ------------------------------------------------------------
@@ -906,8 +907,8 @@ def test_induced_actions_match_the_literal_search():
                 frozenset(coset),
                 lambda cosets: listed(min(c) for c in cosets),
             )
-            got_sub = find_quasi_second_violation(InducedAction(E, N, quotient=False))
-            got_quot = find_quasi_second_violation(InducedAction(E, N, quotient=True))
+            got_sub = find_quasi_second_violation(N)
+            got_quot = find_quasi_second_violation(N.quotient())
             assert got_sub == expected_sub, (spec, N.element_strs())
             assert got_quot == expected_quot, (spec, N.element_strs())
             sides += 2

@@ -1,0 +1,93 @@
+"""Planted faults, one per row: each row names a rule, one fault planted with
+``monkeypatch`` in the layer that the rule checks, and a corpus instance on
+which the rule then fails with a witness, while the unmutated rule passes
+there.  A rule with no row has no fault shown to make it fail."""
+
+import pytest
+
+from qdivtop import modules, verifier
+from qdivtop.verifier import FAIL, PASS, Instance, run_rule
+
+
+def rn_read_as_re(mp):
+    # the submodule's image of r is rE, not rN
+    mp.setattr(modules.Submodule, "image_mask", lambda self, r: self.module.image_mask(r))
+
+
+def submodule_zero_is_n(mp):
+    # the submodule's zero is N itself, not E's zero
+    set_fields = modules.Submodule._set
+
+    def planted(self, module, mask):
+        set_fields(self, module, mask)
+        self.zero_mask = mask
+
+    mp.setattr(modules.Submodule, "_set", planted)
+
+
+def quotient_image_without_n(mp):
+    # the quotient's image of r is rE, not rE + N
+    mp.setattr(modules.Quotient, "image_mask", lambda self, r: self.module.image_mask(r))
+
+
+def second_always(mp):
+    mp.setattr(modules, "is_second_submodule", lambda N: True)
+
+
+def maximality_inverted(mp):
+    annihilator = modules.submodule_annihilator
+
+    def inverted(N):
+        gen, maximal = annihilator(N)
+        return gen, not maximal
+
+    mp.setattr(modules, "submodule_annihilator", inverted)
+
+
+# (rule, fault, instance, witness under the fault)
+ROWS = [
+    ("R9", rn_read_as_re, "Z:6", "quasi second, but [2] with image {0,2,4} is not second"),
+    (
+        "R10",
+        maximality_inverted,
+        "Z:4",
+        "class [2]: annihilator of the image is not maximal (generator 2)",
+    ),
+    (
+        "R11",
+        second_always,
+        "Z:8",
+        "{'quasi_second': False, 'all_images_second': True, "
+        "'all_annihilators_maximal': False}",
+    ),
+    ("R16", submodule_zero_is_n, "Z:4", "submodule {0,1,2,3} is not quasi second: a=2 b=0"),
+    ("R16", quotient_image_without_n, "Z:4", "quotient by {0,2} is not quasi second: a=2 b=0"),
+    (
+        "R19",
+        rn_read_as_re,
+        "Z:6,6",
+        "quasi_second=True but summand condition=False; "
+        "scalar 1: annihilators 6 (maximal=False) vs 6 (maximal=False)",
+    ),
+    (
+        "R19",
+        maximality_inverted,
+        "Z:6,6",
+        "quasi_second=True but summand condition=False; "
+        "scalar 2: annihilators 3 (maximal=False) vs 3 (maximal=False)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "rule_id, plant, spec, witness",
+    ROWS,
+    ids=[f"{rule}-{plant.__name__}-{spec}" for rule, plant, spec, _ in ROWS],
+)
+def test_planted_fault_makes_the_rule_fail(monkeypatch, rule_id, plant, spec, witness):
+    instance = Instance("module", spec)
+    assert instance in verifier.generate_corpus()
+    assert run_rule(rule_id, instance).verdict == PASS
+    plant(monkeypatch)
+    outcome = run_rule(rule_id, instance)
+    assert (outcome.verdict, outcome.witness) == (FAIL, witness)

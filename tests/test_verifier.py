@@ -160,8 +160,10 @@ def test_empty_corpus_is_all_vacuous():
     )
 
 
-def test_mutated_predicate_fails_r2_with_z4_witness():
-    report = run_all(SMALL_CORPUS, rule_ids=["R2"], qs_finder=mutated_qs_finder)
+def test_mutated_predicate_fails_r2_with_z4_witness(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "QS_VIOLATION_FINDER", mutated_qs_finder)
+        report = run_all(SMALL_CORPUS, rule_ids=["R2"])
     failing = {o.instance for o in report.failures()}
     assert "Z:4" in failing
     witness = next(o.witness for o in report.failures() if o.instance == "Z:4")
@@ -208,12 +210,12 @@ def test_vacuous_notes_for_r18_r22():
     assert "vacuous" in outcome22.note
 
 
-def test_r16_uses_the_injected_predicate():
+def test_r16_uses_the_injected_predicate(monkeypatch):
     # under the broken predicate Z:4 itself tests non-quasi-second, so the
     # rule's hypothesis fails and it reports vacuous instead of passing
-    report = run_all(
-        [Instance("module", "Z:4")], rule_ids=["R16"], qs_finder=mutated_qs_finder
-    )
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "QS_VIOLATION_FINDER", mutated_qs_finder)
+        report = run_all([Instance("module", "Z:4")], rule_ids=["R16"])
     assert report.tallies()["R16"][VACUOUS] == 1
     pristine = run_all([Instance("module", "Z:4")], rule_ids=["R16"])
     assert pristine.tallies()["R16"][PASS] == 1
@@ -268,10 +270,10 @@ def test_r19_summand_views_match_the_summand_modules():
                 )
                 assert mask.bit_count() == s_mask.bit_count(), (inst.spec_text, r)
                 via_view = modules.submodule_annihilator(
-                    E, modules.Submodule._trusted(E, mask)
+                    modules.Submodule._trusted(E, mask)
                 )
                 via_alone = modules.submodule_annihilator(
-                    S, modules.Submodule._trusted(S, s_mask)
+                    modules.Submodule._trusted(S, s_mask)
                 )
                 assert via_view == via_alone, (inst.spec_text, r)
                 annihilators += 1
@@ -284,19 +286,21 @@ def always_violated(E):
     return {"a": "?", "b": "?", "aE": [], "bE": []}
 
 
-def test_r19_reads_the_injected_predicate_on_the_summands():
+def test_r19_reads_the_injected_predicate_on_the_summands(monkeypatch):
     # both sides of the reduction read the hook: a predicate that rejects
     # every module leaves them agreeing, and one that rejects only the
     # summand views makes R19 fail on Z:6,6
-    outcome = run_rule("R19", Instance("module", "Z:6,6"), qs_finder=always_violated)
+    monkeypatch.setattr(verifier, "QS_VIOLATION_FINDER", always_violated)
+    outcome = run_rule("R19", Instance("module", "Z:6,6"))
     assert outcome.verdict == PASS
 
     def summands_violated(E):
-        if isinstance(E, modules.InducedAction):
+        if isinstance(E, modules.Submodule):
             return always_violated(E)
         return modules.find_quasi_second_violation(E)
 
-    outcome = run_rule("R19", Instance("module", "Z:6,6"), qs_finder=summands_violated)
+    monkeypatch.setattr(verifier, "QS_VIOLATION_FINDER", summands_violated)
+    outcome = run_rule("R19", Instance("module", "Z:6,6"))
     assert outcome.verdict == FAIL
     assert outcome.witness == "quasi_second=True but summand condition=False"
 
@@ -374,7 +378,7 @@ def planted_contexts(spec, rng, trials):
     up-sets joined), and each time one to three bits of the up-sets flipped
     (ten times as many trials on the space as it is).  Merged classes make
     the lcm class depend on more than the classes of the pair."""
-    ctx = verifier._ModuleCtx(Instance("module", spec), verifier.QS_VIOLATION_FINDER)
+    ctx = verifier._ModuleCtx(Instance("module", spec))
     classes, space = ctx.classes, ctx.space
     n = space.n
     for merge in [None] + list(itertools.combinations(range(n), 2)):
