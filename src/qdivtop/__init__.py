@@ -40,5 +40,5 @@ from .scalars import (  # noqa: F401
     scalar_gcd,
     scalar_lcm,
 )
-from .topology import build_space, is_homeomorphic, separation_report  # noqa: F401
+from .topology import build_space, separation_report  # noqa: F401
 from .verifier import CorpusSpec, generate_corpus, run_all, run_rule  # noqa: F401

@@ -200,7 +200,6 @@ def _corpus_spec_from_args(args) -> verifier.CorpusSpec:
     kwargs = {}
     if args.max_order is not None:
         kwargs["element_cap"] = args.max_order
-        kwargs["ring_order_cap"] = min(args.max_order, 64)
     if args.summands is not None:
         kwargs["max_summands"] = args.summands
     return verifier.CorpusSpec(**kwargs)

@@ -12,8 +12,8 @@ A module is one of
 
 Both are one ``FiniteModule``, built from its presentation alone.  A
 submodule N, a quotient E/N or a direct summand is not built as a module
-of its own: the quasi-second search reads a ``Submodule`` N, or its
-``Quotient`` E/N, through E's action.
+of its own: the quasi-second search reads each as a section U/L of E, one
+``Submodule`` read through E's action.
 
 All scalar action factors through the finite residue ring A/ann(E).  For a
 finitely generated module the scalars acting neither as zero nor as a
@@ -97,13 +97,17 @@ def _mask(indices) -> int:
 
 
 class Submodule:
-    """A submodule N of a module E: a bit mask read through E's own action,
-    as the quasi-second search reads a module.  The residues and zero are
-    E's, the whole is N, and the image of r is rN = gN for the divisor g of
-    r, cached per divisor.  The element tuple is built on first use, whether
-    N is second and its annihilator are decided once
-    (``is_second_submodule``, ``submodule_annihilator``), and ``quotient()``
-    gives E/N.
+    """A section U/L of a module E, with L <= U submodules, read through E's
+    own action as the quasi-second search reads a module.  A submodule N is
+    N/0, and ``quotient()`` gives E/N.  The residues are E's, the whole is U
+    (``mask``, ``full_mask``) and zero is L (``zero_mask``).  The image of r
+    is rU + L, which stands for r(U/L) under the correspondence between
+    submodules of U/L and submodules of U holding L; it is gU + L for the
+    divisor g of r, built from g's row over U and cached per divisor.  A mask
+    is listed by the least member of each coset of L, which for L = 0 is
+    every member.  The members of U are listed on first use, and for a
+    submodule N whether N is second and its annihilator are decided once
+    (``is_second_submodule``, ``submodule_annihilator``).
 
     Closure under addition and the residue action is verified for every
     element set or mask a caller passes in.  Every residue is a sum of the
@@ -117,7 +121,7 @@ class Submodule:
 
     __slots__ = (
         "module", "mask", "residue_ring", "zero_mask", "full_mask",
-        "_elements", "_images", "_second", "_annihilator",
+        "_members", "_images", "_second", "_annihilator",
     )
 
     def __init__(self, module: "FiniteModule", elements=None, mask=None):
@@ -127,21 +131,21 @@ class Submodule:
             mask = _mask(module.elem_index(e) for e in elements)
         elif mask & ~module.full_mask:
             raise ModuleError(f"mask {mask:#x} is not a subset of {module.spec_text}")
-        self._set(module, mask)
+        self._set(module, mask, module.zero_mask)
         self._verify()
 
     @classmethod
-    def _trusted(cls, module: "FiniteModule", mask: int) -> "Submodule":
+    def _trusted(cls, module: "FiniteModule", mask: int, zero_mask=None) -> "Submodule":
         sub = cls.__new__(cls)
-        sub._set(module, mask)
+        sub._set(module, mask, module.zero_mask if zero_mask is None else zero_mask)
         return sub
 
-    def _set(self, module, mask):
+    def _set(self, module, mask, zero_mask):
         self.module = module
         self.mask = self.full_mask = mask
         self.residue_ring = module.residue_ring
-        self.zero_mask = module.zero_mask
-        self._elements = self._second = self._annihilator = None
+        self.zero_mask = zero_mask
+        self._members = self._second = self._annihilator = None
         self._images = {}
 
     def _verify(self):
@@ -164,9 +168,7 @@ class Submodule:
 
     @property
     def elements(self) -> tuple:
-        if self._elements is None:
-            self._elements = self.module.elements_of_mask(self.mask)
-        return self._elements
+        return self.module.elements_of_mask(self.mask)
 
     @property
     def size(self) -> int:
@@ -176,45 +178,12 @@ class Submodule:
         g = self.residue_ring.divisor(r)
         mask = self._images.get(g)
         if mask is None:
-            row = self.module.row(g)
-            mask = self._images[g] = _mask(row[i] for i in _bits(self.mask))
-        return mask
-
-    def format_mask(self, mask: int):
-        return self.module.format_mask(mask)
-
-    def element_strs(self):
-        return self.module.format_mask(self.mask)
-
-    def quotient(self) -> "Quotient":
-        return Quotient(self)
-
-    def __repr__(self):
-        return f"<Submodule size={self.size} of {self.module.spec_text}>"
-
-
-class Quotient:
-    """E/N read through E's action, for the quasi-second search: the image
-    of r is rE + N, which stands for r(E/N) under the correspondence between
-    submodules of E/N and submodules of E holding N.  Zero is N, and a mask
-    is listed by the least member of each coset.  rE + N = gE + N for the
-    divisor g of r, so images are cached per divisor."""
-
-    __slots__ = ("module", "residue_ring", "zero_mask", "full_mask", "_images")
-
-    def __init__(self, N: Submodule):
-        self.module = N.module
-        self.residue_ring = N.residue_ring
-        self.zero_mask = N.mask
-        self.full_mask = N.module.full_mask
-        self._images = {}
-
-    def image_mask(self, r) -> int:
-        g = self.residue_ring.divisor(r)
-        mask = self._images.get(g)
-        if mask is None:
+            if self._members is None:
+                self._members = list(_bits(self.mask))
             E = self.module
-            mask = self._images[g] = E.join_masks(E.image_mask(g), self.zero_mask)
+            mask = self._images[g] = E.join_masks(
+                _mask(map(E.row(g).__getitem__, self._members)), self.zero_mask
+            )
         return mask
 
     def format_mask(self, mask: int):
@@ -224,12 +193,22 @@ class Quotient:
             for i in _coset_reps(E, self.zero_mask, mask)
         ]
 
+    def element_strs(self):
+        return self.module.format_mask(self.mask)
+
+    def quotient(self) -> "Submodule":
+        """E/U, the section with E as its whole and U as its zero."""
+        E = self.module
+        return Submodule._trusted(E, E.full_mask, self.mask)
+
+    def __repr__(self):
+        return f"<Submodule size={self.size} of {self.module.spec_text}>"
+
 
 @dataclass(frozen=True)
 class ScalarClass:
     """A class [a] of residues with a common cyclic image aE."""
 
-    rep: object
     members: tuple
     image: Submodule
     label: str
@@ -659,7 +638,6 @@ def scalar_classes(E: FiniteModule) -> tuple:
             groups.setdefault(E.image_mask(r), []).append(r)
         E._classes = tuple(
             ScalarClass(
-                rep=members[0],
                 members=tuple(members),
                 image=Submodule._trusted(E, mask),
                 label=f"[{ring.format_element(members[0])}]",

@@ -19,9 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import modules
-from .modules import FiniteModule, SizeCapExceeded, _bits
-
-HOMEO_CAP = 10
+from .modules import FiniteModule, _bits
 
 
 @dataclass(frozen=True)
@@ -190,54 +188,3 @@ def hasse_edges(space: QuasiDivisorSpace) -> list:
                 edges.append((i, j))
     edges.sort()
     return edges
-
-
-def is_homeomorphic(s1: QuasiDivisorSpace, s2: QuasiDivisorSpace) -> bool:
-    """Order isomorphism search; for these spaces homeomorphism is exactly
-    order isomorphism.  Capped at 10 points per side."""
-    if s1.n > HOMEO_CAP or s2.n > HOMEO_CAP:
-        raise SizeCapExceeded(
-            f"homeomorphism search is capped at {HOMEO_CAP} points"
-        )
-    if s1.n != s2.n:
-        return False
-    n = s1.n
-    if n == 0:
-        return True
-
-    def signature(space, i):
-        return (
-            bin(space.up[i]).count("1"),
-            bin(space.down[i]).count("1"),
-        )
-
-    sig1 = [signature(s1, i) for i in range(n)]
-    sig2 = [signature(s2, i) for i in range(n)]
-    if sorted(sig1) != sorted(sig2):
-        return False
-
-    assigned = [-1] * n
-    used = [False] * n
-
-    def backtrack(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or sig1[i] != sig2[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if s1.le(i, k) != s2.le(j, assigned[k]) or s1.le(k, i) != s2.le(
-                    assigned[k], j
-                ):
-                    ok = False
-                    break
-            if ok:
-                assigned[i] = j
-                used[j] = True
-                if backtrack(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return backtrack(0)

@@ -30,13 +30,13 @@ QS_VIOLATION_FINDER = modules.find_quasi_second_violation
 @dataclass(frozen=True)
 class CorpusSpec:
     """Integer moduli run from 2, polynomial moduli are over F_2, and the
-    catalog holds Trunc(2,k) for k <= 3 and Ideal(Zn(2),d) for d <= 2."""
+    catalog holds Trunc(2,k) for k <= 3 and Ideal(Zn(2),d) for d <= 2, of
+    order at most min(element_cap, 64)."""
 
     int_modulus_max: int = 9
     max_summands: int = 2
     element_cap: int = 81
     poly_max_degree: int = 3
-    ring_order_cap: int = 64
 
     def __post_init__(self):
         if self.max_summands < 1 or self.element_cap < 1:
@@ -90,17 +90,18 @@ def _field_specs(order_cap: int):
 
 
 def catalog_ring_specs(cs: CorpusSpec) -> list:
-    specs = [f"Zn({n})" for n in range(2, cs.ring_order_cap + 1)]
+    cap = min(cs.element_cap, 64)
+    specs = [f"Zn({n})" for n in range(2, cap + 1)]
     for k in range(1, 4):
-        if 2 ** (k + 1) <= cs.ring_order_cap:
+        if 2 ** (k + 1) <= cap:
             specs.append(f"Trunc(2,{k})")
     for d in range(1, 3):
-        if 2 ** (d + 1) <= cs.ring_order_cap:
+        if 2 ** (d + 1) <= cap:
             specs.append(f"Ideal(Zn(2),{d})")
-    fields = _field_specs(cs.ring_order_cap)
+    fields = _field_specs(cap)
     for i, (q1, s1) in enumerate(fields):
         for q2, s2 in fields[i:]:
-            if q1 * q2 <= cs.ring_order_cap:
+            if q1 * q2 <= cap:
                 specs.append(f"Prod({s1},{s2})")
     return specs
 
@@ -759,11 +760,13 @@ def _r22(ctx):
         return VACUOUS, None, "not a cyclic module"
     if not ctx.ann_prime:
         return VACUOUS, None, "annihilator is not prime"
+    # a finite T0 space is its specialization order (Stong 1966), so equal
+    # labeled orders are equal spaces
     residue_space = topology.build_space(modules.ring_cyclic(E.residue_ring))
-    if topology.is_homeomorphic(ctx.space, residue_space):
+    if (ctx.space.labels, ctx.space.up) == (residue_space.labels, residue_space.up):
         return VACUOUS, None, (
             "prime annihilator forces a field residue ring at this scale; "
-            "both spaces are empty and compare homeomorphic vacuously"
+            "both spaces are empty and compare equal vacuously"
         )
     return FAIL, (
         f"space with {ctx.n} points differs from the residue-ring divisor "

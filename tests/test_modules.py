@@ -570,6 +570,8 @@ def proper_images(D):
 def test_quotient_example():
     E = build_module("Z:8")
     q = image(E, 2).quotient()
+    # E/N is a section of E like N itself, with N as its zero
+    assert isinstance(q, Submodule)
     assert coset_count(q) == 2
     assert q.format_mask(q.full_mask) == ["0", "1"]
     assert is_quasi_second(q)

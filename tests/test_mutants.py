@@ -14,20 +14,28 @@ def rn_read_as_re(mp):
     mp.setattr(modules.Submodule, "image_mask", lambda self, r: self.module.image_mask(r))
 
 
+def quotient_image_without_n(mp):
+    # a section U/L's image of r is rU, not rU + L: the quotient E/N reads
+    # rE, not rE + N
+    def planted(self, r):
+        row = self.module.row(self.residue_ring.divisor(r))
+        return modules._mask(row[i] for i in modules._bits(self.mask))
+
+    mp.setattr(modules.Submodule, "image_mask", planted)
+
+
 def submodule_zero_is_n(mp):
-    # the submodule's zero is N itself, not E's zero
+    # a section U/L's zero is U, not L, so a submodule N/0 has zero N, and
+    # its image of r is rU.  Zero U alone would make every image rU + U = U,
+    # a second section, which R16 cannot tell from a correct one
+    quotient_image_without_n(mp)
     set_fields = modules.Submodule._set
 
-    def planted(self, module, mask):
-        set_fields(self, module, mask)
+    def planted(self, module, mask, zero_mask):
+        set_fields(self, module, mask, zero_mask)
         self.zero_mask = mask
 
     mp.setattr(modules.Submodule, "_set", planted)
-
-
-def quotient_image_without_n(mp):
-    # the quotient's image of r is rE, not rE + N
-    mp.setattr(modules.Quotient, "image_mask", lambda self, r: self.module.image_mask(r))
 
 
 def second_always(mp):
@@ -60,7 +68,7 @@ ROWS = [
         "{'quasi_second': False, 'all_images_second': True, "
         "'all_annihilators_maximal': False}",
     ),
-    ("R16", submodule_zero_is_n, "Z:4", "submodule {0,1,2,3} is not quasi second: a=2 b=0"),
+    ("R16", submodule_zero_is_n, "Z:4", "quotient by {0} is not quasi second: a=2 b=0"),
     ("R16", quotient_image_without_n, "Z:4", "quotient by {0,2} is not quasi second: a=2 b=0"),
     (
         "R19",

@@ -2,11 +2,10 @@ import itertools
 import random
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdivtop import modules, topology
-from qdivtop.modules import SizeCapExceeded, build_module, cyclic_sum, is_quasi_second
+from qdivtop.modules import build_module, cyclic_sum, is_quasi_second
 from qdivtop.scalars import INTEGERS
 from qdivtop.topology import (
     build_space,
@@ -14,7 +13,6 @@ from qdivtop.topology import (
     connectivity_report,
     hasse_edges,
     interior,
-    is_homeomorphic,
     maximal_classes,
     minimal_classes,
     separation_report,
@@ -137,20 +135,6 @@ def test_hasse_edges():
     named = [(s12.labels[i], s12.labels[j]) for i, j in hasse_edges(s12)]
     assert named == [("[4]", "[2]"), ("[6]", "[2]"), ("[6]", "[3]")]
     assert hasse_edges(space_of("Z:6")) == []
-
-
-def test_homeomorphism_examples():
-    assert is_homeomorphic(space_of("Z:8"), space_of("F2[x]:x^3"))
-    assert not is_homeomorphic(space_of("Z:8"), space_of("Z:6"))
-    assert is_homeomorphic(space_of("Z:5"), space_of("F2[x]:x+1"))
-    # 4-point divisor posets of Z:12 and its polynomial analogue
-    assert is_homeomorphic(space_of("Z:12"), space_of("F2[x]:x^2+x^3"))
-    big = build_space(cyclic_sum(INTEGERS, (360,)))
-    assert big.n == 22
-    with pytest.raises(SizeCapExceeded):
-        is_homeomorphic(big, big)
-    assert space_of("ring:Zn(60)").n == 10  # at the cap, still allowed
-    assert is_homeomorphic(space_of("ring:Zn(60)"), space_of("ring:Zn(60)"))
 
 
 def test_up_set_intersections_are_up_sets():

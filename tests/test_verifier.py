@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qdivtop import modules, scalars, verifier
+from qdivtop import modules, rings, scalars, verifier
 from qdivtop.verifier import (
     FAIL,
     PASS,
@@ -80,11 +80,11 @@ def eval_size(text):
 
 
 def test_corpus_respects_caps():
-    small = CorpusSpec(int_modulus_max=3, max_summands=1, element_cap=3,
-                       ring_order_cap=4, poly_max_degree=1)
+    # the element cap bounds the catalog rings too, at min(element_cap, 64)
+    small = CorpusSpec(max_summands=2, element_cap=4, poly_max_degree=1)
     corpus = generate_corpus(small)
     texts = [i.spec_text for i in corpus]
-    assert "Z:2" in texts and "Z:3" in texts and "Z:4" not in texts
+    assert "Z:2,2" in texts and "Z:2,3" not in texts
     assert "Zn(4)" in texts and "Zn(5)" not in texts
 
 
@@ -150,7 +150,7 @@ def test_rule_subset():
 
 def test_empty_corpus_is_all_vacuous():
     spec = CorpusSpec(int_modulus_max=2, max_summands=1,
-                      element_cap=1, ring_order_cap=1, poly_max_degree=1)
+                      element_cap=1, poly_max_degree=1)
     corpus = generate_corpus(spec)
     assert corpus == []
     report = run_all(corpus)
@@ -172,17 +172,8 @@ def test_mutated_predicate_fails_r2_with_z4_witness(monkeypatch):
     assert pristine.total_failures == 0
 
 
-def test_monkeypatched_hook_is_read_at_call_time(monkeypatch):
-    monkeypatch.setattr(verifier, "QS_VIOLATION_FINDER", mutated_qs_finder)
-    outcome = run_rule("R2", Instance("module", "Z:4"))
-    assert outcome.verdict == FAIL
-    assert "Z:4" == outcome.instance
-
-
 def test_r14_failure_names_the_ring_witness(monkeypatch):
     # no corpus ring fails R14, so force a disagreement on Zn(8)
-    from qdivtop import rings
-
     monkeypatch.setattr(
         rings, "classify_quasi_second_ring", lambda ring: rings.QS_LOCAL_SQUARE_ZERO
     )
@@ -208,6 +199,21 @@ def test_vacuous_notes_for_r18_r22():
     outcome22 = run_rule("R22", Instance("module", "Z:5"))
     assert outcome22.verdict == VACUOUS
     assert "vacuous" in outcome22.note
+
+
+def test_r22_fails_when_the_residue_ring_space_differs(monkeypatch):
+    # no corpus instance reaches R22's failure branch, so plant the module of
+    # a non-field, Zn(4), in place of the residue ring Zn(5) of Z:5
+    ring_cyclic = modules.ring_cyclic
+    monkeypatch.setattr(
+        modules, "ring_cyclic", lambda ring: ring_cyclic(rings.build_ring("Zn(4)"))
+    )
+    outcome = run_rule("R22", Instance("module", "Z:5"))
+    assert (outcome.verdict, outcome.witness) == (
+        FAIL,
+        "space with 0 points differs from the residue-ring divisor space "
+        "with 1 points",
+    )
 
 
 def test_r16_uses_the_injected_predicate(monkeypatch):
