@@ -103,7 +103,8 @@ class Submodule:
     (``mask``, ``full_mask``) and zero is L (``zero_mask``).  The image of r
     is rU + L, which stands for r(U/L) under the correspondence between
     submodules of U/L and submodules of U holding L; it is gU + L for the
-    divisor g of r, built from g's row over U and cached per divisor.  A mask
+    divisor g of r, built from g's row over U and cached per divisor; with
+    U = E, gU is E's own cached image of g.  A mask
     is listed by the least member of each coset of L, which for L = 0 is
     every member.  The members of U are listed on first use, and for a
     submodule N whether N is second and its annihilator are decided once
@@ -178,12 +179,14 @@ class Submodule:
         g = self.residue_ring.divisor(r)
         mask = self._images.get(g)
         if mask is None:
-            if self._members is None:
-                self._members = list(_bits(self.mask))
             E = self.module
-            mask = self._images[g] = E.join_masks(
-                _mask(map(E.row(g).__getitem__, self._members)), self.zero_mask
-            )
+            if self.mask == E.full_mask:
+                rU = E.image_mask(g)
+            else:
+                if self._members is None:
+                    self._members = list(_bits(self.mask))
+                rU = _mask(map(E.row(g).__getitem__, self._members))
+            mask = self._images[g] = E.join_masks(rU, self.zero_mask)
         return mask
 
     def format_mask(self, mask: int):

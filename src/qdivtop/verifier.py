@@ -10,9 +10,11 @@ fixed iteration orders, no randomness, and a corpus fingerprint.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -641,44 +643,107 @@ def _r20(ctx):
 
 
 def _direct_image(E):
-    """a -> the mask of aE from the presentation alone. x -> a*x mod d is
-    additive, so a(A/(d)) is spanned by the columns a*g mod d over the
-    additive generators g of A/(d): 1 over Z; 1, t, ..., t^(deg d - 1) over
-    F_p[x]. Column 0 is the full a reduced mod d. Column i+1 is t times
-    column i mod d: a shift, then at most one subtraction of a multiple of
-    the monic d. Spans are memoized only with two or more summands, where a
-    summand's span recurs next to different spans of the others; the mask
-    memo ends with one _r21 call."""
-    moduli = [m.value for m in E.moduli]
-    if E.domain.kind == "int":
-        zero = 0
+    """a -> the mask of aE from the presentation alone: E's moduli, its
+    domain, its element index and plain scalar arithmetic, never its residue
+    ring, rows, images or digit layout, so no fault can hide on both sides
+    of R21.
 
-        def columns(a, d):
-            return (a % d,)
+    A scalar is worked on as a code. An integer is its own code. An F_p[x]
+    scalar is the base-p integer whose digit k is the coefficient of x^k, so
+    over F_2 bit k. The one operation that depends on p is x + c*y digit by
+    digit mod p: an XOR over F_2, a digit loop otherwise. Reducing a mod d
+    (E's moduli are monic) clears a's digits from the top down, each with a
+    shifted multiple of d, until the degree is below d's; gcds are Euclid
+    on these reductions.
+
+    Over a PID a(A/(d)) = gcd(a, d)(A/(d)), so an image is keyed on the
+    tuple of gcd(a mod d, d) over the distinct moduli d, each gcd memoized
+    per (d, residue). g(A/(d)) is the additive span of the columns g*u mod d
+    over the additive generators u of A/(d): 1 over Z; 1, t, ...,
+    t^(deg d - 1) over F_p[x], where each column is t times the last,
+    reduced mod d. A span is built by adding codes and turned into elements
+    once per member. The memos live in the returned closure, so none
+    outlives one _r21 call."""
+    if E.domain.kind == "int":
+        encode = decode = int
+        reduce = operator.mod
+        gcd = math.gcd
+
+        def columns(g, d):
+            return (g % d,)
 
         def add(x, y, d):
             return (x + y) % d
 
     else:
-        p, zero = E.domain.char, ()
+        p = E.domain.char
+        pw = [1, p]
 
-        def columns(a, d):
-            col, top = scalars.pdivmod(a, d, p)[1], scalars.pdeg(d)
-            cols = [col]
-            for _ in range(top - 1):
-                col = (0,) + col if col else ()
-                if len(col) > top:
-                    c = col[top]
-                    col = scalars.ptrim(tuple((x - c * y) % p for x, y in zip(col, d)))
-                cols.append(col)
-            return tuple(cols)
+        def encode(a):
+            while len(pw) <= len(a):
+                pw.append(pw[-1] * p)
+            return sum(map(operator.mul, a, pw))
+
+        def decode(code):
+            digits = []
+            while code:
+                code, c = divmod(code, p)
+                digits.append(c)
+            return tuple(digits)
+
+        if p == 2:
+            def axpy(x, c, y):
+                # c is 1: the only nonzero coefficient
+                return x ^ y
+        else:
+            def axpy(x, c, y):
+                out, place = 0, 1
+                while x or y:
+                    x, u = divmod(x, p)
+                    y, v = divmod(y, p)
+                    out += (u + c * v) % p * place
+                    place *= p
+                return out
+
+        def degree(a):
+            return bisect.bisect_right(pw, a) - 1
+
+        def reduce(a, d):
+            # a mod the monic d: for each digit c of a at k >= n = deg d,
+            # from the top down, a less c*t^(k-n)*d
+            n = degree(d)
+            for k in range(degree(a), n - 1, -1):
+                c = a // pw[k] % p
+                if c:
+                    a = axpy(a, p - c, d * pw[k - n])
+            return a
+
+        def gcd(a, b):
+            while b:
+                # b made monic: b times the inverse of its leading coefficient
+                n = degree(b)
+                b = axpy(0, pow(b // pw[n], p - 2, p), b)
+                a, b = b, reduce(a, b)
+            return a
+
+        def columns(g, d):
+            cols = [reduce(g, d)]
+            for _ in range(degree(d) - 1):
+                cols.append(reduce(cols[-1] * p, d))
+            return cols
 
         def add(x, y, d):
-            return scalars.padd(x, y, p)
+            return axpy(x, 1, y)
 
-    def span(d, cols):
-        out, members = [zero], {zero}
-        for c in cols:
+    moduli = [encode(m.value) for m in E.moduli]
+    distinct = list(dict.fromkeys(moduli))
+    slots = [distinct.index(d) for d in moduli]
+    divisor = cache(gcd)
+
+    @cache
+    def span(d, g):
+        out, members = [0], {0}
+        for c in columns(g, d):
             if c in members:
                 continue
             # appending while iterating closes the span under adding c
@@ -687,27 +752,32 @@ def _direct_image(E):
                 if y not in members:
                     members.add(y)
                     out.append(y)
-        return out
-
-    if len(moduli) > 1:
-        span = cache(span)
+        return [decode(x) for x in out]
 
     @cache
     def mask_of(key):
+        spans = [span(d, g) for d, g in zip(distinct, key)]
         # spans hold no repeats, so the sum of the bits is their union
-        vals = itertools.product(*(span(d, c) for d, c in zip(moduli, key)))
+        vals = itertools.product(*(spans[i] for i in slots))
         return sum(1 << E.elem_index(v) for v in vals)
 
-    distinct = set(moduli)
-
     def image(a):
-        cols = {d: columns(a, d) for d in distinct}
-        return mask_of(tuple(cols[d] for d in moduli))
+        a = encode(a)
+        return mask_of(tuple([divisor(d, reduce(a, d)) for d in distinct]))
 
     return image
 
 
 def _r21(ctx):
+    """Residue classes against scalars of A drawn directly. For each sample
+    a, whether [a] lies in W(E)# must agree between the residue side (a's
+    residue is nonzero and not a unit) and the direct side (aE is neither 0
+    nor E), and the direct image aE (``_direct_image``) must equal E's image
+    of a's residue. The samples run in (length, coefficients) order: over Z every
+    integer in [-2n, 2n]; over F_p[x] every polynomial of degree at most
+    deg g + 1 for the annihilator g, listed as each prefix followed by each
+    nonzero top coefficient, then monomials and near-multiples of g up to
+    degree 2 deg g. The first mismatch is the witness."""
     E = ctx.E
     if E.moduli is None:
         return VACUOUS, None, "needs an explicit cyclic-sum presentation"
@@ -716,28 +786,32 @@ def _r21(ctx):
     image = _direct_image(E)
     if E.domain.kind == "int":
         n = ring.n
-        samples = [(a, a % n, image(a)) for a in range(-2 * n, 2 * n + 1)]
+        samples = ((a, a % n) for a in range(-2 * n, 2 * n + 1))
         fmt = str
     else:
         p = E.domain.char
         g = ring.modulus
         deg = scalars.pdeg(g)
-        sample_polys = set()
-        for length in range(deg + 3):
-            for c in itertools.product(range(p), repeat=length):
-                sample_polys.add(scalars.ptrim(c))
+        extra = set()
         for j in range(deg + 2, 2 * deg + 1):
             mono = (0,) * j + (1,)
-            sample_polys.add(mono)
-            sample_polys.add(scalars.padd(mono, (1,), p))
+            extra.add(mono)
+            extra.add(scalars.padd(mono, (1,), p))
             shift = (0,) * (j - deg) + (1,)
-            sample_polys.add(scalars.padd(scalars.pmul(g, shift, p), (1, 1), p))
-        samples = [
-            (a, scalars.pdivmod(a, g, p)[1], image(a))
-            for a in sorted(sample_polys, key=lambda c: (len(c), c))
+            extra.add(scalars.padd(scalars.pmul(g, shift, p), (1, 1), p))
+        short = [()] + [
+            prefix + (c,)
+            for length in range(deg + 2)
+            for prefix in itertools.product(range(p), repeat=length)
+            for c in range(1, p)
         ]
+        samples = (
+            (a, scalars.pdivmod(a, g, p)[1])
+            for a in short + sorted(extra, key=lambda c: (len(c), c))
+        )
         fmt = scalars.format_poly
-    for a, residue, direct_mask in samples:
+    for a, residue in samples:
+        direct_mask = image(a)
         in_w_direct = direct_mask != E.zero_mask and direct_mask != E.full_mask
         in_w_residue = residue != ring.zero and residue not in units
         if in_w_direct != in_w_residue:

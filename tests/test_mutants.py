@@ -5,7 +5,7 @@ there.  A rule with no row has no fault shown to make it fail."""
 
 import pytest
 
-from qdivtop import modules, verifier
+from qdivtop import modules, rings, verifier
 from qdivtop.verifier import FAIL, PASS, Instance, run_rule
 
 
@@ -52,6 +52,29 @@ def maximality_inverted(mp):
     mp.setattr(modules, "submodule_annihilator", inverted)
 
 
+def span_one_coset(mp):
+    # joining y to a subgroup M adds only the coset M + y, not M + 2y, ...
+    def planted(self, ys):
+        mask = self.zero_mask
+        for y in ys:
+            mask |= modules._mask(self.add(i, y) for i in modules._bits(mask))
+        return mask
+
+    mp.setattr(modules.FiniteModule, "span", planted)
+
+
+def span_at_first_generator(mp):
+    # a cyclic span reads the row of the first additive generator only
+    def planted(self, i):
+        return self.span([self.row(self.residue_ring.additive_generators()[0])[i]])
+
+    mp.setattr(modules.FiniteModule, "_span_at", planted)
+
+
+def units_only_one(mp):
+    mp.setattr(rings._EuclideanQuotient, "units", lambda self: frozenset([self.one]))
+
+
 # (rule, fault, instance, witness under the fault)
 ROWS = [
     ("R9", rn_read_as_re, "Z:6", "quasi second, but [2] with image {0,2,4} is not second"),
@@ -83,6 +106,25 @@ ROWS = [
         "Z:6,6",
         "quasi_second=True but summand condition=False; "
         "scalar 2: annihilators 3 (maximal=False) vs 3 (maximal=False)",
+    ),
+    (
+        "R21",
+        span_one_coset,
+        "Z:8",
+        "scalar -15: direct image {0,1,2,3,4,5,6,7} differs from the residue image",
+    ),
+    (
+        "R21",
+        span_at_first_generator,
+        "F2[x]:x^3",
+        "scalar 1: direct image {0,1,x,x+1,x^2,x^2+x,x^2+1,x^2+x+1} differs "
+        "from the residue image",
+    ),
+    (
+        "R21",
+        units_only_one,
+        "F2[x]:x^2+x+1",
+        "scalar x: direct membership False but residue membership True",
     ),
 ]
 

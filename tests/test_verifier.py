@@ -433,7 +433,9 @@ def test_r20_matches_the_per_pair_sweep_on_planted_orders():
 
 # R21 builds each direct image as a span of a*g; every sample it draws is
 # checked here against the literal {a*x mod d : x in A/(d)} over every x
-R21_EXTRA = ["Z:64,64", "F2[x]:x^8", "F3[x]:x^5"]
+R21_EXTRA = [
+    "Z:64,64", "F2[x]:x^8", "F3[x]:x^5", "F3[x]:x^2+1,x^3", "F5[x]:x^2,x+1",
+]
 
 
 def literal_image_mask(E, a, literal):
