@@ -42,8 +42,10 @@ F_p[x]/(n), k+1 rows for Trunc(p,k).  When the elements are themselves
 residues (a catalog ring over itself, a one-summand cyclic sum), the image
 rE is Rr and takes that route too.  Over A/(n) with A = Z or F_p[x], a
 residue r is g*u with g = gcd(r, n) and u a unit, so r and g have the same
-image on every submodule and kill the same elements: images, killers and
-second-submodule tests work per divisor g of n.  A unit's image is the
+image on every submodule and kill the same elements.  So a module caches
+one image and one kernel (the elements g sends to zero) per divisor g of n,
+and killers, annihilators, second-submodule tests and the multiplication
+and comultiplication predicates read those.  A unit's image is the
 whole module, so unit residues need no image at all.  A submodule a
 caller passes in is checked against the generators' rows only.  Element
 sets are bit masks over the indices, which keeps image computations and
@@ -63,15 +65,16 @@ the tests as the reference for cyclic sums.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
-import math
+import operator
 import re
 from array import array
 from dataclasses import dataclass
 
 from . import rings, scalars
 from .rings import SizeCapExceeded
-from .scalars import INTEGERS, Scalar, ScalarDomain, pgcd, poly_domain
+from .scalars import INTEGERS, Scalar, ScalarDomain, poly_domain
 
 
 class ModuleError(ValueError):
@@ -245,10 +248,10 @@ class FiniteModule:
     ``row(r)`` builds and caches one row on first use.  Cyclic
     submodules, and the images of residues when the elements are residues,
     are spans over the rows of the residue ring's additive generators;
-    other images, killers and second-submodule tests read the row of a
-    residue's divisor.  A unit's image needs no row, so a module over Z or
-    F_p[x] builds about one row per divisor of its annihilator and a
-    catalog ring one per additive generator."""
+    other images and the kernels, which decide killers, read the row of a
+    residue's divisor, once per divisor.  A unit's image needs no row, so a
+    module over Z or F_p[x] builds about one row per divisor of its
+    annihilator and a catalog ring one per additive generator."""
 
     def __init__(
         self,
@@ -277,6 +280,7 @@ class FiniteModule:
         self._build_row = build_row
         self._rows = {}
         self._images = {}
+        self._kernels = {}
         self._classes = None
         self._lattice = None
         self._cyclic = {}
@@ -329,6 +333,17 @@ class FiniteModule:
                     mask = _mask(self.row(g))
                 self._images[g] = mask
             self._images[r] = mask
+        return mask
+
+    def kernel_mask(self, g) -> int:
+        """Mask of the elements that the divisor g sends to zero, read off
+        g's row once."""
+        mask = self._kernels.get(g)
+        if mask is None:
+            zero = self.zero
+            mask = self._kernels[g] = _mask(
+                i for i, y in enumerate(self.row(g)) if y == zero
+            )
         return mask
 
     def join_masks(self, m1: int, m2: int) -> int:
@@ -514,11 +529,13 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
     norm.sort(key=lambda s: s.sort_key())
     moduli = tuple(norm)
 
-    count = 1
-    for d in moduli:
-        count *= _residue_count(domain, d.value)
-    if count > ELEMENT_CAP:
-        raise SizeCapExceeded(f"{count} elements exceed the cap {ELEMENT_CAP}")
+    rings.capped_order(
+        [
+            (d.value, 1) if domain.kind == "int" else (domain.char, scalars.pdeg(d.value))
+            for d in moduli
+        ],
+        lambda count: f"{count} elements exceed the cap {ELEMENT_CAP}",
+    )
 
     ann = moduli[0]
     for d in moduli[1:]:
@@ -656,23 +673,15 @@ def enumerate_submodules(E: FiniteModule) -> tuple:
     return tuple(Submodule._trusted(E, m) for m in E.lattice_masks())
 
 
-def _killer_divisors(E: FiniteModule, mask: int) -> set:
-    """The divisors whose rows send every element of the mask to zero."""
-    members = list(_bits(mask))
-    zero = E.zero
-    killers = set()
-    for g in E.residue_ring.divisors():
-        row = E.row(g)
-        if all(row[i] == zero for i in members):
-            killers.add(g)
-    return killers
+def _killer_divisors(E: FiniteModule, mask: int) -> list:
+    """The divisors whose kernels hold the mask, in divisor order."""
+    return [g for g in E.residue_ring.divisors() if not mask & ~E.kernel_mask(g)]
 
 
 def _killer_residues(E: FiniteModule, mask: int) -> list:
     """The residues killing the mask: those whose divisor kills it."""
     ring = E.residue_ring
-    killers = _killer_divisors(E, mask)
-    return [r for r in ring.elements if ring.divisor(r) in killers]
+    return [r for r in ring.elements if not mask & ~E.kernel_mask(ring.divisor(r))]
 
 
 def submodule_annihilator(N: Submodule):
@@ -680,28 +689,25 @@ def submodule_annihilator(N: Submodule):
     per N.
 
     Over a cyclic sum the killers pull back to the ideal of A generated by
-    their gcd with the annihilator, and the flag is the irreducibility of
+    the gcd of the annihilator with the killer divisors (a residue r and
+    gcd(r, n) generate one ideal), and the flag is the irreducibility of
     that generator; over a catalog ring R the flag is "R/I is a field" for
     the killer ideal I, decided on R itself (``FiniteRing.is_maximal``).
     """
     if N._annihilator is None:
         E = N.module
-        killers = _killer_residues(E, N.mask)
         ring = E.residue_ring
         if E.moduli is None:
-            ideal = frozenset(killers)
+            ideal = frozenset(_killer_residues(E, N.mask))
             N._annihilator = ideal, ring.is_maximal(ideal)
         else:
-            if isinstance(ring, rings.ZnRing):
-                gen = scalars.scalar(E.domain, math.gcd(ring.n, *killers))
-            else:
-                g = ring.modulus
-                for k in killers:
-                    g = pgcd(g, k, ring.p)
-                gen = scalars.scalar(E.domain, g)
-            N._annihilator = gen, (
-                not gen.is_zero() and not gen.is_unit() and scalars.is_irreducible(gen)
+            gen = functools.reduce(
+                scalars.scalar_gcd,
+                [scalars.scalar(E.domain, g) for g in _killer_divisors(E, N.mask)],
+                annihilator(E),
             )
+            # a divisor of the nonzero annihilator, so never zero
+            N._annihilator = gen, not gen.is_unit() and scalars.is_irreducible(gen)
     return N._annihilator
 
 
@@ -787,30 +793,19 @@ def structural_predicates(E: FiniteModule) -> StructuralPredicates:
             uniserial = False
             break
 
-    multiplication = True
-    for n_mask in lat:
-        colon_images = {
-            E.image_mask(r)
-            for r in ring.elements
-            if not (E.image_mask(r) & ~n_mask)
-        }
-        span = zmask
-        for m in colon_images:
-            span = E.join_masks(span, m)
-        if span != n_mask:
-            multiplication = False
-            break
-
-    comultiplication = True
-    for n_mask in lat:
-        rows = [E.row(g) for g in _killer_divisors(E, n_mask)]
-        ann_e = _mask(
-            i for i in range(E.order) if all(row[i] == E.zero for row in rows)
-        )
-        if ann_e != n_mask:
-            comultiplication = False
-            break
-
+    # N = (N:E)E: the join of the images rE inside N, one image per divisor
+    images = set(map(E.image_mask, ring.divisors()))
+    multiplication = all(
+        functools.reduce(E.join_masks, (m for m in images if not m & ~n), zmask) == n
+        for n in lat
+    )
+    # N = ann_E(ann_R(N)): the meet of the kernels of N's killer divisors,
+    # never empty, since zero kills N
+    comultiplication = all(
+        functools.reduce(operator.and_, map(E.kernel_mask, _killer_divisors(E, n)))
+        == n
+        for n in lat
+    )
     return StructuralPredicates(
         divisible=E.order == 1,
         simple=E.order > 1 and len(lat) == 2,

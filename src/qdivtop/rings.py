@@ -64,11 +64,26 @@ class SizeCapExceeded(RuntimeError):
 
 ORDER_CAP = 4096
 CONSTRUCTION_CHECK_CAP = 64
+# every ring has order >= 2 and each Prod or Ideal level at least doubles
+# it, so a spec nested deeper than this exceeds ORDER_CAP
+NESTING_CAP = ORDER_CAP.bit_length()
 
 # classification outcomes for quasi second rings
 QS_LOCAL_SQUARE_ZERO = "LocalSquareZeroMax"
 QS_TWO_FIELDS = "ProductOfTwoFields"
 NOT_QS = "NotQuasiSecond"
+
+
+def capped_order(factors, describe) -> int:
+    """The product of base**exp over the (base, exp) factors, each base at
+    least 2, or ``SizeCapExceeded(describe(order))`` past ORDER_CAP.  A
+    product of more than 256 bits is far past the cap, so it is neither
+    computed nor printed in decimal: describe gets the text b^e*...."""
+    if sum(exp * base.bit_length() for base, exp in factors) > 256:
+        order = "*".join(f"{b}^{e}" if e != 1 else str(b) for b, e in factors)
+    elif (order := math.prod(b**e for b, e in factors)) <= ORDER_CAP:
+        return order
+    raise SizeCapExceeded(describe(order))
 
 
 def _mixed_radix(sizes, parts) -> list:
@@ -226,11 +241,13 @@ class FiniteRing:
 
     # shared machinery -------------------------------------------------
 
+    def _set_order(self, *factors):
+        """The order, checked against the cap before anything it sizes is built."""
+        self.order = capped_order(
+            factors, lambda n: f"{self.spec}: order {n} exceeds the cap {ORDER_CAP}"
+        )
+
     def _init_common(self, validate: bool):
-        if self.order > ORDER_CAP:
-            raise SizeCapExceeded(
-                f"{self.spec}: order {self.order} exceeds the cap {ORDER_CAP}"
-            )
         self._elements = None
         self._index = None
         self._units = None
@@ -389,8 +406,8 @@ class ZnRing(_EuclideanQuotient):
         if n < 2:
             raise RingError(f"Zn needs a modulus of at least 2, got {n}")
         self.n = n
-        self.order = n
         self.spec = f"Zn({n})"
+        self._set_order((n, 1))
         self.zero = 0
         self.one = 1
         self._divisors = {}
@@ -437,8 +454,8 @@ class QuotPolyRing(_EuclideanQuotient):
             raise RingError("the polynomial modulus must be nonconstant")
         self.p = p
         self.modulus = modulus
-        self.order = p ** pdeg(modulus)
         self.spec = f"GF({p},{scalars.format_poly(modulus)})"
+        self._set_order((p, pdeg(modulus)))
         self.zero = ()
         self.one = (1,)
         self._mul_cache = {}
@@ -495,8 +512,8 @@ class TruncRing(FiniteRing):
             raise RingError("Trunc needs at least one generator")
         self.p = p
         self.k = k
-        self.order = p ** (k + 1)
         self.spec = f"Trunc({p},{k})"
+        self._set_order((p, k + 1))
         self.zero = (0,) * (k + 1)
         self.one = (1,) + (0,) * k
         self._init_common(validate=True)
@@ -545,8 +562,8 @@ class ProdRing(FiniteRing):
     def __init__(self, r1: FiniteRing, r2: FiniteRing):
         self.r1 = r1
         self.r2 = r2
-        self.order = r1.order * r2.order
         self.spec = f"Prod({r1.spec},{r2.spec})"
+        self._set_order((r1.order, 1), (r2.order, 1))
         self.zero = (r1.zero, r2.zero)
         self.one = (r1.one, r2.one)
         self._init_common(validate=True)
@@ -611,8 +628,8 @@ class IdealizeRing(FiniteRing):
             raise RingError("idealization needs at least one module copy")
         self.base = base
         self.d = d
-        self.order = base.order ** (d + 1)
         self.spec = f"Ideal({base.spec},{d})"
+        self._set_order((base.order, d + 1))
         self.zero = (base.zero, (base.zero,) * d)
         self.one = (base.one, (base.zero,) * d)
         self._init_common(validate=True)
@@ -718,13 +735,17 @@ def classify_quasi_second_ring(ring: FiniteRing) -> str:
 
 def build_ring(text: str) -> FiniteRing:
     s = text.replace(" ", "")
-    ring, pos = _parse_ring(s, 0)
+    ring, pos = _parse_ring(s, 0, 0)
     if pos != len(s):
         raise RingError(f"trailing input at position {pos} in {text!r}")
     return ring
 
 
-def _parse_ring(s: str, pos: int):
+def _parse_ring(s: str, pos: int, depth: int):
+    if depth > NESTING_CAP:
+        raise SizeCapExceeded(
+            f"ring spec nested past {NESTING_CAP} levels: order past the cap {ORDER_CAP}"
+        )
     start = pos
     while pos < len(s) and (s[pos].isalnum() or s[pos] == "_"):
         pos += 1
@@ -756,15 +777,15 @@ def _parse_ring(s: str, pos: int):
     if name == "Prod":
         if len(args) != 2:
             raise RingError("Prod takes two arguments")
-        r1, end1 = _parse_ring(args[0], 0)
-        r2, end2 = _parse_ring(args[1], 0)
+        r1, end1 = _parse_ring(args[0], 0, depth + 1)
+        r2, end2 = _parse_ring(args[1], 0, depth + 1)
         if end1 != len(args[0]) or end2 != len(args[1]):
             raise RingError(f"bad Prod arguments near position {start}")
         return ProdRing(r1, r2), pos
     if name == "Ideal":
         if len(args) != 2:
             raise RingError("Ideal takes two arguments")
-        base, end = _parse_ring(args[0], 0)
+        base, end = _parse_ring(args[0], 0, depth + 1)
         if end != len(args[0]):
             raise RingError(f"bad Ideal argument near position {start}")
         return IdealizeRing(base, _arg_int(args[1], start)), pos

@@ -656,24 +656,21 @@ def _direct_image(E):
     shifted multiple of d, until the degree is below d's; gcds are Euclid
     on these reductions.
 
-    Over a PID a(A/(d)) = gcd(a, d)(A/(d)), so an image is keyed on the
-    tuple of gcd(a mod d, d) over the distinct moduli d, each gcd memoized
-    per (d, residue). g(A/(d)) is the additive span of the columns g*u mod d
-    over the additive generators u of A/(d): 1 over Z; 1, t, ...,
-    t^(deg d - 1) over F_p[x], where each column is t times the last,
-    reduced mod d. A span is built by adding codes and turned into elements
-    once per member. The memos live in the returned closure, so none
-    outlives one _r21 call."""
+    Over a PID a(A/(d)) = g(A/(d)) for g = gcd(a, d), so an image is keyed
+    on the tuple of gcd(a mod d, d) over the distinct moduli d, each gcd
+    memoized per (d, residue). g(A/(d)) is the set of multiples of g below
+    d, in closed form: range(0, d, g) over Z, and over F_p[x] the products
+    g*q for every q of degree below deg d - deg g, which need no reduction;
+    they are listed by adding c*g*t^k for each digit c of q, and turned into
+    elements once per (d, g). The memos live in the returned closure, so
+    none outlives one _r21 call."""
     if E.domain.kind == "int":
-        encode = decode = int
+        encode = int
         reduce = operator.mod
         gcd = math.gcd
 
-        def columns(g, d):
-            return (g % d,)
-
-        def add(x, y, d):
-            return (x + y) % d
+        def multiples(d, g):
+            return range(0, d, g)
 
     else:
         p = E.domain.char
@@ -726,39 +723,24 @@ def _direct_image(E):
                 a, b = b, reduce(a, b)
             return a
 
-        def columns(g, d):
-            cols = [reduce(g, d)]
-            for _ in range(degree(d) - 1):
-                cols.append(reduce(cols[-1] * p, d))
-            return cols
-
-        def add(x, y, d):
-            return axpy(x, 1, y)
+        def multiples(d, g):
+            out = [0]
+            for k in range(degree(d) - degree(g)):
+                shifted = g * pw[k]
+                out += [axpy(x, c, shifted) for c in range(1, p) for x in out]
+            return [decode(x) for x in out]
 
     moduli = [encode(m.value) for m in E.moduli]
     distinct = list(dict.fromkeys(moduli))
     slots = [distinct.index(d) for d in moduli]
     divisor = cache(gcd)
-
-    @cache
-    def span(d, g):
-        out, members = [0], {0}
-        for c in columns(g, d):
-            if c in members:
-                continue
-            # appending while iterating closes the span under adding c
-            for x in out:
-                y = add(x, c, d)
-                if y not in members:
-                    members.add(y)
-                    out.append(y)
-        return [decode(x) for x in out]
+    members = cache(multiples)
 
     @cache
     def mask_of(key):
-        spans = [span(d, g) for d, g in zip(distinct, key)]
-        # spans hold no repeats, so the sum of the bits is their union
-        vals = itertools.product(*(spans[i] for i in slots))
+        sets = [members(d, g) for d, g in zip(distinct, key)]
+        # the multiples hold no repeats, so the sum of the bits is their union
+        vals = itertools.product(*(sets[i] for i in slots))
         return sum(1 << E.elem_index(v) for v in vals)
 
     def image(a):
@@ -772,12 +754,14 @@ def _r21(ctx):
     """Residue classes against scalars of A drawn directly. For each sample
     a, whether [a] lies in W(E)# must agree between the residue side (a's
     residue is nonzero and not a unit) and the direct side (aE is neither 0
-    nor E), and the direct image aE (``_direct_image``) must equal E's image
-    of a's residue. The samples run in (length, coefficients) order: over Z every
-    integer in [-2n, 2n]; over F_p[x] every polynomial of degree at most
-    deg g + 1 for the annihilator g, listed as each prefix followed by each
-    nonzero top coefficient, then monomials and near-multiples of g up to
-    degree 2 deg g. The first mismatch is the witness."""
+    nor E), and the direct image aE (``_direct_image``: in each summand
+    A/(d), the multiples of gcd(a, d)) must equal E's image of a's residue
+    ``ring.reduce(a)``. The samples run in (length, coefficients) order:
+    over Z every integer in [-2n, 2n]; over F_p[x] every polynomial of
+    degree at most deg g + 1 for the annihilator g, listed as each prefix
+    followed by each nonzero top coefficient, then monomials and
+    near-multiples of g up to degree 2 deg g. The first mismatch is the
+    witness."""
     E = ctx.E
     if E.moduli is None:
         return VACUOUS, None, "needs an explicit cyclic-sum presentation"
@@ -786,7 +770,7 @@ def _r21(ctx):
     image = _direct_image(E)
     if E.domain.kind == "int":
         n = ring.n
-        samples = ((a, a % n) for a in range(-2 * n, 2 * n + 1))
+        samples = range(-2 * n, 2 * n + 1)
         fmt = str
     else:
         p = E.domain.char
@@ -805,12 +789,10 @@ def _r21(ctx):
             for prefix in itertools.product(range(p), repeat=length)
             for c in range(1, p)
         ]
-        samples = (
-            (a, scalars.pdivmod(a, g, p)[1])
-            for a in short + sorted(extra, key=lambda c: (len(c), c))
-        )
+        samples = short + sorted(extra, key=lambda c: (len(c), c))
         fmt = scalars.format_poly
-    for a, residue in samples:
+    for a in samples:
+        residue = ring.reduce(a)
         direct_mask = image(a)
         in_w_direct = direct_mask != E.zero_mask and direct_mask != E.full_mask
         in_w_residue = residue != ring.zero and residue not in units

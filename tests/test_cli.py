@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qdivtop import cli, modules, rings
+from qdivtop import cli, rings, scalars
 
 
 def run_cli(capsys, *argv):
@@ -117,9 +117,31 @@ def test_analyze_parse_error(capsys):
     assert run_cli(capsys, "analyze", "ring:Wat(2)")[0] == 2
 
 
+def nested_prod(levels):
+    return "ring:" + "Prod(Zn(2)," * levels + "Zn(2)" + ")" * levels
+
+
 def test_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "analyze", "ring:Zn(5000)")
     assert code == 3
+    # orders far past the cap are compared before the power is computed or
+    # printed: each exits 3, not 2 on a too-long integer string
+    for spec, order in [
+        ("F2[x]:x^100000", "2^100000 elements"),
+        ("ring:GF(2,x^100000)", "order 2^100000"),
+        ("ring:Trunc(2,100000)", "order 2^100001"),
+        ("ring:Ideal(Zn(2),100000)", "order 2^100001"),
+    ]:
+        code, _, err = run_cli(capsys, "analyze", spec)
+        assert (code, f"{order} exceed" in err) == (3, True), (spec, err)
+    # small orders keep their decimal text
+    code, _, err = run_cli(capsys, "analyze", "Z:64,128")
+    assert (code, err) == (3, "error: 8192 elements exceed the cap 4096\n")
+    code, _, err = run_cli(capsys, "analyze", nested_prod(12))
+    assert (code, err.endswith(": order 8192 exceeds the cap 4096\n")) == (3, True)
+    # past 13 levels of nesting the parser stops before it recurses further
+    code, _, err = run_cli(capsys, "analyze", nested_prod(1200))
+    assert (code, "nested past 13 levels" in err) == (3, True)
 
 
 def test_usage_error(capsys):
@@ -237,7 +259,7 @@ def test_analyze_at_the_element_cap(capsys, monkeypatch):
 
         return wrapper
 
-    for owner in (modules, rings):
+    for owner in (scalars, rings):
         monkeypatch.setattr(owner, "pgcd", counted(owner.pgcd))
     code, out, _ = run_cli(capsys, "analyze", "F2[x]:x^12")
     assert code == 0

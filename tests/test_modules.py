@@ -513,6 +513,56 @@ def test_structural_predicates_examples():
     assert not structural_predicates(build_module("Z:2,2")).comultiplication
 
 
+def literal_predicates(E):
+    """(multiplication, comultiplication) from every residue's full row:
+    N = (N:E)E and N = ann_E(ann_R(N)) for every submodule N.  (N:E)E is
+    the sum of the images rE inside N, and ann_E(ann_R(N)) the elements
+    that every residue killing N sends to zero."""
+    rows = [E.row(r) for r in E.residue_ring.elements]
+    images = [modules._mask(row) for row in rows]
+    kernels = [literal_kernel(E, row) for row in rows]
+    multiplication = comultiplication = True
+    for n in E.lattice_masks():
+        inside = 0
+        for m in images:
+            if not m & ~n:
+                inside |= m
+        ann = E.full_mask
+        for k in kernels:
+            if not n & ~k:
+                ann &= k
+        multiplication &= E.span(modules._bits(inside)) == n
+        comultiplication &= ann == n
+    return multiplication, comultiplication
+
+
+def literal_kernel(E, row):
+    return modules._mask(i for i, y in enumerate(row) if y == E.zero)
+
+
+# Trunc(2,3) is a multiplication module but not a comultiplication one
+PREDICATE_EXTRA_SPECS = ("Z:16,16", "F2[x]:x^4,x^4", "F3[x]:x^5", "ring:Trunc(2,3)")
+
+
+def test_structural_predicates_match_the_literal_reference():
+    # every default instance, a ring instance read as its ring: module
+    specs = [
+        inst.spec_text if inst.kind == "module" else "ring:" + inst.spec_text
+        for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS)
+    ]
+    flags = collections.Counter()
+    for spec in specs + list(PREDICATE_EXTRA_SPECS):
+        E = build_module(spec)
+        preds = structural_predicates(E)
+        literal = literal_predicates(E)
+        assert (preds.multiplication, preds.comultiplication) == literal, spec
+        flags[literal] += 1
+        for g in E.residue_ring.divisors():
+            assert E.kernel_mask(g) == literal_kernel(E, E.row(g)), (spec, g)
+    assert literal == (True, False)
+    assert flags == {(True, True): 313, (True, False): 7, (False, False): 75}
+
+
 def test_divisible_and_simple():
     assert structural_predicates(build_module("Z:5")).simple
     assert not structural_predicates(build_module("Z:5")).divisible

@@ -52,6 +52,16 @@ def maximality_inverted(mp):
     mp.setattr(modules, "submodule_annihilator", inverted)
 
 
+def killers_with_one(mp):
+    # the residue ring's one kills every submodule
+    killer_divisors = modules._killer_divisors
+    mp.setattr(
+        modules,
+        "_killer_divisors",
+        lambda E, mask: [*killer_divisors(E, mask), E.residue_ring.one],
+    )
+
+
 def span_one_coset(mp):
     # joining y to a subgroup M adds only the coset M + y, not M + 2y, ...
     def planted(self, ys):
@@ -83,6 +93,12 @@ ROWS = [
         maximality_inverted,
         "Z:4",
         "class [2]: annihilator of the image is not maximal (generator 2)",
+    ),
+    (
+        "R10",
+        killers_with_one,
+        "Z:4",
+        "class [2]: annihilator of the image is not maximal (generator 1)",
     ),
     (
         "R11",
