@@ -458,7 +458,7 @@ def lattice_by_summands(E: FiniteModule) -> list:
         d = E.moduli[i].value
         gens = [
             (E.elem_index(zero[:i] + (u,) + zero[i + 1 :]), E.row(reduce(cofactor)))
-            for u, cofactor in _proper_divisors(E.domain, d)
+            for u, cofactor in scalars.proper_divisors(E.domain, d)
         ]
         grown = []
         for n_mask in lattice:
@@ -471,22 +471,6 @@ def lattice_by_summands(E: FiniteModule) -> list:
         lattice = grown
         tail *= _residue_count(E.domain, d)
     return lattice
-
-
-def _proper_divisors(domain: ScalarDomain, d) -> list:
-    """(u, d/u) for each canonical divisor u != d of the canonical d, by
-    trial division: positive integers below d, monic polynomials of lower
-    degree."""
-    if domain.kind == "int":
-        return [(u, d // u) for u in range(1, d) if not d % u]
-    p = domain.char
-    out = []
-    for k in range(scalars.pdeg(d)):
-        for u in scalars.monic_polys(p, k):
-            q, r = scalars.pdivmod(d, u, p)
-            if not r:
-                out.append((u, q))
-    return out
 
 
 def _coset_reps(E: FiniteModule, n_mask: int, mask: int) -> list:
@@ -534,7 +518,7 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
             (d.value, 1) if domain.kind == "int" else (domain.char, scalars.pdeg(d.value))
             for d in moduli
         ],
-        lambda count: f"{count} elements exceed the cap {ELEMENT_CAP}",
+        _past_cap,
     )
 
     ann = moduli[0]
@@ -565,6 +549,10 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
         domain=domain,
         moduli=moduli,
     )
+
+
+def _past_cap(count) -> str:
+    return f"{count} elements exceed the cap {ELEMENT_CAP}"
 
 
 def _residue_count(domain: ScalarDomain, n) -> int:
@@ -604,27 +592,50 @@ def ring_cyclic(ring: rings.FiniteRing) -> FiniteModule:
     )
 
 
-_POLY_HEAD_RE = re.compile(r"F(\d+)\[x\]\Z")
+_POLY_HEAD_RE = re.compile(r"F0*(\d+)\[x\]\Z")
+_INT_DIGITS_RE = re.compile(r"[+-]?0*(\d+)\Z")
+
+
+def _refuse_long(digits: str, what: str):
+    """A decimal number with more digits than ELEMENT_CAP is past the cap.
+    It is refused on its digit count, before ``int()``, which refuses more
+    than 4,300 digits with a message of its own."""
+    if len(digits) > len(str(ELEMENT_CAP)):
+        raise SizeCapExceeded(f"{what} of {len(digits)} digits exceeds the cap {ELEMENT_CAP}")
 
 
 def build_module(text: str) -> FiniteModule:
-    """Parse a module spec: ``Z:8``, ``Z:2,4``, ``F2[x]:x^3``, ``ring:Zn(8)``."""
+    """Parse a module spec: ``Z:8``, ``Z:2,4``, ``F2[x]:x^3``, ``ring:Zn(8)``.
+
+    Each modulus, and the characteristic of F_p[x], is checked against the
+    cap before it is built: a long decimal by its digit count (so a large
+    p is never tested for primality), a polynomial by its degree before its
+    coefficient list is allocated."""
     s = text.replace(" ", "")
     if s.startswith("ring:"):
         return ring_cyclic(rings.build_ring(s[5:]))
     head, sep, rest = s.partition(":")
     if not sep:
         raise ModuleError(f"bad module spec {text!r}: missing ':'")
+    tokens = rest.split(",")
     if head == "Z":
-        domain = INTEGERS
+        domain, check_degree = INTEGERS, None
+        for t in tokens:
+            if m := _INT_DIGITS_RE.match(t):
+                _refuse_long(m.group(1), "a modulus")
     else:
         m = _POLY_HEAD_RE.match(head)
         if not m:
             raise ModuleError(f"bad module spec {text!r}: unknown domain {head!r}")
+        _refuse_long(m.group(1), "a characteristic")
         domain = poly_domain(int(m.group(1)))
+
+        def check_degree(k):
+            rings.capped_order([(domain.char, max(k, 0))], _past_cap)
+
     if not rest:
         raise ModuleError(f"bad module spec {text!r}: no moduli")
-    moduli = [scalars.parse_scalar(t, domain) for t in rest.split(",")]
+    moduli = [scalars.parse_scalar(t, domain, check_degree) for t in tokens]
     return cyclic_sum(domain, moduli)
 
 
@@ -637,8 +648,7 @@ def annihilator(E: FiniteModule):
     ring = E.residue_ring
     if E.moduli is None:
         return frozenset({ring.zero})
-    n = ring.n if isinstance(ring, rings.ZnRing) else ring.modulus
-    return scalars.scalar(E.domain, n)
+    return scalars.scalar(E.domain, ring.modulus)
 
 
 def scalar_classes(E: FiniteModule) -> tuple:
@@ -828,7 +838,10 @@ def weak_idempotent_split(E: FiniteModule) -> WeakSplit:
     Returns "simple" when E has no proper nonzero submodule, a "split"
     with two nonzero minimal parts meeting trivially and summing to E,
     or "none".  Weak idempotents of the domain are exactly the idempotent
-    residues of A/ann(E).
+    residues of A/ann(E).  For every idempotent e the parts eE and (1-e)E
+    sum to E, since x = ex + (1-e)x, and meet in zero, since y = ex =
+    (1-e)z gives y = ey = e(1-e)z = 0.  So only whether both parts are
+    nonzero and minimal is tested.
     """
     if all(
         E.cyclic_mask(i) == E.full_mask for i in range(E.order) if i != E.zero
@@ -840,10 +853,6 @@ def weak_idempotent_split(E: FiniteModule) -> WeakSplit:
         part_e = E.image_mask(e)
         part_f = E.image_mask(ring.sub(ring.one, e))
         if part_e == zmask or part_f == zmask:
-            continue
-        if (part_e & part_f) != zmask:
-            continue
-        if E.join_masks(part_e, part_f) != E.full_mask:
             continue
         if _is_minimal_mask(E, part_e) and _is_minimal_mask(E, part_f):
             return WeakSplit(

@@ -50,7 +50,7 @@ import math
 from array import array
 
 from . import scalars
-from .scalars import Scalar, is_prime, pdeg, pgcd, pmonic, ptrim
+from .scalars import Scalar, ScalarDomain, is_prime, pdeg, pmonic, ptrim
 
 
 class RingError(ValueError):
@@ -153,23 +153,31 @@ class DigitLayout:
         (parts[0][x_1], ..., parts[k-1][x_k]), for per-factor index lists."""
         return _mixed_radix(self.sizes, parts)
 
-    def linear_row(self, images) -> list:
-        """The additive map sending the element at each place to the given
-        image index, as a list over element indices.  Codes fill in
-        increasing order: a code c > 0 whose top nonzero digit sits at
-        place p is (c - p) + p, so its image is p's image added to the
-        image of the smaller code c - p.  With a single digit the image of
-        c is c times the image of 1, mod the radix."""
-        code, index_of = self.codes, self.index_of
-        if len(self.radices) == 1:
-            n, v = self.radices[0], code[images[0]]
-            return [index_of[c * v % n] for c in code]
+    def linear_images(self, images) -> list:
+        """Under the additive map sending the element at place k to the
+        index images[k], the image of each code below the product of the
+        first len(images) radices, by code.  Codes fill in increasing
+        order: a code c > 0 whose top nonzero digit sits at place p is
+        (c - p) + p, so its image is p's image added to the image of the
+        smaller code c - p."""
         add = self.add
-        by_code = [index_of[0]]
+        by_code = [self.index_of[0]]
         for image, radix in zip(images, self.radices):
             place = len(by_code)
             for c in range(place, place * radix):
                 by_code.append(add(by_code[c - place], image))
+        return by_code
+
+    def linear_row(self, images) -> list:
+        """The additive map sending the element at each place to the given
+        image index, as a list over element indices: ``linear_images`` read
+        at every code.  With a single digit the image of c is c times the
+        image of 1, mod the radix."""
+        code, index_of = self.codes, self.index_of
+        if len(self.radices) == 1:
+            n, v = self.radices[0], code[images[0]]
+            return [index_of[c * v % n] for c in code]
+        by_code = self.linear_images(images)
         return [by_code[c] for c in code]
 
 
@@ -280,9 +288,10 @@ class FiniteRing:
 
     def divisor(self, r):
         """An element d with r = d*u for a unit u, so that r and d generate
-        the same ideal: gcd(r, n) over A/(n) for A = Z or F_p[x], the
-        factors' divisors over a product, and otherwise one for a unit and
-        r itself for a nonunit."""
+        the same ideal: gcd(r, n) over A/(n) for A = Z or F_p[x], read off
+        the divisors of n (see ``_EuclideanQuotient``), the factors'
+        divisors over a product, and otherwise one for a unit and r itself
+        for a nonunit."""
         return self.one if r in self.units() else r
 
     def divisors(self) -> tuple:
@@ -376,10 +385,33 @@ class FiniteRing:
 
 
 class _EuclideanQuotient(FiniteRing):
-    """A/(n) for A = Z or F_p[x]: one gcd per element gives its divisor,
-    and the units are the elements whose divisor is one."""
+    """A/(n) for A = Z or F_p[x], with n canonical (``modulus``).  A is a
+    principal ideal domain, so r and gcd(r, n) generate the same ideal:
+    gcd(r, n) is the divisor of r, and the units are the residues whose
+    divisor is one.
 
-    def _gcd(self, r):
+    The first ``divisor`` call sieves every residue at once, from the
+    proper divisors of n, which are few: each proper divisor g, in
+    increasing order, is written on its multiples, so the last one written
+    on r is gcd(r, n), since every divisor of n that divides r divides
+    gcd(r, n).  Zero's divisor is zero.  An idempotent e other than 0 and 1
+    with g = gcd(e, n) is 0 mod g and 1 mod n/g, so gcd(g, n/g) = 1: only
+    residues whose divisor is such a unitary divisor are squared to find
+    the idempotents."""
+
+    domain: ScalarDomain
+    modulus: object
+
+    def _init_quotient(self, domain, modulus):
+        self.domain = domain
+        self.modulus = modulus
+        # filled by the first ``divisor`` call
+        self._divisors = {}
+        self._pairs = None
+        self._init_common(validate=False)
+
+    def _multiples(self, g):
+        """The element indices of the multiples of a proper divisor g of n."""
         raise NotImplementedError
 
     def reduce(self, r):
@@ -387,12 +419,37 @@ class _EuclideanQuotient(FiniteRing):
         of n."""
         raise NotImplementedError
 
+    def _divisor_pairs(self) -> list:
+        """(g, n/g) for each canonical divisor g != n of n, in increasing
+        order (``scalars.proper_divisors``)."""
+        if self._pairs is None:
+            self._pairs = scalars.proper_divisors(self.domain, self.modulus)
+        return self._pairs
+
     def divisor(self, r):
-        g = self._divisors.get(r)
-        if g is None:
-            self.index(r)
-            g = self._divisors[r] = self._gcd(r)
-        return g
+        try:
+            return self._divisors[r]
+        except KeyError:
+            self.index(r)  # a RingError for a non-element
+        # the first call: the sieve
+        table = [self.one] * self.order
+        for g, _ in self._divisor_pairs()[1:]:
+            for i in self._multiples(g):
+                table[i] = g
+        table[self.index(self.zero)] = self.zero
+        self._divisors = dict(zip(self.elements, table))
+        return self._divisors[r]
+
+    def idempotents(self):
+        domain, divisor = self.domain, self.divisor
+        unitary = {
+            g
+            for g, h in self._divisor_pairs()[1:]
+            if scalars.scalar_gcd(Scalar(domain, g), Scalar(domain, h)).is_unit()
+        }
+        candidates = [self.zero, self.one]
+        candidates += (r for r in self.elements if divisor(r) in unitary)
+        return frozenset(x for x in candidates if self.mul(x, x) == x)
 
     def units(self):
         if self._units is None:
@@ -410,8 +467,7 @@ class ZnRing(_EuclideanQuotient):
         self._set_order((n, 1))
         self.zero = 0
         self.one = 1
-        self._divisors = {}
-        self._init_common(validate=False)
+        self._init_quotient(scalars.INTEGERS, n)
 
     def _enumerate(self):
         return range(self.n)
@@ -431,8 +487,9 @@ class ZnRing(_EuclideanQuotient):
     def format_element(self, x):
         return str(x)
 
-    def _gcd(self, r):
-        return math.gcd(r, self.n) % self.n
+    def _multiples(self, g):
+        # residue r sits at index r
+        return range(0, self.n, g)
 
     def reduce(self, r):
         return r % self.n
@@ -445,7 +502,9 @@ class QuotPolyRing(_EuclideanQuotient):
     """F_p[x]/(f) for a nonconstant modulus f, normalized monic."""
 
     def __init__(self, p: int, modulus):
-        if not is_prime(p):
+        # a p past the cap fails the order check below, before any trial
+        # division
+        if p <= ORDER_CAP and not is_prime(p):
             raise RingError(f"characteristic {p} is not prime")
         if isinstance(modulus, Scalar):
             modulus = modulus.value
@@ -453,14 +512,12 @@ class QuotPolyRing(_EuclideanQuotient):
         if pdeg(modulus) < 1:
             raise RingError("the polynomial modulus must be nonconstant")
         self.p = p
-        self.modulus = modulus
         self.spec = f"GF({p},{scalars.format_poly(modulus)})"
         self._set_order((p, pdeg(modulus)))
         self.zero = ()
         self.one = (1,)
         self._mul_cache = {}
-        self._divisors = {}
-        self._init_common(validate=False)
+        self._init_quotient(scalars.poly_domain(p), modulus)
 
     def _enumerate(self):
         d = pdeg(self.modulus)
@@ -487,9 +544,11 @@ class QuotPolyRing(_EuclideanQuotient):
     def format_element(self, x):
         return scalars.format_poly(x)
 
-    def _gcd(self, r):
-        g = pgcd(r, self.modulus, self.p)
-        return self.zero if g == self.modulus else g
+    def _multiples(self, g):
+        # the multiples g*q for deg q < deg n - deg g are the first residues
+        # in element order, and x^k*g needs no reduction
+        m, index = pdeg(self.modulus) - pdeg(g), self.index
+        return self.layout.linear_images([index((0,) * k + g) for k in range(m)])
 
     def reduce(self, r):
         return scalars.pdivmod(r, self.modulus, self.p)[1]
@@ -506,7 +565,9 @@ class TruncRing(FiniteRing):
     basis 1, x_1, ..., x_k; products of two generators vanish."""
 
     def __init__(self, p: int, k: int):
-        if not is_prime(p):
+        # a p past the cap fails the order check below, before any trial
+        # division
+        if p <= ORDER_CAP and not is_prime(p):
             raise RingError(f"characteristic {p} is not prime")
         if k < 1:
             raise RingError("Trunc needs at least one generator")
@@ -758,17 +819,25 @@ def _parse_ring(s: str, pos: int, depth: int):
             raise RingError("Zn takes one argument")
         return ZnRing(_arg_int(args[0], start)), pos
     if name == "GF":
+        # a p past the cap fails the order check of the ring, before any
+        # trial division
         if len(args) == 1:
             p = _arg_int(args[0], start)
-            if not is_prime(p):
+            if p <= ORDER_CAP and not is_prime(p):
                 raise RingError(f"GF({p}): {p} is not prime")
             return ZnRing(p), pos
         if len(args) == 2:
             p = _arg_int(args[0], start)
-            if not is_prime(p):
+            if p <= ORDER_CAP and not is_prime(p):
                 raise RingError(f"GF({p},...): {p} is not prime")
-            poly = scalars.parse_scalar(args[1], scalars.poly_domain(p))
-            return QuotPolyRing(p, poly.value), pos
+
+            def check_degree(k):
+                capped_order(
+                    [(p, max(k, 0))],
+                    lambda n: f"GF({p},{args[1]}): order {n} exceeds the cap {ORDER_CAP}",
+                )
+
+            return QuotPolyRing(p, scalars.parse_poly(args[1], p, check_degree)), pos
         raise RingError("GF takes one or two arguments")
     if name == "Trunc":
         if len(args) != 2:

@@ -152,6 +152,30 @@ def monic_polys(p: int, deg: int):
         yield tail + (1,)
 
 
+def proper_divisors(domain: ScalarDomain, d) -> list:
+    """(u, d/u) for each canonical divisor u != d of a canonical nonunit
+    d != 0, in increasing order: by value over Z, by degree and then
+    coefficients over F_p[x] (the order of residues).  Trial division runs
+    up to sqrt(d), or degree deg(d)/2 over F_p[x]; every divisor past that
+    is the cofactor of one below it."""
+    if domain.kind == "int":
+        low = [u for u in range(1, math.isqrt(d) + 1) if not d % u]
+        high = [d // u for u in reversed(low[1:]) if u * u != d]
+        return [(u, d // u) for u in low + high]
+    p, n = domain.char, pdeg(d)
+    low = []
+    for k in range(n // 2 + 1):
+        for u in monic_polys(p, k):
+            q, r = pdivmod(d, u, p)
+            if not r:
+                low.append((u, q))
+    high = sorted(
+        ((q, u) for u, q in low if 0 < 2 * pdeg(u) < n),
+        key=lambda pair: (len(pair[0]), pair[0]),
+    )
+    return low + high
+
+
 # -- scalars --
 
 
@@ -268,7 +292,8 @@ _INT_RE = re.compile(r"[+-]?\d+\Z")
 _TERM_RE = re.compile(r"(\d+)?\*?(x(?:\^(\d+))?)?\Z")
 
 
-def parse_scalar(text: str, domain: ScalarDomain) -> Scalar:
+def parse_scalar(text: str, domain: ScalarDomain, check_degree=None) -> Scalar:
+    """The scalar a literal names; see ``parse_poly`` for ``check_degree``."""
     s = text.replace(" ", "")
     if not s:
         raise ScalarError("empty scalar literal")
@@ -276,10 +301,15 @@ def parse_scalar(text: str, domain: ScalarDomain) -> Scalar:
         if not _INT_RE.match(s):
             raise ScalarError(f"bad integer literal {text!r}")
         return Scalar(domain, int(s))
-    return Scalar(domain, _parse_poly(s, domain.char))
+    return Scalar(domain, parse_poly(s, domain.char, check_degree))
 
 
-def _parse_poly(s: str, p: int) -> tuple:
+def parse_poly(text: str, p: int, check_degree=None) -> tuple:
+    """The coefficient tuple of a polynomial literal over F_p.  The terms
+    are read sparsely, and ``check_degree``, if given, is called with the
+    degree before one entry per exponent is allocated, so that a caller can
+    refuse x^1000000 first."""
+    s = text.replace(" ", "")
     terms = re.findall(r"[+-]?[^+-]+", s)
     if not terms or "".join(terms) != s:
         raise ScalarError(f"bad polynomial literal {s!r}")
@@ -302,10 +332,14 @@ def _parse_poly(s: str, p: int) -> tuple:
             c = int(cs) if cs is not None else 1
             k = int(es) if es is not None else 1
         coeffs[k] = coeffs.get(k, 0) + sign * c
-    vec = [0] * (max(coeffs) + 1)
+    degree = max((k for k, c in coeffs.items() if c % p), default=-1)
+    if check_degree is not None:
+        check_degree(degree)
+    vec = [0] * (degree + 1)
     for k, c in coeffs.items():
-        vec[k] = c % p
-    return ptrim(tuple(vec))
+        if k <= degree:
+            vec[k] = c % p
+    return tuple(vec)
 
 
 def format_poly(c: tuple) -> str:

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import time
+import tracemalloc
 
 import pytest
 
-from qdivtop import cli, rings, scalars
+from qdivtop import cli, modules, rings, scalars
+from qdivtop.rings import SizeCapExceeded
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +147,42 @@ def test_cap_exit_code(capsys):
     assert (code, "nested past 13 levels" in err) == (3, True)
 
 
+LARGE_PRIME = 1000000000000000003
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"ring:Trunc({LARGE_PRIME},1)", f"ring:GF({LARGE_PRIME})", f"F{LARGE_PRIME}[x]:x"],
+)
+def test_large_characteristic_meets_the_cap_before_a_primality_test(capsys, spec):
+    # trial division on a 19-digit prime would take minutes
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "analyze", spec)
+    assert (code, "exceed" in err) == (3, True), err
+    assert time.perf_counter() - start < 5
+
+
+def test_large_exponent_meets_the_cap_before_allocation(capsys):
+    code, _, err = run_cli(capsys, "analyze", "F2[x]:x^1000000")
+    assert (code, err) == (3, "error: 2^1000000 elements exceed the cap 4096\n")
+    # the degree is compared with the cap before one coefficient per
+    # exponent is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded):
+            modules.build_module("F2[x]:x^1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_long_integer_literal_meets_the_cap_before_conversion(capsys):
+    # Python refuses to convert more than 4,300 digits; the cap comes first
+    code, _, err = run_cli(capsys, "analyze", "Z:" + "9" * 4400)
+    assert (code, err) == (3, "error: a modulus of 4400 digits exceeds the cap 4096\n")
+
+
 def test_usage_error(capsys):
     assert cli.main([]) == 2
     assert cli.main(["bogus"]) == 2
@@ -249,7 +288,8 @@ def test_analyze_at_the_element_cap(capsys, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(cli, "parse_spec", recording_parse)
-    # one polynomial gcd per residue, shared by the units and the divisors
+    # no polynomial gcd per residue: the divisors are sieved from the
+    # divisors of x^12, and the idempotents take one gcd per divisor
     gcd_calls = []
 
     def counted(gcd):
@@ -259,8 +299,7 @@ def test_analyze_at_the_element_cap(capsys, monkeypatch):
 
         return wrapper
 
-    for owner in (scalars, rings):
-        monkeypatch.setattr(owner, "pgcd", counted(owner.pgcd))
+    monkeypatch.setattr(scalars, "pgcd", counted(scalars.pgcd))
     code, out, _ = run_cli(capsys, "analyze", "F2[x]:x^12")
     assert code == 0
     payload = payload_of(out)
@@ -273,7 +312,7 @@ def test_analyze_at_the_element_cap(capsys, monkeypatch):
     assert payload["quasi_second"] is False
     assert payload["predicates"] is None  # the lattice cap
     assert len(built[-1]._rows) <= 13
-    assert len(gcd_calls) <= 4096
+    assert len(gcd_calls) <= 13
     # Z:2310 has 32 divisors
     code, out, _ = run_cli(capsys, "analyze", "Z:2310")
     assert code == 0

@@ -784,6 +784,99 @@ def test_divisor_first_paths_match_the_full_sweep():
     assert (residues, killers, cyclics) == (10236, 2803, 12224)
 
 
+# -- divisors and idempotents of A/(n) ---------------------------------------
+
+# the analyze-ladder specs of the benchmark, probes last, and the modulus
+# with the most divisors (72) that fits the element cap over F_2
+LADDER_SPECS = (
+    "Z:60", "F2[x]:x^6", "Z:16,16", "Z:360", "Z:210", "F2[x]:x^4,x^4",
+    "Z:64,64", "F3[x]:x^5", "ring:Ideal(GF(3,x^2+1),2)", "F2[x]:x^8",
+    "Z:2310", "F2[x]:x^12",
+)
+MANY_DIVISORS_SPEC = "F2[x]:x^12+x^9+x^5+x^2"
+WIDE_CORPUS = verifier.CorpusSpec(int_modulus_max=256, element_cap=256, poly_max_degree=6)
+
+
+def quotient_rings(specs):
+    """The distinct rings A/(n) of the module specs: each cyclic sum's
+    residue ring and summand rings, and the Zn and GF factors of each
+    catalog ring."""
+    found = {}
+
+    def walk(ring):
+        if isinstance(ring, rings._EuclideanQuotient):
+            found.setdefault(ring.spec, ring)
+        for factor in (getattr(ring, name, None) for name in ("r1", "r2", "base")):
+            if factor is not None:
+                walk(factor)
+
+    for spec in specs:
+        E = build_module(spec)
+        walk(E.residue_ring)
+        for d in E.moduli or ():
+            walk(modules._residue_ring(E.domain, d.value))
+    return list(found.values())
+
+
+def literal_divisor(ring, r):
+    """gcd(r, n), normalized as a residue: zero for r = 0."""
+    if isinstance(ring, rings.ZnRing):
+        return math.gcd(r, ring.n) % ring.n
+    g = scalars.pgcd(r, ring.modulus, ring.p)
+    return ring.zero if g == ring.modulus else g
+
+
+def test_sieved_divisors_and_idempotents_match_the_definitions():
+    specs = (
+        default_module_specs()
+        + [i.spec_text for i in verifier.generate_corpus(WIDE_CORPUS)[::8] if i.kind == "module"]
+        + list(LADDER_SPECS)
+        + [MANY_DIVISORS_SPEC]
+    )
+    checked = 0
+    for ring in quotient_rings(specs):
+        gcds = [literal_divisor(ring, r) for r in ring.elements]
+        assert [ring.divisor(r) for r in ring.elements] == gcds, ring.spec
+        assert ring.divisors() == tuple(dict.fromkeys(gcds)), ring.spec
+        assert ring.idempotents() == {x for x in ring.elements if ring.mul(x, x) == x}
+        checked += 1
+    assert checked == 330
+
+
+def test_weak_split_parts_always_meet_in_zero_and_span():
+    # the meet and join tests weak_idempotent_split no longer runs
+    idempotents = 0
+    for spec in default_module_specs() + list(LADDER_SPECS):
+        E = build_module(spec)
+        ring = E.residue_ring
+        for e in ring.idempotents():
+            part_e, part_f = E.image_mask(e), E.image_mask(ring.sub(ring.one, e))
+            assert part_e & part_f == E.zero_mask, (spec, e)
+            assert E.join_masks(part_e, part_f) == E.full_mask, (spec, e)
+            idempotents += 1
+    assert idempotents == 1164
+
+
+def test_divisor_listing_matches_trial_division():
+    # every modulus of the wide corpus, against trial division by every
+    # candidate divisor
+    moduli = set()
+    for inst in verifier.generate_corpus(WIDE_CORPUS):
+        if inst.kind == "module" and not inst.spec_text.startswith("ring:"):
+            E = build_module(inst.spec_text)
+            moduli.update((E.domain, d.value) for d in E.moduli)
+    for domain, d in moduli:
+        if domain.kind == "int":
+            trial = [(u, d // u) for u in canonical_divisors(domain, d)[:-1]]
+        else:
+            trial = [
+                (u, scalars.pdivmod(d, u, domain.char)[0])
+                for u in canonical_divisors(domain, d)[:-1]
+            ]
+        assert scalars.proper_divisors(domain, d) == trial, (domain, d)
+    assert len(moduli) == 381
+
+
 # -- spans of additive generators ---------------------------------------------
 
 # rings at ELEMENT_CAP (4096 elements; Trunc(3,6) has 2187)
