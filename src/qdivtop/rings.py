@@ -36,11 +36,14 @@ pair, ``Prod`` and ``Ideal`` from their factors' tables (a factor without
 tables of its own gets them from its value arithmetic on every pair).  The
 identity, negation and commutativity laws are checked exhaustively on
 those tables, and the ring's ``add``, ``mul``, ``neg`` and ``mul_row`` then
-read them, so the check covers the operations in use.  Larger rings keep
-their value arithmetic.  The associativity/distributivity sweeps live in
-the test suite.  Element order is lexicographic on canonical coordinates,
-so every derived set (units, radicals, ideals) is deterministic.  Rings
-are immutable and all operations are pure.
+read them, so the check covers the operations in use.  Larger ``Trunc``,
+``Prod`` and ``Ideal`` rings keep their value arithmetic.  ``Zn`` computes
+mod n, and ``GF(p,f)`` computes on element indices through one
+multiply-by-x step (see ``QuotPolyRing``) at every order.  The
+associativity/distributivity sweeps live in the test suite.  Element order
+is lexicographic on canonical coordinates, so every derived set (units,
+radicals, ideals) is deterministic.  Rings are immutable and all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -50,16 +53,20 @@ import math
 from array import array
 
 from . import scalars
-from .scalars import Scalar, ScalarDomain, is_prime, pdeg, pmonic, ptrim
+from .scalars import (
+    LONG_DIGITS,
+    Scalar,
+    ScalarDomain,
+    SizeCapExceeded,
+    is_prime,
+    pdeg,
+    pmonic,
+    ptrim,
+)
 
 
 class RingError(ValueError):
     """Invalid ring construction or ring operation."""
-
-
-class SizeCapExceeded(RuntimeError):
-    """The operation would exceed its documented size cap: a ring's order,
-    a module's element count, the submodule lattice or the oracle."""
 
 
 ORDER_CAP = 4096
@@ -117,11 +124,12 @@ class DigitLayout:
             places.append(place)
             place *= radix
         self.places = tuple(places)
+        self.binary = all(radix == 2 for radix in self.radices)
         self.add = self._adder()
 
     def _adder(self):
         code, index_of = self.codes, self.index_of
-        if all(radix == 2 for radix in self.radices):
+        if self.binary:
             # binary digits add without carries: exclusive or
 
             def add(i, j):
@@ -160,8 +168,16 @@ class DigitLayout:
         order: a code c > 0 whose top nonzero digit sits at place p is
         (c - p) + p, so its image is p's image added to the image of the
         smaller code c - p."""
+        code, index_of = self.codes, self.index_of
+        if self.binary:
+            # the same on codes, whose binary digits add by exclusive or
+            sums = [0]
+            for image in images:
+                v = code[image]
+                sums += [u ^ v for u in sums]
+            return [index_of[u] for u in sums]
         add = self.add
-        by_code = [self.index_of[0]]
+        by_code = [index_of[0]]
         for image, radix in zip(images, self.radices):
             place = len(by_code)
             for c in range(place, place * radix):
@@ -499,7 +515,31 @@ class ZnRing(_EuclideanQuotient):
 
 
 class QuotPolyRing(_EuclideanQuotient):
-    """F_p[x]/(f) for a nonconstant modulus f, normalized monic."""
+    """F_p[x]/(f) for a nonconstant modulus f, normalized monic, of degree
+    d.  Elements are coefficient tuples, but the arithmetic runs on their
+    element indices and layout codes (c_0 + c_1 p + ... + c_(d-1) p^(d-1)),
+    through one map: multiplication by x (``_times_x``).  It is additive,
+    and a residue with code low + top*p^(d-1) goes to low*p, the code of
+    its other digits moved up one place, plus top*(x^d mod f), where
+    x^d = -(f - x^d) mod f (``_x_wraps``).
+
+    * ``mul_row(t)`` is the additive map with images t, x*t, ...,
+      x^(d-1)*t on the places 1, x, ..., x^(d-1): d - 1 steps of x.
+    * ``reduce(r)`` and ``mul(s, t)`` are Horner's rule on indices: from
+      the top coefficient c down, i <- x*i + c (constants have their value
+      as code) or x*i + c*s.  ``reduce`` starts from r's top d
+      coefficients, already a residue.
+    * ``add`` adds two indices on the layout.
+
+    A ring of order at most ``CONSTRUCTION_CHECK_CAP`` keeps the row of a
+    left factor from its second product on, since the value arithmetic of
+    ``Prod`` and ``Ideal`` rings multiplies the same pairs of a small
+    factor over and over, while a sweep of squares uses each factor once;
+    a larger ring keeps nothing but ``_times_x``.
+    The construction tables of a ``Prod`` or ``Ideal`` ring over this one
+    still come from ``mul`` and ``add`` on every pair, not from rows, so
+    that the construction check tests these operations against each other
+    instead of taking rows on trust."""
 
     def __init__(self, p: int, modulus):
         # a p past the cap fails the order check below, before any trial
@@ -513,27 +553,81 @@ class QuotPolyRing(_EuclideanQuotient):
             raise RingError("the polynomial modulus must be nonconstant")
         self.p = p
         self.spec = f"GF({p},{scalars.format_poly(modulus)})"
-        self._set_order((p, pdeg(modulus)))
+        self.degree = pdeg(modulus)
+        self._set_order((p, self.degree))
         self.zero = ()
         self.one = (1,)
-        self._mul_cache = {}
+        self._times_x = None
+        # rows of left factors, on small rings only (see the docstring)
+        self._rows = {} if self.order <= CONSTRUCTION_CHECK_CAP else None
         self._init_quotient(scalars.poly_domain(p), modulus)
 
     def _enumerate(self):
-        d = pdeg(self.modulus)
-        for coeffs in itertools.product(range(self.p), repeat=d):
+        for coeffs in itertools.product(range(self.p), repeat=self.degree):
             yield ptrim(coeffs)
 
+    def _x_wraps(self) -> list:
+        """Entry top is the index of top*(x^d mod f) = -top*(f - x^d), for
+        top = 0..p-1."""
+        p, low = self.p, self.modulus[:-1]
+        index_of = self.layout.index_of
+        return [
+            index_of[sum(-top * c % p * p**k for k, c in enumerate(low))]
+            for top in range(self.p)
+        ]
+
+    def _x_step(self) -> list:
+        """Multiplication by x, element index -> element index (see the
+        class docstring), built on first use."""
+        if self._times_x is None:
+            p, layout = self.p, self.layout
+            index_of, add, wraps = layout.index_of, layout.add, self._x_wraps()
+            top_place = p ** (self.degree - 1)
+            self._times_x = [
+                add(index_of[c % top_place * p], wraps[c // top_place])
+                for c in layout.codes
+            ]
+        return self._times_x
+
     def add(self, x, y):
-        return scalars.padd(x, y, self.p)
+        index = self.index
+        return self.elements[self.layout.add(index(x), index(y))]
 
     def mul(self, x, y):
-        key = (x, y)
-        out = self._mul_cache.get(key)
-        if out is None:
-            out = scalars.pdivmod(scalars.pmul(x, y, self.p), self.modulus, self.p)[1]
-            self._mul_cache[key] = out
-        return out
+        rows = self._rows
+        if rows is not None:
+            row = rows.get(x)
+            if row is None and x in rows:
+                # the second product by x: keep its row
+                row = rows[x] = self.mul_row(x)
+            if row is not None:
+                return self.elements[row[self.index(y)]]
+            rows[x] = None
+        return self._horner(x, y)
+
+    def _horner(self, x, y):
+        """x*y by Horner's rule on y's coefficients, with the addends c*x."""
+        if not y:
+            return self.zero
+        step, add = self._x_step(), self.layout.add
+        multiples = [self.layout.index_of[0], self.index(x)]
+        while len(multiples) < self.p:
+            multiples.append(add(multiples[-1], multiples[1]))
+        i = multiples[y[-1]]
+        for c in reversed(y[:-1]):
+            i = step[i]
+            if c:
+                i = add(i, multiples[c])
+        return self.elements[i]
+
+    def mul_row(self, t) -> list:
+        step = self._x_step()
+        i = self.index(t)
+        images = [i]
+        for _ in range(self.degree - 1):
+            i = step[i]
+            images.append(i)
+        return self.layout.linear_row(images)
 
     def neg(self, x):
         return scalars.pneg(x, self.p)
@@ -547,17 +641,28 @@ class QuotPolyRing(_EuclideanQuotient):
     def _multiples(self, g):
         # the multiples g*q for deg q < deg n - deg g are the first residues
         # in element order, and x^k*g needs no reduction
-        m, index = pdeg(self.modulus) - pdeg(g), self.index
+        m, index = self.degree - pdeg(g), self.index
         return self.layout.linear_images([index((0,) * k + g) for k in range(m)])
 
     def reduce(self, r):
-        return scalars.pdivmod(r, self.modulus, self.p)[1]
+        # r is canonical: its top d coefficients end in a nonzero one, so
+        # they are a residue, and a shorter r is one already
+        d = self.degree
+        if len(r) <= d:
+            return r
+        step, add, const = self._x_step(), self.layout.add, self.layout.index_of
+        i = self.index(r[-d:])
+        for c in reversed(r[:-d]):
+            i = step[i]
+            if c:
+                i = add(i, const[c])
+        return self.elements[i]
 
     def _make_layout(self):
         # a residue's code reads its coefficients as base-p digits
         p = self.p
         codes = [sum(c * p**k for k, c in enumerate(x)) for x in self.elements]
-        return DigitLayout(codes, (p,) * pdeg(self.modulus))
+        return DigitLayout(codes, (p,) * self.degree)
 
 
 class TruncRing(FiniteRing):
@@ -887,6 +992,13 @@ def _parse_args(s: str, pos: int):
 
 
 def _arg_int(text: str, pos: int) -> int:
+    # every argument is an order's base or exponent, so one too long for
+    # int() is past the cap, and is refused by its length
+    digits = text.lstrip("+-").lstrip("0")
+    if len(digits) > LONG_DIGITS and digits.isdigit():
+        raise SizeCapExceeded(
+            f"a ring argument of {len(digits)} digits exceeds the cap {ORDER_CAP}"
+        )
     try:
         return int(text)
     except ValueError:

@@ -35,6 +35,19 @@ class DomainMismatch(ScalarError):
     """Operands belong to different scalar domains."""
 
 
+class SizeCapExceeded(RuntimeError):
+    """The operation would exceed its documented size cap: a ring's order,
+    a module's element count, the submodule lattice, the oracle, or the
+    degree of a polynomial literal."""
+
+
+# 2^256 has 78 digits: a decimal longer than that, as a ring argument or
+# the exponent of a polynomial literal, puts the order far past every size
+# cap.  It is refused on its digit count, before int() (which refuses more
+# than 4,300 digits) and without a message that echoes it
+LONG_DIGITS = len(str(2**256))
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -308,7 +321,8 @@ def parse_poly(text: str, p: int, check_degree=None) -> tuple:
     """The coefficient tuple of a polynomial literal over F_p.  The terms
     are read sparsely, and ``check_degree``, if given, is called with the
     degree before one entry per exponent is allocated, so that a caller can
-    refuse x^1000000 first."""
+    refuse x^1000000 first.  An exponent of more than ``LONG_DIGITS``
+    digits is refused by its length alone."""
     s = text.replace(" ", "")
     terms = re.findall(r"[+-]?[^+-]+", s)
     if not terms or "".join(terms) != s:
@@ -330,6 +344,8 @@ def parse_poly(text: str, p: int, check_degree=None) -> tuple:
             c, k = int(cs), 0
         else:
             c = int(cs) if cs is not None else 1
+            if es is not None and (n := len(es.lstrip("0"))) > LONG_DIGITS:
+                raise SizeCapExceeded(f"an exponent of {n} digits exceeds every size cap")
             k = int(es) if es is not None else 1
         coeffs[k] = coeffs.get(k, 0) + sign * c
     degree = max((k for k, c in coeffs.items() if c % p), default=-1)

@@ -650,11 +650,14 @@ def _direct_image(E):
 
     A scalar is worked on as a code. An integer is its own code. An F_p[x]
     scalar is the base-p integer whose digit k is the coefficient of x^k, so
-    over F_2 bit k. The one operation that depends on p is x + c*y digit by
-    digit mod p: an XOR over F_2, a digit loop otherwise. Reducing a mod d
-    (E's moduli are monic) clears a's digits from the top down, each with a
-    shifted multiple of d, until the degree is below d's; gcds are Euclid
-    on these reductions.
+    over F_2 bit k. The operations that depend on p are x + c*y digit by
+    digit mod p, an XOR over F_2 and a digit loop otherwise, and reducing a
+    mod d (E's moduli are monic). That clears a's digits from the top down,
+    each with a shifted multiple of d, until the degree is below d's: over
+    F_2 a shift-and-XOR loop on ``bit_length``, which XORs d shifted under
+    a's top bit until a is shorter than d, and otherwise a digit loop with
+    ``axpy``. gcds are Euclid on these reductions. None of this shares code
+    with ``rings``, whose residue rings compute on element indices.
 
     Over a PID a(A/(d)) = g(A/(d)) for g = gcd(a, d), so an image is keyed
     on the tuple of gcd(a mod d, d) over the distinct moduli d, each gcd
@@ -705,15 +708,24 @@ def _direct_image(E):
         def degree(a):
             return bisect.bisect_right(pw, a) - 1
 
-        def reduce(a, d):
-            # a mod the monic d: for each digit c of a at k >= n = deg d,
-            # from the top down, a less c*t^(k-n)*d
-            n = degree(d)
-            for k in range(degree(a), n - 1, -1):
-                c = a // pw[k] % p
-                if c:
-                    a = axpy(a, p - c, d * pw[k - n])
-            return a
+        if p == 2:
+            def reduce(a, d):
+                # a mod d: while a's top bit sits at or above d's, clear it
+                # with d shifted under it
+                n = d.bit_length()
+                while (k := a.bit_length()) >= n:
+                    a ^= d << (k - n)
+                return a
+        else:
+            def reduce(a, d):
+                # a mod the monic d: for each digit c of a at k >= n = deg
+                # d, from the top down, a less c*t^(k-n)*d
+                n = degree(d)
+                for k in range(degree(a), n - 1, -1):
+                    c = a // pw[k] % p
+                    if c:
+                        a = axpy(a, p - c, d * pw[k - n])
+                return a
 
         def gcd(a, b):
             while b:

@@ -183,6 +183,22 @@ def test_long_integer_literal_meets_the_cap_before_conversion(capsys):
     assert (code, err) == (3, "error: a modulus of 4400 digits exceeds the cap 4096\n")
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("ring:Zn({})", "a ring argument of 4400 digits exceeds the cap 4096"),
+        ("ring:Trunc(2,{})", "a ring argument of 4400 digits exceeds the cap 4096"),
+        ("F2[x]:x^{}", "an exponent of 4400 digits exceeds every size cap"),
+    ],
+)
+def test_long_ring_argument_or_exponent_meets_the_cap_by_its_length(capsys, spec, message):
+    # refused before int(), and the message gives the digit count only
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "analyze", spec.format("9" * 4400))
+    assert (code, err) == (3, f"error: {message}\n")
+    assert time.perf_counter() - start < 5
+
+
 def test_usage_error(capsys):
     assert cli.main([]) == 2
     assert cli.main(["bogus"]) == 2

@@ -85,6 +85,23 @@ def units_only_one(mp):
     mp.setattr(rings._EuclideanQuotient, "units", lambda self: frozenset([self.one]))
 
 
+def x_step_without_wrap(mp):
+    # multiplication by x in F_p[x]/(f) drops the top digit instead of
+    # wrapping it round to top*(x^d mod f), so x*x^(d-1) is 0
+    mp.setattr(rings.QuotPolyRing, "_x_wraps", lambda self: [self.layout.index_of[0]] * self.p)
+
+
+def x_step_wrap_sign_flipped(mp):
+    # the top digit wraps round to +top*(f - x^d), not -top*(f - x^d): over
+    # F_3, x^2 is 1 instead of -1 mod x^2+1
+    def planted(self):
+        p, low = self.p, self.modulus[:-1]
+        codes = [sum(top * c % p * p**k for k, c in enumerate(low)) for top in range(p)]
+        return [self.layout.index_of[code] for code in codes]
+
+    mp.setattr(rings.QuotPolyRing, "_x_wraps", planted)
+
+
 # (rule, fault, instance, witness under the fault)
 ROWS = [
     ("R9", rn_read_as_re, "Z:6", "quasi second, but [2] with image {0,2,4} is not second"),
@@ -99,6 +116,13 @@ ROWS = [
         killers_with_one,
         "Z:4",
         "class [2]: annihilator of the image is not maximal (generator 1)",
+    ),
+    (
+        "R11",
+        x_step_wrap_sign_flipped,
+        "ring:Prod(Zn(2),GF(3,x^2+1))",
+        "{'quasi_second': True, 'all_images_second': True, "
+        "'all_annihilators_maximal': False}",
     ),
     (
         "R11",
@@ -134,6 +158,13 @@ ROWS = [
         span_at_first_generator,
         "F2[x]:x^3",
         "scalar 1: direct image {0,1,x,x+1,x^2,x^2+x,x^2+1,x^2+x+1} differs "
+        "from the residue image",
+    ),
+    (
+        "R21",
+        x_step_without_wrap,
+        "F2[x]:x^3+x+1",
+        "scalar x^3: direct image {0,1,x,x+1,x^2,x^2+x,x^2+1,x^2+x+1} differs "
         "from the residue image",
     ),
     (

@@ -6,7 +6,7 @@ from array import array
 import pytest
 
 from qdivtop.modules import find_quasi_second_violation, is_quasi_second, ring_cyclic
-from qdivtop.scalars import padd, pdivmod, pmul, pneg
+from qdivtop.scalars import monic_polys, padd, pdivmod, pmul, pneg
 from qdivtop.rings import (
     NOT_QS,
     QS_LOCAL_SQUARE_ZERO,
@@ -395,6 +395,64 @@ def test_index_tables_match_the_literal_operations():
                 assert ring.add(x, y) == add(x, y) and ring.mul(x, y) == mul(x, y)
         checked += 1
     assert checked == 51
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 6), (3, 3), (5, 2)])
+def test_residue_ring_operations_match_the_literal_definitions(p, max_degree):
+    # F_p[x]/(f) multiplies and adds on element indices, through
+    # multiplication by x; mul, add and mul_row against pmul, pdivmod and
+    # padd on tuples, on every pair of residues, for every monic f of each
+    # degree, reducible ones such as x^6 and x^3+1 included.  mul takes
+    # its first product by x by Horner's rule and the rest from x's kept
+    # row, so Horner's rule is also checked on every pair by itself
+    checked = 0
+    for d in range(1, max_degree + 1):
+        for f in monic_polys(p, d):
+            ring = QuotPolyRing(p, f)
+            add, mul, _ = literal_ops(ring)
+            elems = ring.elements
+            for x in elems:
+                products = [mul(x, y) for y in elems]
+                assert [elems[j] for j in ring.mul_row(x)] == products, (f, x)
+                assert [ring.mul(x, y) for y in elems] == products, (f, x)
+                assert [ring._horner(x, y) for y in elems] == products, (f, x)
+                assert [ring.add(x, y) for y in elems] == [add(x, y) for y in elems]
+            checked += 1
+    assert checked == sum(p**d for d in range(1, max_degree + 1))
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 4), (3, 2)])
+def test_residue_ring_reduce_is_the_remainder(p, max_degree):
+    # reduce runs Horner's rule on indices; it returns exactly the
+    # remainder of long division, for every polynomial of degree up to
+    # 2d + 1 and every monic f of degree d
+    for d in range(1, max_degree + 1):
+        polys = [()] + [
+            tail + (c,)
+            for n in range(2 * d + 2)
+            for tail in itertools.product(range(p), repeat=n)
+            for c in range(1, p)
+        ]
+        for f in monic_polys(p, d):
+            ring = QuotPolyRing(p, f)
+            for r in polys:
+                assert ring.reduce(r) == pdivmod(r, f, p)[1], (f, r)
+
+
+@pytest.mark.parametrize("spec", ["GF(2,x^12)", "GF(3,x^7)"])
+def test_residue_ring_rows_at_the_cap_match_the_literal_product(spec):
+    # rings past CONSTRUCTION_CHECK_CAP keep no rows: each product is
+    # Horner's rule; a seeded sample of rows and products
+    ring = build_ring(spec)
+    assert ring.order in (4096, 2187)
+    _, mul, _ = literal_ops(ring)
+    elems = ring.elements
+    rng = random.Random(ring.order)
+    for t in rng.sample(elems, 12):
+        row = ring.mul_row(t)
+        assert [elems[j] for j in row] == [mul(t, y) for y in elems], (spec, t)
+        for y in rng.sample(elems, 50):
+            assert ring.mul(t, y) == mul(t, y), (spec, t, y)
 
 
 class LawBreakingZn(ZnRing):
