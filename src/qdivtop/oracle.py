@@ -5,34 +5,79 @@ This module enumerates every open set as a union of basis sets (encoded as
 bit vectors over point indices) and decides each axiom from that family
 alone.  It never consults the poset fast paths, which makes it the
 independent ground truth those fast paths are verified against.  The
-unions are the up-sets of the specialization order (Stong 1966), found by
-closing {empty set} under o | U_a at a cost of |opens|·n, so the one cap
-counts open sets, not points.
+unions are the up-sets of the specialization order (Stong 1966).  They are
+found by closing {empty set} under o | U_a one basis set at a time, at a
+cost of at most |opens|·n set insertions; the family only grows, so the
+one cap counts open sets, not points.
+
+**The transposed family.**  With K = |opens|, ``holds[i]`` is a K-bit int
+whose bit k is set when ``opens[k]`` contains point i.  It is built once,
+and every later question about the family is a few AND operations on
+these n ints instead of a pass over the K members:
+
+* the members disjoint from a set S are the AND of ``~holds[i]`` over the
+  points i of S, and the closure of S (the intersection of its closed
+  supersets, the complements of those members) is the set of points held
+  by none of them: n operations per call instead of K;
+* the interior of S (the union of the members inside S) is read the same
+  way from the points outside S;
+* m_i, the intersection of the members that contain i, is the set of the
+  j with ``holds[i] & ~holds[j] == 0``, and the point closure cl{i} the
+  set of the j with ``holds[j] & ~holds[i] == 0``;
+* a member is dense iff it meets every m_i, i.e. holds some point of each.
 
 The checks rest on the minimal-open lemma for finite (Alexandrov) spaces:
-the intersection m_i of the members that contain point i is the smallest
-open set around i, and every open set is the union of the m_i of its
-points.  The m_i are read off the family once, and each check quantifies
-over them or over the points instead of over pairs of open sets:
+m_i is the smallest open set around i, and every open set is the union of
+the m_i of its points.  Also, i lies in cl{x} iff x lies in m_i, and x
+lies in cl(A) iff m_x meets A.  The closure of a finite union is the union
+of the closures.
 
-* the family is a topology iff it holds the empty set and o | m_i lies
-  in it for every member o and point i;
+**Union tables.**  The open hull of a set (the union of the m_i over it,
+its smallest open superset) and the closure of a set (the union of the
+cl{i} over it) are read from one table per 8 points, built on first use:
+entry b of table c is the union over the bits k of b of part 8c + k.  A
+read costs one lookup per 8 points.
+
+**The axioms.**  Each check quantifies over the points, the m_i, the
+closed sets or the subsets, never over pairs of open sets:
+
+* the family is a topology iff it holds the empty set and o | m_i lies in
+  it for every member o and point i; the verdict is kept on the topology;
+* T3: for every closed c and x outside it there are disjoint open sets
+  around c and x.  It fails iff cl(hull(c)) is not inside c for some
+  closed c.  Proof: every open set around c contains hull(c), and every
+  open set around x contains m_x, so some pair of them is disjoint iff
+  hull(c) and m_x are.  m_x meets hull(c) iff x lies in cl(hull(c)), so a
+  point x outside c has no disjoint pair iff cl(hull(c)) holds a point
+  outside c;
+* T4: a closed set misses c1 iff it misses hull(c1) (a point y of hull(c1)
+  has some i of c1 in cl{y}, which every closed set holding y contains),
+  so the largest closed set apart from c1 binds every pair through c1;
+* T5: every pair of nonempty separated sets has disjoint open supersets.
+  For a nonempty subset a, the largest b separated from it is
+  full & ~(cl(a) | hull(a)).  Proof: b is separated from a iff b misses
+  cl(a) and cl(b) misses a.  cl(b) is the union of cl{x} over x in b, and
+  cl{x} meets a iff x lies in m_i for some i of a, i.e. iff x lies in
+  hull(a).  That b is itself separated from a, and every other one lies
+  inside it, so by monotonicity of hulls it binds every pair through a;
 * a set is dense iff it meets every m_i, so the intersection of the whole
   dense family is the binding Baire case;
-* T4 (T5) tests each closed set (each subset) against the largest closed
-  (separated) set apart from it, because open hulls are monotone;
 * every nonempty open (closed) set contains some m_i (some point
   closure), so hyper- and ultraconnectedness are decided on pairs of
   those.
 
-Where an axiom asks for an existential open set around a given set, the
-minimal open superset, the union of the m_i over the set, is the witness;
-it succeeds whenever any open superset does.
+**Cost model.**  n points and K open sets.  Enumeration and the topology
+check: at most n·K set operations.  The transposed family: one pass over
+the members, then n² operations on K-bit ints for the m_i and the point
+closures.  A closure or interior: n operations on K-bit ints.  A union
+read: ceil(n/8) lookups.  T3 and T4: two union reads per closed set.
+T5: three union reads per subset, up to ``T5_CAP`` points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .modules import SizeCapExceeded, _bits
 from .topology import QuasiDivisorSpace, maximal_classes
@@ -43,11 +88,15 @@ T5_CAP = 12
 
 class FiniteTopology:
     """An explicit point count plus the full sorted family of open sets,
-    each encoded as a bit vector over point indices.  ``min_opens[i]`` is
-    the intersection of the members containing point i, and ``dense`` the
-    members that meet every one of them."""
+    each encoded as a bit vector over point indices.
 
-    __slots__ = ("n", "opens", "full", "min_opens", "dense", "_open_set", "_closed")
+    ``holds[i]`` has bit k set when ``opens[k]`` contains point i, and
+    ``lacks[i]`` is its complement within ``members``, the mask of every
+    member index.
+    ``min_opens[i]`` is the intersection of the members containing point
+    i, ``point_closures[i]`` the closure of {i}, and ``dense`` the members
+    that meet every ``min_opens[i]``.  ``topology_ok`` is the verdict of
+    ``_is_topology`` once it has run."""
 
     def __init__(self, n: int, opens: tuple, full: int):
         self.n = n
@@ -55,18 +104,75 @@ class FiniteTopology:
         self.full = full
         self._open_set = frozenset(opens)
         self._closed = tuple(full & ~o for o in opens)
-        min_opens = [full] * n
-        for o in opens:
-            for i in _bits(o):
-                min_opens[i] &= o
-        self.min_opens = tuple(min_opens)
-        self.dense = tuple(o for o in opens if all(o & m for m in min_opens))
+        # row r of the text is opens[-1 - r] written in n binary digits, so
+        # column n - 1 - i, read down the rows, is bit i of every member (an
+        # empty family has no rows)
+        top = 1 << n
+        rows = "".join([bin(o | top)[3:] for o in reversed(opens)])
+        self.holds = holds = tuple(
+            int(rows[n - 1 - i :: n] or "0", 2) for i in range(n)
+        )
+        self.members = members = (1 << len(opens)) - 1
+        self.lacks = lacks = tuple(members ^ h for h in holds)
+        points = range(n)
+        # j is in m_i iff every member holding i holds j, and in cl{i} iff
+        # every member holding j holds i
+        self.min_opens = min_opens = tuple(
+            sum(1 << j for j in points if not h & lacks[j]) for h in holds
+        )
+        self.point_closures = tuple(
+            sum(1 << j for j in points if not holds[j] & lack) for lack in lacks
+        )
+        dense = members
+        for m in min_opens:
+            meets = 0
+            for j in _bits(m):
+                meets |= holds[j]
+            dense &= meets
+        # digit k of the reversed binary text is bit k of the mask
+        self.dense = tuple(
+            o for o, digit in zip(opens, bin(dense)[:1:-1]) if digit == "1"
+        )
+        self.topology_ok = None
 
     def is_open(self, mask: int) -> bool:
         return mask in self._open_set
 
     def closed_sets(self):
         return self._closed
+
+    @cached_property
+    def hull_tables(self):
+        """Union tables of the m_i: ``_union`` of a mask is its open hull."""
+        return _union_tables(self.min_opens)
+
+    @cached_property
+    def closure_tables(self):
+        """Union tables of the point closures: ``_union`` of a mask is its
+        closure."""
+        return _union_tables(self.point_closures)
+
+
+def _union_tables(parts):
+    """One table per 8 points: entry b of table c is the union of
+    parts[8c + k] over the bits k of b."""
+    tables = []
+    for start in range(0, len(parts), 8):
+        table = [0]
+        for part in parts[start : start + 8]:
+            table += [t | part for t in table]
+        tables.append(table)
+    return tables
+
+
+def _union(tables, mask: int) -> int:
+    """The union of the parts over the points of the mask, one lookup per
+    table."""
+    out = 0
+    for table in tables:
+        out |= table[mask & 0xFF]
+        mask >>= 8
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,69 +192,67 @@ def _is_topology(topo: FiniteTopology) -> bool:
     of the members holding i), so o is the union of the m_i over its
     points.  The family is thus the set of unions of the m_i: it holds the
     full set and is closed under union, and under intersection because
-    m_i & m_j is the union of the m_k over its points k.
+    m_i & m_j is the union of the m_k over its points k.  The verdict is
+    kept on the topology and read back on later calls.
     """
-    is_open = topo.is_open
-    return is_open(0) and all(
-        is_open(o | m) for o in topo.opens for m in topo.min_opens
-    )
+    if topo.topology_ok is None:
+        opens, open_set = topo.opens, topo._open_set
+        topo.topology_ok = 0 in open_set and all(
+            open_set.issuperset([o | m for o in opens]) for m in topo.min_opens
+        )
+    return topo.topology_ok
 
 
 def enumerate_open_sets(space: QuasiDivisorSpace) -> FiniteTopology:
     """All unions of basis sets: the closure of {empty set} under o | U_a,
-    which stops with ``SizeCapExceeded`` past ``OPEN_SET_CAP`` open sets.
+    one basis set at a time, which stops with ``SizeCapExceeded`` past
+    ``OPEN_SET_CAP`` open sets.
 
     The family must contain the empty and full sets and be closed under
     pairwise union and intersection.  By the minimal-open lemma this is
     checked exactly on the members against the minimal open sets m_i, at a
     cost of |opens|·n instead of |opens|^2.
     """
-    seen = {0}
-    stack = [0]
-    while stack:
-        o = stack.pop()
-        for u in space.up:
-            w = o | u
-            if w not in seen:
-                seen.add(w)
-                if len(seen) > OPEN_SET_CAP:
-                    raise SizeCapExceeded(
-                        f"open-set enumeration is capped at {OPEN_SET_CAP} open sets"
-                    )
-                stack.append(w)
-    topo = FiniteTopology(n=space.n, opens=tuple(sorted(seen)), full=space.full)
+    family = {0}
+    for u in space.up:
+        family |= {o | u for o in family}
+        if len(family) > OPEN_SET_CAP:
+            raise SizeCapExceeded(
+                f"open-set enumeration is capped at {OPEN_SET_CAP} open sets"
+            )
+    topo = FiniteTopology(n=space.n, opens=tuple(sorted(family)), full=space.full)
     if not _is_topology(topo):
         raise AssertionError("the generated family is not a topology")
     return topo
 
 
 def oracle_closure(topo: FiniteTopology, mask: int) -> int:
-    """Intersection of every closed superset."""
-    out = topo.full
-    for c in topo.closed_sets():
-        if not (mask & ~c):
-            out &= c
+    """Intersection of every closed superset: the points held by no member
+    disjoint from the set."""
+    missing = topo.members
+    lacks = topo.lacks
+    for i in _bits(mask):
+        missing &= lacks[i]
+    out, bit = 0, 1
+    for h in topo.holds:
+        if not h & missing:
+            out |= bit
+        bit <<= 1
     return out
 
 
 def oracle_interior(topo: FiniteTopology, mask: int) -> int:
-    """Union of every open subset."""
-    out = 0
-    for o in topo.opens:
-        if not (o & ~mask):
-            out |= o
-    return out
-
-
-def _point_closures(topo: FiniteTopology):
-    return [oracle_closure(topo, 1 << i) for i in range(topo.n)]
-
-
-def _open_hull(topo: FiniteTopology, mask: int) -> int:
-    """The smallest open superset of the given set (a member of the family)."""
-    out = 0
-    for i in _bits(mask):
-        out |= topo.min_opens[i]
+    """Union of every open subset: the points held by some member inside
+    the set."""
+    inside = topo.members
+    lacks = topo.lacks
+    for i in _bits(topo.full & ~mask):
+        inside &= lacks[i]
+    out, bit = 0, 1
+    for h in topo.holds:
+        if h & inside:
+            out |= bit
+        bit <<= 1
     return out
 
 
@@ -175,46 +279,39 @@ def _axiom_t2(topo):
 
 
 def _axiom_t3(topo):
-    # for every closed C and x outside it: disjoint opens around C and x
-    for c in topo.closed_sets():
-        hull_c = _open_hull(topo, c)
-        for x in _bits(topo.full & ~c):
-            if hull_c & topo.min_opens[x]:
-                return False
-    return True
+    # T3 fails iff m_x meets hull(c) for some closed c and x outside it,
+    # i.e. iff cl(hull(c)) leaves c (module docstring)
+    hulls, closures = topo.hull_tables, topo.closure_tables
+    return all(
+        not (_union(closures, _union(hulls, c)) & ~c) for c in topo.closed_sets()
+    )
 
 
 def _axiom_t4(topo):
     # a closed set misses c1 iff it misses the open hull of c1, so the
     # largest closed set disjoint from c1 binds every pair through c1
+    hulls, full = topo.hull_tables, topo.full
     for c1 in topo.closed_sets():
         if not c1:
             continue
-        hull1 = _open_hull(topo, c1)
-        c2 = topo.full & ~hull1
-        if c2 and hull1 & _open_hull(topo, c2):
+        hull1 = _union(hulls, c1)
+        c2 = full & ~hull1
+        if c2 and hull1 & _union(hulls, c2):
             return False
     return True
 
 
 def _axiom_t5(topo):
-    # every pair of nonempty separated sets has disjoint open supersets;
-    # b is separated from a iff each point x of b lies outside cl(a) and
-    # has cl(x) disjoint from a, so for each nonempty subset a the largest
-    # such b binds every pair through a
+    # every pair of nonempty separated sets has disjoint open supersets; the
+    # largest b separated from a is the complement of cl(a) | hull(a), and
+    # it binds every pair through a (module docstring)
     if topo.n > T5_CAP:
         raise SizeCapExceeded(f"the T5 sweep is capped at {T5_CAP} points")
-    cl1 = _point_closures(topo)
-    full = topo.full
+    hulls, closures, full = topo.hull_tables, topo.closure_tables, topo.full
     for a in range(1, full + 1):
-        cl_a = 0
-        for i in _bits(a):
-            cl_a |= cl1[i]
-        b = 0
-        for x in _bits(full & ~cl_a):
-            if not (cl1[x] & a):
-                b |= 1 << x
-        if b and _open_hull(topo, a) & _open_hull(topo, b):
+        hull_a = _union(hulls, a)
+        b = full & ~(_union(closures, a) | hull_a)
+        if b and hull_a & _union(hulls, b):
             return False
     return True
 
@@ -241,7 +338,7 @@ def _axiom_hyperconnected(topo):
 
 def _axiom_ultraconnected(topo):
     # every nonempty closed set contains the closure of its points
-    cl1 = _point_closures(topo)
+    cl1 = topo.point_closures
     return all(
         cl1[i] & cl1[j] for i in range(topo.n) for j in range(i + 1, topo.n)
     )
@@ -325,15 +422,11 @@ def oracle_structure_checks(
     # i exactly when it equals m_i
     minimal_ok = all(m == u for m, u in zip(topo.min_opens, space.up))
 
-    cl1 = _point_closures(topo)
-    union_ok = True
-    for mask in subset_sweep(topo.n):
-        acc = 0
-        for i in _bits(mask):
-            acc |= cl1[i]
-        if oracle_closure(topo, mask) != acc:
-            union_ok = False
-            break
+    closures = topo.closure_tables
+    union_ok = all(
+        oracle_closure(topo, mask) == _union(closures, mask)
+        for mask in subset_sweep(topo.n)
+    )
 
     target = maximal_classes(space)
     dense_ok = all(not (target & ~o) for o in topo.dense)

@@ -317,6 +317,20 @@ def parse_scalar(text: str, domain: ScalarDomain, check_degree=None) -> Scalar:
     return Scalar(domain, parse_poly(s, domain.char, check_degree))
 
 
+# int() refuses more than 4,300 digits, so a long coefficient is reduced
+# mod p in chunks of this many
+_COEFF_CHUNK = 1000
+
+
+def _digits_mod(digits: str, p: int) -> int:
+    """The decimal digit string's value mod p, read a chunk at a time."""
+    out = 0
+    for start in range(0, len(digits), _COEFF_CHUNK):
+        chunk = digits[start : start + _COEFF_CHUNK]
+        out = (out * 10 ** len(chunk) + int(chunk)) % p
+    return out
+
+
 def parse_poly(text: str, p: int, check_degree=None) -> tuple:
     """The coefficient tuple of a polynomial literal over F_p.  The terms
     are read sparsely, and ``check_degree``, if given, is called with the
@@ -341,9 +355,9 @@ def parse_poly(text: str, p: int, check_degree=None) -> tuple:
         if xs is None:
             if cs is None:
                 raise ScalarError(f"bad polynomial term {term!r} in {s!r}")
-            c, k = int(cs), 0
+            c, k = _digits_mod(cs, p), 0
         else:
-            c = int(cs) if cs is not None else 1
+            c = _digits_mod(cs, p) if cs is not None else 1
             if es is not None and (n := len(es.lstrip("0"))) > LONG_DIGITS:
                 raise SizeCapExceeded(f"an exponent of {n} digits exceeds every size cap")
             k = int(es) if es is not None else 1

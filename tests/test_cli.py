@@ -199,6 +199,27 @@ def test_long_ring_argument_or_exponent_meets_the_cap_by_its_length(capsys, spec
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize(
+    "spec, same_as",
+    [
+        ("F2[x]:{}x+x^2", "F2[x]:x+x^2"),
+        ("ring:GF(2,{}x+x^2+1)", "ring:GF(2,x^2+x+1)"),
+    ],
+)
+def test_long_coefficient_is_reduced_mod_p(capsys, spec, same_as):
+    # a coefficient of 4,400 nines is 1 mod 2, read in chunks that int()
+    # accepts, so the literal names the same polynomial as the short one
+    code, out, _ = run_cli(capsys, "analyze", spec.format("9" * 4400))
+    assert (code, out) == run_cli(capsys, "analyze", same_as)[:2]
+
+
+def test_long_coefficient_mod_an_odd_prime():
+    # 4,400 nines is 10^4400 - 1: 0 mod 3, and 1 mod 7 as 10^6 is 1 mod 7
+    nines = "9" * 4400
+    assert scalars.parse_poly(nines + "x+x^2", 3) == (0, 0, 1)
+    assert scalars.parse_poly(nines, 7) == ((pow(10, 4400, 7) - 1) % 7,) == (1,)
+
+
 def test_usage_error(capsys):
     assert cli.main([]) == 2
     assert cli.main(["bogus"]) == 2
@@ -457,6 +478,18 @@ PINNED_STDOUT_SHA256 = {
         "8ef17fb7230098f418e9036fe35511103db662c1ebbef59cc4c7b1c560837876",
         "6da9a2a06c6239c720c3f2b8c4c6bb3b7addc51d1acaafaad5536ecd774b3718",
         "22cb432ea353eefaaf9fc657711af60807108ba5f8717adf01cc80b8d55cf540",
+    ),
+    # the oracle past 16 points, so past two 8-point union-table chunks:
+    # 30 points with 7,579 open sets, and 34 points with 8,788
+    "Z:2310": (
+        "75995d7c7c8769d8a10242bf0bc0f4d5ef469c3848342e903127aa0fed811260",
+        "3248371cc37fe92024b3b26a83c03dfc3fca5b3077badb296afd390e29b370f3",
+        "700969204fab5e8f6d0e1026cb4db0b70dcf2e04211f100633a5f590025afa89",
+    ),
+    "Z:1260": (
+        "cc451e4fcc3bcd352feee3ab4cf1064fb2962e199a3cefb7345381b512ddae59",
+        "2bf8bf2b304e0d27fcc0444684e5080a1f889a1255c722d8c36511bb367ae19c",
+        "b4fbebd13ec82eec2203b61d0b15c5f993b00aeefede6287cb0e1e40f7e053dd",
     ),
 }
 

@@ -5,7 +5,7 @@ there.  A rule with no row has no fault shown to make it fail."""
 
 import pytest
 
-from qdivtop import modules, rings, verifier
+from qdivtop import modules, oracle, rings, verifier
 from qdivtop.verifier import FAIL, PASS, Instance, run_rule
 
 
@@ -102,8 +102,51 @@ def x_step_wrap_sign_flipped(mp):
     mp.setattr(rings.QuotPolyRing, "_x_wraps", planted)
 
 
+def interior_every_member_inside(mp):
+    # the interior keeps the points all of whose members lie inside the set,
+    # not the points that some member inside the set holds
+    def planted(topo, mask):
+        inside = (1 << len(topo.opens)) - 1
+        for i in modules._bits(topo.full & ~mask):
+            inside &= topo.lacks[i]
+        return sum(1 << j for j, h in enumerate(topo.holds) if not h & ~inside)
+
+    mp.setattr(oracle, "oracle_interior", planted)
+
+
+def min_opens_without_the_point(mp):
+    # m_i is read off the transposed family without i itself, as the strict
+    # up-set of i: still an open set on a T0 space, so the enumeration's
+    # topology check passes
+    init = oracle.FiniteTopology.__init__
+
+    def planted(self, n, opens, full):
+        init(self, n, opens, full)
+        self.min_opens = tuple(
+            sum(1 << j for j in range(n) if j != i and not h & self.lacks[j])
+            for i, h in enumerate(self.holds)
+        )
+
+    mp.setattr(oracle.FiniteTopology, "__init__", planted)
+
+
+def union_first_table_only(mp):
+    # a union read stops after the first 8-point table, so the points past
+    # the first 8 add nothing to an open hull or a closure
+    mp.setattr(oracle, "_union", lambda tables, mask: tables[0][mask & 0xFF])
+
+
 # (rule, fault, instance, witness under the fault)
 ROWS = [
+    ("R1", min_opens_without_the_point, "Z:6", "T0 fast=True definitional=False"),
+    ("R7", interior_every_member_inside, "Z:8", "interior formula differs on ['[2]']"),
+    (
+        "R8",
+        union_first_table_only,
+        "F2[x]:x^2,x^3+1",
+        "StructureChecks(minimal_neighborhoods_ok=True, closure_union_ok=False, "
+        "open_dense_contains_maximal_ok=True)",
+    ),
     ("R9", rn_read_as_re, "Z:6", "quasi second, but [2] with image {0,2,4} is not second"),
     (
         "R10",

@@ -198,12 +198,43 @@ def literal_is_topology(opens, full):
 
 
 def literal_opens(space):
-    """The up-closed subsets of the specialization order."""
-    return tuple(
-        s
-        for s in range(1 << space.n)
-        if all(not (space.up[i] & ~s) for i in _bits(s))
-    )
+    """The up-closed subsets of the specialization order: every S with U_i
+    inside S for each point i of S.  The points are decided from the last
+    to the first, and a point is kept only when its basis set misses the
+    points already left out, since no later choice can put them back; each
+    complete choice is then checked against the definition."""
+    up, out = space.up, []
+
+    def extend(i, kept, dropped):
+        if i < 0:
+            if all(not (up[j] & ~kept) for j in _bits(kept)):
+                out.append(kept)
+            return
+        extend(i - 1, kept, dropped | 1 << i)
+        if not up[i] & dropped:
+            extend(i - 1, kept | 1 << i, dropped)
+
+    extend(space.n - 1, 0, 0)
+    return tuple(sorted(out))
+
+
+def literal_closure(topo, mask):
+    """The intersection of every closed superset, by a scan of the closed
+    sets."""
+    out = topo.full
+    for c in topo.closed_sets():
+        if not (mask & ~c):
+            out &= c
+    return out
+
+
+def literal_interior(topo, mask):
+    """The union of every open subset, by a scan of the open sets."""
+    out = 0
+    for o in topo.opens:
+        if not (o & ~mask):
+            out |= o
+    return out
 
 
 def literal_min_opens(topo):
@@ -291,7 +322,7 @@ def literal_t5(topo):
     # tabulated over all subsets
     if topo.n > oracle.T5_CAP:
         raise SizeCapExceeded(f"the T5 sweep is capped at {oracle.T5_CAP} points")
-    cl = subset_unions(topo.n, [oracle_closure(topo, 1 << i) for i in range(topo.n)])
+    cl = subset_unions(topo.n, [literal_closure(topo, 1 << i) for i in range(topo.n)])
     hull = subset_unions(topo.n, literal_min_opens(topo))
     full = topo.full
     for a in range(1, full + 1):
@@ -322,7 +353,7 @@ def literal_alexandrov(topo):
 
 
 def literal_dense_opens(topo):
-    return [o for o in topo.opens if oracle_closure(topo, o) == topo.full]
+    return [o for o in topo.opens if literal_closure(topo, o) == topo.full]
 
 
 def literal_baire(topo):
@@ -334,12 +365,12 @@ def literal_baire(topo):
         acc = topo.full
         for o in dense:
             acc &= o
-        return oracle_closure(topo, acc) == topo.full
+        return literal_closure(topo, acc) == topo.full
     meets = [topo.full] * (1 << len(dense))
     for pick in range(1, 1 << len(dense)):
         low = pick & -pick
         meets[pick] = meets[pick ^ low] & dense[low.bit_length() - 1]
-    return all(oracle_closure(topo, acc) == topo.full for acc in set(meets[1:]))
+    return all(literal_closure(topo, acc) == topo.full for acc in set(meets[1:]))
 
 
 def literal_structure_checks(topo, space):
@@ -351,9 +382,9 @@ def literal_structure_checks(topo, space):
         ):
             minimal_ok = False
             break
-    cl1 = [oracle_closure(topo, 1 << i) for i in range(topo.n)]
+    cl1 = [literal_closure(topo, 1 << i) for i in range(topo.n)]
     union_ok = all(
-        oracle_closure(topo, mask) == union_over(mask, cl1)
+        literal_closure(topo, mask) == union_over(mask, cl1)
         for mask in oracle.subset_sweep(topo.n)
     )
     target = topology.maximal_classes(space)
@@ -423,6 +454,39 @@ def test_library_matches_literal_definitions():
         non_t0 += len(set(s.up)) < s.n
         t1 += s.n > 1 and all(u == 1 << i for i, u in enumerate(s.up))
     assert non_t0 > 100 and t1 > 100
+
+
+def chain_like_space(rng, n):
+    """A fake space over a random poset on n points with i < j whenever
+    j - i reaches a gap of 2 to 5, plus random shorter relations.  Every
+    antichain lies within one gap, which keeps the open sets to at most a
+    few hundred on 24 points, so the literal pairwise sweeps stay fast."""
+    gap = rng.choice((2, 3, 4, 5))
+    p = rng.choice((0.0, 0.2, 0.5))
+    up = [0] * n
+    for i in reversed(range(n)):
+        up[i] = 1 << i
+        for j in range(i + 1, n):
+            if j - i >= gap or rng.random() < p:
+                up[i] |= up[j]
+    return SimpleNamespace(n=n, up=tuple(up), full=(1 << n) - 1)
+
+
+def test_library_matches_literal_definitions_past_two_table_chunks():
+    # 15 to 24 points read two or three 8-point union tables
+    rng = random.Random(20261019)
+    most_opens = 0
+    for k in range(30):
+        s = chain_like_space(rng, rng.randint(15, 24))
+        t = enumerate_open_sets(s)
+        assert_matches_literal(s, t, (k, s.up))
+        assert oracle_structure_checks(t, s) == literal_structure_checks(t, s), k
+        for _ in range(40):
+            mask = rng.getrandbits(s.n)
+            assert oracle_closure(t, mask) == literal_closure(t, mask), (k, mask)
+            assert oracle_interior(t, mask) == literal_interior(t, mask), (k, mask)
+        most_opens = max(most_opens, len(t.opens))
+    assert 100 < most_opens <= 336
 
 
 def test_topology_check_matches_literal_on_arbitrary_families():
