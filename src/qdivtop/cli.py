@@ -147,24 +147,30 @@ def _analyze_payload(E, with_oracle: bool):
     return payload
 
 
-def _emit(payload, compact: bool):
-    print(HEADER)
-    if compact:
-        print(json.dumps(payload, separators=(",", ":")))
+def _write(text: str, out) -> None:
+    """The text to stdout, or to the file ``out`` with a note on stderr."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+        print(f"wrote {out}", file=sys.stderr)
     else:
-        print(json.dumps(payload, indent=2))
+        sys.stdout.write(text)
+
+
+def _emit(payload, compact: bool, out) -> None:
+    """The header line and the payload; a file always gets the indented
+    form."""
+    if compact and not out:
+        body = json.dumps(payload, separators=(",", ":"))
+    else:
+        body = json.dumps(payload, indent=2)
+    _write(f"{HEADER}\n{body}\n", out)
 
 
 def cmd_analyze(args) -> int:
     E = parse_spec(args.spec)
     payload = _analyze_payload(E, args.oracle)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(HEADER + "\n")
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        _emit(payload, args.json)
+    _emit(payload, args.json, args.out)
     sep = payload["separation"]
     print(
         f"{payload['spec']}: {payload['points']} points, "
@@ -187,12 +193,7 @@ def cmd_dot(args) -> int:
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return EXIT_OK
 
 
@@ -212,13 +213,7 @@ def cmd_verify(args) -> int:
         rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()]
     report = verifier.run_all(spec, rule_ids=rule_ids)
     payload = report.payload()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(HEADER + "\n")
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        _emit(payload, args.json)
+    _emit(payload, args.json, args.out)
     for entry in payload["rules"]:
         print(
             f"{entry['rule_id']}: pass={entry['pass']} fail={entry['fail']} "

@@ -797,11 +797,9 @@ def structural_predicates(E: FiniteModule) -> StructuralPredicates:
     lat = E.lattice_masks()
     zmask = E.zero_mask
 
-    uniserial = True
-    for a, b in itertools.combinations(lat, 2):
-        if (a & ~b) and (b & ~a):
-            uniserial = False
-            break
+    # the masks are sorted by value and a proper subset has a smaller value,
+    # so the lattice is a chain iff each mask lies inside the next
+    uniserial = all(not a & ~b for a, b in itertools.pairwise(lat))
 
     # N = (N:E)E: the join of the images rE inside N, one image per divisor
     images = set(map(E.image_mask, ring.divisors()))

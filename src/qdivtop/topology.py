@@ -1,11 +1,14 @@
 """The quasi divisor space of a finite module.
 
-Points are the residue classes [a] with a common cyclic image aE, ordered
-by inclusion of those images.  The basis set U_a is the up-set of [a] and
-is the smallest open set containing it; the closure of a point is its
-down-set.  Every predicate here is decided on that order without
-materializing open sets; the definitional enumeration lives in the oracle
-module and is cross-checked against these fast paths by the verifier.
+Points are the residue classes [a], one per distinct cyclic image aE,
+ordered by inclusion of those images; so the order is a partial order and
+the space is T0.  The basis set U_a is the up-set of [a] and is the
+smallest open set containing it; the closure of a point is its down-set.
+Every predicate here is decided on that order without materializing open
+sets: hyper- and ultraconnectedness count the maximal and minimal points,
+and nestedness the distinct up-set sizes.  The definitional enumeration
+lives in the oracle module and is cross-checked against these fast paths
+by the verifier.
 
 Conventions for the empty space (second modules): every separation flag is
 vacuously true and the connectivity record carries ``empty=True`` as the
@@ -15,7 +18,6 @@ vacuousness marker.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 
 from . import modules
@@ -51,15 +53,14 @@ class QuasiDivisorSpace:
         self.n = len(self.classes)
         self.labels = tuple(c.label for c in self.classes)
         self.provenance = provenance
-        # up[i] holds j when a_iE <= a_jE, and down is its transpose.  Equal
-        # images relate both ways; otherwise only a smaller image can lie
-        # in a larger one, so each pair of points of unequal sizes is
-        # compared once
+        # up[i] holds j when a_iE <= a_jE, and down is its transpose.  The
+        # points are the distinct images, so only a smaller image can lie in
+        # a larger one, and each pair of points of unequal sizes is compared
+        # once
         masks = [c.image.mask for c in self.classes]
-        same = {}
-        for i, m in enumerate(masks):
-            same[m] = same.get(m, 0) | 1 << i
-        up = [same[m] for m in masks]
+        if len(set(masks)) < self.n:
+            raise ValueError(f"{provenance}: two classes share an image")
+        up = [1 << i for i in range(self.n)]
         down = list(up)
         order = sorted(range(self.n), key=lambda i: masks[i].bit_count())
         sizes = [masks[i].bit_count() for i in order]
@@ -156,18 +157,15 @@ def connectivity_report(space: QuasiDivisorSpace) -> ConnectivityReport:
             seen |= new
             frontier.extend(_bits(new))
         connected = seen == space.full
-    hyper = all(
-        space.up[i] & space.up[j]
-        for i, j in itertools.combinations(range(n), 2)
-    )
-    ultra = all(
-        space.down[i] & space.down[j]
-        for i, j in itertools.combinations(range(n), 2)
-    )
-    nested = all(
-        space.le(i, j) or space.le(j, i)
-        for i, j in itertools.combinations(range(n), 2)
-    )
+    # every point lies below a maximal one, and two maximal points have no
+    # common upper bound, so every pair has one iff there is at most one
+    hyper = maximal_classes(space).bit_count() <= 1
+    # the same argument, read downwards
+    ultra = minimal_classes(space).bit_count() <= 1
+    # a chain's up-sets have the sizes 1..n; conversely, n distinct sizes in
+    # 1..n give a point above which all n lie, which no other up-set holds,
+    # so the other n - 1 keep distinct sizes and form a chain by induction
+    nested = len({u.bit_count() for u in space.up}) == n
     return ConnectivityReport(
         connected=connected,
         hyperconnected=hyper,

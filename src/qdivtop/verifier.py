@@ -276,17 +276,13 @@ def _r2(ctx):
     if not ctx.qs:
         witness += "; " + ctx.witness_violation()
     else:
-        for i in range(ctx.n):
-            for j in range(ctx.n):
-                if i != j and ctx.space.le(i, j):
-                    witness += (
-                        f"; comparable points {ctx.space.labels[i]} <= "
-                        f"{ctx.space.labels[j]}"
-                    )
-                    break
-            else:
-                continue
-            break
+        labels = ctx.space.labels
+        for i, u in enumerate(ctx.space.up):
+            above = u & ~(1 << i)
+            if above:
+                j = (above & -above).bit_length() - 1
+                witness += f"; comparable points {labels[i]} <= {labels[j]}"
+                break
     return FAIL, witness, None
 
 
@@ -484,18 +480,13 @@ def _r16(ctx):
     # past the lattice cap enumerate_submodules raises SizeCapExceeded,
     # which _evaluate turns into a vacuous outcome
     for sub in modules.enumerate_submodules(ctx.E):
-        v = QS_VIOLATION_FINDER(sub)
-        if v is not None:
-            return FAIL, (
-                f"submodule {{{','.join(sub.element_strs())}}} is not quasi "
-                f"second: a={v['a']} b={v['b']}"
-            ), None
-        v = QS_VIOLATION_FINDER(sub.quotient())
-        if v is not None:
-            return FAIL, (
-                f"quotient by {{{','.join(sub.element_strs())}}} is not quasi "
-                f"second: a={v['a']} b={v['b']}"
-            ), None
+        for section, name in ((sub, "submodule"), (sub.quotient(), "quotient by")):
+            v = QS_VIOLATION_FINDER(section)
+            if v is not None:
+                return FAIL, (
+                    f"{name} {{{','.join(sub.element_strs())}}} is not quasi "
+                    f"second: a={v['a']} b={v['b']}"
+                ), None
     return PASS, None, None
 
 

@@ -536,6 +536,14 @@ def literal_predicates(E):
     return multiplication, comultiplication
 
 
+def literal_uniserial(E):
+    """Every pair of submodules is comparable."""
+    return all(
+        not a & ~b or not b & ~a
+        for a, b in itertools.combinations(E.lattice_masks(), 2)
+    )
+
+
 def literal_kernel(E, row):
     return modules._mask(i for i, y in enumerate(row) if y == E.zero)
 
@@ -551,16 +559,20 @@ def test_structural_predicates_match_the_literal_reference():
         for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS)
     ]
     flags = collections.Counter()
+    chains = 0
     for spec in specs + list(PREDICATE_EXTRA_SPECS):
         E = build_module(spec)
         preds = structural_predicates(E)
         literal = literal_predicates(E)
         assert (preds.multiplication, preds.comultiplication) == literal, spec
+        assert preds.uniserial == literal_uniserial(E), spec
         flags[literal] += 1
+        chains += preds.uniserial
         for g in E.residue_ring.divisors():
             assert E.kernel_mask(g) == literal_kernel(E, E.row(g)), (spec, g)
     assert literal == (True, False)
     assert flags == {(True, True): 313, (True, False): 7, (False, False): 75}
+    assert chains == 75
 
 
 def test_divisible_and_simple():

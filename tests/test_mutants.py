@@ -3,9 +3,11 @@
 which the rule then fails with a witness, while the unmutated rule passes
 there.  A rule with no row has no fault shown to make it fail."""
 
+import dataclasses
+
 import pytest
 
-from qdivtop import modules, oracle, rings, verifier
+from qdivtop import modules, oracle, rings, topology, verifier
 from qdivtop.verifier import FAIL, PASS, Instance, run_rule
 
 
@@ -136,9 +138,58 @@ def union_first_table_only(mp):
     mp.setattr(oracle, "_union", lambda tables, mask: tables[0][mask & 0xFF])
 
 
+def pair_loop_without_the_extremes(mp):
+    # the pair loop skips the smallest image against the largest, so on a
+    # two-point chain the points fall apart into an antichain
+    init = topology.QuasiDivisorSpace.__init__
+
+    def planted(self, classes, provenance):
+        init(self, classes, provenance)
+        if self.n > 1:
+            by_size = sorted(range(self.n), key=lambda i: self.classes[i].image.size)
+            lo, hi = by_size[0], by_size[-1]
+            up, down = list(self.up), list(self.down)
+            up[lo] &= ~(1 << hi)
+            down[hi] &= ~(1 << lo)
+            self.up, self.down = tuple(up), tuple(down)
+
+    mp.setattr(topology.QuasiDivisorSpace, "__init__", planted)
+
+
+def finder_finds_nothing(mp):
+    # the quasi-second search reports no violating pair, so every module
+    # passes for quasi second
+    mp.setattr(verifier, "QS_VIOLATION_FINDER", lambda E: None)
+
+
+def nested_read_off_image_sizes(mp):
+    # nestedness counts the distinct image sizes, not the distinct up-set
+    # sizes: two incomparable images of different sizes pass for a chain
+    report = topology.connectivity_report
+
+    def planted(space):
+        sizes = {c.image.size for c in space.classes}
+        return dataclasses.replace(report(space), nested=len(sizes) == space.n)
+
+    mp.setattr(topology, "connectivity_report", planted)
+
+
 # (rule, fault, instance, witness under the fault)
 ROWS = [
     ("R1", min_opens_without_the_point, "Z:6", "T0 fast=True definitional=False"),
+    (
+        "R2",
+        pair_loop_without_the_extremes,
+        "Z:8",
+        "T1=True but quasi_second=False; a=2 b=4 aE={0,2,4,6} bE={0,4}",
+    ),
+    (
+        "R2",
+        finder_finds_nothing,
+        "Z:6,9",
+        "T1=False but quasi_second=True; comparable points [6] <= [2]",
+    ),
+    ("R4", nested_read_off_image_sizes, "Z:6", "uniserial=False nested=True"),
     ("R7", interior_every_member_inside, "Z:8", "interior formula differs on ['[2]']"),
     (
         "R8",

@@ -71,6 +71,15 @@ def test_enumeration_cap():
     # every space of at most 14 points fits, the 14-point antichain exactly
     antichain = SimpleNamespace(n=14, up=s.up[:14], full=(1 << 14) - 1)
     assert len(enumerate_open_sets(antichain).opens) == oracle.OPEN_SET_CAP
+    # one open set past the cap: the 14-point antichain under one top point,
+    # whose open sets are the empty set, the top alone, and the top with any
+    # nonempty part of the antichain, 2^14 + 1 in all
+    top = 1 << 14
+    crowned = SimpleNamespace(
+        n=15, up=tuple(u | top for u in antichain.up) + (top,), full=(1 << 15) - 1
+    )
+    with pytest.raises(SizeCapExceeded):
+        enumerate_open_sets(crowned)
     # the cap counts open sets, not points
     for spec, points, opens in [("Z:2310", 30, 7579), ("Z:16,27", 18, 124)]:
         s = space_of(spec)
@@ -135,25 +144,32 @@ def test_structure_checks_examples():
         assert checks.open_dense_contains_maximal_ok, spec
 
 
-def test_fast_predicates_match_oracle_on_samples():
+def test_fast_predicates_match_oracle_on_the_corpus():
+    # every default-corpus space (all of them fit the open-set cap), and
+    # Z:12, which the corpus leaves out; no rule reads the fast hyper- and
+    # ultraconnectedness, so this is their one check against the definitions
     specs = [
-        "Z:4", "Z:6", "Z:8", "Z:12", "Z:2,4", "Z:8,9", "Z:6,6",
-        "F2[x]:x^3", "F2[x]:x^2+x,x^3", "ring:Trunc(2,3)", "ring:Zn(60)",
-        "ring:Prod(Zn(2),Zn(3))", "ring:Ideal(Zn(2),2)",
+        inst.spec_text
+        for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS)
+        if inst.kind == "module"
     ]
-    for spec in specs:
+    for spec in specs + ["Z:12"]:
         s = space_of(spec)
         t = enumerate_open_sets(s)
         sep = separation_report(s)
         conn = connectivity_report(s)
-        assert oracle_axiom(t, "T0") == sep.t0, spec
-        assert oracle_axiom(t, "T1") == sep.t1, spec
-        assert oracle_axiom(t, "T2") == sep.t2, spec
-        assert oracle_axiom(t, "T3") == sep.t3, spec
-        assert oracle_axiom(t, "discrete") == sep.discrete, spec
-        assert oracle_axiom(t, "connected") == conn.connected, spec
-        assert oracle_axiom(t, "hyperconnected") == conn.hyperconnected, spec
-        assert oracle_axiom(t, "ultraconnected") == conn.ultraconnected, spec
+        fast = {
+            "T0": sep.t0,
+            "T1": sep.t1,
+            "T2": sep.t2,
+            "T3": sep.t3,
+            "discrete": sep.discrete,
+            "connected": conn.connected,
+            "hyperconnected": conn.hyperconnected,
+            "ultraconnected": conn.ultraconnected,
+        }
+        for name, value in fast.items():
+            assert oracle_axiom(t, name) == value, (spec, name)
 
 
 def test_alexandrov_noetherian_baire_always_hold_here():

@@ -1,7 +1,9 @@
+import collections
 import itertools
 import random
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdivtop import modules, topology
@@ -260,7 +262,7 @@ def space_of_masks(masks):
 
 def test_up_and_down_match_the_pairwise_comparison():
     # corpus spaces have distinct images; random mask lists repeat some,
-    # and equal images must relate both ways
+    # and a space with two equal images is refused
     from qdivtop import verifier
 
     for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS):
@@ -274,7 +276,58 @@ def test_up_and_down_match_the_pairwise_comparison():
     for _ in range(500):
         pool = [rng.getrandbits(6) for _ in range(rng.randint(1, 6))]
         masks = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
-        repeated += len(set(masks)) < len(masks)
+        if len(set(masks)) < len(masks):
+            repeated += 1
+            with pytest.raises(ValueError):
+                space_of_masks(masks)
+            continue
         s = space_of_masks(masks)
         assert (s.up, s.down) == literal_up_down(masks), masks
     assert repeated > 100
+
+
+def literal_connectivity(space):
+    """(hyperconnected, ultraconnected, nested) from every pair of points:
+    a common upper bound, a common lower bound, comparability."""
+    pairs = list(itertools.combinations(range(space.n), 2))
+    return (
+        all(space.up[i] & space.up[j] for i, j in pairs),
+        all(space.down[i] & space.down[j] for i, j in pairs),
+        all(space.le(i, j) or space.le(j, i) for i, j in pairs),
+    )
+
+
+def random_order_masks(rng, n):
+    """Each point's down-set in a random partial order on n points, so that
+    inclusion of the masks is the order: a random relation from each point
+    to later ones (every one of them at p = 1, a chain), closed
+    transitively."""
+    p = rng.choice((0.1, 0.3, 0.6, 1.0))
+    down = [1 << i for i in range(n)]
+    for j in range(n):
+        for i in range(j):
+            if rng.random() < p:
+                down[j] |= down[i]
+    return down
+
+
+def test_connectivity_reads_match_the_pairwise_definitions():
+    from qdivtop import verifier
+
+    seen = collections.Counter()
+    for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS):
+        if inst.kind != "module":
+            continue
+        s = build_space(build_module(inst.spec_text))
+        c = connectivity_report(s)
+        fast = (c.hyperconnected, c.ultraconnected, c.nested)
+        assert fast == literal_connectivity(s), inst.spec_text
+    # on the corpus the three flags agree, so random orders tell them apart
+    rng = random.Random(23)
+    for _ in range(2000):
+        s = space_of_masks(random_order_masks(rng, rng.randint(0, 9)))
+        c = connectivity_report(s)
+        fast = (c.hyperconnected, c.ultraconnected, c.nested)
+        assert fast == literal_connectivity(s), s.up
+        seen[fast] += 1
+    assert len(seen) == 5, seen
