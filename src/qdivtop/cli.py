@@ -32,7 +32,7 @@ def parse_spec(text: str):
     """Parse an instance spec; module specs and bare ring expressions both
     round-trip through their canonical form."""
     s = text.strip()
-    if s.startswith("ring:") or ":" in s:
+    if ":" in s:
         return modules.build_module(s)
     return modules.ring_cyclic(rings.build_ring(s))
 

@@ -592,25 +592,17 @@ def ring_cyclic(ring: rings.FiniteRing) -> FiniteModule:
     )
 
 
-_POLY_HEAD_RE = re.compile(r"F0*(\d+)\[x\]\Z")
-_INT_DIGITS_RE = re.compile(r"[+-]?0*(\d+)\Z")
-
-
-def _refuse_long(digits: str, what: str):
-    """A decimal number with more digits than ELEMENT_CAP is past the cap.
-    It is refused on its digit count, before ``int()``, which refuses more
-    than 4,300 digits with a message of its own."""
-    if len(digits) > len(str(ELEMENT_CAP)):
-        raise SizeCapExceeded(f"{what} of {len(digits)} digits exceeds the cap {ELEMENT_CAP}")
+_POLY_HEAD_RE = re.compile(r"F(\w+)\[x\]\Z")
 
 
 def build_module(text: str) -> FiniteModule:
     """Parse a module spec: ``Z:8``, ``Z:2,4``, ``F2[x]:x^3``, ``ring:Zn(8)``.
 
-    Each modulus, and the characteristic of F_p[x], is checked against the
-    cap before it is built: a long decimal by its digit count (so a large
-    p is never tested for primality), a polynomial by its degree before its
-    coefficient list is allocated."""
+    Every integer literal is read by ``scalars.read_int``, which refuses
+    one of more than ``LONG_DIGITS`` digits by its count.  Each modulus and
+    the characteristic p of F_p[x] is checked against the cap before it is
+    built: p as an order before it is tested for primality, a polynomial by
+    its degree before its coefficient list is allocated."""
     s = text.replace(" ", "")
     if s.startswith("ring:"):
         return ring_cyclic(rings.build_ring(s[5:]))
@@ -619,24 +611,20 @@ def build_module(text: str) -> FiniteModule:
         raise ModuleError(f"bad module spec {text!r}: missing ':'")
     tokens = rest.split(",")
     if head == "Z":
-        domain, check_degree = INTEGERS, None
-        for t in tokens:
-            if m := _INT_DIGITS_RE.match(t):
-                _refuse_long(m.group(1), "a modulus")
-    else:
-        m = _POLY_HEAD_RE.match(head)
-        if not m:
-            raise ModuleError(f"bad module spec {text!r}: unknown domain {head!r}")
-        _refuse_long(m.group(1), "a characteristic")
-        domain = poly_domain(int(m.group(1)))
+        return cyclic_sum(
+            INTEGERS, [scalars.read_int(t, "a modulus", ELEMENT_CAP) for t in tokens]
+        )
+    m = _POLY_HEAD_RE.match(head)
+    if not m:
+        raise ModuleError(f"bad module spec {text!r}: unknown domain {head!r}")
+    p = scalars.read_int(m.group(1), "a characteristic", ELEMENT_CAP)
+    rings.capped_order([(p, 1)], _past_cap)
+    domain = poly_domain(p)
 
-        def check_degree(k):
-            rings.capped_order([(domain.char, max(k, 0))], _past_cap)
+    def check_degree(k):
+        rings.capped_order([(p, max(k, 0))], _past_cap)
 
-    if not rest:
-        raise ModuleError(f"bad module spec {text!r}: no moduli")
-    moduli = [scalars.parse_scalar(t, domain, check_degree) for t in tokens]
-    return cyclic_sum(domain, moduli)
+    return cyclic_sum(domain, [scalars.parse_scalar(t, domain, check_degree) for t in tokens])
 
 
 # -- spec operations ------------------------------------------------------

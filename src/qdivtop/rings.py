@@ -54,7 +54,6 @@ from array import array
 
 from . import scalars
 from .scalars import (
-    LONG_DIGITS,
     Scalar,
     ScalarDomain,
     SizeCapExceeded,
@@ -896,7 +895,10 @@ def classify_quasi_second_ring(ring: FiniteRing) -> str:
 #
 #   Zn(8) | GF(2) | GF(2,x^2+x+1) | Trunc(2,3) | Prod(expr,expr) | Ideal(expr,d)
 #
-# whitespace-insensitive, nesting allowed.
+# whitespace-insensitive, nesting allowed.  Read in one pass: a ring
+# argument of Prod or Ideal is parsed in place, any other argument runs to
+# the next ',' or ')', and each integer in it is read by
+# ``scalars.read_int``.
 
 
 def build_ring(text: str) -> FiniteRing:
@@ -918,88 +920,59 @@ def _parse_ring(s: str, pos: int, depth: int):
     name = s[start:pos]
     if pos >= len(s) or s[pos] != "(":
         raise RingError(f"expected '(' at position {pos} in {s!r}")
-    args, pos = _parse_args(s, pos)
+    args = []
+    while True:
+        pos += 1  # past the '(' or ','
+        if name == "Prod" or (name == "Ideal" and not args):
+            arg, pos = _parse_ring(s, pos, depth + 1)
+        else:
+            end = pos
+            while end < len(s) and s[end] not in ",)":
+                end += 1
+            arg, pos = s[pos:end], end
+        args.append(arg)
+        if pos >= len(s) or s[pos] not in ",)":
+            raise RingError(f"expected ',' or ')' at position {pos} in {s!r}")
+        if s[pos] == ")":
+            break
+    pos += 1
+
+    def num(text):
+        return scalars.read_int(text, "a ring argument", ORDER_CAP)
+
     if name == "Zn":
         if len(args) != 1:
             raise RingError("Zn takes one argument")
-        return ZnRing(_arg_int(args[0], start)), pos
+        return ZnRing(num(args[0])), pos
     if name == "GF":
+        if len(args) not in (1, 2):
+            raise RingError("GF takes one or two arguments")
         # a p past the cap fails the order check of the ring, before any
-        # trial division
+        # trial division; a p below it is tested before the modulus is
+        # read mod p
+        p = num(args[0])
+        if p <= ORDER_CAP and not is_prime(p):
+            raise RingError(f"characteristic {p} is not prime")
         if len(args) == 1:
-            p = _arg_int(args[0], start)
-            if p <= ORDER_CAP and not is_prime(p):
-                raise RingError(f"GF({p}): {p} is not prime")
             return ZnRing(p), pos
-        if len(args) == 2:
-            p = _arg_int(args[0], start)
-            if p <= ORDER_CAP and not is_prime(p):
-                raise RingError(f"GF({p},...): {p} is not prime")
 
-            def check_degree(k):
-                capped_order(
-                    [(p, max(k, 0))],
-                    lambda n: f"GF({p},{args[1]}): order {n} exceeds the cap {ORDER_CAP}",
-                )
+        def check_degree(k):
+            capped_order(
+                [(p, max(k, 0))],
+                lambda n: f"GF({p},{args[1]}): order {n} exceeds the cap {ORDER_CAP}",
+            )
 
-            return QuotPolyRing(p, scalars.parse_poly(args[1], p, check_degree)), pos
-        raise RingError("GF takes one or two arguments")
+        return QuotPolyRing(p, scalars.parse_poly(args[1], p, check_degree)), pos
     if name == "Trunc":
         if len(args) != 2:
             raise RingError("Trunc takes two arguments")
-        return TruncRing(_arg_int(args[0], start), _arg_int(args[1], start)), pos
+        return TruncRing(num(args[0]), num(args[1])), pos
     if name == "Prod":
         if len(args) != 2:
             raise RingError("Prod takes two arguments")
-        r1, end1 = _parse_ring(args[0], 0, depth + 1)
-        r2, end2 = _parse_ring(args[1], 0, depth + 1)
-        if end1 != len(args[0]) or end2 != len(args[1]):
-            raise RingError(f"bad Prod arguments near position {start}")
-        return ProdRing(r1, r2), pos
+        return ProdRing(*args), pos
     if name == "Ideal":
         if len(args) != 2:
             raise RingError("Ideal takes two arguments")
-        base, end = _parse_ring(args[0], 0, depth + 1)
-        if end != len(args[0]):
-            raise RingError(f"bad Ideal argument near position {start}")
-        return IdealizeRing(base, _arg_int(args[1], start)), pos
+        return IdealizeRing(args[0], num(args[1])), pos
     raise RingError(f"unknown ring constructor {name!r} at position {start}")
-
-
-def _parse_args(s: str, pos: int):
-    # pos points at '('; returns the comma-split args at depth 0
-    depth = 0
-    args = []
-    current = []
-    for i in range(pos, len(s)):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-            if depth > 1:
-                current.append(ch)
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                args.append("".join(current))
-                return args, i + 1
-            current.append(ch)
-        elif ch == "," and depth == 1:
-            args.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    raise RingError(f"unbalanced parentheses starting at position {pos} in {s!r}")
-
-
-def _arg_int(text: str, pos: int) -> int:
-    # every argument is an order's base or exponent, so one too long for
-    # int() is past the cap, and is refused by its length
-    digits = text.lstrip("+-").lstrip("0")
-    if len(digits) > LONG_DIGITS and digits.isdigit():
-        raise SizeCapExceeded(
-            f"a ring argument of {len(digits)} digits exceeds the cap {ORDER_CAP}"
-        )
-    try:
-        return int(text)
-    except ValueError:
-        raise RingError(f"expected an integer near position {pos}, got {text!r}") from None

@@ -41,10 +41,9 @@ class SizeCapExceeded(RuntimeError):
     degree of a polynomial literal."""
 
 
-# 2^256 has 78 digits: a decimal longer than that, as a ring argument or
-# the exponent of a polynomial literal, puts the order far past every size
-# cap.  It is refused on its digit count, before int() (which refuses more
-# than 4,300 digits) and without a message that echoes it
+# 2^256 has 78 digits: an integer literal longer than that, wherever a spec
+# holds one but in a coefficient, puts the order far past every size cap
+# (see ``read_int``)
 LONG_DIGITS = len(str(2**256))
 
 
@@ -297,12 +296,42 @@ def reduce_mod(a: Scalar, m: Scalar) -> Scalar:
 
 # -- literal grammar --
 #
-# integers: optional sign + decimal digits
+# integers: optional sign + ASCII decimal digits
 # polynomials: sums of terms  c | x | x^k | c*x^k | cx^k  with coefficients
 # reduced mod p; "-" is accepted and folded into the coefficient.
 
-_INT_RE = re.compile(r"[+-]?\d+\Z")
-_TERM_RE = re.compile(r"(\d+)?\*?(x(?:\^(\d+))?)?\Z")
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_TERM_RE = re.compile(r"([^*x]+)?\*?(x(?:\^(.+))?)?\Z")
+
+# int() refuses more than 4,300 digits, so a literal read mod p is reduced
+# in chunks of this many
+_CHUNK = 1000
+
+
+def read_int(text: str, what: str, cap=None, mod: int = 0) -> int:
+    """The value of an integer literal in a spec; ``what`` names it in
+    errors (``"a modulus"``).
+
+    A literal is ASCII decimal digits with an optional sign: no ``_`` and no
+    digits of other scripts, which ``int()`` also reads.  One of more than
+    ``LONG_DIGITS`` digits is refused on its digit count, before ``int()``,
+    with a message that names ``cap`` (every size cap if None) and not the
+    literal.  With ``mod``, the value mod ``mod`` is read a chunk at a time
+    instead, at any length."""
+    if not _INT_RE.match(text):
+        raise ScalarError(f"bad integer literal {text!r} for {what}")
+    sign = -1 if text[0] == "-" else 1
+    digits = text.lstrip("+-").lstrip("0")
+    if mod:
+        out = 0
+        for start in range(0, len(digits), _CHUNK):
+            chunk = digits[start : start + _CHUNK]
+            out = (out * 10 ** len(chunk) + int(chunk)) % mod
+        return sign * out % mod
+    if len(digits) > LONG_DIGITS:
+        limit = f"the cap {cap}" if cap is not None else "every size cap"
+        raise SizeCapExceeded(f"{what} of {len(digits)} digits exceeds {limit}")
+    return sign * int(digits or "0")
 
 
 def parse_scalar(text: str, domain: ScalarDomain, check_degree=None) -> Scalar:
@@ -311,32 +340,17 @@ def parse_scalar(text: str, domain: ScalarDomain, check_degree=None) -> Scalar:
     if not s:
         raise ScalarError("empty scalar literal")
     if domain.kind == "int":
-        if not _INT_RE.match(s):
-            raise ScalarError(f"bad integer literal {text!r}")
-        return Scalar(domain, int(s))
+        return Scalar(domain, read_int(s, "an integer"))
     return Scalar(domain, parse_poly(s, domain.char, check_degree))
-
-
-# int() refuses more than 4,300 digits, so a long coefficient is reduced
-# mod p in chunks of this many
-_COEFF_CHUNK = 1000
-
-
-def _digits_mod(digits: str, p: int) -> int:
-    """The decimal digit string's value mod p, read a chunk at a time."""
-    out = 0
-    for start in range(0, len(digits), _COEFF_CHUNK):
-        chunk = digits[start : start + _COEFF_CHUNK]
-        out = (out * 10 ** len(chunk) + int(chunk)) % p
-    return out
 
 
 def parse_poly(text: str, p: int, check_degree=None) -> tuple:
     """The coefficient tuple of a polynomial literal over F_p.  The terms
     are read sparsely, and ``check_degree``, if given, is called with the
     degree before one entry per exponent is allocated, so that a caller can
-    refuse x^1000000 first.  An exponent of more than ``LONG_DIGITS``
-    digits is refused by its length alone."""
+    refuse x^1000000 first.  Coefficients and exponents are read by
+    ``read_int``: a coefficient mod p at any length, an exponent of more
+    than ``LONG_DIGITS`` digits refused by its length alone."""
     s = text.replace(" ", "")
     terms = re.findall(r"[+-]?[^+-]+", s)
     if not terms or "".join(terms) != s:
@@ -349,18 +363,11 @@ def parse_poly(text: str, p: int, check_degree=None) -> tuple:
             sign = -1 if body[0] == "-" else 1
             body = body[1:]
         m = _TERM_RE.match(body)
-        if not m or not body:
+        cs, xs, es = m.groups() if m else (None, None, None)
+        if cs is None and xs is None:
             raise ScalarError(f"bad polynomial term {term!r} in {s!r}")
-        cs, xs, es = m.groups()
-        if xs is None:
-            if cs is None:
-                raise ScalarError(f"bad polynomial term {term!r} in {s!r}")
-            c, k = _digits_mod(cs, p), 0
-        else:
-            c = _digits_mod(cs, p) if cs is not None else 1
-            if es is not None and (n := len(es.lstrip("0"))) > LONG_DIGITS:
-                raise SizeCapExceeded(f"an exponent of {n} digits exceeds every size cap")
-            k = int(es) if es is not None else 1
+        c = 1 if cs is None else read_int(cs, "a coefficient", mod=p)
+        k = 0 if xs is None else 1 if es is None else read_int(es, "an exponent")
         coeffs[k] = coeffs.get(k, 0) + sign * c
     degree = max((k for k, c in coeffs.items() if c % p), default=-1)
     if check_degree is not None:

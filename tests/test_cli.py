@@ -200,6 +200,27 @@ def test_long_ring_argument_or_exponent_meets_the_cap_by_its_length(capsys, spec
 
 
 @pytest.mark.parametrize(
+    "spec",
+    [
+        "Z:1_0",
+        "ring:Zn(1_0)",
+        "F2[x]:x^1_0",
+        "Z:٣",
+        "ring:Zn(٣)",
+        "F٣[x]:x",
+        "ring:GF(2,x^٣)",
+        # the prime check of GF(p,f) comes before f is read mod p
+        "ring:GF(0,x^5)",
+        "ring:GF(4,x^2)",
+    ],
+)
+def test_an_integer_literal_is_ascii_digits(capsys, spec):
+    # int() also reads "1_0" and the digits of other scripts; a spec does not
+    code, out, err = run_cli(capsys, "dot", spec)
+    assert (code, out, err.startswith("error: "), "Traceback" in err) == (2, "", True, False)
+
+
+@pytest.mark.parametrize(
     "spec, same_as",
     [
         ("F2[x]:{}x+x^2", "F2[x]:x+x^2"),

@@ -1,7 +1,10 @@
 """Planted faults, one per row: each row names a rule, one fault planted with
 ``monkeypatch`` in the layer that the rule checks, and a corpus instance on
 which the rule then fails with a witness, while the unmutated rule passes
-there.  A rule with no row has no fault shown to make it fail."""
+there.  A rule with no row has no fault shown to make it fail.
+
+No rule reads ``topology.hasse_edges``: the pinned ``dot`` and ``analyze``
+stdout in ``test_cli.py`` guards it."""
 
 import dataclasses
 
@@ -174,6 +177,27 @@ def nested_read_off_image_sizes(mp):
     mp.setattr(topology, "connectivity_report", planted)
 
 
+def t3_read_off_down_sets(mp):
+    # T3 asks every down-set, not every up-set, to be its own down-closure,
+    # which always holds
+    report = topology.separation_report
+
+    def planted(space):
+        t3 = all(topology.closure(space, d) == d for d in space.down)
+        return dataclasses.replace(report(space), t3=t3)
+
+    mp.setattr(topology, "separation_report", planted)
+
+
+def t2_pairs_each_point_with_itself(mp):
+    # the T2 sweep also compares each m_i with itself, which it always meets
+    def planted(topo):
+        m = topo.min_opens
+        return not any(m[i] & m[j] for i in range(topo.n) for j in range(i, topo.n))
+
+    mp.setitem(oracle._AXIOMS, "T2", planted)
+
+
 # (rule, fault, instance, witness under the fault)
 ROWS = [
     ("R1", min_opens_without_the_point, "Z:6", "T0 fast=True definitional=False"),
@@ -188,6 +212,13 @@ ROWS = [
         finder_finds_nothing,
         "Z:6,9",
         "T1=False but quasi_second=True; comparable points [6] <= [2]",
+    ),
+    (
+        "R3",
+        t2_pairs_each_point_with_itself,
+        "Z:6",
+        "{'quasi_second': True, 'all_images_maximal': True, 'discrete': True, "
+        "'metrizable': True, 'T2': False, 'T1': True}",
     ),
     ("R4", nested_read_off_image_sizes, "Z:6", "uniserial=False nested=True"),
     ("R7", interior_every_member_inside, "Z:8", "interior formula differs on ['[2]']"),
@@ -227,6 +258,7 @@ ROWS = [
     ),
     ("R16", submodule_zero_is_n, "Z:4", "quotient by {0} is not quasi second: a=2 b=0"),
     ("R16", quotient_image_without_n, "Z:4", "quotient by {0,2} is not quasi second: a=2 b=0"),
+    ("R17", t3_read_off_down_sets, "Z:8", "T3 fast=True definitional=False"),
     (
         "R19",
         rn_read_as_re,
