@@ -405,10 +405,9 @@ def test_analyze_ring_at_the_element_cap(capsys, monkeypatch):
     assert payload["separation"]["T1"] is True
     assert payload["predicates"] is None  # the lattice cap
     assert len(built[-1]._rows) <= 12
-    # one product per generator for each generator row, plus one square
-    # per element for the idempotents; one product per element for each
-    # row would be 12 * 4096 more
-    assert len(products) <= 4096 + 12 * 12
+    # one product per generator for each generator row; one product per
+    # element for each row would be 12 * 4096 more
+    assert len(products) <= 12 * 12
 
 
 def test_analyze_composite_ring_rows_take_one_product_per_digit(capsys, monkeypatch):
@@ -427,8 +426,7 @@ def test_analyze_composite_ring_rows_take_one_product_per_digit(capsys, monkeypa
     payload = payload_of(out)
     assert payload["order"] == 4096
     assert payload["points"] == 283
-    # the rows, plus one square per element for the idempotents
-    assert len(products) <= 4096 + 12 * 12
+    assert len(products) <= 12 * 12
 
 
 # sha256 of the stdout of ``analyze``, ``analyze --oracle`` and ``dot`` per

@@ -107,6 +107,36 @@ def x_step_wrap_sign_flipped(mp):
     mp.setattr(rings.QuotPolyRing, "_x_wraps", planted)
 
 
+def square_zero_without_squares(mp):
+    # the square-zero walk tests each new generator against the earlier
+    # ones only, not against itself: on Zn(8), 2*2 goes untested
+    def planted(ring, ideal):
+        add, zero = ring.layout.add, ring.zero
+        span, gens = {ring.index(zero)}, []
+        for i, x in enumerate(ring.elements):
+            if len(span) == len(ideal):
+                break
+            if i in span or x not in ideal:
+                continue
+            gens.append(x)
+            if any(ring.mul(x, g) != zero for g in gens[:-1]):
+                return False
+            multiples, m = [], i
+            while m not in span:
+                multiples.append(m)
+                m = add(m, i)
+            span |= {add(j, k) for j in span for k in multiples}
+        return True
+
+    mp.setattr(rings, "_square_zero", planted)
+
+
+def product_idempotents_trivial(mp):
+    # a product ring reports 0 and 1 as its only idempotents, so it passes
+    # for local and its nonunits for the maximal ideal
+    mp.setattr(rings.ProdRing, "idempotents", lambda self: frozenset((self.zero, self.one)))
+
+
 def interior_every_member_inside(mp):
     # the interior keeps the points all of whose members lie inside the set,
     # not the points that some member inside the set holds
@@ -198,7 +228,8 @@ def t2_pairs_each_point_with_itself(mp):
     mp.setitem(oracle._AXIOMS, "T2", planted)
 
 
-# (rule, fault, instance, witness under the fault)
+# (rule, fault, instance, witness under the fault); an instance spec with a
+# colon is a module, one without is a catalog ring
 ROWS = [
     ("R1", min_opens_without_the_point, "Z:6", "T0 fast=True definitional=False"),
     (
@@ -256,6 +287,19 @@ ROWS = [
         "{'quasi_second': False, 'all_images_second': True, "
         "'all_annihilators_maximal': False}",
     ),
+    (
+        "R14",
+        square_zero_without_squares,
+        "Zn(8)",
+        "brute=False classification=LocalSquareZeroMax; "
+        "witness a=2 b=4 (a)={0,2,4,6} (b)={0,4}",
+    ),
+    (
+        "R14",
+        product_idempotents_trivial,
+        "Prod(Zn(2),Zn(3))",
+        "brute=True classification=NotQuasiSecond",
+    ),
     ("R16", submodule_zero_is_n, "Z:4", "quotient by {0} is not quasi second: a=2 b=0"),
     ("R16", quotient_image_without_n, "Z:4", "quotient by {0,2} is not quasi second: a=2 b=0"),
     ("R17", t3_read_off_down_sets, "Z:8", "T3 fast=True definitional=False"),
@@ -308,7 +352,7 @@ ROWS = [
     ids=[f"{rule}-{plant.__name__}-{spec}" for rule, plant, spec, _ in ROWS],
 )
 def test_planted_fault_makes_the_rule_fail(monkeypatch, rule_id, plant, spec, witness):
-    instance = Instance("module", spec)
+    instance = Instance("module" if ":" in spec else "ring", spec)
     assert instance in verifier.generate_corpus()
     assert run_rule(rule_id, instance).verdict == PASS
     plant(monkeypatch)

@@ -1,12 +1,14 @@
+import collections
 import functools
 import itertools
+import math
 import random
 from array import array
 
 import pytest
 
 from qdivtop.modules import find_quasi_second_violation, is_quasi_second, ring_cyclic
-from qdivtop.scalars import monic_polys, padd, pdivmod, pmul, pneg
+from qdivtop.scalars import format_poly, monic_polys, padd, pdivmod, pmul, pneg
 from qdivtop.rings import (
     NOT_QS,
     QS_LOCAL_SQUARE_ZERO,
@@ -18,6 +20,7 @@ from qdivtop.rings import (
     SizeCapExceeded,
     TruncRing,
     ZnRing,
+    _square_zero,
     build_ring,
     classify_quasi_second_ring,
 )
@@ -152,24 +155,33 @@ def pairwise_is_local(ring):
     return False, None
 
 
-def test_is_local_matches_the_pairwise_definition():
-    # local exactly when 0 and 1 are the only idempotents
+# the rings of the rings-qs benchmark workload
+RINGS_QS_SPECS = (
+    "Zn(256)",
+    "Trunc(2,7)",
+    "Prod(GF(2,x^4+x+1),GF(2,x^5+x^2+1))",
+    "Prod(Zn(31),Zn(29))",
+    "Zn(1024)",
+    "Prod(Trunc(2,3),Zn(27))",
+    "Ideal(Zn(5),3)",
+    "Ideal(GF(3,x^2+1),2)",
+)
+
+
+def reference_ring_specs():
+    """The default catalog, the mixed rings of test_modules and the rings
+    of the rings-qs benchmark workload."""
     from qdivtop import verifier
 
     from test_modules import MIXED_RINGS
 
     specs = list(verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS))
-    specs += list(MIXED_RINGS) + [
-        # the rings of the rings-qs benchmark workload
-        "Zn(256)",
-        "Trunc(2,7)",
-        "Prod(GF(2,x^4+x+1),GF(2,x^5+x^2+1))",
-        "Prod(Zn(31),Zn(29))",
-        "Zn(1024)",
-        "Prod(Trunc(2,3),Zn(27))",
-        "Ideal(Zn(5),3)",
-        "Ideal(GF(3,x^2+1),2)",
-    ]
+    return specs + list(MIXED_RINGS) + list(RINGS_QS_SPECS)
+
+
+def test_is_local_matches_the_pairwise_definition():
+    # local exactly when 0 and 1 are the only idempotents
+    specs = reference_ring_specs()
     local = 0
     for spec in specs:
         ring = build_ring(spec)
@@ -244,6 +256,100 @@ def test_brute_matches_classification_on_catalog_sample():
         ring = build_ring(spec)
         brute = ring_is_quasi_second(ring)
         assert brute == (classify_quasi_second_ring(ring) != NOT_QS), spec
+
+
+def random_ring_spec(rng, budget):
+    """A seeded catalog spec, nested through Prod and Ideal, and its order,
+    at most budget >= 2."""
+    kind = rng.choice(["Zn", "GF"] + ["Trunc", "Prod", "Ideal"] * (budget >= 4))
+    if kind == "Zn":
+        n = rng.randrange(2, min(budget, 64) + 1)
+        return f"Zn({n})", n
+    p = rng.choice([q for q in (2, 3, 5, 7, 11, 13) if q <= budget])
+    if kind == "GF":
+        # any monic modulus, reducible ones included
+        d = max(k for k in range(1, budget.bit_length() + 1) if p**k <= budget)
+        d = rng.randrange(1, d + 1)
+        f = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+        return f"GF({p},{format_poly(f)})", p**d
+    if kind == "Trunc":
+        p = p if p * p <= budget else 2
+        k = 1
+        while p ** (k + 2) <= budget and rng.random() < 0.6:
+            k += 1
+        return f"Trunc({p},{k})", p ** (k + 1)
+    if kind == "Prod":
+        s1, n1 = random_ring_spec(rng, budget // 2)
+        s2, n2 = random_ring_spec(rng, budget // n1)
+        return f"Prod({s1},{s2})", n1 * n2
+    base, n = random_ring_spec(rng, math.isqrt(budget))
+    d = 1
+    while n ** (d + 2) <= budget and rng.random() < 0.5:
+        d += 1
+    return f"Ideal({base},{d})", n ** (d + 1)
+
+
+def literal_idempotents(ring):
+    return frozenset(x for x in ring.elements if ring.mul(x, x) == x)
+
+
+def literal_is_field(ring, part, e):
+    """Whether the set part, an ideal with identity e, is a field: every
+    nonzero x in it has a y in it with x*y = e."""
+    nonzero = [x for x in part if x != ring.zero]
+    return bool(nonzero) and all(
+        any(ring.mul(x, y) == e for y in part) for x in nonzero
+    )
+
+
+def literal_classification(ring):
+    """Local with m*m = 0 on every pair of the maximal ideal m (the pairwise
+    definition of locality), or eR x (1-e)R with both factors fields for a
+    nontrivial idempotent e of the literal sweep, or neither."""
+    local, maximal = pairwise_is_local(ring)
+    if local:
+        zero = ring.zero
+        if all(ring.mul(x, y) == zero for x in maximal for y in maximal):
+            return QS_LOCAL_SQUARE_ZERO
+        return NOT_QS
+    for e in literal_idempotents(ring) - {ring.zero, ring.one}:
+        f = ring.sub(ring.one, e)
+        parts = [frozenset(ring.mul(r, u) for r in ring.elements) for u in (e, f)]
+        if literal_is_field(ring, parts[0], e) and literal_is_field(ring, parts[1], f):
+            return QS_TWO_FIELDS
+    return NOT_QS
+
+
+def test_idempotents_and_classification_match_the_literal_definitions():
+    # the idempotents are read off the constructors and the square-zero
+    # test runs on additive generators; both against the literal sweeps, on
+    # the reference rings and 150 seeded random nested rings of order <= 256
+    rng = random.Random(20261019)
+    specs = reference_ring_specs()
+    specs += [random_ring_spec(rng, 256)[0] for _ in range(150)]
+    tally = collections.Counter()
+    for spec in specs:
+        ring = build_ring(spec)
+        assert ring.idempotents() == literal_idempotents(ring), spec
+        classification = classify_quasi_second_ring(ring)
+        assert classification == literal_classification(ring), spec
+        tally[classification] += 1
+    assert tally == {QS_LOCAL_SQUARE_ZERO: 102, QS_TWO_FIELDS: 87, NOT_QS: 88}
+
+
+def test_square_zero_matches_the_pairwise_definition_on_principal_ideals():
+    # I*I = 0 on every pair of I, for every principal ideal of every
+    # default catalog ring: non-maximal ideals, and both outcomes
+    from qdivtop import verifier
+
+    tally = collections.Counter()
+    for spec in verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS):
+        ring = build_ring(spec)
+        for ideal in {ring.principal_ideal(a) for a in ring.elements}:
+            pairwise = all(ring.mul(x, y) == ring.zero for x in ideal for y in ideal)
+            assert _square_zero(ring, ideal) == pairwise, (spec, sorted(ideal))
+            tally[pairwise] += 1
+    assert tally == {True: 161, False: 327}
 
 
 def test_nontrivial_idempotent_splits_order():
