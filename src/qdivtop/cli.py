@@ -49,8 +49,10 @@ def _analyze_payload(E, with_oracle: bool):
     maximal = space.label_set(topology.maximal_classes(space))
     minimal = space.label_set(topology.minimal_classes(space))
     ann = modules.annihilator(E)
+    ring = E.residue_ring
     if E.moduli is None:
-        ann = "{" + ",".join(sorted(map(E.residue_ring.format_element, ann))) + "}"
+        ann = "{" + ",".join(sorted(map(ring.format_element, ann))) + "}"
+    labels, index = ring.labels, ring.index
 
     # E is second (every residue acts as zero or onto E) exactly when no
     # residue forms a scalar class, that is when the space is empty
@@ -67,7 +69,7 @@ def _analyze_payload(E, with_oracle: bool):
         "classes": [
             {
                 "label": c.label,
-                "members": [E.residue_ring.format_element(m) for m in c.members],
+                "members": [labels[index(m)] for m in c.members],
                 "image": c.image.element_strs(),
                 "image_size": c.image.size,
             }
@@ -103,7 +105,7 @@ def _analyze_payload(E, with_oracle: bool):
         "countability": {"first_countable": True, "second_countable": True},
     }
     if E.moduli is None:
-        payload["ring_order"] = E.residue_ring.order
+        payload["ring_order"] = ring.order
     try:
         payload["predicates"] = dataclasses.asdict(modules.structural_predicates(E))
     except SizeCapExceeded:
@@ -111,7 +113,7 @@ def _analyze_payload(E, with_oracle: bool):
     split = modules.weak_idempotent_split(E)
     if split.kind == "split":
         payload["weak_idempotent_split"] = {
-            "idempotent": E.residue_ring.format_element(split.idempotent),
+            "idempotent": labels[index(split.idempotent)],
             "parts": [p.element_strs() for p in split.parts],
         }
     else:

@@ -22,7 +22,8 @@ annihilator, so enumerating that ring enumerates every cyclic image aE;
 a direct-sampling cross-check of this reduction lives in the verifier.
 
 Elements are the indices ``0..N-1``; their values (residue tuples, ring
-elements) are kept only as labels, to parse input and print output.  All
+elements) are kept only to parse input, and their printed forms
+(``labels``) are put together once, from the summands' ring labels.  All
 arithmetic is on indices.  A catalog ring module lives on the ring's
 ``rings.DigitLayout``, and a cyclic sum on the product of its summands'
 layouts: each summand A/(d) is the catalog ring ``Zn(d)`` or
@@ -40,17 +41,19 @@ of g*x over the additive generators g of the residue ring (``span``), so
 it reads one row entry per generator: one row for Z, deg(n) rows for
 F_p[x]/(n), k+1 rows for Trunc(p,k).  When the elements are themselves
 residues (a catalog ring over itself, a one-summand cyclic sum), the image
-rE is Rr and takes that route too.  Over A/(n) with A = Z or F_p[x], a
+rE is Rr, and it reads the products g*r from the ring
+(``FiniteRing.generator_products``).  Over A/(n) with A = Z or F_p[x], a
 residue r is g*u with g = gcd(r, n) and u a unit, so r and g have the same
 image on every submodule and kill the same elements.  So a module caches
-one image and one kernel (the elements g sends to zero) per divisor g of n,
-and killers, annihilators, second-submodule tests and the multiplication
-and comultiplication predicates read those.  A unit's image is the
-whole module, so unit residues need no image at all.  A submodule a
-caller passes in is checked against the generators' rows only.  Element
-sets are bit masks over the indices, which keeps image computations and
-the submodule lattice cheap.  Modules are immutable (their row and image
-caches aside) and every operation is pure.
+one image and one kernel (the elements g sends to zero) per divisor g of
+n, and scalar classes, the quasi-second search, killers, annihilators,
+second-submodule tests and the multiplication and comultiplication
+predicates read those.  A unit's image is the whole module, so unit
+residues need no image at all.  A submodule a caller passes in is checked
+against the generators' rows only.  Element sets are bit masks over the
+indices, which keeps image computations and the submodule lattice cheap.
+Modules are immutable (their row, image and label caches aside) and every
+operation is pure.
 
 The submodule lattice of a cyclic sum over a PID is listed, not searched:
 each submodule has exactly one basis in Hermite normal form (H. Cohen, *A
@@ -194,10 +197,8 @@ class Submodule:
 
     def format_mask(self, mask: int):
         E = self.module
-        return [
-            E.format_element(E.elements[i])
-            for i in _coset_reps(E, self.zero_mask, mask)
-        ]
+        labels = E.labels
+        return [labels[i] for i in _coset_reps(E, self.zero_mask, mask)]
 
     def element_strs(self):
         return self.module.format_mask(self.mask)
@@ -239,18 +240,19 @@ class WeakSplit:
 
 class FiniteModule:
     """A finite module from its presentation alone: the residue ring
-    A/ann(E), the digit layout of its additive group, element labels in
-    layout order, a row builder for the action of one residue, a label
-    formatter, and the domain and moduli of a cyclic sum (neither for a
-    catalog ring over itself).  Zero and addition come from the layout, all
-    else from the moduli and the residue ring: no two fields can disagree.
+    A/ann(E), the digit layout of its additive group, element values in
+    layout order, a row builder for the action of one residue, a builder
+    of the element labels, and the domain and moduli of a cyclic sum
+    (neither for a catalog ring over itself).  Zero and addition come from
+    the layout, all else from the moduli and the residue ring: no two
+    fields can disagree.
 
     ``row(r)`` builds and caches one row on first use.  Cyclic
     submodules, and the images of residues when the elements are residues,
-    are spans over the rows of the residue ring's additive generators;
+    are spans of the products with the additive generators (``_span_at``);
     other images and the kernels, which decide killers, read the row of a
-    residue's divisor, once per divisor.  A unit's image needs no row, so a
-    module over Z or F_p[x] builds about one row per divisor of its
+    residue's divisor, once per divisor.  A unit's image needs no row, so
+    a module over Z or F_p[x] builds about one row per divisor of its
     annihilator and a catalog ring one per additive generator."""
 
     def __init__(
@@ -261,14 +263,15 @@ class FiniteModule:
         layout,
         elements,
         build_row,
-        format_element,
+        build_labels,
         domain=None,
         moduli=None,
     ):
         self.spec_text = spec_text
         self.residue_ring = residue_ring
         self.elements = tuple(elements)
-        self.format_element = format_element
+        self._build_labels = build_labels
+        self._labels = None
         self.domain = domain
         self.moduli = moduli
         self.add = layout.add
@@ -308,8 +311,16 @@ class FiniteModule:
     def elements_of_mask(self, mask: int) -> tuple:
         return tuple(self.elements[i] for i in _bits(mask))
 
+    @property
+    def labels(self) -> tuple:
+        """The printed form of each element, by index, built once."""
+        if self._labels is None:
+            self._labels = tuple(self._build_labels())
+        return self._labels
+
     def format_mask(self, mask: int):
-        return [self.format_element(e) for e in self.elements_of_mask(mask)]
+        labels = self.labels
+        return [labels[i] for i in _bits(mask)]
 
     def row(self, r) -> array:
         """The action of residue r: element index -> element index."""
@@ -381,10 +392,9 @@ class FiniteModule:
         return mask
 
     def cyclic_mask(self, i: int) -> int:
-        """Mask of Rx for the element x at index i: the additive span of
-        g*x over the additive generators g of the residue ring.  When x is
-        itself a residue, Rx is the image xE, shared by every residue with
-        the divisor of x."""
+        """Mask of Rx for the element x at index i.  When x is itself a
+        residue, Rx is the image xE, shared by every residue with the
+        divisor of x."""
         if self.residue_elements:
             return self.image_mask(self.residue_ring.elements[i])
         mask = self._cyclic.get(i)
@@ -393,10 +403,13 @@ class FiniteModule:
         return mask
 
     def _span_at(self, i: int) -> int:
-        # one row entry per additive generator
-        return self.span(
-            self.row(g)[i] for g in self.residue_ring.additive_generators()
-        )
+        """The span of g*x over the residue ring's additive generators g,
+        for the element x at index i: the ring's products when x is a
+        residue, else one row entry per generator."""
+        if self.residue_elements:
+            return self.span(self.residue_ring.generator_products(i))
+        gens = self.residue_ring.additive_generators()
+        return self.span(self.row(g)[i] for g in gens)
 
     def lattice_masks(self) -> tuple:
         """Masks of every submodule, smallest mask first: a cyclic sum's
@@ -534,10 +547,11 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
         rows = {m: R.mul_row(R.reduce(r)) for m, R in ring_of.items()}
         return layout.join([rows[d.value] for d in moduli])
 
-    def fmt(x):
+    def labels():
         if len(comps) == 1:
-            return comps[0].format_element(x[0])
-        return "(" + ",".join(R.format_element(a) for R, a in zip(comps, x)) + ")"
+            return comps[0].labels
+        parts = itertools.product(*(R.labels for R in comps))
+        return ["(" + ",".join(part) + ")" for part in parts]
 
     return FiniteModule(
         spec_text=f"{domain}:" + ",".join(str(d) for d in moduli),
@@ -545,7 +559,7 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
         layout=layout,
         elements=tuple(itertools.product(*(R.elements for R in comps))),
         build_row=build_row,
-        format_element=fmt,
+        build_labels=labels,
         domain=domain,
         moduli=moduli,
     )
@@ -588,7 +602,7 @@ def ring_cyclic(ring: rings.FiniteRing) -> FiniteModule:
         layout=ring.layout,
         elements=ring.elements,
         build_row=ring.mul_row,
-        format_element=ring.format_element,
+        build_labels=lambda: ring.labels,
     )
 
 
@@ -645,23 +659,32 @@ def scalar_classes(E: FiniteModule) -> tuple:
     Second modules (every residue acts as zero or a surjection) yield the
     empty tuple, and with it the empty space downstream.  The classes come
     in the order of their first residues, which is ``sort_key`` order.
+
+    A residue has its divisor's image, so one image is computed per
+    divisor group; the units are the group of one.  Over a catalog ring
+    associates share an image, so groups with one image merge.
     """
     if E._classes is None:
         ring = E.residue_ring
-        units = ring.units()
+        one, zero = ring.one, ring.zero
         groups: dict[int, list] = {}
-        for r in ring.elements:
-            if r == ring.zero or r in units:
-                continue
-            groups.setdefault(E.image_mask(r), []).append(r)
-        E._classes = tuple(
-            ScalarClass(
-                members=tuple(members),
-                image=Submodule._trusted(E, mask),
-                label=f"[{ring.format_element(members[0])}]",
+        for g, members in ring.divisor_groups().items():
+            if g != one and g != zero:
+                groups.setdefault(E.image_mask(g), []).append(members)
+        labels, index = ring.labels, ring.index
+        classes = []
+        for mask, parts in groups.items():
+            members = parts[0]
+            if len(parts) > 1:
+                members = sorted(itertools.chain.from_iterable(parts), key=index)
+            classes.append(
+                ScalarClass(
+                    members=tuple(members),
+                    image=Submodule._trusted(E, mask),
+                    label=f"[{labels[index(members[0])]}]",
+                )
             )
-            for mask, members in groups.items()
-        )
+        E._classes = tuple(classes)
     return E._classes
 
 
@@ -729,19 +752,18 @@ def find_quasi_second_violation(E: FiniteModule):
     Returns None when E is quasi second.  Whether a pair qualifies depends
     only on the two images, so the search runs over the distinct images of
     the nonunit residues, zero included, in order of first appearance, and
-    names the first residue with each image.  This gives the first witness
-    of the search over all residue pairs: if a residue's image admits no b,
-    neither does any later residue with that image, and the first qualifying
-    b is the first residue with its image.  A unit's image is E, so a unit
+    names the first residue with each image, read per divisor group.  This
+    gives the first witness of the search over all residue pairs: if a
+    residue's image admits no b, neither does any later residue with that
+    image, and the first qualifying b is the first residue with its image.  A unit's image is E, so a unit
     is never part of a witness.  Given bE <= aE, bE != aE exactly when bE
     is smaller, so each a is tested only against the nonzero smaller images.
     """
     ring = E.residue_ring
-    units = ring.units()
     first = {}
-    for r in ring.elements:
-        if r not in units:
-            first.setdefault(E.image_mask(r), r)
+    for g, members in ring.divisor_groups().items():
+        if g != ring.one:
+            first.setdefault(E.image_mask(g), members[0])
     position = {m: k for k, m in enumerate(first)}
     size = {m: m.bit_count() for m in first}
     # nonzero images by size, each size in order of first appearance
@@ -754,9 +776,10 @@ def find_quasi_second_violation(E: FiniteModule):
         hits = [mb for mb in below if not (mb & ~ma)]
         if hits:
             mb = min(hits, key=position.__getitem__)
+            labels, index = ring.labels, ring.index
             return {
-                "a": ring.format_element(first[ma]),
-                "b": ring.format_element(first[mb]),
+                "a": labels[index(first[ma])],
+                "b": labels[index(first[mb])],
                 "aE": E.format_mask(ma),
                 "bE": E.format_mask(mb),
             }

@@ -25,9 +25,9 @@ digit 1 and the rest 0 are the ring's ``additive_generators()``: 1 for
 for ``Trunc``; the factors' generators, embedded, for ``Prod`` and
 ``Ideal``.  Multiplication by t is additive, so its action on the elements
 (``mul_row``) is fixed by the products of t with the generators, one per
-digit; a principal ideal rR, and any cyclic submodule Rx of an R-module,
-is the additive span of the products g*x.  Modules over a ring add through
-the layout instead of through ring values.
+digit (``generator_products``); a principal ideal rR, and any cyclic
+submodule Rx of an R-module, is the additive span of the products g*x.
+Modules over a ring add through the layout instead of through ring values.
 
 Each constructor lists its idempotents without squaring every element:
 ``Zn`` and ``GF(p,f)`` square only the residues whose divisor is a unitary
@@ -51,9 +51,10 @@ read them, so the check covers the operations in use.  Larger ``Trunc``,
 ``Prod`` and ``Ideal`` rings keep their value arithmetic.  ``Zn`` computes
 mod n, and ``GF(p,f)`` computes on element indices through one
 multiply-by-x step (see ``QuotPolyRing``) at every order.  The
-associativity/distributivity sweeps live in the test suite.  Element order
-is lexicographic on canonical coordinates, so every derived set (units,
-radicals, ideals) is deterministic.  Rings are immutable and all
+associativity/distributivity sweeps live in the test suite.  Each
+constructor lists its elements in ``sort_key`` order, with no sort
+(``GF(p,f)`` by length, then by coefficients), so every derived set
+(units, radicals, ideals) is deterministic.  Rings are immutable and all
 operations are pure.
 """
 
@@ -145,6 +146,13 @@ class DigitLayout:
             def add(i, j):
                 return index_of[code[i] ^ code[j]]
 
+        elif len(self.radices) == 1:
+            # one digit: the codes add mod the radix
+            (n,) = self.radices
+
+            def add(i, j):
+                return index_of[(code[i] + code[j]) % n]
+
         else:
             digits = tuple(zip(self.radices, self.places))
 
@@ -214,6 +222,7 @@ class FiniteRing:
     order: int
 
     def _enumerate(self):
+        """The elements, in ``sort_key`` order by construction."""
         raise NotImplementedError
 
     def add(self, x, y):
@@ -249,6 +258,15 @@ class FiniteRing:
             [index(self.mul(t, g)) for g in self.additive_generators()]
         )
 
+    def generator_products(self, i) -> list:
+        """The indices of t*g for the element t at index i and the additive
+        generators g, which fix ``mul_row(t)``; here read off the
+        generators' rows, built once."""
+        if self._generator_rows is None:
+            gens = self.additive_generators()
+            self._generator_rows = [array("H", self.mul_row(g)) for g in gens]
+        return [row[i] for row in self._generator_rows]
+
     def _make_tables(self):
         """(add, mul, neg) on element indices, from the value operations:
         entry i*n + j of add and mul is the index of x_i + x_j and of
@@ -273,6 +291,16 @@ class FiniteRing:
     def format_element(self, x) -> str:
         raise NotImplementedError
 
+    @property
+    def labels(self) -> tuple:
+        """``format_element`` of each element, by index, built once."""
+        if self._labels is None:
+            self._labels = self._make_labels()
+        return self._labels
+
+    def _make_labels(self) -> tuple:
+        return tuple(map(self.format_element, self.elements))
+
     # shared machinery -------------------------------------------------
 
     def _set_order(self, *factors):
@@ -285,11 +313,14 @@ class FiniteRing:
         self._elements = None
         self._index = None
         self._units = None
+        self._divisor_groups = None
         self._divisor_list = None
         # caches exist from construction on: an attribute first set later
         # slows every attribute read on the ring (``self.n`` in ``add``)
         self._layout = None
         self._tables = None
+        self._generator_rows = None
+        self._labels = None
         if validate and self.order <= CONSTRUCTION_CHECK_CAP:
             tables = self.index_tables()
             self._check_tables(*tables)
@@ -298,7 +329,7 @@ class FiniteRing:
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            self._elements = tuple(sorted(self._enumerate(), key=self.sort_key))
+            self._elements = tuple(self._enumerate())
         return self._elements
 
     def index(self, x) -> int:
@@ -320,12 +351,20 @@ class FiniteRing:
         for a nonunit."""
         return self.one if r in self.units() else r
 
+    def divisor_groups(self) -> dict:
+        """{divisor: its elements}, both in element order, built once;
+        callers only read it."""
+        if self._divisor_groups is None:
+            groups = {}
+            for r in self.elements:
+                groups.setdefault(self.divisor(r), []).append(r)
+            self._divisor_groups = groups
+        return self._divisor_groups
+
     def divisors(self) -> tuple:
         """The distinct divisors of the elements, in element order."""
         if self._divisor_list is None:
-            self._divisor_list = tuple(
-                dict.fromkeys(self.divisor(r) for r in self.elements)
-            )
+            self._divisor_list = tuple(self.divisor_groups())
         return self._divisor_list
 
     def is_field(self) -> bool:
@@ -468,6 +507,9 @@ class _EuclideanQuotient(FiniteRing):
         self._divisors = dict(zip(self.elements, table))
         return self._divisors[r]
 
+    def mul_row(self, t) -> list:
+        return self.layout.linear_row(self.generator_products(self.index(t)))
+
     def idempotents(self):
         domain, divisor = self.domain, self.divisor
         unitary = {
@@ -481,8 +523,7 @@ class _EuclideanQuotient(FiniteRing):
 
     def units(self):
         if self._units is None:
-            one = self.one
-            self._units = frozenset(r for r in self.elements if self.divisor(r) == one)
+            self._units = frozenset(self.divisor_groups()[self.one])
         return self._units
 
 
@@ -514,6 +555,10 @@ class ZnRing(_EuclideanQuotient):
 
     def format_element(self, x):
         return str(x)
+
+    def generator_products(self, i):
+        # the one generator is 1, and t*1 = t
+        return [i]
 
     def _multiples(self, g):
         # residue r sits at index r
@@ -575,8 +620,11 @@ class QuotPolyRing(_EuclideanQuotient):
         self._init_quotient(scalars.poly_domain(p), modulus)
 
     def _enumerate(self):
-        for coeffs in itertools.product(range(self.p), repeat=self.degree):
-            yield ptrim(coeffs)
+        # zero, then each length in turn, the top coefficient nonzero
+        p = self.p
+        yield ()
+        for length in range(1, self.degree + 1):
+            yield from itertools.product(*[range(p)] * (length - 1), range(1, p))
 
     def _x_wraps(self) -> list:
         """Entry top is the index of top*(x^d mod f) = -top*(f - x^d), for
@@ -632,14 +680,14 @@ class QuotPolyRing(_EuclideanQuotient):
                 i = add(i, multiples[c])
         return self.elements[i]
 
-    def mul_row(self, t) -> list:
+    def generator_products(self, i) -> list:
+        # t, x*t, ..., x^(d-1)*t: d - 1 steps of x
         step = self._x_step()
-        i = self.index(t)
         images = [i]
         for _ in range(self.degree - 1):
             i = step[i]
             images.append(i)
-        return self.layout.linear_row(images)
+        return images
 
     def neg(self, x):
         return scalars.pneg(x, self.p)
@@ -649,6 +697,20 @@ class QuotPolyRing(_EuclideanQuotient):
 
     def format_element(self, x):
         return scalars.format_poly(x)
+
+    def _make_labels(self):
+        # in the order of ``_make_layout``: rest holds the printed terms of
+        # all coefficient tuples of length k ("" for zero)
+        p, labels, rest = self.p, ["0"], [""]
+        for k in range(self.degree):
+            terms = [""] + [scalars.format_poly((0,) * k + (c,)) for c in range(1, p)]
+            labels += [
+                f"{terms[top]}+{r}" if r else terms[top]
+                for r in rest
+                for top in range(1, p)
+            ]
+            rest = [f"{t}+{r}" if t and r else t or r for r in rest for t in terms]
+        return tuple(labels)
 
     def _multiples(self, g):
         # the multiples g*q for deg q < deg n - deg g are the first residues
@@ -671,9 +733,14 @@ class QuotPolyRing(_EuclideanQuotient):
         return self.elements[i]
 
     def _make_layout(self):
-        # a residue's code reads its coefficients as base-p digits
-        p = self.p
-        codes = [sum(c * p**k for k, c in enumerate(x)) for x in self.elements]
+        # a residue's code reads its coefficients as base-p digits, in the
+        # order of ``_enumerate``: block holds the codes of all coefficient
+        # tuples of length k, and length k + 1 adds a nonzero top digit
+        p, codes, block = self.p, [0], [0]
+        for k in range(self.degree):
+            place = p**k
+            codes += [c + top * place for c in block for top in range(1, p)]
+            block = [c + digit * place for c in block for digit in range(p)]
         return DigitLayout(codes, (p,) * self.degree)
 
 
@@ -726,6 +793,19 @@ class TruncRing(FiniteRing):
                 parts.append(f"{x[i]}*x{i}")
         return "+".join(parts) if parts else "0"
 
+    def _make_labels(self):
+        # from the last coordinate up: tail holds the printed terms of the
+        # coordinates from i on, in element order; coordinate i is 0 on the
+        # first block, which is the old tail
+        p, tail = self.p, [""]
+        for i in reversed(range(self.k + 1)):
+            if i == 0:
+                terms = [str(c) for c in range(1, p)]
+            else:
+                terms = [f"x{i}"] + [f"{c}*x{i}" for c in range(2, p)]
+            tail = tail + [f"{t}+{r}" if r else t for t in terms for r in tail]
+        return tuple(r or "0" for r in tail)
+
     def units(self):
         if self._units is None:
             self._units = frozenset(x for x in self.elements if x[0] != 0)
@@ -769,6 +849,9 @@ class ProdRing(FiniteRing):
 
     def format_element(self, x):
         return f"({self.r1.format_element(x[0])},{self.r2.format_element(x[1])})"
+
+    def _make_labels(self):
+        return tuple(f"({a},{b})" for a in self.r1.labels for b in self.r2.labels)
 
     def units(self):
         if self._units is None:
@@ -854,6 +937,11 @@ class IdealizeRing(FiniteRing):
         ms = ",".join(self.base.format_element(m) for m in x[1])
         return f"({self.base.format_element(x[0])},({ms}))"
 
+    def _make_labels(self):
+        base = self.base.labels
+        ms = [",".join(m) for m in itertools.product(base, repeat=self.d)]
+        return tuple(f"({a},({m}))" for a in base for m in ms)
+
     def units(self):
         # (a, m) is invertible iff a is: the inverse is (a^-1, -a^-2 m)
         if self._units is None:
@@ -893,7 +981,16 @@ class IdealizeRing(FiniteRing):
 
 
 def _is_field_factor(ring: FiniteRing, e) -> bool:
-    """Whether the factor eR (with identity e) is a field."""
+    """Whether the factor eR (with identity e) is a field.  Over a product,
+    (e1, e2)R = e1R1 x e2R2 is one exactly when one part is 0 and the other
+    a field: two nonzero parts give zero divisors (e1, 0)(0, e2)."""
+    if e == ring.one:
+        return ring.is_field()
+    if isinstance(ring, ProdRing):
+        (e1, e2), r1, r2 = e, ring.r1, ring.r2
+        if e1 == r1.zero:
+            return _is_field_factor(r2, e2)
+        return e2 == r2.zero and _is_field_factor(r1, e1)
     part = ring.principal_ideal(e)
     nonzero = [x for x in part if x != ring.zero]
     if not nonzero:
@@ -932,7 +1029,7 @@ def classify_quasi_second_ring(ring: FiniteRing) -> str:
     """Structural classification: local with square-zero maximal ideal
     (decided on the maximal ideal's additive generators, ``_square_zero``),
     a product of two fields eR x (1-e)R for a nontrivial idempotent e
-    (decided on value products, ``_is_field_factor``), or neither."""
+    (``_is_field_factor``), or neither."""
     local, maximal = ring.is_local()
     if local:
         return QS_LOCAL_SQUARE_ZERO if _square_zero(ring, maximal) else NOT_QS

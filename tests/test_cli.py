@@ -521,3 +521,65 @@ def test_analyze_and_dot_stdout_pinned(capsys):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0, argv
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# analyze and dot at the element cap: the specs of CI's "analyze the ring cap
+# ladder" step, and the widest ring space measured besides the Boolean ring
+CAP_LADDER_STDOUT_SHA256 = {
+    "ring:Trunc(2,11)": (
+        "06834afef592fffcbc434b6985b63d7cc4982fde87ffc68d70331e628b32a32b",
+        "952e920f558c1cf1feadd2cbbe273de2a5ad52660e19604c8153fc1c76291a49",
+    ),
+    "ring:Trunc(3,6)": (
+        "1ce6938ae46a527ddca37cf822c350ca8e0dcb2b8758b4bc822dcc7fe0877645",
+        "838b523aebc02abff095b1619f454e1a480fdc497dd3ca3f20f529364f50bf27",
+    ),
+    "ring:Ideal(GF(2,x^4+x+1),2)": (
+        "13f8c24f97db2285e1301d72dc4b4b0427eb895d7a10b52c94dedfba98d5a167",
+        "c54accbf0605c07ef9f68af4e574aba63aa467e4ad99b2233bc83abb225a5f6c",
+    ),
+    "ring:Prod(GF(2,x^6+x+1),GF(2,x^6+x+1))": (
+        "37d6c3ee126f7e304119473311906d500843327f151463c27a139687400f27a9",
+        "f95896f0ca5dc6ba5134c160cf330f269c9132730a3b1c76cd599540a72af2d7",
+    ),
+    "ring:Zn(4096)": (
+        "3d1a7f242c9aa427539bdf4c80706a54a5ab2c1721ed6bec77c4bef2c3dc1d37",
+        "1f4e8e37b839926c9627f139c62cea238b7f70dabe8023c1b062895104a6949f",
+    ),
+    "ring:Ideal(Trunc(2,2),3)": (
+        "8a4c9c1d884c72650b0dc8dc9c07e45f9b0bb092ed66f584e8ae133f19f8fe6c",
+        "2bc92df11806e58ea5a918b93e3d1320a23a981163f17abb32dbe09d8aec89cd",
+    ),
+    "F2[x]:x^12": (
+        "8d85f2aafae6a281be2c51ee1c25056901820504e86e47ff5d548d49df374994",
+        "4cc5ae5d050854fe95e3d41863a2a237b40ac5f316db9266296808ce3505f828",
+    ),
+    "F2[x]:x^12+x^9+x^5+x^2": (
+        "c0bd96919d29ed46e2786eac50d598ac0ab99ba35aa74b1c36c6ea9e48019491",
+        "b49f5e80c944fed4fe003dd6276b2c7fd1df7b1b2d05c6ed47db52c90dee4cd7",
+    ),
+    "Z:2310": (
+        "75995d7c7c8769d8a10242bf0bc0f4d5ef469c3848342e903127aa0fed811260",
+        "700969204fab5e8f6d0e1026cb4db0b70dcf2e04211f100633a5f590025afa89",
+    ),
+    "F3[x]:x^7": (
+        "bd934d7e85fd09d19c8969266809c5b08069850970ff952d9322ff232ec3e19b",
+        "2fc07e5a26ff3041948cc4ee0485572f3219a2d8a6d63c80e43172645155fc6c",
+    ),
+    "ring:GF(3,x^7+x+1)": (
+        "102d55808a4e418eb1d95a189f962b2ea08ea4897b40cc7e2998b19cd6ea9544",
+        "25a8ba9a73081dcbaaf175e9b0a98f1588b3944ba9703f5bcd94b8bc5657bf25",
+    ),
+    "ring:Prod(Zn(4),Trunc(2,9))": (
+        "6b6445d87a699ce67ac1defb0b71a1bc1f8463052cc69100e7abe91c641dd938",
+        "847f6ea5905d5c7b1b63a0ab0f6159729f03320804b9d566f0ab3501c5fb7efc",
+    ),
+}
+
+
+def test_cap_ladder_stdout_pinned(capsys):
+    for spec, digests in CAP_LADDER_STDOUT_SHA256.items():
+        for argv, digest in zip((["analyze", spec], ["dot", spec]), digests):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

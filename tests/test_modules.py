@@ -53,6 +53,19 @@ def value_arithmetic(E):
     )
 
 
+def literal_label(E, x):
+    """The printed form of the element x from each ring's format_element:
+    the ring element itself, or the summands' residues, in parentheses
+    when there are two or more."""
+    if E.moduli is None:
+        return E.residue_ring.format_element(x)
+    parts = [
+        modules._residue_ring(E.domain, d.value).format_element(a)
+        for d, a in zip(E.moduli, x)
+    ]
+    return parts[0] if len(parts) == 1 else "(" + ",".join(parts) + ")"
+
+
 def image(E, r):
     """The image rE as a Submodule."""
     return Submodule._trusted(E, E.image_mask(r))
@@ -586,7 +599,7 @@ def test_divisible_and_simple():
         layout=rings.DigitLayout([0], ()),
         elements=((0,),),
         build_row=lambda r: [0],
-        format_element=str,
+        build_labels=lambda: ["0"],
         domain=INTEGERS,
         moduli=(),
     )
@@ -913,6 +926,56 @@ def catalog_rings():
     return [rings.build_ring(s) for s in verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS)]
 
 
+# a product whose divisor groups are not singletons, and whose associates
+# (3, x) and (3, 2x) share an image: the merged class interleaves groups
+INTERLEAVED_RING = "Prod(Zn(9),Trunc(3,1))"
+
+
+def default_instance_modules():
+    """Each default corpus instance as a module, the mixed rings, whose
+    associates give one image to several divisors, and INTERLEAVED_RING."""
+    specs = [
+        ("ring:" if inst.kind == "ring" else "") + inst.spec_text
+        for inst in verifier.generate_corpus(verifier.DEFAULT_CORPUS)
+    ]
+    specs += [f"ring:{r}" for r in MIXED_RINGS + (INTERLEAVED_RING,)]
+    return [build_module(s) for s in specs]
+
+
+def test_scalar_classes_match_grouping_by_literal_images():
+    # one image per divisor, residues grouped by divisor, against every
+    # nonzero nonunit residue grouped by the image of its value products
+    count = merged = 0
+    for E in default_instance_modules():
+        ring = E.residue_ring
+        units = ring.units()
+        row = value_rows(E)
+        groups = {}
+        for r in ring.elements:
+            if r != ring.zero and r not in units:
+                groups.setdefault(modules._mask(row(r)), []).append(r)
+        literal = [
+            (tuple(members), mask, f"[{ring.format_element(members[0])}]")
+            for mask, members in groups.items()
+        ]
+        classes = scalar_classes(E)
+        assert [(c.members, c.image.mask, c.label) for c in classes] == literal, E
+        count += len(classes)
+        merged += sum(
+            len({ring.divisor(r) for r in c.members}) > 1 for c in classes
+        )
+    assert (count, merged) == (1250, 32)
+
+
+def test_module_labels_are_the_formatted_elements():
+    # labels are put together from the summands' ring labels, once
+    specs = [E.spec_text for E in default_instance_modules()]
+    specs += list(LADDER_SPECS) + [MANY_DIVISORS_SPEC, "F3[x]:x^7", "Z:2,3,4"]
+    for spec in specs:
+        E = build_module(spec)
+        assert E.labels == tuple(literal_label(E, x) for x in E.elements), spec
+
+
 def ladder_picks(ring, rng):
     """The generators, 0, 1 and up to 24 seeded random residues: a full
     sweep at the cap is 4096 rows of 4096 products per ring."""
@@ -1034,11 +1097,11 @@ def test_induced_actions_match_the_literal_search():
         ring = E.residue_ring
         units = ring.units()
         nonunits = [r for r in ring.elements if r not in units]
-        index, label = E.elem_index, E.format_element
+        index = E.elem_index
         products = {r: [index(act(r, x)) for x in E.elements] for r in nonunits}
 
         def listed(indices):
-            return [label(E.elements[i]) for i in sorted(indices)]
+            return [literal_label(E, E.elements[i]) for i in sorted(indices)]
 
         for mask in E.lattice_masks():
             N = Submodule._trusted(E, mask)

@@ -13,6 +13,7 @@ from qdivtop.rings import (
     NOT_QS,
     QS_LOCAL_SQUARE_ZERO,
     QS_TWO_FIELDS,
+    DigitLayout,
     IdealizeRing,
     ProdRing,
     QuotPolyRing,
@@ -20,6 +21,7 @@ from qdivtop.rings import (
     SizeCapExceeded,
     TruncRing,
     ZnRing,
+    _is_field_factor,
     _square_zero,
     build_ring,
     classify_quasi_second_ring,
@@ -637,10 +639,119 @@ def test_field_detection():
     assert not build_ring("GF(2,x^2)").is_field()
 
 
+# the catalog rings of CI's "analyze the ring cap ladder" step, the residue
+# rings of its module specs, and the widest ring space measured besides the
+# Boolean ring
+CAP_LADDER_RINGS = (
+    "Trunc(2,11)", "Trunc(3,6)", "Ideal(GF(2,x^4+x+1),2)",
+    "Prod(GF(2,x^6+x+1),GF(2,x^6+x+1))", "Zn(4096)", "Ideal(Trunc(2,2),3)",
+    "GF(2,x^12)", "GF(2,x^12+x^9+x^5+x^2)", "Zn(2310)", "GF(3,x^7)",
+    "GF(3,x^7+x+1)", "Prod(Zn(4),Trunc(2,9))",
+)
+
+
+def enumeration_specs():
+    """The catalog rings of the default and wide corpora, 100 seeded random
+    nested rings of order <= 256 and the cap-ladder rings."""
+    from qdivtop import verifier
+
+    from test_modules import WIDE_CORPUS
+
+    rng = random.Random(4096)
+    specs = verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS)
+    specs += verifier.catalog_ring_specs(WIDE_CORPUS)
+    specs += [random_ring_spec(rng, 256)[0] for _ in range(100)]
+    return list(dict.fromkeys(specs + list(CAP_LADDER_RINGS)))
+
+
 def test_element_enumeration_is_sorted_and_indexed():
-    for spec in ["Zn(6)", "GF(3,x^2)", "Trunc(2,2)", "Prod(Zn(2),Zn(2))"]:
+    # each constructor lists its elements in sort_key order by construction;
+    # a residue of F_p[x]/(f) has its coefficients as base-p digits of its
+    # layout code, and every ring label is format_element of its element
+    for spec in enumeration_specs():
         ring = build_ring(spec)
-        keys = [ring.sort_key(x) for x in ring.elements]
-        assert keys == sorted(keys)
-        for i, x in enumerate(ring.elements):
+        elements = ring.elements
+        assert list(elements) == sorted(elements, key=ring.sort_key), spec
+        for i, x in enumerate(elements):
             assert ring.index(x) == i
+        assert ring.labels == tuple(map(ring.format_element, elements)), spec
+        if isinstance(ring, QuotPolyRing):
+            p = ring.p
+            codes = [sum(c * p**k for k, c in enumerate(x)) for x in elements]
+            assert list(ring.layout.codes) == codes, spec
+
+
+# one ring per constructor, with and without construction tables
+PRODUCT_SPECS = (
+    "Zn(12)", "GF(3,x^3+x+2)", "GF(2,x^4+x^2)", "Trunc(3,2)", "Trunc(2,6)",
+    "Prod(Zn(2),Trunc(2,2))", "Prod(Zn(4),GF(2,x^3+x+1))",
+    "Ideal(GF(2,x^2+x+1),1)", "Ideal(Zn(3),2)",
+)
+
+
+def test_generator_products_are_the_products_with_the_generators():
+    # the list a span of tR reads, and mul_row(t) is linear in it
+    for spec in PRODUCT_SPECS:
+        ring = build_ring(spec)
+        gens = ring.additive_generators()
+        for i, t in enumerate(ring.elements):
+            literal = [ring.index(ring.mul(t, g)) for g in gens]
+            assert ring.generator_products(i) == literal, (spec, t)
+            assert list(ring.mul_row(t)) == [
+                ring.index(ring.mul(t, x)) for x in ring.elements
+            ], (spec, t)
+
+
+def digit_loop_add(layout):
+    """Addition on a layout digit by digit: each digit of the two codes
+    added mod its radix."""
+    code, index_of = layout.codes, layout.index_of
+
+    def add(i, j):
+        u, v, w = code[i], code[j], 0
+        for radix, place in zip(layout.radices, layout.places):
+            w += (u // place + v // place) % radix * place
+        return index_of[w]
+
+    return add
+
+
+def test_one_digit_addition_matches_the_digit_loop():
+    # Zn(n) for n <= 64, and one-digit layouts whose codes are not the
+    # element indices
+    rng = random.Random(64)
+    layouts = [ZnRing(n).layout for n in range(2, 65)]
+    for n in (3, 10, 64):
+        codes = list(range(n))
+        rng.shuffle(codes)
+        layouts.append(DigitLayout(codes, (n,)))
+    for layout in layouts:
+        n, reference = len(layout.codes), digit_loop_add(layout)
+        assert len(layout.radices) == 1
+        for i in range(n):
+            for j in range(n):
+                assert layout.add(i, j) == reference(i, j), (layout.codes, i, j)
+
+
+def test_field_factors_of_a_product_are_read_off_its_factors(monkeypatch):
+    # (e1, e2)R = e1R1 x e2R2 decides the two-field case with no product
+    # in the ring itself, where value products took 12,312
+    products = []
+    mul = ProdRing.mul
+
+    def counted(self, x, y):
+        products.append(None)
+        return mul(self, x, y)
+
+    ring = build_ring("Prod(GF(2,x^6+x+1),GF(2,x^6+x+1))")
+    monkeypatch.setattr(ProdRing, "mul", counted)
+    assert classify_quasi_second_ring(ring) == QS_TWO_FIELDS
+    assert products == []
+    monkeypatch.undo()
+    # against the value products of eR, on every idempotent of the
+    # reference rings
+    for spec in reference_ring_specs():
+        ring = build_ring(spec)
+        for e in ring.idempotents():
+            part = ring.principal_ideal(e)
+            assert _is_field_factor(ring, e) == literal_is_field(ring, part, e), (spec, e)
