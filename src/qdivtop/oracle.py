@@ -78,12 +78,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .modules import SizeCapExceeded, _bits
 from .topology import QuasiDivisorSpace, maximal_classes
 
 OPEN_SET_CAP = 1 << 14
 T5_CAP = 12
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_flags(mask: int) -> bytes:
+    """Bit k of the mask as byte k, 0 or 1, to select with ``compress``:
+    digit k of its reversed binary text."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
 
 
 class FiniteTopology:
@@ -129,10 +137,7 @@ class FiniteTopology:
             for j in _bits(m):
                 meets |= holds[j]
             dense &= meets
-        # digit k of the reversed binary text is bit k of the mask
-        self.dense = tuple(
-            o for o, digit in zip(opens, bin(dense)[:1:-1]) if digit == "1"
-        )
+        self.dense = tuple(compress(opens, _bit_flags(dense)))
         self.topology_ok = None
 
     def is_open(self, mask: int) -> bool:
@@ -185,20 +190,23 @@ class StructureChecks:
 def _is_topology(topo: FiniteTopology) -> bool:
     """Closure of the family under pairwise union and intersection.
 
-    Exact with |opens|·n membership tests.  Suppose the empty set is a
-    member and o | m_i is a member for every member o and point i.  Then
-    every union of the m_i is a member, starting from the empty set.  Each
-    member o contains m_i for every point i of o (m_i is the intersection
-    of the members holding i), so o is the union of the m_i over its
-    points.  The family is thus the set of unions of the m_i: it holds the
-    full set and is closed under union, and under intersection because
-    m_i & m_j is the union of the m_k over its points k.  The verdict is
-    kept on the topology and read back on later calls.
+    Exact with at most |opens|·n membership tests.  Suppose the empty set
+    is a member and o | m_i is a member for every member o and point i.
+    Then every union of the m_i is a member, starting from the empty set.
+    Each member o contains m_i for every point i of o (m_i is the
+    intersection of the members holding i), so o is the union of the m_i
+    over its points.  The family is thus the set of unions of the m_i: it
+    holds the full set and is closed under union, and under intersection
+    because m_i & m_j is the union of the m_k over its points k.  A member
+    o that holds i contains m_i, so o | m_i = o is a member, and only the
+    members that lack i, the bits of ``lacks[i]``, are tested against
+    m_i.  The verdict is kept on the topology and read back on later calls.
     """
     if topo.topology_ok is None:
         opens, open_set = topo.opens, topo._open_set
         topo.topology_ok = 0 in open_set and all(
-            open_set.issuperset([o | m for o in opens]) for m in topo.min_opens
+            open_set.issuperset([o | m for o in compress(opens, _bit_flags(lack))])
+            for m, lack in zip(topo.min_opens, topo.lacks)
         )
     return topo.topology_ok
 

@@ -48,7 +48,9 @@ tables of its own gets them from its value arithmetic on every pair).  The
 identity, negation and commutativity laws are checked exhaustively on
 those tables, and the ring's ``add``, ``mul``, ``neg`` and ``mul_row`` then
 read them, so the check covers the operations in use.  Larger ``Trunc``,
-``Prod`` and ``Ideal`` rings keep their value arithmetic.  ``Zn`` computes
+``Prod`` and ``Ideal`` rings keep their value arithmetic, but a larger
+``Prod`` or ``Ideal`` ring joins each row from its factors' rows, with no
+ring product (``mul_row``).  ``Zn`` computes
 mod n, and ``GF(p,f)`` computes on element indices through one
 multiply-by-x step (see ``QuotPolyRing``) at every order.  The
 associativity/distributivity sweeps live in the test suite.  Each
@@ -120,7 +122,18 @@ class DigitLayout:
     ``codes``.  ``places`` are the codes with one digit 1 and the rest 0, so
     their elements generate the group.  ``add`` adds two indices.  A product
     layout remembers its factors' orders (``sizes``, most significant
-    first) to ``join`` per-factor index lists."""
+    first) to ``join`` per-factor index lists.
+
+    Binary codes add by exclusive or, and one-digit codes mod the radix.
+    Any other pair of codes adds in two table lookups.  Digits below r add
+    to at most 2r - 2, so two codes re-read with each digit in the wide
+    radix 2r - 1 add as integers with no carry, and the digit-wise sums
+    can be read back mod r off a table with one entry per wide code.  A
+    table over every digit would be larger than the group, so the digits
+    are split into a low and a high half (codes mod and div ``split``),
+    each with its own wide re-reading and table (``_digit_sums``): 243 and
+    1,701 entries for the 4,096 elements of ``Prod(Zn(4),Trunc(2,9))``,
+    built with no work per element."""
 
     def __init__(self, codes, radices, sizes=None):
         self.codes = array("H", codes)
@@ -154,13 +167,18 @@ class DigitLayout:
                 return index_of[(code[i] + code[j]) % n]
 
         else:
-            digits = tuple(zip(self.radices, self.places))
+            # two halves, each added in its wide radix (see the docstring)
+            half = len(self.radices) // 2
+            split = self.places[half]
+            lo_w, lo_t = _digit_sums(self.radices[:half], 1)
+            hi_w, hi_t = _digit_sums(self.radices[half:], split)
 
             def add(i, j):
-                u, v, w = code[i], code[j], 0
-                for radix, place in digits:
-                    w += (u // place + v // place) % radix * place
-                return index_of[w]
+                u, v = code[i], code[j]
+                return index_of[
+                    lo_t[lo_w[u % split] + lo_w[v % split]]
+                    + hi_t[hi_w[u // split] + hi_w[v // split]]
+                ]
 
         return add
 
@@ -213,6 +231,17 @@ class DigitLayout:
             return [index_of[c * v % n] for c in code]
         by_code = self.linear_images(images)
         return [by_code[c] for c in code]
+
+
+def _digit_sums(radices, place) -> tuple:
+    """(wide, table) for digits of the given radices whose lowest sits at
+    ``place``: ``wide[c]`` re-reads the code c of these digits with each
+    digit r in radix 2r - 1, and ``table[s]`` is the code, at ``place``,
+    of the wide code s with each digit taken mod its r."""
+    top = radices[::-1]
+    wide = _mixed_radix([2 * r - 1 for r in top], [range(r) for r in top])
+    table = _mixed_radix(top, [[d % r * place for d in range(2 * r - 1)] for r in top])
+    return wide, table
 
 
 class FiniteRing:
@@ -321,6 +350,7 @@ class FiniteRing:
         self._tables = None
         self._generator_rows = None
         self._labels = None
+        self._maximal = {}
         if validate and self.order <= CONSTRUCTION_CHECK_CAP:
             tables = self.index_tables()
             self._check_tables(*tables)
@@ -371,9 +401,17 @@ class FiniteRing:
         return len(self.units()) == self.order - 1
 
     def is_maximal(self, ideal) -> bool:
-        """Whether the ideal I is maximal, that is R/I is a field: I is
-        proper, and every x outside I has a y with x*y in 1 + I.  A unit
-        has one, its inverse, so only nonunits are searched."""
+        """Whether the ideal I, a frozenset, is maximal, decided once per
+        distinct ideal (``_decide_maximal``)."""
+        known = self._maximal.get(ideal)
+        if known is None:
+            known = self._maximal[ideal] = self._decide_maximal(ideal)
+        return known
+
+    def _decide_maximal(self, ideal) -> bool:
+        """Whether R/I is a field: I is proper, and every x outside I has a
+        y with x*y in 1 + I.  A unit has one, its inverse, so only nonunits
+        are searched."""
         if self.one in ideal:
             return False
         units = self.units()
@@ -863,6 +901,10 @@ class ProdRing(FiniteRing):
     def divisor(self, r):
         return (self.r1.divisor(r[0]), self.r2.divisor(r[1]))
 
+    def mul_row(self, t) -> list:
+        # (t1, t2)(x1, x2) = (t1*x1, t2*x2): the factors' rows side by side
+        return self.layout.join([self.r1.mul_row(t[0]), self.r2.mul_row(t[1])])
+
     def idempotents(self):
         # (e1, e2)^2 = (e1^2, e2^2), so both components are idempotent
         return frozenset(
@@ -954,6 +996,18 @@ class IdealizeRing(FiniteRing):
         # am = a(2am) = 2a^2m = 2am, hence am = 0 and m = 2am = 0
         zeros = self.zero[1]
         return frozenset((e, zeros) for e in self.base.idempotents())
+
+    def mul_row(self, t) -> list:
+        # (a, m)(b, n) = (ab, a*n_k + b*m_k): over the elements with first
+        # coordinate b, coordinate k runs over a's base row translated by
+        # b*m_k, one block of base digits per b
+        base, join, row = self.base, self.layout.join, []
+        a_row, add = base.mul_row(t[0]), base.layout.add
+        m_rows = [base.mul_row(m) for m in t[1]]
+        for b, ab in enumerate(a_row):
+            shifted = [[add(x, m_row[b]) for x in a_row] for m_row in m_rows]
+            row += join([[ab], *shifted])
+        return row
 
     def _make_layout(self):
         # the element order is lexicographic on the d + 1 base coordinates

@@ -1,5 +1,6 @@
 """Planted faults, one per row: each row names a rule, one fault planted with
-``monkeypatch`` in the layer that the rule checks, and a corpus instance on
+``monkeypatch`` in the layer that the rule checks, and a corpus instance (or,
+for a route that no corpus instance reaches, a ``CAP_LADDER`` instance) on
 which the rule then fails with a witness, while the unmutated rule passes
 there.  A rule with no row has no fault shown to make it fail.
 
@@ -137,6 +138,27 @@ def product_idempotents_trivial(mp):
     mp.setattr(rings.ProdRing, "idempotents", lambda self: frozenset((self.zero, self.one)))
 
 
+def idealization_translated_by_the_coordinate(mp):
+    # a row of Ideal(R,d) past the check cap translates coordinate k by
+    # n_k*m_k, not b*m_k, in (a,m)(b,n) = (ab, a*n_k + b*m_k): the product
+    # of (0,e_k) and (0,n) becomes (0,n_k*e_k), so the image of (0,n) is
+    # the span of the e_k with n_k != 0.  Dropping the translation b*m_k
+    # would go unseen: the search reads rows at nonunits only, and over a
+    # field their base coordinate b is 0
+    def planted(self, t):
+        base, join, row = self.base, self.layout.join, []
+        a_row, add = base.mul_row(t[0]), base.layout.add
+        m_rows = [base.mul_row(m) for m in t[1]]
+        for ab in a_row:
+            shifted = [
+                [add(x, m_row[n]) for n, x in enumerate(a_row)] for m_row in m_rows
+            ]
+            row += join([[ab], *shifted])
+        return row
+
+    mp.setattr(rings.IdealizeRing, "mul_row", planted)
+
+
 def interior_every_member_inside(mp):
     # the interior keeps the points all of whose members lie inside the set,
     # not the points that some member inside the set holds
@@ -228,6 +250,15 @@ def t2_pairs_each_point_with_itself(mp):
     mp.setitem(oracle._AXIOMS, "T2", planted)
 
 
+# the elements of GF(3,x^2+1) in element order
+F9 = ("0", "1", "2", "x", "2*x", "x+1", "2*x+1", "x+2", "2*x+2")
+
+# instances outside the corpus, from CI's ring cap ladder: every corpus ring
+# has order at most rings.CONSTRUCTION_CHECK_CAP and reads its rows off its
+# checked tables, so only a larger ring reaches the rows that Prod and
+# Ideal rings join from their factors' rows
+CAP_LADDER = ("Ideal(GF(3,x^2+1),2)",)
+
 # (rule, fault, instance, witness under the fault); an instance spec with a
 # colon is a module, one without is a catalog ring
 ROWS = [
@@ -300,6 +331,17 @@ ROWS = [
         "Prod(Zn(2),Zn(3))",
         "brute=True classification=NotQuasiSecond",
     ),
+    (
+        "R14",
+        idealization_translated_by_the_coordinate,
+        "Ideal(GF(3,x^2+1),2)",
+        "brute=False classification=LocalSquareZeroMax; witness a=(0,(1,1)) "
+        "b=(0,(0,1)) (a)={"
+        + ",".join(f"(0,({u},{v}))" for u in F9 for v in F9)
+        + "} (b)={"
+        + ",".join(f"(0,(0,{v}))" for v in F9)
+        + "}",
+    ),
     ("R16", submodule_zero_is_n, "Z:4", "quotient by {0} is not quasi second: a=2 b=0"),
     ("R16", quotient_image_without_n, "Z:4", "quotient by {0,2} is not quasi second: a=2 b=0"),
     ("R17", t3_read_off_down_sets, "Z:8", "T3 fast=True definitional=False"),
@@ -353,7 +395,7 @@ ROWS = [
 )
 def test_planted_fault_makes_the_rule_fail(monkeypatch, rule_id, plant, spec, witness):
     instance = Instance("module" if ":" in spec else "ring", spec)
-    assert instance in verifier.generate_corpus()
+    assert instance in verifier.generate_corpus() or spec in CAP_LADDER
     assert run_rule(rule_id, instance).verdict == PASS
     plant(monkeypatch)
     outcome = run_rule(rule_id, instance)

@@ -10,10 +10,12 @@ import pytest
 from qdivtop.modules import find_quasi_second_violation, is_quasi_second, ring_cyclic
 from qdivtop.scalars import format_poly, monic_polys, padd, pdivmod, pmul, pneg
 from qdivtop.rings import (
+    CONSTRUCTION_CHECK_CAP,
     NOT_QS,
     QS_LOCAL_SQUARE_ZERO,
     QS_TWO_FIELDS,
     DigitLayout,
+    FiniteRing,
     IdealizeRing,
     ProdRing,
     QuotPolyRing,
@@ -731,6 +733,77 @@ def test_one_digit_addition_matches_the_digit_loop():
         for i in range(n):
             for j in range(n):
                 assert layout.add(i, j) == reference(i, j), (layout.codes, i, j)
+
+
+def test_multi_digit_addition_matches_the_digit_loop():
+    # the two-lookup adder on every pair: mixed radices with binary digits,
+    # odd radices, and shuffled codes
+    rng = random.Random(27)
+    specs = ("Prod(Trunc(2,3),Zn(27))", "Prod(Zn(4),Trunc(2,3))")
+    specs += ("Trunc(3,2)", "Ideal(Zn(3),2)")
+    layouts = [build_ring(spec).layout for spec in specs]
+    for radices in ((2, 3, 4), (3, 3, 3)):
+        codes = list(range(math.prod(radices)))
+        rng.shuffle(codes)
+        layouts.append(DigitLayout(codes, radices))
+    for layout in layouts:
+        n, reference = len(layout.codes), digit_loop_add(layout)
+        assert len(layout.radices) > 1 and not layout.binary
+        for i in range(n):
+            for j in range(n):
+                assert layout.add(i, j) == reference(i, j), (layout.radices, i, j)
+
+
+def test_product_and_idealization_rows_match_the_checked_tables():
+    # the rows joined from factor rows, called on the class past the
+    # table override, against the checked mul table of every Prod and
+    # Ideal ring of the catalog and of the mixed rings, and Ideal(Zn(3),2)
+    checked = 0
+    for spec in reference_ring_specs() + ["Ideal(Zn(3),2)"]:
+        ring = build_ring(spec)
+        n = ring.order
+        if not isinstance(ring, (ProdRing, IdealizeRing)) or n > CONSTRUCTION_CHECK_CAP:
+            continue
+        mul = ring.index_tables()[1]
+        for i, t in enumerate(ring.elements):
+            row = type(ring).mul_row(ring, t)
+            assert row == mul[i * n : (i + 1) * n].tolist(), (spec, t)
+        checked += 1
+    assert checked == 52
+
+
+def test_product_and_idealization_rows_match_value_products():
+    # past the check cap, seeded sample rows against the value products
+    rng = random.Random(729)
+    specs = [s for s in RINGS_QS_SPECS if s.startswith(("Prod", "Ideal"))]
+    for spec in specs + ["Prod(Zn(4),Trunc(2,9))"]:
+        ring = build_ring(spec)
+        assert ring.order > CONSTRUCTION_CHECK_CAP
+        for t in rng.sample(ring.elements, 4):
+            literal = [ring.index(ring.mul(t, x)) for x in ring.elements]
+            assert type(ring).mul_row(ring, t) == literal, (spec, t)
+
+
+def test_is_maximal_is_decided_once_per_ideal(monkeypatch):
+    # R10 over ring:Trunc(2,3) asks for the maximality of one ideal, the
+    # maximal ideal, once per nonzero class of nonunits
+    calls, decided = [], []
+    is_maximal, decide = FiniteRing.is_maximal, FiniteRing._decide_maximal
+
+    def counted_call(self, ideal):
+        calls.append(ideal)
+        return is_maximal(self, ideal)
+
+    def counted_decision(self, ideal):
+        decided.append(ideal)
+        return decide(self, ideal)
+
+    monkeypatch.setattr(FiniteRing, "is_maximal", counted_call)
+    monkeypatch.setattr(FiniteRing, "_decide_maximal", counted_decision)
+    from qdivtop.verifier import PASS, Instance, run_rule
+
+    assert run_rule("R10", Instance("module", "ring:Trunc(2,3)")).verdict == PASS
+    assert (len(calls), len(decided)) == (7, 1)
 
 
 def test_field_factors_of_a_product_are_read_off_its_factors(monkeypatch):
