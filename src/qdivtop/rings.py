@@ -43,11 +43,14 @@ and 66 products for ``Trunc(2,11)``, against about 2.1 million pairs of m.
 A ``Trunc``, ``Prod`` or ``Ideal`` ring of order at most 64
 (``CONSTRUCTION_CHECK_CAP``) builds its add, mul and neg tables on element
 indices once, at construction: ``Trunc`` from its value arithmetic on every
-pair, ``Prod`` and ``Ideal`` from their factors' tables (a factor without
-tables of its own gets them from its value arithmetic on every pair).  The
-identity, negation and commutativity laws are checked exhaustively on
-those tables, and the ring's ``add``, ``mul``, ``neg`` and ``mul_row`` then
-read them, so the check covers the operations in use.  Larger ``Trunc``,
+pair, ``Ideal`` from its base's tables entry by entry, and ``Prod`` from its
+factors' tables in one big-integer sum per table, over one-byte lanes
+(``_product_table``).  A factor builds its own tables for this: ``GF(p,f)``
+reads them off its rows and its layout's addition, and ``Zn`` from its
+value arithmetic on every pair.  The identity, negation and commutativity
+laws are checked exhaustively on those tables, and the ring's ``add``,
+``mul``, ``neg`` and ``mul_row`` then read them, so the check covers the
+operations in use.  Larger ``Trunc``,
 ``Prod`` and ``Ideal`` rings keep their value arithmetic, but a larger
 ``Prod`` or ``Ideal`` ring joins each row from its factors' rows, with no
 ring product (``mul_row``).  ``Zn`` computes
@@ -64,6 +67,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from array import array
 
 from . import scalars
@@ -83,6 +87,8 @@ class RingError(ValueError):
 
 
 ORDER_CAP = 4096
+# at most 256: the tables of a checked Prod ring are summed in one-byte
+# lanes (``_product_table``)
 CONSTRUCTION_CHECK_CAP = 64
 # every ring has order >= 2 and each Prod or Ideal level at least doubles
 # it, so a spec nested deeper than this exceeds ORDER_CAP
@@ -242,6 +248,38 @@ def _digit_sums(radices, place) -> tuple:
     wide = _mixed_radix([2 * r - 1 for r in top], [range(r) for r in top])
     table = _mixed_radix(top, [[d % r * place for d in range(2 * r - 1)] for r in top])
     return wide, table
+
+
+def _product_table(t1, n1, t2, n2) -> array:
+    """The table of a product ring, on its element indices, from the same
+    table of each factor (t1 on n1 elements, t2 on n2): entry
+    ((i1, i2), (j1, j2)), at ((i1*n2 + i2)*n1 + j1)*n2 + j2, is
+    t1[i1, j1]*n2 + t2[i2, j2].
+
+    It is one big-integer sum, with no step per entry.  t1 and t2 are laid
+    out over the product's positions, one byte per position (a lane): the
+    high summand holds t1[i1, j1] in each lane, from t1 with each entry
+    stretched over the n2 values of j2 and each row repeated for the n2
+    values of i2; the low one holds t2[i2, j2], from each row of t2 tiled
+    over j1 and the whole repeated for i1.  Read base 256, with
+    coefficients a_k <= n1 - 1 and b_k <= n2 - 1, high*n2 + low is the sum
+    of (a_k*n2 + b_k)*256^k, and a_k*n2 + b_k <= (n1 - 1)*n2 + n2 - 1 =
+    n1*n2 - 1.  So for a product of at most 256 elements no lane carries
+    into the next, and the bytes of the sum are the entries.  A larger
+    product would carry, and is refused."""
+    n = n1 * n2
+    if n > 256:
+        raise RingError(f"a product table on {n} elements does not fit one-byte lanes")
+    entries1, stretched = bytes(t1.tolist()), bytearray(n1 * n)
+    for j2 in range(n2):
+        stretched[j2::n2] = entries1
+    high = b"".join(stretched[i1 * n : (i1 + 1) * n] * n2 for i1 in range(n1))
+    low = b"".join(bytes(t2[i2 * n2 : (i2 + 1) * n2].tolist()) * n1 for i2 in range(n2))
+    total = int.from_bytes(high, "big") * n2 + int.from_bytes(low * n1, "big")
+    # widen each byte to an "H" item, low byte first in the native order
+    wide = bytearray(2 * n * n)
+    wide[sys.byteorder == "big" :: 2] = total.to_bytes(n * n, "big")
+    return array("H", wide)
 
 
 class FiniteRing:
@@ -628,13 +666,12 @@ class QuotPolyRing(_EuclideanQuotient):
 
     A ring of order at most ``CONSTRUCTION_CHECK_CAP`` keeps the row of a
     left factor from its second product on, since the value arithmetic of
-    ``Prod`` and ``Ideal`` rings multiplies the same pairs of a small
-    factor over and over, while a sweep of squares uses each factor once;
-    a larger ring keeps nothing but ``_times_x``.
-    The construction tables of a ``Prod`` or ``Ideal`` ring over this one
-    still come from ``mul`` and ``add`` on every pair, not from rows, so
-    that the construction check tests these operations against each other
-    instead of taking rows on trust."""
+    a larger ``Prod`` or ``Ideal`` ring multiplies the same pairs of a
+    small factor over and over, while a sweep of squares uses each factor
+    once; a larger ring keeps nothing but ``_times_x``.  The tables that a
+    checked ``Prod`` or ``Ideal`` ring over this one builds its own from
+    are read off the same rows (``_make_tables``), so its construction
+    check tests ``mul_row`` against the ring laws."""
 
     def __init__(self, p: int, modulus):
         # a p past the cap fails the order check below, before any trial
@@ -729,6 +766,19 @@ class QuotPolyRing(_EuclideanQuotient):
 
     def neg(self, x):
         return scalars.pneg(x, self.p)
+
+    def _make_tables(self):
+        # row x of mul is mul_row(x), the row that mul reads from its second
+        # product by x on; add is the layout's addition
+        n, add, index = self.order, self.layout.add, self.index
+        mul = array("H")
+        for x in self.elements:
+            mul.extend(self.mul_row(x))
+        return (
+            array("H", [add(i, j) for i in range(n) for j in range(n)]),
+            mul,
+            array("H", [index(self.neg(x)) for x in self.elements]),
+        )
 
     def sort_key(self, x):
         return (len(x), x)
@@ -916,23 +966,16 @@ class ProdRing(FiniteRing):
         return DigitLayout.product([self.r1.layout, self.r2.layout])
 
     def _make_tables(self):
-        # row (x1, x2) of a table joins row x1 of R1's with row x2 of R2's
-        join = self.layout.join
         n1, n2 = self.r1.order, self.r2.order
-
-        def combine(t1, t2):
-            out = array("H")
-            for i1 in range(n1):
-                row1 = t1[i1 * n1 : (i1 + 1) * n1]
-                for i2 in range(n2):
-                    out.extend(join([row1, t2[i2 * n2 : (i2 + 1) * n2]]))
-            return out
-
         (add1, mul1, neg1), (add2, mul2, neg2) = (
             self.r1.index_tables(),
             self.r2.index_tables(),
         )
-        return combine(add1, add2), combine(mul1, mul2), array("H", join([neg1, neg2]))
+        return (
+            _product_table(add1, n1, add2, n2),
+            _product_table(mul1, n1, mul2, n2),
+            array("H", self.layout.join([neg1, neg2])),
+        )
 
 
 class IdealizeRing(FiniteRing):

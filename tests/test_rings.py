@@ -7,6 +7,7 @@ from array import array
 
 import pytest
 
+from qdivtop import rings
 from qdivtop.modules import find_quasi_second_violation, is_quasi_second, ring_cyclic
 from qdivtop.scalars import format_poly, monic_polys, padd, pdivmod, pmul, pneg
 from qdivtop.rings import (
@@ -28,6 +29,7 @@ from qdivtop.rings import (
     build_ring,
     classify_quasi_second_ring,
 )
+from test_mutants import RULE_INVISIBLE
 
 
 def test_build_examples():
@@ -450,7 +452,7 @@ def literal_ops(ring):
     if isinstance(ring, QuotPolyRing):
         p, f = ring.p, ring.modulus
         return (
-            lambda x, y: padd(x, y, p),
+            functools.cache(lambda x, y: padd(x, y, p)),
             functools.cache(lambda x, y: pdivmod(pmul(x, y, p), f, p)[1]),
             lambda x: pneg(x, p),
         )
@@ -481,14 +483,32 @@ def literal_ops(ring):
     )
 
 
+def quot_poly_factors(ring):
+    """The GF(p,f) rings among the factors of a Prod or Ideal ring, at any
+    depth."""
+    if isinstance(ring, QuotPolyRing):
+        return [ring]
+    if isinstance(ring, ProdRing):
+        return quot_poly_factors(ring.r1) + quot_poly_factors(ring.r2)
+    if isinstance(ring, IdealizeRing):
+        return quot_poly_factors(ring.base)
+    return []
+
+
 def test_index_tables_match_the_literal_operations():
-    # every catalog ring checked on construction reads its operations from
-    # index tables built from its factors' tables; every entry, and the
-    # value operations and rows that read them, against the definitions
+    # every ring checked on construction reads its operations from index
+    # tables built from its factors' tables (a Prod ring's summed in byte
+    # lanes, a GF(p,f) factor's read off its rows); every entry, and the
+    # value operations and rows that read them, against the definitions,
+    # on the catalog rings and 200 seeded random nested rings of order at
+    # most 64.  Every GF(p,f) factor's tables against its value operations
     from qdivtop import verifier
 
-    checked = 0
-    for spec in verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS):
+    rng = random.Random(6421)
+    catalog = list(verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS))
+    drawn = [random_ring_spec(rng, 64)[0] for _ in range(200)]
+    checked, factors = collections.Counter(), 0
+    for k, spec in enumerate(catalog + drawn):
         ring = build_ring(spec)
         if isinstance(ring, (ZnRing, QuotPolyRing)):
             continue
@@ -498,13 +518,21 @@ def test_index_tables_match_the_literal_operations():
         elems, index, n = ring.elements, ring.index, ring.order
         for i, x in enumerate(elems):
             assert neg_t[i] == index(neg(x)) and ring.neg(x) == neg(x), (spec, x)
-            products = [index(mul(x, y)) for y in elems]
+            sums, products = [add(x, y) for y in elems], [mul(x, y) for y in elems]
+            assert [ring.add(x, y) for y in elems] == sums, (spec, x)
+            assert [ring.mul(x, y) for y in elems] == products, (spec, x)
+            products = list(map(index, products))
             assert ring.mul_row(x) == products == mul_t[i * n : i * n + n].tolist()
-            assert add_t[i * n : i * n + n].tolist() == [index(add(x, y)) for y in elems]
-            for y in elems:
-                assert ring.add(x, y) == add(x, y) and ring.mul(x, y) == mul(x, y)
-        checked += 1
-    assert checked == 51
+            assert add_t[i * n : i * n + n].tolist() == list(map(index, sums))
+        for factor in quot_poly_factors(ring):
+            add_t, mul_t, neg_t = factor.index_tables()
+            elems, index = factor.elements, factor.index
+            assert add_t.tolist() == [index(factor.add(x, y)) for x in elems for y in elems]
+            assert mul_t.tolist() == [index(factor.mul(x, y)) for x in elems for y in elems]
+            assert neg_t.tolist() == [index(factor.neg(x)) for x in elems], factor.spec
+            factors += 1
+        checked[k < len(catalog)] += 1
+    assert (checked[True], checked[False], factors) == (51, 126, 90)
 
 
 @pytest.mark.parametrize("p, max_degree", [(2, 6), (3, 3), (5, 2)])
@@ -614,6 +642,22 @@ def test_construction_check_rejects_a_broken_identity(op, pair):
         LawBreakingZn(6, op, pair)
 
 
+class RowBreakingGF(QuotPolyRing):
+    """GF(2,x^3+x+1) with one wrong entry in its multiplication rows, at one
+    ordered pair of element indices.  It runs no check of its own, and its
+    mul table is its rows."""
+
+    def __init__(self, pair=None):
+        self.pair = pair
+        super().__init__(2, (1, 1, 0, 1))
+
+    def mul_row(self, t):
+        row = super().mul_row(t)
+        if self.pair and self.index(t) == self.pair[0]:
+            row[self.pair[1]] = (row[self.pair[1]] + 1) % self.order
+        return row
+
+
 @pytest.mark.parametrize(
     "op, pair, message",
     [
@@ -626,12 +670,46 @@ def test_construction_check_rejects_a_composite_ring_with_a_broken_factor(
     op, pair, message
 ):
     # the factor runs no check of its own; the composite ring's tables,
-    # built from the factor's, carry the broken entry and are rejected
+    # built from the factor's, carry the broken entry and are rejected: a
+    # value operation of a Zn factor, or a row of a GF(p,f) factor
     assert ProdRing(LawBreakingZn(6, check=False), ZnRing(2)).order == 12
     assert IdealizeRing(LawBreakingZn(6, check=False), 1).order == 36
-    for build in (lambda f: ProdRing(f, ZnRing(2)), lambda f: IdealizeRing(f, 1)):
-        with pytest.raises(RingError, match=message):
-            build(LawBreakingZn(6, op, pair, check=False))
+    assert ProdRing(RowBreakingGF(), ZnRing(2)).order == 16
+    assert IdealizeRing(RowBreakingGF(), 1).order == 64
+    factors = [lambda: LawBreakingZn(6, op, pair, check=False)]
+    if op == "mul":
+        factors.append(lambda: RowBreakingGF(pair))
+    for factor in factors:
+        for build in (lambda f: ProdRing(f, ZnRing(2)), lambda f: IdealizeRing(f, 1)):
+            with pytest.raises(RingError, match=message):
+                build(factor())
+
+
+def test_construction_check_rejects_product_tables_with_swapped_lanes(monkeypatch):
+    # the factors' tables summed in each other's lanes give the tables of
+    # Prod(Zn(3),Zn(2)), read on the elements of Prod(Zn(2),Zn(3))
+    product_table = rings._product_table
+    monkeypatch.setattr(
+        rings, "_product_table", lambda t1, n1, t2, n2: product_table(t2, n2, t1, n1)
+    )
+    with pytest.raises(RingError, match="identity laws fail at"):
+        build_ring("Prod(Zn(2),Zn(3))")
+
+
+def test_product_tables_fill_byte_lanes_up_to_256_elements():
+    # at 256 elements an entry reaches 255, the top of a byte lane, with
+    # no carry into the next; one element more would carry, and is refused
+    ring = ProdRing(ZnRing(16), ZnRing(16))
+    add, mul, _ = ring.index_tables()
+    pairs = list(itertools.product(range(16), repeat=2))
+    assert add.tolist() == [
+        (a1 + b1) % 16 * 16 + (a2 + b2) % 16 for a1, a2 in pairs for b1, b2 in pairs
+    ]
+    assert mul.tolist() == [
+        a1 * b1 % 16 * 16 + a2 * b2 % 16 for a1, a2 in pairs for b1, b2 in pairs
+    ]
+    with pytest.raises(RingError, match="does not fit one-byte lanes"):
+        ProdRing(ZnRing(16), ZnRing(17)).index_tables()
 
 
 def test_field_detection():
@@ -772,16 +850,32 @@ def test_product_and_idealization_rows_match_the_checked_tables():
     assert checked == 52
 
 
-def test_product_and_idealization_rows_match_value_products():
-    # past the check cap, seeded sample rows against the value products
+def rows_unlike_value_products():
+    """The (spec, t) of seeded sample rows of Prod and Ideal rings past the
+    check cap that differ from the value products."""
     rng = random.Random(729)
     specs = [s for s in RINGS_QS_SPECS if s.startswith(("Prod", "Ideal"))]
+    unlike = []
     for spec in specs + ["Prod(Zn(4),Trunc(2,9))"]:
         ring = build_ring(spec)
         assert ring.order > CONSTRUCTION_CHECK_CAP
         for t in rng.sample(ring.elements, 4):
             literal = [ring.index(ring.mul(t, x)) for x in ring.elements]
-            assert type(ring).mul_row(ring, t) == literal, (spec, t)
+            if type(ring).mul_row(ring, t) != literal:
+                unlike.append((spec, t))
+    return unlike
+
+
+def test_product_and_idealization_rows_match_value_products():
+    assert rows_unlike_value_products() == []
+
+
+@pytest.mark.parametrize(
+    "plant", [plant for plant, _ in RULE_INVISIBLE], ids=lambda plant: plant.__name__
+)
+def test_row_faults_no_rule_sees_are_caught_by_value_products(monkeypatch, plant):
+    plant(monkeypatch)
+    assert rows_unlike_value_products() != []
 
 
 def test_is_maximal_is_decided_once_per_ideal(monkeypatch):

@@ -185,6 +185,24 @@ def test_r14_failure_names_the_ring_witness(monkeypatch):
     )
 
 
+def test_r16_failure_names_the_submodule_witness(monkeypatch):
+    # no fault tried makes R16 fail on a submodule of a corpus module, so
+    # inject a finder that passes Z:4 and its quotients but reports a
+    # violation on its submodule {0,2}
+    def finder(E):
+        if isinstance(E, modules.Submodule) and E.zero_mask == E.module.zero_mask:
+            if E.element_strs() == ["0", "2"]:
+                return {"a": "2", "b": "0", "aE": [], "bE": []}
+        return modules.find_quasi_second_violation(E)
+
+    monkeypatch.setattr(verifier, "QS_VIOLATION_FINDER", finder)
+    outcome = run_rule("R16", Instance("module", "Z:4"))
+    assert (outcome.verdict, outcome.witness) == (
+        FAIL,
+        "submodule {0,2} is not quasi second: a=2 b=0",
+    )
+
+
 def test_payload_shape():
     payload = run_all(SMALL_CORPUS, rule_ids=["R2"]).payload()
     assert list(payload) == ["corpus_size", "fingerprint", "rules", "total_failures"]
