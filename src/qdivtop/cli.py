@@ -211,7 +211,7 @@ def _corpus_spec_from_args(args) -> verifier.CorpusSpec:
 def cmd_verify(args) -> int:
     spec = _corpus_spec_from_args(args)
     rule_ids = None
-    if args.rules:
+    if args.rules is not None:
         rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()]
     report = verifier.run_all(spec, rule_ids=rule_ids)
     payload = report.payload()

@@ -42,22 +42,23 @@ and 66 products for ``Trunc(2,11)``, against about 2.1 million pairs of m.
 
 A ``Trunc``, ``Prod`` or ``Ideal`` ring of order at most 64
 (``CONSTRUCTION_CHECK_CAP``) builds its add, mul and neg tables on element
-indices once, at construction: ``Trunc`` from its value arithmetic on every
-pair, ``Ideal`` from its base's tables entry by entry, and ``Prod`` from its
-factors' tables in one big-integer sum per table, over one-byte lanes
-(``_product_table``).  A factor builds its own tables for this: ``GF(p,f)``
-reads them off its rows and its layout's addition, and ``Zn`` from its
-value arithmetic on every pair.  The identity, negation and commutativity
-laws are checked exhaustively on those tables, and the ring's ``add``,
-``mul``, ``neg`` and ``mul_row`` then read them, so the check covers the
-operations in use.  Larger ``Trunc``,
-``Prod`` and ``Ideal`` rings keep their value arithmetic, but a larger
-``Prod`` or ``Ideal`` ring joins each row from its factors' rows, with no
-ring product (``mul_row``).  ``Zn`` computes
-mod n, and ``GF(p,f)`` computes on element indices through one
-multiply-by-x step (see ``QuotPolyRing``) at every order.  The
-associativity/distributivity sweeps live in the test suite.  Each
-constructor lists its elements in ``sort_key`` order, with no sort
+indices once, at construction, and so does each factor of such a ``Prod``
+or ``Ideal`` ring, for the tables of the ring over it.  Each ring builds
+them one way: ``Zn`` from its value arithmetic on every pair; ``Trunc``
+and ``GF(p,f)`` from their rows (``mul_row``), their layout's addition and
+their ``neg``; ``Prod`` from its factors' tables in one big-integer sum
+per table, over one-byte lanes (``_product_table``); and ``Ideal`` from
+its base's tables entry by entry.  The identity, negation and
+commutativity laws are checked exhaustively on those tables, and the
+ring's ``add``, ``mul``, ``neg`` and ``mul_row`` then read them, so the
+check covers the operations in use.  Every ring but ``Zn``, which adds
+mod n, adds on its layout (``FiniteRing.add``).  A larger ``Trunc``,
+``Prod`` or ``Ideal`` ring keeps its value ``mul`` and ``neg``, but a
+larger ``Prod`` or ``Ideal`` ring joins each row from its factors' rows,
+with no ring product (``mul_row``).  ``GF(p,f)`` multiplies on element
+indices through one multiply-by-x step (see ``QuotPolyRing``) at every
+order.  The associativity/distributivity sweeps live in the test suite.
+Each constructor lists its elements in ``sort_key`` order, with no sort
 (``GF(p,f)`` by length, then by coefficients), so every derived set
 (units, radicals, ideals) is deterministic.  Rings are immutable and all
 operations are pure.
@@ -87,8 +88,12 @@ class RingError(ValueError):
 
 
 ORDER_CAP = 4096
-# at most 256: the tables of a checked Prod ring are summed in one-byte
-# lanes (``_product_table``)
+# Trunc, Prod and Ideal rings up to this order check their tables at
+# construction, and read them after: Trunc builds them from its rows, Prod
+# from its factors' tables, Ideal from its base's, and a Zn or GF(p,f)
+# factor builds its own for them, Zn from value pairs and GF(p,f) from its
+# rows.  At most 256: the tables of a checked Prod ring are summed in
+# one-byte lanes (``_product_table``)
 CONSTRUCTION_CHECK_CAP = 64
 # every ring has order >= 2 and each Prod or Ideal level at least doubles
 # it, so a spec nested deeper than this exceeds ORDER_CAP
@@ -293,7 +298,9 @@ class FiniteRing:
         raise NotImplementedError
 
     def add(self, x, y):
-        raise NotImplementedError
+        """x + y, added on the layout."""
+        index = self.index
+        return self.elements[self.layout.add(index(x), index(y))]
 
     def mul(self, x, y):
         raise NotImplementedError
@@ -335,15 +342,19 @@ class FiniteRing:
         return [row[i] for row in self._generator_rows]
 
     def _make_tables(self):
-        """(add, mul, neg) on element indices, from the value operations:
-        entry i*n + j of add and mul is the index of x_i + x_j and of
-        x_i * x_j, entry i of neg the index of -x_i."""
-        elems, index = self.elements, self.index
-        add, mul = array("H"), array("H")
-        for x in elems:
-            add.extend(index(self.add(x, y)) for y in elems)
-            mul.extend(index(self.mul(x, y)) for y in elems)
-        return add, mul, array("H", (index(self.neg(x)) for x in elems))
+        """(add, mul, neg) on element indices: entry i*n + j of add and mul
+        is the index of x_i + x_j and of x_i * x_j, entry i of neg the index
+        of -x_i.  Row i of mul is ``mul_row(x_i)``, add is the layout's
+        addition, and neg is ``neg``."""
+        n, add, index = self.order, self.layout.add, self.index
+        mul = array("H")
+        for x in self.elements:
+            mul.extend(self.mul_row(x))
+        return (
+            array("H", [add(i, j) for i in range(n) for j in range(n)]),
+            mul,
+            array("H", [index(self.neg(x)) for x in self.elements]),
+        )
 
     def index_tables(self) -> tuple:
         """The ring's (add, mul, neg) tables on element indices; see
@@ -636,6 +647,16 @@ class ZnRing(_EuclideanQuotient):
         # the one generator is 1, and t*1 = t
         return [i]
 
+    def _make_tables(self):
+        # from the value operations on every pair, so that the check of a
+        # Prod or Ideal ring over this one covers them
+        elems = self.elements
+        add, mul = array("H"), array("H")
+        for x in elems:
+            add.extend(self.index(self.add(x, y)) for y in elems)
+            mul.extend(self.index(self.mul(x, y)) for y in elems)
+        return add, mul, array("H", (self.index(self.neg(x)) for x in elems))
+
     def _multiples(self, g):
         # residue r sits at index r
         return range(0, self.n, g)
@@ -658,20 +679,16 @@ class QuotPolyRing(_EuclideanQuotient):
 
     * ``mul_row(t)`` is the additive map with images t, x*t, ...,
       x^(d-1)*t on the places 1, x, ..., x^(d-1): d - 1 steps of x.
-    * ``reduce(r)`` and ``mul(s, t)`` are Horner's rule on indices: from
-      the top coefficient c down, i <- x*i + c (constants have their value
-      as code) or x*i + c*s.  ``reduce`` starts from r's top d
-      coefficients, already a residue.
-    * ``add`` adds two indices on the layout.
+    * ``reduce(r)`` and ``mul(s, t)`` are Horner's rule on indices, in one
+      loop (``_horner``): from the top coefficient c down, i <- x*i + c
+      (constants have their value as code) or x*i + c*s.  ``reduce``
+      starts from r's top d coefficients, already a residue.
 
-    A ring of order at most ``CONSTRUCTION_CHECK_CAP`` keeps the row of a
-    left factor from its second product on, since the value arithmetic of
-    a larger ``Prod`` or ``Ideal`` ring multiplies the same pairs of a
-    small factor over and over, while a sweep of squares uses each factor
-    once; a larger ring keeps nothing but ``_times_x``.  The tables that a
-    checked ``Prod`` or ``Ideal`` ring over this one builds its own from
-    are read off the same rows (``_make_tables``), so its construction
-    check tests ``mul_row`` against the ring laws."""
+    The ring keeps nothing but ``_times_x``.  The tables that a checked
+    ``Prod`` or ``Ideal`` ring over this one builds its own from are
+    this ring's rows, its layout's addition and its ``neg``
+    (``FiniteRing._make_tables``), so that ring's construction check
+    tests ``mul_row`` against the ring laws."""
 
     def __init__(self, p: int, modulus):
         # a p past the cap fails the order check below, before any trial
@@ -690,8 +707,6 @@ class QuotPolyRing(_EuclideanQuotient):
         self.zero = ()
         self.one = (1,)
         self._times_x = None
-        # rows of left factors, on small rings only (see the docstring)
-        self._rows = {} if self.order <= CONSTRUCTION_CHECK_CAP else None
         self._init_quotient(scalars.poly_domain(p), modulus)
 
     def _enumerate(self):
@@ -724,35 +739,24 @@ class QuotPolyRing(_EuclideanQuotient):
             ]
         return self._times_x
 
-    def add(self, x, y):
-        index = self.index
-        return self.elements[self.layout.add(index(x), index(y))]
-
     def mul(self, x, y):
-        rows = self._rows
-        if rows is not None:
-            row = rows.get(x)
-            if row is None and x in rows:
-                # the second product by x: keep its row
-                row = rows[x] = self.mul_row(x)
-            if row is not None:
-                return self.elements[row[self.index(y)]]
-            rows[x] = None
-        return self._horner(x, y)
-
-    def _horner(self, x, y):
-        """x*y by Horner's rule on y's coefficients, with the addends c*x."""
+        # Horner's rule on y's coefficients, with the addends c*x
         if not y:
             return self.zero
-        step, add = self._x_step(), self.layout.add
+        add = self.layout.add
         multiples = [self.layout.index_of[0], self.index(x)]
         while len(multiples) < self.p:
             multiples.append(add(multiples[-1], multiples[1]))
-        i = multiples[y[-1]]
-        for c in reversed(y[:-1]):
+        return self._horner(multiples[y[-1]], y[:-1], multiples)
+
+    def _horner(self, i, coefficients, addends):
+        """From index i, i <- x*i + addends[c] for each coefficient c, top
+        down: the element at the end."""
+        step, add = self._x_step(), self.layout.add
+        for c in reversed(coefficients):
             i = step[i]
             if c:
-                i = add(i, multiples[c])
+                i = add(i, addends[c])
         return self.elements[i]
 
     def generator_products(self, i) -> list:
@@ -766,19 +770,6 @@ class QuotPolyRing(_EuclideanQuotient):
 
     def neg(self, x):
         return scalars.pneg(x, self.p)
-
-    def _make_tables(self):
-        # row x of mul is mul_row(x), the row that mul reads from its second
-        # product by x on; add is the layout's addition
-        n, add, index = self.order, self.layout.add, self.index
-        mul = array("H")
-        for x in self.elements:
-            mul.extend(self.mul_row(x))
-        return (
-            array("H", [add(i, j) for i in range(n) for j in range(n)]),
-            mul,
-            array("H", [index(self.neg(x)) for x in self.elements]),
-        )
 
     def sort_key(self, x):
         return (len(x), x)
@@ -812,13 +803,7 @@ class QuotPolyRing(_EuclideanQuotient):
         d = self.degree
         if len(r) <= d:
             return r
-        step, add, const = self._x_step(), self.layout.add, self.layout.index_of
-        i = self.index(r[-d:])
-        for c in reversed(r[:-d]):
-            i = step[i]
-            if c:
-                i = add(i, const[c])
-        return self.elements[i]
+        return self._horner(self.index(r[-d:]), r[:-d], self.layout.index_of)
 
     def _make_layout(self):
         # a residue's code reads its coefficients as base-p digits, in the
@@ -853,9 +838,6 @@ class TruncRing(FiniteRing):
 
     def _enumerate(self):
         return itertools.product(range(self.p), repeat=self.k + 1)
-
-    def add(self, x, y):
-        return tuple((a + b) % self.p for a, b in zip(x, y))
 
     def mul(self, x, y):
         p = self.p
@@ -922,9 +904,6 @@ class ProdRing(FiniteRing):
 
     def _enumerate(self):
         return itertools.product(self.r1.elements, self.r2.elements)
-
-    def add(self, x, y):
-        return (self.r1.add(x[0], y[0]), self.r2.add(x[1], y[1]))
 
     def mul(self, x, y):
         return (self.r1.mul(x[0], y[0]), self.r2.mul(x[1], y[1]))
@@ -997,10 +976,6 @@ class IdealizeRing(FiniteRing):
         for a in base:
             for ms in itertools.product(base, repeat=self.d):
                 yield (a, ms)
-
-    def add(self, x, y):
-        b = self.base
-        return (b.add(x[0], y[0]), tuple(b.add(m, n) for m, n in zip(x[1], y[1])))
 
     def mul(self, x, y):
         b = self.base

@@ -1030,7 +1030,9 @@ def run_rule(rule_id: str, instance: Instance) -> RuleOutcome:
 
 def run_all(corpus=None, rule_ids=None) -> TheoremReport:
     """Evaluate the rule suite over a corpus (a CorpusSpec, an instance
-    list, or the default corpus) and return the deterministic report."""
+    list, or the default corpus) and return the deterministic report.  A
+    rule id given twice runs once, at its first place; no ids is an
+    error."""
     if corpus is None:
         corpus = generate_corpus(DEFAULT_CORPUS)
     elif isinstance(corpus, CorpusSpec):
@@ -1038,6 +1040,9 @@ def run_all(corpus=None, rule_ids=None) -> TheoremReport:
     if rule_ids is None:
         rule_ids = RULE_IDS
     else:
+        rule_ids = tuple(dict.fromkeys(rule_ids))
+        if not rule_ids:
+            raise ValueError("no rule ids given")
         for rid in rule_ids:
             if rid not in RULES:
                 raise ValueError(f"unknown rule id {rid!r}")

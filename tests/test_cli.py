@@ -297,6 +297,26 @@ def test_verify_bad_rule(capsys):
     assert code == 2
 
 
+def test_verify_repeated_rules_run_once(capsys):
+    # each id once, in the order of its first appearance, with the tallies
+    # and failure count of a list without repeats
+    args = ("verify", "--max-order", "12")
+    code, out, err = run_cli(capsys, *args, "--rules", "R14,R2,R14,R2")
+    assert code == 0
+    _, once_out, once_err = run_cli(capsys, *args, "--rules", "R14,R2")
+    assert (out, err) == (once_out, once_err)
+    payload = payload_of(out)
+    assert [r["rule_id"] for r in payload["rules"]] == ["R14", "R2"]
+    assert err.count("R14: pass=") == 1
+
+
+@pytest.mark.parametrize("rules", [",", "", " , "])
+def test_verify_empty_rule_list_is_refused(capsys, rules):
+    code, out, err = run_cli(capsys, "verify", "--rules", rules)
+    assert (code, out) == (2, "")
+    assert "no rule ids given" in err
+
+
 def test_verify_empty_corpus(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-order", "1")
     assert code == 0

@@ -497,8 +497,9 @@ def quot_poly_factors(ring):
 
 def test_index_tables_match_the_literal_operations():
     # every ring checked on construction reads its operations from index
-    # tables built from its factors' tables (a Prod ring's summed in byte
-    # lanes, a GF(p,f) factor's read off its rows); every entry, and the
+    # tables built from its rows (Trunc) or its factors' tables (a Prod
+    # ring's summed in byte lanes, a GF(p,f) factor's read off its rows,
+    # a Zn factor's from value pairs); every entry, and the
     # value operations and rows that read them, against the definitions,
     # on the catalog rings and 200 seeded random nested rings of order at
     # most 64.  Every GF(p,f) factor's tables against its value operations
@@ -540,9 +541,7 @@ def test_residue_ring_operations_match_the_literal_definitions(p, max_degree):
     # F_p[x]/(f) multiplies and adds on element indices, through
     # multiplication by x; mul, add and mul_row against pmul, pdivmod and
     # padd on tuples, on every pair of residues, for every monic f of each
-    # degree, reducible ones such as x^6 and x^3+1 included.  mul takes
-    # its first product by x by Horner's rule and the rest from x's kept
-    # row, so Horner's rule is also checked on every pair by itself
+    # degree, reducible ones such as x^6 and x^3+1 included
     checked = 0
     for d in range(1, max_degree + 1):
         for f in monic_polys(p, d):
@@ -553,10 +552,23 @@ def test_residue_ring_operations_match_the_literal_definitions(p, max_degree):
                 products = [mul(x, y) for y in elems]
                 assert [elems[j] for j in ring.mul_row(x)] == products, (f, x)
                 assert [ring.mul(x, y) for y in elems] == products, (f, x)
-                assert [ring._horner(x, y) for y in elems] == products, (f, x)
                 assert [ring.add(x, y) for y in elems] == [add(x, y) for y in elems]
             checked += 1
     assert checked == sum(p**d for d in range(1, max_degree + 1))
+
+
+def test_residue_ring_products_build_no_rows(monkeypatch):
+    # mul is Horner's rule alone: every pair of a 64-element residue ring,
+    # each left factor 64 times over, builds no row
+    rows = []
+    mul_row = QuotPolyRing.mul_row
+    monkeypatch.setattr(
+        QuotPolyRing, "mul_row", lambda self, t: rows.append(t) or mul_row(self, t)
+    )
+    ring = build_ring("GF(2,x^6+x+1)")
+    elems = ring.elements
+    assert len({ring.mul(x, y) for x in elems for y in elems}) == 64
+    assert rows == []
 
 
 @pytest.mark.parametrize("p, max_degree", [(2, 4), (3, 2)])
@@ -579,8 +591,8 @@ def test_residue_ring_reduce_is_the_remainder(p, max_degree):
 
 @pytest.mark.parametrize("spec", ["GF(2,x^12)", "GF(3,x^7)"])
 def test_residue_ring_rows_at_the_cap_match_the_literal_product(spec):
-    # rings past CONSTRUCTION_CHECK_CAP keep no rows: each product is
-    # Horner's rule; a seeded sample of rows and products
+    # at the cap a row is d - 1 steps of x and a product Horner's rule,
+    # as at every order; a seeded sample of rows and products
     ring = build_ring(spec)
     assert ring.order in (4096, 2187)
     _, mul, _ = literal_ops(ring)
@@ -656,6 +668,32 @@ class RowBreakingGF(QuotPolyRing):
         if self.pair and self.index(t) == self.pair[0]:
             row[self.pair[1]] = (row[self.pair[1]] + 1) % self.order
         return row
+
+
+class GeneratorBreakingTrunc(TruncRing):
+    """Trunc(p,k) with its value mul wrong at one ordered pair (x, g) of an
+    element and an additive generator: the constant coefficient is off by
+    one.  Its checked tables take row x from the products x*g."""
+
+    def __init__(self, p, k, pair=None):
+        self.pair = pair
+        super().__init__(p, k)
+
+    def mul(self, x, y):
+        product = super().mul(x, y)
+        if (x, y) != self.pair:
+            return product
+        return ((product[0] + 1) % self.p,) + product[1:]
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 1)])
+def test_construction_check_rejects_a_trunc_ring_with_a_broken_generator_product(p, k):
+    ring = GeneratorBreakingTrunc(p, k)
+    pairs = list(itertools.product(ring.elements, ring.additive_generators()))
+    assert len(pairs) == p ** (k + 1) * (k + 1)
+    for pair in pairs:
+        with pytest.raises(RingError, match="identity laws fail|not commutative"):
+            GeneratorBreakingTrunc(p, k, pair)
 
 
 @pytest.mark.parametrize(
