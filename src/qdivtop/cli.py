@@ -7,7 +7,7 @@ single version header line; a short human summary goes to stderr.  Output
 is byte-identical across runs for the same inputs.
 
 Exit codes: 0 success / all rules pass, 1 rule failure, 2 usage or parse
-error, 3 size cap exceeded.
+error or output that cannot be written, 3 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import __version__, modules, oracle, rings, topology, verifier
@@ -286,12 +287,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # an --out path that cannot be written, or a closed stdout
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # what is left in the buffer goes nowhere at exit, not to the pipe
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return EXIT_USAGE
 
 

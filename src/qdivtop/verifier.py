@@ -113,8 +113,10 @@ def generate_corpus(cs: CorpusSpec = DEFAULT_CORPUS) -> list:
     analogues (single moduli and pairwise direct sums within the element
     cap), and every catalog ring both as a ring and as a cyclic module."""
     out = []
+    # every summand has at least 2 elements, so k summands at least 2^k
+    max_summands = min(cs.max_summands, cs.element_cap.bit_length() - 1)
     mods = range(2, cs.int_modulus_max + 1)
-    for k in range(1, cs.max_summands + 1):
+    for k in range(1, max_summands + 1):
         for combo in itertools.combinations_with_replacement(mods, k):
             size = 1
             for m in combo:
@@ -127,7 +129,7 @@ def generate_corpus(cs: CorpusSpec = DEFAULT_CORPUS) -> list:
     for deg in range(1, cs.poly_max_degree + 1):
         polys.extend(scalars.monic_polys(p, deg))
     polys.sort(key=lambda c: (len(c), c))
-    for k in range(1, cs.max_summands + 1):
+    for k in range(1, max_summands + 1):
         for combo in itertools.combinations_with_replacement(polys, k):
             size = 1
             for m in combo:

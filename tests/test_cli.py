@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import sys
 import time
 import tracemalloc
 
@@ -7,10 +9,15 @@ import pytest
 
 from qdivtop import cli, modules, rings, scalars
 from qdivtop.rings import SizeCapExceeded
+from common import CAP_LADDER, fresh_python
 
 
-def run_cli(capsys, *argv):
+def run_cli(capsys, *argv, within=None):
+    """main(argv), its stdout and its stderr; ``within`` bounds its wall
+    time in seconds."""
+    start = time.perf_counter()
     code = cli.main(list(argv))
+    assert within is None or time.perf_counter() - start < within, argv
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -93,7 +100,7 @@ def test_analyze_mixed_characteristic_product(capsys):
 
 def test_analyze_oracle_skip_above_cap(capsys):
     # a 15-point antichain: every one of its 2^15 subsets is open
-    code, out, _ = run_cli(capsys, "analyze", "ring:Trunc(2,4)", "--oracle")
+    code, out, _ = run_cli(capsys, "analyze", "ring:Trunc(2,4)", "--oracle", within=10)
     payload = payload_of(out)
     assert code == 0
     assert payload["points"] == 15
@@ -102,7 +109,7 @@ def test_analyze_oracle_skip_above_cap(capsys):
 
 def test_analyze_oracle_past_fourteen_points(capsys):
     for spec, points in [("Z:2310", 30), ("Z:1260", 34)]:
-        code, out, _ = run_cli(capsys, "analyze", spec, "--oracle")
+        code, out, _ = run_cli(capsys, "analyze", spec, "--oracle", within=10)
         payload = payload_of(out)
         assert code == 0
         assert payload["points"] == points
@@ -152,18 +159,22 @@ LARGE_PRIME = 1000000000000000003
 
 @pytest.mark.parametrize(
     "spec",
-    [f"ring:Trunc({LARGE_PRIME},1)", f"ring:GF({LARGE_PRIME})", f"F{LARGE_PRIME}[x]:x"],
+    [
+        f"ring:Trunc({LARGE_PRIME},1)",
+        f"ring:GF({LARGE_PRIME})",
+        f"F{LARGE_PRIME}[x]:x",
+        "F99991[x]:x",
+    ],
 )
 def test_large_characteristic_meets_the_cap_before_a_primality_test(capsys, spec):
-    # trial division on a 19-digit prime would take minutes
-    start = time.perf_counter()
-    code, _, err = run_cli(capsys, "analyze", spec)
+    # trial division on a 19-digit prime would take minutes; a 5-digit p
+    # meets the cap as the order of F_p[x]/(x)
+    code, _, err = run_cli(capsys, "analyze", spec, within=5)
     assert (code, "exceed" in err) == (3, True), err
-    assert time.perf_counter() - start < 5
 
 
 def test_large_exponent_meets_the_cap_before_allocation(capsys):
-    code, _, err = run_cli(capsys, "analyze", "F2[x]:x^1000000")
+    code, _, err = run_cli(capsys, "analyze", "F2[x]:x^1000000", within=5)
     assert (code, err) == (3, "error: 2^1000000 elements exceed the cap 4096\n")
     # the degree is compared with the cap before one coefficient per
     # exponent is allocated
@@ -179,8 +190,16 @@ def test_large_exponent_meets_the_cap_before_allocation(capsys):
 
 def test_long_integer_literal_meets_the_cap_before_conversion(capsys):
     # Python refuses to convert more than 4,300 digits; the cap comes first
-    code, _, err = run_cli(capsys, "analyze", "Z:" + "9" * 4400)
+    code, _, err = run_cli(capsys, "analyze", "Z:" + "9" * 4400, within=5)
     assert (code, err) == (3, "error: a modulus of 4400 digits exceeds the cap 4096\n")
+    # past 78 digits (the digits of 2^256) a literal is refused on its
+    # length; a shorter one is converted, and its order checked
+    for spec, error in [
+        ("Z:" + "9" * 79, "a modulus of 79 digits exceeds the cap 4096"),
+        ("Z:99999", "99999 elements exceed the cap 4096"),
+    ]:
+        code, _, err = run_cli(capsys, "analyze", spec, within=5)
+        assert (code, err) == (3, f"error: {error}\n")
 
 
 @pytest.mark.parametrize(
@@ -193,10 +212,8 @@ def test_long_integer_literal_meets_the_cap_before_conversion(capsys):
 )
 def test_long_ring_argument_or_exponent_meets_the_cap_by_its_length(capsys, spec, message):
     # refused before int(), and the message gives the digit count only
-    start = time.perf_counter()
-    code, _, err = run_cli(capsys, "analyze", spec.format("9" * 4400))
+    code, _, err = run_cli(capsys, "analyze", spec.format("9" * 4400), within=5)
     assert (code, err) == (3, f"error: {message}\n")
-    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize(
@@ -216,7 +233,7 @@ def test_long_ring_argument_or_exponent_meets_the_cap_by_its_length(capsys, spec
 )
 def test_an_integer_literal_is_ascii_digits(capsys, spec):
     # int() also reads "1_0" and the digits of other scripts; a spec does not
-    code, out, err = run_cli(capsys, "dot", spec)
+    code, out, err = run_cli(capsys, "dot", spec, within=5)
     assert (code, out, err.startswith("error: "), "Traceback" in err) == (2, "", True, False)
 
 
@@ -244,6 +261,30 @@ def test_long_coefficient_mod_an_odd_prime():
 def test_usage_error(capsys):
     assert cli.main([]) == 2
     assert cli.main(["bogus"]) == 2
+
+
+def test_exit_codes_in_a_fresh_process():
+    assert fresh_python("-m", "qdivtop.cli", "dot", "Z:1_0", timeout=5).returncode == 2
+    assert fresh_python("-m", "qdivtop.cli", "analyze", "Z:99999", timeout=5).returncode == 3
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "Z:8"], ["dot", "Z:8"], ["verify", "--rules", "R1", "--max-order", "8"]]
+)
+def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out, err.count("\n"), err.startswith("error: ")) == (2, "", 1, True)
+
+
+def test_a_closed_stdout_exits_2(capsys, monkeypatch):
+    # ``corpus | head -1``: the pipe is closed before the listing is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed_pipe:
+        monkeypatch.setattr(sys, "stdout", closed_pipe)
+        code = cli.main(["corpus"])
+    assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")
 
 
 def test_dot_export(capsys):
@@ -543,8 +584,8 @@ def test_analyze_and_dot_stdout_pinned(capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
-# analyze and dot at the element cap: the specs of CI's "analyze the ring cap
-# ladder" step, and the widest ring space measured besides the Boolean ring
+# analyze and dot at the element cap, on every spec of the cap ladder;
+# tests_slow/test_cap_ladder.py bounds their time in a fresh process
 CAP_LADDER_STDOUT_SHA256 = {
     "ring:Trunc(2,11)": (
         "06834afef592fffcbc434b6985b63d7cc4982fde87ffc68d70331e628b32a32b",
@@ -594,10 +635,15 @@ CAP_LADDER_STDOUT_SHA256 = {
         "6b6445d87a699ce67ac1defb0b71a1bc1f8463052cc69100e7abe91c641dd938",
         "847f6ea5905d5c7b1b63a0ab0f6159729f03320804b9d566f0ab3501c5fb7efc",
     ),
+    "ring:Ideal(GF(3,x^2+1),2)": (
+        "b0e38cdb991543d096f9fefdfe9276bd4d0df0c543fb638b2b37f18885e327a7",
+        "b988870e104cc9920ffc4dd97ed8457ecf38d8f5afdcb3774a4e91690129c15a",
+    ),
 }
 
 
 def test_cap_ladder_stdout_pinned(capsys):
+    assert sorted(CAP_LADDER_STDOUT_SHA256) == sorted(CAP_LADDER)
     for spec, digests in CAP_LADDER_STDOUT_SHA256.items():
         for argv, digest in zip((["analyze", spec], ["dot", spec]), digests):
             code, out, _ = run_cli(capsys, *argv)

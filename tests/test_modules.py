@@ -25,6 +25,7 @@ from qdivtop.modules import (
     weak_idempotent_split,
 )
 from qdivtop.scalars import INTEGERS, poly_domain
+from common import CAP_LADDER_RINGS, WIDE_CORPUS
 
 F2 = poly_domain(2)
 
@@ -819,7 +820,6 @@ LADDER_SPECS = (
     "Z:2310", "F2[x]:x^12",
 )
 MANY_DIVISORS_SPEC = "F2[x]:x^12+x^9+x^5+x^2"
-WIDE_CORPUS = verifier.CorpusSpec(int_modulus_max=256, element_cap=256, poly_max_degree=6)
 
 
 def quotient_rings(specs):
@@ -904,14 +904,6 @@ def test_divisor_listing_matches_trial_division():
 
 # -- spans of additive generators ---------------------------------------------
 
-# rings at ELEMENT_CAP (4096 elements; Trunc(3,6) has 2187)
-CAP_LADDER = (
-    "Trunc(2,11)",
-    "Trunc(3,6)",
-    "Ideal(GF(2,x^4+x+1),2)",
-    "Prod(GF(2,x^6+x+1),GF(2,x^6+x+1))",
-    "Zn(4096)",
-)
 # nested constructors whose factors have different digit radices
 MIXED_RINGS = (
     "Prod(Zn(4),GF(3,x^2+1))",
@@ -999,7 +991,7 @@ def test_ring_images_are_spans_of_generator_products():
         checked += ring.order
     assert checked == 4117
     rng = random.Random(20261018)
-    for spec in CAP_LADDER:
+    for spec in CAP_LADDER_RINGS:
         ring = rings.build_ring(spec)
         E = ring_cyclic(ring)
         value_row = value_rows(E)
@@ -1010,7 +1002,7 @@ def test_ring_images_are_spans_of_generator_products():
 
 
 def test_additive_generators_span_the_ring():
-    for ring in catalog_rings() + [rings.build_ring(s) for s in MIXED_RINGS + CAP_LADDER]:
+    for ring in catalog_rings() + [rings.build_ring(s) for s in MIXED_RINGS + CAP_LADDER_RINGS]:
         E = ring_cyclic(ring)
         gens = [ring.index(g) for g in ring.additive_generators()]
         assert E.span(gens) == E.full_mask, ring.spec
@@ -1026,7 +1018,7 @@ def test_ring_addition_matches_ring_values():
             for j, y in enumerate(el):
                 assert E.add(i, j) == ring.index(ring.add(x, y)), (ring.spec, x, y)
     rng = random.Random(4096)
-    for spec in CAP_LADDER:
+    for spec in CAP_LADDER_RINGS:
         ring = rings.build_ring(spec)
         E = ring_cyclic(ring)
         el = ring.elements

@@ -1,6 +1,6 @@
 """Planted faults, one per row: each row names a rule, one fault planted with
 ``monkeypatch`` in the layer that the rule checks, and a corpus instance (or,
-for a route that no corpus instance reaches, a ``CAP_LADDER`` instance) on
+for a route that no corpus instance reaches, a ``CAP_LADDER_RINGS`` ring) on
 which the rule then fails with a witness, while the unmutated rule passes
 there.  A rule with no row has no fault shown to make it fail.  Faults
 that no rule is shown to see are listed in ``RULE_INVISIBLE``, each with
@@ -15,6 +15,7 @@ import pytest
 
 from qdivtop import modules, oracle, rings, topology, verifier
 from qdivtop.verifier import FAIL, PASS, Instance, run_rule
+from common import CAP_LADDER_RINGS
 
 
 def rn_read_as_re(mp):
@@ -277,12 +278,6 @@ def t2_pairs_each_point_with_itself(mp):
 # the elements of GF(3,x^2+1) in element order
 F9 = ("0", "1", "2", "x", "2*x", "x+1", "2*x+1", "x+2", "2*x+2")
 
-# instances outside the corpus, from CI's ring cap ladder: every corpus ring
-# has order at most rings.CONSTRUCTION_CHECK_CAP and reads its rows off its
-# checked tables, so only a larger ring reaches the rows that Prod and
-# Ideal rings join from their factors' rows
-CAP_LADDER = ("Ideal(GF(3,x^2+1),2)",)
-
 # (fault, reason) for faults that no rule is shown to see; the reference
 # comparison of rows with value products in test_rings.py catches each
 RULE_INVISIBLE = [
@@ -437,7 +432,10 @@ ROWS = [
 )
 def test_planted_fault_makes_the_rule_fail(monkeypatch, rule_id, plant, spec, witness):
     instance = Instance("module" if ":" in spec else "ring", spec)
-    assert instance in verifier.generate_corpus() or spec in CAP_LADDER
+    # every corpus ring has order at most rings.CONSTRUCTION_CHECK_CAP and
+    # reads its rows off its checked tables, so only a larger ring reaches
+    # the rows that Prod and Ideal rings join from their factors' rows
+    assert instance in verifier.generate_corpus() or spec in CAP_LADDER_RINGS
     assert run_rule(rule_id, instance).verdict == PASS
     plant(monkeypatch)
     outcome = run_rule(rule_id, instance)

@@ -757,29 +757,19 @@ def test_field_detection():
     assert not build_ring("GF(2,x^2)").is_field()
 
 
-# the catalog rings of CI's "analyze the ring cap ladder" step, the residue
-# rings of its module specs, and the widest ring space measured besides the
-# Boolean ring
-CAP_LADDER_RINGS = (
-    "Trunc(2,11)", "Trunc(3,6)", "Ideal(GF(2,x^4+x+1),2)",
-    "Prod(GF(2,x^6+x+1),GF(2,x^6+x+1))", "Zn(4096)", "Ideal(Trunc(2,2),3)",
-    "GF(2,x^12)", "GF(2,x^12+x^9+x^5+x^2)", "Zn(2310)", "GF(3,x^7)",
-    "GF(3,x^7+x+1)", "Prod(Zn(4),Trunc(2,9))",
-)
-
-
 def enumeration_specs():
     """The catalog rings of the default and wide corpora, 100 seeded random
-    nested rings of order <= 256 and the cap-ladder rings."""
-    from qdivtop import verifier
+    nested rings of order <= 256 and the residue rings of the cap ladder."""
+    from qdivtop import modules, verifier
 
-    from test_modules import WIDE_CORPUS
+    from common import CAP_LADDER, WIDE_CORPUS
 
     rng = random.Random(4096)
     specs = verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS)
     specs += verifier.catalog_ring_specs(WIDE_CORPUS)
     specs += [random_ring_spec(rng, 256)[0] for _ in range(100)]
-    return list(dict.fromkeys(specs + list(CAP_LADDER_RINGS)))
+    specs += [modules.build_module(s).residue_ring.spec for s in CAP_LADDER]
+    return list(dict.fromkeys(specs))
 
 
 def test_element_enumeration_is_sorted_and_indexed():

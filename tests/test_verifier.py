@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +21,7 @@ from qdivtop.verifier import (
     run_all,
     run_rule,
 )
+from common import CAP_LADDER_RINGS
 
 SMALL_CORPUS = [
     Instance("module", s)
@@ -93,6 +95,14 @@ def test_corpus_spec_validation():
         CorpusSpec(max_summands=0)
 
 
+def test_summands_past_log2_of_the_element_cap_add_nothing():
+    # k summands have at least 2^k elements: at the cap of 81, k stops at 6
+    start = time.perf_counter()
+    twenty = generate_corpus(CorpusSpec(max_summands=20))
+    assert time.perf_counter() - start < 5
+    assert twenty == generate_corpus(CorpusSpec(max_summands=6))
+
+
 def test_rule_examples():
     assert run_rule("R2", Instance("module", "Z:8")).verdict == PASS
     assert run_rule("R2", Instance("module", "Z:4")).verdict == PASS
@@ -105,6 +115,17 @@ def test_rule_examples():
     assert run_rule("R22", Instance("module", "Z:7")).verdict == VACUOUS
     assert run_rule("R19", Instance("module", "Z:6,6")).verdict == PASS
     assert run_rule("R20", Instance("module", "F2[x]:x^3")).verdict == VACUOUS
+
+
+def test_r14_r15_on_the_ring_cap_ladder():
+    # the module quasi-second search against the classification at the cap:
+    # square-zero on the maximal ideal's generators takes 0.01-0.06 s a
+    # ring, and on every pair of it 5.6 s for Trunc(2,11)
+    for spec in CAP_LADDER_RINGS:
+        start = time.perf_counter()
+        r14, r15 = (run_rule(r, Instance("ring", spec)).verdict for r in ("R14", "R15"))
+        assert (r14, r15 != FAIL) == (PASS, True), spec
+        assert time.perf_counter() - start < 10, spec
 
 
 def test_unknown_rule():
