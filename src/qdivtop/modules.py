@@ -33,8 +33,9 @@ residue is a row mapping element index to element index, stored as
 ``array('H')`` (``ELEMENT_CAP`` = ``rings.ORDER_CAP`` = 4096 < 2^16,
 checked before anything is built) and built the first
 time a query asks for it; negation is the row of -1.  Multiplication is
-additive, so a ring row (``FiniteRing.mul_row``) takes one ring product
-per digit; a cyclic sum joins its summands' rows of the reduced residue.
+additive, so a ring row (``mul_row``) is fixed by one image per digit, or
+joined from the ring's factors' rows, with no product per element; a
+cyclic sum joins its summands' rows of the reduced residue.
 
 Rows are asked for sparingly.  A cyclic submodule Rx is the additive span
 of g*x over the additive generators g of the residue ring (``span``), so

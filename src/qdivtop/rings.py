@@ -10,7 +10,8 @@ Every ring enumerates its elements as hashable canonical values:
                   ``Zn(p)`` with p prime);
 * ``Trunc(p,k)``  the local algebra with basis 1, x_1, ..., x_k over F_p in
                   which every product of two basis generators vanishes;
-                  elements are (k+1)-coefficient tuples;
+                  it is ``Ideal(Zn(p),k)`` under its own name and labels,
+                  c0 + c1*x_1 + ... + ck*x_k being (c0, (c1, ..., ck));
 * ``Prod(R,S)``   componentwise pairs;
 * ``Ideal(R,d)``  the ring on R x R^d with the product
                   (a1,m1)(a2,m2) = (a1*a2, a1*m2 + a2*m1).
@@ -18,8 +19,8 @@ Every ring enumerates its elements as hashable canonical values:
 Every catalog ring has a ``DigitLayout``: its additive group is a product
 of cyclic groups, and element i has a mixed-radix code whose digits add
 independently (``Zn``: one digit mod n; ``GF(p,f)``: the coefficients as
-base-p digits; ``Trunc``: the coefficients; ``Prod`` and ``Ideal``: the
-factors' digits side by side, in element order).  The elements with one
+base-p digits; ``Prod`` and ``Ideal``, and so ``Trunc``: the factors'
+digits side by side, in element order).  The elements with one
 digit 1 and the rest 0 are the ring's ``additive_generators()``: 1 for
 ``Zn``; 1, x, ..., x^(d-1) for ``GF(p,f)`` with d = deg f; x_k, ..., x_1, 1
 for ``Trunc``; the factors' generators, embedded, for ``Prod`` and
@@ -31,30 +32,29 @@ Modules over a ring add through the layout instead of through ring values.
 
 Each constructor lists its idempotents without squaring every element:
 ``Zn`` and ``GF(p,f)`` square only the residues whose divisor is a unitary
-divisor of the modulus; ``Trunc`` has 0 and 1 alone; ``Prod`` pairs its
-factors' idempotents; ``Ideal`` has (e, 0) for each idempotent e of the
-base.  A finite ring is local exactly when 0 and 1 are its only
+divisor of the modulus; ``Prod`` pairs its factors' idempotents;
+``Ideal`` has (e, 0) for each idempotent e of the base, so ``Trunc`` has
+0 and 1 alone.  A finite ring is local exactly when 0 and 1 are its only
 idempotents.  The quasi-second classification of a local ring asks whether
 its maximal ideal m has m*m = 0.  The product is additive in each factor,
 so it suffices that g*h = 0 for every pair of additive generators g, h of
 m, found in one walk over the elements (``_square_zero``): 11 generators
 and 66 products for ``Trunc(2,11)``, against about 2.1 million pairs of m.
 
-A ``Trunc``, ``Prod`` or ``Ideal`` ring of order at most 64
+A ``Prod`` or ``Ideal`` ring (``Trunc`` included) of order at most 64
 (``CONSTRUCTION_CHECK_CAP``) builds its add, mul and neg tables on element
-indices once, at construction, and so does each factor of such a ``Prod``
-or ``Ideal`` ring, for the tables of the ring over it.  Each ring builds
-them one way: ``Zn`` from its value arithmetic on every pair; ``Trunc``
-and ``GF(p,f)`` from their rows (``mul_row``), their layout's addition and
-their ``neg``; ``Prod`` from its factors' tables in one big-integer sum
-per table, over one-byte lanes (``_product_table``); and ``Ideal`` from
-its base's tables entry by entry.  The identity, negation and
-commutativity laws are checked exhaustively on those tables, and the
-ring's ``add``, ``mul``, ``neg`` and ``mul_row`` then read them, so the
-check covers the operations in use.  Every ring but ``Zn``, which adds
-mod n, adds on its layout (``FiniteRing.add``).  A larger ``Trunc``,
-``Prod`` or ``Ideal`` ring keeps its value ``mul`` and ``neg``, but a
-larger ``Prod`` or ``Ideal`` ring joins each row from its factors' rows,
+indices once, at construction, and so does each factor of such a ring,
+for the tables of the ring over it.  Each ring builds them one way:
+``Zn`` from its value arithmetic on every pair; ``GF(p,f)`` from its rows
+(``mul_row``), its layout's addition and its ``neg``; ``Prod`` from its
+factors' tables in one big-integer sum per table, over one-byte lanes
+(``_product_table``); and ``Ideal`` from its base's tables entry by
+entry.  The identity, negation and commutativity laws are checked
+exhaustively on those tables, and the ring's ``add``, ``mul``, ``neg``
+and ``mul_row`` then read them, so the check covers the operations in
+use.  Every ring but ``Zn``, which adds mod n, adds on its layout
+(``FiniteRing.add``).  A larger ``Prod`` or ``Ideal`` ring keeps its
+value ``mul`` and ``neg``, and joins each row from its factors' rows,
 with no ring product (``mul_row``).  ``GF(p,f)`` multiplies on element
 indices through one multiply-by-x step (see ``QuotPolyRing``) at every
 order.  The associativity/distributivity sweeps live in the test suite.
@@ -88,12 +88,12 @@ class RingError(ValueError):
 
 
 ORDER_CAP = 4096
-# Trunc, Prod and Ideal rings up to this order check their tables at
-# construction, and read them after: Trunc builds them from its rows, Prod
-# from its factors' tables, Ideal from its base's, and a Zn or GF(p,f)
-# factor builds its own for them, Zn from value pairs and GF(p,f) from its
-# rows.  At most 256: the tables of a checked Prod ring are summed in
-# one-byte lanes (``_product_table``)
+# Prod and Ideal rings, Trunc among them, up to this order check their
+# tables at construction, and read them after: Prod builds them from its
+# factors' tables, Ideal from its base's, and a Zn or GF(p,f) factor
+# builds its own for them, Zn from value pairs and GF(p,f) from its rows.
+# At most 256: the tables of a checked Prod ring are summed in one-byte
+# lanes (``_product_table``)
 CONSTRUCTION_CHECK_CAP = 64
 # every ring has order >= 2 and each Prod or Ideal level at least doubles
 # it, so a spec nested deeper than this exceeds ORDER_CAP
@@ -323,14 +323,6 @@ class FiniteRing:
         at the places of the layout."""
         elems, index_of = self.elements, self.layout.index_of
         return tuple(elems[index_of[place]] for place in self.layout.places)
-
-    def mul_row(self, t) -> list:
-        """Multiplication by t, element index -> element index.  It is
-        additive, so one product per digit fixes it."""
-        index = self.index
-        return self.layout.linear_row(
-            [index(self.mul(t, g)) for g in self.additive_generators()]
-        )
 
     def generator_products(self, i) -> list:
         """The indices of t*g for the element t at index i and the additive
@@ -817,81 +809,6 @@ class QuotPolyRing(_EuclideanQuotient):
         return DigitLayout(codes, (p,) * self.degree)
 
 
-class TruncRing(FiniteRing):
-    """F_p[x_1..x_k]/(x_1..x_k)^2: coefficients (c0, c1, ..., ck) on the
-    basis 1, x_1, ..., x_k; products of two generators vanish."""
-
-    def __init__(self, p: int, k: int):
-        # a p past the cap fails the order check below, before any trial
-        # division
-        if p <= ORDER_CAP and not is_prime(p):
-            raise RingError(f"characteristic {p} is not prime")
-        if k < 1:
-            raise RingError("Trunc needs at least one generator")
-        self.p = p
-        self.k = k
-        self.spec = f"Trunc({p},{k})"
-        self._set_order((p, k + 1))
-        self.zero = (0,) * (k + 1)
-        self.one = (1,) + (0,) * k
-        self._init_common(validate=True)
-
-    def _enumerate(self):
-        return itertools.product(range(self.p), repeat=self.k + 1)
-
-    def mul(self, x, y):
-        p = self.p
-        c0 = (x[0] * y[0]) % p
-        return (c0,) + tuple(
-            (x[0] * y[i] + y[0] * x[i]) % p for i in range(1, self.k + 1)
-        )
-
-    def neg(self, x):
-        return tuple((-a) % self.p for a in x)
-
-    def sort_key(self, x):
-        return x
-
-    def format_element(self, x):
-        parts = []
-        if x[0]:
-            parts.append(str(x[0]))
-        for i in range(1, self.k + 1):
-            if x[i] == 1:
-                parts.append(f"x{i}")
-            elif x[i]:
-                parts.append(f"{x[i]}*x{i}")
-        return "+".join(parts) if parts else "0"
-
-    def _make_labels(self):
-        # from the last coordinate up: tail holds the printed terms of the
-        # coordinates from i on, in element order; coordinate i is 0 on the
-        # first block, which is the old tail
-        p, tail = self.p, [""]
-        for i in reversed(range(self.k + 1)):
-            if i == 0:
-                terms = [str(c) for c in range(1, p)]
-            else:
-                terms = [f"x{i}"] + [f"{c}*x{i}" for c in range(2, p)]
-            tail = tail + [f"{t}+{r}" if r else t for t in terms for r in tail]
-        return tuple(r or "0" for r in tail)
-
-    def units(self):
-        if self._units is None:
-            self._units = frozenset(x for x in self.elements if x[0] != 0)
-        return self._units
-
-    def idempotents(self):
-        # (c0, c)^2 = (c0^2, 2*c0*c): c0^2 = c0 makes c0 0 or 1 in the field
-        # F_p, and c = 2*c0*c is c = 0 for c0 = 0 and c = 2c, so c = 0, for
-        # c0 = 1
-        return frozenset((self.zero, self.one))
-
-    def _make_layout(self):
-        # the element order is lexicographic on the coefficients
-        return DigitLayout(range(self.order), (self.p,) * (self.k + 1))
-
-
 class ProdRing(FiniteRing):
     def __init__(self, r1: FiniteRing, r2: FiniteRing):
         self.r1 = r1
@@ -963,10 +880,15 @@ class IdealizeRing(FiniteRing):
     def __init__(self, base: FiniteRing, d: int):
         if d < 1:
             raise RingError("idealization needs at least one module copy")
-        self.base = base
-        self.d = d
         self.spec = f"Ideal({base.spec},{d})"
         self._set_order((base.order, d + 1))
+        self._idealize(base, d)
+
+    def _idealize(self, base, d):
+        """All of the construction but the spec and the order check, which
+        the caller does first: ``TruncRing`` under its own name."""
+        self.base = base
+        self.d = d
         self.zero = (base.zero, (base.zero,) * d)
         self.one = (base.one, (base.zero,) * d)
         self._init_common(validate=True)
@@ -1049,13 +971,64 @@ class IdealizeRing(FiniteRing):
         return add, mul, array("H", join([b_neg] * (self.d + 1)))
 
 
+class TruncRing(IdealizeRing):
+    """F_p[x_1..x_k]/(x_1..x_k)^2, the idealization of F_p = Zn(p) with
+    d = k: c0 + c1*x_1 + ... + ck*x_k is the pair (c0, (c1, ..., ck)), and
+    since x_i*x_j = 0, (a1,m1)(a2,m2) = (a1*a2, a1*m2 + a2*m1).  It keeps
+    only what it prints: its spec, p and k, and its labels."""
+
+    def __init__(self, p: int, k: int):
+        # a p past the cap fails the order check below, before any trial
+        # division; the check names Trunc(p,k), so it runs before Zn(p) is
+        # built
+        if p <= ORDER_CAP and not is_prime(p):
+            raise RingError(f"characteristic {p} is not prime")
+        if k < 1:
+            raise RingError("Trunc needs at least one generator")
+        self.p = p
+        self.k = k
+        self.spec = f"Trunc({p},{k})"
+        self._set_order((p, k + 1))
+        self._idealize(ZnRing(p), k)
+
+    def format_element(self, x):
+        c0, cs = x
+        parts = [str(c0)] if c0 else []
+        for i, c in enumerate(cs, 1):
+            if c == 1:
+                parts.append(f"x{i}")
+            elif c:
+                parts.append(f"{c}*x{i}")
+        return "+".join(parts) if parts else "0"
+
+    def _make_labels(self):
+        # from the last coordinate up: tail holds the printed terms of the
+        # coordinates from i on, in element order; coordinate i is 0 on the
+        # first block, which is the old tail
+        p, tail = self.p, [""]
+        for i in reversed(range(self.k + 1)):
+            if i == 0:
+                terms = [str(c) for c in range(1, p)]
+            else:
+                terms = [f"x{i}"] + [f"{c}*x{i}" for c in range(2, p)]
+            tail = tail + [f"{t}+{r}" if r else t for t in terms for r in tail]
+        return tuple(r or "0" for r in tail)
+
+
 # -- catalog operations ------------------------------------------------
 
 
 def _is_field_factor(ring: FiniteRing, e) -> bool:
     """Whether the factor eR (with identity e) is a field.  Over a product,
     (e1, e2)R = e1R1 x e2R2 is one exactly when one part is 0 and the other
-    a field: two nonzero parts give zero divisors (e1, 0)(0, e2)."""
+    a field: two nonzero parts give zero divisors (e1, 0)(0, e2).
+
+    Otherwise no inverse is searched for.  With f = 1 - e, also
+    idempotent, and ef = 0, x -> (ex, fx) is a ring isomorphism
+    R -> eR x fR, inverse to (a, b) -> a + b, with e and f the identities
+    of the factors.  A pair is a unit exactly when both parts are, and f
+    is a unit of fR, so x in eR is a unit of eR exactly when x + f is a
+    unit of R: one addition and one set lookup per element of eR."""
     if e == ring.one:
         return ring.is_field()
     if isinstance(ring, ProdRing):
@@ -1063,11 +1036,10 @@ def _is_field_factor(ring: FiniteRing, e) -> bool:
         if e1 == r1.zero:
             return _is_field_factor(r2, e2)
         return e2 == r2.zero and _is_field_factor(r1, e1)
-    part = ring.principal_ideal(e)
-    nonzero = [x for x in part if x != ring.zero]
-    if not nonzero:
+    if e == ring.zero:
         return False
-    return all(any(ring.mul(x, y) == e for y in part) for x in nonzero)
+    units, f = ring.units(), ring.sub(ring.one, e)
+    return all(ring.add(x, f) in units for x in ring.principal_ideal(e) if x != ring.zero)
 
 
 def _square_zero(ring: FiniteRing, ideal) -> bool:

@@ -108,6 +108,26 @@ def catalog_ring_specs(cs: CorpusSpec) -> list:
     return specs
 
 
+def _capped_multisets(items, sizes, k, cap):
+    """The multisets of k items whose sizes multiply to at most cap, as
+    tuples in ``itertools.combinations_with_replacement`` order.  The
+    sizes ascend with the items, so an item at a place with r places
+    left, itself included, is followed only by items at least as large:
+    once the product so far times its size**r passes the cap, no item
+    from it on fits at that place, and the loop there stops."""
+
+    def walk(start, prefix, product, r):
+        if r == 0:
+            yield prefix
+            return
+        for i in range(start, len(items)):
+            if product * sizes[i] ** r > cap:
+                break
+            yield from walk(i, prefix + (items[i],), product * sizes[i], r - 1)
+
+    return walk(0, (), 1, k)
+
+
 def generate_corpus(cs: CorpusSpec = DEFAULT_CORPUS) -> list:
     """Deterministic instance list: integer cyclic sums, their F_2[x]
     analogues (single moduli and pairwise direct sums within the element
@@ -117,26 +137,19 @@ def generate_corpus(cs: CorpusSpec = DEFAULT_CORPUS) -> list:
     max_summands = min(cs.max_summands, cs.element_cap.bit_length() - 1)
     mods = range(2, cs.int_modulus_max + 1)
     for k in range(1, max_summands + 1):
-        for combo in itertools.combinations_with_replacement(mods, k):
-            size = 1
-            for m in combo:
-                size *= m
-            if size <= cs.element_cap:
-                out.append(Instance("module", "Z:" + ",".join(map(str, combo))))
+        for combo in _capped_multisets(mods, mods, k, cs.element_cap):
+            out.append(Instance("module", "Z:" + ",".join(map(str, combo))))
 
     p = 2
     polys = []
     for deg in range(1, cs.poly_max_degree + 1):
         polys.extend(scalars.monic_polys(p, deg))
     polys.sort(key=lambda c: (len(c), c))
+    sizes = [p ** scalars.pdeg(m) for m in polys]
     for k in range(1, max_summands + 1):
-        for combo in itertools.combinations_with_replacement(polys, k):
-            size = 1
-            for m in combo:
-                size *= p ** scalars.pdeg(m)
-            if size <= cs.element_cap:
-                text = ",".join(scalars.format_poly(m) for m in combo)
-                out.append(Instance("module", f"F{p}[x]:{text}"))
+        for combo in _capped_multisets(polys, sizes, k, cs.element_cap):
+            text = ",".join(scalars.format_poly(m) for m in combo)
+            out.append(Instance("module", f"F{p}[x]:{text}"))
 
     ring_specs = catalog_ring_specs(cs)
     out.extend(Instance("ring", spec) for spec in ring_specs)
@@ -466,7 +479,9 @@ def _r14(ctx):
 
 def _r15(ctx):
     ring = ctx.E.residue_ring
-    if not isinstance(ring, rings.IdealizeRing):
+    # the exact class: Trunc(p,k) is built as Ideal(Zn(p),k) but keeps the
+    # verdict "not an idealization" that its report and digests record
+    if type(ring) is not rings.IdealizeRing:
         return VACUOUS, None, "not an idealization"
     if not ring.base.is_field():
         return VACUOUS, None, "base ring is not a field"

@@ -1,6 +1,8 @@
 """Instance lists and a process runner shared by ``tests/`` and
-``tests_slow/``: each list is spelled out here once."""
+``tests_slow/``: each list is spelled out here once, or, for the
+benchmark's, read from ``perfbench/workloads.py``."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,10 +10,32 @@ import sys
 import qdivtop
 from qdivtop import verifier
 
+
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, loaded by path and only read: its source
+    is run in a fresh module, and no bytecode is cached beside it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    exec(compile(spec.loader.get_source(spec.name), path, "exec"), module.__dict__)
+    return module
+
+
+_workloads = _benchmark_workloads()
+# the analyze-ladder specs, probes last; the oracle-dense specs; the rings
+# of rings-qs
+BENCHMARK_LADDER_SPECS = _workloads.LADDER_SPECS + _workloads.LADDER_PROBES
+BENCHMARK_ORACLE_SPECS = _workloads.ORACLE_SPECS
+BENCHMARK_RING_SPECS = _workloads.RING_SPECS
+
 # catalog rings at or near the element cap.  Past the construction check,
-# Ideal(Trunc(2,2),3) takes one ring product per digit for a row, and the
-# mixed-radix Prod(Zn(4),Trunc(2,9)) and odd-characteristic
-# Ideal(GF(3,x^2+1),2) join their rows from the factors' rows
+# Trunc(p,k) joins its rows from rows of Zn(p), Ideal(Trunc(2,2),3) from
+# the checked table rows of Trunc(2,2), and the mixed-radix
+# Prod(Zn(4),Trunc(2,9)) and odd-characteristic Ideal(GF(3,x^2+1),2) from
+# their factors' rows
 CAP_LADDER_RINGS = (
     "Trunc(2,11)", "Trunc(3,6)", "Ideal(GF(2,x^4+x+1),2)",
     "Prod(GF(2,x^6+x+1),GF(2,x^6+x+1))", "Zn(4096)", "Ideal(Trunc(2,2),3)",

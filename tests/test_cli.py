@@ -173,6 +173,25 @@ def test_large_characteristic_meets_the_cap_before_a_primality_test(capsys, spec
     assert (code, "exceed" in err) == (3, True), err
 
 
+@pytest.mark.parametrize(
+    "spec, code, message",
+    [
+        ("ring:Trunc(4,2)", 2, "characteristic 4 is not prime"),
+        ("ring:Trunc(2,0)", 2, "Trunc needs at least one generator"),
+        ("ring:Trunc(2,100000)", 3, "Trunc(2,100000): order 2^100001 exceeds the cap 4096"),
+        (
+            f"ring:Trunc({LARGE_PRIME},1)",
+            3,
+            f"Trunc({LARGE_PRIME},1): order {LARGE_PRIME**2} exceeds the cap 4096",
+        ),
+    ],
+)
+def test_trunc_errors_name_trunc(capsys, spec, code, message):
+    # Trunc checks its own arguments and order before it builds Zn(p), so
+    # no message names the base ring
+    assert run_cli(capsys, "analyze", spec, within=5)[::2] == (code, f"error: {message}\n")
+
+
 def test_large_exponent_meets_the_cap_before_allocation(capsys):
     code, _, err = run_cli(capsys, "analyze", "F2[x]:x^1000000", within=5)
     assert (code, err) == (3, "error: 2^1000000 elements exceed the cap 4096\n")
@@ -449,14 +468,14 @@ def test_analyze_ring_at_the_element_cap(capsys, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(cli, "parse_spec", recording_parse)
-    products = []
-    mul = rings.TruncRing.mul
+    base_rows = []
+    mul_row = rings.ZnRing.mul_row
 
-    def counted(self, x, y):
-        products.append(None)
-        return mul(self, x, y)
+    def counted(self, t):
+        base_rows.append(self.spec)
+        return mul_row(self, t)
 
-    monkeypatch.setattr(rings.TruncRing, "mul", counted)
+    monkeypatch.setattr(rings.ZnRing, "mul_row", counted)
     code, out, _ = run_cli(capsys, "analyze", "ring:Trunc(2,11)")
     assert code == 0
     payload = payload_of(out)
@@ -466,9 +485,10 @@ def test_analyze_ring_at_the_element_cap(capsys, monkeypatch):
     assert payload["separation"]["T1"] is True
     assert payload["predicates"] is None  # the lattice cap
     assert len(built[-1]._rows) <= 12
-    # one product per generator for each generator row; one product per
-    # element for each row would be 12 * 4096 more
-    assert len(products) <= 12 * 12
+    # Trunc(2,11) is Ideal(Zn(2),11): each generator row is joined from
+    # 12 rows of Zn(2), one per coordinate of the generator; a row for
+    # each of the 4096 elements would take 12 * 4096
+    assert set(base_rows) == {"Zn(2)"} and len(base_rows) <= 12 * 12
 
 
 def test_analyze_composite_ring_rows_take_one_product_per_digit(capsys, monkeypatch):

@@ -25,7 +25,12 @@ from qdivtop.modules import (
     weak_idempotent_split,
 )
 from qdivtop.scalars import INTEGERS, poly_domain
-from common import CAP_LADDER_RINGS, WIDE_CORPUS
+from common import (
+    BENCHMARK_LADDER_SPECS,
+    BENCHMARK_ORACLE_SPECS,
+    CAP_LADDER_RINGS,
+    WIDE_CORPUS,
+)
 
 F2 = poly_domain(2)
 
@@ -214,12 +219,7 @@ def test_scalar_classes_second_module_empty():
 
 # the specs of the analyze-ladder benchmark workload, its two probes included,
 # and of the oracle-dense workload (Z:210 is in both and listed once)
-BENCHMARK_MODULE_SPECS = (
-    "Z:60", "F2[x]:x^6", "Z:16,16", "Z:360", "Z:210", "F2[x]:x^4,x^4", "Z:64,64",
-    "F3[x]:x^5", "ring:Ideal(GF(3,x^2+1),2)", "F2[x]:x^8", "Z:2310", "F2[x]:x^12",
-    "ring:Ideal(Zn(2),3)", "ring:Trunc(7,2)", "ring:Prod(Trunc(2,2),GF(2,x^2+x+1))",
-    "ring:Trunc(11,2)",
-)
+BENCHMARK_MODULE_SPECS = tuple(dict.fromkeys(BENCHMARK_LADDER_SPECS + BENCHMARK_ORACLE_SPECS))
 
 
 def test_second_exactly_when_the_space_is_empty():
@@ -254,7 +254,7 @@ def test_cyclic_image_examples():
     assert image(E, 2).element_strs() == ["0", "2", "4", "6"]
     assert image(E, 4).element_strs() == ["0", "4"]
     T = build_module("ring:Trunc(2,3)")
-    x1 = (0, 1, 0, 0)
+    x1 = (0, (1, 0, 0))
     assert image(T, x1).element_strs() == ["0", "x1"]
     for c in scalar_classes(T):
         assert c.image.size == 2  # every class image is {0, a}
@@ -434,7 +434,7 @@ def test_submodule_annihilator_examples():
 
 def test_submodule_annihilator_ring_side():
     T = build_module("ring:Trunc(2,2)")
-    x1 = (0, 1, 0)
+    x1 = (0, (1, 0))
     killer_set, maximal = submodule_annihilator(image(T, x1))
     # ann of {0, x1} is the whole maximal ideal (c0 = 0), which is maximal
     assert maximal
@@ -812,13 +812,7 @@ def test_divisor_first_paths_match_the_full_sweep():
 
 # -- divisors and idempotents of A/(n) ---------------------------------------
 
-# the analyze-ladder specs of the benchmark, probes last, and the modulus
-# with the most divisors (72) that fits the element cap over F_2
-LADDER_SPECS = (
-    "Z:60", "F2[x]:x^6", "Z:16,16", "Z:360", "Z:210", "F2[x]:x^4,x^4",
-    "Z:64,64", "F3[x]:x^5", "ring:Ideal(GF(3,x^2+1),2)", "F2[x]:x^8",
-    "Z:2310", "F2[x]:x^12",
-)
+# the modulus with the most divisors (72) that fits the element cap over F_2
 MANY_DIVISORS_SPEC = "F2[x]:x^12+x^9+x^5+x^2"
 
 
@@ -855,7 +849,7 @@ def test_sieved_divisors_and_idempotents_match_the_definitions():
     specs = (
         default_module_specs()
         + [i.spec_text for i in verifier.generate_corpus(WIDE_CORPUS)[::8] if i.kind == "module"]
-        + list(LADDER_SPECS)
+        + list(BENCHMARK_LADDER_SPECS)
         + [MANY_DIVISORS_SPEC]
     )
     checked = 0
@@ -871,7 +865,7 @@ def test_sieved_divisors_and_idempotents_match_the_definitions():
 def test_weak_split_parts_always_meet_in_zero_and_span():
     # the meet and join tests weak_idempotent_split no longer runs
     idempotents = 0
-    for spec in default_module_specs() + list(LADDER_SPECS):
+    for spec in default_module_specs() + list(BENCHMARK_LADDER_SPECS):
         E = build_module(spec)
         ring = E.residue_ring
         for e in ring.idempotents():
@@ -962,7 +956,7 @@ def test_scalar_classes_match_grouping_by_literal_images():
 def test_module_labels_are_the_formatted_elements():
     # labels are put together from the summands' ring labels, once
     specs = [E.spec_text for E in default_instance_modules()]
-    specs += list(LADDER_SPECS) + [MANY_DIVISORS_SPEC, "F3[x]:x^7", "Z:2,3,4"]
+    specs += list(BENCHMARK_LADDER_SPECS) + [MANY_DIVISORS_SPEC, "F3[x]:x^7", "Z:2,3,4"]
     for spec in specs:
         E = build_module(spec)
         assert E.labels == tuple(literal_label(E, x) for x in E.elements), spec

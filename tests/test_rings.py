@@ -29,6 +29,7 @@ from qdivtop.rings import (
     build_ring,
     classify_quasi_second_ring,
 )
+from common import BENCHMARK_RING_SPECS
 from test_mutants import RULE_INVISIBLE
 
 
@@ -78,8 +79,8 @@ def test_arith_examples():
     z8 = ZnRing(8)
     assert z8.mul(6, 6) == 4
     t = TruncRing(2, 2)
-    x1 = (0, 1, 0)
-    x2 = (0, 0, 1)
+    x1 = (0, (1, 0))
+    x2 = (0, (0, 1))
     assert t.mul(x1, x2) == t.zero
     ideal = IdealizeRing(ZnRing(2), 2)
     a = (1, (1, 0))
@@ -109,7 +110,7 @@ def test_principal_ideals():
     assert z8.principal_ideal(2) == frozenset({0, 2, 4, 6})
     assert z8.principal_ideal(4) == frozenset({0, 4})
     t = TruncRing(2, 1)
-    x = (0, 1)
+    x = (0, (1,))
     # oracle: enumerate all 4 products
     assert frozenset(t.mul(r, x) for r in t.elements) == frozenset({t.zero, x})
     assert t.principal_ideal(x) == frozenset({t.zero, x})
@@ -161,19 +162,6 @@ def pairwise_is_local(ring):
     return False, None
 
 
-# the rings of the rings-qs benchmark workload
-RINGS_QS_SPECS = (
-    "Zn(256)",
-    "Trunc(2,7)",
-    "Prod(GF(2,x^4+x+1),GF(2,x^5+x^2+1))",
-    "Prod(Zn(31),Zn(29))",
-    "Zn(1024)",
-    "Prod(Trunc(2,3),Zn(27))",
-    "Ideal(Zn(5),3)",
-    "Ideal(GF(3,x^2+1),2)",
-)
-
-
 def reference_ring_specs():
     """The default catalog, the mixed rings of test_modules and the rings
     of the rings-qs benchmark workload."""
@@ -182,7 +170,7 @@ def reference_ring_specs():
     from test_modules import MIXED_RINGS
 
     specs = list(verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS))
-    return specs + list(MIXED_RINGS) + list(RINGS_QS_SPECS)
+    return specs + list(MIXED_RINGS) + list(BENCHMARK_RING_SPECS)
 
 
 def test_is_local_matches_the_pairwise_definition():
@@ -301,7 +289,7 @@ def literal_idempotents(ring):
 
 def literal_is_field(ring, part, e):
     """Whether the set part, an ideal with identity e, is a field: every
-    nonzero x in it has a y in it with x*y = e."""
+    nonzero x in it has a y in it with x*y = e, searched over all of part."""
     nonzero = [x for x in part if x != ring.zero]
     return bool(nonzero) and all(
         any(ring.mul(x, y) == e for y in part) for x in nonzero
@@ -457,12 +445,19 @@ def literal_ops(ring):
             lambda x: pneg(x, p),
         )
     if isinstance(ring, TruncRing):
+        # c0 + c1*x_1 + ... + ck*x_k as (c0, (c1, ..., ck)), over ints mod
+        # p, with x_i*x_j = 0
         p = ring.p
         return (
-            lambda x, y: tuple((a + b) % p for a, b in zip(x, y)),
-            lambda x, y: (x[0] * y[0] % p,)
-            + tuple((x[0] * b + y[0] * a) % p for a, b in zip(x[1:], y[1:])),
-            lambda x: tuple(-a % p for a in x),
+            lambda x, y: (
+                (x[0] + y[0]) % p,
+                tuple((a + b) % p for a, b in zip(x[1], y[1])),
+            ),
+            lambda x, y: (
+                x[0] * y[0] % p,
+                tuple((x[0] * b + y[0] * a) % p for a, b in zip(x[1], y[1])),
+            ),
+            lambda x: (-x[0] % p, tuple(-a % p for a in x[1])),
         )
     if isinstance(ring, ProdRing):
         (add1, mul1, neg1), (add2, mul2, neg2) = literal_ops(ring.r1), literal_ops(ring.r2)
@@ -670,30 +665,34 @@ class RowBreakingGF(QuotPolyRing):
         return row
 
 
-class GeneratorBreakingTrunc(TruncRing):
-    """Trunc(p,k) with its value mul wrong at one ordered pair (x, g) of an
-    element and an additive generator: the constant coefficient is off by
-    one.  Its checked tables take row x from the products x*g."""
-
-    def __init__(self, p, k, pair=None):
-        self.pair = pair
-        super().__init__(p, k)
-
-    def mul(self, x, y):
-        product = super().mul(x, y)
-        if (x, y) != self.pair:
-            return product
-        return ((product[0] + 1) % self.p,) + product[1:]
+def base_breaking_trunc(p, k, pair):
+    """Trunc(p,k) built over a Zn(p) whose value product is off by one at
+    one ordered pair, run through Trunc's construction check."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rings, "ZnRing", lambda n: LawBreakingZn(n, "mul", pair, check=False))
+        return TruncRing(p, k)
 
 
 @pytest.mark.parametrize("p, k", [(2, 2), (3, 1)])
-def test_construction_check_rejects_a_trunc_ring_with_a_broken_generator_product(p, k):
-    ring = GeneratorBreakingTrunc(p, k)
-    pairs = list(itertools.product(ring.elements, ring.additive_generators()))
-    assert len(pairs) == p ** (k + 1) * (k + 1)
-    for pair in pairs:
-        with pytest.raises(RingError, match="identity laws fail|not commutative"):
-            GeneratorBreakingTrunc(p, k, pair)
+def test_construction_check_rejects_a_trunc_ring_with_a_broken_base_product(p, k):
+    # Trunc's tables are built from its Zn(p) base's, which come from the
+    # base's value products on every pair.  Every planted pair is rejected
+    # but (2, 2) of Zn(3): a diagonal entry off 0 and 1 sits at the same
+    # place in both orders of each product that reads it, and no identity
+    # reads it, so no law the check tests sees it.  The table comparison
+    # with the literal product sees it
+    assert base_breaking_trunc(p, k, None).order == p ** (k + 1)
+    missed = []
+    for pair in itertools.product(range(p), repeat=2):
+        try:
+            ring = base_breaking_trunc(p, k, pair)
+        except RingError as exc:
+            assert "identity laws fail" in str(exc) or "not commutative" in str(exc)
+            continue
+        missed.append(pair)
+        _, mul, _ = literal_ops(ring)
+        assert any(ring.mul(x, y) != mul(x, y) for x in ring.elements for y in ring.elements)
+    assert missed == ([(2, 2)] if p == 3 else [])
 
 
 @pytest.mark.parametrize(
@@ -862,8 +861,9 @@ def test_multi_digit_addition_matches_the_digit_loop():
 
 def test_product_and_idealization_rows_match_the_checked_tables():
     # the rows joined from factor rows, called on the class past the
-    # table override, against the checked mul table of every Prod and
-    # Ideal ring of the catalog and of the mixed rings, and Ideal(Zn(3),2)
+    # table override, against the checked mul table of every Prod, Ideal
+    # and Trunc ring of the catalog and of the mixed rings, and
+    # Ideal(Zn(3),2)
     checked = 0
     for spec in reference_ring_specs() + ["Ideal(Zn(3),2)"]:
         ring = build_ring(spec)
@@ -875,16 +875,16 @@ def test_product_and_idealization_rows_match_the_checked_tables():
             row = type(ring).mul_row(ring, t)
             assert row == mul[i * n : (i + 1) * n].tolist(), (spec, t)
         checked += 1
-    assert checked == 52
+    assert checked == 55
 
 
 def rows_unlike_value_products():
-    """The (spec, t) of seeded sample rows of Prod and Ideal rings past the
-    check cap that differ from the value products."""
+    """The (spec, t) of seeded sample rows of Prod, Ideal and Trunc rings
+    past the check cap that differ from the value products."""
     rng = random.Random(729)
-    specs = [s for s in RINGS_QS_SPECS if s.startswith(("Prod", "Ideal"))]
+    specs = [s for s in BENCHMARK_RING_SPECS if s.startswith(("Prod", "Ideal", "Trunc"))]
     unlike = []
-    for spec in specs + ["Prod(Zn(4),Trunc(2,9))"]:
+    for spec in specs + ["Prod(Zn(4),Trunc(2,9))", "Trunc(11,2)"]:
         ring = build_ring(spec)
         assert ring.order > CONSTRUCTION_CHECK_CAP
         for t in rng.sample(ring.elements, 4):
@@ -943,10 +943,16 @@ def test_field_factors_of_a_product_are_read_off_its_factors(monkeypatch):
     assert classify_quasi_second_ring(ring) == QS_TWO_FIELDS
     assert products == []
     monkeypatch.undo()
-    # against the value products of eR, on every idempotent of the
-    # reference rings
-    for spec in reference_ring_specs():
+    # against the search for inverses in eR, on every idempotent of the
+    # reference rings and of 400 seeded random nested rings of order <= 256
+    rng = random.Random(1313)
+    specs = reference_ring_specs() + [random_ring_spec(rng, 256)[0] for _ in range(400)]
+    tally = collections.Counter()
+    for spec in specs:
         ring = build_ring(spec)
         for e in ring.idempotents():
             part = ring.principal_ideal(e)
-            assert _is_field_factor(ring, e) == literal_is_field(ring, part, e), (spec, e)
+            field = _is_field_factor(ring, e)
+            assert field == literal_is_field(ring, part, e), (spec, e)
+            tally[field] += 1
+    assert tally == {True: 514, False: 1474}

@@ -109,6 +109,10 @@ def test_rule_examples():
     assert run_rule("R14", Instance("ring", "Zn(6)")).verdict == PASS
     assert run_rule("R15", Instance("ring", "Ideal(Zn(2),2)")).verdict == PASS
     assert run_rule("R15", Instance("ring", "Ideal(Zn(4),1)")).verdict == VACUOUS
+    # Trunc(p,k) is built as Ideal(Zn(p),k), but R15 reads it as before
+    for spec in ("Trunc(2,1)", "Trunc(2,3)", "Trunc(2,7)", "Trunc(3,2)"):
+        outcome = run_rule("R15", Instance("ring", spec))
+        assert (outcome.verdict, outcome.note) == (VACUOUS, "not an idealization"), spec
     assert run_rule("R14", Instance("module", "Z:8")).verdict == VACUOUS
     assert run_rule("R4", Instance("module", "Z:2,4")).verdict == VACUOUS
     assert run_rule("R18", Instance("module", "Z:2,2")).verdict == VACUOUS
@@ -120,8 +124,10 @@ def test_rule_examples():
 def test_r14_r15_on_the_ring_cap_ladder():
     # the module quasi-second search against the classification at the cap:
     # square-zero on the maximal ideal's generators takes 0.01-0.06 s a
-    # ring, and on every pair of it 5.6 s for Trunc(2,11)
-    for spec in CAP_LADDER_RINGS:
+    # ring, and on every pair of it 5.6 s for Trunc(2,11).  GF(3,x^7+x+1)
+    # is a product of fields of 3 and 729 elements, each tested through
+    # the units of the ring: a search for inverses in the larger took 0.75 s
+    for spec in CAP_LADDER_RINGS + ("GF(3,x^7+x+1)",):
         start = time.perf_counter()
         r14, r15 = (run_rule(r, Instance("ring", spec)).verdict for r in ("R14", "R15"))
         assert (r14, r15 != FAIL) == (PASS, True), spec
