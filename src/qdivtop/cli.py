@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -239,7 +240,10 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    it looks up stdout and stderr when it writes."""
     max_order_help = (
         "sets the element cap to N and the ring order cap to min(N, 64); the "
         "moduli stay 2..9 and the polynomial degree at most 3, so any "

@@ -40,21 +40,25 @@ cyclic sum joins its summands' rows of the reduced residue.
 Rows are asked for sparingly.  A cyclic submodule Rx is the additive span
 of g*x over the additive generators g of the residue ring (``span``), so
 it reads one row entry per generator: one row for Z, deg(n) rows for
-F_p[x]/(n), k+1 rows for Trunc(p,k).  When the elements are themselves
-residues (a catalog ring over itself, a one-summand cyclic sum), the image
-rE is Rr, and it reads the products g*r from the ring
-(``FiniteRing.generator_products``).  Over A/(n) with A = Z or F_p[x], a
-residue r is g*u with g = gcd(r, n) and u a unit, so r and g have the same
-image on every submodule and kill the same elements.  So a module caches
-one image and one kernel (the elements g sends to zero) per divisor g of
-n, and scalar classes, the quasi-second search, killers, annihilators,
-second-submodule tests and the multiplication and comultiplication
-predicates read those.  A unit's image is the whole module, so unit
-residues need no image at all.  A submodule a caller passes in is checked
-against the generators' rows only.  Element sets are bit masks over the
-indices, which keeps image computations and the submodule lattice cheap.
-Modules are immutable (their row, image and label caches aside) and every
-operation is pure.
+F_p[x]/(n), k+1 rows for Trunc(p,k).  A residue r is r = d*u for its
+divisor d and a unit u (``FiniteRing.divisor_table``, one entry per
+element index), so r and d have the same image on every submodule and
+kill the same elements: over A/(n) with A = Z or F_p[x], d = gcd(r, n).
+So a module caches one image and one kernel (the elements d sends to
+zero) per divisor, and scalar classes, the quasi-second search, killers,
+annihilators, second-submodule tests and the multiplication and
+comultiplication predicates read those.  When the elements are
+themselves residues (a catalog ring over itself, a one-summand cyclic
+sum), the image dE is the ideal Rd: over A/(n) it is dA/(n), the list of
+multiples of d that the divisor sieve writes d on
+(``_EuclideanQuotient.multiples``), and over any other ring the span of
+the products of d with the additive generators
+(``FiniteRing.generator_products``).  A unit's image is the whole module,
+so unit residues need no image at all.  A submodule a caller passes in
+is checked against the generators' rows only.  Element sets are bit
+masks over the indices (``_mask``, ``_bits``), which keeps image
+computations and the submodule lattice cheap.  Modules are immutable
+(their row, image and label caches aside) and every operation is pure.
 
 The submodule lattice of a cyclic sum over a PID is listed, not searched:
 each submodule has exactly one basis in Hermite normal form (H. Cohen, *A
@@ -89,18 +93,47 @@ ELEMENT_CAP = rings.ORDER_CAP
 LATTICE_CAP = 256
 
 
+# a byte per index, 0 or 1, to and from the digits of a base-2 numeral
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bits(mask: int):
+    """The indices of the set bits of mask, in increasing order.  Clearing
+    the low bit costs a pass over the mask's words, so a mask past 64 bits
+    with more than one bit in 16 set is read off its base-2 numeral, in one
+    pass, instead."""
+    if mask >= 1 << 64 and mask.bit_count() > mask.bit_length() >> 4:
+        yield from itertools.compress(
+            itertools.count(), bin(mask)[:1:-1].encode().translate(_FLAGS)
+        )
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
 
 
-def _mask(indices) -> int:
-    mask = 0
-    for i in set(indices):
-        mask |= 1 << i
-    return mask
+def _flag_mask(flags) -> int:
+    """The mask with bit i set where the byte flags[i] is 1, read as one
+    base-2 numeral."""
+    return int(flags[::-1].translate(_DIGITS), 2)
+
+
+def _mask(indices, size: int) -> int:
+    """The mask of a list, array or range of indices, each below size.
+    Each index ORed in costs a pass over the mask's words, and flags a pass
+    over size bytes, so up to max(16, size/16) indices are ORed in and more
+    are set as flags (``rings.fill``), with no big-integer step per index."""
+    k = len(indices)
+    if k <= 16 or k << 4 <= size:
+        mask = 0
+        for i in indices:
+            mask |= 1 << i
+        return mask
+    flags = bytearray(size)
+    rings.fill(flags, indices, b"\1")
+    return _flag_mask(flags)
 
 
 class Submodule:
@@ -136,7 +169,7 @@ class Submodule:
         if mask is None:
             if elements is None:
                 raise ModuleError("a submodule needs elements or a mask")
-            mask = _mask(module.elem_index(e) for e in elements)
+            mask = _mask([module.elem_index(e) for e in elements], module.order)
         elif mask & ~module.full_mask:
             raise ModuleError(f"mask {mask:#x} is not a subset of {module.spec_text}")
         self._set(module, mask, module.zero_mask)
@@ -192,7 +225,8 @@ class Submodule:
             else:
                 if self._members is None:
                     self._members = list(_bits(self.mask))
-                rU = _mask(map(E.row(g).__getitem__, self._members))
+                row = E.row(g)
+                rU = _mask([row[i] for i in self._members], E.order)
             mask = self._images[g] = E.join_masks(rU, self.zero_mask)
         return mask
 
@@ -249,12 +283,15 @@ class FiniteModule:
     fields can disagree.
 
     ``row(r)`` builds and caches one row on first use.  Cyclic
-    submodules, and the images of residues when the elements are residues,
-    are spans of the products with the additive generators (``_span_at``);
-    other images and the kernels, which decide killers, read the row of a
-    residue's divisor, once per divisor.  A unit's image needs no row, so
-    a module over Z or F_p[x] builds about one row per divisor of its
-    annihilator and a catalog ring one per additive generator."""
+    submodules are spans of the products with the additive generators
+    (``_span_at``), and so are the images of residues when the elements
+    are the residues of a ring other than A/(n), whose images are its
+    divisors' lists of multiples.  Other images and the kernels, which
+    decide killers, read the row of a residue's divisor, once per divisor.
+    A unit's image needs no row, so a module over Z or F_p[x] builds
+    about one row per divisor of its annihilator and a catalog ring one
+    per additive generator.  The value -> index map of the elements is
+    built on first use (``elem_index``)."""
 
     def __init__(
         self,
@@ -278,7 +315,7 @@ class FiniteModule:
         self.add = layout.add
         self.zero = layout.index_of[0]
         self.order = len(self.elements)
-        self._index = {e: i for i, e in enumerate(self.elements)}
+        self._index = None
         self.zero_mask = 1 << self.zero
         self.full_mask = (1 << self.order) - 1
         self._build_row = build_row
@@ -304,6 +341,8 @@ class FiniteModule:
     # -- element plumbing ------------------------------------------------
 
     def elem_index(self, x) -> int:
+        if self._index is None:
+            self._index = {e: i for i, e in enumerate(self.elements)}
         try:
             return self._index[x]
         except KeyError:
@@ -336,13 +375,19 @@ class FiniteModule:
     def image_mask(self, r) -> int:
         mask = self._images.get(r)
         if mask is None:
-            g = self.residue_ring.divisor(r)
+            ring = self.residue_ring
+            g = ring.divisor(r)
             mask = self._images.get(g)
             if mask is None:
-                if self.residue_elements:
-                    mask = self._span_at(self.residue_ring.index(g))
+                if not self.residue_elements:
+                    mask = _mask(self.row(g), self.order)
+                elif g == ring.zero:
+                    mask = self.zero_mask
+                elif isinstance(ring, (rings.ZnRing, rings.QuotPolyRing)):
+                    # gE = gA/(n), the multiples of g that the sieve lists
+                    mask = _mask(ring.multiples(g), self.order)
                 else:
-                    mask = _mask(self.row(g))
+                    mask = self._span_at(ring.index(g))
                 self._images[g] = mask
             self._images[r] = mask
         return mask
@@ -352,10 +397,8 @@ class FiniteModule:
         g's row once."""
         mask = self._kernels.get(g)
         if mask is None:
-            zero = self.zero
-            mask = self._kernels[g] = _mask(
-                i for i, y in enumerate(self.row(g)) if y == zero
-            )
+            flags = bytes(map(self.zero.__eq__, self.row(g)))
+            mask = self._kernels[g] = _flag_mask(flags)
         return mask
 
     def join_masks(self, m1: int, m2: int) -> int:
@@ -490,15 +533,14 @@ def lattice_by_summands(E: FiniteModule) -> list:
 def _coset_reps(E: FiniteModule, n_mask: int, mask: int) -> list:
     """The least index of each coset of the submodule n_mask in mask, a
     union of its cosets."""
-    add = E.add
-    members = list(_bits(n_mask))
-    covered = 0
+    add, members = E.add, list(_bits(n_mask))
+    covered = bytearray(E.order)
     reps = []
     for i in _bits(mask):
-        if not (covered >> i) & 1:
+        if not covered[i]:
             reps.append(i)
             for x in members:
-                covered |= 1 << add(i, x)
+                covered[add(i, x)] = 1
     return reps
 
 
@@ -701,9 +743,12 @@ def _killer_divisors(E: FiniteModule, mask: int) -> list:
 
 
 def _killer_residues(E: FiniteModule, mask: int) -> list:
-    """The residues killing the mask: those whose divisor kills it."""
+    """The residues killing the mask, in element order: those whose divisor
+    kills it, read off the divisor table with one kernel test per divisor."""
     ring = E.residue_ring
-    return [r for r in ring.elements if not mask & ~E.kernel_mask(ring.divisor(r))]
+    killers = set(map(ring.index, _killer_divisors(E, mask)))
+    table = ring.divisor_table()
+    return list(itertools.compress(ring.elements, map(killers.__contains__, table)))
 
 
 def submodule_annihilator(N: Submodule):

@@ -30,6 +30,13 @@ digit (``generator_products``); a principal ideal rR, and any cyclic
 submodule Rx of an R-module, is the additive span of the products g*x.
 Modules over a ring add through the layout instead of through ring values.
 
+Every ring maps each element index to the index of its divisor d, an
+element with r = d*u for a unit u, in one ``array('H')`` built once in
+bulk (``divisor_table``): ``Zn`` and ``GF(p,f)`` sieve it from the
+divisors of the modulus, ``Prod`` joins its factors' tables, and
+``Ideal`` maps each block of units to one and every nonunit to itself.
+The units and the divisor groups are read off it.
+
 Each constructor lists its idempotents without squaring every element:
 ``Zn`` and ``GF(p,f)`` square only the residues whose divisor is a unitary
 divisor of the modulus; ``Prod`` pairs its factors' idempotents;
@@ -49,13 +56,14 @@ for the tables of the ring over it.  Each ring builds them one way:
 (``mul_row``), its layout's addition and its ``neg``; ``Prod`` from its
 factors' tables in one big-integer sum per table, over one-byte lanes
 (``_product_table``); and ``Ideal`` from its base's tables entry by
-entry.  The identity, negation and commutativity laws are checked
-exhaustively on those tables, and the ring's ``add``, ``mul``, ``neg``
-and ``mul_row`` then read them, so the check covers the operations in
-use.  Every ring but ``Zn``, which adds mod n, adds on its layout
-(``FiniteRing.add``).  A larger ``Prod`` or ``Ideal`` ring keeps its
-value ``mul`` and ``neg``, and joins each row from its factors' rows,
-with no ring product (``mul_row``).  ``GF(p,f)`` multiplies on element
+entry.  The identity, negation and commutativity laws, and the
+distributive law x*(x + 1) = x*x + x, which reads each diagonal entry,
+are checked exhaustively on those tables, and the ring's ``add``,
+``mul``, ``neg`` and ``mul_row`` then read them, so the check covers the
+operations in use.  Every ring but ``Zn``, which adds mod n, adds on its
+layout (``FiniteRing.add``).  A larger ``Prod`` or ``Ideal`` ring keeps
+its value ``mul`` and ``neg``, and joins each row from its factors'
+rows, with no ring product (``mul_row``).  ``GF(p,f)`` multiplies on element
 indices through one multiply-by-x step (see ``QuotPolyRing``) at every
 order.  The associativity/distributivity sweeps live in the test suite.
 Each constructor lists its elements in ``sort_key`` order, with no sort
@@ -197,7 +205,9 @@ class DigitLayout:
     def product(cls, layouts) -> "DigitLayout":
         """The layout of a direct product whose elements run like
         ``itertools.product`` over the factors' elements: the last factor's
-        digits are the least significant."""
+        digits are the least significant.  One factor's is its own."""
+        if len(layouts) == 1:
+            return layouts[0]
         sizes = tuple(len(layout.codes) for layout in layouts)
         codes = _mixed_radix(sizes, [layout.codes for layout in layouts])
         radices = tuple(r for layout in reversed(layouts) for r in layout.radices)
@@ -287,6 +297,18 @@ def _product_table(t1, n1, t2, n2) -> array:
     return array("H", wide)
 
 
+def fill(buffer, indices, item) -> None:
+    """buffer[i] = item[0] for each index i, item being a one-entry sequence
+    of the buffer's type: one slice assignment when the indices are a range,
+    else one store per index."""
+    if isinstance(indices, range):
+        buffer[indices.start : indices.stop : indices.step] = item * len(indices)
+    else:
+        (value,) = item
+        for i in indices:
+            buffer[i] = value
+
+
 class FiniteRing:
     """Base class: a finite commutative ring with identity."""
 
@@ -306,9 +328,6 @@ class FiniteRing:
         raise NotImplementedError
 
     def neg(self, x):
-        raise NotImplementedError
-
-    def units(self) -> frozenset:
         raise NotImplementedError
 
     @property
@@ -383,6 +402,7 @@ class FiniteRing:
         self._elements = None
         self._index = None
         self._units = None
+        self._divisor_table = None
         self._divisor_groups = None
         self._divisor_list = None
         # caches exist from construction on: an attribute first set later
@@ -416,20 +436,36 @@ class FiniteRing:
 
     def divisor(self, r):
         """An element d with r = d*u for a unit u, so that r and d generate
-        the same ideal: gcd(r, n) over A/(n) for A = Z or F_p[x], read off
-        the divisors of n (see ``_EuclideanQuotient``), the factors'
-        divisors over a product, and otherwise one for a unit and r itself
-        for a nonunit."""
-        return self.one if r in self.units() else r
+        the same ideal: one read of ``divisor_table``."""
+        return self.elements[self.divisor_table()[self.index(r)]]
+
+    def divisor_table(self) -> array:
+        """Element index -> the index of its divisor, built once in bulk by
+        each constructor (``_make_divisor_table``)."""
+        if self._divisor_table is None:
+            self._divisor_table = self._make_divisor_table()
+        return self._divisor_table
+
+    def _make_divisor_table(self) -> array:
+        raise NotImplementedError
+
+    def units(self) -> frozenset:
+        """The elements whose divisor is one, built once."""
+        if self._units is None:
+            one = self.index(self.one)
+            self._units = frozenset(
+                itertools.compress(self.elements, map(one.__eq__, self.divisor_table()))
+            )
+        return self._units
 
     def divisor_groups(self) -> dict:
-        """{divisor: its elements}, both in element order, built once;
-        callers only read it."""
+        """{divisor: its elements}, both in element order, built once from
+        ``divisor_table``; callers only read it."""
         if self._divisor_groups is None:
-            groups = {}
-            for r in self.elements:
-                groups.setdefault(self.divisor(r), []).append(r)
-            self._divisor_groups = groups
+            elems, groups = self.elements, {}
+            for x, g in zip(elems, self.divisor_table()):
+                groups.setdefault(g, []).append(x)
+            self._divisor_groups = {elems[g]: xs for g, xs in groups.items()}
         return self._divisor_groups
 
     def divisors(self) -> tuple:
@@ -497,6 +533,12 @@ class FiniteRing:
                 raise RingError(f"{self.spec}: multiplication is not commutative")
             if add[right] != add[below]:
                 raise RingError(f"{self.spec}: addition is not commutative")
+        # x*(x + 1) = x*x + x, the one law here that reads the diagonal
+        # entries x*x: no other law reads those off 0 and 1
+        for i, x in enumerate(elems):
+            k = i * n
+            if mul[k + add[k + one]] != add[mul[k + i] * n + i]:
+                raise RingError(f"{self.spec}: distributivity fails at {x!r}")
 
     def _read_tables(self, add_t, mul_t, neg_t):
         """Point add, mul, neg and mul_row at the checked index tables, so
@@ -536,12 +578,15 @@ class _EuclideanQuotient(FiniteRing):
     gcd(r, n) is the divisor of r, and the units are the residues whose
     divisor is one.
 
-    The first ``divisor`` call sieves every residue at once, from the
+    The divisor table is a sieve over every residue at once, from the
     proper divisors of n, which are few: each proper divisor g, in
-    increasing order, is written on its multiples, so the last one written
-    on r is gcd(r, n), since every divisor of n that divides r divides
-    gcd(r, n).  Zero's divisor is zero.  An idempotent e other than 0 and 1
-    with g = gcd(e, n) is 0 mod g and 1 mod n/g, so gcd(g, n/g) = 1: only
+    increasing order, is written on the indices of its multiples
+    (``multiples``, one slice assignment for ``Zn``), so the last one
+    written on r is gcd(r, n), since every divisor of n that divides r
+    divides gcd(r, n).  Zero's divisor is zero.  The multiples of g are
+    the ideal gA/(n), so they are also the image of g on a module whose
+    elements are these residues.  An idempotent e other than 0 and 1 with
+    g = gcd(e, n) is 0 mod g and 1 mod n/g, so gcd(g, n/g) = 1: only
     residues whose divisor is such a unitary divisor are squared to find
     the idempotents."""
 
@@ -551,13 +596,12 @@ class _EuclideanQuotient(FiniteRing):
     def _init_quotient(self, domain, modulus):
         self.domain = domain
         self.modulus = modulus
-        # filled by the first ``divisor`` call
-        self._divisors = {}
         self._pairs = None
         self._init_common(validate=False)
 
-    def _multiples(self, g):
-        """The element indices of the multiples of a proper divisor g of n."""
+    def multiples(self, g):
+        """The element indices of gA/(n), the multiples of a nonzero
+        divisor g of n."""
         raise NotImplementedError
 
     def reduce(self, r):
@@ -572,38 +616,30 @@ class _EuclideanQuotient(FiniteRing):
             self._pairs = scalars.proper_divisors(self.domain, self.modulus)
         return self._pairs
 
-    def divisor(self, r):
-        try:
-            return self._divisors[r]
-        except KeyError:
-            self.index(r)  # a RingError for a non-element
-        # the first call: the sieve
-        table = [self.one] * self.order
+    def _make_divisor_table(self):
+        index = self.index
+        table = array("H", [index(self.one)]) * self.order
         for g, _ in self._divisor_pairs()[1:]:
-            for i in self._multiples(g):
-                table[i] = g
-        table[self.index(self.zero)] = self.zero
-        self._divisors = dict(zip(self.elements, table))
-        return self._divisors[r]
+            fill(table, self.multiples(g), array("H", [index(g)]))
+        zero = index(self.zero)
+        table[zero] = zero
+        return table
 
     def mul_row(self, t) -> list:
         return self.layout.linear_row(self.generator_products(self.index(t)))
 
     def idempotents(self):
-        domain, divisor = self.domain, self.divisor
+        domain, index = self.domain, self.index
         unitary = {
-            g
+            index(g)
             for g, h in self._divisor_pairs()[1:]
             if scalars.scalar_gcd(Scalar(domain, g), Scalar(domain, h)).is_unit()
         }
-        candidates = [self.zero, self.one]
-        candidates += (r for r in self.elements if divisor(r) in unitary)
-        return frozenset(x for x in candidates if self.mul(x, x) == x)
-
-    def units(self):
-        if self._units is None:
-            self._units = frozenset(self.divisor_groups()[self.one])
-        return self._units
+        candidates = itertools.compress(
+            self.elements, map(unitary.__contains__, self.divisor_table())
+        )
+        squares = [x for x in candidates if self.mul(x, x) == x]
+        return frozenset([self.zero, self.one, *squares])
 
 
 class ZnRing(_EuclideanQuotient):
@@ -649,7 +685,7 @@ class ZnRing(_EuclideanQuotient):
             mul.extend(self.index(self.mul(x, y)) for y in elems)
         return add, mul, array("H", (self.index(self.neg(x)) for x in elems))
 
-    def _multiples(self, g):
+    def multiples(self, g):
         # residue r sits at index r
         return range(0, self.n, g)
 
@@ -783,7 +819,7 @@ class QuotPolyRing(_EuclideanQuotient):
             rest = [f"{t}+{r}" if t and r else t or r for r in rest for t in terms]
         return tuple(labels)
 
-    def _multiples(self, g):
+    def multiples(self, g):
         # the multiples g*q for deg q < deg n - deg g are the first residues
         # in element order, and x^k*g needs no reduction
         m, index = self.degree - pdeg(g), self.index
@@ -837,15 +873,11 @@ class ProdRing(FiniteRing):
     def _make_labels(self):
         return tuple(f"({a},{b})" for a in self.r1.labels for b in self.r2.labels)
 
-    def units(self):
-        if self._units is None:
-            self._units = frozenset(
-                itertools.product(self.r1.units(), self.r2.units())
-            )
-        return self._units
-
-    def divisor(self, r):
-        return (self.r1.divisor(r[0]), self.r2.divisor(r[1]))
+    def _make_divisor_table(self):
+        # (x1, x2) = (d1*u1, d2*u2) = (d1, d2)(u1, u2), a unit exactly when
+        # u1 and u2 are: the factors' tables side by side
+        tables = [self.r1.divisor_table(), self.r2.divisor_table()]
+        return array("H", self.layout.join(tables))
 
     def mul_row(self, t) -> list:
         # (t1, t2)(x1, x2) = (t1*x1, t2*x2): the factors' rows side by side
@@ -924,12 +956,18 @@ class IdealizeRing(FiniteRing):
         ms = [",".join(m) for m in itertools.product(base, repeat=self.d)]
         return tuple(f"({a},({m}))" for a in base for m in ms)
 
-    def units(self):
-        # (a, m) is invertible iff a is: the inverse is (a^-1, -a^-2 m)
-        if self._units is None:
-            base_units = self.base.units()
-            self._units = frozenset(x for x in self.elements if x[0] in base_units)
-        return self._units
+    def _make_divisor_table(self):
+        # (a, m) is invertible iff a is, the inverse being (a^-1, -a^-2 m),
+        # and a nonunit is its own divisor.  The elements with base
+        # coordinate a are one block, so a unit's block maps to one
+        base, table = self.base, array("H", range(self.order))
+        block = self.order // base.order
+        ones = array("H", [self.index(self.one)]) * block
+        unit = base.index(base.one)
+        for a, g in enumerate(base.divisor_table()):
+            if g == unit:
+                table[a * block : (a + 1) * block] = ones
+        return table
 
     def idempotents(self):
         # (a, m)^2 = (a^2, 2am) = (a, m) gives a^2 = a and m = 2am, so

@@ -651,10 +651,10 @@ def _r20(ctx):
 
 
 def _direct_image(E):
-    """a -> the mask of aE from the presentation alone: E's moduli, its
-    domain, its element index and plain scalar arithmetic, never its residue
-    ring, rows, images or digit layout, so no fault can hide on both sides
-    of R21.
+    """(image, summand): a -> the mask of aE, and k -> the mask of the k-th
+    summand A/(d_k), from the presentation alone: E's moduli, its domain,
+    its element index and plain scalar arithmetic, never its residue ring,
+    rows, images or digit layout, so no fault can hide on both sides of R21.
 
     A scalar is worked on as a code. An integer is its own code. An F_p[x]
     scalar is the base-p integer whose digit k is the coefficient of x^k, so
@@ -673,8 +673,9 @@ def _direct_image(E):
     d, in closed form: range(0, d, g) over Z, and over F_p[x] the products
     g*q for every q of degree below deg d - deg g, which need no reduction;
     they are listed by adding c*g*t^k for each digit c of q, and turned into
-    elements once per (d, g). The memos live in the returned closure, so
-    none outlives one _r21 call."""
+    elements once per (d, g). The k-th summand is the product of 1(A/(d_k))
+    at place k with d_j(A/(d_j)) = 0 at every other place j. The memos live
+    in the returned closures, so none outlives one _r21 call."""
     if E.domain.kind == "int":
         encode = int
         reduce = operator.mod
@@ -756,18 +757,24 @@ def _direct_image(E):
     divisor = cache(gcd)
     members = cache(multiples)
 
+    def product_mask(gens):
+        # the multiples of gens[j] in A/(d_j) at each place j; they hold no
+        # repeats, so the sum of the bits is their union
+        vals = itertools.product(*(members(d, g) for d, g in zip(moduli, gens)))
+        return sum(1 << E.elem_index(v) for v in vals)
+
     @cache
     def mask_of(key):
-        sets = [members(d, g) for d, g in zip(distinct, key)]
-        # the multiples hold no repeats, so the sum of the bits is their union
-        vals = itertools.product(*(sets[i] for i in slots))
-        return sum(1 << E.elem_index(v) for v in vals)
+        return product_mask([key[i] for i in slots])
 
     def image(a):
         a = encode(a)
         return mask_of(tuple([divisor(d, reduce(a, d)) for d in distinct]))
 
-    return image
+    def summand(k):
+        return product_mask([1 if j == k else d for j, d in enumerate(moduli)])
+
+    return image, summand
 
 
 def _r21(ctx):
@@ -780,14 +787,15 @@ def _r21(ctx):
     over Z every integer in [-2n, 2n]; over F_p[x] every polynomial of
     degree at most deg g + 1 for the annihilator g, listed as each prefix
     followed by each nonzero top coefficient, then monomials and
-    near-multiples of g up to degree 2 deg g. The first mismatch is the
-    witness."""
+    near-multiples of g up to degree 2 deg g. Then E's cyclic submodule
+    R·e_k of each unit vector e_k must equal the k-th summand read off the
+    presentation. The first mismatch is the witness."""
     E = ctx.E
     if E.moduli is None:
         return VACUOUS, None, "needs an explicit cyclic-sum presentation"
     ring = E.residue_ring
     units = ring.units()
-    image = _direct_image(E)
+    image, summand = _direct_image(E)
     if E.domain.kind == "int":
         n = ring.n
         samples = range(-2 * n, 2 * n + 1)
@@ -826,6 +834,16 @@ def _r21(ctx):
                 f"scalar {fmt(a)}: direct image "
                 f"{{{','.join(E.format_mask(direct_mask))}}} differs from the "
                 f"residue image"
+            ), None
+    zero, one = (0, 1) if E.domain.kind == "int" else ((), (1,))
+    places = range(len(E.moduli))
+    for k in places:
+        i = E.elem_index(tuple(one if j == k else zero for j in places))
+        cyclic = E.cyclic_mask(i)
+        if cyclic != summand(k):
+            return FAIL, (
+                f"unit vector {E.labels[i]}: cyclic submodule "
+                f"{{{','.join(E.format_mask(cyclic))}}} differs from the summand"
             ), None
     return PASS, None, None
 

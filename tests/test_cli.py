@@ -282,6 +282,27 @@ def test_usage_error(capsys):
     assert cli.main(["bogus"]) == 2
 
 
+def test_repeated_calls_share_one_parser(capsys):
+    # main() builds its parser once per process: each call, usage errors
+    # and --help included, gives the stdout, stderr and exit code of a call
+    # on a freshly built parser, however often it is repeated
+    argvs = [
+        ["--help"], ["analyze", "--help"], [], ["analyze"], ["frobnicate"],
+        ["analyze", "Z:8", "--bogus"], ["verify", "--max-order", "x"],
+        ["analyze", "Z:8"], ["dot", "Z:6"], ["corpus", "--max-order", "4"],
+    ]
+
+    def fresh(argv):
+        cli._build_parser.cache_clear()
+        return run_cli(capsys, *argv)
+
+    expected = [fresh(argv) for argv in argvs]
+    assert [code for code, _, _ in expected] == [0, 0, 2, 2, 2, 2, 2, 0, 0, 0]
+    for _ in range(2):
+        assert [run_cli(capsys, *argv) for argv in argvs] == expected
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_exit_codes_in_a_fresh_process():
     assert fresh_python("-m", "qdivtop.cli", "dot", "Z:1_0", timeout=5).returncode == 2
     assert fresh_python("-m", "qdivtop.cli", "analyze", "Z:99999", timeout=5).returncode == 3
@@ -492,22 +513,45 @@ def test_analyze_ring_at_the_element_cap(capsys, monkeypatch):
 
 
 def test_analyze_composite_ring_rows_take_one_product_per_digit(capsys, monkeypatch):
-    # Ideal(Trunc(2,2),3) has 4096 elements and 12 binary digits: each of
-    # its 12 generator rows takes 12 ring products, not 4096
-    products = []
-    mul = rings.IdealizeRing.mul
+    # Ideal(Trunc(2,2),3) has 4096 elements and 12 binary digits.  Its rows
+    # are joined from rows of its base Trunc(2,2), read off the base's
+    # checked table: 4 base rows (one for a, one per m_k) per row of
+    # (a, m_1, m_2, m_3), rows only for the 12 additive generators, and no
+    # value product of the ring at all
+    products, rows, base_rows = [], [], []
+    mul, mul_row = rings.IdealizeRing.mul, rings.IdealizeRing.mul_row
+    read_tables = rings.FiniteRing._read_tables
 
-    def counted(self, x, y):
+    def counted_product(self, x, y):
         products.append(None)
         return mul(self, x, y)
 
-    monkeypatch.setattr(rings.IdealizeRing, "mul", counted)
+    def counted_row(self, t):
+        rows.append(t)
+        return mul_row(self, t)
+
+    def counted_base_rows(self, *tables):
+        read_tables(self, *tables)
+        if self.spec == "Trunc(2,2)":
+            row = self.mul_row
+
+            def counted(t):
+                base_rows.append(t)
+                return row(t)
+
+            self.mul_row = counted
+
+    monkeypatch.setattr(rings.IdealizeRing, "mul", counted_product)
+    monkeypatch.setattr(rings.IdealizeRing, "mul_row", counted_row)
+    monkeypatch.setattr(rings.FiniteRing, "_read_tables", counted_base_rows)
     code, out, _ = run_cli(capsys, "analyze", "ring:Ideal(Trunc(2,2),3)")
     assert code == 0
     payload = payload_of(out)
     assert payload["order"] == 4096
     assert payload["points"] == 283
-    assert len(products) <= 12 * 12
+    assert products == []
+    assert 0 < len(rows) <= 12
+    assert len(base_rows) == 4 * len(rows)
 
 
 # sha256 of the stdout of ``analyze``, ``analyze --oracle`` and ``dot`` per

@@ -10,6 +10,7 @@ No rule reads ``topology.hasse_edges``: the pinned ``dot`` and ``analyze``
 stdout in ``test_cli.py`` guards it."""
 
 import dataclasses
+from array import array
 
 import pytest
 
@@ -28,7 +29,7 @@ def quotient_image_without_n(mp):
     # rE, not rE + N
     def planted(self, r):
         row = self.module.row(self.residue_ring.divisor(r))
-        return modules._mask(row[i] for i in modules._bits(self.mask))
+        return modules._mask([row[i] for i in modules._bits(self.mask)], self.module.order)
 
     mp.setattr(modules.Submodule, "image_mask", planted)
 
@@ -76,7 +77,7 @@ def span_one_coset(mp):
     def planted(self, ys):
         mask = self.zero_mask
         for y in ys:
-            mask |= modules._mask(self.add(i, y) for i in modules._bits(mask))
+            mask |= modules._mask([self.add(i, y) for i in modules._bits(mask)], self.order)
         return mask
 
     mp.setattr(modules.FiniteModule, "span", planted)
@@ -88,6 +89,21 @@ def span_at_first_generator(mp):
         return self.span([self.row(self.residue_ring.additive_generators()[0])[i]])
 
     mp.setattr(modules.FiniteModule, "_span_at", planted)
+
+
+def multiples_one_step_short(mp):
+    # the multiples of g in Z/(n), which the divisor sieve writes g on and
+    # the image of g on Z:n is read off, stop one step short of n
+    mp.setattr(rings.ZnRing, "multiples", lambda self, g: range(0, self.n - g, g))
+
+
+def product_divisors_joined_in_swapped_order(mp):
+    # the divisor table of Prod(R1,R2) joins R2's table before R1's
+    def planted(self):
+        tables = [self.r2.divisor_table(), self.r1.divisor_table()]
+        return array("H", self.layout.join(tables))
+
+    mp.setattr(rings.ProdRing, "_make_divisor_table", planted)
 
 
 def units_only_one(mp):
@@ -319,6 +335,12 @@ ROWS = [
         "{'quasi_second': True, 'all_images_maximal': True, 'discrete': True, "
         "'metrizable': True, 'T2': False, 'T1': True}",
     ),
+    (
+        "R2",
+        product_divisors_joined_in_swapped_order,
+        "ring:Prod(Zn(2),Zn(3))",
+        "T1=False but quasi_second=True; comparable points [(0,1)] <= [(0,2)]",
+    ),
     ("R4", nested_read_off_image_sizes, "Z:6", "uniserial=False nested=True"),
     ("R7", interior_every_member_inside, "Z:8", "interior formula differs on ['[2]']"),
     (
@@ -399,15 +421,20 @@ ROWS = [
     (
         "R21",
         span_one_coset,
-        "Z:8",
-        "scalar -15: direct image {0,1,2,3,4,5,6,7} differs from the residue image",
+        "Z:2,4",
+        "unit vector (0,1): cyclic submodule {(0,0),(0,1)} differs from the summand",
     ),
     (
         "R21",
         span_at_first_generator,
-        "F2[x]:x^3",
-        "scalar 1: direct image {0,1,x,x+1,x^2,x^2+x,x^2+1,x^2+x+1} differs "
-        "from the residue image",
+        "F2[x]:x,x^2",
+        "unit vector (0,1): cyclic submodule {(0,0),(0,1)} differs from the summand",
+    ),
+    (
+        "R21",
+        multiples_one_step_short,
+        "Z:8",
+        "scalar -15: direct image {0,1,2,3,4,5,6,7} differs from the residue image",
     ),
     (
         "R21",

@@ -29,7 +29,7 @@ from qdivtop.rings import (
     build_ring,
     classify_quasi_second_ring,
 )
-from common import BENCHMARK_RING_SPECS
+from common import BENCHMARK_RING_SPECS, CAP_LADDER_RINGS
 from test_mutants import RULE_INVISIBLE
 
 
@@ -676,23 +676,24 @@ def base_breaking_trunc(p, k, pair):
 @pytest.mark.parametrize("p, k", [(2, 2), (3, 1)])
 def test_construction_check_rejects_a_trunc_ring_with_a_broken_base_product(p, k):
     # Trunc's tables are built from its Zn(p) base's, which come from the
-    # base's value products on every pair.  Every planted pair is rejected
-    # but (2, 2) of Zn(3): a diagonal entry off 0 and 1 sits at the same
-    # place in both orders of each product that reads it, and no identity
-    # reads it, so no law the check tests sees it.  The table comparison
-    # with the literal product sees it
+    # base's value products on every pair.  Every planted pair is rejected.
+    # A diagonal entry off 0 and 1, (2, 2) of Zn(3), sits at the same place
+    # in both orders of each product that reads it, and no identity reads
+    # it: the law x*(x + 1) = x*x + x sees it
     assert base_breaking_trunc(p, k, None).order == p ** (k + 1)
-    missed = []
+    missed, distributivity = [], []
     for pair in itertools.product(range(p), repeat=2):
         try:
-            ring = base_breaking_trunc(p, k, pair)
+            base_breaking_trunc(p, k, pair)
         except RingError as exc:
-            assert "identity laws fail" in str(exc) or "not commutative" in str(exc)
+            laws = ("identity laws fail", "not commutative", "distributivity fails")
+            assert any(law in str(exc) for law in laws), exc
+            if "distributivity" in str(exc):
+                distributivity.append(pair)
             continue
         missed.append(pair)
-        _, mul, _ = literal_ops(ring)
-        assert any(ring.mul(x, y) != mul(x, y) for x in ring.elements for y in ring.elements)
-    assert missed == ([(2, 2)] if p == 3 else [])
+    assert missed == []
+    assert distributivity == ([(2, 2)] if p == 3 else [])
 
 
 @pytest.mark.parametrize(
@@ -747,6 +748,55 @@ def test_product_tables_fill_byte_lanes_up_to_256_elements():
     ]
     with pytest.raises(RingError, match="does not fit one-byte lanes"):
         ProdRing(ZnRing(16), ZnRing(17)).index_tables()
+
+
+def assert_divisors_match_the_definitions(ring, elements):
+    """For each of the given elements r: divisor(r) generates the ideal rR
+    (``principal_ideal``); it is one exactly when r is a unit, that is
+    when 1 is in rR, x*y = 1 for some y; and units() holds r exactly then.
+    Zero's divisor is zero, and divisor_groups() lists every element under
+    its divisor, both in element order."""
+    ideals = {}
+
+    def ideal(x):
+        if x not in ideals:
+            ideals[x] = ring.principal_ideal(x)
+        return ideals[x]
+
+    units = ring.units()
+    for r in elements:
+        d = ring.divisor(r)
+        assert ideal(d) == ideal(r), (ring.spec, r)
+        unit = ring.one in ideal(r)
+        assert (r in units, d == ring.one) == (unit, unit), (ring.spec, r)
+    assert ring.divisor(ring.zero) == ring.zero
+    assert len(units) == len(ring.divisor_groups()[ring.one])
+    groups = {}
+    for r in ring.elements:
+        groups.setdefault(ring.divisor(r), []).append(r)
+    assert list(ring.divisor_groups().items()) == list(groups.items()), ring.spec
+
+
+def test_divisor_tables_match_the_definitions():
+    # every element of the default catalog rings, of 60 seeded random
+    # nested rings of order <= 64 and of the rings-qs rings up to 256
+    # elements; a seeded sample of 8 elements of the larger rings-qs rings
+    # and of the rings at the element cap
+    from qdivtop import verifier
+
+    rng = random.Random(4242)
+    specs = list(verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS))
+    specs += [random_ring_spec(rng, 64)[0] for _ in range(60)]
+    specs += [*BENCHMARK_RING_SPECS, *CAP_LADDER_RINGS]
+    sampled = 0
+    for spec in dict.fromkeys(specs):
+        ring = build_ring(spec)
+        elements = ring.elements
+        if ring.order > 256:
+            elements = rng.sample(elements, 8)
+            sampled += 1
+        assert_divisors_match_the_definitions(ring, elements)
+    assert sampled == 13
 
 
 def test_field_detection():

@@ -510,18 +510,22 @@ def literal_image_mask(E, a, literal):
 
 
 def test_r21_direct_images_match_the_literal_definition(monkeypatch):
-    modules_seen, drawn = [], []
+    modules_seen, drawn, summands = [], [], []
     span_built = verifier._direct_image
 
     def recording(E):
         modules_seen.append(E)
-        image = span_built(E)
+        image, summand = span_built(E)
 
         def record(a):
             drawn.append((a, image(a)))
             return drawn[-1][1]
 
-        return record
+        def record_summand(k):
+            summands.append((k, summand(k)))
+            return summands[-1][1]
+
+        return record, record_summand
 
     monkeypatch.setattr(verifier, "_direct_image", recording)
     specs = [i.spec_text for i in generate_corpus() if i.kind == "module"] + R21_EXTRA
@@ -529,6 +533,7 @@ def test_r21_direct_images_match_the_literal_definition(monkeypatch):
     for spec in specs:
         modules_seen.clear()
         drawn.clear()
+        summands.clear()
         outcome = run_rule("R21", Instance("module", spec))
         if outcome.verdict == VACUOUS:
             assert spec.startswith("ring:") and not modules_seen, spec
@@ -538,5 +543,11 @@ def test_r21_direct_images_match_the_literal_definition(monkeypatch):
         assert drawn, spec
         for a, mask in drawn:
             assert mask == literal_image_mask(E, a, literal), (spec, a)
+        # the k-th summand: every element whose other coordinates are zero
+        zero = E.elements[E.zero]
+        assert [k for k, _ in summands] == list(range(len(E.moduli))), spec
+        for k, mask in summands:
+            inside = [x for x in E.elements if x[:k] + x[k + 1 :] == zero[:k] + zero[k + 1 :]]
+            assert mask == sum(1 << E.elem_index(x) for x in inside), (spec, k)
         checked += 1
     assert checked == 163 + len(R21_EXTRA)
