@@ -61,7 +61,7 @@ def _analyze_payload(E, with_oracle: bool):
     second = space.n == 0
     payload = {
         "spec": E.spec_text,
-        "domain": E.domain_label,
+        "domain": E.residue_ring.domain_label,
         "order": E.order,
         "annihilator": str(ann),
         "second_module": second,

@@ -21,44 +21,42 @@ surjection are exactly the nonzero nonunit residues modulo the
 annihilator, so enumerating that ring enumerates every cyclic image aE;
 a direct-sampling cross-check of this reduction lives in the verifier.
 
-Elements are the indices ``0..N-1``; their values (residue tuples, ring
-elements) are kept only to parse input, and their printed forms
-(``labels``) are put together once, from the summands' ring labels.  All
-arithmetic is on indices.  A catalog ring module lives on the ring's
-``rings.DigitLayout``, and a cyclic sum on the product of its summands'
-layouts: each summand A/(d) is the catalog ring ``Zn(d)`` or
-``GF(p,d)``, with the same element order.  Addition is the layout's
-index-level ``add(i, j)``, and zero its index of code 0.  The action of a
-residue is a row mapping element index to element index, stored as
-``array('H')`` (``ELEMENT_CAP`` = ``rings.ORDER_CAP`` = 4096 < 2^16,
-checked before anything is built) and built the first
-time a query asks for it; negation is the row of -1.  Multiplication is
-additive, so a ring row (``mul_row``) is fixed by one image per digit, or
-joined from the ring's factors' rows, with no product per element; a
-cyclic sum joins its summands' rows of the reduced residue.
+Both are a product of rings, the module's summands: the rings A/(d_i),
+each the catalog ring ``Zn(d_i)`` or ``GF(p,d_i)`` with the residues in
+the same order, or R itself.  Elements are the indices ``0..N-1`` of the
+product of the summands' ``rings.DigitLayout``; their values (residue
+tuples, ring elements) are kept only to parse input, and their printed
+forms (``labels``) are the summands' labels, joined once.  All
+arithmetic is on indices: addition is the layout's ``add(i, j)``, and
+zero its index of code 0.  The action of a residue r is a row mapping
+element index to element index, stored as ``array('H')``
+(``ELEMENT_CAP`` = ``rings.ORDER_CAP`` = 4096 < 2^16, checked before
+anything is built): the rows ``S.mul_row(S.reduce(r))`` of the summand
+rings S, joined, each fixed by one image per digit or joined from a
+ring's factors' rows with no product per element.  Rows are built the
+first time a query asks for one.
 
-Rows are asked for sparingly.  A cyclic submodule Rx is the additive span
-of g*x over the additive generators g of the residue ring (``span``), so
-it reads one row entry per generator: one row for Z, deg(n) rows for
-F_p[x]/(n), k+1 rows for Trunc(p,k).  A residue r is r = d*u for its
-divisor d and a unit u (``FiniteRing.divisor_table``, one entry per
-element index), so r and d have the same image on every submodule and
-kill the same elements: over A/(n) with A = Z or F_p[x], d = gcd(r, n).
-So a module caches one image and one kernel (the elements d sends to
-zero) per divisor, and scalar classes, the quasi-second search, killers,
-annihilators, second-submodule tests and the multiplication and
-comultiplication predicates read those.  When the elements are
-themselves residues (a catalog ring over itself, a one-summand cyclic
-sum), the image dE is the ideal Rd: over A/(n) it is dA/(n), the list of
-multiples of d that the divisor sieve writes d on
-(``_EuclideanQuotient.multiples``), and over any other ring the span of
-the products of d with the additive generators
-(``FiniteRing.generator_products``).  A unit's image is the whole module,
-so unit residues need no image at all.  A submodule a caller passes in
-is checked against the generators' rows only.  Element sets are bit
-masks over the indices (``_mask``, ``_bits``), which keeps image
-computations and the submodule lattice cheap.  Modules are immutable
-(their row, image and label caches aside) and every operation is pure.
+A residue r is r = d*u for its divisor d and a unit u
+(``FiniteRing.divisor_table``, one entry per element index), so r and d
+have the same image on every submodule and kill the same elements: over
+A/(n) with A = Z or F_p[x], d = gcd(r, n).  So a module caches one image
+and one kernel (the elements d sends to zero) per divisor, and scalar
+classes, the quasi-second search, killers, annihilators, second-submodule
+tests and the multiplication and comultiplication predicates read those.
+The image dE is the product of the principal ideals dS of the summands
+(Dummit and Foote, *Abstract Algebra*, §12.1), each read off its ring
+(``FiniteRing.ideal_mask``) with no row: over A/(n) the multiples of
+gcd(d, n) that the divisor sieve lists, over any other ring the span of
+the products of d with the additive generators.  A unit's image is the
+whole module, so unit residues need no image at all.  A cyclic submodule
+Rx of a sum of two or more summands is the additive span of g*x over the
+additive generators g of the residue ring (``rings.DigitLayout.span``),
+so it reads one row entry per generator; on one summand it is the image
+xE.  A submodule a caller passes in is checked against the generators'
+rows only.  Element sets are bit masks over the indices (``_mask``,
+``_bits``), which keeps image computations and the submodule lattice
+cheap.  Modules are immutable (their row, image and label caches aside)
+and every operation is pure.
 
 The submodule lattice of a cyclic sum over a PID is listed, not searched:
 each submodule has exactly one basis in Hermite normal form (H. Cohen, *A
@@ -81,7 +79,7 @@ from array import array
 from dataclasses import dataclass
 
 from . import rings, scalars
-from .rings import SizeCapExceeded
+from .rings import SizeCapExceeded, _bits, _flag_mask, _mask
 from .scalars import INTEGERS, Scalar, ScalarDomain, poly_domain
 
 
@@ -91,49 +89,6 @@ class ModuleError(ValueError):
 
 ELEMENT_CAP = rings.ORDER_CAP
 LATTICE_CAP = 256
-
-
-# a byte per index, 0 or 1, to and from the digits of a base-2 numeral
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bits(mask: int):
-    """The indices of the set bits of mask, in increasing order.  Clearing
-    the low bit costs a pass over the mask's words, so a mask past 64 bits
-    with more than one bit in 16 set is read off its base-2 numeral, in one
-    pass, instead."""
-    if mask >= 1 << 64 and mask.bit_count() > mask.bit_length() >> 4:
-        yield from itertools.compress(
-            itertools.count(), bin(mask)[:1:-1].encode().translate(_FLAGS)
-        )
-        return
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _flag_mask(flags) -> int:
-    """The mask with bit i set where the byte flags[i] is 1, read as one
-    base-2 numeral."""
-    return int(flags[::-1].translate(_DIGITS), 2)
-
-
-def _mask(indices, size: int) -> int:
-    """The mask of a list, array or range of indices, each below size.
-    Each index ORed in costs a pass over the mask's words, and flags a pass
-    over size bytes, so up to max(16, size/16) indices are ORed in and more
-    are set as flags (``rings.fill``), with no big-integer step per index."""
-    k = len(indices)
-    if k <= 16 or k << 4 <= size:
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return mask
-    flags = bytearray(size)
-    rings.fill(flags, indices, b"\1")
-    return _flag_mask(flags)
 
 
 class Submodule:
@@ -275,68 +230,44 @@ class WeakSplit:
 
 class FiniteModule:
     """A finite module from its presentation alone: the residue ring
-    A/ann(E), the digit layout of its additive group, element values in
-    layout order, a row builder for the action of one residue, a builder
-    of the element labels, and the domain and moduli of a cyclic sum
-    (neither for a catalog ring over itself).  Zero and addition come from
-    the layout, all else from the moduli and the residue ring: no two
-    fields can disagree.
+    A/ann(E), the summand rings, and the domain and moduli of a cyclic sum
+    (neither for a catalog ring R over itself, whose one summand is R).
+    The module is the product of its summands: its digit layout, element
+    values, labels, action rows and images are joined from theirs, so no
+    two fields can disagree.
 
-    ``row(r)`` builds and caches one row on first use.  Cyclic
-    submodules are spans of the products with the additive generators
-    (``_span_at``), and so are the images of residues when the elements
-    are the residues of a ring other than A/(n), whose images are its
-    divisors' lists of multiples.  Other images and the kernels, which
-    decide killers, read the row of a residue's divisor, once per divisor.
-    A unit's image needs no row, so a module over Z or F_p[x] builds
-    about one row per divisor of its annihilator and a catalog ring one
-    per additive generator.  The value -> index map of the elements is
-    built on first use (``elem_index``)."""
+    A row of residue r is one ``S.mul_row(S.reduce(r))`` per summand ring
+    S, joined, built and cached on first use; rows decide
+    kernels, cyclic submodules of sums of two or more summands, and the
+    images on sections.  The image rE is the product of the principal
+    ideals rS (``FiniteRing.ideal_mask``), with no row, cached per divisor;
+    a unit's image is the whole module and needs none.  The value -> index
+    map of the elements is built on first use (``elem_index``)."""
 
-    def __init__(
-        self,
-        *,
-        spec_text,
-        residue_ring,
-        layout,
-        elements,
-        build_row,
-        build_labels,
-        domain=None,
-        moduli=None,
-    ):
+    def __init__(self, spec_text, residue_ring, summands, domain=None, moduli=None):
         self.spec_text = spec_text
         self.residue_ring = residue_ring
-        self.elements = tuple(elements)
-        self._build_labels = build_labels
-        self._labels = None
+        self.summands = summands
         self.domain = domain
         self.moduli = moduli
+        self.layout = layout = rings.DigitLayout.product([S.layout for S in summands])
+        if moduli is None:
+            self.elements = residue_ring.elements
+        else:
+            self.elements = tuple(itertools.product(*(S.elements for S in summands)))
         self.add = layout.add
         self.zero = layout.index_of[0]
         self.order = len(self.elements)
         self._index = None
+        self._labels = None
         self.zero_mask = 1 << self.zero
         self.full_mask = (1 << self.order) - 1
-        self._build_row = build_row
         self._rows = {}
         self._images = {}
         self._kernels = {}
         self._classes = None
         self._lattice = None
         self._cyclic = {}
-
-    @property
-    def residue_elements(self) -> bool:
-        """Element i is the residue residue_ring.elements[i], so Rx = xE: a
-        ring over itself, or a single summand."""
-        return self.moduli is None or len(self.moduli) == 1
-
-    @property
-    def domain_label(self) -> str:
-        if self.moduli is None:
-            return _default_domain_label(self.residue_ring)
-        return str(self.domain)
 
     # -- element plumbing ------------------------------------------------
 
@@ -353,9 +284,14 @@ class FiniteModule:
 
     @property
     def labels(self) -> tuple:
-        """The printed form of each element, by index, built once."""
+        """The printed form of each element, by index, built once: a single
+        summand's own labels, else the summands' labels as tuples."""
         if self._labels is None:
-            self._labels = tuple(self._build_labels())
+            if len(self.summands) == 1:
+                self._labels = self.summands[0].labels
+            else:
+                parts = itertools.product(*(S.labels for S in self.summands))
+                self._labels = tuple("(" + ",".join(part) + ")" for part in parts)
         return self._labels
 
     def format_mask(self, mask: int):
@@ -367,28 +303,22 @@ class FiniteModule:
         row = self._rows.get(r)
         if row is None:
             self.residue_ring.index(r)
-            row = self._rows[r] = array("H", self._build_row(r))
+            parts = [S.mul_row(S.reduce(r)) for S in self.summands]
+            row = self._rows[r] = array("H", self.layout.join(parts))
         return row
 
     # -- images and generated submodules ----------------------------------
 
     def image_mask(self, r) -> int:
+        """Mask of rE, the product of the ideals rS of the summands, read
+        once per divisor of r."""
         mask = self._images.get(r)
         if mask is None:
-            ring = self.residue_ring
-            g = ring.divisor(r)
+            g = self.residue_ring.divisor(r)
             mask = self._images.get(g)
             if mask is None:
-                if not self.residue_elements:
-                    mask = _mask(self.row(g), self.order)
-                elif g == ring.zero:
-                    mask = self.zero_mask
-                elif isinstance(ring, (rings.ZnRing, rings.QuotPolyRing)):
-                    # gE = gA/(n), the multiples of g that the sieve lists
-                    mask = _mask(ring.multiples(g), self.order)
-                else:
-                    mask = self._span_at(ring.index(g))
-                self._images[g] = mask
+                ideals = [S.ideal_mask(S.reduce(g)) for S in self.summands]
+                mask = self._images[g] = self.layout.join_mask(ideals)
             self._images[r] = mask
         return mask
 
@@ -417,43 +347,18 @@ class FiniteModule:
                     out |= 1 << add(i, j)
         return out
 
-    def span(self, ys) -> int:
-        """Mask of the additive subgroup generated by the indices ys: the
-        join of their cyclic subgroups.  Joining y to a subgroup M adds the
-        cosets M + y, M + 2y, ... up to the first multiple of y in M, which
-        is the first one already covered."""
-        add = self.add
-        mask = self.zero_mask
-        for y in ys:
-            if (mask >> y) & 1:
-                continue
-            base = list(_bits(mask))
-            z = y
-            while not (mask >> z) & 1:
-                for i in base:
-                    mask |= 1 << add(i, z)
-                z = add(z, y)
-        return mask
-
     def cyclic_mask(self, i: int) -> int:
-        """Mask of Rx for the element x at index i.  When x is itself a
-        residue, Rx is the image xE, shared by every residue with the
-        divisor of x."""
-        if self.residue_elements:
+        """Mask of Rx for the element x at index i: the additive span of
+        g*x over the residue ring's additive generators g, one row entry
+        per generator.  On a single summand x is itself a residue, and Rx
+        is the image xE, shared by every residue with the divisor of x."""
+        if len(self.summands) == 1:
             return self.image_mask(self.residue_ring.elements[i])
         mask = self._cyclic.get(i)
         if mask is None:
-            mask = self._cyclic[i] = self._span_at(i)
+            gens = self.residue_ring.additive_generators()
+            mask = self._cyclic[i] = self.layout.span(self.row(g)[i] for g in gens)
         return mask
-
-    def _span_at(self, i: int) -> int:
-        """The span of g*x over the residue ring's additive generators g,
-        for the element x at index i: the ring's products when x is a
-        residue, else one row entry per generator."""
-        if self.residue_elements:
-            return self.span(self.residue_ring.generator_products(i))
-        gens = self.residue_ring.additive_generators()
-        return self.span(self.row(g)[i] for g in gens)
 
     def lattice_masks(self) -> tuple:
         """Masks of every submodule, smallest mask first: a cyclic sum's
@@ -511,11 +416,11 @@ def lattice_by_summands(E: FiniteModule) -> list:
     zero = E.elements[E.zero]
     lattice = [E.zero_mask]
     tail = 1
-    for i in reversed(range(len(E.moduli))):
-        d = E.moduli[i].value
+    for i in reversed(range(len(E.summands))):
+        summand = E.summands[i]
         gens = [
             (E.elem_index(zero[:i] + (u,) + zero[i + 1 :]), E.row(reduce(cofactor)))
-            for u, cofactor in scalars.proper_divisors(E.domain, d)
+            for u, cofactor in summand.divisor_pairs()
         ]
         grown = []
         for n_mask in lattice:
@@ -526,7 +431,7 @@ def lattice_by_summands(E: FiniteModule) -> list:
                     if (n_mask >> row[v]) & 1:
                         grown.append(E.join_masks(n_mask, E.cyclic_mask(base + v)))
         lattice = grown
-        tail *= _residue_count(E.domain, d)
+        tail *= summand.order
     return lattice
 
 
@@ -581,28 +486,12 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
     for d in moduli[1:]:
         ann = scalars.scalar_lcm(ann, d)
 
-    # summands with equal moduli share a ring, and with it one row per residue
+    # summands with equal moduli share a ring
     ring_of = {d.value: _residue_ring(domain, d.value) for d in moduli}
-    comps = [ring_of[d.value] for d in moduli]
-    layout = rings.DigitLayout.product([R.layout for R in comps])
-
-    def build_row(r):
-        rows = {m: R.mul_row(R.reduce(r)) for m, R in ring_of.items()}
-        return layout.join([rows[d.value] for d in moduli])
-
-    def labels():
-        if len(comps) == 1:
-            return comps[0].labels
-        parts = itertools.product(*(R.labels for R in comps))
-        return ["(" + ",".join(part) + ")" for part in parts]
-
     return FiniteModule(
         spec_text=f"{domain}:" + ",".join(str(d) for d in moduli),
         residue_ring=ring_of.get(ann.value) or _residue_ring(domain, ann.value),
-        layout=layout,
-        elements=tuple(itertools.product(*(R.elements for R in comps))),
-        build_row=build_row,
-        build_labels=labels,
+        summands=tuple(ring_of[d.value] for d in moduli),
         domain=domain,
         moduli=moduli,
     )
@@ -610,11 +499,6 @@ def cyclic_sum(domain: ScalarDomain, moduli) -> FiniteModule:
 
 def _past_cap(count) -> str:
     return f"{count} elements exceed the cap {ELEMENT_CAP}"
-
-
-def _residue_count(domain: ScalarDomain, n) -> int:
-    """The order of A/(n) for a canonical n."""
-    return n if domain.kind == "int" else domain.char ** scalars.pdeg(n)
 
 
 def _residue_ring(domain: ScalarDomain, n) -> rings.FiniteRing:
@@ -625,27 +509,10 @@ def _residue_ring(domain: ScalarDomain, n) -> rings.FiniteRing:
     return rings.QuotPolyRing(domain.char, n)
 
 
-def _default_domain_label(ring: rings.FiniteRing) -> str:
-    if isinstance(ring, rings.ZnRing):
-        return "Z"
-    if isinstance(ring, rings.QuotPolyRing):
-        return f"F{ring.p}[x]"
-    if isinstance(ring, rings.TruncRing):
-        return f"F{ring.p}[x1..x{ring.k}]"
-    # any finite commutative ring is a quotient of a polynomial domain over Z
-    return "Z[x1,x2,...]"
-
-
 def ring_cyclic(ring: rings.FiniteRing) -> FiniteModule:
-    """A catalog ring as a cyclic module over itself: the ring's own
-    element indices, its digit layout and its multiplication rows."""
+    """A catalog ring as a cyclic module over itself, its one summand."""
     return FiniteModule(
-        spec_text=f"ring:{ring.spec}",
-        residue_ring=ring,
-        layout=ring.layout,
-        elements=ring.elements,
-        build_row=ring.mul_row,
-        build_labels=lambda: ring.labels,
+        spec_text=f"ring:{ring.spec}", residue_ring=ring, summands=(ring,)
     )
 
 

@@ -80,18 +80,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
-from .modules import SizeCapExceeded, _bits
+from .rings import SizeCapExceeded, _bits, _flags
 from .topology import QuasiDivisorSpace, maximal_classes
 
 OPEN_SET_CAP = 1 << 14
 T5_CAP = 12
-_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bit_flags(mask: int) -> bytes:
-    """Bit k of the mask as byte k, 0 or 1, to select with ``compress``:
-    digit k of its reversed binary text."""
-    return bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
 
 
 class FiniteTopology:
@@ -137,7 +130,7 @@ class FiniteTopology:
             for j in _bits(m):
                 meets |= holds[j]
             dense &= meets
-        self.dense = tuple(compress(opens, _bit_flags(dense)))
+        self.dense = tuple(compress(opens, _flags(dense)))
         self.topology_ok = None
 
     def is_open(self, mask: int) -> bool:
@@ -205,7 +198,7 @@ def _is_topology(topo: FiniteTopology) -> bool:
     if topo.topology_ok is None:
         opens, open_set = topo.opens, topo._open_set
         topo.topology_ok = 0 in open_set and all(
-            open_set.issuperset([o | m for o in compress(opens, _bit_flags(lack))])
+            open_set.issuperset([o | m for o in compress(opens, _flags(lack))])
             for m, lack in zip(topo.min_opens, topo.lacks)
         )
     return topo.topology_ok

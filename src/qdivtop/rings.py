@@ -26,9 +26,15 @@ digit 1 and the rest 0 are the ring's ``additive_generators()``: 1 for
 for ``Trunc``; the factors' generators, embedded, for ``Prod`` and
 ``Ideal``.  Multiplication by t is additive, so its action on the elements
 (``mul_row``) is fixed by the products of t with the generators, one per
-digit (``generator_products``); a principal ideal rR, and any cyclic
-submodule Rx of an R-module, is the additive span of the products g*x.
-Modules over a ring add through the layout instead of through ring values.
+digit (``generator_products``); a principal ideal rR (``ideal_mask``),
+and any cyclic submodule Rx of an R-module, is the additive span of the
+products g*x, grown one coset at a time by ``DigitLayout.span``, the one
+span loop.  Over A/(n), rR is read off the divisor sieve instead, as the
+multiples of gcd(r, n).  Ideals and other element sets are bit masks
+over the element indices (``_mask``, ``_bits``, ``_flags``), and a
+product of rings joins its factors' masks (``DigitLayout.join_mask``)
+as it joins their index lists.  Modules over a ring add through the
+layout instead of through ring values.
 
 Every ring maps each element index to the index of its divisor d, an
 element with r = d*u for a unit u, in one ``array('H')`` built once in
@@ -45,8 +51,9 @@ divisor of the modulus; ``Prod`` pairs its factors' idempotents;
 idempotents.  The quasi-second classification of a local ring asks whether
 its maximal ideal m has m*m = 0.  The product is additive in each factor,
 so it suffices that g*h = 0 for every pair of additive generators g, h of
-m, found in one walk over the elements (``_square_zero``): 11 generators
-and 66 products for ``Trunc(2,11)``, against about 2.1 million pairs of m.
+m, found in one walk over m whose span grows by ``DigitLayout.span``
+(``_square_zero``): 11 generators and 66 products for ``Trunc(2,11)``,
+against about 2.1 million pairs of m.
 
 A ``Prod`` or ``Ideal`` ring (``Trunc`` included) of order at most 64
 (``CONSTRUCTION_CHECK_CAP``) builds its add, mul and neg tables on element
@@ -134,6 +141,52 @@ def _mixed_radix(sizes, parts) -> list:
     return out
 
 
+# a byte per index, 0 or 1, to and from the digits of a base-2 numeral
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(mask: int) -> bytes:
+    """Byte i is bit i of the mask, 0 or 1: its base-2 numeral, reversed."""
+    return bin(mask)[:1:-1].encode().translate(_FLAGS)
+
+
+def _flag_mask(flags) -> int:
+    """The mask with bit i set where the byte flags[i] is 1, read as one
+    base-2 numeral."""
+    return int(flags[::-1].translate(_DIGITS), 2)
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, in increasing order.  Clearing
+    the low bit costs a pass over the mask's words, so a mask past 64 bits
+    with more than one bit in 16 set is read off its flags, in one pass,
+    instead."""
+    if mask >= 1 << 64 and mask.bit_count() > mask.bit_length() >> 4:
+        yield from itertools.compress(itertools.count(), _flags(mask))
+        return
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask(indices, size: int) -> int:
+    """The mask of a list, array or range of indices, each below size.
+    Each index ORed in costs a pass over the mask's words, and flags a pass
+    over size bytes, so up to max(16, size/16) indices are ORed in and more
+    are set as flags (``fill``), with no big-integer step per index."""
+    k = len(indices)
+    if k <= 16 or k << 4 <= size:
+        mask = 0
+        for i in indices:
+            mask |= 1 << i
+        return mask
+    flags = bytearray(size)
+    fill(flags, indices, b"\1")
+    return _flag_mask(flags)
+
+
 class DigitLayout:
     """A finite abelian group as a product of cyclic groups, on element
     indices.  Element i has the mixed-radix code ``codes[i]``, whose digits,
@@ -215,8 +268,45 @@ class DigitLayout:
 
     def join(self, parts) -> list:
         """The index list of the product whose entry at (x_1, ..., x_k) is
-        (parts[0][x_1], ..., parts[k-1][x_k]), for per-factor index lists."""
+        (parts[0][x_1], ..., parts[k-1][x_k]), for per-factor index lists.
+        One factor's is its own list."""
+        if len(parts) == 1:
+            return parts[0]
         return _mixed_radix(self.sizes, parts)
+
+    def join_mask(self, masks) -> int:
+        """The mask of the product of per-factor masks: bit (x_1, ..., x_k)
+        is set when bit x_j of masks[j] is, for every j.  Built from the
+        last factor up, one shifted copy of the product so far per bit of
+        the next mask; the copies do not overlap, so they add.  One
+        factor's is its own mask, and no factors' the one element, at
+        index 0."""
+        if len(masks) == 1:
+            return masks[0]
+        out, tail = (masks[-1], self.sizes[-1]) if masks else (1, 1)
+        for mask, size in zip(masks[-2::-1], self.sizes[-2::-1]):
+            out = sum(out << (i * tail) for i in _bits(mask))
+            tail *= size
+        return out
+
+    def span(self, ys, mask=None) -> int:
+        """Mask of the subgroup generated by the subgroup mask (zero when
+        None) and the indices ys.  Joining y to a subgroup M adds the cosets
+        M + y, M + 2y, ... up to the first multiple of y in M, which is the
+        first one already covered."""
+        add = self.add
+        if mask is None:
+            mask = 1 << self.index_of[0]
+        for y in ys:
+            if (mask >> y) & 1:
+                continue
+            base = list(_bits(mask))
+            z = y
+            while not (mask >> z) & 1:
+                for i in base:
+                    mask |= 1 << add(i, z)
+                z = add(z, y)
+        return mask
 
     def linear_images(self, images) -> list:
         """Under the additive map sending the element at place k to the
@@ -314,6 +404,9 @@ class FiniteRing:
 
     spec: str
     order: int
+    # the printed domain the ring is a quotient of: any finite commutative
+    # ring is a quotient of a polynomial domain over Z
+    domain_label = "Z[x1,x2,...]"
 
     def _enumerate(self):
         """The elements, in ``sort_key`` order by construction."""
@@ -342,6 +435,12 @@ class FiniteRing:
         at the places of the layout."""
         elems, index_of = self.elements, self.layout.index_of
         return tuple(elems[index_of[place]] for place in self.layout.places)
+
+    def reduce(self, r):
+        """The element of this ring that r stands for: r itself here, and
+        for A/(n) the residue of a value of A or of a residue mod a
+        multiple of n."""
+        return r
 
     def generator_products(self, i) -> list:
         """The indices of t*g for the element t at index i and the additive
@@ -499,8 +598,14 @@ class FiniteRing:
             if x not in ideal and x not in units
         )
 
+    def ideal_mask(self, a) -> int:
+        """Mask of the principal ideal aR over the element indices: the
+        additive span of a*g over the additive generators g."""
+        return self.layout.span(self.generator_products(self.index(a)))
+
     def principal_ideal(self, a) -> frozenset:
-        return frozenset(self.mul(r, a) for r in self.elements)
+        elems = self.elements
+        return frozenset(elems[i] for i in _bits(self.ideal_mask(a)))
 
     def idempotents(self) -> frozenset:
         """The elements e with e*e = e, read off the constructor."""
@@ -604,12 +709,14 @@ class _EuclideanQuotient(FiniteRing):
         divisor g of n."""
         raise NotImplementedError
 
-    def reduce(self, r):
-        """The residue mod n of r, a value of A or a residue mod a multiple
-        of n."""
-        raise NotImplementedError
+    def ideal_mask(self, a) -> int:
+        # aA/(n) = gA/(n) for the divisor g of a: its multiples
+        g = self.divisor(a)
+        if g == self.zero:
+            return 1 << self.index(g)
+        return _mask(self.multiples(g), self.order)
 
-    def _divisor_pairs(self) -> list:
+    def divisor_pairs(self) -> list:
         """(g, n/g) for each canonical divisor g != n of n, in increasing
         order (``scalars.proper_divisors``)."""
         if self._pairs is None:
@@ -619,7 +726,7 @@ class _EuclideanQuotient(FiniteRing):
     def _make_divisor_table(self):
         index = self.index
         table = array("H", [index(self.one)]) * self.order
-        for g, _ in self._divisor_pairs()[1:]:
+        for g, _ in self.divisor_pairs()[1:]:
             fill(table, self.multiples(g), array("H", [index(g)]))
         zero = index(self.zero)
         table[zero] = zero
@@ -632,7 +739,7 @@ class _EuclideanQuotient(FiniteRing):
         domain, index = self.domain, self.index
         unitary = {
             index(g)
-            for g, h in self._divisor_pairs()[1:]
+            for g, h in self.divisor_pairs()[1:]
             if scalars.scalar_gcd(Scalar(domain, g), Scalar(domain, h)).is_unit()
         }
         candidates = itertools.compress(
@@ -643,6 +750,8 @@ class _EuclideanQuotient(FiniteRing):
 
 
 class ZnRing(_EuclideanQuotient):
+    domain_label = "Z"
+
     def __init__(self, n: int):
         if n < 2:
             raise RingError(f"Zn needs a modulus of at least 2, got {n}")
@@ -729,6 +838,7 @@ class QuotPolyRing(_EuclideanQuotient):
         if pdeg(modulus) < 1:
             raise RingError("the polynomial modulus must be nonconstant")
         self.p = p
+        self.domain_label = f"F{p}[x]"
         self.spec = f"GF({p},{scalars.format_poly(modulus)})"
         self.degree = pdeg(modulus)
         self._set_order((p, self.degree))
@@ -1025,6 +1135,7 @@ class TruncRing(IdealizeRing):
             raise RingError("Trunc needs at least one generator")
         self.p = p
         self.k = k
+        self.domain_label = f"F{p}[x1..x{k}]"
         self.spec = f"Trunc({p},{k})"
         self._set_order((p, k + 1))
         self._idealize(ZnRing(p), k)
@@ -1084,26 +1195,20 @@ def _square_zero(ring: FiniteRing, ideal) -> bool:
     """Whether I*I = 0 for the ideal I, a set of elements.  The product is
     additive in each factor, so I*I = 0 exactly when g*h = 0 for every pair
     of additive generators g, h of I.  The elements are walked in element
-    order, and one outside the span of the generators so far becomes a
-    generator; its products with them and with itself are tested before
+    order, and one of I outside the span of the generators so far becomes
+    a generator; its products with them and with itself are tested before
     the span grows, so a nonzero product ends the walk early."""
-    add, zero = ring.layout.add, ring.zero
-    span, gens = {ring.index(zero)}, []
+    zero, layout, size = ring.zero, ring.layout, len(ideal)
+    span, gens = layout.span(()), []
     for i, x in enumerate(ring.elements):
-        if len(span) == len(ideal):
+        if span.bit_count() == size:
             break
-        if i in span or x not in ideal:
+        if (span >> i) & 1 or x not in ideal:
             continue
         gens.append(x)
         if any(ring.mul(x, g) != zero for g in gens):
             return False
-        # span + <x> is the union of the cosets span + k*x, for the
-        # multiples k*x up to the first one back in the span
-        multiples, m = [], i
-        while m not in span:
-            multiples.append(m)
-            m = add(m, i)
-        span |= {add(j, k) for j in span for k in multiples}
+        span = layout.span([i], span)
     return True
 
 

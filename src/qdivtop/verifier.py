@@ -131,14 +131,22 @@ def _capped_multisets(items, sizes, k, cap):
 def generate_corpus(cs: CorpusSpec = DEFAULT_CORPUS) -> list:
     """Deterministic instance list: integer cyclic sums, their F_2[x]
     analogues (single moduli and pairwise direct sums within the element
-    cap), and every catalog ring both as a ring and as a cyclic module."""
-    out = []
+    cap), and every catalog ring both as a ring and as a cyclic module.
+    The instances are listed one by one, and the listing stops as soon as
+    it passes ``MAX_INSTANCES``."""
+    out = list(itertools.islice(_corpus_instances(cs), MAX_INSTANCES + 1))
+    if len(out) > MAX_INSTANCES:
+        raise ValueError(f"corpus exceeds {MAX_INSTANCES} instances")
+    return out
+
+
+def _corpus_instances(cs: CorpusSpec):
     # every summand has at least 2 elements, so k summands at least 2^k
     max_summands = min(cs.max_summands, cs.element_cap.bit_length() - 1)
     mods = range(2, cs.int_modulus_max + 1)
     for k in range(1, max_summands + 1):
         for combo in _capped_multisets(mods, mods, k, cs.element_cap):
-            out.append(Instance("module", "Z:" + ",".join(map(str, combo))))
+            yield Instance("module", "Z:" + ",".join(map(str, combo)))
 
     p = 2
     polys = []
@@ -149,14 +157,11 @@ def generate_corpus(cs: CorpusSpec = DEFAULT_CORPUS) -> list:
     for k in range(1, max_summands + 1):
         for combo in _capped_multisets(polys, sizes, k, cs.element_cap):
             text = ",".join(scalars.format_poly(m) for m in combo)
-            out.append(Instance("module", f"F{p}[x]:{text}"))
+            yield Instance("module", f"F{p}[x]:{text}")
 
     ring_specs = catalog_ring_specs(cs)
-    out.extend(Instance("ring", spec) for spec in ring_specs)
-    out.extend(Instance("module", f"ring:{spec}") for spec in ring_specs)
-    if len(out) > MAX_INSTANCES:
-        raise ValueError(f"corpus of {len(out)} instances exceeds {MAX_INSTANCES}")
-    return out
+    yield from (Instance("ring", spec) for spec in ring_specs)
+    yield from (Instance("module", f"ring:{spec}") for spec in ring_specs)
 
 
 # -- per-instance evaluation contexts -----------------------------------

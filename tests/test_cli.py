@@ -437,6 +437,40 @@ def test_corpus_listing(capsys):
     assert all("\t" in line for line in lines)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corpus", "--max-order", "1000000000", "--summands", "30"],
+        ["corpus", "--max-order", "100000", "--summands", "16"],
+    ],
+)
+def test_a_corpus_past_its_cap_exits_2_before_it_is_listed(capsys, argv):
+    # the listing stops at the 100,001st instance: the first corpus has
+    # millions of instances, the second 133,929
+    code, out, err = run_cli(capsys, *argv, within=2)
+    assert (code, out, err) == (2, "", "error: corpus exceeds 100000 instances\n")
+
+
+STDLIB_ONLY = """
+import contextlib, io, sys
+from qdivtop.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["analyze", "--oracle", "Z:12"]), main(["verify", "--rules", "R1,R14"])]
+tops = {name.partition(".")[0] for name in sys.modules}
+foreign = sorted(tops - set(sys.stdlib_module_names) - {"qdivtop", "__main__"})
+if codes != [0, 0] or foreign:
+    sys.exit(f"exit codes {codes}, modules outside the standard library: {foreign}")
+"""
+
+
+def test_the_runtime_loads_the_standard_library_only():
+    # after analyze --oracle and a verify run in one process, every loaded
+    # module is qdivtop's own or in the standard library; -S keeps
+    # site-packages and its .pth hooks out, so a third-party import fails
+    run = fresh_python("-S", "-c", STDLIB_ONLY, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+
+
 def test_analyze_at_the_element_cap(capsys, monkeypatch):
     # 4096 elements, but rows only for the 13 monic divisors of x^12
     built = []

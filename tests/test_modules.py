@@ -545,7 +545,7 @@ def literal_predicates(E):
         for k in kernels:
             if not n & ~k:
                 ann &= k
-        multiplication &= E.span(modules._bits(inside)) == n
+        multiplication &= E.layout.span(modules._bits(inside)) == n
         comultiplication &= ann == n
     return multiplication, comultiplication
 
@@ -599,16 +599,7 @@ def test_divisible_and_simple():
     assert not structural_predicates(build_module("Z:5")).divisible
     # the zero module: the empty direct sum, one element, over Zn(2)
     # acting as zero
-    zero_module = modules.FiniteModule(
-        spec_text="0",
-        residue_ring=rings.ZnRing(2),
-        layout=rings.DigitLayout([0], ()),
-        elements=((0,),),
-        build_row=lambda r: [0],
-        build_labels=lambda: ["0"],
-        domain=INTEGERS,
-        moduli=(),
-    )
+    zero_module = modules.FiniteModule("0", rings.ZnRing(2), (), INTEGERS, ())
     preds = structural_predicates(zero_module)
     assert preds.divisible and not preds.simple
 
@@ -777,8 +768,9 @@ LARGER_SPECS = ("Z:2310", "Z:360", "F2[x]:x^8", "F3[x]:x^5", "F2[x]:x^4,x^4")
 
 
 def test_divisor_first_paths_match_the_full_sweep():
-    # images and killers go through one row per divisor and cyclic
-    # submodules through an image or a span; the definitional path reads
+    # images go through the summands' ideals of each divisor, killers
+    # through one row per divisor, and cyclic submodules through an image
+    # or a span; the definitional path reads
     # every residue's own value products.  On the larger modules it reads
     # every residue's own row, after checking the rows of the generators,
     # the divisors and a seeded sample against value products.
@@ -1003,9 +995,8 @@ def test_ring_images_are_spans_of_generator_products():
 
 def test_additive_generators_span_the_ring():
     for ring in catalog_rings() + [rings.build_ring(s) for s in MIXED_RINGS + CAP_LADDER_RINGS]:
-        E = ring_cyclic(ring)
         gens = [ring.index(g) for g in ring.additive_generators()]
-        assert E.span(gens) == E.full_mask, ring.spec
+        assert ring.layout.span(gens) == (1 << ring.order) - 1, ring.spec
 
 
 def test_ring_addition_matches_ring_values():

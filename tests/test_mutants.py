@@ -1,6 +1,6 @@
 """Planted faults, one per row: each row names a rule, one fault planted with
 ``monkeypatch`` in the layer that the rule checks, and a corpus instance (or,
-for a route that no corpus instance reaches, a ``CAP_LADDER_RINGS`` ring) on
+for a fault that no corpus instance shows, a ``CAP_LADDER_RINGS`` ring) on
 which the rule then fails with a witness, while the unmutated rule passes
 there.  A rule with no row has no fault shown to make it fail.  Faults
 that no rule is shown to see are listed in ``RULE_INVISIBLE``, each with
@@ -29,7 +29,7 @@ def quotient_image_without_n(mp):
     # rE, not rE + N
     def planted(self, r):
         row = self.module.row(self.residue_ring.divisor(r))
-        return modules._mask([row[i] for i in modules._bits(self.mask)], self.module.order)
+        return rings._mask([row[i] for i in rings._bits(self.mask)], self.module.order)
 
     mp.setattr(modules.Submodule, "image_mask", planted)
 
@@ -74,21 +74,41 @@ def killers_with_one(mp):
 
 def span_one_coset(mp):
     # joining y to a subgroup M adds only the coset M + y, not M + 2y, ...
-    def planted(self, ys):
-        mask = self.zero_mask
+    def planted(self, ys, mask=None):
+        if mask is None:
+            mask = 1 << self.index_of[0]
         for y in ys:
-            mask |= modules._mask([self.add(i, y) for i in modules._bits(mask)], self.order)
+            mask |= rings._mask([self.add(i, y) for i in rings._bits(mask)], len(self.codes))
         return mask
 
-    mp.setattr(modules.FiniteModule, "span", planted)
+    mp.setattr(rings.DigitLayout, "span", planted)
 
 
 def span_at_first_generator(mp):
-    # a cyclic span reads the row of the first additive generator only
+    # a cyclic submodule spans the row entry of the first additive
+    # generator only
     def planted(self, i):
-        return self.span([self.row(self.residue_ring.additive_generators()[0])[i]])
+        first = self.residue_ring.additive_generators()[0]
+        return self.layout.span([self.row(first)[i]])
 
-    mp.setattr(modules.FiniteModule, "_span_at", planted)
+    mp.setattr(modules.FiniteModule, "cyclic_mask", planted)
+
+
+def ideals_joined_in_swapped_order(mp):
+    # the image of a residue on a sum joins its summands' ideals last
+    # summand first
+    join_mask = rings.DigitLayout.join_mask
+    mp.setattr(
+        rings.DigitLayout, "join_mask", lambda self, masks: join_mask(self, masks[::-1])
+    )
+
+
+def ideal_read_as_the_additive_span(mp):
+    # the principal ideal aR is read as the additive subgroup generated by
+    # a, with no product: over characteristic 2 every image has 2 elements
+    mp.setattr(
+        rings.FiniteRing, "ideal_mask", lambda self, a: self.layout.span([self.index(a)])
+    )
 
 
 def multiples_one_step_short(mp):
@@ -131,21 +151,17 @@ def square_zero_without_squares(mp):
     # the square-zero walk tests each new generator against the earlier
     # ones only, not against itself: on Zn(8), 2*2 goes untested
     def planted(ring, ideal):
-        add, zero = ring.layout.add, ring.zero
-        span, gens = {ring.index(zero)}, []
+        zero, layout, size = ring.zero, ring.layout, len(ideal)
+        span, gens = layout.span(()), []
         for i, x in enumerate(ring.elements):
-            if len(span) == len(ideal):
+            if span.bit_count() == size:
                 break
-            if i in span or x not in ideal:
+            if (span >> i) & 1 or x not in ideal:
                 continue
             gens.append(x)
             if any(ring.mul(x, g) != zero for g in gens[:-1]):
                 return False
-            multiples, m = [], i
-            while m not in span:
-                multiples.append(m)
-                m = add(m, i)
-            span |= {add(j, k) for j in span for k in multiples}
+            span = layout.span([i], span)
         return True
 
     mp.setattr(rings, "_square_zero", planted)
@@ -205,7 +221,7 @@ def interior_every_member_inside(mp):
     # not the points that some member inside the set holds
     def planted(topo, mask):
         inside = (1 << len(topo.opens)) - 1
-        for i in modules._bits(topo.full & ~mask):
+        for i in rings._bits(topo.full & ~mask):
             inside &= topo.lacks[i]
         return sum(1 << j for j, h in enumerate(topo.holds) if not h & ~inside)
 
@@ -392,6 +408,12 @@ ROWS = [
     ),
     (
         "R14",
+        ideal_read_as_the_additive_span,
+        "Ideal(Trunc(2,2),3)",
+        "brute=True classification=NotQuasiSecond",
+    ),
+    (
+        "R14",
         idealization_translated_by_the_coordinate,
         "Ideal(GF(3,x^2+1),2)",
         "brute=False classification=LocalSquareZeroMax; witness a=(0,(1,1)) "
@@ -432,6 +454,13 @@ ROWS = [
     ),
     (
         "R21",
+        ideals_joined_in_swapped_order,
+        "Z:2,3",
+        "scalar -11: direct image {(0,0),(0,1),(0,2),(1,0),(1,1),(1,2)} differs "
+        "from the residue image",
+    ),
+    (
+        "R21",
         multiples_one_step_short,
         "Z:8",
         "scalar -15: direct image {0,1,2,3,4,5,6,7} differs from the residue image",
@@ -461,7 +490,10 @@ def test_planted_fault_makes_the_rule_fail(monkeypatch, rule_id, plant, spec, wi
     instance = Instance("module" if ":" in spec else "ring", spec)
     # every corpus ring has order at most rings.CONSTRUCTION_CHECK_CAP and
     # reads its rows off its checked tables, so only a larger ring reaches
-    # the rows that Prod and Ideal rings join from their factors' rows
+    # the rows that Prod and Ideal rings join from their factors' rows; and
+    # every corpus ring whose ideals are spans (Trunc, Ideal, Prod) is quasi
+    # second with images meeting in zero, so an ideal read too small shows
+    # only on a ring that is not
     assert instance in verifier.generate_corpus() or spec in CAP_LADDER_RINGS
     assert run_rule(rule_id, instance).verdict == PASS
     plant(monkeypatch)

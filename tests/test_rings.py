@@ -283,6 +283,34 @@ def random_ring_spec(rng, budget):
     return f"Ideal({base},{d})", n ** (d + 1)
 
 
+def literal_principal_ideal(ring, a):
+    """aR as the set of the |R| products r*a, with no library span."""
+    return frozenset(ring.mul(r, a) for r in ring.elements)
+
+
+def test_ideal_masks_match_the_literal_principal_ideals():
+    # every element of the default catalog rings, of the rings-qs rings up
+    # to 256 elements and of 60 seeded random nested rings of order <= 64;
+    # 8 seeded elements of each ring at the element cap
+    from qdivtop import verifier
+
+    rng = random.Random(33)
+    specs = list(verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS))
+    specs += [s for s in BENCHMARK_RING_SPECS if build_ring(s).order <= 256]
+    specs += [random_ring_spec(rng, 64)[0] for _ in range(60)]
+    checked = 0
+    for spec in [*specs, *CAP_LADDER_RINGS]:
+        ring = build_ring(spec)
+        elements = ring.elements
+        if spec in CAP_LADDER_RINGS:
+            elements = rng.sample(elements, 8)
+        for a in elements:
+            literal = sum(1 << ring.index(x) for x in literal_principal_ideal(ring, a))
+            assert ring.ideal_mask(a) == literal, (spec, a)
+        checked += len(elements)
+    assert checked == 6309
+
+
 def literal_idempotents(ring):
     return frozenset(x for x in ring.elements if ring.mul(x, x) == x)
 
@@ -339,7 +367,7 @@ def test_square_zero_matches_the_pairwise_definition_on_principal_ideals():
     tally = collections.Counter()
     for spec in verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS):
         ring = build_ring(spec)
-        for ideal in {ring.principal_ideal(a) for a in ring.elements}:
+        for ideal in {literal_principal_ideal(ring, a) for a in ring.elements}:
             pairwise = all(ring.mul(x, y) == ring.zero for x in ideal for y in ideal)
             assert _square_zero(ring, ideal) == pairwise, (spec, sorted(ideal))
             tally[pairwise] += 1
@@ -354,8 +382,8 @@ def test_nontrivial_idempotent_splits_order():
         ]
         assert nontrivial
         for e in nontrivial:
-            part1 = ring.principal_ideal(e)
-            part2 = ring.principal_ideal(ring.sub(ring.one, e))
+            part1 = literal_principal_ideal(ring, e)
+            part2 = literal_principal_ideal(ring, ring.sub(ring.one, e))
             assert len(part1) * len(part2) == ring.order
 
 
@@ -752,7 +780,7 @@ def test_product_tables_fill_byte_lanes_up_to_256_elements():
 
 def assert_divisors_match_the_definitions(ring, elements):
     """For each of the given elements r: divisor(r) generates the ideal rR
-    (``principal_ideal``); it is one exactly when r is a unit, that is
+    (``literal_principal_ideal``); it is one exactly when r is a unit, that is
     when 1 is in rR, x*y = 1 for some y; and units() holds r exactly then.
     Zero's divisor is zero, and divisor_groups() lists every element under
     its divisor, both in element order."""
@@ -760,7 +788,7 @@ def assert_divisors_match_the_definitions(ring, elements):
 
     def ideal(x):
         if x not in ideals:
-            ideals[x] = ring.principal_ideal(x)
+            ideals[x] = literal_principal_ideal(ring, x)
         return ideals[x]
 
     units = ring.units()
@@ -1001,7 +1029,7 @@ def test_field_factors_of_a_product_are_read_off_its_factors(monkeypatch):
     for spec in specs:
         ring = build_ring(spec)
         for e in ring.idempotents():
-            part = ring.principal_ideal(e)
+            part = literal_principal_ideal(ring, e)
             field = _is_field_factor(ring, e)
             assert field == literal_is_field(ring, part, e), (spec, e)
             tally[field] += 1
