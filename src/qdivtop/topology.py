@@ -1,14 +1,14 @@
 """The quasi divisor space of a finite module.
 
 Points are the residue classes [a], one per distinct cyclic image aE,
-ordered by inclusion of those images; so the order is a partial order and
-the space is T0.  The basis set U_a is the up-set of [a] and is the
-smallest open set containing it; the closure of a point is its down-set.
-Every predicate here is decided on that order without materializing open
-sets: hyper- and ultraconnectedness count the maximal and minimal points,
-and nestedness the distinct up-set sizes.  The definitional enumeration
-lives in the oracle module and is cross-checked against these fast paths
-by the verifier.
+ordered by inclusion of those images (``build_space`` reads it off the
+points a*(1,...,1)); so the order is a partial order and the space is T0.
+The basis set U_a is the up-set of [a] and is the smallest open set
+containing it; the closure of a point is its down-set.  Every predicate here
+is decided on that order without materializing open sets: hyper- and
+ultraconnectedness count the maximal and minimal points, and nestedness the
+distinct up-set sizes.  The definitional enumeration lives in the oracle
+module and is cross-checked against these fast paths by the verifier.
 
 Conventions for the empty space (second modules): every separation flag is
 vacuously true and the connectivity record carries ``empty=True`` as the
@@ -17,11 +17,10 @@ vacuousness marker.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 from . import modules
-from .modules import FiniteModule, _bits
+from .modules import FiniteModule, _bits, _mask
 
 
 @dataclass(frozen=True)
@@ -46,32 +45,20 @@ class ConnectivityReport:
 
 
 class QuasiDivisorSpace:
-    """A finite poset of scalar classes with up-set/down-set masks."""
+    """A finite poset of scalar classes with up-set/down-set masks: down[j]
+    holds i when a_iE <= a_jE, and up is its transpose."""
 
-    def __init__(self, classes, provenance):
+    def __init__(self, classes, down, provenance):
         self.classes = tuple(classes)
         self.n = len(self.classes)
         self.labels = tuple(c.label for c in self.classes)
         self.provenance = provenance
-        # up[i] holds j when a_iE <= a_jE, and down is its transpose.  The
-        # points are the distinct images, so only a smaller image can lie in
-        # a larger one, and each pair of points of unequal sizes is compared
-        # once
-        masks = [c.image.mask for c in self.classes]
-        if len(set(masks)) < self.n:
-            raise ValueError(f"{provenance}: two classes share an image")
-        up = [1 << i for i in range(self.n)]
-        down = list(up)
-        order = sorted(range(self.n), key=lambda i: masks[i].bit_count())
-        sizes = [masks[i].bit_count() for i in order]
-        for pos, i in enumerate(order):
-            mi = masks[i]
-            for j in order[bisect.bisect_right(sizes, sizes[pos], pos) :]:
-                if not (mi & ~masks[j]):
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
-        self.up = tuple(up)
         self.down = tuple(down)
+        up = [0] * self.n
+        for j, d in enumerate(self.down):
+            for i in _bits(d):
+                up[i] |= 1 << j
+        self.up = tuple(up)
         self.full = (1 << self.n) - 1
 
     def le(self, i: int, j: int) -> bool:
@@ -86,7 +73,19 @@ class QuasiDivisorSpace:
 
 
 def build_space(E: FiniteModule) -> QuasiDivisorSpace:
-    return QuasiDivisorSpace(modules.scalar_classes(E), provenance=E.spec_text)
+    """The space of E's scalar classes.  E is the product of its summand rings
+    S and aE of their ideals aS, and aS <= bS exactly when a lies in bS; so
+    aE <= bE exactly when the point a*(1,...,1) lies in bE, one per class."""
+    classes = modules.scalar_classes(E)
+    join, summands = E.layout.join, E.summands
+    points = [join([[S.index(S.reduce(c.members[0]))] for S in summands])[0] for c in classes]
+    position = {p: i for i, p in enumerate(points)}
+    held = _mask(points, E.order)
+    down = [
+        _mask([position[p] for p in _bits(c.image.mask & held)], len(points))
+        for c in classes
+    ]
+    return QuasiDivisorSpace(classes, down, provenance=E.spec_text)
 
 
 def closure(space: QuasiDivisorSpace, mask: int) -> int:

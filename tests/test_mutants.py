@@ -1,10 +1,11 @@
 """Planted faults, one per row: each row names a rule, one fault planted with
 ``monkeypatch`` in the layer that the rule checks, and a corpus instance (or,
-for a fault that no corpus instance shows, a ``CAP_LADDER_RINGS`` ring) on
-which the rule then fails with a witness, while the unmutated rule passes
-there.  A rule with no row has no fault shown to make it fail.  Faults
-that no rule is shown to see are listed in ``RULE_INVISIBLE``, each with
-the reason and with a Tier-1 reference comparison that catches it.
+for a fault that no corpus instance shows, a ``CAP_LADDER_RINGS`` or
+``JOINED_ROW_RINGS`` ring) on which the rule then fails with a witness,
+while the unmutated rule passes there.  A rule with no row has no fault
+shown to make it fail.  Faults that no rule is shown to see are listed in
+``RULE_INVISIBLE``, each with the reason and with a Tier-1 reference
+comparison that catches it; today every fault planted here has a row.
 
 No rule reads ``topology.hasse_edges``: the pinned ``dot`` and ``analyze``
 stdout in ``test_cli.py`` guards it."""
@@ -16,7 +17,7 @@ import pytest
 
 from qdivtop import modules, oracle, rings, topology, verifier
 from qdivtop.verifier import FAIL, PASS, Instance, run_rule
-from common import CAP_LADDER_RINGS
+from common import CAP_LADDER_RINGS, JOINED_ROW_RINGS
 
 
 def rn_read_as_re(mp):
@@ -250,22 +251,33 @@ def union_first_table_only(mp):
     mp.setattr(oracle, "_union", lambda tables, mask: tables[0][mask & 0xFF])
 
 
-def pair_loop_without_the_extremes(mp):
-    # the pair loop skips the smallest image against the largest, so on a
-    # two-point chain the points fall apart into an antichain
+def largest_image_holds_no_other_point(mp):
+    # the down-set read off the largest image keeps its own point only, so
+    # on a two-point chain the points fall apart into an antichain
     init = topology.QuasiDivisorSpace.__init__
 
-    def planted(self, classes, provenance):
-        init(self, classes, provenance)
-        if self.n > 1:
-            by_size = sorted(range(self.n), key=lambda i: self.classes[i].image.size)
-            lo, hi = by_size[0], by_size[-1]
-            up, down = list(self.up), list(self.down)
-            up[lo] &= ~(1 << hi)
-            down[hi] &= ~(1 << lo)
-            self.up, self.down = tuple(up), tuple(down)
+    def planted(self, classes, down, provenance):
+        down = list(down)
+        if down:
+            top = max(range(len(down)), key=lambda j: classes[j].image.size)
+            down[top] = 1 << top
+        init(self, classes, down, provenance)
 
     mp.setattr(topology.QuasiDivisorSpace, "__init__", planted)
+
+
+def point_off_the_first_summand(mp):
+    # the point a*(1,...,1) of a sum is read off its first summand, with
+    # index 0, zero, in the others.  build_space joins one index per
+    # summand, and no other join is of one-entry lists
+    join = rings.DigitLayout.join
+
+    def planted(self, parts):
+        if all(len(part) == 1 for part in parts):
+            parts = [parts[0], *[[0]] * (len(parts) - 1)]
+        return join(self, parts)
+
+    mp.setattr(rings.DigitLayout, "join", planted)
 
 
 def finder_finds_nothing(mp):
@@ -310,22 +322,15 @@ def t2_pairs_each_point_with_itself(mp):
 # the elements of GF(3,x^2+1) in element order
 F9 = ("0", "1", "2", "x", "2*x", "x+1", "2*x+1", "x+2", "2*x+2")
 
-# (fault, reason) for faults that no rule is shown to see; the reference
-# comparison of rows with value products in test_rings.py catches each
-RULE_INVISIBLE = [
-    (
-        idealization_without_the_translation,
-        "R14 reads rows at the nonunits only: over a field base their base "
-        "coordinate b is 0, so b*m_k is never read, and over any other base "
-        "the ring is not quasi second with or without it",
-    ),
-    (
-        product_rows_joined_in_swapped_order,
-        "R14 still passes on Prod(Zn(31),Zn(29)), Prod(Trunc(2,3),Zn(27)) and "
-        "Prod(GF(2,x^6+x+1),GF(2,x^6+x+1)); on Prod(Zn(4),Trunc(2,9)) and "
-        "Prod(GF(2,x^4+x+1),GF(2,x^5+x^2+1)) the rows hold indices past the "
-        "ring, and the rule raises instead of failing",
-    ),
+# (fault, reason) for faults that no rule is shown to see, each caught by a
+# Tier-1 reference comparison
+RULE_INVISIBLE = []
+
+# faults in the rows Prod and Ideal rings join from their factors' rows; the
+# comparison of rows with value products in test_rings.py also catches each
+JOINED_ROW_FAULTS = [
+    idealization_without_the_translation,
+    product_rows_joined_in_swapped_order,
 ]
 
 # (rule, fault, instance, witness under the fault); an instance spec with a
@@ -334,9 +339,15 @@ ROWS = [
     ("R1", min_opens_without_the_point, "Z:6", "T0 fast=True definitional=False"),
     (
         "R2",
-        pair_loop_without_the_extremes,
+        largest_image_holds_no_other_point,
         "Z:8",
         "T1=True but quasi_second=False; a=2 b=4 aE={0,2,4,6} bE={0,4}",
+    ),
+    (
+        "R2",
+        point_off_the_first_summand,
+        "Z:2,3",
+        "T1=False but quasi_second=True; comparable points [2] <= [3]",
     ),
     (
         "R2",
@@ -358,6 +369,12 @@ ROWS = [
         "T1=False but quasi_second=True; comparable points [(0,1)] <= [(0,2)]",
     ),
     ("R4", nested_read_off_image_sizes, "Z:6", "uniserial=False nested=True"),
+    (
+        "R4",
+        idealization_without_the_translation,
+        "ring:Ideal(Zn(11),1)",
+        "uniserial=False nested=True",
+    ),
     ("R7", interior_every_member_inside, "Z:8", "interior formula differs on ['[2]']"),
     (
         "R8",
@@ -372,6 +389,13 @@ ROWS = [
         maximality_inverted,
         "Z:4",
         "class [2]: annihilator of the image is not maximal (generator 2)",
+    ),
+    (
+        "R10",
+        product_rows_joined_in_swapped_order,
+        "ring:Prod(Zn(31),Zn(29))",
+        "class [(1,0)]: annihilator of the image is not maximal "
+        "(generator frozenset({(0, 0)}))",
     ),
     (
         "R10",
@@ -494,7 +518,10 @@ def test_planted_fault_makes_the_rule_fail(monkeypatch, rule_id, plant, spec, wi
     # every corpus ring whose ideals are spans (Trunc, Ideal, Prod) is quasi
     # second with images meeting in zero, so an ideal read too small shows
     # only on a ring that is not
-    assert instance in verifier.generate_corpus() or spec in CAP_LADDER_RINGS
+    ring = spec.removeprefix("ring:")
+    assert instance in verifier.generate_corpus() or ring in (
+        CAP_LADDER_RINGS + JOINED_ROW_RINGS
+    )
     assert run_rule(rule_id, instance).verdict == PASS
     plant(monkeypatch)
     outcome = run_rule(rule_id, instance)

@@ -30,7 +30,7 @@ from qdivtop.rings import (
     classify_quasi_second_ring,
 )
 from common import BENCHMARK_RING_SPECS, CAP_LADDER_RINGS
-from test_mutants import RULE_INVISIBLE
+from test_mutants import JOINED_ROW_FAULTS
 
 
 def test_build_examples():
@@ -976,9 +976,7 @@ def test_product_and_idealization_rows_match_value_products():
     assert rows_unlike_value_products() == []
 
 
-@pytest.mark.parametrize(
-    "plant", [plant for plant, _ in RULE_INVISIBLE], ids=lambda plant: plant.__name__
-)
+@pytest.mark.parametrize("plant", JOINED_ROW_FAULTS, ids=lambda plant: plant.__name__)
 def test_row_faults_no_rule_sees_are_caught_by_value_products(monkeypatch, plant):
     plant(monkeypatch)
     assert rows_unlike_value_products() != []

@@ -5,18 +5,30 @@ import time
 
 import pytest
 
+from qdivtop import modules, topology
 from qdivtop.verifier import PASS, Instance, run_rule
 from common import CAP_LADDER, fresh_python
 from test_cli import nested_prod
+from test_topology import literal_up_down
 
 
 # the 4,096-element Boolean ring, 4,094 points: analyze writes 64 MB and
-# took up to 6.6 s raw on a 2-vCPU machine, dot up to 4.7 s.  The bound is
-# the README's at the element cap, twice the slowest run measured
+# took up to 2.3 s raw on a 2-vCPU machine, dot up to 1.1 s.  The bound is
+# the README's at the element cap
 @pytest.mark.parametrize("spec", CAP_LADDER + (pytest.param(nested_prod(11), id="boolean"),))
 @pytest.mark.parametrize("command", ["analyze", "dot"])
 def test_cap_ladder_finishes_in_time(command, spec):
     assert fresh_python("-m", "qdivtop.cli", command, spec, timeout=15).returncode == 0
+
+
+@pytest.mark.parametrize("spec", CAP_LADDER + ("ring:Prod(Zn(2),Trunc(2,10))",))
+def test_order_at_the_cap_is_the_literal_order(spec):
+    # up to 2,048 points, compared pair by pair in both directions: at most
+    # about 1.6 s raw each
+    start = time.perf_counter()
+    s = topology.build_space(modules.build_module(spec))
+    assert (s.up, s.down) == literal_up_down([c.image.mask for c in s.classes])
+    assert time.perf_counter() - start < 15
 
 
 @pytest.mark.parametrize("spec", ["Z:2310", "Z:1260"])

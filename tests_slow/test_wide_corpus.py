@@ -1,13 +1,15 @@
 """The wide corpus: its full rule report pinned by a digest, and the
-structural predicates and the submodule lattice against the references of
-``tests/test_modules.py``, which Tier-1 compares on the default corpus."""
+structural predicates, the submodule lattice and the space's order against
+the references of ``tests/test_modules.py`` and ``tests/test_topology.py``,
+which Tier-1 compares on the default corpus."""
 
 import hashlib
 import time
 
-from qdivtop import modules, verifier
+from qdivtop import modules, topology, verifier
 from common import WIDE_CORPUS
 from test_modules import literal_predicates, two_summand_count
+from test_topology import literal_up_down
 
 # sha256 of one line "rule_id<TAB>instance<TAB>verdict" per outcome, in
 # report order; a deliberate verdict change re-records it
@@ -52,3 +54,16 @@ def test_lattice_on_the_wide_cyclic_sums():
     for E in sums[::8]:
         assert E.lattice_masks() == tuple(sorted(modules.lattice_by_joins(E))), E.spec_text
     assert time.perf_counter() - start < 120
+
+
+def test_order_on_every_wide_module_is_the_literal_order():
+    # the order read off the points a*(1,...,1) against the pairwise
+    # inclusion of the class images, about 2 s raw
+    start = time.perf_counter()
+    corpus = verifier.generate_corpus(WIDE_CORPUS)
+    specs = [i.spec_text for i in corpus if i.kind == "module"]
+    assert len(specs) == 2277
+    for spec in specs:
+        s = topology.build_space(modules.build_module(spec))
+        assert (s.up, s.down) == literal_up_down([c.image.mask for c in s.classes]), spec
+    assert time.perf_counter() - start < 30
