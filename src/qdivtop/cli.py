@@ -131,7 +131,7 @@ def _analyze_payload(E, with_oracle: bool):
             for name in oracle.AXIOMS:
                 try:
                     axioms[name] = oracle.oracle_axiom(topo, name)
-                except SizeCapExceeded:  # the T5 sweep past T5_CAP points
+                except SizeCapExceeded:  # T5 past T5_CAP points
                     axioms[name] = None
             fast = payload["separation"] | payload["connectivity"]
             payload["oracle"] = {

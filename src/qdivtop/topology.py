@@ -176,12 +176,12 @@ def connectivity_report(space: QuasiDivisorSpace) -> ConnectivityReport:
 
 
 def hasse_edges(space: QuasiDivisorSpace) -> list:
-    """Covering relations as (lower, upper) index pairs, sorted."""
+    """Covering relations as (lower, upper) index pairs, sorted: they are
+    produced in that order."""
     edges = []
     for i in range(space.n):
         for j in _bits(space.up[i] & ~(1 << i)):
             between = space.up[i] & space.down[j]
             if between == (1 << i) | (1 << j):
                 edges.append((i, j))
-    edges.sort()
     return edges

@@ -282,6 +282,18 @@ def _empty(ctx):
 def _r1(ctx):
     if _empty(ctx):
         return VACUOUS, None, "empty space"
+    if not ctx.axiom("alexandrov"):
+        # the unions of basis sets are closed under intersection iff any two
+        # basis sets meet in one of them; failing that, they miss a point
+        space, is_open = ctx.space, ctx.topo.is_open
+        up, labels = space.up, space.labels
+        for i, j in itertools.combinations(range(space.n), 2):
+            if not is_open(up[i] & up[j]):
+                return FAIL, (
+                    f"not a topology: the basis sets of {labels[i]} and {labels[j]} "
+                    f"meet in {space.label_set(up[i] & up[j])}, which is not open"
+                ), None
+        return FAIL, "not a topology: the basis sets miss a point", None
     t0 = ctx.axiom("T0")
     if t0 and ctx.sep.t0:
         return PASS, None, None

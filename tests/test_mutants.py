@@ -11,6 +11,7 @@ No rule reads ``topology.hasse_edges``: the pinned ``dot`` and ``analyze``
 stdout in ``test_cli.py`` guards it."""
 
 import dataclasses
+import itertools
 from array import array
 
 import pytest
@@ -231,8 +232,8 @@ def interior_every_member_inside(mp):
 
 def min_opens_without_the_point(mp):
     # m_i is read off the transposed family without i itself, as the strict
-    # up-set of i: still an open set on a T0 space, so the enumeration's
-    # topology check passes
+    # up-set of i: still an open set on a T0 space, so the alexandrov check,
+    # which R1 runs before T0, passes
     init = oracle.FiniteTopology.__init__
 
     def planted(self, n, opens, full):
@@ -243,6 +244,24 @@ def min_opens_without_the_point(mp):
         )
 
     mp.setattr(oracle.FiniteTopology, "__init__", planted)
+
+
+def pair_scan_one_point_short(mp):
+    # the oracle's one scan over pairs of points leaves the last point out,
+    # so a pair of disjoint m_i through it goes unseen
+    mp.setattr(
+        oracle, "combinations", lambda points, r: itertools.combinations(points[:-1], r)
+    )
+
+
+def is_open_accepts_every_singleton(mp):
+    # membership in the family also admits every one-point set
+    is_open = oracle.FiniteTopology.is_open
+    mp.setattr(
+        oracle.FiniteTopology,
+        "is_open",
+        lambda self, mask: mask.bit_count() == 1 or is_open(self, mask),
+    )
 
 
 def union_first_table_only(mp):
@@ -338,6 +357,13 @@ JOINED_ROW_FAULTS = [
 ROWS = [
     ("R1", min_opens_without_the_point, "Z:6", "T0 fast=True definitional=False"),
     (
+        "R1",
+        product_rows_joined_in_swapped_order,
+        "ring:Prod(Zn(9),Zn(16))",
+        "not a topology: the basis sets of [(0,2)] and [(3,8)] meet in "
+        "['[(1,0)]', '[(1,4)]', '[(3,8)]'], which is not open",
+    ),
+    (
         "R2",
         largest_image_holds_no_other_point,
         "Z:8",
@@ -374,6 +400,18 @@ ROWS = [
         idealization_without_the_translation,
         "ring:Ideal(Zn(11),1)",
         "uniserial=False nested=True",
+    ),
+    (
+        "R5",
+        pair_scan_one_point_short,
+        "Z:6",
+        "sum-bound criterion=False (pair ('[2]', '[3]')) but hyperconnected=True",
+    ),
+    (
+        "R6",
+        is_open_accepts_every_singleton,
+        "Z:8",
+        "point [4]: isolated=True singleton_basis=False maximal_image=False",
     ),
     ("R7", interior_every_member_inside, "Z:8", "interior formula differs on ['[2]']"),
     (

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qdivtop import modules, rings, scalars, verifier
+from qdivtop import modules, oracle, rings, scalars, verifier
 from qdivtop.verifier import (
     FAIL,
     PASS,
@@ -210,6 +210,32 @@ def test_r14_failure_names_the_ring_witness(monkeypatch):
         "brute=False classification=LocalSquareZeroMax; "
         "witness a=2 b=4 (a)={0,2,4,6} (b)={0,4}"
     )
+
+
+def test_r1_names_two_basis_sets_when_the_family_is_not_a_topology():
+    # R1 reads the alexandrov axiom before T0, on fake spaces: the unions of
+    # the basis sets are not closed under intersection, or miss a point
+    def r1(up):
+        n = len(up)
+        labels = [f"p{i}" for i in range(n)]
+        space = SimpleNamespace(
+            n=n, up=up, full=(1 << n) - 1, labels=labels,
+            label_set=lambda mask: [labels[i] for i in modules._bits(mask)],
+        )
+        topo = oracle.enumerate_open_sets(space)
+        ctx = SimpleNamespace(
+            n=n, space=space, topo=topo, sep=SimpleNamespace(t0=True),
+            axiom=lambda a: oracle.oracle_axiom(topo, a),
+        )
+        return verifier._r1(ctx)
+
+    assert r1((0b011, 0b110, 0b110)) == (
+        FAIL,
+        "not a topology: the basis sets of p0 and p1 meet in ['p1'], which is not open",
+        None,
+    )
+    assert r1((0b01, 0b01)) == (FAIL, "not a topology: the basis sets miss a point", None)
+    assert r1((0b01, 0b11)) == (PASS, None, None)
 
 
 def test_r16_failure_names_the_submodule_witness(monkeypatch):

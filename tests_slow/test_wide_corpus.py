@@ -1,14 +1,16 @@
 """The wide corpus: its full rule report pinned by a digest, and the
-structural predicates, the submodule lattice and the space's order against
-the references of ``tests/test_modules.py`` and ``tests/test_topology.py``,
-which Tier-1 compares on the default corpus."""
+structural predicates, the submodule lattice, the space's order and the
+oracle's T4 and T5 against the references of ``tests/test_modules.py``,
+``tests/test_topology.py`` and ``tests/test_oracle.py``, which Tier-1
+compares on the default corpus."""
 
 import hashlib
 import time
 
-from qdivtop import modules, topology, verifier
+from qdivtop import modules, oracle, topology, verifier
 from common import WIDE_CORPUS
 from test_modules import literal_predicates, two_summand_count
+from test_oracle import literal_t4, literal_t5
 from test_topology import literal_up_down
 
 # sha256 of one line "rule_id<TAB>instance<TAB>verdict" per outcome, in
@@ -66,4 +68,26 @@ def test_order_on_every_wide_module_is_the_literal_order():
     for spec in specs:
         s = topology.build_space(modules.build_module(spec))
         assert (s.up, s.down) == literal_up_down([c.image.mask for c in s.classes]), spec
+    assert time.perf_counter() - start < 30
+
+
+def test_oracle_t4_t5_on_every_distinct_wide_space_match_the_literal_sweeps():
+    # the pair tests against the sweeps over pairs of closed sets and pairs
+    # of subsets, T5 up to oracle.T5_CAP points; about 2 s raw, most of it
+    # building the spaces
+    start = time.perf_counter()
+    corpus = verifier.generate_corpus(WIDE_CORPUS)
+    spaces = {}
+    for i in corpus:
+        if i.kind == "module":
+            s = topology.build_space(modules.build_module(i.spec_text))
+            spaces.setdefault(s.up, (i.spec_text, s))
+    t5_checked = 0
+    for spec, s in spaces.values():
+        topo = oracle.enumerate_open_sets(s)
+        assert oracle.oracle_axiom(topo, "T4") == literal_t4(topo), spec
+        if topo.n <= oracle.T5_CAP:
+            assert oracle.oracle_axiom(topo, "T5") == literal_t5(topo), spec
+            t5_checked += 1
+    assert (len(spaces), t5_checked) == (126, 68)
     assert time.perf_counter() - start < 30
