@@ -34,28 +34,25 @@ the m_i of its points.  Also, i lies in cl{x} iff x lies in m_i, and x
 lies in cl(A) iff m_x meets A.  The closure of a finite union is the union
 of the closures.
 
-**Union tables.**  The open hull of a set (the union of the m_i over it,
-its smallest open superset) and the closure of a set (the union of the
-cl{i} over it) are read from one table per 8 points, built on first use:
-entry b of table c is the union over the bits k of b of part 8c + k.  A
-read costs one lookup per 8 points.
-
 **The axioms.**  Each check quantifies over the points, the pairs of
-points or the closed sets, never over pairs of open sets:
+points or the members, never over the closed sets or over pairs of open
+sets:
 
 * the family is a topology iff it holds the empty set and o | m_i lies in
   it for every member o and point i (``_is_topology``);
 * T3: for every closed c and x outside it there are disjoint open sets
-  around c and x.  It fails iff cl(hull(c)) is not inside c for some
-  closed c.  Proof: every open set around c contains hull(c), and every
-  open set around x contains m_x, so some pair of them is disjoint iff
-  hull(c) and m_x are.  m_x meets hull(c) iff x lies in cl(hull(c)), so a
-  point x outside c has no disjoint pair iff cl(hull(c)) holds a point
-  outside c;
+  around c and x.  It fails iff some x, y have meeting m_x and m_y but y
+  is not in m_x.  If so, the closed set cl{y} does not hold x (x lies in
+  cl{y} iff y lies in m_x), and every pair of open sets around cl{y} and
+  x contains m_y and m_x, which meet.  Conversely, if T3 fails for c and
+  x, some y in c has m_y meeting m_x, and cl{y} lies inside c, so x is
+  not in cl{y}.  So a meeting pair x, y passes only if each lies in the
+  other's m;
 * T4: disjoint closed F and G have disjoint open supersets iff hull(F)
-  and hull(G) are disjoint.  If m_x meets m_y for x in F and y in G, the
-  disjoint closed cl{x} and cl{y} fail too.  So T4 fails iff some x, y
-  with disjoint point closures have meeting m_x and m_y;
+  and hull(G), the unions of the m_i over their points, are disjoint.  If
+  m_x meets m_y for x in F and y in G, the disjoint closed cl{x} and
+  cl{y} fail too.  So T4 fails iff some x, y with disjoint point closures
+  have meeting m_x and m_y;
 * T5: every pair of nonempty separated sets has disjoint open supersets.
   If separated a and b have meeting hulls, through x in a and y in b,
   then {x} and {y} are separated (x lies outside cl(b), which holds
@@ -70,11 +67,9 @@ points or the closed sets, never over pairs of open sets:
 **Cost model.**  n points and K open sets.  Enumeration and the topology
 check: at most n·K set operations.  The transposed family: one pass over
 the members, then n² operations on K-bit ints for the m_i and the point
-closures.  A closure or interior: n operations on K-bit ints.  A union
-read: ceil(n/8) lookups.  T3: two union reads per closed set.  T2, T4,
-T5 (up to ``T5_CAP`` points) and hyper- and ultraconnectedness: one test
-per pair of points, all five in one scan, in place of the union reads per
-closed set (T4) or per subset (T5).
+closures.  A closure or interior: n operations on K-bit ints.  T2 to T5
+(T5 up to ``T5_CAP`` points) and hyper- and ultraconnectedness: one test
+per pair of points, all six in one scan.
 """
 
 from __future__ import annotations
@@ -99,15 +94,16 @@ class FiniteTopology:
     member index.
     ``min_opens[i]`` is the intersection of the members containing point
     i, ``point_closures[i]`` the closure of {i}, and ``dense`` the members
-    that meet every ``min_opens[i]``.  The family need not be a topology:
-    ``_is_topology`` decides that, as the ``alexandrov`` axiom."""
+    that meet every ``min_opens[i]``.  ``pair_verdicts`` holds the axioms
+    decided on pairs of points, from the m_i and the point closures alone.
+    The family need not be a topology: ``_is_topology`` decides that, as
+    the ``alexandrov`` axiom."""
 
     def __init__(self, n: int, opens: tuple, full: int):
         self.n = n
         self.opens = opens
         self.full = full
         self._open_set = frozenset(opens)
-        self._closed = tuple(full & ~o for o in opens)
         # row r of the text is opens[-1 - r] written in n binary digits, so
         # column n - 1 - i, read down the rows, is bit i of every member (an
         # empty family has no rows)
@@ -138,61 +134,28 @@ class FiniteTopology:
     def is_open(self, mask: int) -> bool:
         return mask in self._open_set
 
-    def closed_sets(self):
-        return self._closed
-
-    @cached_property
-    def hull_tables(self):
-        """Union tables of the m_i: ``_union`` of a mask is its open hull."""
-        return _union_tables(self.min_opens)
-
-    @cached_property
-    def closure_tables(self):
-        """Union tables of the point closures: ``_union`` of a mask is its
-        closure."""
-        return _union_tables(self.point_closures)
-
     @cached_property
     def pair_verdicts(self):
-        """T2, T4, T5, hyper- and ultraconnectedness from one scan over the
+        """T2 to T5, hyper- and ultraconnectedness from one scan over the
         pairs of points: each fails on some pair (module docstring)."""
         m, cl = self.min_opens, self.point_closures
-        t2 = t4 = t5 = hyper = ultra = True
+        t2 = t3 = t4 = t5 = hyper = ultra = True
         for i, j in combinations(range(self.n), 2):
             apart = not cl[i] & cl[j]
             if m[i] & m[j]:
                 t2 = False
+                # each must lie in the other's m for T3, one for T5
+                t3 = t3 and bool(m[i] >> j & m[j] >> i & 1)
                 t4 = t4 and not apart
-                # i and j are comparable iff one lies in the other's m
                 t5 = t5 and bool((m[i] >> j | m[j] >> i) & 1)
             else:
                 hyper = False
             ultra = ultra and not apart
-            if not (t2 or t4 or t5 or hyper or ultra):
+            if not (t2 or t3 or t4 or t5 or hyper or ultra):
                 break
-        return dict(T2=t2, T4=t4, T5=t5, hyperconnected=hyper, ultraconnected=ultra)
-
-
-def _union_tables(parts):
-    """One table per 8 points: entry b of table c is the union of
-    parts[8c + k] over the bits k of b."""
-    tables = []
-    for start in range(0, len(parts), 8):
-        table = [0]
-        for part in parts[start : start + 8]:
-            table += [t | part for t in table]
-        tables.append(table)
-    return tables
-
-
-def _union(tables, mask: int) -> int:
-    """The union of the parts over the points of the mask, one lookup per
-    table."""
-    out = 0
-    for table in tables:
-        out |= table[mask & 0xFF]
-        mask >>= 8
-    return out
+        return dict(
+            T2=t2, T3=t3, T4=t4, T5=t5, hyperconnected=hyper, ultraconnected=ultra
+        )
 
 
 @dataclass(frozen=True)
@@ -288,12 +251,9 @@ def _axiom_t2(topo):
 
 
 def _axiom_t3(topo):
-    # T3 fails iff m_x meets hull(c) for some closed c and x outside it,
-    # i.e. iff cl(hull(c)) leaves c (module docstring)
-    hulls, closures = topo.hull_tables, topo.closure_tables
-    return all(
-        not (_union(closures, _union(hulls, c)) & ~c) for c in topo.closed_sets()
-    )
+    # fails iff two points with meeting m_x and m_y do not each lie in the
+    # other's m
+    return topo.pair_verdicts["T3"]
 
 
 def _axiom_t4(topo):
@@ -410,11 +370,15 @@ def oracle_structure_checks(
     # i exactly when it equals m_i
     minimal_ok = all(m == u for m, u in zip(topo.min_opens, space.up))
 
-    closures = topo.closure_tables
-    union_ok = all(
-        oracle_closure(topo, mask) == _union(closures, mask)
-        for mask in subset_sweep(topo.n)
-    )
+    closures = topo.point_closures
+    union_ok = True
+    for mask in subset_sweep(topo.n):
+        union = 0
+        for i in _bits(mask):
+            union |= closures[i]
+        if union != oracle_closure(topo, mask):
+            union_ok = False
+            break
 
     target = maximal_classes(space)
     dense_ok = all(not (target & ~o) for o in topo.dense)

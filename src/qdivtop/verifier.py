@@ -1071,6 +1071,10 @@ def _evaluate(rule: RuleDef, ctx) -> RuleOutcome:
         return RuleOutcome(
             rule.rule_id, ctx.instance.spec_text, VACUOUS, note=f"size cap: {exc}"
         )
+    except Exception as exc:
+        # a fault in the library that raises fails the rule, as a wrong
+        # verdict would, instead of stopping the run
+        verdict, witness, note = FAIL, f"{type(exc).__name__}: {exc}", None
     return RuleOutcome(rule.rule_id, ctx.instance.spec_text, verdict, witness, note)
 
 

@@ -264,10 +264,35 @@ def is_open_accepts_every_singleton(mp):
     )
 
 
-def union_first_table_only(mp):
-    # a union read stops after the first 8-point table, so the points past
-    # the first 8 add nothing to an open hull or a closure
-    mp.setattr(oracle, "_union", lambda tables, mask: tables[0][mask & 0xFF])
+def closure_union_skips_the_last_point(mp):
+    # the point closures that the structure checks OR over a mask read the
+    # last point's closure as empty, so the union over a mask that holds
+    # the last point leaves that closure out
+    init = oracle.FiniteTopology.__init__
+
+    def planted(self, n, opens, full):
+        init(self, n, opens, full)
+        self.point_closures = (*self.point_closures[:-1], 0)
+
+    mp.setattr(oracle.FiniteTopology, "__init__", planted)
+
+
+def idempotents_zero_and_one(mp):
+    # Z/(n) and F_p[x]/(f) report 0 and 1 as their only idempotents, so a
+    # residue ring that splits reads as indecomposable
+    mp.setattr(
+        rings._EuclideanQuotient, "idempotents", lambda self: frozenset((self.zero, self.one))
+    )
+
+
+def is_open_refuses_the_last_singleton(mp):
+    # membership in the family turns down the last point's singleton
+    is_open = oracle.FiniteTopology.is_open
+    mp.setattr(
+        oracle.FiniteTopology,
+        "is_open",
+        lambda self, mask: mask != 1 << (self.n - 1) and is_open(self, mask),
+    )
 
 
 def largest_image_holds_no_other_point(mp):
@@ -336,6 +361,12 @@ def t2_pairs_each_point_with_itself(mp):
         return not any(m[i] & m[j] for i in range(topo.n) for j in range(i, topo.n))
 
     mp.setitem(oracle._AXIOMS, "T2", planted)
+
+
+def t3_pairs_in_one_direction(mp):
+    # the oracle's T3 passes a pair with meeting m_x and m_y when one point
+    # lies in the other's m (T5's comparability), not only when each does
+    mp.setitem(oracle._AXIOMS, "T3", lambda topo: topo.pair_verdicts["T5"])
 
 
 # the elements of GF(3,x^2+1) in element order
@@ -416,8 +447,8 @@ ROWS = [
     ("R7", interior_every_member_inside, "Z:8", "interior formula differs on ['[2]']"),
     (
         "R8",
-        union_first_table_only,
-        "F2[x]:x^2,x^3+1",
+        closure_union_skips_the_last_point,
+        "Z:8",
         "StructureChecks(minimal_neighborhoods_ok=True, closure_union_ok=False, "
         "open_dense_contains_maximal_ok=True)",
     ),
@@ -455,6 +486,13 @@ ROWS = [
         "{'quasi_second': False, 'all_images_second': True, "
         "'all_annihilators_maximal': False}",
     ),
+    ("R12", idempotents_zero_and_one, "Z:6", "quasi_second=True but decomposition=none"),
+    (
+        "R13",
+        is_open_refuses_the_last_singleton,
+        "Z:6",
+        "T1=True but points=2 discrete=False",
+    ),
     (
         "R14",
         square_zero_without_squares,
@@ -488,6 +526,7 @@ ROWS = [
     ("R16", submodule_zero_is_n, "Z:4", "quotient by {0} is not quasi second: a=2 b=0"),
     ("R16", quotient_image_without_n, "Z:4", "quotient by {0,2} is not quasi second: a=2 b=0"),
     ("R17", t3_read_off_down_sets, "Z:8", "T3 fast=True definitional=False"),
+    ("R17", t3_pairs_in_one_direction, "Z:8", "T3 fast=False definitional=True"),
     (
         "R19",
         rn_read_as_re,

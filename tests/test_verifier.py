@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qdivtop import modules, oracle, rings, scalars, verifier
+from qdivtop import cli, modules, oracle, rings, scalars, topology, verifier
 from qdivtop.verifier import (
     FAIL,
     PASS,
@@ -386,6 +386,21 @@ def test_r19_reads_the_injected_predicate_on_the_summands(monkeypatch):
 # fit the open-set cap: the oracle decides every axiom-reading rule
 WIDE_SLICE = ["Z:180", "Z:240", "Z:288", "F2[x]:x^3+x^2+x+1,x^4"]
 ORACLE_RULES = ("R1", "R2", "R3", "R5", "R6", "R7", "R8", "R17")
+
+
+@pytest.mark.parametrize("error", [rings.RingError, OverflowError])
+def test_a_rule_that_raises_fails_with_the_exception_as_witness(monkeypatch, capsys, error):
+    # a RingError is a ValueError, which the CLI reads as a usage error
+    # (exit 2), and an OverflowError would end the run in a traceback; both
+    # fail the rule instead, and verify exits 1
+    def planted(space):
+        raise error("planted")
+
+    monkeypatch.setattr(topology, "separation_report", planted)
+    outcome = run_rule("R17", Instance("module", "Z:8"))
+    assert (outcome.verdict, outcome.witness) == (FAIL, f"{error.__name__}: planted")
+    assert cli.main(["verify", "--rules", "R17", "--max-order", "8"]) == 1
+    assert "verify: FAILURES" in capsys.readouterr().err
 
 
 def test_wide_slice_is_checked_by_the_oracle():

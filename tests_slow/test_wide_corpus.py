@@ -1,6 +1,6 @@
 """The wide corpus: its full rule report pinned by a digest, and the
 structural predicates, the submodule lattice, the space's order and the
-oracle's T4 and T5 against the references of ``tests/test_modules.py``,
+oracle's T3, T4 and T5 against the references of ``tests/test_modules.py``,
 ``tests/test_topology.py`` and ``tests/test_oracle.py``, which Tier-1
 compares on the default corpus."""
 
@@ -10,7 +10,7 @@ import time
 from qdivtop import modules, oracle, topology, verifier
 from common import WIDE_CORPUS
 from test_modules import literal_predicates, two_summand_count
-from test_oracle import literal_t4, literal_t5
+from test_oracle import literal_t3, literal_t4, literal_t5
 from test_topology import literal_up_down
 
 # sha256 of one line "rule_id<TAB>instance<TAB>verdict" per outcome, in
@@ -71,10 +71,10 @@ def test_order_on_every_wide_module_is_the_literal_order():
     assert time.perf_counter() - start < 30
 
 
-def test_oracle_t4_t5_on_every_distinct_wide_space_match_the_literal_sweeps():
-    # the pair tests against the sweeps over pairs of closed sets and pairs
-    # of subsets, T5 up to oracle.T5_CAP points; about 2 s raw, most of it
-    # building the spaces
+def test_oracle_t3_t4_t5_on_every_distinct_wide_space_match_the_literal_sweeps():
+    # the pair tests against the sweeps over the closed sets, pairs of
+    # closed sets and pairs of subsets, T5 up to oracle.T5_CAP points; about
+    # 2 s raw, most of it building the spaces
     start = time.perf_counter()
     corpus = verifier.generate_corpus(WIDE_CORPUS)
     spaces = {}
@@ -85,6 +85,7 @@ def test_oracle_t4_t5_on_every_distinct_wide_space_match_the_literal_sweeps():
     t5_checked = 0
     for spec, s in spaces.values():
         topo = oracle.enumerate_open_sets(s)
+        assert oracle.oracle_axiom(topo, "T3") == literal_t3(topo), spec
         assert oracle.oracle_axiom(topo, "T4") == literal_t4(topo), spec
         if topo.n <= oracle.T5_CAP:
             assert oracle.oracle_axiom(topo, "T5") == literal_t5(topo), spec
