@@ -343,11 +343,13 @@ SUBSET_SAMPLE = 100
 
 
 def subset_sweep(n: int):
-    """Every subset mask for up to 8 points; above that, a deterministic
-    sample of 100 masks from a fixed linear congruential stream."""
+    """Every subset mask for up to 8 points; above that, the n singletons,
+    so that each point is swept alone, then a deterministic sample of 100
+    masks from a fixed linear congruential stream."""
     if n <= EXHAUSTIVE_SUBSET_CAP:
         yield from range(1 << n)
         return
+    yield from (1 << i for i in range(n))
     full = (1 << n) - 1
     state = 0x9E3779B9 ^ n
     seen = set()
@@ -364,8 +366,9 @@ def oracle_structure_checks(
 ) -> StructureChecks:
     """Checks of the three structural facts: basis sets are minimal
     neighborhoods (each U_i against m_i), closure distributes over unions
-    (every subset up to 8 points, a fixed sample above), and every open
-    dense set contains the maximal classes (every dense member)."""
+    (every subset up to 8 points, the singletons and a fixed sample
+    above), and every open dense set contains the maximal classes (every
+    dense member)."""
     # m_i is a member of the family, so U_i is the minimal neighborhood of
     # i exactly when it equals m_i
     minimal_ok = all(m == u for m, u in zip(topo.min_opens, space.up))

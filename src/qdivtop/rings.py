@@ -57,17 +57,18 @@ against about 2.1 million pairs of m.
 
 A ``Prod`` or ``Ideal`` ring (``Trunc`` included) of order at most 64
 (``CONSTRUCTION_CHECK_CAP``) builds its add, mul and neg tables on element
-indices once, at construction, and so does each factor of such a ring,
-for the tables of the ring over it.  Each ring builds them one way:
-``Zn`` from its value arithmetic on every pair; ``GF(p,f)`` from its rows
-(``mul_row``), its layout's addition and its ``neg``; ``Prod`` from its
-factors' tables in one big-integer sum per table, over one-byte lanes
-(``_product_table``); and ``Ideal`` from its base's tables entry by
-entry.  The identity, negation and commutativity laws, and the
-distributive law x*(x + 1) = x*x + x, which reads each diagonal entry,
-are checked exhaustively on those tables, and the ring's ``add``,
-``mul``, ``neg`` and ``mul_row`` then read them, so the check covers the
-operations in use.  Every ring but ``Zn``, which adds mod n, adds on its
+indices once, at construction, and so does each factor of such a
+``Prod`` ring, for the tables of the ring over it.  Each ring builds
+them one way: ``Zn`` from its value arithmetic on every pair; ``Prod``
+from its factors' tables in one big-integer sum per table, over
+one-byte lanes (``_product_table``); and ``GF(p,f)`` and ``Ideal`` from
+their rows (``mul_row``), their layout's addition and their ``neg``, so
+an ``Ideal`` ring's check covers the row join it runs at every order.
+The identity, negation and commutativity laws, and the distributive law
+x*(x + 1) = x*x + x, which reads each diagonal entry, are checked
+exhaustively on those tables, and the ring's ``add``, ``mul``, ``neg``
+and ``mul_row`` then read them, so the check covers the operations in
+use.  Every ring but ``Zn``, which adds mod n, adds on its
 layout (``FiniteRing.add``).  A larger ``Prod`` or ``Ideal`` ring keeps
 its value ``mul`` and ``neg``, and joins each row from its factors'
 rows, with no ring product (``mul_row``).  ``GF(p,f)`` multiplies on element
@@ -105,10 +106,10 @@ class RingError(ValueError):
 ORDER_CAP = 4096
 # Prod and Ideal rings, Trunc among them, up to this order check their
 # tables at construction, and read them after: Prod builds them from its
-# factors' tables, Ideal from its base's, and a Zn or GF(p,f) factor
-# builds its own for them, Zn from value pairs and GF(p,f) from its rows.
-# At most 256: the tables of a checked Prod ring are summed in one-byte
-# lanes (``_product_table``)
+# factors' tables, Ideal from its own rows, joined from its base's, and a
+# Zn or GF(p,f) factor of a Prod builds its own for it, Zn from value pairs
+# and GF(p,f) from its rows.  At most 256: the tables of a checked Prod
+# ring are summed in one-byte lanes (``_product_table``)
 CONSTRUCTION_CHECK_CAP = 64
 # every ring has order >= 2 and each Prod or Ideal level at least doubles
 # it, so a spec nested deeper than this exceeds ORDER_CAP
@@ -786,7 +787,7 @@ class ZnRing(_EuclideanQuotient):
 
     def _make_tables(self):
         # from the value operations on every pair, so that the check of a
-        # Prod or Ideal ring over this one covers them
+        # Prod ring over this one covers them
         elems = self.elements
         add, mul = array("H"), array("H")
         for x in elems:
@@ -821,11 +822,11 @@ class QuotPolyRing(_EuclideanQuotient):
       (constants have their value as code) or x*i + c*s.  ``reduce``
       starts from r's top d coefficients, already a residue.
 
-    The ring keeps nothing but ``_times_x``.  The tables that a checked
-    ``Prod`` or ``Ideal`` ring over this one builds its own from are
-    this ring's rows, its layout's addition and its ``neg``
-    (``FiniteRing._make_tables``), so that ring's construction check
-    tests ``mul_row`` against the ring laws."""
+    The ring keeps nothing but ``_times_x``.  A checked ``Prod`` ring over
+    this one builds its tables from this ring's, which are its rows, its
+    layout's addition and its ``neg`` (``FiniteRing._make_tables``), and a
+    checked ``Ideal`` ring joins its rows from this ring's rows, so either
+    ring's construction check tests ``mul_row`` against the ring laws."""
 
     def __init__(self, p: int, modulus):
         # a p past the cap fails the order check below, before any trial
@@ -1100,23 +1101,6 @@ class IdealizeRing(FiniteRing):
     def _make_layout(self):
         # the element order is lexicographic on the d + 1 base coordinates
         return DigitLayout.product([self.base.layout] * (self.d + 1))
-
-    def _make_tables(self):
-        # element (a, m_1..m_d) has the base indices as its base-|R| digits
-        b_add, b_mul, b_neg = self.base.index_tables()
-        nb, join = self.base.order, self.layout.join
-        coords = list(itertools.product(range(nb), repeat=self.d + 1))
-        add, mul = array("H"), array("H")
-        for x in coords:
-            add.extend(join([b_add[c * nb : (c + 1) * nb] for c in x]))
-            row1, m1 = x[0] * nb, x[1:]
-            for a2, *m2 in coords:
-                # (a1*a2, a1*m2 + a2*m1), one base digit at a time
-                code, row2 = b_mul[row1 + a2], a2 * nb
-                for u, v in zip(m1, m2):
-                    code = code * nb + b_add[b_mul[row1 + v] * nb + b_mul[row2 + u]]
-                mul.append(code)
-        return add, mul, array("H", join([b_neg] * (self.d + 1)))
 
 
 class TruncRing(IdealizeRing):

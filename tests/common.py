@@ -1,6 +1,6 @@
-"""Instance lists and a process runner shared by ``tests/`` and
-``tests_slow/``: each list is spelled out here once, or, for the
-benchmark's, read from ``perfbench/workloads.py``."""
+"""Instance lists, a planted quasi-second search and a process runner
+shared by ``tests/`` and ``tests_slow/``: each list is spelled out here
+once, or, for the benchmark's, read from ``perfbench/workloads.py``."""
 
 import importlib.util
 import os
@@ -57,6 +57,27 @@ CAP_LADDER = tuple(f"ring:{r}" for r in CAP_LADDER_RINGS) + (
 # 2,391 instances: 740 Z: sums, 1,423 F2[x]: sums and 114 catalog rings,
 # each both as a ring instance and as a ring: module
 WIDE_CORPUS = verifier.CorpusSpec(int_modulus_max=256, element_cap=256, poly_max_degree=6)
+
+
+def mutated_qs_finder(E):
+    """The quasi-second search with the aE != E guard removed: it reports
+    any a, b with 0 != bE strictly inside aE, aE = E included."""
+    ring = E.residue_ring
+    zmask = E.zero_mask
+    for ra in ring.elements:
+        ma = E.image_mask(ra)
+        for rb in ring.elements:
+            mb = E.image_mask(rb)
+            if mb == zmask or mb & ~ma:
+                continue
+            if mb != ma:
+                return {
+                    "a": ring.format_element(ra),
+                    "b": ring.format_element(rb),
+                    "aE": E.format_mask(ma),
+                    "bE": E.format_mask(mb),
+                }
+    return None
 
 
 def fresh_python(*args, timeout):

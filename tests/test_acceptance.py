@@ -12,6 +12,7 @@ import time
 import pytest
 
 from qdivtop import cli, modules, oracle, topology, verifier
+from common import mutated_qs_finder
 
 
 def check(cid, ok, detail=""):
@@ -226,29 +227,10 @@ def test_c7_homeomorphism():
 
 
 def test_c8_harness_self_test(default_corpus, monkeypatch):
-    def mutated_finder(E):
-        # the quasi-second search with the aE != E guard removed
-        ring = E.residue_ring
-        zmask = E.zero_mask
-        for ra in ring.elements:
-            ma = E.image_mask(ra)
-            for rb in ring.elements:
-                mb = E.image_mask(rb)
-                if mb == zmask or mb & ~ma:
-                    continue
-                if mb != ma:
-                    return {
-                        "a": ring.format_element(ra),
-                        "b": ring.format_element(rb),
-                        "aE": E.format_mask(ma),
-                        "bE": E.format_mask(mb),
-                    }
-        return None
-
     # one hook serves the module rules and the ring rules
     rule_ids = ["R2", "R14"]
     with monkeypatch.context() as m:
-        m.setattr(verifier, "QS_VIOLATION_FINDER", mutated_finder)
+        m.setattr(verifier, "QS_VIOLATION_FINDER", mutated_qs_finder)
         mutated = verifier.run_all(default_corpus, rule_ids=rule_ids)
     failing = {(o.rule_id, o.instance) for o in mutated.failures()}
     pristine = verifier.run_all(default_corpus, rule_ids=rule_ids)

@@ -176,12 +176,14 @@ def product_idempotents_trivial(mp):
 
 
 def idealization_translated_by_the_coordinate(mp):
-    # a row of Ideal(R,d) past the check cap translates coordinate k by
-    # n_k*m_k, not b*m_k, in (a,m)(b,n) = (ab, a*n_k + b*m_k): the product
-    # of (0,e_k) and (0,n) becomes (0,n_k*e_k), so the image of (0,n) is
-    # the span of the e_k with n_k != 0.  Dropping the translation b*m_k
-    # would go unseen: the search reads rows at nonunits only, and over a
-    # field their base coordinate b is 0
+    # a row of Ideal(R,d) translates coordinate k by n_k*m_k, not b*m_k, in
+    # (a,m)(b,n) = (ab, a*n_k + b*m_k): the product of (0,e_k) and (0,n)
+    # becomes (0,n_k*e_k), so the image of (0,n) is the span of the e_k
+    # with n_k != 0.  The construction check rejects it up to 64 elements,
+    # where the rows are the checked mul table; past that R14 sees it.
+    # Dropping the translation b*m_k would not show in R14: the search
+    # reads rows at nonunits only, and over a field their base coordinate b
+    # is 0
     def planted(self, t):
         base, join, row = self.base, self.layout.join, []
         a_row, add = base.mul_row(t[0]), base.layout.add
@@ -197,8 +199,10 @@ def idealization_translated_by_the_coordinate(mp):
 
 
 def idealization_without_the_translation(mp):
-    # a row of Ideal(R,d) past the check cap drops the translation b*m_k
-    # from coordinate k of (a,m)(b,n) = (ab, a*n_k + b*m_k)
+    # a row of Ideal(R,d) drops the translation b*m_k from coordinate k of
+    # (a,m)(b,n) = (ab, a*n_k + b*m_k).  Up to 64 elements the rows are the
+    # checked mul table, and the identity law rejects it at construction;
+    # past that R4 sees it on Ideal(Zn(11),1)
     def planted(self, t):
         base, join, row = self.base, self.layout.join, []
         a_row = base.mul_row(t[0])
@@ -378,6 +382,8 @@ RULE_INVISIBLE = []
 
 # faults in the rows Prod and Ideal rings join from their factors' rows; the
 # comparison of rows with value products in test_rings.py also catches each
+# past the check cap.  Up to the cap an Ideal ring's checked mul table is its
+# rows, so its construction check rejects the first as well
 JOINED_ROW_FAULTS = [
     idealization_without_the_translation,
     product_rows_joined_in_swapped_order,
@@ -449,6 +455,13 @@ ROWS = [
         "R8",
         closure_union_skips_the_last_point,
         "Z:8",
+        "StructureChecks(minimal_neighborhoods_ok=True, closure_union_ok=False, "
+        "open_dense_contains_maximal_ok=True)",
+    ),
+    (
+        "R8",
+        closure_union_skips_the_last_point,
+        "F2[x]:x^2,x^3+1",
         "StructureChecks(minimal_neighborhoods_ok=True, closure_union_ok=False, "
         "open_dense_contains_maximal_ok=True)",
     ),

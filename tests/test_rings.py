@@ -30,7 +30,7 @@ from qdivtop.rings import (
     classify_quasi_second_ring,
 )
 from common import BENCHMARK_RING_SPECS, CAP_LADDER_RINGS
-from test_mutants import JOINED_ROW_FAULTS
+from test_mutants import JOINED_ROW_FAULTS, idealization_without_the_translation
 
 
 def test_build_examples():
@@ -677,14 +677,10 @@ def test_construction_check_rejects_a_broken_identity(op, pair):
         LawBreakingZn(6, op, pair)
 
 
-class RowBreakingGF(QuotPolyRing):
-    """GF(2,x^3+x+1) with one wrong entry in its multiplication rows, at one
+class RowBreaking:
+    """A ring with one wrong entry in its multiplication rows, at one
     ordered pair of element indices.  It runs no check of its own, and its
     mul table is its rows."""
-
-    def __init__(self, pair=None):
-        self.pair = pair
-        super().__init__(2, (1, 1, 0, 1))
 
     def mul_row(self, t):
         row = super().mul_row(t)
@@ -693,21 +689,35 @@ class RowBreakingGF(QuotPolyRing):
         return row
 
 
+class RowBreakingZn(RowBreaking, ZnRing):
+    def __init__(self, n, pair=None):
+        self.pair = pair
+        super().__init__(n)
+
+
+class RowBreakingGF(RowBreaking, QuotPolyRing):
+    """GF(2,x^3+x+1), row-broken."""
+
+    def __init__(self, pair=None):
+        self.pair = pair
+        super().__init__(2, (1, 1, 0, 1))
+
+
 def base_breaking_trunc(p, k, pair):
-    """Trunc(p,k) built over a Zn(p) whose value product is off by one at
-    one ordered pair, run through Trunc's construction check."""
+    """Trunc(p,k) built over a Zn(p) whose rows are off by one at one
+    ordered pair, run through Trunc's construction check."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rings, "ZnRing", lambda n: LawBreakingZn(n, "mul", pair, check=False))
+        mp.setattr(rings, "ZnRing", lambda n: RowBreakingZn(n, pair))
         return TruncRing(p, k)
 
 
-@pytest.mark.parametrize("p, k", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 1), (2, 1), (3, 2), (5, 1)])
 def test_construction_check_rejects_a_trunc_ring_with_a_broken_base_product(p, k):
-    # Trunc's tables are built from its Zn(p) base's, which come from the
-    # base's value products on every pair.  Every planted pair is rejected.
-    # A diagonal entry off 0 and 1, (2, 2) of Zn(3), sits at the same place
-    # in both orders of each product that reads it, and no identity reads
-    # it: the law x*(x + 1) = x*x + x sees it
+    # Trunc's tables are its rows, joined from rows of its Zn(p) base.
+    # Every planted pair is rejected.  A diagonal entry off 0 and 1, (x, x)
+    # for 2 <= x < p, sits at the same place in both orders of each product
+    # that reads it, and no identity reads it: the law x*(x + 1) = x*x + x
+    # sees it
     assert base_breaking_trunc(p, k, None).order == p ** (k + 1)
     missed, distributivity = [], []
     for pair in itertools.product(range(p), repeat=2):
@@ -721,7 +731,7 @@ def test_construction_check_rejects_a_trunc_ring_with_a_broken_base_product(p, k
             continue
         missed.append(pair)
     assert missed == []
-    assert distributivity == ([(2, 2)] if p == 3 else [])
+    assert distributivity == [(x, x) for x in range(2, p)]
 
 
 @pytest.mark.parametrize(
@@ -735,20 +745,27 @@ def test_construction_check_rejects_a_trunc_ring_with_a_broken_base_product(p, k
 def test_construction_check_rejects_a_composite_ring_with_a_broken_factor(
     op, pair, message
 ):
-    # the factor runs no check of its own; the composite ring's tables,
-    # built from the factor's, carry the broken entry and are rejected: a
-    # value operation of a Zn factor, or a row of a GF(p,f) factor
-    assert ProdRing(LawBreakingZn(6, check=False), ZnRing(2)).order == 12
-    assert IdealizeRing(LawBreakingZn(6, check=False), 1).order == 36
-    assert ProdRing(RowBreakingGF(), ZnRing(2)).order == 16
-    assert IdealizeRing(RowBreakingGF(), 1).order == 64
-    factors = [lambda: LawBreakingZn(6, op, pair, check=False)]
+    # the factor runs no check of its own; the composite ring's tables carry
+    # the broken entry and are rejected.  A Prod ring builds its tables from
+    # its factors' tables: a value operation of a Zn factor, or a row of a
+    # GF(p,f) factor.  An Ideal ring's mul table is its rows, joined from
+    # rows of its base: a row of a Zn or GF(p,f) base.  It adds on its
+    # layout, so no fault in a base's value addition reaches it
+    prod, ideal = (lambda f: ProdRing(f, ZnRing(2))), (lambda f: IdealizeRing(f, 1))
+    assert prod(LawBreakingZn(6, check=False)).order == 12
+    assert prod(RowBreakingGF()).order == 16
+    assert ideal(RowBreakingZn(6)).order == 36
+    assert ideal(RowBreakingGF()).order == 64
+    builds = [lambda: prod(LawBreakingZn(6, op, pair, check=False))]
     if op == "mul":
-        factors.append(lambda: RowBreakingGF(pair))
-    for factor in factors:
-        for build in (lambda f: ProdRing(f, ZnRing(2)), lambda f: IdealizeRing(f, 1)):
-            with pytest.raises(RingError, match=message):
-                build(factor())
+        builds += [
+            lambda: prod(RowBreakingGF(pair)),
+            lambda: ideal(RowBreakingZn(6, pair)),
+            lambda: ideal(RowBreakingGF(pair)),
+        ]
+    for build in builds:
+        with pytest.raises(RingError, match=message):
+            build()
 
 
 def test_construction_check_rejects_product_tables_with_swapped_lanes(monkeypatch):
@@ -941,7 +958,8 @@ def test_product_and_idealization_rows_match_the_checked_tables():
     # the rows joined from factor rows, called on the class past the
     # table override, against the checked mul table of every Prod, Ideal
     # and Trunc ring of the catalog and of the mixed rings, and
-    # Ideal(Zn(3),2)
+    # Ideal(Zn(3),2).  An Ideal or Trunc ring builds that table from these
+    # rows, so they are also compared with its value products
     checked = 0
     for spec in reference_ring_specs() + ["Ideal(Zn(3),2)"]:
         ring = build_ring(spec)
@@ -952,34 +970,57 @@ def test_product_and_idealization_rows_match_the_checked_tables():
         for i, t in enumerate(ring.elements):
             row = type(ring).mul_row(ring, t)
             assert row == mul[i * n : (i + 1) * n].tolist(), (spec, t)
+            if isinstance(ring, IdealizeRing):
+                products = [type(ring).mul(ring, t, x) for x in ring.elements]
+                assert row == list(map(ring.index, products)), (spec, t)
         checked += 1
     assert checked == 55
 
 
-def rows_unlike_value_products():
-    """The (spec, t) of seeded sample rows of Prod, Ideal and Trunc rings
-    past the check cap that differ from the value products."""
-    rng = random.Random(729)
+def joined_row_rings():
+    """Prod, Ideal and Trunc rings past the check cap, whose rows are
+    joined from their factors' rows at every use."""
     specs = [s for s in BENCHMARK_RING_SPECS if s.startswith(("Prod", "Ideal", "Trunc"))]
+    built = [build_ring(s) for s in specs + ["Prod(Zn(4),Trunc(2,9))", "Trunc(11,2)"]]
+    assert all(ring.order > CONSTRUCTION_CHECK_CAP for ring in built)
+    return built
+
+
+def rows_unlike_value_products(built):
+    """The (spec, t) of seeded sample rows of the rings that differ from
+    the value products."""
+    rng = random.Random(729)
     unlike = []
-    for spec in specs + ["Prod(Zn(4),Trunc(2,9))", "Trunc(11,2)"]:
-        ring = build_ring(spec)
-        assert ring.order > CONSTRUCTION_CHECK_CAP
+    for ring in built:
         for t in rng.sample(ring.elements, 4):
             literal = [ring.index(ring.mul(t, x)) for x in ring.elements]
             if type(ring).mul_row(ring, t) != literal:
-                unlike.append((spec, t))
+                unlike.append((ring.spec, t))
     return unlike
 
 
 def test_product_and_idealization_rows_match_value_products():
-    assert rows_unlike_value_products() == []
+    assert rows_unlike_value_products(joined_row_rings()) == []
 
 
 @pytest.mark.parametrize("plant", JOINED_ROW_FAULTS, ids=lambda plant: plant.__name__)
 def test_row_faults_no_rule_sees_are_caught_by_value_products(monkeypatch, plant):
+    # the rings are built before the fault is planted: an Ideal or Trunc
+    # ring of at most 64 elements builds its checked tables from its rows,
+    # so the construction check rejects a fault in the joined rows of an
+    # Ideal factor of such a ring
+    built = joined_row_rings()
     plant(monkeypatch)
-    assert rows_unlike_value_products() != []
+    assert rows_unlike_value_products(built) != []
+
+
+@pytest.mark.parametrize("spec", ["Trunc(2,3)", "Ideal(Zn(2),2)"])
+def test_construction_check_rejects_idealization_rows_without_the_translation(
+    monkeypatch, spec
+):
+    idealization_without_the_translation(monkeypatch)
+    with pytest.raises(RingError, match="identity laws fail at"):
+        build_ring(spec)
 
 
 def test_is_maximal_is_decided_once_per_ideal(monkeypatch):

@@ -21,7 +21,7 @@ from qdivtop.verifier import (
     run_all,
     run_rule,
 )
-from common import CAP_LADDER_RINGS
+from common import CAP_LADDER_RINGS, mutated_qs_finder
 
 SMALL_CORPUS = [
     Instance("module", s)
@@ -30,26 +30,6 @@ SMALL_CORPUS = [
         "F2[x]:x^2", "F2[x]:x^3", "ring:Trunc(2,3)", "ring:Prod(Zn(2),Zn(3))",
     ]
 ] + [Instance("ring", s) for s in ["Zn(4)", "Zn(6)", "Zn(8)", "Ideal(Zn(2),2)", "Ideal(Zn(4),1)"]]
-
-
-def mutated_qs_finder(E):
-    # the deliberately broken predicate: the aE != E guard is missing
-    ring = E.residue_ring
-    zmask = E.zero_mask
-    for ra in ring.elements:
-        ma = E.image_mask(ra)
-        for rb in ring.elements:
-            mb = E.image_mask(rb)
-            if mb == zmask or mb & ~ma:
-                continue
-            if mb != ma:
-                return {
-                    "a": ring.format_element(ra),
-                    "b": ring.format_element(rb),
-                    "aE": E.format_mask(ma),
-                    "bE": E.format_mask(mb),
-                }
-    return None
 
 
 def test_corpus_membership():

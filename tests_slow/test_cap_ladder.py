@@ -1,11 +1,13 @@
-"""Checks at the element cap that Tier-1 leaves out for time, in a fresh
-process where time or memory is bounded."""
+"""Checks at the element cap that Tier-1 leaves out for time: the commands
+in a fresh process where time or memory is bounded, and the rule report
+pinned."""
 
+import hashlib
 import time
 
 import pytest
 
-from qdivtop import modules, topology
+from qdivtop import modules, topology, verifier
 from qdivtop.verifier import PASS, Instance, run_rule
 from common import CAP_LADDER, fresh_python
 from test_cli import nested_prod
@@ -59,3 +61,28 @@ def test_r21_on_wide_instances_in_a_fresh_process(spec):
     verdict, peak_mb = fresh_python("-c", R21_WITH_PEAK_RSS, spec, timeout=20).stderr.split()
     assert verdict == PASS
     assert spec != "Z:2310" or float(peak_mb) < 30
+
+
+# sha256 of one line "rule_id<TAB>instance<TAB>verdict<TAB>note" per outcome
+# of all 22 rules on the cap ladder, and on GF(3,x^7+x+1) as a ring
+# instance, in report order.  A change that moves a verdict or a note
+# re-records it and names each outcome that moved
+CAP_LADDER_REPORT_SHA256 = "906b8f62da4cfd640a330da1eeb5862d9f556fb8cfde2906b5fc331af239e4e8"
+
+
+def test_cap_ladder_report_pinned():
+    # 308 outcomes: 0 failures, 75 passes and 233 vacuous, 13 of them for a
+    # size cap on ring:Trunc(2,11).  In one process it took 21-27 s raw on a
+    # 2-vCPU machine, about 12.5 s of it on ring:Trunc(2,11); the bound is
+    # 90 s
+    start = time.perf_counter()
+    corpus = [Instance("module", s) for s in CAP_LADDER] + [
+        Instance("ring", "GF(3,x^7+x+1)")
+    ]
+    report = verifier.run_all(corpus)
+    digest = hashlib.sha256()
+    for o in report.outcomes:
+        digest.update(f"{o.rule_id}\t{o.instance}\t{o.verdict}\t{o.note}\n".encode())
+    assert (len(report.outcomes), report.total_failures) == (308, 0)
+    assert digest.hexdigest() == CAP_LADDER_REPORT_SHA256, report.tallies()
+    assert time.perf_counter() - start < 90
