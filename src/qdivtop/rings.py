@@ -58,12 +58,14 @@ against about 2.1 million pairs of m.
 A ``Prod`` or ``Ideal`` ring (``Trunc`` included) of order at most 64
 (``CONSTRUCTION_CHECK_CAP``) builds its add, mul and neg tables on element
 indices once, at construction, and so does each factor of such a
-``Prod`` ring, for the tables of the ring over it.  Each ring builds
-them one way: ``Zn`` from its value arithmetic on every pair; ``Prod``
-from its factors' tables in one big-integer sum per table, over
-one-byte lanes (``_product_table``); and ``GF(p,f)`` and ``Ideal`` from
-their rows (``mul_row``), their layout's addition and their ``neg``, so
-an ``Ideal`` ring's check covers the row join it runs at every order.
+``Prod`` ring, for the tables of the ring over it.  ``Prod`` builds
+them from its factors' tables in one big-integer sum per table, over
+one-byte lanes (``_product_table``); every other ring, ``Zn``,
+``GF(p,f)`` and ``Ideal``, from its rows (``mul_row``), its layout's
+addition and its ``neg`` (``FiniteRing._make_tables``).  So the check
+covers the rows that each ring runs at every order, an ``Ideal`` ring's
+row join among them; a ``Zn`` factor's value ``add`` and ``mul``, which
+no table reads, are compared with its tables in the test suite.
 The identity, negation and commutativity laws, and the distributive law
 x*(x + 1) = x*x + x, which reads each diagonal entry, are checked
 exhaustively on those tables, and the ring's ``add``, ``mul``, ``neg``
@@ -89,7 +91,6 @@ from array import array
 
 from . import scalars
 from .scalars import (
-    Scalar,
     ScalarDomain,
     SizeCapExceeded,
     is_prime,
@@ -107,9 +108,9 @@ ORDER_CAP = 4096
 # Prod and Ideal rings, Trunc among them, up to this order check their
 # tables at construction, and read them after: Prod builds them from its
 # factors' tables, Ideal from its own rows, joined from its base's, and a
-# Zn or GF(p,f) factor of a Prod builds its own for it, Zn from value pairs
-# and GF(p,f) from its rows.  At most 256: the tables of a checked Prod
-# ring are summed in one-byte lanes (``_product_table``)
+# Zn or GF(p,f) factor of a Prod builds its own for it from its rows.  At
+# most 256: the tables of a checked Prod ring are summed in one-byte lanes
+# (``_product_table``)
 CONSTRUCTION_CHECK_CAP = 64
 # every ring has order >= 2 and each Prod or Ideal level at least doubles
 # it, so a spec nested deeper than this exceeds ORDER_CAP
@@ -694,7 +695,13 @@ class _EuclideanQuotient(FiniteRing):
     elements are these residues.  An idempotent e other than 0 and 1 with
     g = gcd(e, n) is 0 mod g and 1 mod n/g, so gcd(g, n/g) = 1: only
     residues whose divisor is such a unitary divisor are squared to find
-    the idempotents."""
+    the idempotents.
+
+    The unitary divisors are read off the divisor table: for g | n and
+    h = n/g, gcd(g, h) = 1 exactly when g + h is a unit mod n, that is
+    when its divisor is one.  A prime dividing g and h divides g + h and
+    n.  Conversely a prime dividing n = gh and g + h divides g or h, and
+    so the other, as it divides their sum."""
 
     domain: ScalarDomain
     modulus: object
@@ -737,11 +744,11 @@ class _EuclideanQuotient(FiniteRing):
         return self.layout.linear_row(self.generator_products(self.index(t)))
 
     def idempotents(self):
-        domain, index = self.domain, self.index
+        # g is unitary when g + n/g is a unit (see the class docstring)
         unitary = {
-            index(g)
+            self.index(g)
             for g, h in self.divisor_pairs()[1:]
-            if scalars.scalar_gcd(Scalar(domain, g), Scalar(domain, h)).is_unit()
+            if self.divisor(self.add(g, h)) == self.one
         }
         candidates = itertools.compress(
             self.elements, map(unitary.__contains__, self.divisor_table())
@@ -785,16 +792,6 @@ class ZnRing(_EuclideanQuotient):
         # the one generator is 1, and t*1 = t
         return [i]
 
-    def _make_tables(self):
-        # from the value operations on every pair, so that the check of a
-        # Prod ring over this one covers them
-        elems = self.elements
-        add, mul = array("H"), array("H")
-        for x in elems:
-            add.extend(self.index(self.add(x, y)) for y in elems)
-            mul.extend(self.index(self.mul(x, y)) for y in elems)
-        return add, mul, array("H", (self.index(self.neg(x)) for x in elems))
-
     def multiples(self, g):
         # residue r sits at index r
         return range(0, self.n, g)
@@ -833,8 +830,6 @@ class QuotPolyRing(_EuclideanQuotient):
         # division
         if p <= ORDER_CAP and not is_prime(p):
             raise RingError(f"characteristic {p} is not prime")
-        if isinstance(modulus, Scalar):
-            modulus = modulus.value
         modulus = pmonic(ptrim(tuple(c % p for c in modulus)), p)
         if pdeg(modulus) < 1:
             raise RingError("the polynomial modulus must be nonconstant")

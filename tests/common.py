@@ -1,14 +1,18 @@
-"""Instance lists, a planted quasi-second search and a process runner
-shared by ``tests/`` and ``tests_slow/``: each list is spelled out here
-once, or, for the benchmark's, read from ``perfbench/workloads.py``."""
+"""Instance lists, seeded random ring specs, a planted quasi-second search
+and a process runner shared by ``tests/`` and ``tests_slow/``: each list is
+spelled out or drawn here once, or, for the benchmark's, read from
+``perfbench/workloads.py``."""
 
 import importlib.util
+import math
 import os
+import random
 import subprocess
 import sys
 
 import qdivtop
 from qdivtop import verifier
+from qdivtop.scalars import format_poly
 
 
 def _benchmark_workloads():
@@ -57,6 +61,52 @@ CAP_LADDER = tuple(f"ring:{r}" for r in CAP_LADDER_RINGS) + (
 # 2,391 instances: 740 Z: sums, 1,423 F2[x]: sums and 114 catalog rings,
 # each both as a ring instance and as a ring: module
 WIDE_CORPUS = verifier.CorpusSpec(int_modulus_max=256, element_cap=256, poly_max_degree=6)
+
+
+def random_ring_spec(rng, budget):
+    """A seeded catalog spec, nested through Prod and Ideal, and its order,
+    at most budget >= 2."""
+    kind = rng.choice(["Zn", "GF"] + ["Trunc", "Prod", "Ideal"] * (budget >= 4))
+    if kind == "Zn":
+        n = rng.randrange(2, min(budget, 64) + 1)
+        return f"Zn({n})", n
+    p = rng.choice([q for q in (2, 3, 5, 7, 11, 13) if q <= budget])
+    if kind == "GF":
+        # any monic modulus, reducible ones included
+        d = max(k for k in range(1, budget.bit_length() + 1) if p**k <= budget)
+        d = rng.randrange(1, d + 1)
+        f = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+        return f"GF({p},{format_poly(f)})", p**d
+    if kind == "Trunc":
+        p = p if p * p <= budget else 2
+        k = 1
+        while p ** (k + 2) <= budget and rng.random() < 0.6:
+            k += 1
+        return f"Trunc({p},{k})", p ** (k + 1)
+    if kind == "Prod":
+        s1, n1 = random_ring_spec(rng, budget // 2)
+        s2, n2 = random_ring_spec(rng, budget // n1)
+        return f"Prod({s1},{s2})", n1 * n2
+    base, n = random_ring_spec(rng, math.isqrt(budget))
+    d = 1
+    while n ** (d + 2) <= budget and rng.random() < 0.5:
+        d += 1
+    return f"Ideal({base},{d})", n ** (d + 1)
+
+
+def _random_rings():
+    rng = random.Random(7)
+    drawn = dict.fromkeys(random_ring_spec(rng, 64)[0] for _ in range(3000))
+    catalog = set(verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS))
+    return tuple(spec for spec in drawn if spec not in catalog)
+
+
+# the 737 distinct rings outside the default catalog among 3,000 seeded
+# draws of order at most 64, in draw order: nested Prod, Ideal, Trunc, GF
+# and Zn rings, many of them Prod rings over Zn factors.  The seed and the
+# draw count are fixed: a rule that fails on one of them is a finding,
+# reported and kept, not drawn away
+RANDOM_RINGS = _random_rings()
 
 
 def mutated_qs_finder(E):

@@ -222,6 +222,30 @@ def product_rows_joined_in_swapped_order(mp):
     )
 
 
+def closure_reads_up_sets(mp):
+    # the closure of a set joins its points' up-sets, the open sets they
+    # generate, not their down-sets
+    def planted(space, mask):
+        out = 0
+        for i in rings._bits(mask):
+            out |= space.up[i]
+        return out
+
+    mp.setattr(topology, "closure", planted)
+
+
+def up_sets_without_the_point(mp):
+    # each up-set of the space leaves out its own point, so the basis set
+    # of a gcd class misses that class
+    init = topology.QuasiDivisorSpace.__init__
+
+    def planted(self, classes, down, provenance):
+        init(self, classes, down, provenance)
+        self.up = tuple(u & ~(1 << i) for i, u in enumerate(self.up))
+
+    mp.setattr(topology.QuasiDivisorSpace, "__init__", planted)
+
+
 def interior_every_member_inside(mp):
     # the interior keeps the points all of whose members lie inside the set,
     # not the points that some member inside the set holds
@@ -451,6 +475,7 @@ ROWS = [
         "point [4]: isolated=True singleton_basis=False maximal_image=False",
     ),
     ("R7", interior_every_member_inside, "Z:8", "interior formula differs on ['[2]']"),
+    ("R7", closure_reads_up_sets, "Z:8", "closure formula differs on ['[2]']"),
     (
         "R8",
         closure_union_skips_the_last_point,
@@ -554,6 +579,7 @@ ROWS = [
         "quasi_second=True but summand condition=False; "
         "scalar 2: annihilators 3 (maximal=False) vs 3 (maximal=False)",
     ),
+    ("R20", up_sets_without_the_point, "Z:3,4", "U_gcd(4,6) != U_4 & U_6: [] vs ['[2]']"),
     (
         "R21",
         span_one_coset,

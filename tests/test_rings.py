@@ -9,7 +9,7 @@ import pytest
 
 from qdivtop import rings
 from qdivtop.modules import find_quasi_second_violation, is_quasi_second, ring_cyclic
-from qdivtop.scalars import format_poly, monic_polys, padd, pdivmod, pmul, pneg
+from qdivtop.scalars import monic_polys, padd, pdivmod, pmul, pneg
 from qdivtop.rings import (
     CONSTRUCTION_CHECK_CAP,
     NOT_QS,
@@ -29,7 +29,7 @@ from qdivtop.rings import (
     build_ring,
     classify_quasi_second_ring,
 )
-from common import BENCHMARK_RING_SPECS, CAP_LADDER_RINGS
+from common import BENCHMARK_RING_SPECS, CAP_LADDER_RINGS, random_ring_spec
 from test_mutants import JOINED_ROW_FAULTS, idealization_without_the_translation
 
 
@@ -252,37 +252,6 @@ def test_brute_matches_classification_on_catalog_sample():
         assert brute == (classify_quasi_second_ring(ring) != NOT_QS), spec
 
 
-def random_ring_spec(rng, budget):
-    """A seeded catalog spec, nested through Prod and Ideal, and its order,
-    at most budget >= 2."""
-    kind = rng.choice(["Zn", "GF"] + ["Trunc", "Prod", "Ideal"] * (budget >= 4))
-    if kind == "Zn":
-        n = rng.randrange(2, min(budget, 64) + 1)
-        return f"Zn({n})", n
-    p = rng.choice([q for q in (2, 3, 5, 7, 11, 13) if q <= budget])
-    if kind == "GF":
-        # any monic modulus, reducible ones included
-        d = max(k for k in range(1, budget.bit_length() + 1) if p**k <= budget)
-        d = rng.randrange(1, d + 1)
-        f = tuple(rng.randrange(p) for _ in range(d)) + (1,)
-        return f"GF({p},{format_poly(f)})", p**d
-    if kind == "Trunc":
-        p = p if p * p <= budget else 2
-        k = 1
-        while p ** (k + 2) <= budget and rng.random() < 0.6:
-            k += 1
-        return f"Trunc({p},{k})", p ** (k + 1)
-    if kind == "Prod":
-        s1, n1 = random_ring_spec(rng, budget // 2)
-        s2, n2 = random_ring_spec(rng, budget // n1)
-        return f"Prod({s1},{s2})", n1 * n2
-    base, n = random_ring_spec(rng, math.isqrt(budget))
-    d = 1
-    while n ** (d + 2) <= budget and rng.random() < 0.5:
-        d += 1
-    return f"Ideal({base},{d})", n ** (d + 1)
-
-
 def literal_principal_ideal(ring, a):
     """aR as the set of the |R| products r*a, with no library span."""
     return frozenset(ring.mul(r, a) for r in ring.elements)
@@ -427,7 +396,8 @@ def test_ring_laws_random_triples_order64():
 def test_ring_laws_whole_default_catalog():
     # every catalog ring, on its index tables: the operations that add, mul
     # and mul_row read for the rings of order <= 64 that are checked on
-    # construction, and the value operations on every pair for the others.
+    # construction, and for the others, the Zn rings, the tables a Prod
+    # ring over one reads, built from its rows and its layout's addition.
     # All triples up to order 32, as rows over z for each (x, y); 10^4
     # seeded random triples above
     from qdivtop import verifier
@@ -506,32 +476,31 @@ def literal_ops(ring):
     )
 
 
-def quot_poly_factors(ring):
-    """The GF(p,f) rings among the factors of a Prod or Ideal ring, at any
-    depth."""
-    if isinstance(ring, QuotPolyRing):
+def quotient_factors(ring):
+    """The Zn and GF(p,f) rings among the factors and bases of a Prod or
+    Ideal ring, at any depth."""
+    if isinstance(ring, (ZnRing, QuotPolyRing)):
         return [ring]
     if isinstance(ring, ProdRing):
-        return quot_poly_factors(ring.r1) + quot_poly_factors(ring.r2)
-    if isinstance(ring, IdealizeRing):
-        return quot_poly_factors(ring.base)
-    return []
+        return quotient_factors(ring.r1) + quotient_factors(ring.r2)
+    return quotient_factors(ring.base)
 
 
 def test_index_tables_match_the_literal_operations():
     # every ring checked on construction reads its operations from index
     # tables built from its rows (Trunc) or its factors' tables (a Prod
-    # ring's summed in byte lanes, a GF(p,f) factor's read off its rows,
-    # a Zn factor's from value pairs); every entry, and the
-    # value operations and rows that read them, against the definitions,
-    # on the catalog rings and 200 seeded random nested rings of order at
-    # most 64.  Every GF(p,f) factor's tables against its value operations
+    # ring's summed in byte lanes, a Zn or GF(p,f) factor's read off its
+    # rows); every entry, and the value operations and rows that read
+    # them, against the definitions, on the catalog rings and 200 seeded
+    # random nested rings of order at most 64.  Every Zn and GF(p,f) factor
+    # or base keeps its value operations, which no table reads and
+    # idempotents, sub and maximality still call: each against its tables
     from qdivtop import verifier
 
     rng = random.Random(6421)
     catalog = list(verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS))
     drawn = [random_ring_spec(rng, 64)[0] for _ in range(200)]
-    checked, factors = collections.Counter(), 0
+    checked, factors = collections.Counter(), collections.Counter()
     for k, spec in enumerate(catalog + drawn):
         ring = build_ring(spec)
         if isinstance(ring, (ZnRing, QuotPolyRing)):
@@ -548,15 +517,16 @@ def test_index_tables_match_the_literal_operations():
             products = list(map(index, products))
             assert ring.mul_row(x) == products == mul_t[i * n : i * n + n].tolist()
             assert add_t[i * n : i * n + n].tolist() == list(map(index, sums))
-        for factor in quot_poly_factors(ring):
+        for factor in quotient_factors(ring):
             add_t, mul_t, neg_t = factor.index_tables()
             elems, index = factor.elements, factor.index
             assert add_t.tolist() == [index(factor.add(x, y)) for x in elems for y in elems]
             assert mul_t.tolist() == [index(factor.mul(x, y)) for x in elems for y in elems]
             assert neg_t.tolist() == [index(factor.neg(x)) for x in elems], factor.spec
-            factors += 1
+            factors[type(factor).__name__] += 1
         checked[k < len(catalog)] += 1
-    assert (checked[True], checked[False], factors) == (51, 126, 90)
+    assert (checked[True], checked[False]) == (51, 126)
+    assert factors == {"QuotPolyRing": 90, "ZnRing": 204}
 
 
 @pytest.mark.parametrize("p, max_degree", [(2, 6), (3, 3), (5, 2)])
@@ -628,55 +598,6 @@ def test_residue_ring_rows_at_the_cap_match_the_literal_product(spec):
             assert ring.mul(t, y) == mul(t, y), (spec, t, y)
 
 
-class LawBreakingZn(ZnRing):
-    """Zn(n) with one operation wrong at one ordered pair, run through the
-    construction check that validates catalog rings."""
-
-    def __init__(self, n, op=None, pair=None, check=True):
-        self.op, self.pair = op, pair
-        super().__init__(n)
-        if check:
-            self._init_common(validate=True)
-
-    def _broken(self, op, x, y, value):
-        return (value + 1) % self.n if (op, (x, y)) == (self.op, self.pair) else value
-
-    def add(self, x, y):
-        return self._broken("add", x, y, super().add(x, y))
-
-    def mul(self, x, y):
-        return self._broken("mul", x, y, super().mul(x, y))
-
-
-def test_construction_check_accepts_the_unbroken_ring():
-    assert LawBreakingZn(6).order == 6
-
-
-@pytest.mark.parametrize("op, law", [("mul", "multiplication"), ("add", "addition")])
-def test_construction_check_rejects_a_non_commutative_operation(op, law):
-    # every ordered pair off the identities, so both the pair whose first
-    # element comes first in element order and the reverse one, down to
-    # the last pair (4, 5) and (5, 4); the additive inverse pairs would trip
-    # the negation law first
-    n = 6
-    pairs = [
-        (x, y)
-        for x in range(2, n)
-        for y in range(2, n)
-        if x != y and (op == "mul" or (x + y) % n)
-    ]
-    assert (4, 5) in pairs and (5, 4) in pairs
-    for pair in pairs:
-        with pytest.raises(RingError, match=f"{law} is not commutative"):
-            LawBreakingZn(n, op, pair)
-
-
-@pytest.mark.parametrize("op, pair", [("mul", (3, 1)), ("add", (3, 0))])
-def test_construction_check_rejects_a_broken_identity(op, pair):
-    with pytest.raises(RingError, match="identity laws fail at 3"):
-        LawBreakingZn(6, op, pair)
-
-
 class RowBreaking:
     """A ring with one wrong entry in its multiplication rows, at one
     ordered pair of element indices.  It runs no check of its own, and its
@@ -701,6 +622,64 @@ class RowBreakingGF(RowBreaking, QuotPolyRing):
     def __init__(self, pair=None):
         self.pair = pair
         super().__init__(2, (1, 1, 0, 1))
+
+
+class AddBreakingZn(ZnRing):
+    """Zn(n) whose layout addition is off by one at one ordered pair of
+    element indices, which are its residues.  It runs no check of its own,
+    and its add table is that addition."""
+
+    def __init__(self, n, pair=None):
+        self.pair = pair
+        super().__init__(n)
+
+    def _make_layout(self):
+        layout = super()._make_layout()
+        add, pair, n = layout.add, self.pair, self.n
+        layout.add = lambda i, j: (add(i, j) + 1) % n if (i, j) == pair else add(i, j)
+        return layout
+
+
+def breaking_zn(n, op, pair):
+    """Zn(n) with its rows (op "mul") or its layout addition (op "add")
+    off by one at one ordered pair: the two places its tables come from."""
+    return (RowBreakingZn if op == "mul" else AddBreakingZn)(n, pair)
+
+
+def validated(ring):
+    """The ring, run through the construction check that validates catalog
+    rings."""
+    ring._init_common(validate=True)
+    return ring
+
+
+def test_construction_check_accepts_the_unbroken_ring():
+    assert validated(RowBreakingZn(6)).order == validated(AddBreakingZn(6)).order == 6
+
+
+@pytest.mark.parametrize("op, law", [("mul", "multiplication"), ("add", "addition")])
+def test_construction_check_rejects_a_non_commutative_operation(op, law):
+    # every ordered pair off the identities, so both the pair whose first
+    # element comes first in element order and the reverse one, down to
+    # the last pair (4, 5) and (5, 4); the additive inverse pairs would trip
+    # the negation law first
+    n = 6
+    pairs = [
+        (x, y)
+        for x in range(2, n)
+        for y in range(2, n)
+        if x != y and (op == "mul" or (x + y) % n)
+    ]
+    assert (4, 5) in pairs and (5, 4) in pairs
+    for pair in pairs:
+        with pytest.raises(RingError, match=f"{law} is not commutative"):
+            validated(breaking_zn(n, op, pair))
+
+
+@pytest.mark.parametrize("op, pair", [("mul", (3, 1)), ("add", (3, 0))])
+def test_construction_check_rejects_a_broken_identity(op, pair):
+    with pytest.raises(RingError, match="identity laws fail at 3"):
+        validated(breaking_zn(6, op, pair))
 
 
 def base_breaking_trunc(p, k, pair):
@@ -747,16 +726,17 @@ def test_construction_check_rejects_a_composite_ring_with_a_broken_factor(
 ):
     # the factor runs no check of its own; the composite ring's tables carry
     # the broken entry and are rejected.  A Prod ring builds its tables from
-    # its factors' tables: a value operation of a Zn factor, or a row of a
-    # GF(p,f) factor.  An Ideal ring's mul table is its rows, joined from
-    # rows of its base: a row of a Zn or GF(p,f) base.  It adds on its
-    # layout, so no fault in a base's value addition reaches it
+    # its factors' tables: a row or the layout addition of a Zn factor, or a
+    # row of a GF(p,f) factor.  An Ideal ring's mul table is its rows,
+    # joined from rows of its base: a row of a Zn or GF(p,f) base.  It adds
+    # on its own layout, so no fault in a base's addition reaches its add
+    # table
     prod, ideal = (lambda f: ProdRing(f, ZnRing(2))), (lambda f: IdealizeRing(f, 1))
-    assert prod(LawBreakingZn(6, check=False)).order == 12
+    assert prod(RowBreakingZn(6)).order == prod(AddBreakingZn(6)).order == 12
     assert prod(RowBreakingGF()).order == 16
     assert ideal(RowBreakingZn(6)).order == 36
     assert ideal(RowBreakingGF()).order == 64
-    builds = [lambda: prod(LawBreakingZn(6, op, pair, check=False))]
+    builds = [lambda: prod(breaking_zn(6, op, pair))]
     if op == "mul":
         builds += [
             lambda: prod(RowBreakingGF(pair)),

@@ -8,9 +8,10 @@ import time
 import pytest
 
 from qdivtop import modules, topology, verifier
-from qdivtop.verifier import PASS, Instance, run_rule
+from qdivtop.verifier import FAIL, PASS, VACUOUS, Instance, run_rule
 from common import CAP_LADDER, fresh_python
 from test_cli import nested_prod
+from test_mutants import product_rows_joined_in_swapped_order
 from test_topology import literal_up_down
 
 
@@ -86,3 +87,40 @@ def test_cap_ladder_report_pinned():
     assert (len(report.outcomes), report.total_failures) == (308, 0)
     assert digest.hexdigest() == CAP_LADDER_REPORT_SHA256, report.tallies()
     assert time.perf_counter() - start < 90
+
+
+OVERFLOW = "OverflowError: unsigned short is greater than maximum"
+
+
+@pytest.mark.parametrize(
+    "rule_id, spec, pinned, witness",
+    [
+        (
+            "R10",
+            "ring:Prod(GF(2,x^6+x+1),GF(2,x^6+x+1))",
+            PASS,
+            "class [(0,1)]: annihilator of the image is not maximal (generator ",
+        ),
+        ("R1", "ring:Prod(Zn(4),Trunc(2,9))", VACUOUS, OVERFLOW),
+        ("R2", "ring:Prod(Zn(4),Trunc(2,9))", VACUOUS, OVERFLOW),
+        ("R17", "ring:Prod(Zn(4),Trunc(2,9))", VACUOUS, OVERFLOW),
+    ],
+)
+def test_swapped_product_rows_move_the_cap_ladder_report(
+    monkeypatch, rule_id, spec, pinned, witness
+):
+    # the pinned report's outcome, and under the fault the outcome it moves
+    # to.  The swapped rows of Prod(Zn(4),Trunc(2,9)) hold indices past
+    # 65,535, which generator_products cannot store in an array('H'): the
+    # rule fails with the exception as its witness, where it was vacuous
+    # for the oracle's size cap.  On the GF(2^6) square the rows stay in
+    # range and R10 sees a class whose annihilator is not maximal (the
+    # witness is cut after its generator, a set of 64 elements).  All four
+    # took under 0.2 s raw on a 2-vCPU machine; the bound is 15 s
+    start = time.perf_counter()
+    instance = Instance("module", spec)
+    assert run_rule(rule_id, instance).verdict == pinned
+    product_rows_joined_in_swapped_order(monkeypatch)
+    outcome = run_rule(rule_id, instance)
+    assert outcome.verdict == FAIL and outcome.witness.startswith(witness), outcome
+    assert time.perf_counter() - start < 15
