@@ -52,9 +52,9 @@ def _analyze_payload(E, with_oracle: bool):
     minimal = space.label_set(topology.minimal_classes(space))
     ann = modules.annihilator(E)
     ring = E.residue_ring
-    if E.moduli is None:
-        ann = "{" + ",".join(sorted(map(ring.format_element, ann))) + "}"
     labels, index = ring.labels, ring.index
+    if E.moduli is None:
+        ann = "{" + ",".join(sorted(labels[index(x)] for x in ann)) + "}"
 
     # E is second (every residue acts as zero or onto E) exactly when no
     # residue forms a scalar class, that is when the space is empty

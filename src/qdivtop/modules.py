@@ -163,10 +163,6 @@ class Submodule:
                     )
 
     @property
-    def elements(self) -> tuple:
-        return self.module.elements_of_mask(self.mask)
-
-    @property
     def size(self) -> int:
         return self.mask.bit_count()
 
@@ -278,9 +274,6 @@ class FiniteModule:
             return self._index[x]
         except KeyError:
             raise ModuleError(f"{x!r} is not an element of {self.spec_text}") from None
-
-    def elements_of_mask(self, mask: int) -> tuple:
-        return tuple(self.elements[i] for i in _bits(mask))
 
     @property
     def labels(self) -> tuple:
@@ -568,7 +561,7 @@ def scalar_classes(E: FiniteModule) -> tuple:
 
     Second modules (every residue acts as zero or a surjection) yield the
     empty tuple, and with it the empty space downstream.  The classes come
-    in the order of their first residues, which is ``sort_key`` order.
+    in the order of their first residues, which is element order.
 
     A residue has its divisor's image, so one image is computed per
     divisor group; the units are the group of one.  Over a catalog ring
@@ -771,7 +764,7 @@ def weak_idempotent_split(E: FiniteModule) -> WeakSplit:
         return WeakSplit("simple")
     ring = E.residue_ring
     zmask = E.zero_mask
-    for e in sorted(ring.idempotents(), key=ring.sort_key):
+    for e in sorted(ring.idempotents(), key=ring.index):
         part_e = E.image_mask(e)
         part_f = E.image_mask(ring.sub(ring.one, e))
         if part_e == zmask or part_f == zmask:

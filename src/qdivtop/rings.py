@@ -76,10 +76,12 @@ its value ``mul`` and ``neg``, and joins each row from its factors'
 rows, with no ring product (``mul_row``).  ``GF(p,f)`` multiplies on element
 indices through one multiply-by-x step (see ``QuotPolyRing``) at every
 order.  The associativity/distributivity sweeps live in the test suite.
-Each constructor lists its elements in ``sort_key`` order, with no sort
-(``GF(p,f)`` by length, then by coefficients), so every derived set
-(units, radicals, ideals) is deterministic.  Rings are immutable and all
-operations are pure.
+Each constructor lists its elements in one order, with no sort (``Zn``
+by value, ``GF(p,f)`` by length, then by coefficients, ``Prod`` and
+``Ideal`` lexicographically on their coordinates), and the element index
+is that order, so every derived set (units, radicals, ideals) is
+deterministic.  Each prints its elements in bulk, once (``labels``).
+Rings are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -411,7 +413,8 @@ class FiniteRing:
     domain_label = "Z[x1,x2,...]"
 
     def _enumerate(self):
-        """The elements, in ``sort_key`` order by construction."""
+        """The elements, in the constructor's order (see the module
+        docstring): the element index is this order."""
         raise NotImplementedError
 
     def add(self, x, y):
@@ -475,21 +478,16 @@ class FiniteRing:
             self._tables = self._make_tables()
         return self._tables
 
-    def sort_key(self, x):
-        raise NotImplementedError
-
-    def format_element(self, x) -> str:
-        raise NotImplementedError
-
     @property
     def labels(self) -> tuple:
-        """``format_element`` of each element, by index, built once."""
+        """The printed form of each element, by index, built once in bulk
+        by each constructor (``_make_labels``)."""
         if self._labels is None:
             self._labels = self._make_labels()
         return self._labels
 
     def _make_labels(self) -> tuple:
-        return tuple(map(self.format_element, self.elements))
+        raise NotImplementedError
 
     # shared machinery -------------------------------------------------
 
@@ -604,10 +602,6 @@ class FiniteRing:
         """Mask of the principal ideal aR over the element indices: the
         additive span of a*g over the additive generators g."""
         return self.layout.span(self.generator_products(self.index(a)))
-
-    def principal_ideal(self, a) -> frozenset:
-        elems = self.elements
-        return frozenset(elems[i] for i in _bits(self.ideal_mask(a)))
 
     def idempotents(self) -> frozenset:
         """The elements e with e*e = e, read off the constructor."""
@@ -782,11 +776,8 @@ class ZnRing(_EuclideanQuotient):
     def neg(self, x):
         return (-x) % self.n
 
-    def sort_key(self, x):
-        return x
-
-    def format_element(self, x):
-        return str(x)
+    def _make_labels(self):
+        return tuple(map(str, range(self.n)))
 
     def generator_products(self, i):
         # the one generator is 1, and t*1 = t
@@ -905,12 +896,6 @@ class QuotPolyRing(_EuclideanQuotient):
     def neg(self, x):
         return scalars.pneg(x, self.p)
 
-    def sort_key(self, x):
-        return (len(x), x)
-
-    def format_element(self, x):
-        return scalars.format_poly(x)
-
     def _make_labels(self):
         # in the order of ``_make_layout``: rest holds the printed terms of
         # all coefficient tuples of length k ("" for zero)
@@ -969,12 +954,6 @@ class ProdRing(FiniteRing):
 
     def neg(self, x):
         return (self.r1.neg(x[0]), self.r2.neg(x[1]))
-
-    def sort_key(self, x):
-        return (self.r1.sort_key(x[0]), self.r2.sort_key(x[1]))
-
-    def format_element(self, x):
-        return f"({self.r1.format_element(x[0])},{self.r2.format_element(x[1])})"
 
     def _make_labels(self):
         return tuple(f"({a},{b})" for a in self.r1.labels for b in self.r2.labels)
@@ -1050,13 +1029,6 @@ class IdealizeRing(FiniteRing):
         b = self.base
         return (b.neg(x[0]), tuple(b.neg(m) for m in x[1]))
 
-    def sort_key(self, x):
-        return (self.base.sort_key(x[0]), tuple(self.base.sort_key(m) for m in x[1]))
-
-    def format_element(self, x):
-        ms = ",".join(self.base.format_element(m) for m in x[1])
-        return f"({self.base.format_element(x[0])},({ms}))"
-
     def _make_labels(self):
         base = self.base.labels
         ms = [",".join(m) for m in itertools.product(base, repeat=self.d)]
@@ -1119,16 +1091,6 @@ class TruncRing(IdealizeRing):
         self._set_order((p, k + 1))
         self._idealize(ZnRing(p), k)
 
-    def format_element(self, x):
-        c0, cs = x
-        parts = [str(c0)] if c0 else []
-        for i, c in enumerate(cs, 1):
-            if c == 1:
-                parts.append(f"x{i}")
-            elif c:
-                parts.append(f"{c}*x{i}")
-        return "+".join(parts) if parts else "0"
-
     def _make_labels(self):
         # from the last coordinate up: tail holds the printed terms of the
         # coordinates from i on, in element order; coordinate i is 0 on the
@@ -1167,7 +1129,10 @@ def _is_field_factor(ring: FiniteRing, e) -> bool:
     if e == ring.zero:
         return False
     units, f = ring.units(), ring.sub(ring.one, e)
-    return all(ring.add(x, f) in units for x in ring.principal_ideal(e) if x != ring.zero)
+    elems, zero = ring.elements, ring.index(ring.zero)
+    return all(
+        ring.add(elems[i], f) in units for i in _bits(ring.ideal_mask(e)) if i != zero
+    )
 
 
 def _square_zero(ring: FiniteRing, ideal) -> bool:
@@ -1200,7 +1165,7 @@ def classify_quasi_second_ring(ring: FiniteRing) -> str:
     if local:
         return QS_LOCAL_SQUARE_ZERO if _square_zero(ring, maximal) else NOT_QS
     one, zero = ring.one, ring.zero
-    for e in sorted(ring.idempotents(), key=ring.sort_key):
+    for e in sorted(ring.idempotents(), key=ring.index):
         if e in (zero, one):
             continue
         f = ring.sub(one, e)

@@ -464,7 +464,8 @@ def _r12(ctx):
         return PASS, None, None
     detail = split.kind
     if split.kind == "split":
-        detail += f" at e={ctx.E.residue_ring.format_element(split.idempotent)}"
+        ring = ctx.E.residue_ring
+        detail += f" at e={ring.labels[ring.index(split.idempotent)]}"
     return FAIL, f"quasi_second={ctx.qs} but decomposition={detail}", None
 
 
@@ -602,7 +603,7 @@ def _r19(ctx):
             if gen1 != gen2 or not (max1 and max2):
                 rhs = False
                 detail = (
-                    f"scalar {ring.format_element(r)}: annihilators "
+                    f"scalar {ring.labels[ring.index(r)]}: annihilators "
                     f"{gen1} (maximal={max1}) vs {gen2} (maximal={max2})"
                 )
                 break

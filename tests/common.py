@@ -113,17 +113,17 @@ def mutated_qs_finder(E):
     """The quasi-second search with the aE != E guard removed: it reports
     any a, b with 0 != bE strictly inside aE, aE = E included."""
     ring = E.residue_ring
-    zmask = E.zero_mask
-    for ra in ring.elements:
+    zmask, labels = E.zero_mask, ring.labels
+    for ia, ra in enumerate(ring.elements):
         ma = E.image_mask(ra)
-        for rb in ring.elements:
+        for ib, rb in enumerate(ring.elements):
             mb = E.image_mask(rb)
             if mb == zmask or mb & ~ma:
                 continue
             if mb != ma:
                 return {
-                    "a": ring.format_element(ra),
-                    "b": ring.format_element(rb),
+                    "a": labels[ia],
+                    "b": labels[ib],
                     "aE": E.format_mask(ma),
                     "bE": E.format_mask(mb),
                 }

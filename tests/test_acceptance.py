@@ -232,16 +232,23 @@ def test_c8_harness_self_test(default_corpus, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(verifier, "QS_VIOLATION_FINDER", mutated_qs_finder)
         mutated = verifier.run_all(default_corpus, rule_ids=rule_ids)
-    failing = {(o.rule_id, o.instance) for o in mutated.failures()}
+    # the witnesses, not only the failures: _evaluate turns an exception in
+    # the planted finder into a failure too
+    failing = {(o.rule_id, o.instance): o.witness for o in mutated.failures()}
+    witnesses = (failing.get(("R2", "Z:4")), failing.get(("R14", "Zn(4)")))
     pristine = verifier.run_all(default_corpus, rule_ids=rule_ids)
     ok = (
-        ("R2", "Z:4") in failing
-        and ("R14", "Zn(4)") in failing
+        witnesses
+        == (
+            "T1=True but quasi_second=False; a=1 b=2 aE={0,1,2,3} bE={0,2}",
+            "brute=False classification=LocalSquareZeroMax; "
+            "witness a=1 b=2 (a)={0,1,2,3} (b)={0,2}",
+        )
         and pristine.total_failures == 0
     )
     check(
         "C8 harness self-test",
         ok,
-        f"mutated failures={mutated.total_failures} (R2 Z:4 and R14 Zn(4) "
-        f"witnessed), pristine={pristine.total_failures}",
+        f"mutated failures={mutated.total_failures}, R2 Z:4 and R14 Zn(4) "
+        f"witnesses={witnesses}, pristine={pristine.total_failures}",
     )

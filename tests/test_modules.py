@@ -31,6 +31,7 @@ from common import (
     CAP_LADDER_RINGS,
     WIDE_CORPUS,
 )
+from test_rings import literal_label
 
 F2 = poly_domain(2)
 
@@ -59,14 +60,14 @@ def value_arithmetic(E):
     )
 
 
-def literal_label(E, x):
-    """The printed form of the element x from each ring's format_element:
-    the ring element itself, or the summands' residues, in parentheses
-    when there are two or more."""
+def literal_module_label(E, x):
+    """The printed form of the element x: the ring element's literal label,
+    or the summands' residues, in parentheses when there are two or
+    more."""
     if E.moduli is None:
-        return E.residue_ring.format_element(x)
+        return literal_label(E.residue_ring, x)
     parts = [
-        modules._residue_ring(E.domain, d.value).format_element(a)
+        literal_label(modules._residue_ring(E.domain, d.value), a)
         for d, a in zip(E.moduli, x)
     ]
     return parts[0] if len(parts) == 1 else "(" + ",".join(parts) + ")"
@@ -280,7 +281,10 @@ def test_submodule_counts():
 )
 def test_submodules_match_powerset_oracle(spec):
     E = build_module(spec)
-    got = {frozenset(s.elements) for s in enumerate_submodules(E)}
+    got = {
+        frozenset(E.elements[i] for i in modules._bits(s.mask))
+        for s in enumerate_submodules(E)
+    }
     assert got == set(powerset_submodules(E))
 
 
@@ -938,7 +942,7 @@ def test_scalar_classes_match_grouping_by_literal_images():
             if r != ring.zero and r not in units:
                 groups.setdefault(literal_mask(row(r)), []).append(r)
         literal = [
-            (tuple(members), mask, f"[{ring.format_element(members[0])}]")
+            (tuple(members), mask, f"[{literal_label(ring, members[0])}]")
             for mask, members in groups.items()
         ]
         classes = scalar_classes(E)
@@ -956,7 +960,7 @@ def test_module_labels_are_the_formatted_elements():
     specs += list(BENCHMARK_LADDER_SPECS) + [MANY_DIVISORS_SPEC, "F3[x]:x^7", "Z:2,3,4"]
     for spec in specs:
         E = build_module(spec)
-        assert E.labels == tuple(literal_label(E, x) for x in E.elements), spec
+        assert E.labels == tuple(literal_module_label(E, x) for x in E.elements), spec
 
 
 def ladder_picks(ring, rng):
@@ -1029,8 +1033,8 @@ def literal_search(ring, images, zero, full, fmt):
         for rb, ib in pairs:
             if ib != zero and ib < ia:
                 return {
-                    "a": ring.format_element(ra),
-                    "b": ring.format_element(rb),
+                    "a": literal_label(ring, ra),
+                    "b": literal_label(ring, rb),
                     "aE": fmt(ia),
                     "bE": fmt(ib),
                 }
@@ -1084,7 +1088,7 @@ def test_induced_actions_match_the_literal_search():
         products = {r: [index(act(r, x)) for x in E.elements] for r in nonunits}
 
         def listed(indices):
-            return [literal_label(E, E.elements[i]) for i in sorted(indices)]
+            return [literal_module_label(E, E.elements[i]) for i in sorted(indices)]
 
         for mask in E.lattice_masks():
             N = Submodule._trusted(E, mask)
@@ -1093,7 +1097,7 @@ def test_induced_actions_match_the_literal_search():
             coset = [None] * E.order
             for i, x in enumerate(E.elements):
                 if coset[i] is None:
-                    c = frozenset(index(add(x, y)) for y in N.elements)
+                    c = frozenset(index(add(x, E.elements[k])) for k in members)
                     for j in c:
                         coset[j] = c
             on_sub = {

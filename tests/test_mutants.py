@@ -18,7 +18,7 @@ import pytest
 
 from qdivtop import modules, oracle, rings, topology, verifier
 from qdivtop.verifier import FAIL, PASS, Instance, run_rule
-from common import CAP_LADDER_RINGS, JOINED_ROW_RINGS
+from common import CAP_LADDER_RINGS, JOINED_ROW_RINGS, mutated_qs_finder
 
 
 def rn_read_as_re(mp):
@@ -358,6 +358,12 @@ def finder_finds_nothing(mp):
     mp.setattr(verifier, "QS_VIOLATION_FINDER", lambda E: None)
 
 
+def finder_without_the_guard(mp):
+    # the quasi-second search reports pairs with aE = E as well (the C8
+    # fault), so every module with a nonzero proper image fails it
+    mp.setattr(verifier, "QS_VIOLATION_FINDER", mutated_qs_finder)
+
+
 def nested_read_off_image_sizes(mp):
     # nestedness counts the distinct image sizes, not the distinct up-set
     # sizes: two incomparable images of different sizes pass for a chain
@@ -526,6 +532,12 @@ ROWS = [
     ),
     ("R12", idempotents_zero_and_one, "Z:6", "quasi_second=True but decomposition=none"),
     (
+        "R12",
+        finder_without_the_guard,
+        "ring:Prod(Zn(2),GF(2,x^2+x+1))",
+        "quasi_second=False but decomposition=split at e=(0,1)",
+    ),
+    (
         "R13",
         is_open_refuses_the_last_singleton,
         "Z:6",
@@ -560,6 +572,12 @@ ROWS = [
         + "} (b)={"
         + ",".join(f"(0,(0,{v}))" for v in F9)
         + "}",
+    ),
+    (
+        "R15",
+        finder_without_the_guard,
+        "Ideal(Zn(2),1)",
+        "idealization of a field not quasi second: a=(1,(0)) b=(0,(1))",
     ),
     ("R16", submodule_zero_is_n, "Z:4", "quotient by {0} is not quasi second: a=2 b=0"),
     ("R16", quotient_image_without_n, "Z:4", "quotient by {0,2} is not quasi second: a=2 b=0"),

@@ -9,7 +9,7 @@ import pytest
 
 from qdivtop import rings
 from qdivtop.modules import find_quasi_second_violation, is_quasi_second, ring_cyclic
-from qdivtop.scalars import monic_polys, padd, pdivmod, pmul, pneg
+from qdivtop.scalars import format_poly, monic_polys, padd, pdivmod, pmul, pneg
 from qdivtop.rings import (
     CONSTRUCTION_CHECK_CAP,
     NOT_QS,
@@ -106,14 +106,17 @@ def test_units_examples():
 
 
 def test_principal_ideals():
+    def ideal(ring, a):
+        return frozenset(ring.elements[i] for i in rings._bits(ring.ideal_mask(a)))
+
     z8 = ZnRing(8)
-    assert z8.principal_ideal(2) == frozenset({0, 2, 4, 6})
-    assert z8.principal_ideal(4) == frozenset({0, 4})
+    assert ideal(z8, 2) == frozenset({0, 2, 4, 6})
+    assert ideal(z8, 4) == frozenset({0, 4})
     t = TruncRing(2, 1)
     x = (0, (1,))
     # oracle: enumerate all 4 products
     assert frozenset(t.mul(r, x) for r in t.elements) == frozenset({t.zero, x})
-    assert t.principal_ideal(x) == frozenset({t.zero, x})
+    assert ideal(t, x) == frozenset({t.zero, x})
 
 
 def nilradical(ring):
@@ -474,6 +477,45 @@ def literal_ops(ring):
         ),
         lambda x: (neg(x[0]), tuple(map(neg, x[1]))),
     )
+
+
+def literal_order_key(ring, x):
+    """The order each constructor lists its elements in: residues mod n by
+    value, residues of F_p[x] by length, then coefficients from the
+    constant up, and pairs (Prod) and idealizations (Ideal, Trunc)
+    lexicographically on their coordinates."""
+    if isinstance(ring, ZnRing):
+        return x
+    if isinstance(ring, QuotPolyRing):
+        return (len(x), x)
+    if isinstance(ring, ProdRing):
+        return (literal_order_key(ring.r1, x[0]), literal_order_key(ring.r2, x[1]))
+    assert isinstance(ring, IdealizeRing)
+    return (
+        literal_order_key(ring.base, x[0]),
+        tuple(literal_order_key(ring.base, m) for m in x[1]),
+    )
+
+
+def literal_label(ring, x):
+    """The printed form of the element x: a residue mod n in decimal, a
+    residue of F_p[x] as a polynomial, a pair as (a,b), an idealization
+    (a, (m1, ..., md)) as (a,(m1,...,md)), and an element of Trunc(p,k) as
+    the sum of its nonzero terms, such as 1+x1+2*x3."""
+    if isinstance(ring, ZnRing):
+        return str(x)
+    if isinstance(ring, QuotPolyRing):
+        return format_poly(x)
+    if isinstance(ring, ProdRing):
+        return f"({literal_label(ring.r1, x[0])},{literal_label(ring.r2, x[1])})"
+    if isinstance(ring, TruncRing):
+        c0, cs = x
+        terms = [str(c0)] if c0 else []
+        terms += [f"{c}*x{i}" if c > 1 else f"x{i}" for i, c in enumerate(cs, 1) if c]
+        return "+".join(terms) or "0"
+    assert isinstance(ring, IdealizeRing)
+    ms = ",".join(literal_label(ring.base, m) for m in x[1])
+    return f"({literal_label(ring.base, x[0])},({ms}))"
 
 
 def quotient_factors(ring):
@@ -847,16 +889,18 @@ def enumeration_specs():
 
 
 def test_element_enumeration_is_sorted_and_indexed():
-    # each constructor lists its elements in sort_key order by construction;
-    # a residue of F_p[x]/(f) has its coefficients as base-p digits of its
-    # layout code, and every ring label is format_element of its element
+    # each constructor lists its elements in the literal order by
+    # construction; a residue of F_p[x]/(f) has its coefficients as base-p
+    # digits of its layout code, and every ring label is the literal
+    # printed form of its element
     for spec in enumeration_specs():
         ring = build_ring(spec)
         elements = ring.elements
-        assert list(elements) == sorted(elements, key=ring.sort_key), spec
+        key = functools.partial(literal_order_key, ring)
+        assert list(elements) == sorted(elements, key=key), spec
         for i, x in enumerate(elements):
             assert ring.index(x) == i
-        assert ring.labels == tuple(map(ring.format_element, elements)), spec
+        assert ring.labels == tuple(literal_label(ring, x) for x in elements), spec
         if isinstance(ring, QuotPolyRing):
             p = ring.p
             codes = [sum(c * p**k for k, c in enumerate(x)) for x in elements]

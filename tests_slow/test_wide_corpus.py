@@ -2,8 +2,11 @@
 structural predicates, the submodule lattice, the space's order and the
 oracle's T3, T4 and T5 against the references of ``tests/test_modules.py``,
 ``tests/test_topology.py`` and ``tests/test_oracle.py``, which Tier-1
-compares on the default corpus."""
+compares on the default corpus; and its isomorphic cyclic presentations
+against each other, as ``tests/test_presentations.py`` compares the
+default ones."""
 
+import collections
 import hashlib
 import time
 
@@ -11,6 +14,12 @@ from qdivtop import modules, oracle, topology, verifier
 from common import WIDE_CORPUS
 from test_modules import literal_predicates, two_summand_count
 from test_oracle import literal_t3, literal_t4, literal_t5
+from test_presentations import (
+    PRESENTATION_FREE_RULES,
+    elementary_divisors,
+    labeled_space,
+    verdicts,
+)
 from test_topology import literal_up_down
 
 # sha256 of one line "rule_id<TAB>instance<TAB>verdict" per outcome, in
@@ -91,4 +100,30 @@ def test_oracle_t3_t4_t5_on_every_distinct_wide_space_match_the_literal_sweeps()
             assert oracle.oracle_axiom(topo, "T5") == literal_t5(topo), spec
             t5_checked += 1
     assert (len(spaces), t5_checked) == (126, 68)
+    assert time.perf_counter() - start < 30
+
+
+def test_isomorphic_wide_cyclic_sums_have_one_labeled_space_and_one_verdict():
+    # the wide Z: sums and Zn(n) rings as modules, grouped by elementary
+    # divisors: 803 specs, of which 670 fall in 268 groups of two or more.
+    # Each group has one labeled space and one verdict per rule that does
+    # not read the presentation; about 1.2 s raw
+    start = time.perf_counter()
+    corpus = verifier.generate_corpus(WIDE_CORPUS)
+    specs = [
+        i.spec_text
+        for i in corpus
+        if i.kind == "module" and i.spec_text.startswith(("Z:", "ring:Zn("))
+    ]
+    groups = collections.defaultdict(list)
+    for spec in specs:
+        groups[elementary_divisors(spec)].append(spec)
+    groups = [g for g in groups.values() if len(g) > 1]
+    assert (len(specs), len(groups), sum(map(len, groups))) == (803, 268, 670)
+    rule_verdicts = verdicts([s for g in groups for s in g])
+    for group in groups:
+        assert len({repr(labeled_space(s)) for s in group}) == 1, group
+        verdict_rows = {tuple(rule_verdicts[s]) for s in group}
+        assert len(verdict_rows) == 1, group
+        assert len(next(iter(verdict_rows))) == len(PRESENTATION_FREE_RULES), group
     assert time.perf_counter() - start < 30
