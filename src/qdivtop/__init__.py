@@ -36,7 +36,6 @@ from .scalars import (  # noqa: F401
     is_irreducible,
     parse_scalar,
     poly_domain,
-    reduce_mod,
     scalar_gcd,
     scalar_lcm,
 )

@@ -55,26 +55,30 @@ m, found in one walk over m whose span grows by ``DigitLayout.span``
 (``_square_zero``): 11 generators and 66 products for ``Trunc(2,11)``,
 against about 2.1 million pairs of m.
 
-A ``Prod`` or ``Ideal`` ring (``Trunc`` included) of order at most 64
-(``CONSTRUCTION_CHECK_CAP``) builds its add, mul and neg tables on element
-indices once, at construction, and so does each factor of such a
-``Prod`` ring, for the tables of the ring over it.  ``Prod`` builds
-them from its factors' tables in one big-integer sum per table, over
-one-byte lanes (``_product_table``); every other ring, ``Zn``,
-``GF(p,f)`` and ``Ideal``, from its rows (``mul_row``), its layout's
-addition and its ``neg`` (``FiniteRing._make_tables``).  So the check
-covers the rows that each ring runs at every order, an ``Ideal`` ring's
-row join among them; a ``Zn`` factor's value ``add`` and ``mul``, which
-no table reads, are compared with its tables in the test suite.
-The identity, negation and commutativity laws, and the distributive law
-x*(x + 1) = x*x + x, which reads each diagonal entry, are checked
-exhaustively on those tables, and the ring's ``add``, ``mul``, ``neg``
+Every ring adds and negates on its layout (``FiniteRing.add`` and
+``FiniteRing.neg``), ``Zn`` included.  It multiplies through its rows
+(``mul_row``) and its constructor's value ``mul``, which the semiprime,
+idempotent and square-zero tests call once per product, where a row
+would cost one pass over the ring.  A ``Prod`` or ``Ideal`` ring
+(``Trunc`` included) of order at most 64 (``CONSTRUCTION_CHECK_CAP``)
+builds its add, mul and neg tables on element indices once, at
+construction, and so does each factor of such a ``Prod`` ring, for the
+tables of the ring over it.  ``Prod`` builds its add and mul tables from
+its factors' in one big-integer sum per table, over one-byte lanes
+(``_product_table``); every other ring, ``Zn``, ``GF(p,f)`` and
+``Ideal``, from its rows and its layout's addition
+(``FiniteRing._make_tables``).  Every ring's neg table is its layout's
+negation.  The identity, negation and commutativity laws, and the
+distributive law x*(x + 1) = x*x + x, which reads each diagonal entry,
+are checked exhaustively on those tables, and the ring's ``add``, ``mul``
 and ``mul_row`` then read them, so the check covers the operations in
-use.  Every ring but ``Zn``, which adds mod n, adds on its
-layout (``FiniteRing.add``).  A larger ``Prod`` or ``Ideal`` ring keeps
-its value ``mul`` and ``neg``, and joins each row from its factors'
-rows, with no ring product (``mul_row``).  ``GF(p,f)`` multiplies on element
-indices through one multiply-by-x step (see ``QuotPolyRing``) at every
+use: the rows each ring runs at every order, an ``Ideal`` ring's row
+join among them, and the negation on its layout.  A ``Zn`` or
+``GF(p,f)`` factor's value ``mul``, which no table reads, is compared
+with the literal product in the test suite.  A larger ``Prod`` or
+``Ideal`` ring joins each row from its factors' rows, with no ring
+product (``mul_row``).  ``GF(p,f)`` multiplies on element indices
+through one multiply-by-x step (see ``QuotPolyRing``) at every
 order.  The associativity/distributivity sweeps live in the test suite.
 Each constructor lists its elements in one order, with no sort (``Zn``
 by value, ``GF(p,f)`` by length, then by coefficients, ``Prod`` and
@@ -196,7 +200,8 @@ class DigitLayout:
     indices.  Element i has the mixed-radix code ``codes[i]``, whose digits,
     least significant first, add mod ``radices``; ``index_of`` inverts
     ``codes``.  ``places`` are the codes with one digit 1 and the rest 0, so
-    their elements generate the group.  ``add`` adds two indices.  A product
+    their elements generate the group.  ``add`` adds two indices, and
+    ``neg`` negates one.  A product
     layout remembers its factors' orders (``sizes``, most significant
     first) to ``join`` per-factor index lists.
 
@@ -257,6 +262,11 @@ class DigitLayout:
                 ]
 
         return add
+
+    def neg(self, i) -> int:
+        """The index of -x_i: each digit of its code negated mod its radix."""
+        code, digits = self.codes[i], zip(self.places, self.radices)
+        return self.index_of[sum(-(code // p) % radix * p for p, radix in digits)]
 
     @classmethod
     def product(cls, layouts) -> "DigitLayout":
@@ -426,7 +436,8 @@ class FiniteRing:
         raise NotImplementedError
 
     def neg(self, x):
-        raise NotImplementedError
+        """-x, negated on the layout."""
+        return self.elements[self.layout.neg(self.index(x))]
 
     @property
     def layout(self):
@@ -459,16 +470,16 @@ class FiniteRing:
     def _make_tables(self):
         """(add, mul, neg) on element indices: entry i*n + j of add and mul
         is the index of x_i + x_j and of x_i * x_j, entry i of neg the index
-        of -x_i.  Row i of mul is ``mul_row(x_i)``, add is the layout's
-        addition, and neg is ``neg``."""
-        n, add, index = self.order, self.layout.add, self.index
+        of -x_i.  Row i of mul is ``mul_row(x_i)``, and add and neg are the
+        layout's."""
+        n, layout = self.order, self.layout
         mul = array("H")
         for x in self.elements:
             mul.extend(self.mul_row(x))
         return (
-            array("H", [add(i, j) for i in range(n) for j in range(n)]),
+            array("H", [layout.add(i, j) for i in range(n) for j in range(n)]),
             mul,
-            array("H", [index(self.neg(x)) for x in self.elements]),
+            array("H", map(layout.neg, range(n))),
         )
 
     def index_tables(self) -> tuple:
@@ -505,7 +516,7 @@ class FiniteRing:
         self._divisor_groups = None
         self._divisor_list = None
         # caches exist from construction on: an attribute first set later
-        # slows every attribute read on the ring (``self.n`` in ``add``)
+        # slows every attribute read on the ring (``self._index`` in ``index``)
         self._layout = None
         self._tables = None
         self._generator_rows = None
@@ -514,7 +525,7 @@ class FiniteRing:
         if validate and self.order <= CONSTRUCTION_CHECK_CAP:
             tables = self.index_tables()
             self._check_tables(*tables)
-            self._read_tables(*tables)
+            self._read_tables(*tables[:2])
 
     @property
     def elements(self) -> tuple:
@@ -641,9 +652,12 @@ class FiniteRing:
             if mul[k + add[k + one]] != add[mul[k + i] * n + i]:
                 raise RingError(f"{self.spec}: distributivity fails at {x!r}")
 
-    def _read_tables(self, add_t, mul_t, neg_t):
-        """Point add, mul, neg and mul_row at the checked index tables, so
-        that the construction check covers the operations in use."""
+    def _read_tables(self, add_t, mul_t):
+        """Point add, mul and mul_row at the checked index tables, so that
+        the construction check covers the operations in use: a ``Prod``
+        ring's add table comes from its factors' tables, not its layout.
+        ``neg`` already reads the layout, whose negation the neg table
+        is."""
         n, elems = self.order, self.elements
         self.index(self.zero)  # builds the value -> index map
         index = self._index
@@ -654,14 +668,11 @@ class FiniteRing:
         def mul(x, y):
             return elems[mul_t[index[x] * n + index[y]]]
 
-        def neg(x):
-            return elems[neg_t[index[x]]]
-
         def mul_row(t):
             k = index[t] * n
             return mul_t[k : k + n].tolist()
 
-        self.add, self.mul, self.neg, self.mul_row = add, mul, neg, mul_row
+        self.add, self.mul, self.mul_row = add, mul, mul_row
 
     def __eq__(self, other):
         return isinstance(other, FiniteRing) and self.spec == other.spec
@@ -767,14 +778,8 @@ class ZnRing(_EuclideanQuotient):
     def _enumerate(self):
         return range(self.n)
 
-    def add(self, x, y):
-        return (x + y) % self.n
-
     def mul(self, x, y):
         return (x * y) % self.n
-
-    def neg(self, x):
-        return (-x) % self.n
 
     def _make_labels(self):
         return tuple(map(str, range(self.n)))
@@ -811,8 +816,8 @@ class QuotPolyRing(_EuclideanQuotient):
       starts from r's top d coefficients, already a residue.
 
     The ring keeps nothing but ``_times_x``.  A checked ``Prod`` ring over
-    this one builds its tables from this ring's, which are its rows, its
-    layout's addition and its ``neg`` (``FiniteRing._make_tables``), and a
+    this one builds its tables from this ring's, which are its rows and its
+    layout's addition and negation (``FiniteRing._make_tables``), and a
     checked ``Ideal`` ring joins its rows from this ring's rows, so either
     ring's construction check tests ``mul_row`` against the ring laws."""
 
@@ -893,9 +898,6 @@ class QuotPolyRing(_EuclideanQuotient):
             images.append(i)
         return images
 
-    def neg(self, x):
-        return scalars.pneg(x, self.p)
-
     def _make_labels(self):
         # in the order of ``_make_layout``: rest holds the printed terms of
         # all coefficient tuples of length k ("" for zero)
@@ -952,9 +954,6 @@ class ProdRing(FiniteRing):
     def mul(self, x, y):
         return (self.r1.mul(x[0], y[0]), self.r2.mul(x[1], y[1]))
 
-    def neg(self, x):
-        return (self.r1.neg(x[0]), self.r2.neg(x[1]))
-
     def _make_labels(self):
         return tuple(f"({a},{b})" for a in self.r1.labels for b in self.r2.labels)
 
@@ -980,14 +979,11 @@ class ProdRing(FiniteRing):
 
     def _make_tables(self):
         n1, n2 = self.r1.order, self.r2.order
-        (add1, mul1, neg1), (add2, mul2, neg2) = (
-            self.r1.index_tables(),
-            self.r2.index_tables(),
-        )
+        (add1, mul1, _), (add2, mul2, _) = self.r1.index_tables(), self.r2.index_tables()
         return (
             _product_table(add1, n1, add2, n2),
             _product_table(mul1, n1, mul2, n2),
-            array("H", self.layout.join([neg1, neg2])),
+            array("H", map(self.layout.neg, range(self.order))),
         )
 
 
@@ -1024,10 +1020,6 @@ class IdealizeRing(FiniteRing):
             b.mul(a1, a2),
             tuple(b.add(b.mul(a1, n), b.mul(a2, m)) for m, n in zip(m1, m2)),
         )
-
-    def neg(self, x):
-        b = self.base
-        return (b.neg(x[0]), tuple(b.neg(m) for m in x[1]))
 
     def _make_labels(self):
         base = self.base.labels

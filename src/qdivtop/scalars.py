@@ -112,10 +112,6 @@ def padd(c, d, p):
     return ptrim(tuple((x + y) % p for x, y in zip(c, d)))
 
 
-def pneg(c, p):
-    return tuple((-x) % p for x in c)
-
-
 def pmul(c, d, p):
     if not c or not d:
         return ()
@@ -277,21 +273,6 @@ def is_irreducible(a: Scalar) -> bool:
             if not pdivmod(f, g, p)[1]:
                 return False
     return True
-
-
-def reduce_mod(a: Scalar, m: Scalar) -> Scalar:
-    """Canonical representative of a modulo m.
-
-    Integers land in [0, |m|); polynomials are the remainder by the monic
-    associate of m, so the result has degree < deg(m).
-    """
-    _same_domain(a, m)
-    if m.is_zero() or m.is_unit():
-        raise ScalarError("reduction modulo zero or a unit is undefined")
-    if a.domain.kind == "int":
-        return Scalar(a.domain, a.value % abs(m.value))
-    p = a.domain.char
-    return Scalar(a.domain, pdivmod(a.value, pmonic(m.value, p), p)[1])
 
 
 # -- literal grammar --

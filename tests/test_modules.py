@@ -1,5 +1,4 @@
 import collections
-import functools
 import itertools
 import math
 import random
@@ -31,32 +30,24 @@ from common import (
     CAP_LADDER_RINGS,
     WIDE_CORPUS,
 )
-from test_rings import literal_label
+from test_rings import literal_label, literal_ops
 
 F2 = poly_domain(2)
 
 
 def value_arithmetic(E):
-    """(add, act) on the element labels of a cyclic sum or a ring module,
-    from value arithmetic: the ring's own add and mul, or per summand
-    (a + b) % d and (r * a) % d, or the F_p[x] sum and product mod d."""
+    """(add, neg, act) on the element labels of a ring module or a cyclic
+    sum, from the literal operations (``literal_ops``) of the ring, or of
+    each summand ring; the literal product takes a residue of E's ring
+    unreduced.  No library arithmetic is shared with E."""
     if E.moduli is None:
-        return E.residue_ring.add, E.residue_ring.mul
-    mods = [d.value for d in E.moduli]
-    if E.domain.kind == "int":
-        return (
-            lambda x, y: tuple((a + b) % d for a, b, d in zip(x, y, mods)),
-            lambda r, x: tuple((r * a) % d for a, d in zip(x, mods)),
-        )
-    p = E.domain.char
-
-    @functools.cache
-    def mul(r, a, d):
-        return scalars.pdivmod(scalars.pmul(r, a, p), d, p)[1]
-
+        add, mul, neg = literal_ops(E.residue_ring)
+        return add, neg, mul
+    adds, muls, negs = zip(*map(literal_ops, E.summands))
     return (
-        lambda x, y: tuple(scalars.padd(a, b, p) for a, b in zip(x, y)),
-        lambda r, x: tuple(mul(r, a, d) for a, d in zip(x, mods)),
+        lambda x, y: tuple(add(a, b) for add, a, b in zip(adds, x, y)),
+        lambda x: tuple(neg(a) for neg, a in zip(negs, x)),
+        lambda r, x: tuple(mul(r, a) for mul, a in zip(muls, x)),
     )
 
 
@@ -91,7 +82,7 @@ def is_second(E):
 
 def value_rows(E):
     """row(r): the action of residue r on E read off value products."""
-    _, act = value_arithmetic(E)
+    _, _, act = value_arithmetic(E)
     index = E.elem_index
 
     def row(r):
@@ -121,12 +112,13 @@ def powerset_submodules(E):
     return found
 
 
-def assert_index_arithmetic(E, vadd, vneg, vact):
+def assert_index_arithmetic(E):
     """Index-level add, the row of -1 and every action row agree with the
-    given value arithmetic on the element labels."""
+    value arithmetic on the element labels (``value_arithmetic``)."""
+    vadd, vneg, vact = value_arithmetic(E)
     el = E.elements
     ring = E.residue_ring
-    minus_one = E.row(ring.neg(ring.one))
+    minus_one = E.row(literal_ops(ring)[2](ring.one))
     for i, x in enumerate(el):
         assert el[minus_one[i]] == vneg(x)
         for j, y in enumerate(el):
@@ -323,31 +315,8 @@ def test_library_masks_pass_the_submodule_check():
 
 
 def test_index_arithmetic_matches_value_arithmetic():
-    E = build_module("Z:2,4")
-    mods = [d.value for d in E.moduli]
-    assert_index_arithmetic(
-        E,
-        lambda x, y: tuple((a + b) % m for a, b, m in zip(x, y, mods)),
-        lambda x: tuple((-a) % m for a, m in zip(x, mods)),
-        lambda r, x: tuple((r * a) % m for a, m in zip(x, mods)),
-    )
-
-    for spec, p in (("F2[x]:x^2,x", 2), ("F3[x]:x^2,x", 3)):
-        E = build_module(spec)
-        mods = [d.value for d in E.moduli]
-        assert_index_arithmetic(
-            E,
-            lambda x, y: tuple(scalars.padd(a, b, p) for a, b in zip(x, y)),
-            lambda x: tuple(scalars.pneg(a, p) for a in x),
-            lambda r, x: tuple(
-                scalars.pdivmod(scalars.pmul(r, a, p), m, p)[1]
-                for a, m in zip(x, mods)
-            ),
-        )
-
-    T = build_module("ring:Trunc(2,2)")
-    ring = T.residue_ring
-    assert_index_arithmetic(T, ring.add, ring.neg, ring.mul)
+    for spec in ("Z:2,4", "F2[x]:x^2,x", "F3[x]:x^2,x", "ring:Trunc(2,2)"):
+        assert_index_arithmetic(build_module(spec))
 
 
 def test_lattice_cap():
@@ -1004,22 +973,22 @@ def test_additive_generators_span_the_ring():
 
 
 def test_ring_addition_matches_ring_values():
-    # the digit layout adds like the ring: every pair on the small rings,
-    # seeded random pairs at the cap
+    # the digit layout adds like the ring's literal addition: every pair on
+    # the small rings, seeded random pairs at the cap
     for ring in catalog_rings() + [rings.build_ring(s) for s in MIXED_RINGS]:
-        E = ring_cyclic(ring)
+        E, (add, _, _) = ring_cyclic(ring), literal_ops(ring)
         el = ring.elements
         for i, x in enumerate(el):
             for j, y in enumerate(el):
-                assert E.add(i, j) == ring.index(ring.add(x, y)), (ring.spec, x, y)
+                assert E.add(i, j) == ring.index(add(x, y)), (ring.spec, x, y)
     rng = random.Random(4096)
     for spec in CAP_LADDER_RINGS:
         ring = rings.build_ring(spec)
-        E = ring_cyclic(ring)
+        E, (add, _, _) = ring_cyclic(ring), literal_ops(ring)
         el = ring.elements
         for _ in range(3000):
             i, j = rng.randrange(ring.order), rng.randrange(ring.order)
-            assert E.add(i, j) == ring.index(ring.add(el[i], el[j])), (spec, i, j)
+            assert E.add(i, j) == ring.index(add(el[i], el[j])), (spec, i, j)
 
 
 def literal_search(ring, images, zero, full, fmt):
@@ -1080,7 +1049,7 @@ def test_induced_actions_match_the_literal_search():
         E = build_module(spec)
         if E.order > modules.LATTICE_CAP:
             continue
-        add, act = value_arithmetic(E)
+        add, _, act = value_arithmetic(E)
         ring = E.residue_ring
         units = ring.units()
         nonunits = [r for r in ring.elements if r not in units]

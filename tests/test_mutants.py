@@ -64,6 +64,24 @@ def maximality_inverted(mp):
     mp.setattr(modules, "submodule_annihilator", inverted)
 
 
+def maximality_against_one(mp):
+    # R/I passes for a field when every x outside I has some x*y in the
+    # coset {1}, not in 1 + I: over Z/(6), (3) = {0, 3} is maximal, but
+    # 2*y is even, never 1, so (3) reads as not maximal
+    def planted(self, ideal):
+        if self.one in ideal:
+            return False
+        units = self.units()
+        coset = {self.index(self.one)}
+        return all(
+            not coset.isdisjoint(self.mul_row(x))
+            for x in self.elements
+            if x not in ideal and x not in units
+        )
+
+    mp.setattr(rings.FiniteRing, "_decide_maximal", planted)
+
+
 def killers_with_one(mp):
     # the residue ring's one kills every submodule
     killer_divisors = modules._killer_divisors
@@ -388,6 +406,15 @@ def t3_read_off_down_sets(mp):
     mp.setattr(topology, "separation_report", planted)
 
 
+def t1_at_some_point(mp):
+    # the oracle's T1 asks m_i = {i} for some point i, not for every one
+    mp.setitem(
+        oracle._AXIOMS,
+        "T1",
+        lambda topo: any(m == 1 << i for i, m in enumerate(topo.min_opens)),
+    )
+
+
 def t2_pairs_each_point_with_itself(mp):
     # the T2 sweep also compares each m_i with itself, which it always meets
     def planted(topo):
@@ -433,6 +460,12 @@ ROWS = [
     (
         "R2",
         largest_image_holds_no_other_point,
+        "Z:8",
+        "T1=True but quasi_second=False; a=2 b=4 aE={0,2,4,6} bE={0,4}",
+    ),
+    (
+        "R2",
+        t1_at_some_point,
         "Z:8",
         "T1=True but quasi_second=False; a=2 b=4 aE={0,2,4,6} bE={0,4}",
     ),
@@ -498,6 +531,13 @@ ROWS = [
     ),
     ("R9", rn_read_as_re, "Z:6", "quasi second, but [2] with image {0,2,4} is not second"),
     (
+        "R9",
+        finder_without_the_guard,
+        "Z:6",
+        "semiprime annihilator and all class images second, yet a=1 b=2 "
+        "aE={0,1,2,3,4,5} bE={0,2,4}",
+    ),
+    (
         "R10",
         maximality_inverted,
         "Z:4",
@@ -509,6 +549,13 @@ ROWS = [
         "ring:Prod(Zn(31),Zn(29))",
         "class [(1,0)]: annihilator of the image is not maximal "
         "(generator frozenset({(0, 0)}))",
+    ),
+    (
+        "R10",
+        maximality_against_one,
+        "ring:Zn(6)",
+        "class [2]: annihilator of the image is not maximal "
+        "(generator frozenset({0, 3}))",
     ),
     (
         "R10",

@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -9,7 +10,7 @@ import pytest
 
 from qdivtop import rings
 from qdivtop.modules import find_quasi_second_violation, is_quasi_second, ring_cyclic
-from qdivtop.scalars import format_poly, monic_polys, padd, pdivmod, pmul, pneg
+from qdivtop.scalars import format_poly, monic_polys, padd, pdivmod, pmul
 from qdivtop.rings import (
     CONSTRUCTION_CHECK_CAP,
     NOT_QS,
@@ -29,7 +30,7 @@ from qdivtop.rings import (
     build_ring,
     classify_quasi_second_ring,
 )
-from common import BENCHMARK_RING_SPECS, CAP_LADDER_RINGS, random_ring_spec
+from common import BENCHMARK_RING_SPECS, CAP_LADDER_RINGS, RANDOM_RINGS, random_ring_spec
 from test_mutants import JOINED_ROW_FAULTS, idealization_without_the_translation
 
 
@@ -198,7 +199,8 @@ def test_reduce_gives_the_residue_mod_n():
     for r in QuotPolyRing(3, (0, 1, 0, 0, 1)).elements:  # residues mod x^4 + x
         s = ring.reduce(r)
         assert s in ring.elements
-        assert pdivmod(padd(r, pneg(s, 3), 3), ring.modulus, 3)[1] == ()
+        minus_s = tuple(-c % 3 for c in s)
+        assert pdivmod(padd(r, minus_s, 3), ring.modulus, 3)[1] == ()
 
 
 def test_local_complement_is_units():
@@ -443,7 +445,7 @@ def literal_ops(ring):
         return (
             functools.cache(lambda x, y: padd(x, y, p)),
             functools.cache(lambda x, y: pdivmod(pmul(x, y, p), f, p)[1]),
-            lambda x: pneg(x, p),
+            lambda x: tuple(-c % p for c in x),
         )
     if isinstance(ring, TruncRing):
         # c0 + c1*x_1 + ... + ck*x_k as (c0, (c1, ..., ck)), over ints mod
@@ -535,8 +537,8 @@ def test_index_tables_match_the_literal_operations():
     # rows); every entry, and the value operations and rows that read
     # them, against the definitions, on the catalog rings and 200 seeded
     # random nested rings of order at most 64.  Every Zn and GF(p,f) factor
-    # or base keeps its value operations, which no table reads and
-    # idempotents, sub and maximality still call: each against its tables
+    # or base: its tables, and its value product, which no table reads and
+    # idempotents and maximality still call, against the definitions
     from qdivtop import verifier
 
     rng = random.Random(6421)
@@ -560,15 +562,57 @@ def test_index_tables_match_the_literal_operations():
             assert ring.mul_row(x) == products == mul_t[i * n : i * n + n].tolist()
             assert add_t[i * n : i * n + n].tolist() == list(map(index, sums))
         for factor in quotient_factors(ring):
+            add, mul, neg = literal_ops(factor)
             add_t, mul_t, neg_t = factor.index_tables()
             elems, index = factor.elements, factor.index
-            assert add_t.tolist() == [index(factor.add(x, y)) for x in elems for y in elems]
-            assert mul_t.tolist() == [index(factor.mul(x, y)) for x in elems for y in elems]
-            assert neg_t.tolist() == [index(factor.neg(x)) for x in elems], factor.spec
+            pairs = list(itertools.product(elems, repeat=2))
+            products = [mul(x, y) for x, y in pairs]
+            assert add_t.tolist() == [index(add(x, y)) for x, y in pairs], factor.spec
+            assert mul_t.tolist() == list(map(index, products)), factor.spec
+            assert [factor.mul(x, y) for x, y in pairs] == products, factor.spec
+            assert neg_t.tolist() == [index(neg(x)) for x in elems], factor.spec
             factors[type(factor).__name__] += 1
         checked[k < len(catalog)] += 1
     assert (checked[True], checked[False]) == (51, 126)
     assert factors == {"QuotPolyRing": 90, "ZnRing": 204}
+
+
+# SHA-256 of the spec, a newline and the (add, mul, neg) index tables of each
+# ring in test_index_tables_are_pinned, in spec order
+INDEX_TABLES_SHA256 = "17ad0a4a0d6aaf2178597b3300da6eaa4f0b5fa0bbbfff48ba07e6b6b5d472f4"
+
+
+def test_index_tables_are_pinned():
+    # every distinct ring among the default catalog, the seeded random rings
+    # and all their factors and bases: a change to how any table is built
+    # that moves an entry moves the digest
+    from qdivtop import verifier
+
+    found = {}
+
+    def walk(ring):
+        if ring.spec not in found:
+            found[ring.spec] = ring
+            for part in ("r1", "r2", "base"):
+                if hasattr(ring, part):
+                    walk(getattr(ring, part))
+
+    for spec in [*verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS), *RANDOM_RINGS]:
+        walk(build_ring(spec))
+    digest = hashlib.sha256()
+    for spec in sorted(found):
+        digest.update(spec.encode() + b"\n")
+        for table in found[spec].index_tables():
+            digest.update(table.tobytes())
+    kinds = collections.Counter(type(ring).__name__ for ring in found.values())
+    assert kinds == {
+        "ProdRing": 688,
+        "QuotPolyRing": 173,
+        "IdealizeRing": 123,
+        "ZnRing": 63,
+        "TruncRing": 9,
+    }
+    assert digest.hexdigest() == INDEX_TABLES_SHA256
 
 
 @pytest.mark.parametrize("p, max_degree", [(2, 6), (3, 3), (5, 2)])
@@ -722,6 +766,40 @@ def test_construction_check_rejects_a_non_commutative_operation(op, law):
 def test_construction_check_rejects_a_broken_identity(op, pair):
     with pytest.raises(RingError, match="identity laws fail at 3"):
         validated(breaking_zn(6, op, pair))
+
+
+class NegBreaking:
+    """A ring whose layout negation, which its neg table is, is off by one
+    at one element index."""
+
+    def _make_layout(self):
+        layout = super()._make_layout()
+        neg, broken, n = layout.neg, self.broken, self.order
+        layout.neg = lambda i: (neg(i) + 1) % n if i == broken else neg(i)
+        return layout
+
+
+class NegBreakingZn(NegBreaking, ZnRing):
+    def __init__(self, n, broken=None):
+        self.broken = broken
+        super().__init__(n)
+
+
+class NegBreakingProd(NegBreaking, ProdRing):
+    """Prod(Zn(2),Zn(3)), whose neg table is its own layout's negation,
+    not its factors'."""
+
+    def __init__(self, broken=None):
+        self.broken = broken
+        super().__init__(ZnRing(2), ZnRing(3))
+
+
+def test_construction_check_rejects_a_broken_negation():
+    assert validated(NegBreakingZn(6)).order == NegBreakingProd().order == 6
+    with pytest.raises(RingError, match=r"Zn\(6\): negation fails at 3\Z"):
+        validated(NegBreakingZn(6, 3))
+    with pytest.raises(RingError, match=r"negation fails at \(1, 1\)\Z"):
+        NegBreakingProd(4)
 
 
 def base_breaking_trunc(p, k, pair):
@@ -920,11 +998,12 @@ def test_generator_products_are_the_products_with_the_generators():
     for spec in PRODUCT_SPECS:
         ring = build_ring(spec)
         gens = ring.additive_generators()
+        _, mul, _ = literal_ops(ring)
         for i, t in enumerate(ring.elements):
-            literal = [ring.index(ring.mul(t, g)) for g in gens]
+            literal = [ring.index(mul(t, g)) for g in gens]
             assert ring.generator_products(i) == literal, (spec, t)
             assert list(ring.mul_row(t)) == [
-                ring.index(ring.mul(t, x)) for x in ring.elements
+                ring.index(mul(t, x)) for x in ring.elements
             ], (spec, t)
 
 
@@ -983,19 +1062,19 @@ def test_product_and_idealization_rows_match_the_checked_tables():
     # table override, against the checked mul table of every Prod, Ideal
     # and Trunc ring of the catalog and of the mixed rings, and
     # Ideal(Zn(3),2).  An Ideal or Trunc ring builds that table from these
-    # rows, so they are also compared with its value products
+    # rows, so they are also compared with its literal products
     checked = 0
     for spec in reference_ring_specs() + ["Ideal(Zn(3),2)"]:
         ring = build_ring(spec)
         n = ring.order
         if not isinstance(ring, (ProdRing, IdealizeRing)) or n > CONSTRUCTION_CHECK_CAP:
             continue
-        mul = ring.index_tables()[1]
+        mul, (_, literal_mul, _) = ring.index_tables()[1], literal_ops(ring)
         for i, t in enumerate(ring.elements):
             row = type(ring).mul_row(ring, t)
             assert row == mul[i * n : (i + 1) * n].tolist(), (spec, t)
             if isinstance(ring, IdealizeRing):
-                products = [type(ring).mul(ring, t, x) for x in ring.elements]
+                products = [literal_mul(t, x) for x in ring.elements]
                 assert row == list(map(ring.index, products)), (spec, t)
         checked += 1
     assert checked == 55
@@ -1011,14 +1090,16 @@ def joined_row_rings():
 
 
 def rows_unlike_value_products(built):
-    """The (spec, t) of seeded sample rows of the rings that differ from
-    the value products."""
+    """The (spec, t) of seeded sample rows of the rings whose rows or value
+    products differ from the literal products."""
     rng = random.Random(729)
     unlike = []
     for ring in built:
+        _, mul, _ = literal_ops(ring)
         for t in rng.sample(ring.elements, 4):
-            literal = [ring.index(ring.mul(t, x)) for x in ring.elements]
-            if type(ring).mul_row(ring, t) != literal:
+            literal = [ring.index(mul(t, x)) for x in ring.elements]
+            values = [ring.index(ring.mul(t, x)) for x in ring.elements]
+            if not type(ring).mul_row(ring, t) == values == literal:
                 unlike.append((ring.spec, t))
     return unlike
 

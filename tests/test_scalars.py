@@ -13,7 +13,6 @@ from qdivtop.scalars import (
     is_irreducible,
     parse_scalar,
     poly_domain,
-    reduce_mod,
     scalar,
     scalar_gcd,
     scalar_lcm,
@@ -115,12 +114,6 @@ def test_irreducible_examples():
     assert all(sum(c * pow(x, k, 2) for k, c in enumerate(f)) % 2 for x in (0, 1))
 
 
-def test_reduce_examples():
-    assert reduce_mod(s_int(14), s_int(6)).value == 2
-    assert reduce_mod(parse_scalar("x^3", F2), parse_scalar("x^2", F2)).is_zero()
-    assert reduce_mod(s_int(-1), s_int(6)).value == 5
-
-
 def test_error_cases():
     with pytest.raises(ScalarError):
         scalar_gcd(s_int(0), s_int(0))
@@ -132,10 +125,6 @@ def test_error_cases():
         is_irreducible(s_int(0))
     with pytest.raises(ScalarError):
         is_irreducible(s_int(1))
-    with pytest.raises(ScalarError):
-        reduce_mod(s_int(3), s_int(1))
-    with pytest.raises(ScalarError):
-        reduce_mod(s_int(3), s_int(0))
 
 
 # -- exhaustive invariants ----------------------------------------------------
@@ -227,22 +216,6 @@ def test_lcm_gcd_product(a, b):
     g = scalar_gcd(s_int(a), s_int(b)).value
     l = scalar_lcm(s_int(a), s_int(b)).value
     assert l * g == abs(a * b)
-
-
-@given(st.integers(), st.integers(min_value=2, max_value=10**6))
-def test_reduce_idempotent(a, m):
-    once = reduce_mod(s_int(a), s_int(m))
-    assert reduce_mod(once, s_int(m)) == once
-    assert 0 <= once.value < m
-
-
-@given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=8))
-def test_poly_reduce_idempotent(coeffs):
-    a = s_poly(F3, coeffs)
-    m = parse_scalar("x^2+1", F3)
-    once = reduce_mod(a, m)
-    assert reduce_mod(once, m) == once
-    assert scalars.pdeg(once.value) < 2
 
 
 @given(
