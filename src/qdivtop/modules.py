@@ -45,18 +45,18 @@ classes, the quasi-second search, killers, annihilators, second-submodule
 tests and the multiplication and comultiplication predicates read those.
 The image dE is the product of the principal ideals dS of the summands
 (Dummit and Foote, *Abstract Algebra*, §12.1), each read off its ring
-(``FiniteRing.ideal_mask``) with no row: over A/(n) the multiples of
-gcd(d, n) that the divisor sieve lists, over any other ring the span of
-the products of d with the additive generators.  A unit's image is the
-whole module, so unit residues need no image at all.  A cyclic submodule
-Rx of a sum of two or more summands is the additive span of g*x over the
-additive generators g of the residue ring (``rings.DigitLayout.span``),
-so it reads one row entry per generator; on one summand it is the image
-xE.  A submodule a caller passes in is checked against the generators'
-rows only.  Element sets are bit masks over the indices (``_mask``,
-``_bits``), which keeps image computations and the submodule lattice
-cheap.  Modules are immutable (their row, image and label caches aside)
-and every operation is pure.
+(``FiniteRing.ideal_mask``) with no row of that ring: over A/(n) the
+multiples of gcd(d, n) that the divisor sieve lists, over a product its
+factors' ideals joined, and over an idealization a sum read off its base
+(``rings.IdealizeRing``).  A unit's image is the whole module, so unit
+residues need no image at all.  A cyclic submodule Rx of a sum of two or
+more summands is the additive span of g*x over the additive generators g
+of the residue ring (``rings.DigitLayout.span``), so it reads one row
+entry per generator; on one summand it is the image xE.  A submodule a
+caller passes in is checked against the generators' rows only.  Element
+sets are bit masks over the indices (``_mask``, ``_bits``), which keeps
+image computations and the submodule lattice cheap.  Modules are immutable
+(their row, image and label caches aside) and every operation is pure.
 
 The submodule lattice of a cyclic sum over a PID is listed, not searched:
 each submodule has exactly one basis in Hermite normal form (H. Cohen, *A

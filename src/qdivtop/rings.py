@@ -26,15 +26,15 @@ digit 1 and the rest 0 are the ring's ``additive_generators()``: 1 for
 for ``Trunc``; the factors' generators, embedded, for ``Prod`` and
 ``Ideal``.  Multiplication by t is additive, so its action on the elements
 (``mul_row``) is fixed by the products of t with the generators, one per
-digit (``generator_products``); a principal ideal rR (``ideal_mask``),
-and any cyclic submodule Rx of an R-module, is the additive span of the
-products g*x, grown one coset at a time by ``DigitLayout.span``, the one
-span loop.  Over A/(n), rR is read off the divisor sieve instead, as the
-multiples of gcd(r, n).  Ideals and other element sets are bit masks
-over the element indices (``_mask``, ``_bits``, ``_flags``), and a
-product of rings joins its factors' masks (``DigitLayout.join_mask``)
-as it joins their index lists.  Modules over a ring add through the
-layout instead of through ring values.
+digit (``generator_products`` of ``Zn`` and ``GF(p,f)``), and a cyclic
+submodule Rx of an R-module is the additive span of the products g*x,
+grown one coset at a time by ``DigitLayout.span``, the one span loop.  A
+principal ideal rR (``ideal_mask``) needs no row: over A/(n) it is read
+off the divisor sieve, as the multiples of gcd(r, n), ``Prod`` joins its
+factors' ideals, and ``Ideal`` reads it off its base.  Ideals and other
+element sets are bit masks over the element indices (``_mask``,
+``_bits``, ``_flags``), and a product of rings joins its factors' masks
+(``DigitLayout.join_mask``) as it joins their index lists.
 
 Every ring maps each element index to the index of its divisor d, an
 element with r = d*u for a unit u, in one ``array('H')`` built once in
@@ -458,15 +458,6 @@ class FiniteRing:
         multiple of n."""
         return r
 
-    def generator_products(self, i) -> list:
-        """The indices of t*g for the element t at index i and the additive
-        generators g, which fix ``mul_row(t)``; here read off the
-        generators' rows, built once."""
-        if self._generator_rows is None:
-            gens = self.additive_generators()
-            self._generator_rows = [array("H", self.mul_row(g)) for g in gens]
-        return [row[i] for row in self._generator_rows]
-
     def _make_tables(self):
         """(add, mul, neg) on element indices: entry i*n + j of add and mul
         is the index of x_i + x_j and of x_i * x_j, entry i of neg the index
@@ -519,7 +510,6 @@ class FiniteRing:
         # slows every attribute read on the ring (``self._index`` in ``index``)
         self._layout = None
         self._tables = None
-        self._generator_rows = None
         self._labels = None
         self._maximal = {}
         if validate and self.order <= CONSTRUCTION_CHECK_CAP:
@@ -610,9 +600,9 @@ class FiniteRing:
         )
 
     def ideal_mask(self, a) -> int:
-        """Mask of the principal ideal aR over the element indices: the
-        additive span of a*g over the additive generators g."""
-        return self.layout.span(self.generator_products(self.index(a)))
+        """Mask of the principal ideal aR over the element indices, built by
+        each constructor with no row of the ring."""
+        raise NotImplementedError
 
     def idempotents(self) -> frozenset:
         """The elements e with e*e = e, read off the constructor."""
@@ -967,6 +957,10 @@ class ProdRing(FiniteRing):
         # (t1, t2)(x1, x2) = (t1*x1, t2*x2): the factors' rows side by side
         return self.layout.join([self.r1.mul_row(t[0]), self.r2.mul_row(t[1])])
 
+    def ideal_mask(self, a) -> int:
+        # (a1, a2)(x1, x2) = (a1*x1, a2*x2), so (a1, a2)R = a1R1 x a2R2
+        return self.layout.join_mask([self.r1.ideal_mask(a[0]), self.r2.ideal_mask(a[1])])
+
     def idempotents(self):
         # (e1, e2)^2 = (e1^2, e2^2), so both components are idempotent
         return frozenset(
@@ -1004,6 +998,7 @@ class IdealizeRing(FiniteRing):
         self.d = d
         self.zero = (base.zero, (base.zero,) * d)
         self.one = (base.one, (base.zero,) * d)
+        self._base_rows = {}
         self._init_common(validate=True)
 
     def _enumerate(self):
@@ -1056,6 +1051,20 @@ class IdealizeRing(FiniteRing):
             shifted = [[add(x, m_row[b]) for x in a_row] for m_row in m_rows]
             row += join([[ab], *shifted])
         return row
+
+    def ideal_mask(self, t) -> int:
+        # (a, m)(b, n) = (ab, bm) + (0, an): the multiples b(a, m), off the
+        # base's rows, plus (0, (aR)^d) from the base's ideal, zero if a is
+        base, rows, n = self.base, self._base_rows, self.base.order
+        for x in (t[0], *t[1]):
+            rows[x] = rows.get(x) or base.mul_row(x)
+        multiples = rows[t[0]]
+        for m in t[1]:
+            multiples = [i * n + j for i, j in zip(multiples, rows[m])]
+        if t[0] == base.zero:
+            return _mask(multiples, self.order)
+        inner = [1 << base.index(base.zero), *[base.ideal_mask(t[0])] * self.d]
+        return self.layout.span(multiples, self.layout.join_mask(inner))
 
     def _make_layout(self):
         # the element order is lexicographic on the d + 1 base coordinates

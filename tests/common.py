@@ -46,10 +46,10 @@ CAP_LADDER_RINGS = (
     "Prod(Zn(4),Trunc(2,9))", "Ideal(GF(3,x^2+1),2)",
 )
 # catalog rings past the construction check but inside the lattice cap,
-# whose rows Prod and Ideal join from their factors' rows: a fault in those
-# joined rows makes R10 fail on the first, R4 on the second, and R1 on the
-# third, whose basis sets then generate a family that is not a topology
-JOINED_ROW_RINGS = ("Prod(Zn(31),Zn(29))", "Ideal(Zn(11),1)", "Prod(Zn(9),Zn(16))")
+# whose rows Prod and Ideal join from their factors' rows.  Their principal
+# ideals read no row, but kernels and the images on sections do: a fault in
+# those joined rows makes R9 and R10 fail on the first and R10 on the second
+JOINED_ROW_RINGS = ("Prod(Zn(31),Zn(29))", "Ideal(Zn(11),1)")
 # the rings as modules, and modules over Euclidean quotients at the cap:
 # F2[x]:x^12+x^9+x^5+x^2 has 72 divisors, and F3[x]:x^7 and
 # GF(3,x^7+x+1) multiply by x in F_p[x]/(f) for an odd p

@@ -547,12 +547,12 @@ def test_analyze_ring_at_the_element_cap(capsys, monkeypatch):
 
 
 def test_analyze_composite_ring_rows_take_one_product_per_digit(capsys, monkeypatch):
-    # Ideal(Trunc(2,2),3) has 4096 elements and 12 binary digits.  Its rows
-    # are joined from rows of its base Trunc(2,2), read off the base's
-    # checked table: 4 base rows (one for a, one per m_k) per row of
-    # (a, m_1, m_2, m_3), rows only for the 12 additive generators, and no
-    # value product of the ring at all.  The base's table is its own 8 rows,
-    # joined the same way, so only the rows of the 4096-element ring count
+    # Ideal(Trunc(2,2),3) has 4096 elements.  Its principal ideals are
+    # read off its base Trunc(2,2): the multiples of (a, m_1, m_2, m_3)
+    # from the base's rows of a and of each m_k, each read off the base's
+    # checked table once, and the base's own ideals.  So the ring builds no
+    # row of its own and makes no value product at all.  The base's table
+    # is its own 8 rows, so only the rows of the 4096-element ring count
     products, rows, base_rows = [], [], []
     mul, mul_row = rings.IdealizeRing.mul, rings.IdealizeRing.mul_row
     read_tables = rings.FiniteRing._read_tables
@@ -586,8 +586,8 @@ def test_analyze_composite_ring_rows_take_one_product_per_digit(capsys, monkeypa
     assert payload["order"] == 4096
     assert payload["points"] == 283
     assert products == []
-    assert 0 < len(rows) <= 12
-    assert len(base_rows) == 4 * len(rows)
+    assert rows == []
+    assert len(base_rows) == len(set(base_rows)) == 8
 
 
 # sha256 of the stdout of ``analyze``, ``analyze --oracle`` and ``dot`` per

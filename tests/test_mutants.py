@@ -5,7 +5,7 @@ for a fault that no corpus instance shows, a ``CAP_LADDER_RINGS`` or
 while the unmutated rule passes there.  A rule with no row has no fault
 shown to make it fail.  Faults that no rule is shown to see are listed in
 ``RULE_INVISIBLE``, each with the reason and with a Tier-1 reference
-comparison that catches it; today every fault planted here has a row.
+comparison that catches it.
 
 No rule reads ``topology.hasse_edges``: the pinned ``dot`` and ``analyze``
 stdout in ``test_cli.py`` guards it."""
@@ -124,11 +124,34 @@ def ideals_joined_in_swapped_order(mp):
 
 
 def ideal_read_as_the_additive_span(mp):
-    # the principal ideal aR is read as the additive subgroup generated by
-    # a, with no product: over characteristic 2 every image has 2 elements
+    # the principal ideal aR of Ideal(R,d) is read as the additive subgroup
+    # generated by a, with no product: over characteristic 2 every image
+    # has 2 elements
     mp.setattr(
-        rings.FiniteRing, "ideal_mask", lambda self, a: self.layout.span([self.index(a)])
+        rings.IdealizeRing, "ideal_mask", lambda self, a: self.layout.span([self.index(a)])
     )
+
+
+def product_ideals_joined_in_swapped_order(mp):
+    # the principal ideal of (a1, a2) in Prod(R1,R2) joins a2R2 before a1R1
+    def planted(self, a):
+        return self.layout.join_mask([self.r2.ideal_mask(a[1]), self.r1.ideal_mask(a[0])])
+
+    mp.setattr(rings.ProdRing, "ideal_mask", planted)
+
+
+def idealization_ideal_without_the_base_ideal(mp):
+    # the principal ideal of (a, m) in Ideal(R,d) keeps the multiples
+    # b(a, m) and drops (0, (aR)^d).  Over a field base a nonunit has a = 0
+    # and no such part, but a unit's ideal, which the cyclic submodules of
+    # the lattice read, is then too small
+    def planted(self, t):
+        base, multiples = self.base, [0] * self.base.order
+        for x in (t[0], *t[1]):
+            multiples = [i * base.order + j for i, j in zip(multiples, base.mul_row(x))]
+        return rings._mask(multiples, self.order)
+
+    mp.setattr(rings.IdealizeRing, "ideal_mask", planted)
 
 
 def multiples_one_step_short(mp):
@@ -144,6 +167,34 @@ def product_divisors_joined_in_swapped_order(mp):
         return array("H", self.layout.join(tables))
 
     mp.setattr(rings.ProdRing, "_make_divisor_table", planted)
+
+
+def summand_listing_without_u_equal_d(mp):
+    # the lattice of a cyclic sum, grown one summand A/(d_i) at a time,
+    # leaves out the case u = d_i, a submodule N' of the tail kept as it
+    # is: every listed submodule then projects onto a nonzero ideal of the
+    # first summand
+    def planted(E):
+        reduce, zero = E.residue_ring.reduce, E.elements[E.zero]
+        lattice, tail = [E.zero_mask], 1
+        for i in reversed(range(len(E.summands))):
+            summand = E.summands[i]
+            gens = [
+                (E.elem_index(zero[:i] + (u,) + zero[i + 1 :]), E.row(reduce(cofactor)))
+                for u, cofactor in summand.divisor_pairs()
+            ]
+            grown = []
+            for n_mask in lattice:
+                reps = modules._coset_reps(E, n_mask, (1 << tail) - 1)
+                for base, row in gens:
+                    for v in reps:
+                        if (n_mask >> row[v]) & 1:
+                            grown.append(E.join_masks(n_mask, E.cyclic_mask(base + v)))
+            lattice = grown
+            tail *= summand.order
+        return lattice
+
+    mp.setattr(modules, "lattice_by_summands", planted)
 
 
 def units_only_one(mp):
@@ -198,10 +249,8 @@ def idealization_translated_by_the_coordinate(mp):
     # (a,m)(b,n) = (ab, a*n_k + b*m_k): the product of (0,e_k) and (0,n)
     # becomes (0,n_k*e_k), so the image of (0,n) is the span of the e_k
     # with n_k != 0.  The construction check rejects it up to 64 elements,
-    # where the rows are the checked mul table; past that R14 sees it.
-    # Dropping the translation b*m_k would not show in R14: the search
-    # reads rows at nonunits only, and over a field their base coordinate b
-    # is 0
+    # where the rows are the checked mul table; past that R10 sees it on
+    # Ideal(Zn(11),1), in the kernels it reads off rows
     def planted(self, t):
         base, join, row = self.base, self.layout.join, []
         a_row, add = base.mul_row(t[0]), base.layout.add
@@ -220,7 +269,7 @@ def idealization_without_the_translation(mp):
     # a row of Ideal(R,d) drops the translation b*m_k from coordinate k of
     # (a,m)(b,n) = (ab, a*n_k + b*m_k).  Up to 64 elements the rows are the
     # checked mul table, and the identity law rejects it at construction;
-    # past that R4 sees it on Ideal(Zn(11),1)
+    # past that no rule is shown to see it (``RULE_INVISIBLE``)
     def planted(self, t):
         base, join, row = self.base, self.layout.join, []
         a_row = base.mul_row(t[0])
@@ -430,16 +479,23 @@ def t3_pairs_in_one_direction(mp):
     mp.setitem(oracle._AXIOMS, "T3", lambda topo: topo.pair_verdicts["T5"])
 
 
-# the elements of GF(3,x^2+1) in element order
-F9 = ("0", "1", "2", "x", "2*x", "x+1", "2*x+1", "x+2", "2*x+2")
-
 # (fault, reason) for faults that no rule is shown to see, each caught by a
 # Tier-1 reference comparison
-RULE_INVISIBLE = []
+RULE_INVISIBLE = [
+    (
+        idealization_without_the_translation,
+        "no rule fails on the JOINED_ROW_RINGS idealization, Ideal(Zn(4),3), "
+        "Ideal(Zn(9),1) or the cap-ladder Ideal and Trunc rings: principal "
+        "ideals read no row, and over a field base a nonunit (0, m) then "
+        "kills the whole ring instead of 0 x R^d, which still holds every "
+        "image of a nonunit; the value-product comparison of rows in "
+        "test_rings.py catches it",
+    ),
+]
 
 # faults in the rows Prod and Ideal rings join from their factors' rows; the
-# comparison of rows with value products in test_rings.py also catches each
-# past the check cap.  Up to the cap an Ideal ring's checked mul table is its
+# comparison of rows with value products in test_rings.py catches each past
+# the check cap.  Up to the cap an Ideal ring's checked mul table is its
 # rows, so its construction check rejects the first as well
 JOINED_ROW_FAULTS = [
     idealization_without_the_translation,
@@ -450,13 +506,6 @@ JOINED_ROW_FAULTS = [
 # colon is a module, one without is a catalog ring
 ROWS = [
     ("R1", min_opens_without_the_point, "Z:6", "T0 fast=True definitional=False"),
-    (
-        "R1",
-        product_rows_joined_in_swapped_order,
-        "ring:Prod(Zn(9),Zn(16))",
-        "not a topology: the basis sets of [(0,2)] and [(3,8)] meet in "
-        "['[(1,0)]', '[(1,4)]', '[(3,8)]'], which is not open",
-    ),
     (
         "R2",
         largest_image_holds_no_other_point,
@@ -497,10 +546,11 @@ ROWS = [
     ("R4", nested_read_off_image_sizes, "Z:6", "uniserial=False nested=True"),
     (
         "R4",
-        idealization_without_the_translation,
-        "ring:Ideal(Zn(11),1)",
+        idealization_ideal_without_the_base_ideal,
+        "ring:Ideal(Zn(2),1)",
         "uniserial=False nested=True",
     ),
+    ("R4", summand_listing_without_u_equal_d, "Z:2,3", "uniserial=True nested=False"),
     (
         "R5",
         pair_scan_one_point_short,
@@ -532,6 +582,14 @@ ROWS = [
     ("R9", rn_read_as_re, "Z:6", "quasi second, but [2] with image {0,2,4} is not second"),
     (
         "R9",
+        product_rows_joined_in_swapped_order,
+        "ring:Prod(Zn(31),Zn(29))",
+        "quasi second, but [(1,0)] with image {"
+        + ",".join(f"({u},0)" for u in range(31))
+        + "} is not second",
+    ),
+    (
+        "R9",
         finder_without_the_guard,
         "Z:6",
         "semiprime annihilator and all class images second, yet a=1 b=2 "
@@ -549,6 +607,19 @@ ROWS = [
         "ring:Prod(Zn(31),Zn(29))",
         "class [(1,0)]: annihilator of the image is not maximal "
         "(generator frozenset({(0, 0)}))",
+    ),
+    (
+        "R10",
+        idealization_translated_by_the_coordinate,
+        "ring:Ideal(Zn(11),1)",
+        "class [(0,(1))]: annihilator of the image is not maximal "
+        "(generator frozenset({(0, (0,))}))",
+    ),
+    (
+        "R10",
+        product_ideals_joined_in_swapped_order,
+        "ring:Prod(Zn(2),Zn(3))",
+        "class [(0,1)]: annihilator of the image is not maximal (generator frozenset())",
     ),
     (
         "R10",
@@ -608,17 +679,6 @@ ROWS = [
         ideal_read_as_the_additive_span,
         "Ideal(Trunc(2,2),3)",
         "brute=True classification=NotQuasiSecond",
-    ),
-    (
-        "R14",
-        idealization_translated_by_the_coordinate,
-        "Ideal(GF(3,x^2+1),2)",
-        "brute=False classification=LocalSquareZeroMax; witness a=(0,(1,1)) "
-        "b=(0,(0,1)) (a)={"
-        + ",".join(f"(0,({u},{v}))" for u in F9 for v in F9)
-        + "} (b)={"
-        + ",".join(f"(0,(0,{v}))" for v in F9)
-        + "}",
     ),
     (
         "R15",
@@ -696,9 +756,9 @@ def test_planted_fault_makes_the_rule_fail(monkeypatch, rule_id, plant, spec, wi
     # every corpus ring has order at most rings.CONSTRUCTION_CHECK_CAP and
     # reads its rows off its checked tables, so only a larger ring reaches
     # the rows that Prod and Ideal rings join from their factors' rows; and
-    # every corpus ring whose ideals are spans (Trunc, Ideal, Prod) is quasi
-    # second with images meeting in zero, so an ideal read too small shows
-    # only on a ring that is not
+    # every corpus Ideal or Trunc ring is quasi second with images meeting
+    # in zero, so an ideal read too small at its nonunits shows only on a
+    # ring that is not
     ring = spec.removeprefix("ring:")
     assert instance in verifier.generate_corpus() or ring in (
         CAP_LADDER_RINGS + JOINED_ROW_RINGS
@@ -707,3 +767,9 @@ def test_planted_fault_makes_the_rule_fail(monkeypatch, rule_id, plant, spec, wi
     plant(monkeypatch)
     outcome = run_rule(rule_id, instance)
     assert (outcome.verdict, outcome.witness) == (FAIL, witness)
+
+
+def test_faults_no_rule_sees_have_no_row_and_a_tier1_killer():
+    rowed = {plant for _, plant, _, _ in ROWS}
+    for plant, _ in RULE_INVISIBLE:
+        assert plant not in rowed and plant in JOINED_ROW_FAULTS, plant.__name__

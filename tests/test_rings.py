@@ -30,7 +30,13 @@ from qdivtop.rings import (
     build_ring,
     classify_quasi_second_ring,
 )
-from common import BENCHMARK_RING_SPECS, CAP_LADDER_RINGS, RANDOM_RINGS, random_ring_spec
+from common import (
+    BENCHMARK_RING_SPECS,
+    CAP_LADDER_RINGS,
+    JOINED_ROW_RINGS,
+    RANDOM_RINGS,
+    random_ring_spec,
+)
 from test_mutants import JOINED_ROW_FAULTS, idealization_without_the_translation
 
 
@@ -264,25 +270,29 @@ def literal_principal_ideal(ring, a):
 
 def test_ideal_masks_match_the_literal_principal_ideals():
     # every element of the default catalog rings, of the rings-qs rings up
-    # to 256 elements and of 60 seeded random nested rings of order <= 64;
-    # 8 seeded elements of each ring at the element cap
+    # to 256 elements, of 60 seeded random nested rings of order <= 64, of
+    # idealizations past the check cap over bases that are not fields (a
+    # nonunit (a, m) with a != 0 adds (0, (aR)^d) to its multiples) and of
+    # the joined-row rings up to 256 elements; 8 seeded elements of each
+    # larger ring
     from qdivtop import verifier
 
     rng = random.Random(33)
     specs = list(verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS))
     specs += [s for s in BENCHMARK_RING_SPECS if build_ring(s).order <= 256]
     specs += [random_ring_spec(rng, 64)[0] for _ in range(60)]
+    specs += ["Ideal(Zn(4),3)", "Ideal(Zn(9),1)"]
     checked = 0
-    for spec in [*specs, *CAP_LADDER_RINGS]:
+    for spec in [*specs, *CAP_LADDER_RINGS, *JOINED_ROW_RINGS]:
         ring = build_ring(spec)
         elements = ring.elements
-        if spec in CAP_LADDER_RINGS:
+        if ring.order > 256:
             elements = rng.sample(elements, 8)
         for a in elements:
             literal = sum(1 << ring.index(x) for x in literal_principal_ideal(ring, a))
             assert ring.ideal_mask(a) == literal, (spec, a)
         checked += len(elements)
-    assert checked == 6309
+    assert checked == 6775
 
 
 def literal_idempotents(ring):
@@ -994,14 +1004,16 @@ PRODUCT_SPECS = (
 
 
 def test_generator_products_are_the_products_with_the_generators():
-    # the list a span of tR reads, and mul_row(t) is linear in it
+    # the images that fix mul_row(t) on Zn and GF(p,f), and the rows of
+    # every ring
     for spec in PRODUCT_SPECS:
         ring = build_ring(spec)
         gens = ring.additive_generators()
         _, mul, _ = literal_ops(ring)
         for i, t in enumerate(ring.elements):
-            literal = [ring.index(mul(t, g)) for g in gens]
-            assert ring.generator_products(i) == literal, (spec, t)
+            if isinstance(ring, (ZnRing, QuotPolyRing)):
+                literal = [ring.index(mul(t, g)) for g in gens]
+                assert ring.generator_products(i) == literal, (spec, t)
             assert list(ring.mul_row(t)) == [
                 ring.index(mul(t, x)) for x in ring.elements
             ], (spec, t)
@@ -1148,6 +1160,31 @@ def test_is_maximal_is_decided_once_per_ideal(monkeypatch):
 
     assert run_rule("R10", Instance("module", "ring:Trunc(2,3)")).verdict == PASS
     assert (len(calls), len(decided)) == (7, 1)
+
+
+def test_ring_rules_build_no_row_of_a_large_product_or_idealization(monkeypatch):
+    # R14 and R15 on the rings-qs rings read every principal ideal off the
+    # factors or the base: no Prod or Ideal ring past the construction
+    # check builds a row of its own
+    from qdivtop.verifier import FAIL, Instance, run_rule
+
+    rows = []
+    for cls in (ProdRing, IdealizeRing):
+
+        def counted(self, t, mul_row=cls.mul_row):
+            if self.order > CONSTRUCTION_CHECK_CAP:
+                rows.append((self.spec, t))
+            return mul_row(self, t)
+
+        monkeypatch.setattr(cls, "mul_row", counted)
+    large = 0
+    for spec in BENCHMARK_RING_SPECS:
+        ring = build_ring(spec)
+        composite = isinstance(ring, (ProdRing, IdealizeRing))
+        large += composite and ring.order > CONSTRUCTION_CHECK_CAP
+        for rule_id in ("R14", "R15"):
+            assert run_rule(rule_id, Instance("ring", spec)).verdict != FAIL, (rule_id, spec)
+    assert (large, rows) == (6, [])
 
 
 def test_field_factors_of_a_product_are_read_off_its_factors(monkeypatch):
