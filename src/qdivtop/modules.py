@@ -36,13 +36,15 @@ rings S, joined, each fixed by one image per digit or joined from a
 ring's factors' rows with no product per element.  Rows are built the
 first time a query asks for one.
 
-A residue r is r = d*u for its divisor d and a unit u
+A residue is named by its element index in the residue ring, as an
+element by its own.  A residue r is r = d*u for its divisor d and a unit u
 (``FiniteRing.divisor_table``, one entry per element index), so r and d
 have the same image on every submodule and kill the same elements: over
 A/(n) with A = Z or F_p[x], d = gcd(r, n).  So a module caches one image
-and one kernel (the elements d sends to zero) per divisor, and scalar
-classes, the quasi-second search, killers, annihilators, second-submodule
-tests and the multiplication and comultiplication predicates read those.
+and one kernel (the elements d sends to zero) per divisor index, and
+scalar classes, the quasi-second search, killers, annihilators,
+second-submodule tests and the multiplication and comultiplication
+predicates read those.
 The image dE is the product of the principal ideals dS of the summands
 (Dummit and Foote, *Abstract Algebra*, §12.1), each read off its ring
 (``FiniteRing.ideal_mask``) with no row of that ring: over A/(n) the
@@ -98,8 +100,8 @@ class Submodule:
     (``mask``, ``full_mask``) and zero is L (``zero_mask``).  The image of r
     is rU + L, which stands for r(U/L) under the correspondence between
     submodules of U/L and submodules of U holding L; it is gU + L for the
-    divisor g of r, built from g's row over U and cached per divisor; with
-    U = E, gU is E's own cached image of g.  A mask
+    divisor g of r, built from g's row over U and cached per divisor
+    index; with U = E, gU is E's own cached image of g.  A mask
     is listed by the least member of each coset of L, which for L = 0 is
     every member.  The members of U are listed on first use, and for a
     submodule N whether N is second and its annihilator are decided once
@@ -110,9 +112,10 @@ class Submodule:
     residue ring's additive generators (negation too: -1 is a sum of ones),
     so an additively closed set closed under their action is closed under
     every residue's.  The check reads each generator's own row, not its
-    divisor's: on a set that is not a submodule, gN and divisor(g)N can
-    differ.  Masks the library computes itself (class images, lattice masks,
-    split parts) are submodules by construction and skip the check.
+    divisor's: on a set that is not a submodule, gN and dN can differ for
+    the divisor d of g.  Masks the library computes itself (class images,
+    lattice masks, split parts) are submodules by construction and skip
+    the check.
     """
 
     __slots__ = (
@@ -150,10 +153,11 @@ class Submodule:
             raise ModuleError("a submodule must contain zero")
         members = list(_bits(self.mask))
         inside = set(members)
+        elems = E.residue_ring.elements
         for g in E.residue_ring.additive_generators():
             row = E.row(g)
             if any(row[i] not in inside for i in members):
-                raise ModuleError(f"not closed under the action of {g!r}")
+                raise ModuleError(f"not closed under the action of {elems[g]!r}")
         for i in members:
             for j in members:
                 if E.add(i, j) not in inside:
@@ -166,13 +170,13 @@ class Submodule:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    def image_mask(self, r) -> int:
-        g = self.residue_ring.divisor(r)
+    def image_mask(self, r: int) -> int:
+        g = self.residue_ring.divisor_table()[r]
         mask = self._images.get(g)
         if mask is None:
             E = self.module
             if self.mask == E.full_mask:
-                rU = E.image_mask(g)
+                rU = E.image_mask(r)
             else:
                 if self._members is None:
                     self._members = list(_bits(self.mask))
@@ -232,11 +236,12 @@ class FiniteModule:
     values, labels, action rows and images are joined from theirs, so no
     two fields can disagree.
 
-    A row of residue r is one ``S.mul_row(S.reduce(r))`` per summand ring
-    S, joined, built and cached on first use; rows decide
+    A row of residue r, named by its index, is one ``S.mul_row(S.reduce(r))``
+    per summand ring S, joined, built and cached on first use; rows decide
     kernels, cyclic submodules of sums of two or more summands, and the
     images on sections.  The image rE is the product of the principal
-    ideals rS (``FiniteRing.ideal_mask``), with no row, cached per divisor;
+    ideals dS for the divisor d of r (``FiniteRing.ideal_mask``), with no
+    row, cached per divisor index;
     a unit's image is the whole module and needs none.  The value -> index
     map of the elements is built on first use (``elem_index``)."""
 
@@ -291,33 +296,31 @@ class FiniteModule:
         labels = self.labels
         return [labels[i] for i in _bits(mask)]
 
-    def row(self, r) -> array:
-        """The action of residue r: element index -> element index."""
+    def row(self, r: int) -> array:
+        """The action of the residue at index r, on element indices."""
         row = self._rows.get(r)
         if row is None:
-            self.residue_ring.index(r)
-            parts = [S.mul_row(S.reduce(r)) for S in self.summands]
+            x = self.residue_ring.elements[r]
+            parts = [S.mul_row(S.reduce(x)) for S in self.summands]
             row = self._rows[r] = array("H", self.layout.join(parts))
         return row
 
     # -- images and generated submodules ----------------------------------
 
-    def image_mask(self, r) -> int:
-        """Mask of rE, the product of the ideals rS of the summands, read
-        once per divisor of r."""
-        mask = self._images.get(r)
+    def image_mask(self, r: int) -> int:
+        """Mask of rE for the residue at index r, the product of the ideals
+        dS of the summands for the divisor d of r, read once per divisor."""
+        ring = self.residue_ring
+        g = ring.divisor_table()[r]
+        mask = self._images.get(g)
         if mask is None:
-            g = self.residue_ring.divisor(r)
-            mask = self._images.get(g)
-            if mask is None:
-                ideals = [S.ideal_mask(S.reduce(g)) for S in self.summands]
-                mask = self._images[g] = self.layout.join_mask(ideals)
-            self._images[r] = mask
+            ideals = [S.ideal_mask(S.reduce(ring.elements[g])) for S in self.summands]
+            mask = self._images[g] = self.layout.join_mask(ideals)
         return mask
 
-    def kernel_mask(self, g) -> int:
-        """Mask of the elements that the divisor g sends to zero, read off
-        g's row once."""
+    def kernel_mask(self, g: int) -> int:
+        """Mask of the elements that the divisor at index g sends to zero,
+        read off g's row once."""
         mask = self._kernels.get(g)
         if mask is None:
             flags = bytes(map(self.zero.__eq__, self.row(g)))
@@ -346,7 +349,7 @@ class FiniteModule:
         per generator.  On a single summand x is itself a residue, and Rx
         is the image xE, shared by every residue with the divisor of x."""
         if len(self.summands) == 1:
-            return self.image_mask(self.residue_ring.elements[i])
+            return self.image_mask(i)
         mask = self._cyclic.get(i)
         if mask is None:
             gens = self.residue_ring.additive_generators()
@@ -405,14 +408,14 @@ def lattice_by_summands(E: FiniteModule) -> list:
     each listing zero first, so T_i is the index block below its order and
     (0, ..., 0, u, v) sits at the index of (0, ..., 0, u, 0, ..., 0) plus
     v."""
-    reduce = E.residue_ring.reduce
+    reduce, index = E.residue_ring.reduce, E.residue_ring.index
     zero = E.elements[E.zero]
     lattice = [E.zero_mask]
     tail = 1
     for i in reversed(range(len(E.summands))):
         summand = E.summands[i]
         gens = [
-            (E.elem_index(zero[:i] + (u,) + zero[i + 1 :]), E.row(reduce(cofactor)))
+            (E.elem_index(zero[:i] + (u,) + zero[i + 1 :]), E.row(index(reduce(cofactor))))
             for u, cofactor in summand.divisor_pairs()
         ]
         grown = []
@@ -564,30 +567,30 @@ def scalar_classes(E: FiniteModule) -> tuple:
     in the order of their first residues, which is element order.
 
     A residue has its divisor's image, so one image is computed per
-    divisor group; the units are the group of one.  Over a catalog ring
-    associates share an image, so groups with one image merge.
+    divisor, and the element indices are grouped by image in one pass
+    over the divisor table, in element order; the units are those whose
+    divisor is one.  Over a catalog ring distinct divisors can share an
+    image, and then share its group.
     """
     if E._classes is None:
         ring = E.residue_ring
-        one, zero = ring.one, ring.zero
-        groups: dict[int, list] = {}
-        for g, members in ring.divisor_groups().items():
+        one, zero = ring.index(ring.one), ring.index(ring.zero)
+        groups, group_of = {}, {}
+        for i, g in enumerate(ring.divisor_table()):
             if g != one and g != zero:
-                groups.setdefault(E.image_mask(g), []).append(members)
-        labels, index = ring.labels, ring.index
-        classes = []
-        for mask, parts in groups.items():
-            members = parts[0]
-            if len(parts) > 1:
-                members = sorted(itertools.chain.from_iterable(parts), key=index)
-            classes.append(
-                ScalarClass(
-                    members=tuple(members),
-                    image=Submodule._trusted(E, mask),
-                    label=f"[{labels[index(members[0])]}]",
-                )
+                members = group_of.get(g)
+                if members is None:
+                    members = group_of[g] = groups.setdefault(E.image_mask(i), [])
+                members.append(i)
+        elems, labels = ring.elements, ring.labels
+        E._classes = tuple(
+            ScalarClass(
+                members=tuple(map(elems.__getitem__, members)),
+                image=Submodule._trusted(E, mask),
+                label=f"[{labels[members[0]]}]",
             )
-        E._classes = tuple(classes)
+            for mask, members in groups.items()
+        )
     return E._classes
 
 
@@ -598,21 +601,19 @@ def enumerate_submodules(E: FiniteModule) -> tuple:
 
 
 def _killer_divisors(E: FiniteModule, mask: int) -> list:
-    """The divisors whose kernels hold the mask, in divisor order."""
+    """Indices of the divisors whose kernels hold the mask, in divisor order."""
     return [g for g in E.residue_ring.divisors() if not mask & ~E.kernel_mask(g)]
 
 
-def _killer_residues(E: FiniteModule, mask: int) -> list:
-    """The residues killing the mask, in element order: those whose divisor
-    kills it, read off the divisor table with one kernel test per divisor."""
-    ring = E.residue_ring
-    killers = set(map(ring.index, _killer_divisors(E, mask)))
-    table = ring.divisor_table()
-    return list(itertools.compress(ring.elements, map(killers.__contains__, table)))
+def _killer_residues(E: FiniteModule, mask: int) -> int:
+    """The mask of the residues killing the mask: those whose divisor kills
+    it, read off the divisor table with one kernel test per divisor."""
+    killers = set(_killer_divisors(E, mask))
+    return _flag_mask(bytes(map(killers.__contains__, E.residue_ring.divisor_table())))
 
 
 def submodule_annihilator(N: Submodule):
-    """(generator or ring-side killer set, maximality flag), decided once
+    """(generator or ring-side killer mask, maximality flag), decided once
     per N.
 
     Over a cyclic sum the killers pull back to the ideal of A generated by
@@ -625,12 +626,13 @@ def submodule_annihilator(N: Submodule):
         E = N.module
         ring = E.residue_ring
         if E.moduli is None:
-            ideal = frozenset(_killer_residues(E, N.mask))
+            ideal = _killer_residues(E, N.mask)
             N._annihilator = ideal, ring.is_maximal(ideal)
         else:
+            killers = [ring.elements[g] for g in _killer_divisors(E, N.mask)]
             gen = functools.reduce(
                 scalars.scalar_gcd,
-                [scalars.scalar(E.domain, g) for g in _killer_divisors(E, N.mask)],
+                [scalars.scalar(E.domain, g) for g in killers],
                 annihilator(E),
             )
             # a divisor of the nonzero annihilator, so never zero
@@ -640,14 +642,15 @@ def submodule_annihilator(N: Submodule):
 
 def is_second_submodule(N: Submodule) -> bool:
     """Every residue maps N onto N or to zero, decided once per N.  A
-    residue acts on N as its divisor does, and a unit maps N onto N."""
+    residue acts on N as its divisor does, and a unit, whose divisor is
+    one, maps N onto N."""
     if N._second is None:
         ring = N.residue_ring
-        units = ring.units()
+        one = ring.index(ring.one)
         N._second = all(
-            N.image_mask(g) in (N.mask, N.zero_mask)
-            for g in ring.divisors()
-            if g not in units
+            N.image_mask(i) in (N.mask, N.zero_mask)
+            for g, i in ring.divisors().items()
+            if g != one
         )
     return N._second
 
@@ -658,7 +661,7 @@ def find_quasi_second_violation(E: FiniteModule):
     Returns None when E is quasi second.  Whether a pair qualifies depends
     only on the two images, so the search runs over the distinct images of
     the nonunit residues, zero included, in order of first appearance, and
-    names the first residue with each image, read per divisor group.  This
+    names the first residue with each image, read per divisor.  This
     gives the first witness of the search over all residue pairs: if a
     residue's image admits no b, neither does any later residue with that
     image, and the first qualifying b is the first residue with its image.  A unit's image is E, so a unit
@@ -666,10 +669,11 @@ def find_quasi_second_violation(E: FiniteModule):
     is smaller, so each a is tested only against the nonzero smaller images.
     """
     ring = E.residue_ring
+    one = ring.index(ring.one)
     first = {}
-    for g, members in ring.divisor_groups().items():
-        if g != ring.one:
-            first.setdefault(E.image_mask(g), members[0])
+    for g, i in ring.divisors().items():
+        if g != one:
+            first.setdefault(E.image_mask(i), i)
     position = {m: k for k, m in enumerate(first)}
     size = {m: m.bit_count() for m in first}
     # nonzero images by size, each size in order of first appearance
@@ -682,10 +686,9 @@ def find_quasi_second_violation(E: FiniteModule):
         hits = [mb for mb in below if not (mb & ~ma)]
         if hits:
             mb = min(hits, key=position.__getitem__)
-            labels, index = ring.labels, ring.index
             return {
-                "a": labels[index(first[ma])],
-                "b": labels[index(first[mb])],
+                "a": ring.labels[first[ma]],
+                "b": ring.labels[first[mb]],
                 "aE": E.format_mask(ma),
                 "bE": E.format_mask(mb),
             }
@@ -719,7 +722,7 @@ def structural_predicates(E: FiniteModule) -> StructuralPredicates:
     uniserial = all(not a & ~b for a, b in itertools.pairwise(lat))
 
     # N = (N:E)E: the join of the images rE inside N, one image per divisor
-    images = set(map(E.image_mask, ring.divisors()))
+    images = set(map(E.image_mask, ring.divisors().values()))
     multiplication = all(
         functools.reduce(E.join_masks, (m for m in images if not m & ~n), zmask) == n
         for n in lat
@@ -765,8 +768,8 @@ def weak_idempotent_split(E: FiniteModule) -> WeakSplit:
     ring = E.residue_ring
     zmask = E.zero_mask
     for e in sorted(ring.idempotents(), key=ring.index):
-        part_e = E.image_mask(e)
-        part_f = E.image_mask(ring.sub(ring.one, e))
+        part_e = E.image_mask(ring.index(e))
+        part_f = E.image_mask(ring.index(ring.sub(ring.one, e)))
         if part_e == zmask or part_f == zmask:
             continue
         if _is_minimal_mask(E, part_e) and _is_minimal_mask(E, part_f):

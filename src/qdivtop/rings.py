@@ -20,10 +20,10 @@ Every catalog ring has a ``DigitLayout``: its additive group is a product
 of cyclic groups, and element i has a mixed-radix code whose digits add
 independently (``Zn``: one digit mod n; ``GF(p,f)``: the coefficients as
 base-p digits; ``Prod`` and ``Ideal``, and so ``Trunc``: the factors'
-digits side by side, in element order).  The elements with one
-digit 1 and the rest 0 are the ring's ``additive_generators()``: 1 for
-``Zn``; 1, x, ..., x^(d-1) for ``GF(p,f)`` with d = deg f; x_k, ..., x_1, 1
-for ``Trunc``; the factors' generators, embedded, for ``Prod`` and
+digits side by side, in element order).  The indices of the elements
+with one digit 1 and the rest 0 are the ring's ``additive_generators()``:
+1 for ``Zn``; 1, x, ..., x^(d-1) for ``GF(p,f)`` with d = deg f; x_k, ...,
+x_1, 1 for ``Trunc``; the factors' generators, embedded, for ``Prod`` and
 ``Ideal``.  Multiplication by t is additive, so its action on the elements
 (``mul_row``) is fixed by the products of t with the generators, one per
 digit (``generator_products`` of ``Zn`` and ``GF(p,f)``), and a cyclic
@@ -38,10 +38,11 @@ element sets are bit masks over the element indices (``_mask``,
 
 Every ring maps each element index to the index of its divisor d, an
 element with r = d*u for a unit u, in one ``array('H')`` built once in
-bulk (``divisor_table``): ``Zn`` and ``GF(p,f)`` sieve it from the
-divisors of the modulus, ``Prod`` joins its factors' tables, and
-``Ideal`` maps each block of units to one and every nonunit to itself.
-The units and the divisor groups are read off it.
+bulk (``divisor_table``), the one divisor API: ``Zn`` and ``GF(p,f)``
+sieve it from the divisors of the modulus, ``Prod`` joins its factors'
+tables, and ``Ideal`` maps each block of units to one and every nonunit
+to itself.  The units and the distinct divisors (``divisors``) are read
+off it.
 
 Each constructor lists its idempotents without squaring every element:
 ``Zn`` and ``GF(p,f)`` square only the residues whose divisor is a unitary
@@ -447,10 +448,10 @@ class FiniteRing:
         return self._layout
 
     def additive_generators(self) -> tuple:
-        """Elements whose sums give every element of the ring: the elements
-        at the places of the layout."""
-        elems, index_of = self.elements, self.layout.index_of
-        return tuple(elems[index_of[place]] for place in self.layout.places)
+        """Indices of elements whose sums give every element of the ring:
+        the elements at the places of the layout."""
+        index_of = self.layout.index_of
+        return tuple(index_of[place] for place in self.layout.places)
 
     def reduce(self, r):
         """The element of this ring that r stands for: r itself here, and
@@ -504,8 +505,7 @@ class FiniteRing:
         self._index = None
         self._units = None
         self._divisor_table = None
-        self._divisor_groups = None
-        self._divisor_list = None
+        self._divisors = None
         # caches exist from construction on: an attribute first set later
         # slows every attribute read on the ring (``self._index`` in ``index``)
         self._layout = None
@@ -534,14 +534,10 @@ class FiniteRing:
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
-    def divisor(self, r):
-        """An element d with r = d*u for a unit u, so that r and d generate
-        the same ideal: one read of ``divisor_table``."""
-        return self.elements[self.divisor_table()[self.index(r)]]
-
     def divisor_table(self) -> array:
-        """Element index -> the index of its divisor, built once in bulk by
-        each constructor (``_make_divisor_table``)."""
+        """Element index -> the index of its divisor d, an element with
+        r = d*u for a unit u, so that r and d generate the same ideal; built
+        once in bulk by each constructor (``_make_divisor_table``)."""
         if self._divisor_table is None:
             self._divisor_table = self._make_divisor_table()
         return self._divisor_table
@@ -558,45 +554,41 @@ class FiniteRing:
             )
         return self._units
 
-    def divisor_groups(self) -> dict:
-        """{divisor: its elements}, both in element order, built once from
-        ``divisor_table``; callers only read it."""
-        if self._divisor_groups is None:
-            elems, groups = self.elements, {}
-            for x, g in zip(elems, self.divisor_table()):
-                groups.setdefault(g, []).append(x)
-            self._divisor_groups = {elems[g]: xs for g, xs in groups.items()}
-        return self._divisor_groups
-
-    def divisors(self) -> tuple:
-        """The distinct divisors of the elements, in element order."""
-        if self._divisor_list is None:
-            self._divisor_list = tuple(self.divisor_groups())
-        return self._divisor_list
+    def divisors(self) -> dict:
+        """{divisor index: the first element index with that divisor}, in
+        order of first appearance in ``divisor_table``, built once; callers
+        only read it."""
+        if self._divisors is None:
+            table = self.divisor_table()
+            # the last write of the reversed table is the first index
+            first = dict(zip(reversed(table), range(len(table) - 1, -1, -1)))
+            self._divisors = {g: first[g] for g in dict.fromkeys(table)}
+        return self._divisors
 
     def is_field(self) -> bool:
         return len(self.units()) == self.order - 1
 
-    def is_maximal(self, ideal) -> bool:
-        """Whether the ideal I, a frozenset, is maximal, decided once per
-        distinct ideal (``_decide_maximal``)."""
+    def is_maximal(self, ideal: int) -> bool:
+        """Whether the ideal I, a mask over the element indices, is maximal,
+        decided once per distinct ideal (``_decide_maximal``)."""
         known = self._maximal.get(ideal)
         if known is None:
             known = self._maximal[ideal] = self._decide_maximal(ideal)
         return known
 
-    def _decide_maximal(self, ideal) -> bool:
+    def _decide_maximal(self, ideal: int) -> bool:
         """Whether R/I is a field: I is proper, and every x outside I has a
         y with x*y in 1 + I.  A unit has one, its inverse, so only nonunits
         are searched."""
-        if self.one in ideal:
+        one = self.index(self.one)
+        if (ideal >> one) & 1:
             return False
-        units = self.units()
-        coset = {self.index(self.add(self.one, i)) for i in ideal}
+        add, elems = self.layout.add, self.elements
+        coset = {add(one, i) for i in _bits(ideal)}
         return all(
-            not coset.isdisjoint(self.mul_row(x))
-            for x in self.elements
-            if x not in ideal and x not in units
+            not coset.isdisjoint(self.mul_row(elems[i]))
+            for i, g in enumerate(self.divisor_table())
+            if g != one and not (ideal >> i) & 1
         )
 
     def ideal_mask(self, a) -> int:
@@ -714,10 +706,10 @@ class _EuclideanQuotient(FiniteRing):
 
     def ideal_mask(self, a) -> int:
         # aA/(n) = gA/(n) for the divisor g of a: its multiples
-        g = self.divisor(a)
-        if g == self.zero:
-            return 1 << self.index(g)
-        return _mask(self.multiples(g), self.order)
+        g = self.divisor_table()[self.index(a)]
+        if g == self.index(self.zero):
+            return 1 << g
+        return _mask(self.multiples(self.elements[g]), self.order)
 
     def divisor_pairs(self) -> list:
         """(g, n/g) for each canonical divisor g != n of n, in increasing
@@ -740,13 +732,14 @@ class _EuclideanQuotient(FiniteRing):
 
     def idempotents(self):
         # g is unitary when g + n/g is a unit (see the class docstring)
+        index, table = self.index, self.divisor_table()
         unitary = {
-            self.index(g)
+            index(g)
             for g, h in self.divisor_pairs()[1:]
-            if self.divisor(self.add(g, h)) == self.one
+            if table[index(self.add(g, h))] == index(self.one)
         }
         candidates = itertools.compress(
-            self.elements, map(unitary.__contains__, self.divisor_table())
+            self.elements, map(unitary.__contains__, table)
         )
         squares = [x for x in candidates if self.mul(x, x) == x]
         return frozenset([self.zero, self.one, *squares])

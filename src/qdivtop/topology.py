@@ -61,10 +61,6 @@ class QuasiDivisorSpace:
         self.up = tuple(up)
         self.full = (1 << self.n) - 1
 
-    def le(self, i: int, j: int) -> bool:
-        """Specialization order: point i below point j when a_iE <= a_jE."""
-        return bool((self.up[i] >> j) & 1)
-
     def label_set(self, mask: int) -> list:
         return [self.labels[i] for i in _bits(mask)]
 

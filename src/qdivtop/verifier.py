@@ -432,12 +432,15 @@ def _r10(ctx):
         return VACUOUS, None, "not quasi second"
     if not ctx.classes:
         return VACUOUS, None, "no classes"
+    E = ctx.E
     for c in ctx.classes:
         gen, maximal = modules.submodule_annihilator(c.image)
         if not maximal:
+            ann = f"generator {gen}"
+            if E.moduli is None:  # a catalog ring's killer ideal, as a mask
+                ann = "killer ideal {" + ",".join(E.format_mask(gen)) + "}"
             return FAIL, (
-                f"class {c.label}: annihilator of the image is not maximal "
-                f"(generator {gen})"
+                f"class {c.label}: annihilator of the image is not maximal ({ann})"
             ), None
     return PASS, None, None
 
@@ -561,8 +564,9 @@ def _summand_views(E):
 
 
 def _summand_images(views, r):
-    """Per summand: the mask of r times it, and whether its class set holds r
-    (the image is neither zero nor the whole summand)."""
+    """Per summand: the mask of the residue at index r times it, and whether
+    its class set holds r (the image is neither zero nor the whole
+    summand)."""
     masks = [view.image_mask(r) for view in views]
     return [(m, m not in (v.zero_mask, v.full_mask)) for m, v in zip(masks, views)]
 
@@ -575,10 +579,10 @@ def _r19(ctx):
         return VACUOUS, None, "annihilator is not semiprime"
     views = _summand_views(E)
     ring = E.residue_ring
-    units = ring.units()
+    zero, one = ring.index(ring.zero), ring.index(ring.one)
 
-    for r in ring.elements:
-        if r == ring.zero or r in units:
+    for r, g in enumerate(ring.divisor_table()):
+        if r == zero or g == one:
             continue
         mask = E.image_mask(r)
         if mask == E.zero_mask or mask == E.full_mask:
@@ -592,7 +596,7 @@ def _r19(ctx):
     rhs = all(QS_VIOLATION_FINDER(view) is None for view in views)
     detail = None
     if rhs:
-        for r in ring.elements:
+        for r in range(ring.order):
             (m1, in1), (m2, in2) = _summand_images(views, r)
             if not (in1 and in2):
                 continue
@@ -603,7 +607,7 @@ def _r19(ctx):
             if gen1 != gen2 or not (max1 and max2):
                 rhs = False
                 detail = (
-                    f"scalar {ring.labels[ring.index(r)]}: annihilators "
+                    f"scalar {ring.labels[r]}: annihilators "
                     f"{gen1} (maximal={max1}) vs {gen2} (maximal={max2})"
                 )
                 break
@@ -812,7 +816,7 @@ def _r21(ctx):
     if E.moduli is None:
         return VACUOUS, None, "needs an explicit cyclic-sum presentation"
     ring = E.residue_ring
-    units = ring.units()
+    zero, units = ring.index(ring.zero), set(map(ring.index, ring.units()))
     image, summand = _direct_image(E)
     if E.domain.kind == "int":
         n = ring.n
@@ -838,10 +842,10 @@ def _r21(ctx):
         samples = short + sorted(extra, key=lambda c: (len(c), c))
         fmt = scalars.format_poly
     for a in samples:
-        residue = ring.reduce(a)
+        residue = ring.index(ring.reduce(a))
         direct_mask = image(a)
         in_w_direct = direct_mask != E.zero_mask and direct_mask != E.full_mask
-        in_w_residue = residue != ring.zero and residue not in units
+        in_w_residue = residue != zero and residue not in units
         if in_w_direct != in_w_residue:
             return FAIL, (
                 f"scalar {fmt(a)}: direct membership {in_w_direct} but "

@@ -114,10 +114,10 @@ def mutated_qs_finder(E):
     any a, b with 0 != bE strictly inside aE, aE = E included."""
     ring = E.residue_ring
     zmask, labels = E.zero_mask, ring.labels
-    for ia, ra in enumerate(ring.elements):
-        ma = E.image_mask(ra)
-        for ib, rb in enumerate(ring.elements):
-            mb = E.image_mask(rb)
+    for ia in range(ring.order):
+        ma = E.image_mask(ia)
+        for ib in range(ring.order):
+            mb = E.image_mask(ib)
             if mb == zmask or mb & ~ma:
                 continue
             if mb != ma:

@@ -65,8 +65,8 @@ def literal_module_label(E, x):
 
 
 def image(E, r):
-    """The image rE as a Submodule."""
-    return Submodule._trusted(E, E.image_mask(r))
+    """The image rE of the residue r as a Submodule."""
+    return Submodule._trusted(E, E.image_mask(E.residue_ring.index(r)))
 
 
 def is_second(E):
@@ -74,8 +74,8 @@ def is_second(E):
     (a unit always acts onto E)."""
     units = E.residue_ring.units()
     return all(
-        E.image_mask(r) in (E.zero_mask, E.full_mask)
-        for r in E.residue_ring.elements
+        E.image_mask(i) in (E.zero_mask, E.full_mask)
+        for i, r in enumerate(E.residue_ring.elements)
         if r not in units
     )
 
@@ -118,13 +118,13 @@ def assert_index_arithmetic(E):
     vadd, vneg, vact = value_arithmetic(E)
     el = E.elements
     ring = E.residue_ring
-    minus_one = E.row(literal_ops(ring)[2](ring.one))
+    minus_one = E.row(ring.index(literal_ops(ring)[2](ring.one)))
     for i, x in enumerate(el):
         assert el[minus_one[i]] == vneg(x)
         for j, y in enumerate(el):
             assert el[E.add(i, j)] == vadd(x, y)
-    for r in ring.elements:
-        assert [el[k] for k in E.row(r)] == [vact(r, x) for x in el]
+    for i, r in enumerate(ring.elements):
+        assert [el[k] for k in E.row(i)] == [vact(r, x) for x in el]
 
 
 # -- construction -----------------------------------------------------------
@@ -175,7 +175,7 @@ def test_annihilator_examples():
     # the generator kills every element
     r = ef.residue_ring
     killer = scalars.pdivmod(ann.value, r.modulus, 2)[1]
-    assert set(ef.row(killer)) == {ef.zero}
+    assert set(ef.row(r.index(killer))) == {ef.zero}
     # ring-backed cyclic modules report the ring-side zero ideal
     et = build_module("ring:Trunc(2,1)")
     assert annihilator(et) == frozenset({et.residue_ring.zero})
@@ -236,7 +236,7 @@ def test_class_members_share_images():
         E = build_module(spec)
         for c in scalar_classes(E):
             for member in c.members:
-                assert E.image_mask(member) == c.image.mask
+                assert E.image_mask(E.residue_ring.index(member)) == c.image.mask
 
 
 # -- cyclic images --------------------------------------------------------------
@@ -408,10 +408,12 @@ def test_submodule_annihilator_examples():
 def test_submodule_annihilator_ring_side():
     T = build_module("ring:Trunc(2,2)")
     x1 = (0, (1, 0))
-    killer_set, maximal = submodule_annihilator(image(T, x1))
+    killer_mask, maximal = submodule_annihilator(image(T, x1))
     # ann of {0, x1} is the whole maximal ideal (c0 = 0), which is maximal
     assert maximal
-    assert killer_set == frozenset(e for e in T.residue_ring.elements if e[0] == 0)
+    assert killer_mask == sum(
+        1 << i for i, e in enumerate(T.residue_ring.elements) if e[0] == 0
+    )
 
 
 # GF(2,x^2+1) lists its one nonzero nonunit, x+1, last, so a search that
@@ -434,7 +436,7 @@ def test_annihilator_maximality_agrees_with_quotient_field_route():
             ideal_lattices[ring.spec] = ring_cyclic(ring).lattice_masks()
         lattice = ideal_lattices[ring.spec]
         full = (1 << ring.order) - 1
-        rows = [E.row(r) for r in ring.elements]
+        rows = [E.row(i) for i in range(ring.order)]
         for N in enumerate_submodules(E):
             members = [i for i in range(E.order) if (N.mask >> i) & 1]
             killer_mask = sum(
@@ -505,7 +507,7 @@ def literal_predicates(E):
     N = (N:E)E and N = ann_E(ann_R(N)) for every submodule N.  (N:E)E is
     the sum of the images rE inside N, and ann_E(ann_R(N)) the elements
     that every residue killing N sends to zero."""
-    rows = [E.row(r) for r in E.residue_ring.elements]
+    rows = [E.row(i) for i in range(E.residue_ring.order)]
     images = [literal_mask(row) for row in rows]
     kernels = [literal_kernel(E, row) for row in rows]
     multiplication = comultiplication = True
@@ -609,7 +611,7 @@ def coset_count(Q):
 
 def proper_images(D):
     ring = D.residue_ring
-    return {D.image_mask(r) for r in ring.elements} - {D.zero_mask, D.full_mask}
+    return {D.image_mask(i) for i in range(ring.order)} - {D.zero_mask, D.full_mask}
 
 
 def test_quotient_example():
@@ -630,7 +632,8 @@ def test_submodule_example():
     assert is_quasi_second(sub)
     # behaves like Z:4: one proper image, of two elements
     assert [sub.format_mask(m) for m in proper_images(sub)] == [["0", "4"]]
-    # a residue acts through its divisor: 6N = 2N
+    # a residue acts through its divisor: 6N = 2N (over Z/(8) a residue is
+    # its own index)
     assert sub.image_mask(6) == sub.image_mask(2)
 
 
@@ -754,24 +757,25 @@ def test_divisor_first_paths_match_the_full_sweep():
         ring = E.residue_ring
         value_row = value_rows(E)
         if spec in LARGER_SPECS:
-            for r in ladder_picks(ring, rng) + list(ring.divisors()):
-                assert list(E.row(r)) == value_row(r), (spec, r)
-            rows = [list(E.row(r)) for r in ring.elements]
+            divisors = [ring.elements[g] for g in ring.divisors()]
+            for r in ladder_picks(ring, rng) + divisors:
+                assert list(E.row(ring.index(r))) == value_row(r), (spec, r)
+            rows = [list(E.row(i)) for i in range(ring.order)]
         else:
             rows = [value_row(r) for r in ring.elements]
-            for r, row_r in zip(ring.elements, rows):
-                assert list(E.row(r)) == row_r, (spec, r)
-        for r, row_r in zip(ring.elements, rows):
-            assert E.image_mask(r) == literal_mask(row_r), (spec, r)
+            for i, row_r in enumerate(rows):
+                assert list(E.row(i)) == row_r, (spec, i)
+        for i, row_r in enumerate(rows):
+            assert E.image_mask(i) == literal_mask(row_r), (spec, i)
         residues += ring.order
         if E.order <= modules.LATTICE_CAP:
             for mask in E.lattice_masks():
                 members = list(modules._bits(mask))
-                full_scan = [
-                    r
-                    for r, row_r in zip(ring.elements, rows)
+                full_scan = sum(
+                    1 << k
+                    for k, row_r in enumerate(rows)
                     if all(row_r[i] == E.zero for i in members)
-                ]
+                )
                 assert modules._killer_residues(E, mask) == full_scan, (spec, mask)
                 killers += 1
         for i, column in enumerate(zip(*rows)):
@@ -824,9 +828,12 @@ def test_sieved_divisors_and_idempotents_match_the_definitions():
     )
     checked = 0
     for ring in quotient_rings(specs):
-        gcds = [literal_divisor(ring, r) for r in ring.elements]
-        assert [ring.divisor(r) for r in ring.elements] == gcds, ring.spec
-        assert ring.divisors() == tuple(dict.fromkeys(gcds)), ring.spec
+        gcds = [ring.index(literal_divisor(ring, r)) for r in ring.elements]
+        assert ring.divisor_table().tolist() == gcds, ring.spec
+        first = {}
+        for i, g in enumerate(gcds):
+            first.setdefault(g, i)
+        assert list(ring.divisors().items()) == list(first.items()), ring.spec
         assert ring.idempotents() == {x for x in ring.elements if ring.mul(x, x) == x}
         checked += 1
     assert checked == 330
@@ -839,7 +846,8 @@ def test_weak_split_parts_always_meet_in_zero_and_span():
         E = build_module(spec)
         ring = E.residue_ring
         for e in ring.idempotents():
-            part_e, part_f = E.image_mask(e), E.image_mask(ring.sub(ring.one, e))
+            f = ring.sub(ring.one, e)
+            part_e, part_f = E.image_mask(ring.index(e)), E.image_mask(ring.index(f))
             assert part_e & part_f == E.zero_mask, (spec, e)
             assert E.join_masks(part_e, part_f) == E.full_mask, (spec, e)
             idempotents += 1
@@ -918,7 +926,8 @@ def test_scalar_classes_match_grouping_by_literal_images():
         assert [(c.members, c.image.mask, c.label) for c in classes] == literal, E
         count += len(classes)
         merged += sum(
-            len({ring.divisor(r) for r in c.members}) > 1 for c in classes
+            len({ring.divisor_table()[ring.index(r)] for r in c.members}) > 1
+            for c in classes
         )
     assert (count, merged) == (1250, 32)
 
@@ -935,7 +944,8 @@ def test_module_labels_are_the_formatted_elements():
 def ladder_picks(ring, rng):
     """The generators, 0, 1 and up to 24 seeded random residues: a full
     sweep at the cap is 4096 rows of 4096 products per ring."""
-    return list(ring.additive_generators()) + [ring.zero, ring.one] + rng.sample(
+    gens = [ring.elements[g] for g in ring.additive_generators()]
+    return gens + [ring.zero, ring.one] + rng.sample(
         ring.elements, min(24, ring.order)
     )
 
@@ -951,8 +961,8 @@ def test_ring_images_are_spans_of_generator_products():
         value_row = value_rows(E)
         for r in ring.elements:
             row = value_row(r)
-            assert list(E.row(r)) == row, (ring.spec, r)
-            assert E.image_mask(r) == literal_mask(row), (ring.spec, r)
+            assert list(E.row(ring.index(r))) == row, (ring.spec, r)
+            assert E.image_mask(ring.index(r)) == literal_mask(row), (ring.spec, r)
         checked += ring.order
     assert checked == 4117
     rng = random.Random(20261018)
@@ -962,13 +972,13 @@ def test_ring_images_are_spans_of_generator_products():
         value_row = value_rows(E)
         for r in ladder_picks(ring, rng):
             row = value_row(r)
-            assert list(E.row(r)) == row, (spec, r)
-            assert E.image_mask(r) == literal_mask(row), (spec, r)
+            assert list(E.row(ring.index(r))) == row, (spec, r)
+            assert E.image_mask(ring.index(r)) == literal_mask(row), (spec, r)
 
 
 def test_additive_generators_span_the_ring():
     for ring in catalog_rings() + [rings.build_ring(s) for s in MIXED_RINGS + CAP_LADDER_RINGS]:
-        gens = [ring.index(g) for g in ring.additive_generators()]
+        gens = ring.additive_generators()
         assert ring.layout.span(gens) == (1 << ring.order) - 1, ring.spec
 
 

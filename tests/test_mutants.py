@@ -5,11 +5,13 @@ for a fault that no corpus instance shows, a ``CAP_LADDER_RINGS`` or
 while the unmutated rule passes there.  A rule with no row has no fault
 shown to make it fail.  Faults that no rule is shown to see are listed in
 ``RULE_INVISIBLE``, each with the reason and with a Tier-1 reference
-comparison that catches it.
+comparison that catches it.  Faults that change no result on any module
+built here are listed in ``EQUIVALENT_MUTANTS``, each with its proof.
 
 No rule reads ``topology.hasse_edges``: the pinned ``dot`` and ``analyze``
 stdout in ``test_cli.py`` guards it."""
 
+import collections
 import dataclasses
 import itertools
 from array import array
@@ -18,11 +20,11 @@ import pytest
 
 from qdivtop import modules, oracle, rings, topology, verifier
 from qdivtop.verifier import FAIL, PASS, Instance, run_rule
-from common import CAP_LADDER_RINGS, JOINED_ROW_RINGS, mutated_qs_finder
+from common import CAP_LADDER_RINGS, JOINED_ROW_RINGS, RANDOM_RINGS, mutated_qs_finder
 
 
 def rn_read_as_re(mp):
-    # the submodule's image of r is rE, not rN
+    # the submodule's image of the residue at index r is rE, not rN
     mp.setattr(modules.Submodule, "image_mask", lambda self, r: self.module.image_mask(r))
 
 
@@ -30,7 +32,7 @@ def quotient_image_without_n(mp):
     # a section U/L's image of r is rU, not rU + L: the quotient E/N reads
     # rE, not rE + N
     def planted(self, r):
-        row = self.module.row(self.residue_ring.divisor(r))
+        row = self.module.row(self.residue_ring.divisor_table()[r])
         return rings._mask([row[i] for i in rings._bits(self.mask)], self.module.order)
 
     mp.setattr(modules.Submodule, "image_mask", planted)
@@ -69,14 +71,13 @@ def maximality_against_one(mp):
     # coset {1}, not in 1 + I: over Z/(6), (3) = {0, 3} is maximal, but
     # 2*y is even, never 1, so (3) reads as not maximal
     def planted(self, ideal):
-        if self.one in ideal:
+        one = self.index(self.one)
+        if (ideal >> one) & 1:
             return False
-        units = self.units()
-        coset = {self.index(self.one)}
         return all(
-            not coset.isdisjoint(self.mul_row(x))
-            for x in self.elements
-            if x not in ideal and x not in units
+            one in self.mul_row(self.elements[i])
+            for i, g in enumerate(self.divisor_table())
+            if g != one and not (ideal >> i) & 1
         )
 
     mp.setattr(rings.FiniteRing, "_decide_maximal", planted)
@@ -88,7 +89,7 @@ def killers_with_one(mp):
     mp.setattr(
         modules,
         "_killer_divisors",
-        lambda E, mask: [*killer_divisors(E, mask), E.residue_ring.one],
+        lambda E, mask: [*killer_divisors(E, mask), E.residue_ring.index(E.residue_ring.one)],
     )
 
 
@@ -175,12 +176,13 @@ def summand_listing_without_u_equal_d(mp):
     # is: every listed submodule then projects onto a nonzero ideal of the
     # first summand
     def planted(E):
-        reduce, zero = E.residue_ring.reduce, E.elements[E.zero]
+        reduce, index = E.residue_ring.reduce, E.residue_ring.index
+        zero = E.elements[E.zero]
         lattice, tail = [E.zero_mask], 1
         for i in reversed(range(len(E.summands))):
             summand = E.summands[i]
             gens = [
-                (E.elem_index(zero[:i] + (u,) + zero[i + 1 :]), E.row(reduce(cofactor)))
+                (E.elem_index(zero[:i] + (u,) + zero[i + 1 :]), E.row(index(reduce(cofactor))))
                 for u, cofactor in summand.divisor_pairs()
             ]
             grown = []
@@ -479,6 +481,37 @@ def t3_pairs_in_one_direction(mp):
     mp.setitem(oracle._AXIOMS, "T3", lambda topo: topo.pair_verdicts["T5"])
 
 
+def hyperconnected_and_nested_swapped(mp):
+    # connectivity_report returns the nestedness as the hyperconnectedness
+    # and the other way round
+    report = topology.connectivity_report
+
+    def planted(space):
+        r = report(space)
+        return dataclasses.replace(r, hyperconnected=r.nested, nested=r.hyperconnected)
+
+    mp.setattr(topology, "connectivity_report", planted)
+
+
+# (fault, proof) for faults that change no result on any module built here
+EQUIVALENT_MUTANTS = [
+    (
+        hyperconnected_and_nested_swapped,
+        "hyperconnected means at most one maximal point, and a chain has at "
+        "most one, so it remains to show that one maximal point gives a "
+        "chain.  On a cyclic sum with annihilator n the points are the "
+        "divisors g of n other than 1 and n, with gE <= hE exactly when h | g "
+        "(a summand A/(d_i) holding the full power of each prime of n reads "
+        "that power of g off gcd(g, d_i)), so the maximal points are the "
+        "primes dividing n, and one of them makes n a prime power, whose "
+        "divisors form a chain.  On a ring R over itself one maximal point "
+        "aR holds every nonunit, so R is local with the principal maximal "
+        "ideal aR, and its ideals are the powers of aR (Atiyah-Macdonald, "
+        "Prop 8.8), a chain",
+    ),
+]
+
+
 # (fault, reason) for faults that no rule is shown to see, each caught by a
 # Tier-1 reference comparison
 RULE_INVISIBLE = [
@@ -541,7 +574,7 @@ ROWS = [
         "R2",
         product_divisors_joined_in_swapped_order,
         "ring:Prod(Zn(2),Zn(3))",
-        "T1=False but quasi_second=True; comparable points [(0,1)] <= [(0,2)]",
+        "T1=False but quasi_second=True; comparable points [(0,2)] <= [(0,1)]",
     ),
     ("R4", nested_read_off_image_sizes, "Z:6", "uniserial=False nested=True"),
     (
@@ -605,28 +638,26 @@ ROWS = [
         "R10",
         product_rows_joined_in_swapped_order,
         "ring:Prod(Zn(31),Zn(29))",
-        "class [(1,0)]: annihilator of the image is not maximal "
-        "(generator frozenset({(0, 0)}))",
+        "class [(1,0)]: annihilator of the image is not maximal (killer ideal {(0,0)})",
     ),
     (
         "R10",
         idealization_translated_by_the_coordinate,
         "ring:Ideal(Zn(11),1)",
         "class [(0,(1))]: annihilator of the image is not maximal "
-        "(generator frozenset({(0, (0,))}))",
+        "(killer ideal {(0,(0))})",
     ),
     (
         "R10",
         product_ideals_joined_in_swapped_order,
         "ring:Prod(Zn(2),Zn(3))",
-        "class [(0,1)]: annihilator of the image is not maximal (generator frozenset())",
+        "class [(0,1)]: annihilator of the image is not maximal (killer ideal {})",
     ),
     (
         "R10",
         maximality_against_one,
         "ring:Zn(6)",
-        "class [2]: annihilator of the image is not maximal "
-        "(generator frozenset({0, 3}))",
+        "class [2]: annihilator of the image is not maximal (killer ideal {0,3})",
     ),
     (
         "R10",
@@ -773,3 +804,22 @@ def test_faults_no_rule_sees_have_no_row_and_a_tier1_killer():
     rowed = {plant for _, plant, _, _ in ROWS}
     for plant, _ in RULE_INVISIBLE:
         assert plant not in rowed and plant in JOINED_ROW_FAULTS, plant.__name__
+
+
+def test_equivalent_mutants_change_no_connectivity_report(monkeypatch):
+    # every default instance as a module, and every seeded random ring over
+    # itself: the swapped report equals the report, so hyperconnected and
+    # nested agree
+    specs = [
+        ("ring:" if inst.kind == "ring" else "") + inst.spec_text
+        for inst in verifier.generate_corpus()
+    ]
+    specs += [f"ring:{spec}" for spec in RANDOM_RINGS]
+    spaces = [topology.build_space(modules.build_module(spec)) for spec in specs]
+    reports = list(map(topology.connectivity_report, spaces))
+    for plant, _ in EQUIVALENT_MUTANTS:
+        with monkeypatch.context() as mp:
+            plant(mp)
+            assert list(map(topology.connectivity_report, spaces)) == reports
+    hyper = collections.Counter(r.hyperconnected for r in reports)
+    assert (len(specs), hyper[True], hyper[False]) == (1128, 223, 905)

@@ -7,7 +7,8 @@ Two cyclic sums over Z with the same elementary divisors are isomorphic
 Zn(n) over itself; all of them have the residue ring Zn(lcm), so their
 labeled spaces are equal.  Zn(mn) and Prod(Zn(m),Zn(n)) for coprime m, n
 are isomorphic rings (the Chinese remainder theorem), and so are
-Ideal(Zn(p),1) and GF(p,x^2) = F_p[x]/(x^2); their labels differ, so the
+GF(p,f*g) and Prod(GF(p,f),GF(p,g)) for coprime f, g, and Ideal(Zn(p),1)
+and GF(p,x^2) = F_p[x]/(x^2); their labels differ, so the
 point count and the up-set sizes are compared.  Every rule that does not
 read the presentation gives one verdict on the whole group."""
 
@@ -17,6 +18,7 @@ import math
 import pytest
 
 from qdivtop import modules, topology
+from qdivtop.scalars import parse_poly, pgcd, pmul
 from qdivtop.verifier import RULE_IDS, Instance, generate_corpus, run_all
 from test_mutants import (
     idealization_without_the_translation,
@@ -29,12 +31,27 @@ PRESENTATION_FREE_RULES = tuple(
     r for r in RULE_IDS if r not in ("R14", "R15", "R19", "R20", "R21")
 )
 
+# (p, f, g, f*g) for coprime f and g over F_p; the Prod rings of order 81
+# and 128 lie past rings.CONSTRUCTION_CHECK_CAP
+COPRIME_MODULI = [
+    (2, "x^3+x+1", "x^4+x+1", "x^7+x^5+x^3+x^2+1"),
+    (2, "x^3", "x^2+x+1", "x^5+x^4+x^3"),
+    (2, "x^4", "x^3+x+1", "x^7+x^5+x^4"),
+    (3, "x^2", "x^2+1", "x^4+x^2"),
+    (2, "x^2", "x^2+x+1", "x^4+x^3+x^2"),
+    (5, "x", "x+1", "x^2+x"),
+    (3, "x^3", "x+1", "x^4+x^3"),
+]
+
 # (product or idealization, cyclic ring or quotient); the last two lie
 # past rings.CONSTRUCTION_CHECK_CAP, where the rows are joined from the
 # factors' rows
 ISOMORPHIC_RINGS = [
     (f"ring:Prod(Zn({m}),Zn({n}))", f"ring:Zn({m * n})")
     for m, n in [(2, 3), (2, 5), (3, 4), (3, 5), (2, 9), (4, 5), (4, 9), (5, 7), (7, 8)]
+] + [
+    (f"ring:Prod(GF({p},{f}),GF({p},{g}))", f"ring:GF({p},{fg})")
+    for p, f, g, fg in COPRIME_MODULI
 ] + [
     ("ring:Prod(Zn(9),Zn(16))", "ring:Zn(144)"),
     ("ring:Ideal(Zn(11),1)", "ring:GF(11,x^2)"),
@@ -99,6 +116,12 @@ def test_isomorphic_cyclic_sums_have_one_labeled_space_and_one_verdict():
     for group in groups:
         assert len({repr(labeled_space(s)) for s in group}) == 1, group
         assert len({tuple(rule_verdicts[s]) for s in group}) == 1, group
+
+
+def test_coprime_moduli_multiply_to_the_quotient_modulus():
+    for p, f, g, fg in COPRIME_MODULI:
+        f, g = parse_poly(f, p), parse_poly(g, p)
+        assert pgcd(f, g, p) == (1,) and pmul(f, g, p) == parse_poly(fg, p)
 
 
 def test_isomorphic_rings_have_one_space_shape_and_one_verdict():

@@ -590,12 +590,14 @@ def test_index_tables_match_the_literal_operations():
 # SHA-256 of the spec, a newline and the (add, mul, neg) index tables of each
 # ring in test_index_tables_are_pinned, in spec order
 INDEX_TABLES_SHA256 = "17ad0a4a0d6aaf2178597b3300da6eaa4f0b5fa0bbbfff48ba07e6b6b5d472f4"
+# the same over each ring's divisor_table()
+DIVISOR_TABLES_SHA256 = "d973b3c9be946c49c7dc6b897395be236fd54c988d8f739a2416d1031e002d7b"
 
 
-def test_index_tables_are_pinned():
-    # every distinct ring among the default catalog, the seeded random rings
-    # and all their factors and bases: a change to how any table is built
-    # that moves an entry moves the digest
+@functools.cache
+def pinned_rings() -> dict:
+    """{spec: ring} for every distinct ring among the default catalog, the
+    seeded random rings and all their factors and bases."""
     from qdivtop import verifier
 
     found = {}
@@ -609,12 +611,22 @@ def test_index_tables_are_pinned():
 
     for spec in [*verifier.catalog_ring_specs(verifier.DEFAULT_CORPUS), *RANDOM_RINGS]:
         walk(build_ring(spec))
+    return found
+
+
+def tables_digest(tables_of) -> str:
     digest = hashlib.sha256()
+    found = pinned_rings()
     for spec in sorted(found):
         digest.update(spec.encode() + b"\n")
-        for table in found[spec].index_tables():
+        for table in tables_of(found[spec]):
             digest.update(table.tobytes())
-    kinds = collections.Counter(type(ring).__name__ for ring in found.values())
+    return digest.hexdigest()
+
+
+def test_index_tables_are_pinned():
+    # a change to how any table is built that moves an entry moves the digest
+    kinds = collections.Counter(type(ring).__name__ for ring in pinned_rings().values())
     assert kinds == {
         "ProdRing": 688,
         "QuotPolyRing": 173,
@@ -622,7 +634,14 @@ def test_index_tables_are_pinned():
         "ZnRing": 63,
         "TruncRing": 9,
     }
-    assert digest.hexdigest() == INDEX_TABLES_SHA256
+    assert tables_digest(lambda ring: ring.index_tables()) == INDEX_TABLES_SHA256
+
+
+def test_divisor_tables_are_pinned():
+    # every divisor read in modules and the verifier goes through the table
+    assert len(pinned_rings()) == 1056
+    digest = tables_digest(lambda ring: [ring.divisor_table()])
+    assert digest == DIVISOR_TABLES_SHA256
 
 
 @pytest.mark.parametrize("p, max_degree", [(2, 6), (3, 3), (5, 2)])
@@ -906,11 +925,12 @@ def test_product_tables_fill_byte_lanes_up_to_256_elements():
 
 
 def assert_divisors_match_the_definitions(ring, elements):
-    """For each of the given elements r: divisor(r) generates the ideal rR
-    (``literal_principal_ideal``); it is one exactly when r is a unit, that is
-    when 1 is in rR, x*y = 1 for some y; and units() holds r exactly then.
-    Zero's divisor is zero, and divisor_groups() lists every element under
-    its divisor, both in element order."""
+    """For each of the given elements r: its divisor d in divisor_table()
+    generates the ideal rR (``literal_principal_ideal``); d is one exactly
+    when r is a unit, that is when 1 is in rR, x*y = 1 for some y; and
+    units() holds r exactly then.  Zero's divisor is zero, and divisors()
+    maps each divisor to the first element with it, in the order of first
+    appearance."""
     ideals = {}
 
     def ideal(x):
@@ -918,18 +938,19 @@ def assert_divisors_match_the_definitions(ring, elements):
             ideals[x] = literal_principal_ideal(ring, x)
         return ideals[x]
 
-    units = ring.units()
+    units, table, elems = ring.units(), ring.divisor_table(), ring.elements
     for r in elements:
-        d = ring.divisor(r)
+        d = elems[table[ring.index(r)]]
         assert ideal(d) == ideal(r), (ring.spec, r)
         unit = ring.one in ideal(r)
         assert (r in units, d == ring.one) == (unit, unit), (ring.spec, r)
-    assert ring.divisor(ring.zero) == ring.zero
-    assert len(units) == len(ring.divisor_groups()[ring.one])
-    groups = {}
-    for r in ring.elements:
-        groups.setdefault(ring.divisor(r), []).append(r)
-    assert list(ring.divisor_groups().items()) == list(groups.items()), ring.spec
+    zero = ring.index(ring.zero)
+    assert table[zero] == zero
+    assert len(units) == table.count(ring.index(ring.one))
+    first = {}
+    for i, g in enumerate(table):
+        first.setdefault(g, i)
+    assert list(ring.divisors().items()) == list(first.items()), ring.spec
 
 
 def test_divisor_tables_match_the_definitions():
@@ -1008,7 +1029,7 @@ def test_generator_products_are_the_products_with_the_generators():
     # every ring
     for spec in PRODUCT_SPECS:
         ring = build_ring(spec)
-        gens = ring.additive_generators()
+        gens = [ring.elements[g] for g in ring.additive_generators()]
         _, mul, _ = literal_ops(ring)
         for i, t in enumerate(ring.elements):
             if isinstance(ring, (ZnRing, QuotPolyRing)):

@@ -318,10 +318,10 @@ def test_r19_summand_views_match_the_summand_modules():
             assert (modules.find_quasi_second_violation(view) is None) == (
                 modules.is_quasi_second(S)
             ), inst.spec_text
-        for r in E.residue_ring.elements:
-            for (mask, inside), S in zip(verifier._summand_images(views, r), alone):
-                rs = S.residue_ring.reduce(r)
-                s_mask = S.image_mask(rs)
+        for i, r in enumerate(E.residue_ring.elements):
+            for (mask, inside), S in zip(verifier._summand_images(views, i), alone):
+                s_ring = S.residue_ring
+                s_mask = S.image_mask(s_ring.index(s_ring.reduce(r)))
                 assert inside == (s_mask not in (S.zero_mask, S.full_mask)), (
                     inst.spec_text, r
                 )

@@ -99,7 +99,7 @@ OVERFLOW = "OverflowError: unsigned short is greater than maximum"
             "R10",
             "ring:Prod(GF(2,x^6+x+1),GF(2,x^6+x+1))",
             PASS,
-            "class [(0,1)]: annihilator of the image is not maximal (generator ",
+            "class [(0,1)]: annihilator of the image is not maximal (killer ideal ",
         ),
         ("R9", "ring:Prod(Zn(4),Trunc(2,9))", VACUOUS, OVERFLOW),
     ],
@@ -115,8 +115,8 @@ def test_swapped_product_rows_move_the_cap_ladder_report(
     # where the ring was not quasi second and R9 vacuous.  Principal ideals
     # read no row, so R1, R2 and R17 stay vacuous for the oracle's size
     # cap.  On the GF(2^6) square the rows stay in range and R10 sees a
-    # class whose annihilator is not maximal (the witness is cut after its
-    # generator, a set of 64 elements).  Both took under 0.2 s raw on a
+    # class whose annihilator is not maximal (the witness is cut before its
+    # killer ideal, a set of 64 elements).  Both took under 0.2 s raw on a
     # 2-vCPU machine; the bound is 15 s
     start = time.perf_counter()
     instance = Instance("module", spec)
