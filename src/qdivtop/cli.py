@@ -71,7 +71,7 @@ def _analyze_payload(E, with_oracle: bool):
         "classes": [
             {
                 "label": c.label,
-                "members": [labels[index(m)] for m in c.members],
+                "members": [labels[m] for m in c.members],
                 "image": c.image.element_strs(),
                 "image_size": c.image.size,
             }
@@ -161,14 +161,62 @@ def _write(text: str, out) -> None:
         sys.stdout.write(text)
 
 
+# the types json writes as one token
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _encoder(depth: int):
+    # CPython's C encoder, separating items as indent=2 does at this depth
+    return json.encoder.c_make_encoder(
+        None, None, json.encoder.encode_basestring_ascii, None,
+        ": ", ",\n" + "  " * depth, False, False, True,
+    )
+
+
+def _indented(obj, out: list, depth: int = 0) -> None:
+    """Append the text of ``json.dumps(obj, indent=2)`` to out, with no
+    Python step per scalar.  A nonempty container there is its items, each
+    after a newline and their indent and all but the last followed by ",",
+    between its brackets, the closing one after a newline and its own
+    indent.  So the C encoder writes a container of scalars, as one line
+    with that separator whose brackets get the newlines, and only one
+    holding containers is walked.  Every piece is joined once, at the end."""
+    encode, pad = _encoder(depth + 1), "\n" + "  " * depth
+    if not isinstance(obj, (dict, list, tuple)):
+        out += encode(obj, 0)
+        return
+    values = obj.values() if isinstance(obj, dict) else obj
+    if _SCALARS.issuperset(map(type, values)):
+        text = "".join(encode(obj, 0))
+        out += (text,) if len(text) == 2 else (text[0], pad, "  ", text[1:-1], pad, text[-1])
+        return
+    out.append("{" if isinstance(obj, dict) else "[")
+    lead = pad + "  "
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        out.append(lead)
+        if isinstance(obj, dict):
+            # a key that is no string is written as the string of its JSON
+            key = key if isinstance(key, str) else json.dumps(key)
+            out += (json.encoder.encode_basestring_ascii(key), ": ")
+        _indented(value, out, depth + 1)
+        lead = "," + pad + "  "
+    out += (pad, "}" if isinstance(obj, dict) else "]")
+
+
 def _emit(payload, compact: bool, out) -> None:
     """The header line and the payload; a file always gets the indented
-    form."""
+    form, written by ``_indented`` where CPython has its C encoder: the
+    same bytes as ``json.dumps(payload, indent=2)``, which runs in Python
+    whenever an indent is set."""
     if compact and not out:
-        body = json.dumps(payload, separators=(",", ":"))
+        pieces = [json.dumps(payload, separators=(",", ":"))]
+    elif json.encoder.c_make_encoder is None:
+        pieces = [json.dumps(payload, indent=2)]
     else:
-        body = json.dumps(payload, indent=2)
-    _write(f"{HEADER}\n{body}\n", out)
+        pieces = []
+        _indented(payload, pieces)
+    _write("".join([HEADER, "\n", *pieces, "\n"]), out)
 
 
 def cmd_analyze(args) -> int:

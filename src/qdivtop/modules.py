@@ -81,7 +81,7 @@ from array import array
 from dataclasses import dataclass
 
 from . import rings, scalars
-from .rings import SizeCapExceeded, _bits, _flag_mask, _mask
+from .rings import SizeCapExceeded, _bits, _flag_mask, _flags, _mask
 from .scalars import INTEGERS, Scalar, ScalarDomain, poly_domain
 
 
@@ -204,7 +204,8 @@ class Submodule:
 
 @dataclass(frozen=True)
 class ScalarClass:
-    """A class [a] of residues with a common cyclic image aE."""
+    """A class [a] of residues with a common cyclic image aE, the residues
+    named by their element indices in the residue ring."""
 
     members: tuple
     image: Submodule
@@ -252,13 +253,9 @@ class FiniteModule:
         self.domain = domain
         self.moduli = moduli
         self.layout = layout = rings.DigitLayout.product([S.layout for S in summands])
-        if moduli is None:
-            self.elements = residue_ring.elements
-        else:
-            self.elements = tuple(itertools.product(*(S.elements for S in summands)))
         self.add = layout.add
         self.zero = layout.index_of[0]
-        self.order = len(self.elements)
+        self.order = len(layout.codes)
         self._index = None
         self._labels = None
         self.zero_mask = 1 << self.zero
@@ -271,6 +268,14 @@ class FiniteModule:
         self._cyclic = {}
 
     # -- element plumbing ------------------------------------------------
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        """The element values by index, built on first use: the ring's own,
+        or tuples of the summands' residues."""
+        if self.moduli is None:
+            return self.residue_ring.elements
+        return tuple(itertools.product(*(S.elements for S in self.summands)))
 
     def elem_index(self, x) -> int:
         if self._index is None:
@@ -293,8 +298,7 @@ class FiniteModule:
         return self._labels
 
     def format_mask(self, mask: int):
-        labels = self.labels
-        return [labels[i] for i in _bits(mask)]
+        return list(itertools.compress(self.labels, _flags(mask)))
 
     def row(self, r: int) -> array:
         """The action of the residue at index r, on element indices."""
@@ -406,16 +410,15 @@ def lattice_by_summands(E: FiniteModule) -> list:
     Each triple (N', u, v mod N') gives one submodule, so no mask is found
     twice.  Elements run like ``itertools.product`` over the summands,
     each listing zero first, so T_i is the index block below its order and
-    (0, ..., 0, u, v) sits at the index of (0, ..., 0, u, 0, ..., 0) plus
-    v."""
+    (0, ..., 0, u, v) sits at the index of (0, ..., 0, u, 0, ..., 0), u's
+    index in its summand times the order of T_i, plus v."""
     reduce, index = E.residue_ring.reduce, E.residue_ring.index
-    zero = E.elements[E.zero]
     lattice = [E.zero_mask]
     tail = 1
     for i in reversed(range(len(E.summands))):
         summand = E.summands[i]
         gens = [
-            (E.elem_index(zero[:i] + (u,) + zero[i + 1 :]), E.row(index(reduce(cofactor))))
+            (summand.index(u) * tail, E.row(index(reduce(cofactor))))
             for u, cofactor in summand.divisor_pairs()
         ]
         grown = []
@@ -574,7 +577,7 @@ def scalar_classes(E: FiniteModule) -> tuple:
     """
     if E._classes is None:
         ring = E.residue_ring
-        one, zero = ring.index(ring.one), ring.index(ring.zero)
+        one, zero = ring.one_index, ring.zero_index
         groups, group_of = {}, {}
         for i, g in enumerate(ring.divisor_table()):
             if g != one and g != zero:
@@ -582,10 +585,10 @@ def scalar_classes(E: FiniteModule) -> tuple:
                 if members is None:
                     members = group_of[g] = groups.setdefault(E.image_mask(i), [])
                 members.append(i)
-        elems, labels = ring.elements, ring.labels
+        labels = ring.labels
         E._classes = tuple(
             ScalarClass(
-                members=tuple(map(elems.__getitem__, members)),
+                members=tuple(members),
                 image=Submodule._trusted(E, mask),
                 label=f"[{labels[members[0]]}]",
             )
@@ -646,7 +649,7 @@ def is_second_submodule(N: Submodule) -> bool:
     one, maps N onto N."""
     if N._second is None:
         ring = N.residue_ring
-        one = ring.index(ring.one)
+        one = ring.one_index
         N._second = all(
             N.image_mask(i) in (N.mask, N.zero_mask)
             for g, i in ring.divisors().items()
@@ -669,7 +672,7 @@ def find_quasi_second_violation(E: FiniteModule):
     is smaller, so each a is tested only against the nonzero smaller images.
     """
     ring = E.residue_ring
-    one = ring.index(ring.one)
+    one = ring.one_index
     first = {}
     for g, i in ring.divisors().items():
         if g != one:

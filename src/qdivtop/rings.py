@@ -20,8 +20,12 @@ Every catalog ring has a ``DigitLayout``: its additive group is a product
 of cyclic groups, and element i has a mixed-radix code whose digits add
 independently (``Zn``: one digit mod n; ``GF(p,f)``: the coefficients as
 base-p digits; ``Prod`` and ``Ideal``, and so ``Trunc``: the factors'
-digits side by side, in element order).  The indices of the elements
-with one digit 1 and the rest 0 are the ring's ``additive_generators()``:
+digits side by side, in element order).  The codes and their inverse
+``index_of`` are built together, in bulk: ``Zn``'s are the identity, and
+those of ``GF(p,f)`` and of a product are mixed-radix joins, past 256
+entries one big-integer sum over 16-bit lanes each (``_outer``), so no
+layout is inverted.  The indices of the elements with one digit 1 and
+the rest 0 are the ring's ``additive_generators()``:
 1 for ``Zn``; 1, x, ..., x^(d-1) for ``GF(p,f)`` with d = deg f; x_k, ...,
 x_1, 1 for ``Trunc``; the factors' generators, embedded, for ``Prod`` and
 ``Ideal``.  Multiplication by t is additive, so its action on the elements
@@ -85,7 +89,12 @@ Each constructor lists its elements in one order, with no sort (``Zn``
 by value, ``GF(p,f)`` by length, then by coefficients, ``Prod`` and
 ``Ideal`` lexicographically on their coordinates), and the element index
 is that order, so every derived set (units, radicals, ideals) is
-deterministic.  Each prints its elements in bulk, once (``labels``).
+deterministic.  Each lists zero first (``zero_index``) and places one's
+index (``one_index``) as it names one, so no value -> index map is built
+to find them.  Each prints its elements once (``labels``): ``GF(p,f)``
+and ``Trunc`` formatting one term per digit value, not per element, and
+joining the terms of each element by concatenation (``_sum_labels``),
+``Prod`` and ``Ideal`` pairing their factors' labels.
 Rings are immutable and all operations are pure.
 """
 
@@ -93,6 +102,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from array import array
 
@@ -146,8 +156,30 @@ def _mixed_radix(sizes, parts) -> list:
     factors: entry k is sum(part_j[digit_j(k)] * stride_j)."""
     out = [0]
     for n, part in zip(sizes, parts):
-        out = [x * n + c for x in out for c in part]
-    return out
+        if len(out) * len(part) <= 256:  # ``_outer``'s short path, inline
+            out = [x * n + c for x in out for c in part]
+        else:
+            out = _outer(out, n, part)
+    return out if isinstance(out, list) else out.tolist()
+
+
+def _outer(xs, n, cs):
+    """x*n + c for x in xs and c in cs, in that order: a list, or past 256
+    entries, all below 2^16, an array('H') summed as one big integer over
+    16-bit lanes, none carrying into the next: the x*n, each repeated once
+    per c (min(#x, #c) slice assignments), plus cs tiled once per x."""
+    k, m = len(xs), len(cs)
+    if k * m <= 256 or max(xs) * n + max(cs) >> 16:
+        return [x * n + c for x in xs for c in cs]
+    xs, spread, order = array("H", xs), array("H", bytes(2 * k * m)), sys.byteorder
+    if m <= k:
+        for j in range(m):
+            spread[j::m] = xs
+    else:
+        for i in range(k):
+            spread[i * m : (i + 1) * m] = xs[i : i + 1] * m
+    total = int.from_bytes(spread, order) * n + int.from_bytes(array("H", cs) * k, order)
+    return array("H", total.to_bytes(2 * k * m, order))
 
 
 # a byte per index, 0 or 1, to and from the digits of a base-2 numeral
@@ -199,12 +231,12 @@ def _mask(indices, size: int) -> int:
 class DigitLayout:
     """A finite abelian group as a product of cyclic groups, on element
     indices.  Element i has the mixed-radix code ``codes[i]``, whose digits,
-    least significant first, add mod ``radices``; ``index_of`` inverts
-    ``codes``.  ``places`` are the codes with one digit 1 and the rest 0, so
-    their elements generate the group.  ``add`` adds two indices, and
-    ``neg`` negates one.  A product
-    layout remembers its factors' orders (``sizes``, most significant
-    first) to ``join`` per-factor index lists.
+    least significant first, add mod ``radices``; ``index_of``, built with
+    them, inverts ``codes``.  ``places`` are the codes with one digit 1 and
+    the rest 0, so their elements generate the group.  ``add`` adds two
+    indices, and ``neg`` negates one.  A product layout remembers its
+    factors' orders (``sizes``, most significant first) to ``join``
+    per-factor index lists.
 
     Binary codes add by exclusive or, and one-digit codes mod the radix.
     Any other pair of codes adds in two table lookups.  Digits below r add
@@ -217,14 +249,11 @@ class DigitLayout:
     1,701 entries for the 4,096 elements of ``Prod(Zn(4),Trunc(2,9))``,
     built with no work per element."""
 
-    def __init__(self, codes, radices, sizes=None):
+    def __init__(self, codes, index_of, radices, sizes=None):
         self.codes = array("H", codes)
+        self.index_of = array("H", index_of)
         self.radices = tuple(radices)
         self.sizes = sizes or (len(self.codes),)
-        index_of = array("H", self.codes)
-        for i, c in enumerate(self.codes):
-            index_of[c] = i
-        self.index_of = index_of
         places, place = [], 1
         for radix in self.radices:
             places.append(place)
@@ -273,13 +302,20 @@ class DigitLayout:
     def product(cls, layouts) -> "DigitLayout":
         """The layout of a direct product whose elements run like
         ``itertools.product`` over the factors' elements: the last factor's
-        digits are the least significant.  One factor's is its own."""
+        digits are the least significant.  One factor's is its own.  It
+        needs no inversion: factor j has sizes[j] elements and codes, so
+        element (x_j) has index sum x_j*stride_j and code sum
+        codes_j[x_j]*stride_j, and the code with digits (c_j) is that of
+        the element (index_of_j[c_j]), of index sum index_of_j[c_j]*stride_j."""
         if len(layouts) == 1:
             return layouts[0]
         sizes = tuple(len(layout.codes) for layout in layouts)
-        codes = _mixed_radix(sizes, [layout.codes for layout in layouts])
+        codes = index_of = [0]
+        for size, layout in zip(sizes, layouts):
+            codes = _outer(codes, size, layout.codes)
+            index_of = _outer(index_of, size, layout.index_of)
         radices = tuple(r for layout in reversed(layouts) for r in layout.radices)
-        return cls(codes, radices, sizes)
+        return cls(codes, index_of, radices, sizes)
 
     def join(self, parts) -> list:
         """The index list of the product whose entry at (x_1, ..., x_k) is
@@ -402,6 +438,19 @@ def _product_table(t1, n1, t2, n2) -> array:
     return array("H", wide)
 
 
+def _sum_labels(terms) -> list:
+    """The sums of one printed term from each list, in the order of
+    ``itertools.product``: each list starts with "" for zero and puts "+"
+    before the others, which each sum drops; zero's sum is "0".  Each list,
+    from the last, puts its zero term's sums, the old ones, first."""
+    labels = [""]
+    for nonzero in (ts[1:] for ts in reversed(terms)):
+        labels += [t + s for t in nonzero for s in labels]
+    labels = list(map(operator.itemgetter(slice(1, None)), labels))
+    labels[0] = "0"
+    return labels
+
+
 def fill(buffer, indices, item) -> None:
     """buffer[i] = item[0] for each index i, item being a one-entry sequence
     of the buffer's type: one slice assignment when the indices are a range,
@@ -419,6 +468,9 @@ class FiniteRing:
 
     spec: str
     order: int
+    # every constructor lists zero first and places one's index as it names one
+    zero_index = 0
+    one_index: int
     # the printed domain the ring is a quotient of: any finite commutative
     # ring is a quotient of a polynomial domain over Z
     domain_label = "Z[x1,x2,...]"
@@ -548,7 +600,7 @@ class FiniteRing:
     def units(self) -> frozenset:
         """The elements whose divisor is one, built once."""
         if self._units is None:
-            one = self.index(self.one)
+            one = self.one_index
             self._units = frozenset(
                 itertools.compress(self.elements, map(one.__eq__, self.divisor_table()))
             )
@@ -580,7 +632,7 @@ class FiniteRing:
         """Whether R/I is a field: I is proper, and every x outside I has a
         y with x*y in 1 + I.  A unit has one, its inverse, so only nonunits
         are searched."""
-        one = self.index(self.one)
+        one = self.one_index
         if (ideal >> one) & 1:
             return False
         add, elems = self.layout.add, self.elements
@@ -612,7 +664,7 @@ class FiniteRing:
 
     def _check_tables(self, add, mul, neg):
         n, elems = self.order, self.elements
-        zero, one = self.index(self.zero), self.index(self.one)
+        zero, one = self.zero_index, self.one_index
         for i, x in enumerate(elems):
             if add[i * n + zero] != i or mul[i * n + one] != i:
                 raise RingError(f"{self.spec}: identity laws fail at {x!r}")
@@ -707,7 +759,7 @@ class _EuclideanQuotient(FiniteRing):
     def ideal_mask(self, a) -> int:
         # aA/(n) = gA/(n) for the divisor g of a: its multiples
         g = self.divisor_table()[self.index(a)]
-        if g == self.index(self.zero):
+        if g == self.zero_index:
             return 1 << g
         return _mask(self.multiples(self.elements[g]), self.order)
 
@@ -720,10 +772,10 @@ class _EuclideanQuotient(FiniteRing):
 
     def _make_divisor_table(self):
         index = self.index
-        table = array("H", [index(self.one)]) * self.order
+        table = array("H", [self.one_index]) * self.order
         for g, _ in self.divisor_pairs()[1:]:
             fill(table, self.multiples(g), array("H", [index(g)]))
-        zero = index(self.zero)
+        zero = self.zero_index
         table[zero] = zero
         return table
 
@@ -736,7 +788,7 @@ class _EuclideanQuotient(FiniteRing):
         unitary = {
             index(g)
             for g, h in self.divisor_pairs()[1:]
-            if table[index(self.add(g, h))] == index(self.one)
+            if table[index(self.add(g, h))] == self.one_index
         }
         candidates = itertools.compress(
             self.elements, map(unitary.__contains__, table)
@@ -755,7 +807,7 @@ class ZnRing(_EuclideanQuotient):
         self.spec = f"Zn({n})"
         self._set_order((n, 1))
         self.zero = 0
-        self.one = 1
+        self.one = self.one_index = 1
         self._init_quotient(scalars.INTEGERS, n)
 
     def _enumerate(self):
@@ -779,7 +831,7 @@ class ZnRing(_EuclideanQuotient):
         return r % self.n
 
     def _make_layout(self):
-        return DigitLayout(range(self.n), (self.n,))
+        return DigitLayout(range(self.n), range(self.n), (self.n,))
 
 
 class QuotPolyRing(_EuclideanQuotient):
@@ -818,7 +870,7 @@ class QuotPolyRing(_EuclideanQuotient):
         self.degree = pdeg(modulus)
         self._set_order((p, self.degree))
         self.zero = ()
-        self.one = (1,)
+        self.one, self.one_index = (1,), 1  # the first residue of length one
         self._times_x = None
         self._init_quotient(scalars.poly_domain(p), modulus)
 
@@ -882,18 +934,12 @@ class QuotPolyRing(_EuclideanQuotient):
         return images
 
     def _make_labels(self):
-        # in the order of ``_make_layout``: rest holds the printed terms of
-        # all coefficient tuples of length k ("" for zero)
-        p, labels, rest = self.p, ["0"], [""]
-        for k in range(self.degree):
-            terms = [""] + [scalars.format_poly((0,) * k + (c,)) for c in range(1, p)]
-            labels += [
-                f"{terms[top]}+{r}" if r else terms[top]
-                for r in rest
-                for top in range(1, p)
-            ]
-            rest = [f"{t}+{r}" if t and r else t or r for r in rest for t in terms]
-        return tuple(labels)
+        # by code, the top coefficient's term first, then in element order
+        terms = [
+            [""] + ["+" + scalars.format_poly((0,) * k + (c,)) for c in range(1, self.p)]
+            for k in reversed(range(self.degree))
+        ]
+        return operator.itemgetter(*self.layout.codes)(_sum_labels(terms))
 
     def multiples(self, g):
         # the multiples g*q for deg q < deg n - deg g are the first residues
@@ -910,15 +956,23 @@ class QuotPolyRing(_EuclideanQuotient):
         return self._horner(self.index(r[-d:]), r[:-d], self.layout.index_of)
 
     def _make_layout(self):
-        # a residue's code reads its coefficients as base-p digits, in the
-        # order of ``_enumerate``: block holds the codes of all coefficient
-        # tuples of length k, and length k + 1 adds a nonzero top digit
-        p, codes, block = self.p, [0], [0]
+        # a residue's code reads its coefficients c_0, ..., c_k, top digit
+        # t > 0 at P = p^k, as base-p digits.  From index P on, those of
+        # length k + 1 run with c_0 slowest and t fastest (``_enumerate``),
+        # p - 1 indices per c_0..c_(k-1).  So the codes join the terms
+        # c_j*p^j (``low``) and t*P in that order, and the indices in code
+        # order, t slowest and c_0 fastest, join P + t - 1 and the terms
+        # c_j*(p - 1)*p^(k-1-j) (``low_index``)
+        p, codes, index_of = self.p, array("H", [0]), array("H", [0])
+        low = low_index = [0]
         for k in range(self.degree):
-            place = p**k
-            codes += [c + top * place for c in block for top in range(1, p)]
-            block = [c + digit * place for c in block for digit in range(p)]
-        return DigitLayout(codes, (p,) * self.degree)
+            place, unit = p**k, (p - 1) * p ** (k - 1)
+            if k:
+                low = _outer(low, 1, range(0, place, place // p))
+                low_index = _outer(low_index, 1, range(0, p * unit, unit))
+            codes.extend(_outer(low, 1, range(place, p * place, place)))
+            index_of.extend(_outer(range(place, place + p - 1), 1, low_index))
+        return DigitLayout(codes, index_of, (p,) * self.degree)
 
 
 class ProdRing(FiniteRing):
@@ -929,6 +983,7 @@ class ProdRing(FiniteRing):
         self._set_order((r1.order, 1), (r2.order, 1))
         self.zero = (r1.zero, r2.zero)
         self.one = (r1.one, r2.one)
+        self.one_index = r1.one_index * r2.order + r2.one_index
         self._init_common(validate=True)
 
     def _enumerate(self):
@@ -991,6 +1046,8 @@ class IdealizeRing(FiniteRing):
         self.d = d
         self.zero = (base.zero, (base.zero,) * d)
         self.one = (base.one, (base.zero,) * d)
+        # the block of base coordinate one, at its zero coordinates
+        self.one_index = base.one_index * base.order**d
         self._base_rows = {}
         self._init_common(validate=True)
 
@@ -1020,8 +1077,8 @@ class IdealizeRing(FiniteRing):
         # coordinate a are one block, so a unit's block maps to one
         base, table = self.base, array("H", range(self.order))
         block = self.order // base.order
-        ones = array("H", [self.index(self.one)]) * block
-        unit = base.index(base.one)
+        ones = array("H", [self.one_index]) * block
+        unit = base.one_index
         for a, g in enumerate(base.divisor_table()):
             if g == unit:
                 table[a * block : (a + 1) * block] = ones
@@ -1056,7 +1113,7 @@ class IdealizeRing(FiniteRing):
             multiples = [i * n + j for i, j in zip(multiples, rows[m])]
         if t[0] == base.zero:
             return _mask(multiples, self.order)
-        inner = [1 << base.index(base.zero), *[base.ideal_mask(t[0])] * self.d]
+        inner = [1 << base.zero_index, *[base.ideal_mask(t[0])] * self.d]
         return self.layout.span(multiples, self.layout.join_mask(inner))
 
     def _make_layout(self):
@@ -1086,17 +1143,12 @@ class TruncRing(IdealizeRing):
         self._idealize(ZnRing(p), k)
 
     def _make_labels(self):
-        # from the last coordinate up: tail holds the printed terms of the
-        # coordinates from i on, in element order; coordinate i is 0 on the
-        # first block, which is the old tail
-        p, tail = self.p, [""]
-        for i in reversed(range(self.k + 1)):
-            if i == 0:
-                terms = [str(c) for c in range(1, p)]
-            else:
-                terms = [f"x{i}"] + [f"{c}*x{i}" for c in range(2, p)]
-            tail = tail + [f"{t}+{r}" if r else t for t in terms for r in tail]
-        return tuple(r or "0" for r in tail)
+        # c0 + c1*x_1 + ... + ck*x_k, the coordinates in element order
+        p = self.p
+        terms = [[""] + [f"+{c}" for c in range(1, p)]]
+        for i in range(1, self.k + 1):
+            terms.append(["", f"+x{i}"] + [f"+{c}*x{i}" for c in range(2, p)])
+        return tuple(_sum_labels(terms))
 
 
 # -- catalog operations ------------------------------------------------
@@ -1123,7 +1175,7 @@ def _is_field_factor(ring: FiniteRing, e) -> bool:
     if e == ring.zero:
         return False
     units, f = ring.units(), ring.sub(ring.one, e)
-    elems, zero = ring.elements, ring.index(ring.zero)
+    elems, zero = ring.elements, ring.zero_index
     return all(
         ring.add(elems[i], f) in units for i in _bits(ring.ideal_mask(e)) if i != zero
     )

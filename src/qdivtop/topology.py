@@ -73,8 +73,13 @@ def build_space(E: FiniteModule) -> QuasiDivisorSpace:
     S and aE of their ideals aS, and aS <= bS exactly when a lies in bS; so
     aE <= bE exactly when the point a*(1,...,1) lies in bE, one per class."""
     classes = modules.scalar_classes(E)
-    join, summands = E.layout.join, E.summands
-    points = [join([[S.index(S.reduce(c.members[0]))] for S in summands])[0] for c in classes]
+    ring, join = E.residue_ring, E.layout.join
+
+    def part(S, r):
+        # the residue at index r in the summand S, by value unless S is the ring
+        return r if S is ring else S.index(S.reduce(ring.elements[r]))
+
+    points = [join([[part(S, c.members[0])] for S in E.summands])[0] for c in classes]
     position = {p: i for i, p in enumerate(points)}
     held = _mask(points, E.order)
     down = [

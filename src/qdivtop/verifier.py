@@ -579,7 +579,7 @@ def _r19(ctx):
         return VACUOUS, None, "annihilator is not semiprime"
     views = _summand_views(E)
     ring = E.residue_ring
-    zero, one = ring.index(ring.zero), ring.index(ring.one)
+    zero, one = ring.zero_index, ring.one_index
 
     for r, g in enumerate(ring.divisor_table()):
         if r == zero or g == one:
@@ -816,7 +816,7 @@ def _r21(ctx):
     if E.moduli is None:
         return VACUOUS, None, "needs an explicit cyclic-sum presentation"
     ring = E.residue_ring
-    zero, units = ring.index(ring.zero), set(map(ring.index, ring.units()))
+    zero, units = ring.zero_index, set(map(ring.index, ring.units()))
     image, summand = _direct_image(E)
     if E.domain.kind == "int":
         n = ring.n

@@ -749,3 +749,23 @@ def test_cap_ladder_stdout_pinned(capsys):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0, argv
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+@pytest.fixture(scope="module")
+def report_payloads():
+    import emit_check
+
+    return emit_check.all_payloads()
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+def test_indented_report_bytes_match_json_dumps(report_payloads, c_encoder, monkeypatch):
+    # the edge payloads, analyze --oracle on the 391 default instances and
+    # the 12 ladder specs, and one verify report, through cli._emit: with
+    # the C encoder, and without it, where _emit falls back to json.dumps
+    import emit_check
+
+    assert len(report_payloads) == 27 + 391 + 12 + 1
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert emit_check.mismatches(report_payloads) == []

@@ -592,6 +592,9 @@ def test_index_tables_match_the_literal_operations():
 INDEX_TABLES_SHA256 = "17ad0a4a0d6aaf2178597b3300da6eaa4f0b5fa0bbbfff48ba07e6b6b5d472f4"
 # the same over each ring's divisor_table()
 DIVISOR_TABLES_SHA256 = "d973b3c9be946c49c7dc6b897395be236fd54c988d8f739a2416d1031e002d7b"
+# the same over each ring's layout codes and index_of and its labels, one
+# per line
+LAYOUTS_AND_LABELS_SHA256 = "6dbad09175ca6ff7022e745d82404d90d319a42aa8639db4f298b551d5a7555f"
 
 
 @functools.cache
@@ -635,6 +638,19 @@ def test_index_tables_are_pinned():
         "TruncRing": 9,
     }
     assert tables_digest(lambda ring: ring.index_tables()) == INDEX_TABLES_SHA256
+
+
+def test_layouts_and_labels_are_pinned():
+    # the codes, their inverse and the printed elements, however each is built
+    assert len(pinned_rings()) == 1056
+    digest = tables_digest(
+        lambda ring: [
+            ring.layout.codes,
+            ring.layout.index_of,
+            memoryview("\n".join(ring.labels).encode()),
+        ]
+    )
+    assert digest == LAYOUTS_AND_LABELS_SHA256
 
 
 def test_divisor_tables_are_pinned():
@@ -1010,6 +1026,8 @@ def test_element_enumeration_is_sorted_and_indexed():
         for i, x in enumerate(elements):
             assert ring.index(x) == i
         assert ring.labels == tuple(literal_label(ring, x) for x in elements), spec
+        index_of = ring.layout.index_of
+        assert [index_of[c] for c in ring.layout.codes] == list(range(ring.order)), spec
         if isinstance(ring, QuotPolyRing):
             p = ring.p
             codes = [sum(c * p**k for k, c in enumerate(x)) for x in elements]
@@ -1054,6 +1072,11 @@ def digit_loop_add(layout):
     return add
 
 
+def inverse(codes) -> list:
+    """The index of each code."""
+    return sorted(range(len(codes)), key=codes.__getitem__)
+
+
 def test_one_digit_addition_matches_the_digit_loop():
     # Zn(n) for n <= 64, and one-digit layouts whose codes are not the
     # element indices
@@ -1062,7 +1085,7 @@ def test_one_digit_addition_matches_the_digit_loop():
     for n in (3, 10, 64):
         codes = list(range(n))
         rng.shuffle(codes)
-        layouts.append(DigitLayout(codes, (n,)))
+        layouts.append(DigitLayout(codes, inverse(codes), (n,)))
     for layout in layouts:
         n, reference = len(layout.codes), digit_loop_add(layout)
         assert len(layout.radices) == 1
@@ -1081,7 +1104,7 @@ def test_multi_digit_addition_matches_the_digit_loop():
     for radices in ((2, 3, 4), (3, 3, 3)):
         codes = list(range(math.prod(radices)))
         rng.shuffle(codes)
-        layouts.append(DigitLayout(codes, radices))
+        layouts.append(DigitLayout(codes, inverse(codes), radices))
     for layout in layouts:
         n, reference = len(layout.codes), digit_loop_add(layout)
         assert len(layout.radices) > 1 and not layout.binary
