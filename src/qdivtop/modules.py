@@ -264,6 +264,7 @@ class FiniteModule:
         self._images = {}
         self._kernels = {}
         self._classes = None
+        self._semiprime = None
         self._lattice = None
         self._cyclic = {}
 
@@ -703,10 +704,15 @@ def is_quasi_second(E: FiniteModule) -> bool:
 
 
 def semiprime_annihilator(E: FiniteModule) -> bool:
-    """The residue ring A/ann(E) has no nonzero element squaring to zero."""
-    ring = E.residue_ring
-    zero = ring.zero
-    return not any(r != zero and ring.mul(r, r) == zero for r in ring.elements)
+    """The residue ring A/ann(E) has no nonzero element squaring to zero,
+    decided once per module."""
+    if E._semiprime is None:
+        ring = E.residue_ring
+        zero = ring.zero
+        E._semiprime = not any(
+            r != zero and ring.mul(r, r) == zero for r in ring.elements
+        )
+    return E._semiprime
 
 
 def structural_predicates(E: FiniteModule) -> StructuralPredicates:
@@ -762,7 +768,8 @@ def weak_idempotent_split(E: FiniteModule) -> WeakSplit:
     residues of A/ann(E).  For every idempotent e the parts eE and (1-e)E
     sum to E, since x = ex + (1-e)x, and meet in zero, since y = ex =
     (1-e)z gives y = ey = e(1-e)z = 0.  So only whether both parts are
-    nonzero and minimal is tested.
+    nonzero and minimal is tested, and e = 0 or 1, whose parts are 0 and
+    E, is not tried.
     """
     if all(
         E.cyclic_mask(i) == E.full_mask for i in range(E.order) if i != E.zero
@@ -770,7 +777,7 @@ def weak_idempotent_split(E: FiniteModule) -> WeakSplit:
         return WeakSplit("simple")
     ring = E.residue_ring
     zmask = E.zero_mask
-    for e in sorted(ring.idempotents(), key=ring.index):
+    for e in sorted(ring.idempotents() - {ring.zero, ring.one}, key=ring.index):
         part_e = E.image_mask(ring.index(e))
         part_f = E.image_mask(ring.index(ring.sub(ring.one, e)))
         if part_e == zmask or part_f == zmask:

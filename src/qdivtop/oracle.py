@@ -14,7 +14,8 @@ basis sets from faulty images fail a rule instead of stopping the run.
 
 **The transposed family.**  With K = |opens|, ``holds[i]`` is a K-bit int
 whose bit k is set when ``opens[k]`` contains point i.  It is built once,
-and every later question about the family is a few AND operations on
+one byte plane of the packed members per point (``_transpose``), and
+every later question about the family is a few AND operations on
 these n ints instead of a pass over the K members:
 
 * the members disjoint from a set S are the AND of ``~holds[i]`` over the
@@ -74,11 +75,13 @@ per pair of points, all six in one scan.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
 
-from .rings import SizeCapExceeded, _bits, _flags
+from .rings import SizeCapExceeded, _bits, _flag_mask, _flags
 from .topology import QuasiDivisorSpace, maximal_classes
 
 OPEN_SET_CAP = 1 << 14
@@ -104,14 +107,7 @@ class FiniteTopology:
         self.opens = opens
         self.full = full
         self._open_set = frozenset(opens)
-        # row r of the text is opens[-1 - r] written in n binary digits, so
-        # column n - 1 - i, read down the rows, is bit i of every member (an
-        # empty family has no rows)
-        top = 1 << n
-        rows = "".join([bin(o | top)[3:] for o in reversed(opens)])
-        self.holds = holds = tuple(
-            int(rows[n - 1 - i :: n] or "0", 2) for i in range(n)
-        )
+        self.holds = holds = _transpose(n, opens)
         self.members = members = (1 << len(opens)) - 1
         self.lacks = lacks = tuple(members ^ h for h in holds)
         points = range(n)
@@ -156,6 +152,32 @@ class FiniteTopology:
         return dict(
             T2=t2, T3=t3, T4=t4, T5=t5, hyperconnected=hyper, ultraconnected=ultra
         )
+
+
+# entry b of table k is bit k of the byte b, as a flag byte 0 or 1
+_BIT_FLAGS = tuple(bytes((b >> k) & 1 for b in range(256)) for k in range(8))
+
+
+def _transpose(n: int, opens) -> tuple:
+    """holds[i] for each of the n points: the mask over member indices of
+    the members holding point i.  The members are packed w bytes each, low
+    byte first (two bytes up to 16 points), so byte i // 8 of every member,
+    read with step w, is one plane, and bit i % 8 of each of its bytes is
+    bit i of one member: one ``translate`` to flags per point, read as a
+    mask.  An empty family holds nothing."""
+    if not opens:
+        return (0,) * n
+    if n <= 16:
+        w, packed = 2, array("H", opens)
+        if sys.byteorder == "big":
+            packed.byteswap()
+        raw = packed.tobytes()
+    else:
+        w = (n + 7) // 8
+        raw = b"".join([o.to_bytes(w, "little") for o in opens])
+    return tuple(
+        _flag_mask(raw[i // 8 :: w].translate(_BIT_FLAGS[i % 8])) for i in range(n)
+    )
 
 
 @dataclass(frozen=True)

@@ -44,13 +44,16 @@ Every ring maps each element index to the index of its divisor d, an
 element with r = d*u for a unit u, in one ``array('H')`` built once in
 bulk (``divisor_table``), the one divisor API: ``Zn`` and ``GF(p,f)``
 sieve it from the divisors of the modulus, ``Prod`` joins its factors'
-tables, and ``Ideal`` maps each block of units to one and every nonunit
-to itself.  The units and the distinct divisors (``divisors``) are read
-off it.
+tables, and ``Ideal`` maps each block of units to one.  Over a field F
+with more than two elements ``Ideal`` (and so ``Trunc``) maps each nonunit
+(0, m) to its one F*-multiple whose first nonzero coordinate is 1, one
+slice per first nonzero coordinate; over F_2 and over a base that is not
+a field a nonunit is its own divisor.  The units and the distinct
+divisors (``divisors``) are read off it.
 
-Each constructor lists its idempotents without squaring every element:
-``Zn`` and ``GF(p,f)`` square only the residues whose divisor is a unitary
-divisor of the modulus; ``Prod`` pairs its factors' idempotents;
+Each constructor lists its idempotents without squaring any element:
+``Zn`` and ``GF(p,f)`` one per unitary divisor of the modulus, by the
+Chinese remainder theorem; ``Prod`` pairs its factors' idempotents;
 ``Ideal`` has (e, 0) for each idempotent e of the base, so ``Trunc`` has
 0 and 1 alone.  A finite ring is local exactly when 0 and 1 are its only
 idempotents.  The quasi-second classification of a local ring asks whether
@@ -63,7 +66,7 @@ against about 2.1 million pairs of m.
 Every ring adds and negates on its layout (``FiniteRing.add`` and
 ``FiniteRing.neg``), ``Zn`` included.  It multiplies through its rows
 (``mul_row``) and its constructor's value ``mul``, which the semiprime,
-idempotent and square-zero tests call once per product, where a row
+idempotent and square-zero steps call once per product, where a row
 would cost one pass over the ring.  A ``Prod`` or ``Ideal`` ring
 (``Trunc`` included) of order at most 64 (``CONSTRUCTION_CHECK_CAP``)
 builds its add, mul and neg tables on element indices once, at
@@ -732,9 +735,11 @@ class _EuclideanQuotient(FiniteRing):
     divides gcd(r, n).  Zero's divisor is zero.  The multiples of g are
     the ideal gA/(n), so they are also the image of g on a module whose
     elements are these residues.  An idempotent e other than 0 and 1 with
-    g = gcd(e, n) is 0 mod g and 1 mod n/g, so gcd(g, n/g) = 1: only
-    residues whose divisor is such a unitary divisor are squared to find
-    the idempotents.
+    g = gcd(e, n) is 0 mod g and 1 mod n/g, since e(e - 1) = 0 and e - 1
+    is prime to e, so gcd(g, n/g) = 1.  Conversely each such unitary
+    divisor g != 1, n has one idempotent, 0 mod g and 1 mod n/g, by the
+    Chinese remainder theorem: the idempotents are listed one per unitary
+    divisor, with no residue squared.
 
     The unitary divisors are read off the divisor table: for g | n and
     h = n/g, gcd(g, h) = 1 exactly when g + h is a unit mod n, that is
@@ -783,18 +788,15 @@ class _EuclideanQuotient(FiniteRing):
         return self.layout.linear_row(self.generator_products(self.index(t)))
 
     def idempotents(self):
-        # g is unitary when g + n/g is a unit (see the class docstring)
+        # g is unitary when g + n/g is a unit, and its idempotent, 0 mod g
+        # and 1 mod h = n/g (see the class docstring), is g*(g^-1 mod h)
         index, table = self.index, self.divisor_table()
-        unitary = {
-            index(g)
+        found = [
+            self.mul(g, scalars.inverse_mod(self.domain, g, h))
             for g, h in self.divisor_pairs()[1:]
             if table[index(self.add(g, h))] == self.one_index
-        }
-        candidates = itertools.compress(
-            self.elements, map(unitary.__contains__, table)
-        )
-        squares = [x for x in candidates if self.mul(x, x) == x]
-        return frozenset([self.zero, self.one, *squares])
+        ]
+        return frozenset([self.zero, self.one, *found])
 
 
 class ZnRing(_EuclideanQuotient):
@@ -1072,16 +1074,35 @@ class IdealizeRing(FiniteRing):
         return tuple(f"({a},({m}))" for a in base for m in ms)
 
     def _make_divisor_table(self):
-        # (a, m) is invertible iff a is, the inverse being (a^-1, -a^-2 m),
-        # and a nonunit is its own divisor.  The elements with base
-        # coordinate a are one block, so a unit's block maps to one
+        # (a, m) is invertible iff a is, the inverse being (a^-1, -a^-2 m).
+        # The elements with base coordinate a are one block, so a unit's
+        # block maps to one.  Over a field F with q > 2 elements the
+        # nonunits are the (0, m), and (0, m)(u, n) = (0, u*m): the
+        # associates of (0, m) are its F*-multiples, and exactly one of
+        # them has first nonzero coordinate 1, c^-1*m for m's first nonzero
+        # coordinate c, which is the divisor.  The (0, m) whose first
+        # nonzero coordinate m_j is c are one range of q^(d-j) indices,
+        # c*q^(d-j) + (the lower digits), so each range is one slice of
+        # one_index*q^(d-j) plus the lower digits times c^-1 (the row of
+        # c^-1, joined over them).  Any other nonunit, and every nonunit
+        # over F_2, whose one unit is 1, is its own divisor
         base, table = self.base, array("H", range(self.order))
-        block = self.order // base.order
+        q, block = base.order, self.order // base.order
         ones = array("H", [self.one_index]) * block
         unit = base.one_index
         for a, g in enumerate(base.divisor_table()):
             if g == unit:
                 table[a * block : (a + 1) * block] = ones
+        if q > 2 and base.is_field():
+            # every nonzero t, zero being index 0: the row of t = c^-1, and
+            # c, where t*c = 1
+            for t in range(1, q):
+                row = base.mul_row(base.elements[t])
+                c = row.index(unit)
+                for k in range(self.d):
+                    # m_j = c with k lower digits: q^k indices from c*q^k
+                    lower = _mixed_radix([q] * (k + 1), [[unit], *[row] * k])
+                    table[c * q**k : (c + 1) * q**k] = array("H", lower)
         return table
 
     def idempotents(self):

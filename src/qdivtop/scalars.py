@@ -163,25 +163,71 @@ def monic_polys(p: int, deg: int):
 def proper_divisors(domain: ScalarDomain, d) -> list:
     """(u, d/u) for each canonical divisor u != d of a canonical nonunit
     d != 0, in increasing order: by value over Z, by degree and then
-    coefficients over F_p[x] (the order of residues).  Trial division runs
-    up to sqrt(d), or degree deg(d)/2 over F_p[x]; every divisor past that
-    is the cofactor of one below it."""
+    coefficients over F_p[x] (the order of residues).  Over Z trial
+    division runs up to sqrt(d), and every divisor past that is the
+    cofactor of one below it.  Over F_p[x] the divisors are the products
+    of the prime powers of d (``pfactor``), each with the complementary
+    powers as its cofactor."""
     if domain.kind == "int":
         low = [u for u in range(1, math.isqrt(d) + 1) if not d % u]
         high = [d // u for u in reversed(low[1:]) if u * u != d]
         return [(u, d // u) for u in low + high]
-    p, n = domain.char, pdeg(d)
-    low = []
-    for k in range(n // 2 + 1):
-        for u in monic_polys(p, k):
-            q, r = pdivmod(d, u, p)
-            if not r:
-                low.append((u, q))
-    high = sorted(
-        ((q, u) for u, q in low if 0 < 2 * pdeg(u) < n),
-        key=lambda pair: (len(pair[0]), pair[0]),
+    # the divisors run like ``itertools.product`` over the exponents of
+    # the primes, so the one with the complementary exponents, the
+    # cofactor, sits at the mirrored index
+    p, divisors = domain.char, [(1,)]
+    for prime, e in pfactor(d, p):
+        powers = [(1,), prime]
+        while len(powers) <= e:
+            powers.append(pmul(powers[-1], prime, p))
+        divisors = [
+            pmul(u, powers[k], p) if k else u for u in divisors for k in range(e + 1)
+        ]
+    pairs = sorted(
+        zip(divisors, reversed(divisors)), key=lambda pair: (len(pair[0]), pair[0])
     )
-    return low + high
+    # d itself, the one divisor of its degree, comes last
+    return pairs[:-1]
+
+
+def pfactor(d, p) -> list:
+    """[(prime, exponent)] for a monic d over F_p: each monic u in order of
+    degree is divided out of what is left as often as it divides it, so a
+    u that divides is prime (its prime factors, of lower degree, are gone),
+    and what is left once its degree is below 2 deg u is 1 or prime."""
+    factors, k = [], 1
+    while 2 * k <= pdeg(d):
+        for u in monic_polys(p, k):
+            e = 0
+            while True:
+                q, r = pdivmod(d, u, p)
+                if r:
+                    break
+                d, e = q, e + 1
+            if e:
+                factors.append((u, e))
+            if 2 * k > pdeg(d):
+                break
+        k += 1
+    if pdeg(d) > 0:
+        factors.append((d, 1))
+    return factors
+
+
+def inverse_mod(domain: ScalarDomain, a, m):
+    """The inverse of a mod m, for canonical a and m coprime, m a nonunit:
+    ``pow`` over Z; over F_p[x] the extended Euclidean algorithm, which
+    keeps r_i = s_i*a mod m for each remainder r_i, down to the last
+    nonzero one, a constant c, so that s*c^-1 is the inverse."""
+    if domain.kind == "int":
+        return pow(a, -1, m)
+    p = domain.char
+    r0, r1, s0, s1 = m, pdivmod(a, m, p)[1], (), (1,)
+    while r1:
+        q, r = pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, padd(s0, tuple(-c % p for c in pmul(q, s1, p)), p)
+    return pdivmod(pmul(s0, (pow(r0[0], p - 2, p),), p), m, p)[1]
 
 
 # -- scalars --

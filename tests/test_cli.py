@@ -482,7 +482,7 @@ def test_analyze_at_the_element_cap(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "parse_spec", recording_parse)
     # no polynomial gcd per residue: the divisors are sieved from the
-    # divisors of x^12, and the idempotents take one gcd per divisor
+    # divisors of x^12, and the idempotents, one per unitary divisor, none
     gcd_calls = []
 
     def counted(gcd):

@@ -891,8 +891,9 @@ def catalog_rings():
 
 
 # a product whose divisor groups are not singletons, and whose associates
-# (3, x) and (3, 2x) share an image: the merged class interleaves groups
-INTERLEAVED_RING = "Prod(Zn(9),Trunc(3,1))"
+# (3, (2, 1)) and (3, (2, 3)), each its own divisor over the base Zn(4),
+# share an image: the merged class interleaves groups
+INTERLEAVED_RING = "Prod(Zn(9),Ideal(Zn(4),1))"
 
 
 def default_instance_modules():
@@ -930,7 +931,7 @@ def test_scalar_classes_match_grouping_by_literal_images():
             len({ring.divisor_table()[r] for r in c.members}) > 1
             for c in classes
         )
-    assert (count, merged) == (1250, 32)
+    assert (count, merged) == (1259, 34)
 
 
 def test_module_labels_are_the_formatted_elements():

@@ -546,3 +546,30 @@ def test_enumeration_rejects_a_family_that_is_not_a_topology():
     # U_0 & U_1 = {1} is not a union of basis sets
     fake = SimpleNamespace(n=3, up=(0b011, 0b110, 0b110), full=0b111)
     assert not oracle_axiom(enumerate_open_sets(fake), "alexandrov")
+
+
+def string_transposed_holds(n, opens):
+    """holds[i] read off the members written as n-digit base-2 numerals,
+    one row each, last member first: column n - 1 - i, read down the rows,
+    is bit i of every member, the last member's bit the highest."""
+    rows = "".join(format(o, f"0{n}b") for o in reversed(opens)) if n else ""
+    return tuple(int(rows[n - 1 - i :: n] or "0", 2) for i in range(n))
+
+
+def test_byte_plane_transposition_matches_the_string_transposition():
+    # the family packed two bytes per member up to 16 points and ceil(n/8)
+    # above, against the numerals read by column: no points, an empty
+    # family, and each byte plane on both sides of its bound
+    assert FiniteTopology(n=0, opens=(0,), full=0).holds == ()
+    assert FiniteTopology(n=5, opens=(), full=31).holds == (0,) * 5
+    rng = random.Random(17)
+    for n in (0, 7, 8, 9, 16, 17):
+        full = (1 << n) - 1
+        families = [(), (0,), (full,), tuple(range(1 << min(n, 12)))]
+        families += [
+            tuple(sorted({rng.getrandbits(n) for _ in range(size)}))
+            for size in (1, 5, 300)
+        ]
+        for opens in families:
+            t = FiniteTopology(n=n, opens=opens, full=full)
+            assert t.holds == string_transposed_holds(n, opens), (n, len(opens))

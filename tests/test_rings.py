@@ -358,6 +358,24 @@ def test_square_zero_matches_the_pairwise_definition_on_principal_ideals():
     assert tally == {True: 161, False: 327}
 
 
+def test_quotient_idempotents_match_the_literal_squares():
+    # one idempotent per unitary divisor, by the Chinese remainder theorem,
+    # against the literal x*x = x over every residue: Zn(n) for n up to
+    # 600, and GF(p,f) for every monic f over F_2 up to degree 7, F_3 up to
+    # degree 4 and F_5 up to degree 3
+    quotients = [ZnRing(n) for n in range(2, 601)]
+    for p, max_degree in ((2, 7), (3, 4), (5, 3)):
+        for degree in range(1, max_degree + 1):
+            quotients += [QuotPolyRing(p, f) for f in monic_polys(p, degree)]
+    split = 0
+    for ring in quotients:
+        _, mul, _ = literal_ops(ring)
+        literal = frozenset(x for x in ring.elements if mul(x, x) == x)
+        assert ring.idempotents() == literal, ring.spec
+        split += len(literal) > 2
+    assert (len(quotients), split) == (1128, 832)
+
+
 def test_nontrivial_idempotent_splits_order():
     for spec in ["Zn(6)", "Zn(12)", "Prod(Zn(4),Zn(9))"]:
         ring = build_ring(spec)
@@ -591,7 +609,7 @@ def test_index_tables_match_the_literal_operations():
 # ring in test_index_tables_are_pinned, in spec order
 INDEX_TABLES_SHA256 = "17ad0a4a0d6aaf2178597b3300da6eaa4f0b5fa0bbbfff48ba07e6b6b5d472f4"
 # the same over each ring's divisor_table()
-DIVISOR_TABLES_SHA256 = "d973b3c9be946c49c7dc6b897395be236fd54c988d8f739a2416d1031e002d7b"
+DIVISOR_TABLES_SHA256 = "a8ed3759ed2964d6220a4d12e6e39cd151aa38c33c7b8d00b760cb995c34267e"
 # the same over each ring's layout codes and index_of and its labels, one
 # per line
 LAYOUTS_AND_LABELS_SHA256 = "6dbad09175ca6ff7022e745d82404d90d319a42aa8639db4f298b551d5a7555f"
@@ -989,6 +1007,58 @@ def test_divisor_tables_match_the_definitions():
             sampled += 1
         assert_divisors_match_the_definitions(ring, elements)
     assert sampled == 13
+
+
+# idealizations over fields past the pinned rings: the oracle-dense rings
+# Trunc(7,2) and Trunc(11,2), and the rings-qs rings over F_5 and F_9
+FIELD_IDEALIZATIONS = ("Trunc(7,2)", "Trunc(11,2)", "Ideal(Zn(5),3)", "Ideal(GF(3,x^2+1),2)")
+
+
+def test_idealizations_over_fields_name_one_divisor_per_associate_class():
+    # every element of every Ideal or Trunc ring over a field among the
+    # pinned rings and of FIELD_IDEALIZATIONS, against the literal
+    # products: a divisor is its own divisor; an element the table calls
+    # a unit has a power equal to one; every other r is a nonunit (1 is not
+    # in rR), its divisor generates rR, and r*u has r's divisor for every
+    # unit u.  Together these say that the table names one divisor per
+    # class of associates
+    specs = [
+        spec
+        for spec, ring in pinned_rings().items()
+        if isinstance(ring, IdealizeRing) and ring.base.is_field()
+    ]
+    over_f2, divisors = 0, {}
+    for spec in [*specs, *FIELD_IDEALIZATIONS]:
+        ring = build_ring(spec)
+        _, mul, _ = literal_ops(ring)
+        elems, index, table = ring.elements, ring.index, ring.divisor_table()
+        one, one_index = ring.one, ring.one_index
+        units = [x for x, g in zip(elems, table) if g == one_index]
+        ideals = {}
+
+        def ideal(x):
+            if x not in ideals:
+                ideals[x] = frozenset(mul(x, y) for y in elems)
+            return ideals[x]
+
+        for r, g in zip(elems, table):
+            assert table[g] == g, (spec, r)
+            if g == one_index:
+                power = r
+                for _ in range(ring.order):
+                    if power == one:
+                        break
+                    power = mul(power, r)
+                assert power == one, (spec, r)
+                continue
+            assert one not in ideal(r) and ideal(elems[g]) == ideal(r), (spec, r)
+            assert {table[index(mul(r, u))] for u in units} == {g}, (spec, r)
+        over_f2 += ring.base.order == 2
+        divisors[spec] = len(ring.divisors())
+    # over F_2 each nonunit is its own divisor.  Trunc(11,2) has 14
+    # divisors: zero, one and a point of each of the 12 lines of F_11^2
+    assert (len(specs), over_f2) == (46, 17)
+    assert [divisors[spec] for spec in FIELD_IDEALIZATIONS] == [10, 14, 33, 12]
 
 
 def test_field_detection():

@@ -199,6 +199,36 @@ def test_poly_irreducible_matches_trial_division(p, max_deg):
             assert is_irreducible(s_poly(dom, f)) == (not proper)
 
 
+def trial_division_listing(d, p):
+    """(u, d/u) for each monic divisor u != d of a monic nonunit d over F_p,
+    in the order of residues: trial division by every monic u of degree at
+    most deg(d)/2, and past that the cofactor of each divisor found."""
+    n = scalars.pdeg(d)
+    low = []
+    for k in range(n // 2 + 1):
+        for u in scalars.monic_polys(p, k):
+            q, r = scalars.pdivmod(d, u, p)
+            if not r:
+                low.append((u, q))
+    high = sorted(
+        ((q, u) for u, q in low if 0 < 2 * scalars.pdeg(u) < n),
+        key=lambda pair: (len(pair[0]), pair[0]),
+    )
+    return low + high
+
+
+@pytest.mark.parametrize("p, max_degree, moduli", [(2, 9, 1022), (3, 6, 1092), (5, 4, 780)])
+def test_divisors_from_the_factorization_match_trial_division(p, max_degree, moduli):
+    # every monic modulus of degree 1 to max_degree: the divisors listed
+    # from the prime powers, in order, each with its cofactor
+    domain, checked = poly_domain(p), 0
+    for degree in range(1, max_degree + 1):
+        for d in scalars.monic_polys(p, degree):
+            assert scalars.proper_divisors(domain, d) == trial_division_listing(d, p), d
+            checked += 1
+    assert checked == moduli
+
+
 # -- property tests ------------------------------------------------------------
 
 nonzero_ints = st.integers(min_value=-(10**9), max_value=10**9).filter(bool)
