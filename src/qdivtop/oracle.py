@@ -70,7 +70,17 @@ check: at most n·K set operations.  The transposed family: one pass over
 the members, then n² operations on K-bit ints for the m_i and the point
 closures.  A closure or interior: n operations on K-bit ints.  T2 to T5
 (T5 up to ``T5_CAP`` points) and hyper- and ultraconnectedness: one test
-per pair of points, all six in one scan.
+per pair of points, all six in one scan.  The subset sweeps of R7 and R8
+read one table each of closures and interiors, cached on the topology.
+Up to ``EXHAUSTIVE_SUBSET_CAP`` points they hold all 2^n masks, at most
+256.  The AND of ``lacks[i]`` over a mask's points is one more AND on the
+AND of the mask without its top point, so ``_prefix_ands`` costs one AND
+per mask, and ``closure_table`` n operations per distinct AND, i.e. per
+closed set.  The members inside a set are the members disjoint from its
+complement, so ``interior_table``, built only when asked for, is the
+closure table read backwards, each entry complemented.  Past 8 points the
+tables hold one ``oracle_closure`` or ``oracle_interior`` per sampled
+mask.
 """
 
 from __future__ import annotations
@@ -98,7 +108,9 @@ class FiniteTopology:
     ``min_opens[i]`` is the intersection of the members containing point
     i, ``point_closures[i]`` the closure of {i}, and ``dense`` the members
     that meet every ``min_opens[i]``.  ``pair_verdicts`` holds the axioms
-    decided on pairs of points, from the m_i and the point closures alone.
+    decided on pairs of points, from the m_i and the point closures alone,
+    and ``closure_table`` and ``interior_table`` the closures and interiors
+    of the masks of ``subset_sweep(n)``; all three are built on first use.
     The family need not be a topology: ``_is_topology`` decides that, as
     the ``alexandrov`` axiom."""
 
@@ -152,6 +164,32 @@ class FiniteTopology:
         return dict(
             T2=t2, T3=t3, T4=t4, T5=t5, hyperconnected=hyper, ultraconnected=ultra
         )
+
+    @cached_property
+    def closure_table(self):
+        """``oracle_closure`` of each mask of ``subset_sweep(n)``, in its
+        order.  Up to 8 points that is mask k at entry k: the points held
+        by no member disjoint from k, whose AND over ``lacks`` is read off
+        ``_prefix_ands``, once per distinct AND.  Past 8 points, one
+        ``oracle_closure`` per sampled mask."""
+        if self.n > EXHAUSTIVE_SUBSET_CAP:
+            return tuple(oracle_closure(self, mask) for mask in subset_sweep(self.n))
+        ands = _prefix_ands(self.members, self.lacks)
+        read = {missing: _held_by_none(self.holds, missing) for missing in set(ands)}
+        return tuple(map(read.__getitem__, ands))
+
+    @cached_property
+    def interior_table(self):
+        """``oracle_interior`` of each mask of ``subset_sweep(n)``, in its
+        order.  Up to 8 points, the members inside mask k are the members
+        disjoint from its complement full ^ k, mask 2^n - 1 - k, and the
+        points some of them hold are the points outside that mask's
+        closure.  Past 8 points, one ``oracle_interior`` per sampled
+        mask."""
+        if self.n > EXHAUSTIVE_SUBSET_CAP:
+            return tuple(oracle_interior(self, mask) for mask in subset_sweep(self.n))
+        full = self.full
+        return tuple(full ^ closure for closure in reversed(self.closure_table))
 
 
 # entry b of table k is bit k of the byte b, as a flag byte 0 or 1
@@ -225,6 +263,27 @@ def enumerate_open_sets(space: QuasiDivisorSpace) -> FiniteTopology:
     return FiniteTopology(n=space.n, opens=tuple(sorted(family)), full=space.full)
 
 
+def _prefix_ands(first: int, lacks) -> list:
+    """Entry k, for every mask k below 2^len(lacks): first AND ``lacks[i]``
+    over the points i of k.  The masks whose top point is i are the masks
+    below 2^i with i added, so their entries are the entries so far, each
+    ANDed with ``lacks[i]``: one AND per entry."""
+    table = [first]
+    for lack in lacks:
+        table += [entry & lack for entry in table]
+    return table
+
+
+def _held_by_none(holds, members: int) -> int:
+    """The points held by no member of the given mask over member indices."""
+    out, bit = 0, 1
+    for h in holds:
+        if not h & members:
+            out |= bit
+        bit <<= 1
+    return out
+
+
 def oracle_closure(topo: FiniteTopology, mask: int) -> int:
     """Intersection of every closed superset: the points held by no member
     disjoint from the set."""
@@ -232,12 +291,7 @@ def oracle_closure(topo: FiniteTopology, mask: int) -> int:
     lacks = topo.lacks
     for i in _bits(mask):
         missing &= lacks[i]
-    out, bit = 0, 1
-    for h in topo.holds:
-        if not h & missing:
-            out |= bit
-        bit <<= 1
-    return out
+    return _held_by_none(topo.holds, missing)
 
 
 def oracle_interior(topo: FiniteTopology, mask: int) -> int:
@@ -390,20 +444,31 @@ def oracle_structure_checks(
     neighborhoods (each U_i against m_i), closure distributes over unions
     (every subset up to 8 points, the singletons and a fixed sample
     above), and every open dense set contains the maximal classes (every
-    dense member)."""
+    dense member).
+
+    The closures are the topology's ``closure_table``.  Up to 8 points the
+    unions of the point closures are built by prefix too: the union over a
+    mask is the union over the mask without its top point, OR that point's
+    closure.  Past 8 points each sampled mask's union is its own OR."""
     # m_i is a member of the family, so U_i is the minimal neighborhood of
     # i exactly when it equals m_i
     minimal_ok = all(m == u for m, u in zip(topo.min_opens, space.up))
 
     closures = topo.point_closures
-    union_ok = True
-    for mask in subset_sweep(topo.n):
-        union = 0
-        for i in _bits(mask):
-            union |= closures[i]
-        if union != oracle_closure(topo, mask):
-            union_ok = False
-            break
+    if topo.n <= EXHAUSTIVE_SUBSET_CAP:
+        unions = [0]
+        for closure in closures:
+            unions += [union | closure for union in unions]
+        union_ok = tuple(unions) == topo.closure_table
+    else:
+        union_ok = True
+        for mask, closure in zip(subset_sweep(topo.n), topo.closure_table):
+            union = 0
+            for i in _bits(mask):
+                union |= closures[i]
+            if union != closure:
+                union_ok = False
+                break
 
     target = maximal_classes(space)
     dense_ok = all(not (target & ~o) for o in topo.dense)

@@ -17,6 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from . import modules, oracle, rings, scalars, topology
 
@@ -56,17 +57,24 @@ class Instance:
     spec_text: str
 
 
-@dataclass(frozen=True)
-class RuleOutcome:
+class _Outcome(NamedTuple):
     rule_id: str
     instance: str
     verdict: str
     witness: str | None = None
     note: str | None = None
 
-    def __post_init__(self):
-        if self.verdict == FAIL and not self.witness:
+
+class RuleOutcome(_Outcome):
+    """One rule's verdict on one instance: a tuple, since every pass makes
+    one per rule and instance."""
+
+    __slots__ = ()
+
+    def __new__(cls, rule_id, instance, verdict, witness=None, note=None):
+        if verdict == FAIL and not witness:
             raise ValueError("a failing outcome needs a witness")
+        return super().__new__(cls, rule_id, instance, verdict, witness, note)
 
 
 _GF_POLYS = {
@@ -386,10 +394,11 @@ def _r7(ctx):
     if _empty(ctx):
         return VACUOUS, None, "empty space"
     space, topo = ctx.space, ctx.topo
-    for mask in oracle.subset_sweep(space.n):
-        if topology.closure(space, mask) != oracle.oracle_closure(topo, mask):
+    sweep = zip(oracle.subset_sweep(space.n), topo.closure_table, topo.interior_table)
+    for mask, closure, interior in sweep:
+        if topology.closure(space, mask) != closure:
             return FAIL, f"closure formula differs on {space.label_set(mask)}", None
-        if topology.interior(space, mask) != oracle.oracle_interior(topo, mask):
+        if topology.interior(space, mask) != interior:
             return FAIL, f"interior formula differs on {space.label_set(mask)}", None
     return PASS, None, None
 
@@ -673,10 +682,11 @@ def _r20(ctx):
 
 
 def _direct_image(E):
-    """(image, summand): a -> the mask of aE, and k -> the mask of the k-th
-    summand A/(d_k), from the presentation alone: E's moduli, its domain,
-    its element index and plain scalar arithmetic, never its residue ring,
-    rows, images or digit layout, so no fault can hide on both sides of R21.
+    """(images, summand): images(samples, codes) -> the mask of aE for each
+    sample a, in order, and k -> the mask of the k-th summand A/(d_k), from
+    the presentation alone: E's moduli, its domain, its element index and
+    plain scalar arithmetic, never its residue ring, rows, images or digit
+    layout, so no fault can hide on both sides of R21.
 
     A scalar is worked on as a code. An integer is its own code. An F_p[x]
     scalar is the base-p integer whose digit k is the coefficient of x^k, so
@@ -689,19 +699,34 @@ def _direct_image(E):
     ``axpy``. gcds are Euclid on these reductions. None of this shares code
     with ``rings``, whose residue rings compute on element indices.
 
+    ``codes[k]`` is the code of ``samples[k]``; the samples past the codes
+    are encoded and reduced one by one. The coded samples are reduced by
+    one residue list per distinct modulus d. Over Z it is a % d for each.
+    Over F_p[x] the codes are every code below some power p^m, and a mod d
+    is F_p-linear in a's digits, so the residue table of every code below
+    p^(k+1) is the table below p^k followed by, for each c from 1 to p - 1,
+    that table plus c times t^k mod d: one XOR per entry over F_2, one
+    ``axpy`` per entry otherwise.
+
     Over a PID a(A/(d)) = g(A/(d)) for g = gcd(a, d), so an image is keyed
     on the tuple of gcd(a mod d, d) over the distinct moduli d, each gcd
-    memoized per (d, residue). g(A/(d)) is the set of multiples of g below
-    d, in closed form: range(0, d, g) over Z, and over F_p[x] the products
-    g*q for every q of degree below deg d - deg g, which need no reduction;
-    they are listed by adding c*g*t^k for each digit c of q, and turned into
-    elements once per (d, g). The k-th summand is the product of 1(A/(d_k))
-    at place k with d_j(A/(d_j)) = 0 at every other place j. The memos live
-    in the returned closures, so none outlives one _r21 call."""
+    memoized per (d, residue), so computed once per distinct residue. The
+    keys are read in bulk, but each mask is built when its sample is
+    reached, once per key. g(A/(d)) is the set of multiples of g below d,
+    in closed form: range(0, d, g) over Z, and over F_p[x] the products g*q
+    for every q of degree below deg d - deg g, which need no reduction;
+    they are listed by adding c*g*t^k for each digit c of q, and turned
+    into elements once per (d, g). The k-th summand is the product of
+    1(A/(d_k)) at place k with d_j(A/(d_j)) = 0 at every other place j.
+    The memos live in the returned closures, so none outlives one _r21
+    call."""
     if E.domain.kind == "int":
         encode = int
         reduce = operator.mod
         gcd = math.gcd
+
+        def residues(d, codes):
+            return [a % d for a in codes]
 
         def multiples(d, g):
             return range(0, d, g)
@@ -722,10 +747,26 @@ def _direct_image(E):
                 digits.append(c)
             return tuple(digits)
 
+        def degree(a):
+            while pw[-1] <= a:
+                pw.append(pw[-1] * p)
+            return bisect.bisect_right(pw, a) - 1
+
         if p == 2:
             def axpy(x, c, y):
                 # c is 1: the only nonzero coefficient
                 return x ^ y
+
+            def reduce(a, d):
+                # a mod d: while a's top bit sits at or above d's, clear it
+                # with d shifted under it
+                n = d.bit_length()
+                while (k := a.bit_length()) >= n:
+                    a ^= d << (k - n)
+                return a
+
+            def plus_place(table, shift):
+                return [r ^ shift for r in table]
         else:
             def axpy(x, c, y):
                 out, place = 0, 1
@@ -736,18 +777,6 @@ def _direct_image(E):
                     place *= p
                 return out
 
-        def degree(a):
-            return bisect.bisect_right(pw, a) - 1
-
-        if p == 2:
-            def reduce(a, d):
-                # a mod d: while a's top bit sits at or above d's, clear it
-                # with d shifted under it
-                n = d.bit_length()
-                while (k := a.bit_length()) >= n:
-                    a ^= d << (k - n)
-                return a
-        else:
             def reduce(a, d):
                 # a mod the monic d: for each digit c of a at k >= n = deg
                 # d, from the top down, a less c*t^(k-n)*d
@@ -757,6 +786,18 @@ def _direct_image(E):
                     if c:
                         a = axpy(a, p - c, d * pw[k - n])
                 return a
+
+            def plus_place(table, shift):
+                return [axpy(r, c, shift) for c in range(1, p) for r in table]
+
+        def residues(d, codes):
+            # the residue table below p^m, one digit place at a time, with
+            # shift = t^k mod d at place k
+            table, place, top = [0], 1, max(codes, default=0)
+            while len(table) <= top:
+                table += plus_place(table, reduce(place, d))
+                place *= p
+            return list(map(table.__getitem__, codes))
 
         def gcd(a, b):
             while b:
@@ -789,14 +830,23 @@ def _direct_image(E):
     def mask_of(key):
         return product_mask([key[i] for i in slots])
 
-    def image(a):
+    def key(a):
         a = encode(a)
-        return mask_of(tuple([divisor(d, reduce(a, d)) for d in distinct]))
+        return tuple([divisor(d, reduce(a, d)) for d in distinct])
+
+    def images(samples, codes):
+        columns = []
+        for d in distinct:
+            found = residues(d, codes)
+            gcds = {r: divisor(d, r) for r in set(found)}
+            columns.append(map(gcds.__getitem__, found))
+        keys = itertools.chain(zip(*columns), map(key, samples[len(codes) :]))
+        return map(mask_of, keys)
 
     def summand(k):
         return product_mask([1 if j == k else d for j, d in enumerate(moduli)])
 
-    return image, summand
+    return images, summand
 
 
 def _r21(ctx):
@@ -817,10 +867,10 @@ def _r21(ctx):
         return VACUOUS, None, "needs an explicit cyclic-sum presentation"
     ring = E.residue_ring
     zero, units = ring.zero_index, set(map(ring.index, ring.units()))
-    image, summand = _direct_image(E)
+    images, summand = _direct_image(E)
     if E.domain.kind == "int":
         n = ring.n
-        samples = range(-2 * n, 2 * n + 1)
+        samples = codes = range(-2 * n, 2 * n + 1)
         fmt = str
     else:
         p = E.domain.char
@@ -833,25 +883,36 @@ def _r21(ctx):
             extra.add(scalars.padd(mono, (1,), p))
             shift = (0,) * (j - deg) + (1,)
             extra.add(scalars.padd(scalars.pmul(g, shift, p), (1, 1), p))
-        short = [()] + [
-            prefix + (c,)
-            for length in range(deg + 2)
-            for prefix in itertools.product(range(p), repeat=length)
-            for c in range(1, p)
-        ]
+        # each short sample's code next to it: a prefix of length k and
+        # top coefficient c has the prefix's code plus c*p^k, and the
+        # prefix codes run in the order of itertools.product
+        short, codes, prefix_codes = [()], [0], [0]
+        for length in range(deg + 2):
+            place = p**length
+            short += [
+                prefix + (c,)
+                for prefix in itertools.product(range(p), repeat=length)
+                for c in range(1, p)
+            ]
+            codes += [x + c * place for x in prefix_codes for c in range(1, p)]
+            if length <= deg:
+                prefix_codes = [x + c * place for x in prefix_codes for c in range(p)]
         samples = short + sorted(extra, key=lambda c: (len(c), c))
         fmt = scalars.format_poly
+    direct_masks = images(samples, codes)
+    index, reduce, image_mask = ring.index, ring.reduce, E.image_mask
+    outside = (E.zero_mask, E.full_mask)
     for a in samples:
-        residue = ring.index(ring.reduce(a))
-        direct_mask = image(a)
-        in_w_direct = direct_mask != E.zero_mask and direct_mask != E.full_mask
+        residue = index(reduce(a))
+        direct_mask = next(direct_masks)
+        in_w_direct = direct_mask not in outside
         in_w_residue = residue != zero and residue not in units
         if in_w_direct != in_w_residue:
             return FAIL, (
                 f"scalar {fmt(a)}: direct membership {in_w_direct} but "
                 f"residue membership {in_w_residue}"
             ), None
-        if direct_mask != E.image_mask(residue):
+        if direct_mask != image_mask(residue):
             return FAIL, (
                 f"scalar {fmt(a)}: direct image "
                 f"{{{','.join(E.format_mask(direct_mask))}}} differs from the "

@@ -316,15 +316,28 @@ def up_sets_without_the_point(mp):
 
 
 def interior_every_member_inside(mp):
-    # the interior keeps the points all of whose members lie inside the set,
-    # not the points that some member inside the set holds
-    def planted(topo, mask):
-        inside = (1 << len(topo.opens)) - 1
-        for i in rings._bits(topo.full & ~mask):
-            inside &= topo.lacks[i]
-        return sum(1 << j for j, h in enumerate(topo.holds) if not h & ~inside)
+    # the interior table keeps the points all of whose members lie inside
+    # the set, not the points that some member inside the set holds.  The
+    # members inside mask k are the members disjoint from its complement,
+    # mask 2^n - 1 - k
+    def planted(topo):
+        ands = oracle._prefix_ands(topo.members, topo.lacks)
+        return tuple(
+            sum(1 << j for j, h in enumerate(topo.holds) if not h & ~inside)
+            for inside in reversed(ands)
+        )
 
-    mp.setattr(oracle, "oracle_interior", planted)
+    mp.setattr(oracle.FiniteTopology, "interior_table", property(planted))
+
+
+def prefix_and_without_the_last_point(mp):
+    # the sweep tables' prefix AND leaves the last point out: the entry of
+    # a mask that holds it is the entry of the mask without it, so the
+    # closure table, which R7 and R8 both read, loses that point's closure.
+    # R7's interiors are that table read backwards, so on Z:8, whose last
+    # point is [4], the interior of {[2]} is the first to differ
+    prefix_ands = oracle._prefix_ands
+    mp.setattr(oracle, "_prefix_ands", lambda first, lacks: prefix_ands(first, lacks[:-1]) * 2)
 
 
 def min_opens_without_the_point(mp):
@@ -598,6 +611,14 @@ ROWS = [
     ),
     ("R7", interior_every_member_inside, "Z:8", "interior formula differs on ['[2]']"),
     ("R7", closure_reads_up_sets, "Z:8", "closure formula differs on ['[2]']"),
+    ("R7", prefix_and_without_the_last_point, "Z:8", "interior formula differs on ['[2]']"),
+    (
+        "R8",
+        prefix_and_without_the_last_point,
+        "Z:8",
+        "StructureChecks(minimal_neighborhoods_ok=True, closure_union_ok=False, "
+        "open_dense_contains_maximal_ok=True)",
+    ),
     (
         "R8",
         closure_union_skips_the_last_point,

@@ -442,6 +442,13 @@ def random_preorder_space(rng, n):
     return SimpleNamespace(n=n, up=tuple(up), full=(1 << n) - 1)
 
 
+def random_preorder_spaces():
+    """1,000 random preorder spaces of 0 to 10 points, from one seed."""
+    rng = random.Random(20251018)
+    for _ in range(1000):
+        yield random_preorder_space(rng, rng.randint(0, 10))
+
+
 def assert_matches_literal(space, topo, where):
     assert topo.opens == literal_opens(space), where
     assert list(topo.dense) == literal_dense_opens(topo), where
@@ -466,10 +473,8 @@ def test_library_matches_literal_definitions():
         assert oracle_structure_checks(t, s) == literal_structure_checks(t, s)
         spaces += 1
     assert spaces == 277
-    rng = random.Random(20251018)
     non_t0 = t1 = 0
-    for k in range(1000):
-        s = random_preorder_space(rng, rng.randint(0, 10))
+    for k, s in enumerate(random_preorder_spaces()):
         t = enumerate_open_sets(s)
         assert_matches_literal(s, t, (k, s.up))
         non_t0 += len(set(s.up)) < s.n
@@ -509,6 +514,37 @@ def test_library_matches_literal_definitions_past_two_table_chunks():
             assert oracle_interior(t, mask) == literal_interior(t, mask), (k, mask)
         most_opens = max(most_opens, len(t.opens))
     assert 100 < most_opens <= 336
+
+
+def assert_sweep_tables_match(topo, where):
+    """The closure and interior tables against ``oracle_closure`` and
+    ``oracle_interior``, mask by mask over the subset sweep."""
+    masks = list(oracle.subset_sweep(topo.n))
+    assert len(topo.closure_table) == len(topo.interior_table) == len(masks), where
+    for mask, closure, interior in zip(masks, topo.closure_table, topo.interior_table):
+        assert closure == oracle_closure(topo, mask), (where, mask)
+        assert interior == oracle_interior(topo, mask), (where, mask)
+
+
+def test_sweep_tables_match_the_per_mask_closure_and_interior():
+    # every default module space, the random preorder spaces of
+    # test_library_matches_literal_definitions (up to 10 points, so both
+    # the exhaustive tables and the sampled ones), and chain-like spaces
+    # of 15 to 24 points, whose sweeps are sampled
+    sizes = {"exhaustive": 0, "sampled": 0}
+    default = [
+        space_of(inst.spec_text)
+        for inst in verifier.generate_corpus()
+        if inst.kind == "module"
+    ]
+    assert len(default) == 277
+    rng = random.Random(20261022)
+    chains = [chain_like_space(rng, rng.randint(15, 24)) for _ in range(30)]
+    for k, s in enumerate(default + list(random_preorder_spaces()) + chains):
+        t = enumerate_open_sets(s)
+        assert_sweep_tables_match(t, (k, s.up))
+        sizes["exhaustive" if s.n <= oracle.EXHAUSTIVE_SUBSET_CAP else "sampled"] += 1
+    assert sizes == {"exhaustive": 1088, "sampled": 219}
 
 
 def test_topology_check_matches_literal_on_arbitrary_families():

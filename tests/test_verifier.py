@@ -536,11 +536,12 @@ def test_r21_direct_images_match_the_literal_definition(monkeypatch):
 
     def recording(E):
         modules_seen.append(E)
-        image, summand = span_built(E)
+        images, summand = span_built(E)
 
-        def record(a):
-            drawn.append((a, image(a)))
-            return drawn[-1][1]
+        def record(samples, codes):
+            for a, mask in zip(samples, images(samples, codes)):
+                drawn.append((a, mask))
+                yield mask
 
         def record_summand(k):
             summands.append((k, summand(k)))
